@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vexus_bench::workloads;
-use vexus_core::features::Featurizer;
 use vexus_core::EngineConfig;
 use vexus_data::UserId;
+use vexus_mining::features::Featurizer;
 use vexus_mining::GroupId;
 use vexus_viz::lda::Lda;
 use vexus_viz::pca::Pca;

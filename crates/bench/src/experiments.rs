@@ -17,7 +17,7 @@ use vexus_index::{GroupIndex, IndexConfig};
 use vexus_mining::transactions::TransactionDb;
 use vexus_mining::{
     mine_closed_groups, BirchDiscovery, EnsembleDiscovery, GroupDiscovery, GroupId, GroupSet,
-    LcmConfig, LcmDiscovery, MemberSet, MergeContext, MergeStrategy, MomriConfig, MomriDiscovery,
+    LcmConfig, LcmDiscovery, MemberSet, MergeStrategy, MomriConfig, MomriDiscovery,
     ShardedDiscovery, StreamFimConfig, StreamFimDiscovery,
 };
 use vexus_stats::Crossfilter;
@@ -27,8 +27,8 @@ use vexus_viz::pca::{silhouette, Pca};
 
 /// All experiment ids, in report order.
 pub const ALL: &[&str] = &[
-    "f1", "f2", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "c1", "c2", "c3", "c4", "c5",
-    "c6", "c7", "c8", "c9", "c10", "c11", "c12",
+    "f1", "f2", "d1", "d2", "d5", "d6", "d7", "d8", "d9", "c1", "c2", "c3", "c4", "c5", "c6", "c7",
+    "c8", "c9", "c10", "c11", "c12",
 ];
 
 /// One experiment's output: the human-readable table plus structured
@@ -58,8 +58,6 @@ pub fn run(id: &str) -> Option<Report> {
         "f2" => f2_views().into(),
         "d1" => d1_discovery_backends().into(),
         "d2" => d2_sharded_discovery(),
-        "d3" => d3_parallel_hot_paths(),
-        "d4" => d4_hot_path_cuts(),
         "d5" => d5_concurrent_serving(),
         "d6" => d6_snapshot(),
         "d7" => d7_chaos_serving(),
@@ -430,11 +428,11 @@ pub fn d2_sharded_discovery() -> Report {
             metrics.push((format!("exchange_s{shards}_r{rounds}_recall"), recall));
             metrics.push((
                 format!("exchange_s{shards}_r{rounds}_ms"),
-                ms(outcome.stats.exchange_elapsed),
+                ms(outcome.stats.merge.exchange_elapsed),
             ));
             metrics.push((
                 format!("exchange_s{shards}_r{rounds}_added"),
-                outcome.stats.exchange_candidates as f64,
+                outcome.stats.merge.exchange_candidates as f64,
             ));
             let _ = writeln!(
                 out,
@@ -443,8 +441,8 @@ pub fn d2_sharded_discovery() -> Report {
                 shards,
                 rounds,
                 recall,
-                outcome.stats.exchange_candidates,
-                outcome.stats.exchange_elapsed,
+                outcome.stats.merge.exchange_candidates,
+                outcome.stats.merge.exchange_elapsed,
                 outcome.stats.merge_elapsed
             );
         }
@@ -539,395 +537,7 @@ pub fn d2_sharded_discovery() -> Report {
             s.materialized_entries as f64 / count as f64
         );
     }
-    out.push_str("(index cost grows superlinearly with group count — the overlapping-pair candidate scan — which is what d4's symmetric CSR scoring halves)\n");
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D3: parallel merge/index hot paths — the measured perf baseline
-// ---------------------------------------------------------------------------
-
-/// The post-discovery hot paths, measured: the support-recount merge
-/// (reusing one pre-built global `TransactionDb`) and `GroupIndex::build`,
-/// each swept over 1/2/4/8 worker threads on the d2 workload. The parallel
-/// merge must stay byte-identical to the sequential path (also pinned by
-/// `tests/sharded_discovery.rs`). Structured per-stage wall-clock metrics
-/// go into the `--json` report (`BENCH_d3.json` in CI) — the repo's perf
-/// trajectory.
-pub fn d3_parallel_hot_paths() -> Report {
-    let mut out = header(
-        "d3",
-        "parallel recount merge + index build, 1/2/4/8-thread sweep (perf baseline)",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let ds = bookcrossing(&BookCrossingConfig {
-        n_users: 3_000,
-        n_books: 2_000,
-        n_ratings: 20_000,
-        n_communities: 8,
-        seed: 42,
-    });
-    let data = &ds.data;
-    let min_support = 8usize;
-
-    let t0 = Instant::now();
-    let vocab = Vocabulary::build(data);
-    let db = TransactionDb::build(data, &vocab);
-    let db_build = t0.elapsed();
-    metrics.push(("db_build_ms".into(), ms(db_build)));
-
-    // Mine the per-shard parts once; every merge below folds the exact
-    // same inputs, so the sweep isolates the recount.
-    let driver = ShardedDiscovery::new(
-        LcmDiscovery::new(LcmConfig {
-            min_support,
-            ..Default::default()
-        }),
-        4,
-    )
-    .support_recount(min_support);
-    let t1 = Instant::now();
-    let (parts, _) = driver.mine_parts(data, &vocab);
-    let mine_parts = t1.elapsed();
-    metrics.push(("mine_parts_ms".into(), ms(mine_parts)));
-    let candidates: usize = parts.iter().map(GroupSet::len).sum();
-    let _ = writeln!(
-        out,
-        "workload: {} users, {} candidate groups over 4 shards | db build {db_build:?} | shard mining {mine_parts:?}",
-        data.n_users(),
-        candidates,
-    );
-
-    let _ = writeln!(
-        out,
-        "{:>22} | {:>7} | {:>12} | {:>8} | {:>10}",
-        "stage", "threads", "best-of-3", "speedup", "identical"
-    );
-    let strategy = MergeStrategy::SupportRecount { min_support };
-    // Two merge sweeps: the pure recount (exchange off — comparable with
-    // the pre-exchange perf trajectory) and the default exact merge (one
-    // closure exchange round). Both must stay byte-identical across
-    // thread counts.
-    let mut merged_exact = GroupSet::new();
-    for (label, metric, exchange_rounds) in [
-        ("merge recount", "merge_recount", 0usize),
-        ("merge recount+exch", "merge_exchange", 1),
-    ] {
-        let mut baseline: Option<(GroupSet, Duration)> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let ctx = MergeContext::new(data, &vocab)
-                .with_db(&db)
-                .with_threads(threads)
-                .with_exchange_rounds(exchange_rounds);
-            let mut best = Duration::MAX;
-            let mut merged = GroupSet::new();
-            for _ in 0..3 {
-                let input = parts.clone();
-                let t = Instant::now();
-                merged = strategy.merge_in(input, &ctx);
-                best = best.min(t.elapsed());
-            }
-            metrics.push((format!("{metric}_t{threads}_ms"), ms(best)));
-            let (identical, speedup) = match &baseline {
-                None => {
-                    baseline = Some((merged.clone(), best));
-                    (true, 1.0)
-                }
-                Some((reference, t1)) => (
-                    *reference == merged,
-                    t1.as_secs_f64() / best.as_secs_f64().max(1e-12),
-                ),
-            };
-            let _ = writeln!(
-                out,
-                "{:>22} | {:>7} | {:>12?} | {:>7.2}x | {:>10}",
-                label, threads, best, speedup, identical
-            );
-            assert!(identical, "parallel merge diverged from sequential output");
-        }
-        merged_exact = baseline.expect("swept at least one thread count").0;
-    }
-    let merged = merged_exact;
-
-    let mut entries = 0usize;
-    for threads in [1usize, 2, 4, 8] {
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let idx = GroupIndex::build(
-                &merged,
-                &IndexConfig {
-                    materialize_fraction: 0.10,
-                    threads,
-                },
-            );
-            best = best.min(t.elapsed());
-            entries = idx.stats().materialized_entries;
-        }
-        metrics.push((format!("index_build_t{threads}_ms"), ms(best)));
-        let _ = writeln!(
-            out,
-            "{:>22} | {:>7} | {:>12?} | {:>8} | {:>10}",
-            "index build", threads, best, "-", "-"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "({} merged groups, {entries} materialized index entries; merge reuses one pre-built \
-         TransactionDb and fans the recount over scoped threads in deterministic chunks — output \
-         is byte-identical at every thread count. Speedups reflect this machine's core count; CI \
-         archives the metrics as BENCH_d3.json)",
-        merged.len()
-    );
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D4: hot-path cuts — symmetric CSR index scoring + deduped/routed exchange
-// ---------------------------------------------------------------------------
-
-/// The two d4 optimizations, measured before/after on the d2/d3 workload.
-///
-/// **Index build:** the per-side reference scorer (PR-4, kept as
-/// `GroupIndex::build_reference`) vs the symmetric CSR build (each
-/// overlapping pair scored once from the smaller-id side), over two group
-/// counts in the superlinear regime d2 exposed, plus a thread sweep — the
-/// outputs are asserted byte-identical and `scored_pairs` halves.
-///
-/// **Closure exchange:** the PR-4 broadcast-everything exchange vs the
-/// deduplicated/frequency-pruned broadcast (single global projection, the
-/// in-process form) and the candidate→shard-routed form over genuine
-/// per-shard projection databases, at 8 shards. Every variant's recall
-/// against the unsharded mine lands in the metrics map;
-/// `exchange_recall_min` is gated at 1.0 in CI so the optimizations can
-/// never silently reintroduce the pre-exchange recall tail.
-pub fn d4_hot_path_cuts() -> Report {
-    let mut out = header(
-        "d4",
-        "hot-path cuts: symmetric CSR index scoring + deduped/routed closure exchange",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let ds = bookcrossing(&BookCrossingConfig {
-        n_users: 3_000,
-        n_books: 2_000,
-        n_ratings: 20_000,
-        n_communities: 8,
-        seed: 42,
-    });
-    let data = &ds.data;
-    let vocab = Vocabulary::build(data);
-    let db = TransactionDb::build(data, &vocab);
-    let min_support = 8usize;
-
-    // Part 1: index build, before (per-side) vs after (symmetric CSR).
-    let rich = mine_closed_groups(
-        &db,
-        &LcmConfig {
-            min_support: 3,
-            ..Default::default()
-        },
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} | {:>22} | {:>7} | {:>12} | {:>12} | {:>8}",
-        "groups", "index build", "threads", "best-of-3", "scored pairs", "vs before"
-    );
-    let same_index = |a: &GroupIndex, b: &GroupIndex, what: &str| {
-        for g in 0..a.len() {
-            let g = GroupId::new(g as u32);
-            assert_eq!(
-                a.materialized(g),
-                b.materialized(g),
-                "{what}: lists diverged"
-            );
-            assert_eq!(
-                a.full_neighbor_count(g),
-                b.full_neighbor_count(g),
-                "{what}: full lengths diverged"
-            );
-        }
-    };
-    for count in [1_000usize, 4_000] {
-        if count > rich.len() {
-            let _ = writeln!(
-                out,
-                "{count:>8} | (only {} groups mined at support 3; cell skipped)",
-                rich.len()
-            );
-            continue;
-        }
-        let subset = GroupSet::from_groups(
-            rich.iter()
-                .take(count)
-                .map(|(_, g)| g.clone())
-                .collect::<Vec<_>>(),
-        );
-        let cfg = |threads| IndexConfig {
-            materialize_fraction: 0.10,
-            threads,
-        };
-        let mut before = Duration::MAX;
-        let mut reference = GroupIndex::build_reference(&subset, &cfg(1));
-        for _ in 0..3 {
-            let t = Instant::now();
-            reference = GroupIndex::build_reference(&subset, &cfg(1));
-            before = before.min(t.elapsed());
-        }
-        metrics.push((format!("index_g{count}_before_ms"), ms(before)));
-        metrics.push((
-            format!("index_g{count}_pairs_before"),
-            reference.stats().scored_pairs as f64,
-        ));
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>22} | {:>7} | {:>12?} | {:>12} | {:>8}",
-            count,
-            "per-side (before)",
-            1,
-            before,
-            reference.stats().scored_pairs,
-            "1.00x"
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let mut best = Duration::MAX;
-            let mut idx = GroupIndex::build(&subset, &cfg(threads));
-            for _ in 0..3 {
-                let t = Instant::now();
-                idx = GroupIndex::build(&subset, &cfg(threads));
-                best = best.min(t.elapsed());
-            }
-            same_index(
-                &idx,
-                &reference,
-                &format!("groups={count} threads={threads}"),
-            );
-            if threads == 1 {
-                metrics.push((format!("index_g{count}_after_ms"), ms(best)));
-                metrics.push((
-                    format!("index_g{count}_pairs_after"),
-                    idx.stats().scored_pairs as f64,
-                ));
-                metrics.push((
-                    format!("index_g{count}_pairs_ratio"),
-                    idx.stats().scored_pairs as f64 / reference.stats().scored_pairs.max(1) as f64,
-                ));
-            }
-            metrics.push((format!("index_g{count}_after_t{threads}_ms"), ms(best)));
-            let _ = writeln!(
-                out,
-                "{:>8} | {:>22} | {:>7} | {:>12?} | {:>12} | {:>7.2}x",
-                count,
-                "symmetric CSR (after)",
-                threads,
-                best,
-                idx.stats().scored_pairs,
-                before.as_secs_f64() / best.as_secs_f64().max(1e-12)
-            );
-        }
-    }
-    out.push_str(
-        "(same lists, same full lengths, half the scored pairs: the symmetric build scores every \
-         overlapping pair once from the smaller-id side and scatters both endpoints' entries \
-         deterministically)\n",
-    );
-
-    // Part 2: closure exchange at 8 shards, before/after.
-    let lcm_proto = || {
-        LcmDiscovery::new(LcmConfig {
-            min_support,
-            ..Default::default()
-        })
-    };
-    let baseline: std::collections::BTreeSet<Vec<vexus_data::TokenId>> = lcm_proto()
-        .discover(data, &vocab)
-        .groups
-        .iter()
-        .map(|(_, g)| g.description.clone())
-        .collect();
-    let driver = ShardedDiscovery::new(lcm_proto(), 8).support_recount(min_support);
-    let (parts, _) = driver.mine_parts(data, &vocab);
-    let plan = vexus_data::ShardPlan::build(data.n_users(), 8, vexus_data::ShardStrategy::Hash);
-    let shard_dbs: Vec<TransactionDb> = (0..plan.n_shards())
-        .map(|s| TransactionDb::build_for_members(data, &vocab, plan.members(s)))
-        .collect();
-    let base_ctx = MergeContext::new(data, &vocab)
-        .with_db(&db)
-        .with_partial_parts(true);
-    let _ = writeln!(
-        out,
-        "{:>18} | {:>12} | {:>12} | {:>7} | {:>7} | {:>8} | {:>8}",
-        "exchange", "exch best", "merge best", "added", "deduped", "skipped", "recall"
-    );
-    let merge = MergeStrategy::SupportRecount { min_support };
-    let mut before_ms = f64::NAN;
-    let mut recall_min = f64::INFINITY;
-    for (label, metric, ctx) in [
-        (
-            "broadcast-all",
-            "exchange_before",
-            base_ctx.with_exchange_dedup(false),
-        ),
-        ("dedup+prune", "exchange_dedup", base_ctx),
-        (
-            "dedup+route",
-            "exchange_routed",
-            base_ctx.with_shard_dbs(&shard_dbs).with_shard_plan(&plan),
-        ),
-    ] {
-        let mut best_exchange = Duration::MAX;
-        let mut best_merge = Duration::MAX;
-        let mut merged = GroupSet::new();
-        let mut telemetry = vexus_mining::MergeTelemetry::default();
-        for _ in 0..3 {
-            let input = parts.clone();
-            let t = Instant::now();
-            let (groups, tel) = merge.merge_in_traced(input, &ctx);
-            best_merge = best_merge.min(t.elapsed());
-            if tel.exchange_elapsed < best_exchange {
-                best_exchange = tel.exchange_elapsed;
-            }
-            merged = groups;
-            telemetry = tel;
-        }
-        let recovered = merged
-            .iter()
-            .filter(|(_, g)| baseline.contains(&g.description))
-            .count();
-        let recall = recovered as f64 / baseline.len().max(1) as f64;
-        recall_min = recall_min.min(recall);
-        metrics.push((format!("{metric}_ms"), ms(best_exchange)));
-        metrics.push((format!("{metric}_recall"), recall));
-        if label == "broadcast-all" {
-            before_ms = ms(best_exchange);
-        }
-        let _ = writeln!(
-            out,
-            "{:>18} | {:>12?} | {:>12?} | {:>7} | {:>7} | {:>8} | {:>8.4}",
-            label,
-            best_exchange,
-            best_merge,
-            telemetry.exchange_candidates,
-            telemetry.exchange_deduped,
-            telemetry.exchange_shards_skipped,
-            recall
-        );
-        if label != "broadcast-all" {
-            metrics.push((
-                format!("{metric}_speedup"),
-                before_ms / ms(best_exchange).max(1e-9),
-            ));
-        }
-    }
-    metrics.push(("exchange_recall_min".into(), recall_min));
-    out.push_str(
-        "(broadcast-all is the PR-4 reference; dedup+prune restricts every candidate to its \
-         globally frequent tokens and broadcasts each distinct pruned form once; dedup+route \
-         additionally re-closes only against shards holding a carrier, over genuine per-shard \
-         projection databases. All three merge to the same group space — the recall gate holds \
-         the optimizations to exactness)\n",
-    );
+    out.push_str("(index cost grows superlinearly with group count — the overlapping-pair candidate scan, each unordered pair scored once)\n");
     Report { text: out, metrics }
 }
 
@@ -3019,7 +2629,7 @@ pub fn c9_discussion_groups() -> String {
 pub fn c10_lda_vs_pca() -> String {
     let mut out = header("c10", "focus view: LDA vs PCA separation (silhouette)");
     let (vexus, latent) = workloads::dbauthors_engine(EngineConfig::paper());
-    let featurizer = vexus_core::features::Featurizer::new(vexus.data());
+    let featurizer = vexus_mining::features::Featurizer::new(vexus.data());
     // Probe the five biggest groups.
     let mut probe: Vec<GroupId> = vexus.groups().ids().collect();
     probe.sort_by_key(|&g| std::cmp::Reverse(vexus.groups().get(g).size()));

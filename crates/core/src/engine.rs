@@ -92,25 +92,6 @@ impl VexusBuilder {
         self
     }
 
-    /// Set the merge recount worker count for config-selected composite
-    /// discovery (`0` = available parallelism). Shorthand for mutating
-    /// [`EngineConfig::merge_threads`]; the group space is byte-identical
-    /// at any count.
-    pub fn merge_threads(mut self, merge_threads: usize) -> Self {
-        self.config.merge_threads = merge_threads;
-        self
-    }
-
-    /// Set the cross-shard closure exchange round count for
-    /// config-selected composite discovery (`0` = off). Shorthand for
-    /// mutating [`EngineConfig::exchange_rounds`]; the default of one
-    /// round makes sharded support-recount discovery reproduce the
-    /// unsharded closed-group space exactly at any shard count.
-    pub fn exchange_rounds(mut self, exchange_rounds: usize) -> Self {
-        self.config.exchange_rounds = exchange_rounds;
-        self
-    }
-
     /// Stage 2 (explicit): run this discovery backend instead of the
     /// config-selected one.
     pub fn discovery(self, backend: impl GroupDiscovery + 'static) -> Self {
@@ -517,17 +498,16 @@ mod tests {
             .config(config.clone())
             .build()
             .unwrap();
-        assert_eq!(with.build_stats().discovery.exchange_rounds_run, 1);
+        assert_eq!(with.build_stats().discovery.merge.exchange_rounds_run, 1);
         // The broadcast dedup telemetry flows through too: eight shards
         // over a tiny dataset mine plenty of closures that frequency-prune
         // onto shared (or singleton, broadcast-free) forms.
-        assert!(with.build_stats().discovery.exchange_deduped > 0);
+        assert!(with.build_stats().discovery.merge.exchange_deduped > 0);
         let without = VexusBuilder::new(ds.data)
-            .config(config)
-            .exchange_rounds(0)
+            .config(config.with_exchange_rounds(0))
             .build()
             .unwrap();
-        assert_eq!(without.build_stats().discovery.exchange_rounds_run, 0);
+        assert_eq!(without.build_stats().discovery.merge.exchange_rounds_run, 0);
         assert!(without.build_stats().n_groups <= with.build_stats().n_groups);
     }
 
@@ -637,7 +617,7 @@ mod tests {
         let data = ds.data;
         let vocab = Vocabulary::build(&data);
         // BIRCH-style clusters as the group space.
-        let featurizer = crate::features::Featurizer::new(&data);
+        let featurizer = vexus_mining::features::Featurizer::new(&data);
         let mut tree = vexus_mining::birch::BirchTree::new(vexus_mining::birch::BirchConfig {
             branching: 8,
             threshold: 1.2,
@@ -738,13 +718,11 @@ mod tests {
         let config =
             EngineConfig::default().with_discovery(DiscoverySelection::default().sharded(4));
         let sequential = VexusBuilder::new(ds.data.clone())
-            .config(config.clone())
-            .merge_threads(1)
+            .config(config.clone().with_merge_threads(1))
             .build()
             .unwrap();
         let parallel = VexusBuilder::new(ds.data)
-            .config(config)
-            .merge_threads(4)
+            .config(config.with_merge_threads(4))
             .build()
             .unwrap();
         assert_eq!(sequential.groups(), parallel.groups());

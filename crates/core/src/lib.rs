@@ -47,7 +47,6 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod failpoint;
-pub mod features;
 pub mod feedback;
 pub mod greedy;
 pub mod live;

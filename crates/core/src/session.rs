@@ -34,12 +34,12 @@
 
 use crate::config::EngineConfig;
 use crate::error::CoreError;
-use crate::features::Featurizer;
 use crate::feedback::{ContextView, FeedbackVector};
 use crate::greedy::{self, ScoredCandidate, SelectParams, SelectScratch, SelectionOutcome};
 use std::sync::Arc;
 use vexus_data::{AttrId, UserData, UserId, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache};
+use vexus_mining::features::Featurizer;
 use vexus_mining::{GroupId, GroupSet, MemberSet};
 use vexus_stats::StatsView;
 use vexus_viz::color::{Color, Palette};

@@ -599,20 +599,6 @@ impl Vocabulary {
     pub fn all_transactions(&self, data: &UserData) -> Vec<Vec<TokenId>> {
         data.users().map(|u| self.user_tokens(data, u)).collect()
     }
-
-    /// The transactions of a subset of users, in `members` order — the
-    /// projection-local view a per-shard re-closure needs, without paying
-    /// for a full [`UserData::project_users`] copy (columns, actions and
-    /// the CSR index stay untouched). `members` are global user ids;
-    /// tokens stay in this (global) vocabulary, so the result can back a
-    /// shard-local transaction database that shares the global token
-    /// universe.
-    pub fn member_transactions(&self, data: &UserData, members: &[u32]) -> Vec<Vec<TokenId>> {
-        members
-            .iter()
-            .map(|&u| self.user_tokens(data, UserId::new(u)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -750,23 +736,6 @@ mod tests {
         let d = b.build();
         assert_eq!(d.schema().value_label(act, d.value(u1, act)), "active");
         assert_eq!(d.schema().value_label(act, d.value(u0, act)), "inactive");
-    }
-
-    #[test]
-    fn member_transactions_project_without_copying_the_dataset() {
-        let d = small();
-        let vocab = Vocabulary::build(&d);
-        let all = vocab.all_transactions(&d);
-        // A member subset yields exactly those users' transactions, in
-        // member order, with tokens still in the global vocabulary.
-        let subset = vocab.member_transactions(&d, &[1]);
-        assert_eq!(subset, vec![all[1].clone()]);
-        let both = vocab.member_transactions(&d, &[0, 1]);
-        assert_eq!(both, all);
-        assert!(vocab.member_transactions(&d, &[]).is_empty());
-        // Equivalent to tokenizing a full projection, without the copy.
-        let projected = d.project_users(&[1]);
-        assert_eq!(subset, vocab.all_transactions(&projected));
     }
 
     #[test]

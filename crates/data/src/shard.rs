@@ -117,23 +117,6 @@ impl ShardPlan {
         self.shards[shard].len() as f64 / self.n_members as f64
     }
 
-    /// The shards containing at least one of `members`, ascending. This is
-    /// the candidate→shard routing primitive of the merge layer's closure
-    /// exchange: a candidate description only needs re-closing against
-    /// shards that hold a carrier of one of its tokens, and those shards
-    /// are computable from the plan's member ranges/hashes plus a global
-    /// tidlist — no per-shard data structures required.
-    pub fn shards_containing(&self, members: impl IntoIterator<Item = u32>) -> Vec<usize> {
-        let mut seen = vec![false; self.shards.len()];
-        for m in members {
-            seen[self.shard_of(m)] = true;
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(s, &hit)| hit.then_some(s))
-            .collect()
-    }
-
     /// The shard a member belongs to (O(1); recomputed from the strategy).
     pub fn shard_of(&self, member: u32) -> usize {
         debug_assert!((member as usize) < self.n_members, "member out of plan");
@@ -218,23 +201,6 @@ mod tests {
         assert_eq!(plan.n_shards(), 1);
         assert_eq!(plan.members(0).len(), 10);
         assert!((plan.fraction(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shards_containing_routes_members_to_their_shards() {
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Contiguous] {
-            let plan = ShardPlan::build(100, 4, strategy);
-            // Every member routes to exactly its own shard.
-            for m in 0..100u32 {
-                assert_eq!(plan.shards_containing([m]), vec![plan.shard_of(m)]);
-            }
-            // A spread-out set covers several shards, ascending and deduped.
-            let all = plan.shards_containing(0..100u32);
-            assert_eq!(all, vec![0, 1, 2, 3]);
-            // Duplicates collapse; the empty set routes nowhere.
-            assert_eq!(plan.shards_containing([7, 7, 7]), vec![plan.shard_of(7)]);
-            assert!(plan.shards_containing([]).is_empty());
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! ([`MemberGroupsCsr`]), and every overlapping pair is scored **once**,
 //! from the smaller-id side: workers score their group ranges into
 //! thread-local buckets, and a deterministic scatter/merge assembles the
-//! per-group lists. The output is byte-identical to the per-side scorer
-//! (kept as [`GroupIndex::build_reference`]) at any thread count, with
-//! `scored_pairs` halved. The CSR is retained in the built index so the
+//! per-group lists. The output is byte-identical at any thread count
+//! (the tests pin it against the brute-force [`compute_all_neighbors`]).
+//! The CSR is retained in the built index so the
 //! exact fallback of [`GroupIndex::neighbors`] walks only the groups that
 //! overlap the query group instead of scanning the whole group space.
 //!
@@ -54,9 +54,8 @@ pub struct IndexStats {
     pub n_groups: usize,
     /// Total materialized neighbor entries.
     pub materialized_entries: usize,
-    /// Overlapping candidate pairs scored during the build. The symmetric
-    /// build scores each unordered pair once; the per-side reference
-    /// scores it from both ends and reports twice this count.
+    /// Overlapping candidate pairs scored during the build; each
+    /// unordered pair is scored once.
     pub scored_pairs: usize,
     /// Approximate heap bytes of the index: materialized entries, the
     /// outer list/length vectors, and the retained member→groups CSR.
@@ -68,8 +67,8 @@ pub type Neighbor = (GroupId, f32);
 
 /// Flat CSR member→groups map: `ids[offsets[u]..offsets[u + 1]]` are the
 /// groups containing member `u`, ascending. One `offsets`/`ids` pair
-/// replaces the per-member `Vec<Vec<u32>>` of the pre-d4 build — no
-/// per-member allocations, cache-linear candidate scans — and is shared
+/// instead of a per-member `Vec<Vec<u32>>` — no per-member allocations,
+/// cache-linear candidate scans — and is shared
 /// between the index build, the retained exact-fallback path and
 /// [`build_overlap_graph`].
 /// Storage is borrowed-or-owned ([`U32Store`]): the built form owns its
@@ -197,8 +196,7 @@ impl GroupIndex {
     /// runs the top-fraction selection per group in parallel. Both the
     /// kept set and its order are determined by the total neighbor order
     /// (descending similarity, ids as tie-break), so the index is
-    /// byte-identical at any thread count — and to the per-side reference
-    /// build.
+    /// byte-identical at any thread count.
     pub fn build(groups: &GroupSet, cfg: &IndexConfig) -> Self {
         let n = groups.len();
         let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
@@ -370,39 +368,6 @@ impl GroupIndex {
                 .map(|&l| l as u32)
                 .collect::<Vec<_>>()
                 .into(),
-            member_groups,
-            scored_pairs,
-        )
-    }
-
-    /// The pre-d4 build, kept as the equivalence reference: a sequential
-    /// scan that scores every overlapping pair from *both* sides (so
-    /// `scored_pairs` is twice the symmetric build's count). Tests and the
-    /// `d4` experiment pin [`GroupIndex::build`] byte-identical to this at
-    /// every thread count; it is not meant for production use.
-    pub fn build_reference(groups: &GroupSet, cfg: &IndexConfig) -> Self {
-        let n = groups.len();
-        let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
-        let member_groups = MemberGroupsCsr::build(groups);
-        let mut entries: Vec<Neighbor> = Vec::new();
-        let mut list_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        list_offsets.push(0);
-        let mut full_lengths = vec![0u32; n];
-        let mut scored_pairs = 0usize;
-        let mut counter: Vec<u32> = vec![0; n];
-        for (gid, _) in groups.iter() {
-            let mut full = overlapping_neighbors(groups, &member_groups, gid, &mut counter);
-            scored_pairs += full.len();
-            full_lengths[gid.index()] = full.len() as u32;
-            let keep = keep_of(fraction, full.len());
-            let kept = select_top_in_place(&mut full, keep);
-            entries.extend_from_slice(&full[..kept]);
-            list_offsets.push(entries.len() as u32);
-        }
-        Self::from_parts(
-            list_offsets.into(),
-            entries,
-            full_lengths.into(),
             member_groups,
             scored_pairs,
         )
@@ -1056,6 +1021,30 @@ mod tests {
         );
     }
 
+    /// The build's oracle, sharing no code with it: every list is the
+    /// top-fraction prefix of the brute-force full scan, every full length
+    /// is the scan's, and each unordered overlapping pair was scored once.
+    fn assert_matches_brute_force(idx: &GroupIndex, gs: &GroupSet, fraction: f64, what: &str) {
+        assert_eq!(idx.len(), gs.len(), "{what}: group count");
+        let mut overlapping = 0usize;
+        for (g, _) in gs.iter() {
+            let all = compute_all_neighbors(gs, g);
+            let keep = (fraction * all.len() as f64).ceil() as usize;
+            assert_eq!(idx.materialized(g), &all[..keep], "{what}: list of {g}");
+            assert_eq!(
+                idx.full_neighbor_count(g),
+                all.len(),
+                "{what}: full length of {g}"
+            );
+            overlapping += all.len();
+        }
+        assert_eq!(
+            idx.stats().scored_pairs,
+            overlapping / 2,
+            "{what}: scored pairs"
+        );
+    }
+
     #[test]
     fn csr_matches_per_member_lists() {
         let gs = groups_fixture();
@@ -1093,37 +1082,23 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_build_matches_per_side_reference_across_thread_counts() {
-        // The d4 equivalence pin: the symmetric one-pair-once build must
-        // reproduce the per-side reference byte for byte at any thread
-        // count and fraction, with scored_pairs exactly halved.
+    fn build_matches_brute_force_across_fractions_and_thread_counts() {
         let gs = bookcrossing_groups(10);
         assert!(gs.len() > 30, "fixture too small: {}", gs.len());
         for fraction in [0.0, 0.05, 0.3, 1.0] {
-            let reference = GroupIndex::build_reference(
-                &gs,
-                &IndexConfig {
-                    materialize_fraction: fraction,
-                    threads: 1,
-                },
-            );
             for threads in [1usize, 2, 4, 8] {
-                let symmetric = GroupIndex::build(
+                let idx = GroupIndex::build(
                     &gs,
                     &IndexConfig {
                         materialize_fraction: fraction,
                         threads,
                     },
                 );
-                assert_same_index(
-                    &symmetric,
-                    &reference,
+                assert_matches_brute_force(
+                    &idx,
+                    &gs,
+                    fraction,
                     &format!("fraction={fraction} threads={threads}"),
-                );
-                assert_eq!(
-                    symmetric.stats().scored_pairs * 2,
-                    reference.stats().scored_pairs,
-                    "fraction={fraction} threads={threads}: pairs not halved"
                 );
             }
         }
@@ -1295,7 +1270,7 @@ mod tests {
     fn skewed_sizes_build_matches_serial_at_any_thread_count() {
         // A giant group plus many small ones: the regime even slicing
         // imbalances. The parallel build must stay identical to serial
-        // and to the per-side reference.
+        // and to the brute-force scan.
         let mut gs = GroupSet::new();
         gs.push(Group::new(
             vec![],
@@ -1312,11 +1287,7 @@ mod tests {
             threads,
         };
         let serial = GroupIndex::build(&gs, &cfg(1));
-        assert_same_index(
-            &serial,
-            &GroupIndex::build_reference(&gs, &cfg(1)),
-            "serial vs reference",
-        );
+        assert_matches_brute_force(&serial, &gs, 0.5, "serial");
         for threads in [2usize, 3, 8, 64] {
             let parallel = GroupIndex::build(&gs, &cfg(threads));
             assert_same_index(&serial, &parallel, &format!("threads={threads}"));
@@ -1359,15 +1330,7 @@ mod tests {
         // g0<->g1, g0<->g2, g1<->g2: each unordered pair scored once.
         assert_eq!(s.scored_pairs, 3);
         assert_eq!(s.materialized_entries, 6);
-        // The per-side reference scores both directions of every pair.
-        let reference = GroupIndex::build_reference(
-            &gs,
-            &IndexConfig {
-                materialize_fraction: 1.0,
-                threads: 1,
-            },
-        );
-        assert_eq!(reference.stats().scored_pairs, 6);
+        assert_matches_brute_force(&idx, &gs, 1.0, "fixture");
         // heap accounting covers the flat entries, both offset tables and
         // the retained CSR.
         assert!(
@@ -1539,10 +1502,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// Random skewed group-size fixtures: the symmetric CSR build must
-        /// equal the per-side reference — lists, full lengths and halved
-        /// scored_pairs — at thread counts {1, 2, 4, 8}.
+        /// equal the brute-force scan — lists, full lengths and one
+        /// scoring per unordered pair — at thread counts {1, 2, 4, 8}.
         #[test]
-        fn prop_symmetric_build_equals_reference(
+        fn prop_build_equals_brute_force(
             raw_groups in proptest::collection::vec(
                 (0u32..60, 1usize..24), 1..40),
             fraction in 0.0f64..1.0
@@ -1554,30 +1517,12 @@ mod tests {
                 let members: Vec<u32> = (start..start + len as u32).collect();
                 gs.push(Group::new(vec![], MemberSet::from_unsorted(members)));
             }
-            let reference = GroupIndex::build_reference(
-                &gs,
-                &IndexConfig { materialize_fraction: fraction, threads: 1 },
-            );
             for threads in [1usize, 2, 4, 8] {
-                let symmetric = GroupIndex::build(
+                let idx = GroupIndex::build(
                     &gs,
                     &IndexConfig { materialize_fraction: fraction, threads },
                 );
-                for (gid, _) in gs.iter() {
-                    prop_assert_eq!(
-                        symmetric.materialized(gid),
-                        reference.materialized(gid),
-                        "threads={} group={}", threads, gid
-                    );
-                    prop_assert_eq!(
-                        symmetric.full_neighbor_count(gid),
-                        reference.full_neighbor_count(gid)
-                    );
-                }
-                prop_assert_eq!(
-                    symmetric.stats().scored_pairs * 2,
-                    reference.stats().scored_pairs
-                );
+                assert_matches_brute_force(&idx, &gs, fraction, &format!("threads={threads}"));
             }
         }
     }

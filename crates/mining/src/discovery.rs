@@ -25,7 +25,7 @@ use crate::features::Featurizer;
 use crate::group::GroupSet;
 use crate::lcm::{mine_closed_groups, LcmConfig};
 use crate::momri::{discover as momri_discover, MomriConfig};
-use crate::sharded::{EnsembleDiscovery, MergeStrategy, ShardedDiscovery};
+use crate::sharded::{EnsembleDiscovery, MergeStrategy, MergeTelemetry, ShardedDiscovery};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
 use crate::transactions::TransactionDb;
 use std::time::{Duration, Instant};
@@ -67,24 +67,12 @@ pub struct DiscoveryStats {
     /// Wall-clock of the merge stage folding shard outcomes into one group
     /// space (zero for plain runs).
     pub merge_elapsed: Duration,
-    /// Cross-shard closure exchange rounds actually run inside the merge
-    /// (zero for plain runs, when the exchange is disabled, or when it is
-    /// skipped because at most one part contributed descriptions).
-    pub exchange_rounds_run: usize,
-    /// Candidate descriptions the closure exchange added to the global
-    /// recount worklist.
-    pub exchange_candidates: usize,
-    /// Wall-clock of the closure exchange rounds (a sub-interval of
-    /// `merge_elapsed`).
-    pub exchange_elapsed: Duration,
-    /// Candidate broadcasts the merge's dedup stage saved: frontier
-    /// candidates collapsing onto an already-broadcast frequency-pruned
-    /// form (or pruning down to a broadcast-free singleton). Zero when
-    /// the exchange runs in its pre-dedup reference mode.
-    pub exchange_deduped: usize,
-    /// Per-candidate shard scans the exchange's candidate→shard routing
-    /// skipped (shards with no carrier of any candidate token).
-    pub exchange_shards_skipped: usize,
+    /// What the merge stage reported about its closure exchange (all zero
+    /// for plain runs, when the exchange is disabled, or when it is
+    /// skipped because at most one full-data part contributed
+    /// descriptions). `merge.exchange_elapsed` is a sub-interval of
+    /// `merge_elapsed`.
+    pub merge: MergeTelemetry,
     /// Stream-miner transactions observed over the miner's lifetime
     /// (zero for non-stream backends). For live refreshes this is
     /// cumulative across epochs, so batch and incremental runs report the

@@ -69,7 +69,6 @@ pub use group::{Group, GroupId, GroupSet};
 pub use lcm::{mine_closed_groups, LcmConfig};
 pub use momri::MomriConfig;
 pub use sharded::{
-    EnsembleDiscovery, ExchangeRouter, MergeContext, MergeStrategy, MergeTelemetry, ShardScaled,
-    ShardedDiscovery,
+    EnsembleDiscovery, MergeContext, MergeStrategy, MergeTelemetry, ShardScaled, ShardedDiscovery,
 };
 pub use stream_fim::{MinerEntry, MinerState, StreamFimConfig, StreamMiner};

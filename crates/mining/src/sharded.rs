@@ -55,24 +55,20 @@
 //! `tests/sharded_discovery.rs`); further rounds only re-broadcast the
 //! newly found descriptions and stop early at the fixpoint.
 //!
-//! The exchange's cost is cut three ways (measured by the `d4`
-//! experiment; [`MergeContext::exchange_dedup`]` = false` restores the
-//! plain broadcast-everything path as the before/after reference). Each
-//! frontier candidate is **frequency-pruned** onto its tokens whose
-//! global support meets the recount floor — a group containing an
-//! infrequent token can never survive the recount, so its tidlists are
-//! never worth scanning. Near-identical candidates (the common case after
-//! SON scaling: shard-local closures differing only in locally-shared
-//! rare tokens) collapse onto one pruned form that is **deduplicated and
-//! broadcast once**; the pruned form itself joins the recount worklist,
-//! which is what keeps the completeness argument intact (a hidden set
-//! whose every carrier carries the whole pruned form is exactly that
-//! form's recount). And with genuine per-shard projections an
-//! [`ExchangeRouter`] routes each candidate only to the **shards holding
-//! a carrier** of at least one of its tokens — computable from per-shard
-//! token supports, or from the [`ShardPlan`]'s member ranges/hashes plus
-//! the global tidlists without touching per-shard data
-//! ([`ExchangeRouter::from_plan`]).
+//! The exchange's cost is cut two ways. Each frontier candidate is
+//! **frequency-pruned** onto its tokens whose global support meets the
+//! recount floor — a group containing an infrequent token can never
+//! survive the recount, so its tidlists are never worth scanning.
+//! Near-identical candidates (the common case after SON scaling:
+//! shard-local closures differing only in locally-shared rare tokens)
+//! collapse onto one pruned form that is **deduplicated and broadcast
+//! once**; the pruned form itself joins the recount worklist, which is
+//! what keeps the completeness argument intact (a hidden set whose every
+//! carrier carries the whole pruned form is exactly that form's recount).
+//! The re-closure runs against the one global transaction database: every
+//! member lives in exactly one shard, so the union of per-shard distinct
+//! projections equals the global distinct projections, and in-process
+//! per-shard copies would only duplicate every transaction.
 
 use crate::bitmap::MemberSet;
 use crate::discovery::{BirchDiscovery, LcmDiscovery, MomriDiscovery, StreamFimDiscovery};
@@ -305,11 +301,10 @@ fn close_under_intersection(seed: Vec<Vec<TokenId>>, cap: usize) -> Vec<Vec<Toke
 /// exact global closed group) but may reopen a recall tail.
 pub const EXCHANGE_FAMILY_CAP: usize = 4096;
 
-/// One shard's re-closure of a broadcast candidate `y`, for every shard in
-/// `dbs`: the distinct projections of the shard's transactions onto `y`
-/// (each projection is the shard-local closure of a single member,
-/// restricted to `y` — no support floor), then the cross-shard
-/// intersection products of all of them.
+/// The re-closure of a broadcast candidate `y` against the transaction
+/// projection `db`: the distinct projections of its transactions onto `y`
+/// (each projection is the closure of a single member, restricted to `y`
+/// — no support floor), then the intersection products of all of them.
 ///
 /// Hot path: a projection is a subset of `y`, so for the (universal in
 /// practice) case `|y| ≤ 64` each one is a `u64` bitmask over `y`'s token
@@ -327,10 +322,10 @@ pub const EXCHANGE_FAMILY_CAP: usize = 4096;
 /// `2^|y|`), where the two explorations may keep different — equally
 /// sound — subsets.
 ///
-/// `scratch` is caller-owned zeroed scratch, at least as long as the
-/// largest projection's transaction count; it is returned zeroed.
+/// `scratch` is caller-owned zeroed scratch, grown here to the
+/// projection's transaction count; it is returned zeroed.
 fn exchange_family(
-    dbs: &[&TransactionDb],
+    db: &TransactionDb,
     y: &[TokenId],
     cap: usize,
     scratch: &mut Vec<u64>,
@@ -340,39 +335,35 @@ fn exchange_family(
         return Vec::new();
     }
     if y.len() > 64 {
-        return exchange_family_reference(dbs, y, cap);
+        return exchange_family_reference(db, y, cap);
     }
     let full: u64 = if y.len() == 64 {
         u64::MAX
     } else {
         (1u64 << y.len()) - 1
     };
-    let rows = dbs.iter().map(|db| db.n_transactions()).max().unwrap_or(0);
-    if scratch.len() < rows {
-        scratch.resize(rows, 0);
+    if scratch.len() < db.n_transactions() {
+        scratch.resize(db.n_transactions(), 0);
+    }
+    let mut touched: Vec<u32> = Vec::new();
+    for (i, &t) in y.iter().enumerate() {
+        let bit = 1u64 << i;
+        for u in db.tidlist(t).iter() {
+            if scratch[u as usize] == 0 {
+                touched.push(u);
+            }
+            scratch[u as usize] |= bit;
+        }
     }
     let mut seed: Vec<u64> = Vec::new();
-    let mut touched: Vec<u32> = Vec::new();
-    for db in dbs {
-        for (i, &t) in y.iter().enumerate() {
-            let bit = 1u64 << i;
-            for u in db.tidlist(t).iter() {
-                if scratch[u as usize] == 0 {
-                    touched.push(u);
-                }
-                scratch[u as usize] |= bit;
-            }
+    for &u in touched.iter() {
+        let mask = scratch[u as usize];
+        scratch[u as usize] = 0;
+        // The full candidate is already on the worklist; only strict
+        // sub-projections can surface hidden sets.
+        if mask != full {
+            seed.push(mask);
         }
-        for &u in touched.iter() {
-            let mask = scratch[u as usize];
-            scratch[u as usize] = 0;
-            // The full candidate is already on the worklist; only strict
-            // sub-projections can surface hidden sets.
-            if mask != full {
-                seed.push(mask);
-            }
-        }
-        touched.clear();
     }
     seed.sort_unstable();
     seed.dedup();
@@ -419,191 +410,89 @@ fn close_masks_under_and(seed: Vec<u64>, cap: usize) -> Vec<u64> {
     known.into_iter().collect()
 }
 
-/// The PR-4 family computation, kept verbatim as the
-/// [`MergeContext::exchange_dedup`]` = false` reference (and the fallback
-/// for descriptions wider than 64 tokens): materialize `(member, token)`
-/// pairs over the tidlists, sort them so each run is one member's
-/// projection, and close the collected set under pairwise intersection.
-fn exchange_family_reference(
-    dbs: &[&TransactionDb],
-    y: &[TokenId],
-    cap: usize,
-) -> Vec<Vec<TokenId>> {
+/// The generic family computation over token lists: the fallback for
+/// descriptions wider than 64 tokens, which the mask path cannot
+/// represent, and the unit-test oracle for the mask path. Materializes
+/// `(member, token)` pairs over the tidlists, sorts them so each run is
+/// one member's projection, and closes the collected set under pairwise
+/// intersection.
+fn exchange_family_reference(db: &TransactionDb, y: &[TokenId], cap: usize) -> Vec<Vec<TokenId>> {
     if y.len() < 2 {
         return Vec::new();
     }
-    let mut seed: std::collections::BTreeSet<Vec<TokenId>> = std::collections::BTreeSet::new();
-    for db in dbs {
-        // (member, token) pairs over y's tidlists; sorting groups them by
-        // member, so each run is that member's transaction ∩ y (tokens
-        // ascend within a run because the pair sort is lexicographic).
-        let mut pairs: Vec<(u32, TokenId)> = Vec::new();
-        for &t in y {
-            for u in db.tidlist(t).iter() {
-                pairs.push((u, t));
-            }
+    // (member, token) pairs over y's tidlists; sorting groups them by
+    // member, so each run is that member's transaction ∩ y (tokens ascend
+    // within a run because the pair sort is lexicographic).
+    let mut pairs: Vec<(u32, TokenId)> = Vec::new();
+    for &t in y {
+        for u in db.tidlist(t).iter() {
+            pairs.push((u, t));
         }
-        pairs.sort_unstable();
-        let mut i = 0;
-        while i < pairs.len() {
-            let member = pairs[i].0;
-            let mut projection = Vec::new();
-            while i < pairs.len() && pairs[i].0 == member {
-                projection.push(pairs[i].1);
-                i += 1;
-            }
-            if projection.len() < y.len() {
-                seed.insert(projection);
-            }
+    }
+    pairs.sort_unstable();
+    let mut seed: std::collections::BTreeSet<Vec<TokenId>> = std::collections::BTreeSet::new();
+    let mut i = 0;
+    while i < pairs.len() {
+        let member = pairs[i].0;
+        let mut projection = Vec::new();
+        while i < pairs.len() && pairs[i].0 == member {
+            projection.push(pairs[i].1);
+            i += 1;
+        }
+        if projection.len() < y.len() {
+            seed.insert(projection);
         }
     }
     close_under_intersection(seed.into_iter().collect(), cap)
 }
 
-/// Candidate→shard routing table for the closure exchange: per token, the
-/// shard projections whose members actually carry it. A candidate `y` only
-/// needs re-closing against shards holding a carrier of at least one of
-/// its tokens — every other shard would contribute an empty projection
-/// set, so skipping it is a strict no-op that saves the tidlist scans.
-#[derive(Debug, Clone)]
-pub struct ExchangeRouter {
-    /// `token_shards[token]` = sorted shard indices with non-zero
-    /// shard-local support for that token.
-    token_shards: Vec<Vec<u32>>,
-}
-
-impl ExchangeRouter {
-    /// Build from materialized shard projections by probing each shard's
-    /// local token supports.
-    pub fn from_projections(dbs: &[&TransactionDb]) -> Self {
-        let n_tokens = dbs.first().map(|db| db.n_tokens()).unwrap_or(0);
-        let mut token_shards: Vec<Vec<u32>> = vec![Vec::new(); n_tokens];
-        for (s, db) in dbs.iter().enumerate() {
-            for (t, shards) in token_shards.iter_mut().enumerate() {
-                if db.support(TokenId::new(t as u32)) > 0 {
-                    shards.push(s as u32);
-                }
-            }
-        }
-        Self { token_shards }
-    }
-
-    /// Build from a [`ShardPlan`] and the *global* database — the form a
-    /// distributed deployment computes without touching per-shard data:
-    /// each global tidlist routes through
-    /// [`ShardPlan::shards_containing`]. Shard indices must correspond to
-    /// the plan's (and hence [`MergeContext::shard_dbs`]'s) shard order;
-    /// the result is identical to
-    /// [`ExchangeRouter::from_projections`] over the plan's projections.
-    pub fn from_plan(plan: &ShardPlan, global: &TransactionDb) -> Self {
-        let token_shards = (0..global.n_tokens())
-            .map(|t| {
-                plan.shards_containing(global.tidlist(TokenId::new(t as u32)).iter())
-                    .into_iter()
-                    .map(|s| s as u32)
-                    .collect()
-            })
-            .collect();
-        Self { token_shards }
-    }
-
-    /// The shards that can contribute a projection of `y`: the sorted
-    /// union of its tokens' carrier shards.
-    pub fn route(&self, y: &[TokenId]) -> Vec<u32> {
-        let mut out: Vec<u32> = y
-            .iter()
-            .flat_map(|t| self.token_shards[t.index()].iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
-/// One exchange round: broadcast every frontier candidate to every shard
-/// projection (or, with a router, only to the shards holding carriers of
-/// its tokens), collect the re-closed families, and return the
-/// deduplicated union plus the number of per-candidate shard scans the
-/// routing skipped. Fans out over scoped worker threads in contiguous
-/// candidate chunks; the result is sorted, so it is byte-identical at any
-/// worker count.
-fn exchange_round(
-    dbs: &[&TransactionDb],
-    candidates: &[Vec<TokenId>],
-    router: Option<&ExchangeRouter>,
+/// Run `work` over `items` on up to `threads` scoped workers (`0` =
+/// available parallelism), one contiguous chunk per worker. Chunk results
+/// are re-concatenated in order, so the result sequence is byte-identical
+/// to the sequential path at any worker count.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
     threads: usize,
-    optimized: bool,
-) -> (Vec<Vec<TokenId>>, usize) {
-    // Per-worker closure: route, then compute the family with the
-    // worker-owned mask scratch (or the reference path when the caller
-    // asked for the PR-4 exchange).
-    let family_of = |y: &Vec<TokenId>, scratch: &mut Vec<u64>| -> (Vec<Vec<TokenId>>, usize) {
-        let routed_store: Vec<&TransactionDb>;
-        let (used, skipped): (&[&TransactionDb], usize) = match router {
-            None => (dbs, 0),
-            Some(router) => {
-                routed_store = router.route(y).iter().map(|&s| dbs[s as usize]).collect();
-                let skipped = dbs.len() - routed_store.len();
-                (&routed_store, skipped)
-            }
-        };
-        let family = if optimized {
-            exchange_family(used, y, EXCHANGE_FAMILY_CAP, scratch)
-        } else {
-            exchange_family_reference(used, y, EXCHANGE_FAMILY_CAP)
-        };
-        (family, skipped)
-    };
-    let workers = resolve_workers(threads).min(candidates.len()).max(1);
-    let (families, skipped): (Vec<Vec<Vec<TokenId>>>, usize) = if workers <= 1 {
-        let mut skipped = 0usize;
-        let mut scratch = Vec::new();
-        let families = candidates
-            .iter()
-            .map(|y| {
-                let (family, s) = family_of(y, &mut scratch);
-                skipped += s;
-                family
-            })
+    work: impl Fn(&[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let workers = resolve_workers(threads).min(items.len()).max(1);
+    if workers <= 1 {
+        return work(items);
+    }
+    crossbeam::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| scope.spawn(move |_| work(chunk)))
             .collect();
-        (families, skipped)
-    } else {
-        let chunk = candidates.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let family_of = &family_of;
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        let mut skipped = 0usize;
-                        let mut scratch = Vec::new();
-                        let families: Vec<_> = chunk
-                            .iter()
-                            .map(|y| {
-                                let (family, s) = family_of(y, &mut scratch);
-                                skipped += s;
-                                family
-                            })
-                            .collect();
-                        (families, skipped)
-                    })
-                })
-                .collect();
-            let mut families = Vec::new();
-            let mut skipped = 0usize;
-            for h in handles {
-                let (f, s) = h.join().expect("exchange worker panicked");
-                families.extend(f);
-                skipped += s;
-            }
-            (families, skipped)
-        })
-        .expect("exchange scope")
-    };
-    let mut out: Vec<Vec<TokenId>> = families.into_iter().flatten().collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("merge worker panicked"))
+            .collect()
+    })
+    .expect("merge worker scope")
+}
+
+/// One exchange round: re-close every broadcast candidate against the
+/// transaction projection and return the deduplicated union of the
+/// families. The result is sorted, so it is byte-identical at any worker
+/// count.
+fn exchange_round(
+    db: &TransactionDb,
+    candidates: &[Vec<TokenId>],
+    threads: usize,
+) -> Vec<Vec<TokenId>> {
+    let mut out = fan_out(candidates, threads, |chunk| {
+        // One mask scratch per worker, reused across its candidates.
+        let mut scratch = Vec::new();
+        chunk
+            .iter()
+            .flat_map(|y| exchange_family(db, y, EXCHANGE_FAMILY_CAP, &mut scratch))
+            .collect()
+    });
     out.sort_unstable();
     out.dedup();
-    (out, skipped)
+    out
 }
 
 /// Worker count resolution: `0` means use the machine's available
@@ -630,7 +519,7 @@ pub struct MergeContext<'a> {
     pub vocab: &'a Vocabulary,
     /// A transaction database over `data`/`vocab`, if the caller already
     /// built one. `None` makes [`MergeStrategy::SupportRecount`] build its
-    /// own, as the pre-d3 merge contract did.
+    /// own.
     pub db: Option<&'a TransactionDb>,
     /// Worker threads for the candidate recount (`0` = available
     /// parallelism). Output is byte-identical at any thread count.
@@ -641,15 +530,6 @@ pub struct MergeContext<'a> {
     /// makes the sharded recount exact at any shard count (see the module
     /// docs), and further rounds stop early at the fixpoint.
     pub exchange_rounds: usize,
-    /// Projection-local transaction databases, one per shard, for the
-    /// exchange's shard-local re-closure step. `None` treats the global
-    /// database as a single projection — the merged output is identical
-    /// (every member lives in exactly one shard, so the union of per-shard
-    /// distinct projections equals the global distinct projections), which
-    /// is why the in-process driver never builds them; the per-shard form
-    /// (see [`TransactionDb::build_for_members`]) exists so a distributed
-    /// deployment can keep the re-closure next to each shard's data.
-    pub shard_dbs: Option<&'a [TransactionDb]>,
     /// Whether the parts were mined on *projections* of the data (shards)
     /// rather than on the full dataset. When true, the exchange runs even
     /// if only one part contributed descriptions: a lone shard-local
@@ -666,27 +546,6 @@ pub struct MergeContext<'a> {
     /// ([`ShardScaled::emits_population_group`]); shard-root witnesses and
     /// derived candidates recounting onto it are normalized out otherwise.
     pub keep_population_group: bool,
-    /// Whether the exchange broadcast is deduplicated and
-    /// frequency-pruned (on by default). Each frontier candidate is first
-    /// restricted to its tokens with *global* support at least the
-    /// recount floor — a token below the global floor cannot appear in any
-    /// surviving group, so projecting onto it is wasted tidlist scanning —
-    /// and near-identical candidates (the common case after SON scaling:
-    /// shard-local closures differing only in locally-shared rare tokens)
-    /// collapse onto one pruned form that is broadcast once. The pruned
-    /// forms themselves join the recount worklist, which keeps the
-    /// exchange exactness proof intact (see the module docs). `false`
-    /// restores the PR-4 broadcast-everything exchange, kept as the
-    /// before/after reference for the `d4` experiment.
-    pub exchange_dedup: bool,
-    /// The shard plan behind [`MergeContext::shard_dbs`], if the caller
-    /// has one (shard order must match). Lets the exchange build its
-    /// candidate→shard [`ExchangeRouter`] from the plan's member
-    /// ranges/hashes and the global tidlists
-    /// ([`ExchangeRouter::from_plan`]) instead of probing every
-    /// projection's token supports; without a plan the router is derived
-    /// from the projections directly.
-    pub shard_plan: Option<&'a ShardPlan>,
 }
 
 impl<'a> MergeContext<'a> {
@@ -699,11 +558,8 @@ impl<'a> MergeContext<'a> {
             db: None,
             threads: 1,
             exchange_rounds: 1,
-            shard_dbs: None,
             partial_parts: false,
             keep_population_group: false,
-            exchange_dedup: true,
-            shard_plan: None,
         }
     }
 
@@ -725,13 +581,6 @@ impl<'a> MergeContext<'a> {
         self
     }
 
-    /// Builder-style: provide per-shard projection databases for the
-    /// exchange's shard-local re-closure.
-    pub fn with_shard_dbs(mut self, shard_dbs: &'a [TransactionDb]) -> Self {
-        self.shard_dbs = Some(shard_dbs);
-        self
-    }
-
     /// Builder-style: mark the parts as shard-local projections (forces
     /// the exchange to run even when only one part contributed).
     pub fn with_partial_parts(mut self, partial_parts: bool) -> Self {
@@ -743,21 +592,6 @@ impl<'a> MergeContext<'a> {
     /// (the user's backend was configured with `emit_root: true`).
     pub fn with_keep_population_group(mut self, keep: bool) -> Self {
         self.keep_population_group = keep;
-        self
-    }
-
-    /// Builder-style: toggle the deduplicated, frequency-pruned exchange
-    /// broadcast (`false` = the PR-4 broadcast-everything reference path).
-    pub fn with_exchange_dedup(mut self, exchange_dedup: bool) -> Self {
-        self.exchange_dedup = exchange_dedup;
-        self
-    }
-
-    /// Builder-style: provide the shard plan matching
-    /// [`MergeContext::shard_dbs`] so candidate→shard routing can be
-    /// computed from the plan instead of probing the projections.
-    pub fn with_shard_plan(mut self, shard_plan: &'a ShardPlan) -> Self {
-        self.shard_plan = Some(shard_plan);
         self
     }
 }
@@ -776,12 +610,8 @@ pub struct MergeTelemetry {
     /// Candidate broadcasts the dedup stage saved: frontier descriptions
     /// that collapsed onto an already-broadcast (or within-round
     /// duplicate) frequency-pruned form, or pruned down to a singleton
-    /// with no family to broadcast. Zero on the
-    /// [`MergeContext::exchange_dedup`]` = false` reference path.
+    /// with no family to broadcast.
     pub exchange_deduped: usize,
-    /// Per-candidate shard scans the candidate→shard routing skipped
-    /// (shards holding no carrier of any of the candidate's tokens).
-    pub exchange_shards_skipped: usize,
 }
 
 /// Recount one candidate description against the global database: exact
@@ -797,44 +627,6 @@ fn recount_one(
     }
     let closed = db.closure(&members);
     Some((closed, members))
-}
-
-/// Recount every candidate, fanning out over scoped worker threads in
-/// contiguous chunks. Chunks are re-concatenated in order, so the result
-/// sequence — and hence the merged group order downstream — is
-/// byte-identical to the sequential path at any worker count.
-fn recount_candidates(
-    db: &TransactionDb,
-    candidates: &[Vec<TokenId>],
-    min_support: usize,
-    threads: usize,
-) -> Vec<(Vec<TokenId>, MemberSet)> {
-    let workers = resolve_workers(threads).min(candidates.len()).max(1);
-    if workers <= 1 {
-        return candidates
-            .iter()
-            .filter_map(|d| recount_one(db, d, min_support))
-            .collect();
-    }
-    let chunk = candidates.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .filter_map(|d| recount_one(db, d, min_support))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("recount worker panicked"))
-            .collect()
-    })
-    .expect("recount scope")
 }
 
 /// How per-shard (or per-backend) group spaces fold into one.
@@ -859,12 +651,10 @@ pub enum MergeStrategy {
     /// one exchange round it reproduces the unsharded closed-group space
     /// at any shard count. Cost model: one exchange round scans, per
     /// *distinct frequency-pruned* candidate, the tidlists of its frequent
-    /// tokens once per routed shard projection (`O(Σ support(token))`
-    /// carrier pushes plus one transaction intersection per carrier), then
+    /// tokens once (`O(Σ support(token))` carrier mask updates), then
     /// recounts the handful of sub-descriptions it surfaces — in return
-    /// the quadratic refinement cap stops being a correctness knob. The
-    /// dedup/prune/route trims are the `d4` optimizations; see the module
-    /// docs and [`MergeContext::exchange_dedup`].
+    /// the quadratic refinement cap stops being a correctness knob. See
+    /// the module docs for the prune/dedup argument.
     SupportRecount {
         /// Global support floor after recounting.
         min_support: usize,
@@ -873,16 +663,8 @@ pub enum MergeStrategy {
 
 impl MergeStrategy {
     /// Fold per-part group spaces (members already in *global* user ids)
-    /// into one. `data`/`vocab` back the global recount where needed.
-    /// Sequential, building its own transaction database — the pre-d3
-    /// contract; see [`MergeStrategy::merge_in`] for database reuse and
-    /// the parallel recount.
-    pub fn merge(&self, parts: Vec<GroupSet>, data: &UserData, vocab: &Vocabulary) -> GroupSet {
-        self.merge_in(parts, &MergeContext::new(data, vocab))
-    }
-
-    /// Fold per-part group spaces into one under an explicit
-    /// [`MergeContext`]: reuses `ctx.db` when provided instead of
+    /// into one under a [`MergeContext`], whose `data`/`vocab` back the
+    /// global recount where needed: reuses `ctx.db` when provided instead of
     /// rebuilding the global database, runs `ctx.exchange_rounds` closure
     /// exchange rounds before the recount, and fans both stages out over
     /// `ctx.threads` workers. The merged output is byte-identical for
@@ -959,9 +741,8 @@ impl MergeStrategy {
                         } else {
                             contributed = true;
                             // Identical descriptions from different shards
-                            // collapse here (pre-d4 behavior, untracked —
-                            // `exchange_deduped` isolates the broadcast
-                            // dedup so the PR-4 reference path reads 0).
+                            // collapse here, untracked: `exchange_deduped`
+                            // counts the broadcast dedup only.
                             if seen_candidates.insert(group.description.clone()) {
                                 candidates.push(group.description);
                             }
@@ -988,19 +769,6 @@ impl MergeStrategy {
                 };
                 if ctx.exchange_rounds > 0 && derive && !candidates.is_empty() {
                     let t_exchange = Instant::now();
-                    let single_projection = [db];
-                    let shard_dbs: Vec<&TransactionDb> = match ctx.shard_dbs {
-                        Some(dbs) if !dbs.is_empty() => dbs.iter().collect(),
-                        _ => single_projection.to_vec(),
-                    };
-                    // Candidate→shard routing only pays with genuine
-                    // per-shard projections; the single-projection
-                    // fallback always scans its one database.
-                    let router =
-                        (ctx.exchange_dedup && shard_dbs.len() > 1).then(|| match ctx.shard_plan {
-                            Some(plan) => ExchangeRouter::from_plan(plan, db),
-                            None => ExchangeRouter::from_projections(&shard_dbs),
-                        });
                     let before = candidates.len();
                     let mut pool: std::collections::BTreeSet<Vec<TokenId>> =
                         candidates.iter().cloned().collect();
@@ -1011,45 +779,33 @@ impl MergeStrategy {
                     let mut frontier = candidates.clone();
                     for _ in 0..ctx.exchange_rounds {
                         telemetry.exchange_rounds_run += 1;
-                        let broadcast: Vec<Vec<TokenId>> = if ctx.exchange_dedup {
-                            let mut forms = Vec::new();
-                            for y in &frontier {
-                                let pruned: Vec<TokenId> = y
-                                    .iter()
-                                    .copied()
-                                    .filter(|&t| db.support(t) >= *min_support)
-                                    .collect();
-                                if pruned.len() < y.len()
-                                    && !pruned.is_empty()
-                                    && pool.insert(pruned.clone())
-                                {
-                                    // The pruned form is a legitimate
-                                    // candidate in its own right (the
-                                    // projection of `y` onto the frequent
-                                    // token space); recounting it is what
-                                    // keeps the exactness proof intact
-                                    // when every carrier of a hidden set
-                                    // carries the whole pruned form.
-                                    candidates.push(pruned.clone());
-                                }
-                                if pruned.len() >= 2 && broadcast_seen.insert(pruned.clone()) {
-                                    forms.push(pruned);
-                                }
+                        let mut broadcast = Vec::new();
+                        for y in &frontier {
+                            let pruned: Vec<TokenId> = y
+                                .iter()
+                                .copied()
+                                .filter(|&t| db.support(t) >= *min_support)
+                                .collect();
+                            if pruned.len() < y.len()
+                                && !pruned.is_empty()
+                                && pool.insert(pruned.clone())
+                            {
+                                // The pruned form is a legitimate
+                                // candidate in its own right (the
+                                // projection of `y` onto the frequent
+                                // token space); recounting it is what
+                                // keeps the exactness proof intact when
+                                // every carrier of a hidden set carries
+                                // the whole pruned form.
+                                candidates.push(pruned.clone());
                             }
-                            forms.sort_unstable();
-                            telemetry.exchange_deduped += frontier.len() - forms.len();
-                            forms
-                        } else {
-                            std::mem::take(&mut frontier)
-                        };
-                        let (found, skipped) = exchange_round(
-                            &shard_dbs,
-                            &broadcast,
-                            router.as_ref(),
-                            ctx.threads,
-                            ctx.exchange_dedup,
-                        );
-                        telemetry.exchange_shards_skipped += skipped;
+                            if pruned.len() >= 2 && broadcast_seen.insert(pruned.clone()) {
+                                broadcast.push(pruned);
+                            }
+                        }
+                        broadcast.sort_unstable();
+                        telemetry.exchange_deduped += frontier.len() - broadcast.len();
+                        let found = exchange_round(db, &broadcast, ctx.threads);
                         let fresh: Vec<Vec<TokenId>> = found
                             .into_iter()
                             .filter(|d| pool.insert(d.clone()))
@@ -1063,7 +819,14 @@ impl MergeStrategy {
                     telemetry.exchange_candidates = candidates.len() - before;
                     telemetry.exchange_elapsed = t_exchange.elapsed();
                 }
-                let recounted = recount_candidates(db, &candidates, *min_support, ctx.threads);
+                // Chunks come back in candidate order, so the merged group
+                // order is byte-identical at any worker count.
+                let recounted = fan_out(&candidates, ctx.threads, |chunk| {
+                    chunk
+                        .iter()
+                        .filter_map(|d| recount_one(db, d, *min_support))
+                        .collect()
+                });
                 let mut out = GroupSet::new();
                 let mut seen_closed = std::collections::BTreeSet::new();
                 let population = db.n_transactions();
@@ -1188,8 +951,8 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
     /// per-shard group spaces (members remapped to global ids, in shard
     /// order) plus per-shard telemetry. [`ShardedDiscovery::discover`] is
     /// `mine_parts` followed by the merge; exposing the split lets perf
-    /// harnesses (the `d3` experiment) re-merge identical parts under
-    /// different merge configurations without re-mining.
+    /// harnesses time the two stages apart and re-merge identical parts
+    /// under different merge configurations without re-mining.
     pub fn mine_parts(
         &self,
         data: &UserData,
@@ -1281,12 +1044,8 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
         // `merge_in` can share one too).
         let recounting = matches!(self.merge, MergeStrategy::SupportRecount { .. });
         let db = recounting.then(|| TransactionDb::build(data, vocab));
-        // No per-shard databases here: in-process, the global database
-        // used as a single projection yields an identical exchange family
-        // (see `MergeContext::shard_dbs`), so building projection-local
-        // copies would only duplicate every transaction. `partial_parts`
-        // still tells the merge the parts are shard-local, so the
-        // exchange runs even when a single shard contributed.
+        // `partial_parts` tells the merge the parts are shard-local, so
+        // the exchange runs even when a single shard contributed.
         let mut ctx = MergeContext::new(data, vocab)
             .with_threads(self.merge_threads)
             .with_exchange_rounds(self.exchange_rounds)
@@ -1295,7 +1054,7 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
         if let Some(db) = db.as_ref() {
             ctx = ctx.with_db(db);
         }
-        let (groups, exchange) = self.merge.merge_in_traced(parts, &ctx);
+        let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
         // Re-apply the user's output caps that per-shard adaptation lifted.
         let groups = self.backend.finish_merge(groups);
         let merge_elapsed = t_merge.elapsed();
@@ -1306,11 +1065,7 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
             candidates_considered: pre_merge,
             shards: shard_stats,
             merge_elapsed,
-            exchange_rounds_run: exchange.exchange_rounds_run,
-            exchange_candidates: exchange.exchange_candidates,
-            exchange_elapsed: exchange.exchange_elapsed,
-            exchange_deduped: exchange.exchange_deduped,
-            exchange_shards_skipped: exchange.exchange_shards_skipped,
+            merge,
             ..Default::default()
         };
         DiscoveryOutcome { groups, stats }
@@ -1433,7 +1188,7 @@ impl GroupDiscovery for EnsembleDiscovery {
         if let Some(db) = db.as_ref() {
             ctx = ctx.with_db(db);
         }
-        let (groups, exchange) = self.merge.merge_in_traced(parts, &ctx);
+        let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
         let merge_elapsed = t_merge.elapsed();
         let stats = DiscoveryStats {
             algorithm: self.name(),
@@ -1442,11 +1197,7 @@ impl GroupDiscovery for EnsembleDiscovery {
             candidates_considered: pre_merge,
             shards: shard_stats,
             merge_elapsed,
-            exchange_rounds_run: exchange.exchange_rounds_run,
-            exchange_candidates: exchange.exchange_candidates,
-            exchange_elapsed: exchange.exchange_elapsed,
-            exchange_deduped: exchange.exchange_deduped,
-            exchange_shards_skipped: exchange.exchange_shards_skipped,
+            merge,
             ..Default::default()
         };
         DiscoveryOutcome { groups, stats }
@@ -1593,39 +1344,72 @@ mod tests {
     #[test]
     fn exchange_family_recovers_hidden_subsets() {
         let d = |v: &[u32]| v.iter().map(|&t| TokenId::new(t)).collect::<Vec<_>>();
-        // Shard A: both members carry {0,1,2}; shard B: members carry
-        // {0,3} and {1,2,3}. The candidate {0,1,2} projected onto shard B
+        // Two members carry {0,1,2} (one shard's whole population, so its
+        // local closure of anything is {0,1,2}); the other two carry {0,3}
+        // and {1,2,3}. The candidate {0,1,2} projected onto the latter
         // yields {0} and {1,2} — the strict sub-projections a recount
         // needs to surface the globally closed subsets.
-        let shard_a = TransactionDb::from_transactions(vec![d(&[0, 1, 2]), d(&[0, 1, 2])], 4);
-        let shard_b = TransactionDb::from_transactions(vec![d(&[0, 3]), d(&[1, 2, 3])], 4);
+        let db = TransactionDb::from_transactions(
+            vec![d(&[0, 1, 2]), d(&[0, 1, 2]), d(&[0, 3]), d(&[1, 2, 3])],
+            4,
+        );
         let mut scratch = Vec::new();
-        let family = exchange_family(&[&shard_a, &shard_b], &d(&[0, 1, 2]), 64, &mut scratch);
+        let family = exchange_family(&db, &d(&[0, 1, 2]), 64, &mut scratch);
         assert!(family.contains(&d(&[0])));
         assert!(family.contains(&d(&[1, 2])));
         // The full candidate itself is never re-emitted, and singleton
         // candidates have no strict sub-projections at all.
         assert!(!family.contains(&d(&[0, 1, 2])));
-        assert!(exchange_family(&[&shard_a, &shard_b], &d(&[3]), 64, &mut scratch).is_empty());
-        // The mask hot path must agree with the PR-4 pair-sort reference.
-        let mut reference = exchange_family_reference(&[&shard_a, &shard_b], &d(&[0, 1, 2]), 64);
+        assert!(exchange_family(&db, &d(&[3]), 64, &mut scratch).is_empty());
+        // The mask hot path must agree with the pair-sort reference.
+        let mut reference = exchange_family_reference(&db, &d(&[0, 1, 2]), 64);
         reference.sort_unstable();
-        let mut sorted = family.clone();
+        let mut sorted = family;
         sorted.sort_unstable();
         assert_eq!(sorted, reference);
         // The scratch is handed back zeroed, ready for the next candidate.
         assert!(scratch.iter().all(|&m| m == 0));
-        // Splitting the same transactions differently across shards does
-        // not change the family (the union of distinct projections is the
-        // same), which is why a global fallback projection is equivalent.
-        let global = TransactionDb::from_transactions(
-            vec![d(&[0, 1, 2]), d(&[0, 1, 2]), d(&[0, 3]), d(&[1, 2, 3])],
-            4,
-        );
-        assert_eq!(
-            family,
-            exchange_family(&[&global], &d(&[0, 1, 2]), 64, &mut scratch)
-        );
+    }
+
+    #[test]
+    fn mask_path_and_wide_fallback_agree_at_the_width_boundary() {
+        // 66 tokens: one member carries all of them, four lack exactly one
+        // (so which of them project onto the full candidate changes with
+        // the width), and three short transactions make the intersection
+        // products non-trivial. |y| = 63 and 64 exercise the partial- and
+        // full-mask arms, |y| = 65 the fallback the masks cannot represent.
+        const TOKENS: u32 = 66;
+        let d = |v: &[u32]| v.iter().map(|&t| TokenId::new(t)).collect::<Vec<_>>();
+        let lacking = |skip: u32| d(&(0..TOKENS).filter(|&t| t != skip).collect::<Vec<_>>());
+        let mut transactions = vec![lacking(TOKENS)]; // skips nothing
+        transactions.extend([0, 62, 63, 64].map(lacking));
+        transactions.extend([d(&[0, 1, 62, 63, 64]), d(&[1, 2, 63]), d(&[64, 65])]);
+        let db = TransactionDb::from_transactions(transactions, TOKENS as usize);
+        let y = |width: u32| (0..width).map(TokenId::new).collect::<Vec<_>>();
+        let mut scratch = Vec::new();
+        for width in [63u32, 64, 65] {
+            let y = y(width);
+            let mut family = exchange_family(&db, &y, EXCHANGE_FAMILY_CAP, &mut scratch);
+            let mut reference = exchange_family_reference(&db, &y, EXCHANGE_FAMILY_CAP);
+            assert!(
+                reference.len() >= 6 && reference.len() < EXCHANGE_FAMILY_CAP,
+                "|y|={width}: the fixture must be non-trivial and stay under the cap"
+            );
+            // Neither path re-emits the full candidate, even at |y| = 64
+            // where the full mask is every bit of the word.
+            assert!(!family.contains(&y));
+            family.sort_unstable();
+            reference.sort_unstable();
+            assert_eq!(family, reference, "|y|={width}");
+            assert!(scratch.iter().all(|&m| m == 0));
+        }
+        // The mask path grows its scratch to the transaction count; the
+        // fallback never touches it.
+        let mut fresh = Vec::new();
+        exchange_family(&db, &y(65), EXCHANGE_FAMILY_CAP, &mut fresh);
+        assert!(fresh.is_empty(), "|y| = 65 must take the fallback");
+        exchange_family(&db, &y(64), EXCHANGE_FAMILY_CAP, &mut fresh);
+        assert_eq!(fresh.len(), db.n_transactions());
     }
 
     #[test]
@@ -1649,132 +1433,20 @@ mod tests {
         let ctx = MergeContext::new(&dummy, &vocab)
             .with_db(&db)
             .with_partial_parts(true);
-        let (out, telemetry) = merge.merge_in_traced(vec![part.clone()], &ctx);
+        let (out, telemetry) = merge.merge_in_traced(vec![part], &ctx);
         assert_eq!(normalize(&out), vec![(d(&[0]), vec![0, 1, 2, 3])]);
         // {0, 1} collapsed to a singleton pruned form: nothing was worth
         // broadcasting, which the dedup telemetry reports.
         assert_eq!(telemetry.exchange_deduped, 1);
-        // The legacy broadcast-everything path agrees on the space.
-        let legacy = merge.merge_in(vec![part], &ctx.with_exchange_dedup(false));
-        assert_eq!(normalize(&out), normalize(&legacy));
-    }
-
-    #[test]
-    fn deduped_exchange_matches_the_legacy_broadcast_exactly() {
-        // The d4 before/after equivalence pin at workload scale: over the
-        // oversharded regime (scaled floors near 1 — maximal shard-local
-        // closure noise), the pruned/deduped exchange must produce the
-        // same merged space as the PR-4 broadcast-everything exchange, at
-        // several thread counts, while actually collapsing candidates.
-        let (data, vocab) = fixture();
-        let driver = ShardedDiscovery::new(lcm(10), 8).support_recount(10);
-        let (parts, _) = driver.mine_parts(&data, &vocab);
-        let db = TransactionDb::build(&data, &vocab);
-        let merge = MergeStrategy::SupportRecount { min_support: 10 };
-        let ctx = MergeContext::new(&data, &vocab)
-            .with_db(&db)
-            .with_partial_parts(true);
-        let (legacy, legacy_tel) =
-            merge.merge_in_traced(parts.clone(), &ctx.with_exchange_dedup(false));
-        assert_eq!(legacy_tel.exchange_shards_skipped, 0);
-        assert_eq!(
-            legacy_tel.exchange_deduped, 0,
-            "the PR-4 reference path must report no broadcast dedup"
+        // The unsharded mine agrees on the space.
+        let unsharded = crate::lcm::mine_closed_groups(
+            &db,
+            &LcmConfig {
+                min_support: 3,
+                ..Default::default()
+            },
         );
-        for threads in [1usize, 4] {
-            let (deduped, tel) = merge.merge_in_traced(parts.clone(), &ctx.with_threads(threads));
-            assert_eq!(
-                normalize(&legacy),
-                normalize(&deduped),
-                "threads={threads}: dedup changed the merged space"
-            );
-            assert!(
-                tel.exchange_deduped > 0,
-                "oversharded LCM shards should collapse candidates"
-            );
-        }
-    }
-
-    #[test]
-    fn router_constructions_agree_and_routing_preserves_the_merge() {
-        // from_plan (plan + global tidlists) must equal from_projections
-        // (per-shard support probes), and the routed shard_dbs exchange
-        // must merge exactly like the unrouted one while skipping the
-        // shard scans the routing proves empty.
-        let (data, vocab) = fixture();
-        let db = TransactionDb::build(&data, &vocab);
-        let plan = ShardPlan::build(data.n_users(), 6, ShardStrategy::Contiguous);
-        let shard_dbs: Vec<TransactionDb> = (0..plan.n_shards())
-            .map(|s| TransactionDb::build_for_members(&data, &vocab, plan.members(s)))
-            .collect();
-        let refs: Vec<&TransactionDb> = shard_dbs.iter().collect();
-        let from_plan = ExchangeRouter::from_plan(&plan, &db);
-        let from_projections = ExchangeRouter::from_projections(&refs);
-        for t in 0..db.n_tokens() as u32 {
-            let y = vec![TokenId::new(t)];
-            assert_eq!(
-                from_plan.route(&y),
-                from_projections.route(&y),
-                "router constructions disagree on token {t}"
-            );
-        }
-        // End-to-end: routed vs unrouted shard-local exchange.
-        let driver = ShardedDiscovery::new(lcm(10), 6)
-            .with_strategy(ShardStrategy::Contiguous)
-            .support_recount(10);
-        let (parts, _) = driver.mine_parts(&data, &vocab);
-        let merge = MergeStrategy::SupportRecount { min_support: 10 };
-        let ctx = MergeContext::new(&data, &vocab)
-            .with_db(&db)
-            .with_partial_parts(true)
-            .with_shard_dbs(&shard_dbs);
-        let (unrouted, _) = merge.merge_in_traced(parts.clone(), &ctx.with_exchange_dedup(false));
-        let (routed, tel) = merge.merge_in_traced(parts.clone(), &ctx);
-        assert_eq!(normalize(&unrouted), normalize(&routed));
-        let (planned, planned_tel) = merge.merge_in_traced(parts, &ctx.with_shard_plan(&plan));
-        assert_eq!(normalize(&unrouted), normalize(&planned));
-        assert_eq!(
-            tel.exchange_shards_skipped,
-            planned_tel.exchange_shards_skipped
-        );
-    }
-
-    #[test]
-    fn routing_skips_shards_without_carriers() {
-        // Two contiguous shards over disjoint token spaces: candidates
-        // from shard A carry tokens no member of shard B has, so routing
-        // must skip B entirely (and vice versa).
-        let d = |v: &[u32]| v.iter().map(|&t| TokenId::new(t)).collect::<Vec<_>>();
-        use vexus_data::Schema;
-        let mut schema = Schema::new();
-        let a = schema.add_categorical("a");
-        let b = schema.add_categorical("b");
-        let mut builder = vexus_data::UserDataBuilder::new(schema);
-        for i in 0..8 {
-            let u = builder.user(&format!("u{i}"));
-            if i < 4 {
-                builder
-                    .set_demo(u, a, if i < 2 { "x" } else { "y" })
-                    .unwrap();
-            } else {
-                builder
-                    .set_demo(u, b, if i < 6 { "p" } else { "q" })
-                    .unwrap();
-            }
-        }
-        let data = builder.build();
-        let vocab = Vocabulary::build(&data);
-        let db = TransactionDb::build(&data, &vocab);
-        let plan = ShardPlan::build(data.n_users(), 2, ShardStrategy::Contiguous);
-        let router = ExchangeRouter::from_plan(&plan, &db);
-        // Every token lives in exactly one shard here.
-        for t in 0..db.n_tokens() as u32 {
-            let route = router.route(&d(&[t]));
-            assert!(route.len() <= 1, "token {t} routed to {route:?}");
-        }
-        let tokens: Vec<TokenId> = db.transaction(0).to_vec();
-        assert!(!tokens.is_empty());
-        assert_eq!(router.route(&tokens), vec![0]);
+        assert_eq!(normalize(&out), normalize(&unsharded));
     }
 
     #[test]
@@ -1824,8 +1496,8 @@ mod tests {
         );
         let recall = sharded.len() as f64 / single.len() as f64;
         assert!(recall >= 0.95, "recall degraded too far: {recall:.3}");
-        assert_eq!(outcome.stats.exchange_rounds_run, 0);
-        assert_eq!(outcome.stats.exchange_candidates, 0);
+        assert_eq!(outcome.stats.merge.exchange_rounds_run, 0);
+        assert_eq!(outcome.stats.merge.exchange_candidates, 0);
     }
 
     #[test]
@@ -1839,12 +1511,12 @@ mod tests {
             .support_recount(10)
             .discover(&data, &vocab);
         assert_eq!(single, normalize(&outcome.groups));
-        assert_eq!(outcome.stats.exchange_rounds_run, 1);
+        assert_eq!(outcome.stats.merge.exchange_rounds_run, 1);
         assert!(
-            outcome.stats.exchange_candidates > 0,
+            outcome.stats.merge.exchange_candidates > 0,
             "the oversharded regime should exercise the exchange"
         );
-        assert!(outcome.stats.exchange_elapsed <= outcome.stats.merge_elapsed);
+        assert!(outcome.stats.merge.exchange_elapsed <= outcome.stats.merge_elapsed);
         // A second round is a fixpoint no-op: same space, same worklist.
         let two = ShardedDiscovery::new(lcm(10), 8)
             .support_recount(10)
@@ -1852,8 +1524,8 @@ mod tests {
             .discover(&data, &vocab);
         assert_eq!(single, normalize(&two.groups));
         assert_eq!(
-            two.stats.exchange_candidates,
-            outcome.stats.exchange_candidates
+            two.stats.merge.exchange_candidates,
+            outcome.stats.merge.exchange_candidates
         );
     }
 
@@ -2105,7 +1777,8 @@ mod tests {
         };
         let a = GroupSet::from_groups(vec![gs(&[1], &[0, 1]), gs(&[], &[5, 6])]);
         let b = GroupSet::from_groups(vec![gs(&[1], &[2, 3]), gs(&[2], &[9])]);
-        let merged = MergeStrategy::DedupByDescription.merge(vec![a, b], &data, &vocab);
+        let merged = MergeStrategy::DedupByDescription
+            .merge_in(vec![a, b], &MergeContext::new(&data, &vocab));
         let norm = normalize(&merged);
         assert!(norm.contains(&(vec![TokenId::new(1)], vec![0, 1, 2, 3])));
         assert!(norm.contains(&(vec![TokenId::new(2)], vec![9])));
@@ -2135,8 +1808,8 @@ mod tests {
             .with(lcm(10))
             .discover(&data, &vocab);
         assert_eq!(single, normalize(&out.groups));
-        assert_eq!(out.stats.exchange_rounds_run, 1);
-        assert!(out.stats.exchange_elapsed <= out.stats.merge_elapsed);
+        assert_eq!(out.stats.merge.exchange_rounds_run, 1);
+        assert!(out.stats.merge.exchange_elapsed <= out.stats.merge_elapsed);
     }
 
     #[test]
@@ -2235,11 +1908,11 @@ mod tests {
         let selection = DiscoverySelection::default().sharded(8);
         // The default backend() materialization keeps one exchange round.
         let on = selection.backend(10).discover(&data, &vocab);
-        assert_eq!(on.stats.exchange_rounds_run, 1);
+        assert_eq!(on.stats.merge.exchange_rounds_run, 1);
         // An explicit zero disables it end to end.
         let off = selection.backend_with(10, 1, 0).discover(&data, &vocab);
-        assert_eq!(off.stats.exchange_rounds_run, 0);
-        assert_eq!(off.stats.exchange_candidates, 0);
+        assert_eq!(off.stats.merge.exchange_rounds_run, 0);
+        assert_eq!(off.stats.merge.exchange_candidates, 0);
         assert!(off.groups.len() <= on.groups.len());
     }
 

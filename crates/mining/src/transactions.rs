@@ -26,17 +26,6 @@ impl TransactionDb {
         Self::from_transactions(transactions, vocab.len())
     }
 
-    /// Build the projection-local database of a member subset: the
-    /// transactions of `members` (global user ids, in order) over the
-    /// *global* token universe, with tidlists rebuilt against the local
-    /// dense ids `0..members.len()`. This is the per-shard view the merge
-    /// layer's cross-shard closure exchange re-closes candidates against;
-    /// token ids stay global, so descriptions move between shard and
-    /// global databases unchanged.
-    pub fn build_for_members(data: &UserData, vocab: &Vocabulary, members: &[u32]) -> Self {
-        Self::from_transactions(vocab.member_transactions(data, members), vocab.len())
-    }
-
     /// Build from raw transactions over a token universe of size `n_tokens`.
     pub fn from_transactions(transactions: Vec<Vec<TokenId>>, n_tokens: usize) -> Self {
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n_tokens];
@@ -183,34 +172,6 @@ mod tests {
         let disjoint = MemberSet::from_unsorted(vec![0, 3]);
         assert!(db.closure(&disjoint).is_empty());
         assert!(db.closure(&MemberSet::empty()).is_empty());
-    }
-
-    #[test]
-    fn build_for_members_is_the_projection_of_the_global_build() {
-        let ds =
-            vexus_data::synthetic::bookcrossing(&vexus_data::synthetic::BookCrossingConfig::tiny());
-        let vocab = vexus_data::Vocabulary::build(&ds.data);
-        let global = TransactionDb::build(&ds.data, &vocab);
-        let members: Vec<u32> = vec![3, 17, 42, 99];
-        let local = TransactionDb::build_for_members(&ds.data, &vocab, &members);
-        // Same token universe, local dense ids, transactions identical to
-        // the corresponding global ones.
-        assert_eq!(local.n_tokens(), global.n_tokens());
-        assert_eq!(local.n_transactions(), members.len());
-        for (l, &g) in members.iter().enumerate() {
-            assert_eq!(local.transaction(l as u32), global.transaction(g));
-        }
-        // Tidlists are rebuilt against the local ids.
-        for t in 0..local.n_tokens() as u32 {
-            let token = TokenId::new(t);
-            let expect: Vec<u32> = members
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| global.tidlist(token).contains(g))
-                .map(|(l, _)| l as u32)
-                .collect();
-            assert_eq!(local.tidlist(token).as_slice(), expect.as_slice());
-        }
     }
 
     #[test]

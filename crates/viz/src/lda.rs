@@ -187,7 +187,7 @@ impl Lda {
 
 /// One-hot + numeric featurization of arbitrary mixed feature rows is left
 /// to callers; the exploration engine builds demographic feature vectors in
-/// `vexus-core::features`.
+/// `vexus-mining::features`.
 #[cfg(test)]
 mod tests {
     use super::*;

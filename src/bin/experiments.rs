@@ -4,16 +4,14 @@
 //! additionally written to `path` as a JSON document (`{"scale": N,
 //! "experiments": [{"id", "report", "metrics"}, …]}`) so CI can upload
 //! them as a build artifact; `metrics` is the experiment's structured
-//! per-stage map (milliseconds for the perf experiments like `d3`,
+//! per-stage map (milliseconds for the perf experiments like `d5`,
 //! ratios for quality metrics like `d2`'s recall columns).
 //!
 //! `--gate` turns a metric into a hard pass/fail check: the run exits
 //! non-zero when the named metric is missing (a renamed or dropped metric
 //! must not silently pass) or below the given minimum. CI gates
 //! `d2.recount_recall_min=1.0` — the sharded support-recount merge must
-//! reproduce the unsharded group space exactly —
-//! `d4.exchange_recall_min=1.0`, so the deduped/pruned/routed exchange
-//! optimizations can never silently reintroduce a recall tail, and
+//! reproduce the unsharded group space exactly — and
 //! `d5.session_determinism=1.0` — every concurrently served session's
 //! display trajectory must be byte-identical to its single-threaded
 //! reference, with or without the shared neighbor cache.

@@ -278,39 +278,8 @@ fn parallel_recount_is_byte_identical_to_sequential() {
     }
 }
 
-/// The exchange's two projection modes must agree: re-closing candidates
-/// against genuine per-shard databases (`TransactionDb::build_for_members`
-/// over the shard plan — the distributed-deployment form) merges exactly
-/// like the global-database single-projection fallback the in-process
-/// driver uses, and both reproduce `discover`'s output.
-#[test]
-fn shard_local_projection_dbs_match_the_global_fallback() {
-    use vexus::data::ShardPlan;
-    let ds = bookcrossing(&BookCrossingConfig::tiny());
-    let vocab = Vocabulary::build(&ds.data);
-    let db = TransactionDb::build(&ds.data, &vocab);
-    let driver = ShardedDiscovery::new(lcm(10), 8).support_recount(10);
-    let (parts, _) = driver.mine_parts(&ds.data, &vocab);
-    let plan = ShardPlan::build(ds.data.n_users(), 8, ShardStrategy::Hash);
-    let shard_dbs: Vec<TransactionDb> = (0..plan.n_shards())
-        .map(|s| TransactionDb::build_for_members(&ds.data, &vocab, plan.members(s)))
-        .collect();
-    let merge = MergeStrategy::SupportRecount { min_support: 10 };
-    let ctx = MergeContext::new(&ds.data, &vocab)
-        .with_db(&db)
-        .with_partial_parts(true);
-    let global = merge.merge_in(parts.clone(), &ctx);
-    let local = merge.merge_in(parts, &ctx.with_shard_dbs(&shard_dbs));
-    assert_eq!(global, local, "projection modes diverged");
-    assert_eq!(
-        global,
-        driver.discover(&ds.data, &vocab).groups,
-        "re-merge diverged from the discovery outcome"
-    );
-}
-
-/// Reusing a caller-provided database must answer exactly like the
-/// build-your-own path of the legacy `merge` entry point.
+/// Reusing a caller-provided database (and fanning out over 4 threads)
+/// must answer exactly like a context that builds its own.
 #[test]
 fn merge_reuses_caller_db_without_changing_output() {
     let ds = bookcrossing(&BookCrossingConfig::tiny());
@@ -319,7 +288,7 @@ fn merge_reuses_caller_db_without_changing_output() {
     let driver = ShardedDiscovery::new(lcm(10), 3).support_recount(10);
     let (parts, _) = driver.mine_parts(&ds.data, &vocab);
     let merge = MergeStrategy::SupportRecount { min_support: 10 };
-    let own_db = merge.merge(parts.clone(), &ds.data, &vocab);
+    let own_db = merge.merge_in(parts.clone(), &MergeContext::new(&ds.data, &vocab));
     let reused = merge.merge_in(
         parts,
         &MergeContext::new(&ds.data, &vocab)
