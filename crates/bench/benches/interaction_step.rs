@@ -1,9 +1,9 @@
 //! C2 micro-bench: the O(1) interaction core — index neighbor lookup
 //! (direct and through the shared serving cache) and history backtrack —
 //! plus the full (greedy-capped) click for reference. The click benches
-//! also pin the d5 allocation cuts: a step reuses the session's greedy
-//! scratch buffers and clones neither the clicked group's member list nor
-//! the selection.
+//! also pin the serving allocation cuts: a step reuses the session's
+//! greedy scratch buffers and clones neither the clicked group's member
+//! list nor the selection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vexus_bench::workloads;
@@ -50,7 +50,7 @@ fn bench_interactions(c: &mut Criterion) {
     });
     // Steady-state clicking on one long-lived session: the shape serving
     // cares about — scratch buffers and candidate vectors are warm, every
-    // per-step allocation the d5 work removed would show up here.
+    // per-step allocation the serving work removed would show up here.
     group.bench_function("click_steady_state", |b| {
         let mut s = vexus.session().expect("session opens");
         b.iter(|| {

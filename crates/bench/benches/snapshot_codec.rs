@@ -1,4 +1,4 @@
-//! D6 micro-benches: snapshot encode and load against the full rebuild.
+//! Snapshot micro-benches: encode and load against the full rebuild.
 //! `snapshot_load` is the number the format exists for — validation plus
 //! slice reinterpretation of the whole engine, no discovery, no pair
 //! scoring — and `snapshot_encode` is the build-host cost of producing

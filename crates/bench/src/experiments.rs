@@ -1,24 +1,21 @@
-//! One function per experiment id. Each prints the table/series DESIGN.md §3
-//! maps to a paper figure or claim, and returns it as a string so the tests
-//! can assert on shape.
+//! One function per experiment id. Each prints the table/series the README's
+//! Experiments section maps to a paper figure or claim, and returns it as a
+//! string so the tests can assert on shape.
 
 use crate::workloads;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vexus_core::engine::{OwnedSession, VexusBuilder};
+use vexus_core::engine::VexusBuilder;
 use vexus_core::greedy::{self, ScoredCandidate, SelectParams};
 use vexus_core::simulate::{run_committee, run_st, CommitteeTask, Policy, StAccept};
 use vexus_core::{EngineConfig, FeedbackVector};
-use vexus_core::{ExplorationService, ServeError, ServiceConfig, ServiceStats, SessionId, Vexus};
 use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
 use vexus_data::{UserId, Vocabulary};
 use vexus_index::{GroupIndex, IndexConfig};
 use vexus_mining::transactions::TransactionDb;
 use vexus_mining::{
-    mine_closed_groups, BirchDiscovery, EnsembleDiscovery, GroupDiscovery, GroupId, GroupSet,
-    LcmConfig, LcmDiscovery, MemberSet, MergeStrategy, MomriConfig, MomriDiscovery,
-    ShardedDiscovery, StreamFimConfig, StreamFimDiscovery,
+    BirchDiscovery, GroupDiscovery, GroupId, LcmConfig, LcmDiscovery, MemberSet, MomriConfig,
+    MomriDiscovery, StreamFimConfig, StreamFimDiscovery,
 };
 use vexus_stats::Crossfilter;
 use vexus_viz::force::{ForceConfig, ForceLayout};
@@ -27,54 +24,27 @@ use vexus_viz::pca::{silhouette, Pca};
 
 /// All experiment ids, in report order.
 pub const ALL: &[&str] = &[
-    "f1", "f2", "d1", "d2", "d5", "d6", "d7", "d8", "d9", "c1", "c2", "c3", "c4", "c5", "c6", "c7",
-    "c8", "c9", "c10", "c11", "c12",
+    "f1", "f2", "d1", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10", "c11", "c12",
 ];
 
-/// One experiment's output: the human-readable table plus structured
-/// per-stage wall-clock metrics. Metrics land in the `--json` document as
-/// `(name, milliseconds)` pairs, the machine-readable perf trajectory CI
-/// tracks across commits; most experiments report none.
-pub struct Report {
-    /// The printed table/series.
-    pub text: String,
-    /// Structured `(stage, wall-clock ms)` measurements.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl From<String> for Report {
-    fn from(text: String) -> Self {
-        Self {
-            text,
-            metrics: Vec::new(),
-        }
-    }
-}
-
 /// Dispatch one experiment by id.
-pub fn run(id: &str) -> Option<Report> {
+pub fn run(id: &str) -> Option<String> {
     let out = match id {
-        "f1" => f1_architecture().into(),
-        "f2" => f2_views().into(),
-        "d1" => d1_discovery_backends().into(),
-        "d2" => d2_sharded_discovery(),
-        "d5" => d5_concurrent_serving(),
-        "d6" => d6_snapshot(),
-        "d7" => d7_chaos_serving(),
-        "d8" => d8_live_engine(),
-        "d9" => d9_durability(),
-        "c1" => c1_budget_sweep().into(),
-        "c2" => c2_interaction_latency().into(),
-        "c3" => c3_materialization().into(),
-        "c4" => c4_committee_formation().into(),
-        "c5" => c5_k_sweep().into(),
-        "c6" => c6_group_space().into(),
-        "c7" => c7_feedback_ablation().into(),
-        "c8" => c8_crossfilter().into(),
-        "c9" => c9_discussion_groups().into(),
-        "c10" => c10_lda_vs_pca().into(),
-        "c11" => c11_force_layout().into(),
-        "c12" => c12_stats_drilldown().into(),
+        "f1" => f1_architecture(),
+        "f2" => f2_views(),
+        "d1" => d1_discovery_backends(),
+        "c1" => c1_budget_sweep(),
+        "c2" => c2_interaction_latency(),
+        "c3" => c3_materialization(),
+        "c4" => c4_committee_formation(),
+        "c5" => c5_k_sweep(),
+        "c6" => c6_group_space(),
+        "c7" => c7_feedback_ablation(),
+        "c8" => c8_crossfilter(),
+        "c9" => c9_discussion_groups(),
+        "c10" => c10_lda_vs_pca(),
+        "c11" => c11_force_layout(),
+        "c12" => c12_stats_drilldown(),
         _ => return None,
     };
     Some(out)
@@ -284,1535 +254,6 @@ pub fn d1_discovery_backends() -> String {
         "(one builder, four backends: the offline discovery stage is a swappable plug-in)\n",
     );
     out
-}
-
-// ---------------------------------------------------------------------------
-// D2: sharded discovery + merge layer + index group-count sweep
-// ---------------------------------------------------------------------------
-
-/// The shard/merge/ensemble layers, measured: run LCM and BIRCH over
-/// 1/2/4/8 member-disjoint shards, report per-shard wall-clock and the
-/// merge cost, sweep recall against the cross-shard closure exchange
-/// round count in the oversharded regime, exercise the LCM ∪ BIRCH
-/// ensemble, and sweep the `GroupIndex` build over group *count* (C3
-/// sweeps only the materialization fraction). The recall of every
-/// recount-merge row lands in the metrics map (`recount_recall_min` is
-/// the gated minimum: CI fails the build if it drops below 1.0).
-pub fn d2_sharded_discovery() -> Report {
-    let mut out = header(
-        "d2",
-        "sharded discovery (1/2/4/8 shards), merge layer, exchange sweep, ensemble, index group-count sweep",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let dataset = || {
-        bookcrossing(&BookCrossingConfig {
-            n_users: 3_000,
-            n_books: 2_000,
-            n_ratings: 20_000,
-            n_communities: 8,
-            seed: 42,
-        })
-    };
-    let ds = dataset();
-    let vocab = Vocabulary::build(&ds.data);
-    let data = &ds.data;
-    let min_support = 8usize;
-
-    // Part 1: shard sweep per backend. Support-recount merge for LCM (the
-    // exactness-preserving strategy), plain union for BIRCH (per-shard
-    // clusters partition the members).
-    let _ = writeln!(
-        out,
-        "{:>8} | {:>6} | {:>8} | {:>12} | {:>13} | {:>12} | {:>10}",
-        "backend", "shards", "groups", "total", "slowest shard", "merge", "vs 1-shard"
-    );
-    let lcm_proto = || {
-        LcmDiscovery::new(LcmConfig {
-            min_support,
-            ..Default::default()
-        })
-    };
-    let lcm_baseline: std::collections::BTreeSet<Vec<vexus_data::TokenId>> = lcm_proto()
-        .discover(data, &vocab)
-        .groups
-        .iter()
-        .map(|(_, g)| g.description.clone())
-        .collect();
-    let mut recount_recall_min = f64::INFINITY;
-    for shards in [1usize, 2, 4, 8] {
-        let outcome = ShardedDiscovery::new(lcm_proto(), shards)
-            .support_recount(min_support)
-            .discover(data, &vocab);
-        let slowest = outcome
-            .stats
-            .shards
-            .iter()
-            .map(|s| s.elapsed)
-            .max()
-            .unwrap_or_default();
-        let recovered = outcome
-            .groups
-            .iter()
-            .filter(|(_, g)| lcm_baseline.contains(&g.description))
-            .count();
-        let recall = recovered as f64 / lcm_baseline.len().max(1) as f64;
-        recount_recall_min = recount_recall_min.min(recall);
-        metrics.push((format!("lcm_recount_s{shards}_recall"), recall));
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>6} | {:>8} | {:>12?} | {:>13?} | {:>12?} | {:>6}/{:<3}",
-            "lcm",
-            shards,
-            outcome.groups.len(),
-            outcome.stats.elapsed,
-            slowest,
-            outcome.stats.merge_elapsed,
-            recovered,
-            lcm_baseline.len()
-        );
-    }
-    metrics.push(("recount_recall_min".into(), recount_recall_min));
-    for shards in [1usize, 2, 4, 8] {
-        let outcome = ShardedDiscovery::new(BirchDiscovery::default(), shards)
-            .with_merge(MergeStrategy::Union)
-            .discover(data, &vocab);
-        let slowest = outcome
-            .stats
-            .shards
-            .iter()
-            .map(|s| s.elapsed)
-            .max()
-            .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>6} | {:>8} | {:>12?} | {:>13?} | {:>12?} | {:>10}",
-            "birch",
-            shards,
-            outcome.groups.len(),
-            outcome.stats.elapsed,
-            slowest,
-            outcome.stats.merge_elapsed,
-            "-"
-        );
-    }
-    out.push_str(
-        "(support-recount re-evaluates every candidate globally, so every sharded-LCM group is an \
-         exact global closed group, and the default closure exchange round keeps recall at 1.0 at \
-         any shard count — the CI gate enforces it. union keeps per-shard BIRCH partitions side \
-         by side)\n",
-    );
-
-    // Part 1b: recall vs exchange rounds in the oversharded regime. With
-    // the exchange off (rounds = 0) shard-local closure growth hides a
-    // recall tail that deepens with the shard count; one round closes it
-    // exactly and a second round is a fixpoint no-op. The exchange
-    // telemetry shows what the guarantee costs.
-    let _ = writeln!(
-        out,
-        "{:>8} | {:>6} | {:>8} | {:>10} | {:>10} | {:>12} | {:>12}",
-        "exchange", "shards", "rounds", "recall", "added", "exch time", "merge time"
-    );
-    for shards in [8usize, 16] {
-        for rounds in [0usize, 1, 2] {
-            let outcome = ShardedDiscovery::new(lcm_proto(), shards)
-                .support_recount(min_support)
-                .with_exchange_rounds(rounds)
-                .discover(data, &vocab);
-            let recovered = outcome
-                .groups
-                .iter()
-                .filter(|(_, g)| lcm_baseline.contains(&g.description))
-                .count();
-            let recall = recovered as f64 / lcm_baseline.len().max(1) as f64;
-            metrics.push((format!("exchange_s{shards}_r{rounds}_recall"), recall));
-            metrics.push((
-                format!("exchange_s{shards}_r{rounds}_ms"),
-                ms(outcome.stats.merge.exchange_elapsed),
-            ));
-            metrics.push((
-                format!("exchange_s{shards}_r{rounds}_added"),
-                outcome.stats.merge.exchange_candidates as f64,
-            ));
-            let _ = writeln!(
-                out,
-                "{:>8} | {:>6} | {:>8} | {:>10.4} | {:>10} | {:>12?} | {:>12?}",
-                "lcm",
-                shards,
-                rounds,
-                recall,
-                outcome.stats.merge.exchange_candidates,
-                outcome.stats.merge.exchange_elapsed,
-                outcome.stats.merge_elapsed
-            );
-        }
-    }
-    out.push_str(
-        "(the `added` column counts candidate descriptions the exchange fed to the recount \
-         worklist; rounds beyond the first stop early once a round adds nothing new)\n",
-    );
-
-    // Part 2: the LCM ∪ BIRCH ensemble through the engine builder.
-    {
-        let ds = dataset();
-        let n_users = ds.data.n_users();
-        let ensemble = EnsembleDiscovery::new(MergeStrategy::Union)
-            .with(lcm_proto())
-            .with(BirchDiscovery::default());
-        let vexus = VexusBuilder::new(ds.data)
-            .config(EngineConfig::paper())
-            .discovery(ensemble)
-            .build()
-            .expect("non-empty");
-        let s = vexus.build_stats();
-        let coverage = vexus.groups().distinct_users_covered(n_users) as f64 / n_users as f64;
-        let parts: Vec<String> = s
-            .discovery
-            .shards
-            .iter()
-            .map(|p| {
-                format!(
-                    "{}: {} groups in {:?}",
-                    p.algorithm, p.groups_discovered, p.elapsed
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "ensemble lcm+birch: {} groups after size filter ({} merged), {:.1}% coverage [{}]",
-            s.n_groups,
-            s.discovery.groups_discovered,
-            coverage * 100.0,
-            parts.join("; ")
-        );
-    }
-
-    // Part 3: GroupIndex build vs group *count* (C3 fixes the count and
-    // sweeps the fraction; this sweeps the count at the paper's 10 %).
-    let rich = mine_closed_groups(
-        &TransactionDb::build(data, &vocab),
-        &LcmConfig {
-            min_support: 3,
-            ..Default::default()
-        },
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} | {:>10} | {:>9} | {:>12} | {:>14}",
-        "groups", "entries", "KiB", "build", "entries/group"
-    );
-    for count in [500usize, 1_000, 2_000, 4_000, 8_000] {
-        if count > rich.len() {
-            let _ = writeln!(
-                out,
-                "{:>8} | (only {} groups mined at support 3; sweep truncated)",
-                count,
-                rich.len()
-            );
-            break;
-        }
-        let subset = GroupSet::from_groups(
-            rich.iter()
-                .take(count)
-                .map(|(_, g)| g.clone())
-                .collect::<Vec<_>>(),
-        );
-        let t0 = Instant::now();
-        let idx = GroupIndex::build(
-            &subset,
-            &IndexConfig {
-                materialize_fraction: 0.10,
-                threads: 0,
-            },
-        );
-        let build = t0.elapsed();
-        let s = idx.stats();
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>10} | {:>9} | {:>12?} | {:>14.1}",
-            count,
-            s.materialized_entries,
-            s.heap_bytes / 1024,
-            build,
-            s.materialized_entries as f64 / count as f64
-        );
-    }
-    out.push_str("(index cost grows superlinearly with group count — the overlapping-pair candidate scan, each unordered pair scored once)\n");
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D5: concurrent serving — one shared engine, many sessions, cached steps
-// ---------------------------------------------------------------------------
-
-/// Interaction steps each scripted d5 session performs.
-const D5_STEPS: usize = 8;
-/// The step at which each script backtracks (to history step 2) instead of
-/// clicking — the restore path must stay exact under concurrency too.
-const D5_BACKTRACK_AT: usize = 5;
-/// Concurrency levels swept by d5.
-const D5_SESSIONS: &[usize] = &[1, 8, 64, 256];
-
-/// Session configuration for d5: the paper's settings with a greedy budget
-/// that never binds, so a step's outcome depends only on the session's own
-/// history — never on wall-clock noise from sibling sessions. That is what
-/// makes the concurrent-vs-single-threaded determinism comparison exact.
-/// The candidate pool is trimmed so the full sweep (≈5k convergent greedy
-/// steps) stays CI-sized; the serving machinery under test is unchanged.
-fn d5_config() -> EngineConfig {
-    let mut cfg = EngineConfig::default().with_budget(Duration::from_secs(600));
-    cfg.candidate_pool = 96;
-    cfg
-}
-
-/// The verb a scripted session performs at one step.
-enum D5Verb {
-    /// Click this (currently displayed) group.
-    Click(GroupId),
-    /// Backtrack to this history step.
-    Backtrack(usize),
-    /// Nothing left to click — the script ends early.
-    Done,
-}
-
-/// One scripted step for session `i`: at [`D5_BACKTRACK_AT`] backtrack to
-/// history step 2, otherwise click a display slot chosen only from `(i,
-/// step)` and the session's own current display.
-fn d5_step(i: usize, step: usize, display: &[GroupId]) -> D5Verb {
-    if step == D5_BACKTRACK_AT {
-        D5Verb::Backtrack(2)
-    } else if display.is_empty() {
-        D5Verb::Done
-    } else {
-        D5Verb::Click(display[(i + step) % display.len()])
-    }
-}
-
-/// The single-threaded reference: session `i`'s exact display trajectory,
-/// computed with plain owned sessions (no service, no worker threads).
-fn d5_reference(engine: &Arc<Vexus>, sessions: usize) -> Vec<Trajectory> {
-    (0..sessions)
-        .map(|i| {
-            let mut s =
-                OwnedSession::open_with(Arc::clone(engine), d5_config()).expect("session opens");
-            let mut traj = vec![s.display().to_vec()];
-            for step in 0..D5_STEPS {
-                let display = traj.last().expect("non-empty trajectory").clone();
-                let next = match d5_step(i, step, &display) {
-                    D5Verb::Click(g) => s.click(g).expect("scripted click").to_vec(),
-                    D5Verb::Backtrack(to) => s.backtrack(to).expect("scripted backtrack").to_vec(),
-                    D5Verb::Done => break,
-                };
-                traj.push(next);
-            }
-            traj
-        })
-        .collect()
-}
-
-/// A session's display trajectory: the opening display, then the display
-/// after each scripted verb.
-type Trajectory = Vec<Vec<GroupId>>;
-
-/// What one d5 worker returns: its sessions' trajectories (tagged with
-/// the session index) and every step latency it measured, in ms.
-type WorkerOut = (Vec<(usize, Trajectory)>, Vec<f64>);
-
-/// One concurrent sweep: `n` sessions opened on a fresh service over the
-/// shared engine, stepped to completion by a worker pool. Returns per-step
-/// latencies (ms), the wall-clock of the stepping phase, and the fraction
-/// of sessions whose trajectory matched the single-threaded reference.
-fn d5_sweep(
-    engine: &Arc<Vexus>,
-    n: usize,
-    config: &EngineConfig,
-    reference: &[Trajectory],
-) -> (Vec<f64>, Duration, f64) {
-    let svc = ExplorationService::new(Arc::clone(engine));
-    let mut ids = Vec::with_capacity(n);
-    let mut opening = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (id, display) = svc.open_with(config.clone()).expect("session opens");
-        ids.push(id);
-        opening.push(display);
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .clamp(1, n);
-    let t0 = Instant::now();
-    let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let svc = &svc;
-                let ids = &ids;
-                let opening = &opening;
-                scope.spawn(move || {
-                    // Worker `w` owns sessions i ≡ w (mod workers) and
-                    // steps them round-robin, so every step contends on
-                    // the shared table/cache with the other workers.
-                    let mut trajs: Vec<(usize, Trajectory)> = (w..ids.len())
-                        .step_by(workers)
-                        .map(|i| (i, vec![opening[i].clone()]))
-                        .collect();
-                    let mut done: Vec<bool> = vec![false; trajs.len()];
-                    let mut latencies = Vec::new();
-                    for step in 0..D5_STEPS {
-                        for (slot, (i, traj)) in trajs.iter_mut().enumerate() {
-                            if done[slot] {
-                                continue;
-                            }
-                            let display = traj.last().expect("non-empty").clone();
-                            let verb = d5_step(*i, step, &display);
-                            let t = Instant::now();
-                            let next = match verb {
-                                D5Verb::Click(g) => svc.click(ids[*i], g).expect("scripted click"),
-                                D5Verb::Backtrack(to) => {
-                                    svc.backtrack(ids[*i], to).expect("scripted backtrack")
-                                }
-                                D5Verb::Done => {
-                                    done[slot] = true;
-                                    continue;
-                                }
-                            };
-                            latencies.push(t.elapsed().as_secs_f64() * 1e3);
-                            traj.push(next);
-                        }
-                    }
-                    (trajs, latencies)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("d5 worker"))
-            .collect()
-    });
-    let elapsed = t0.elapsed();
-    let mut latencies = Vec::new();
-    let mut exact = 0usize;
-    for (trajs, lat) in per_worker {
-        latencies.extend(lat);
-        for (i, traj) in trajs {
-            if traj == reference[i] {
-                exact += 1;
-            }
-        }
-    }
-    (latencies, elapsed, exact as f64 / n as f64)
-}
-
-/// Nearest-rank percentile over an unsorted sample (NaN when empty).
-fn d5_percentile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    samples[(((samples.len() - 1) as f64) * q).round() as usize]
-}
-
-/// Concurrent serving: N scripted sessions over one shared engine, swept
-/// over `N ∈ {1, 8, 64, 256}`, against the single-threaded reference.
-///
-/// Every session follows a deterministic script (clicks derived only from
-/// its own displays, one backtrack), so the concurrent trajectories must
-/// be *byte-identical* to the single-threaded ones — `session_determinism`
-/// is the worst-case fraction of exact sessions over the sweep and CI
-/// gates it at 1.0. Latency percentiles come from per-verb timings around
-/// the service calls; the shared neighbor cache's hit rate is read per
-/// sweep, and a cache-off pass (the per-session `neighbor_cache` switch on
-/// the same engine) isolates what the cache buys at high concurrency.
-pub fn d5_concurrent_serving() -> Report {
-    let mut out = header(
-        "d5",
-        "concurrent serving: shared engine, session table, neighbor cache",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let engine = Arc::new(workloads::small_bookcrossing_engine(d5_config()));
-    let max_sessions = *D5_SESSIONS.iter().max().expect("non-empty sweep");
-    let t_ref = Instant::now();
-    let reference = d5_reference(&engine, max_sessions);
-    let ref_elapsed = t_ref.elapsed();
-    let ref_steps: usize = reference.iter().map(|t| t.len() - 1).sum();
-    let _ = writeln!(
-        out,
-        "single-threaded reference: {max_sessions} sessions, {ref_steps} steps in {ref_elapsed:?}\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:>9} | {:>8} | {:>6} | {:>9} | {:>9} | {:>9} | {:>6} | {:>8}",
-        "sessions", "steps", "exact", "p50", "p99", "steps/s", "hits", "hit rate"
-    );
-    let cache_stats = || {
-        engine
-            .neighbor_cache()
-            .map(|c| c.stats())
-            .unwrap_or_default()
-    };
-    let mut determinism_min = f64::INFINITY;
-    let mut cache_on_p50 = f64::NAN;
-    for &n in D5_SESSIONS {
-        let before = cache_stats();
-        let (mut lat, elapsed, determinism) = d5_sweep(&engine, n, &d5_config(), &reference);
-        let after = cache_stats();
-        let hits = after.hits - before.hits;
-        let misses = after.misses - before.misses;
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        let p50 = d5_percentile(&mut lat, 0.50);
-        let p99 = d5_percentile(&mut lat, 0.99);
-        let steps_per_sec = lat.len() as f64 / elapsed.as_secs_f64().max(1e-9);
-        determinism_min = determinism_min.min(determinism);
-        if n == 64 {
-            cache_on_p50 = p50;
-        }
-        metrics.push((format!("n{n}_p50_ms"), p50));
-        metrics.push((format!("n{n}_p99_ms"), p99));
-        metrics.push((format!("n{n}_steps_per_sec"), steps_per_sec));
-        metrics.push((format!("n{n}_determinism"), determinism));
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>8} | {:>5.0}% | {:>7.2}ms | {:>7.2}ms | {:>9.1} | {:>6} | {:>7.1}%",
-            n,
-            lat.len(),
-            determinism * 100.0,
-            p50,
-            p99,
-            steps_per_sec,
-            hits,
-            hit_rate * 100.0
-        );
-    }
-    let overall = cache_stats();
-    metrics.push(("cache_hit_rate".into(), overall.hit_rate()));
-
-    // Ablation: same engine, same scripts, sessions that bypass the shared
-    // neighbor cache (per-session switch). At CI scale the step is
-    // greedy-bound, so the step-level p50s land within noise of each
-    // other; the determinism check is the load-bearing half (the cache
-    // must not change a single display).
-    let off_cfg = d5_config().with_neighbor_cache(false);
-    let (mut off_lat, _, off_determinism) = d5_sweep(&engine, 64, &off_cfg, &reference);
-    let off_p50 = d5_percentile(&mut off_lat, 0.50);
-    determinism_min = determinism_min.min(off_determinism);
-    metrics.push(("session_determinism".into(), determinism_min));
-    metrics.push(("cache_on_p50_ms".into(), cache_on_p50));
-    metrics.push(("cache_off_p50_ms".into(), off_p50));
-    metrics.push(("cache_p50_speedup".into(), off_p50 / cache_on_p50.max(1e-9)));
-    let _ = writeln!(
-        out,
-        "\ncache ablation @64 sessions: p50 {:.2}ms cached vs {:.2}ms uncached ({:.2}x), exact {:.0}%",
-        cache_on_p50,
-        off_p50,
-        off_p50 / cache_on_p50.max(1e-9),
-        off_determinism * 100.0
-    );
-
-    // Component view: the per-step cost the cache actually removes — the
-    // index neighbor fetch that every click pays before its greedy step.
-    // A direct query re-scans the index; a warm cached query is one shard
-    // probe and an Arc clone, and that gap widens with the group count
-    // while the greedy cost does not.
-    let cache = engine.neighbor_cache().expect("engine built with a cache");
-    let pool = d5_config().candidate_pool;
-    let sample: Vec<GroupId> = engine.groups().ids().take(64).collect();
-    let t = Instant::now();
-    for _ in 0..16 {
-        for &g in &sample {
-            std::hint::black_box(engine.index().neighbors(engine.groups(), g, pool));
-        }
-    }
-    let direct_us = t.elapsed().as_secs_f64() * 1e6 / (16 * sample.len()) as f64;
-    for &g in &sample {
-        std::hint::black_box(cache.neighbors(engine.index(), engine.groups(), g, pool));
-    }
-    let t = Instant::now();
-    for _ in 0..16 {
-        for &g in &sample {
-            std::hint::black_box(cache.neighbors(engine.index(), engine.groups(), g, pool));
-        }
-    }
-    let cached_us = t.elapsed().as_secs_f64() * 1e6 / (16 * sample.len()) as f64;
-    metrics.push(("lookup_direct_us".into(), direct_us));
-    metrics.push(("lookup_cached_us".into(), cached_us));
-    metrics.push(("lookup_speedup".into(), direct_us / cached_us.max(1e-9)));
-    let _ = writeln!(
-        out,
-        "neighbor fetch (pool={pool}): {direct_us:.2}us direct vs {cached_us:.3}us cached ({:.0}x)",
-        direct_us / cached_us.max(1e-9)
-    );
-    out.push_str(
-        "(every concurrent trajectory is compared verb-for-verb against the single-threaded \
-         reference; the greedy budget is set far above convergence so outcomes depend only on \
-         session-local state, and the shared cache stores exact index answers — determinism is \
-         gated at 1.0 in CI)\n",
-    );
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D6: snapshots — serialize the built engine, load instead of rebuilding
-// ---------------------------------------------------------------------------
-
-/// Snapshot persistence, measured on the d2 workload: encode the built
-/// engine to the flat-buffer format, load it back, and compare the load
-/// against a full rebuild (discovery + size filter + index). The load is
-/// validation plus slice reinterpretation — no mining, no pair scoring —
-/// so it should beat the rebuild by orders of magnitude
-/// (`load_speedup`). Correctness rides along as gated metrics:
-/// `snapshot_roundtrip` is 1.0 only when re-encoding the loaded engine
-/// reproduces the original buffer byte for byte AND the loaded group
-/// space equals the built one; `loaded_serving_determinism` is 1.0 only
-/// when a scripted session on the loaded engine tracks the built engine's
-/// displays verb for verb. CI gates `snapshot_roundtrip` at 1.0 and
-/// archives the metrics as `BENCH_d6.json`. `Vexus::heap_bytes` lands
-/// next to the snapshot size so the resident-vs-at-rest cost of the
-/// serving state is one table.
-pub fn d6_snapshot() -> Report {
-    let mut out = header(
-        "d6",
-        "snapshots: flat-buffer persistence, zero-copy load vs full rebuild",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let dataset = || {
-        bookcrossing(&BookCrossingConfig {
-            n_users: 3_000,
-            n_books: 2_000,
-            n_ratings: 20_000,
-            n_communities: 8,
-            seed: 42,
-        })
-    };
-    let config = EngineConfig::paper();
-
-    // Build once; the rebuild baseline is timed after the snapshot
-    // measurements so the microsecond-scale load timings don't run in the
-    // allocator and thermal shadow of repeated multi-threaded builds.
-    let mut built = Vexus::build(dataset().data, config.clone()).expect("non-empty");
-
-    // Encode, best of 3.
-    let mut encode = Duration::MAX;
-    let mut buf = Vec::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        buf = built.write_snapshot();
-        encode = encode.min(t.elapsed());
-    }
-
-    // Load, best of 5. Each timed engine drops before the next load so
-    // iterations recycle the same allocations instead of measuring fresh
-    // page faults with the previous engine still resident.
-    let mut load = Duration::MAX;
-    for _ in 0..5 {
-        let data = built.data().clone();
-        let t = Instant::now();
-        let l = Vexus::from_snapshot(data, &buf, config.clone()).expect("loads");
-        load = load.min(t.elapsed());
-        drop(l);
-    }
-    let loaded = Vexus::from_snapshot(built.data().clone(), &buf, config.clone()).expect("loads");
-
-    // Rebuild baseline: the full offline pipeline, best of 3. Discovery
-    // is deterministic, so the re-built engine is the one snapshotted.
-    let mut rebuild = Duration::MAX;
-    for _ in 0..3 {
-        let ds = dataset();
-        let t = Instant::now();
-        built = Vexus::build(ds.data, config.clone()).expect("non-empty");
-        rebuild = rebuild.min(t.elapsed());
-    }
-    let speedup = rebuild.as_secs_f64() / load.as_secs_f64().max(1e-12);
-
-    // Round-trip exactness: the loaded engine re-encodes to the same
-    // bytes and holds the same group space.
-    let roundtrip = (loaded.write_snapshot() == buf && loaded.groups() == built.groups()) as u8;
-
-    // Serving determinism: a scripted session must not tell the engines
-    // apart (unlimited greedy budget, the d5 pin, so outcomes depend only
-    // on state — never wall-clock).
-    let session_cfg = EngineConfig::paper().with_budget(Duration::from_secs(600));
-    let mut a = built.session_with(session_cfg.clone()).expect("session");
-    let mut b = loaded.session_with(session_cfg).expect("session");
-    let mut serving_exact = a.display() == b.display();
-    for step in 0..6 {
-        if a.display().is_empty() {
-            break;
-        }
-        let pick = a.display()[step % a.display().len()];
-        let x = a.click(pick).expect("scripted click").to_vec();
-        let y = b.click(pick).expect("scripted click").to_vec();
-        serving_exact &= x == y;
-    }
-
-    metrics.push(("snapshot_bytes".into(), buf.len() as f64));
-    metrics.push(("encode_ms".into(), ms(encode)));
-    metrics.push(("load_ms".into(), ms(load)));
-    metrics.push(("rebuild_ms".into(), ms(rebuild)));
-    metrics.push(("load_speedup".into(), speedup));
-    metrics.push(("snapshot_roundtrip".into(), roundtrip as f64));
-    metrics.push((
-        "loaded_serving_determinism".into(),
-        serving_exact as u8 as f64,
-    ));
-    metrics.push(("heap_built_bytes".into(), built.heap_bytes() as f64));
-    metrics.push(("heap_loaded_bytes".into(), loaded.heap_bytes() as f64));
-    metrics.push((
-        "heap_groups_bytes".into(),
-        built.groups().heap_bytes() as f64,
-    ));
-    metrics.push((
-        "heap_catalog_bytes".into(),
-        built.data().item_catalog().heap_bytes() as f64,
-    ));
-    metrics.push((
-        "heap_index_bytes".into(),
-        built.index().stats().heap_bytes as f64,
-    ));
-
-    let s = built.build_stats();
-    let _ = writeln!(
-        out,
-        "workload: {} users, {} groups, {} materialized index entries",
-        built.data().n_users(),
-        s.n_groups,
-        s.index_entries,
-    );
-    let _ = writeln!(
-        out,
-        "{:>16} | {:>12} | {:>12} | {:>12} | {:>9}",
-        "stage", "fastest", "bytes", "vs rebuild", "exact"
-    );
-    let _ = writeln!(
-        out,
-        "{:>16} | {:>12?} | {:>12} | {:>12} | {:>9}",
-        "rebuild", rebuild, "-", "1.00x", "-"
-    );
-    let _ = writeln!(
-        out,
-        "{:>16} | {:>12?} | {:>12} | {:>11.2}x | {:>9}",
-        "snapshot encode",
-        encode,
-        buf.len(),
-        rebuild.as_secs_f64() / encode.as_secs_f64().max(1e-12),
-        "-"
-    );
-    let _ = writeln!(
-        out,
-        "{:>16} | {:>12?} | {:>12} | {:>11.2}x | {:>9}",
-        "snapshot load",
-        load,
-        "-",
-        speedup,
-        roundtrip == 1 && serving_exact
-    );
-    let _ = writeln!(
-        out,
-        "heap: built {} KiB vs loaded {} KiB resident (groups {} + catalog {} + index {} KiB; \
-         the loaded engine's views borrow one retained {} KiB buffer)",
-        built.heap_bytes() / 1024,
-        loaded.heap_bytes() / 1024,
-        built.groups().heap_bytes() / 1024,
-        built.data().item_catalog().heap_bytes() / 1024,
-        built.index().stats().heap_bytes / 1024,
-        loaded.snapshot_bytes() / 1024,
-    );
-    out.push_str(
-        "(the load performs no discovery and scores no pairs — it validates the buffer and \
-         reinterprets it in place; `snapshot_roundtrip` requires the loaded engine to re-encode \
-         byte-identically and is gated at 1.0 in CI)\n",
-    );
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D7: chaos serving — seeded faults, quarantine containment, lifecycle
-// ---------------------------------------------------------------------------
-
-/// Concurrent scripted sessions in the d7 chaos pass.
-const D7_SESSIONS: usize = 64;
-/// Fraction of session ids the seeded fault selector targets.
-const D7_FAULT_P: f64 = 0.2;
-/// Seed of the `serve.step` fault selector.
-const D7_SEED: u64 = 0xC4A05;
-
-/// Whether the seeded selector targets session id `id` — the same
-/// predicate as the `serve.step` `KeyProb` trigger, so the harness knows
-/// the faulted set up front, independent of thread interleaving. Nothing
-/// is targeted when the harness is compiled out.
-#[cfg(feature = "failpoints")]
-fn d7_faulted(id: u64) -> bool {
-    vexus_core::failpoint::key_selected(D7_SEED, D7_FAULT_P, id)
-}
-
-#[cfg(not(feature = "failpoints"))]
-fn d7_faulted(_id: u64) -> bool {
-    false
-}
-
-/// One session's chaos outcome: the trajectory it completed plus the
-/// first error that stopped it (`None` — the script ran to completion).
-struct D7Outcome {
-    traj: Trajectory,
-    error: Option<ServeError>,
-}
-
-/// The d5 worker-pool sweep, fault-tolerant: a verb error ends that
-/// session's script (recorded, not panicked) while its siblings keep
-/// stepping. Returns per-session outcomes in session order, successful
-/// per-verb latencies (ms), the session ids, and the service counters.
-fn d7_sweep(
-    engine: &Arc<Vexus>,
-    n: usize,
-) -> (Vec<D7Outcome>, Vec<f64>, Vec<SessionId>, ServiceStats) {
-    let svc = ExplorationService::new(Arc::clone(engine));
-    let mut ids = Vec::with_capacity(n);
-    let mut opening = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (id, display) = svc.open_with(d5_config()).expect("session opens");
-        ids.push(id);
-        opening.push(display);
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .clamp(1, n);
-    let per_worker: Vec<Vec<(usize, D7Outcome, Vec<f64>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let svc = &svc;
-                let ids = &ids;
-                let opening = &opening;
-                scope.spawn(move || {
-                    let mut sessions: Vec<(usize, D7Outcome, Vec<f64>)> = (w..ids.len())
-                        .step_by(workers)
-                        .map(|i| {
-                            let outcome = D7Outcome {
-                                traj: vec![opening[i].clone()],
-                                error: None,
-                            };
-                            (i, outcome, Vec::new())
-                        })
-                        .collect();
-                    let mut done: Vec<bool> = vec![false; sessions.len()];
-                    for step in 0..D5_STEPS {
-                        for (slot, (i, outcome, lat)) in sessions.iter_mut().enumerate() {
-                            if done[slot] {
-                                continue;
-                            }
-                            let display = outcome.traj.last().expect("non-empty").clone();
-                            let t = Instant::now();
-                            let result = match d5_step(*i, step, &display) {
-                                D5Verb::Click(g) => svc.click(ids[*i], g),
-                                D5Verb::Backtrack(to) => svc.backtrack(ids[*i], to),
-                                D5Verb::Done => {
-                                    done[slot] = true;
-                                    continue;
-                                }
-                            };
-                            match result {
-                                Ok(next) => {
-                                    lat.push(t.elapsed().as_secs_f64() * 1e3);
-                                    outcome.traj.push(next);
-                                }
-                                Err(e) => {
-                                    outcome.error = Some(e);
-                                    done[slot] = true;
-                                }
-                            }
-                        }
-                    }
-                    sessions
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("d7 worker"))
-            .collect()
-    });
-    let stats = svc.stats();
-    let mut outcomes: Vec<Option<D7Outcome>> = (0..n).map(|_| None).collect();
-    let mut latencies = Vec::new();
-    for worker in per_worker {
-        for (i, outcome, lat) in worker {
-            outcomes[i] = Some(outcome);
-            latencies.extend(lat);
-        }
-    }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every session has an outcome"))
-        .collect();
-    (outcomes, latencies, ids, stats)
-}
-
-/// Chaos serving: `D7_SESSIONS` concurrent scripted sessions with seeded
-/// `serve.step` panic faults in a predicted subset of them, plus a
-/// fault-free steady-state pass and a deterministic lifecycle scenario.
-///
-/// The containment claim is `survivor_determinism`: every session the
-/// selector did *not* target must replay byte-identical to the
-/// single-threaded reference even while targeted siblings panic and get
-/// quarantined mid-sweep — gated at 1.0 in CI. Targeted sessions must die
-/// *typed* (`SessionPoisoned`, counted by `quarantines`), never unwind a
-/// worker. Without the `failpoints` feature the same experiment runs
-/// fault-free (`faults_enabled` records which build produced the
-/// numbers), so `idle_p50_ms`/`idle_p99_ms` measure enabled-but-idle vs
-/// compiled-out across the two CI artifacts.
-pub fn d7_chaos_serving() -> Report {
-    let mut out = header(
-        "d7",
-        "chaos serving: seeded faults, quarantine containment, lifecycle",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let engine = Arc::new(workloads::small_bookcrossing_engine(d5_config()));
-    let reference = d5_reference(&engine, D7_SESSIONS);
-    let faults_enabled = cfg!(feature = "failpoints");
-    let cache_recoveries_before = engine
-        .neighbor_cache()
-        .map(|c| c.stats().recoveries)
-        .unwrap_or(0);
-
-    // Chaos pass: every verb of a targeted session panics at the
-    // `serve.step` site, inside the service's catch_unwind guard.
-    #[cfg(feature = "failpoints")]
-    let scenario = {
-        use vexus_core::failpoint as fp;
-        let s = fp::FailScenario::setup();
-        fp::configure(
-            fp::SERVE_STEP,
-            fp::Trigger::KeyProb {
-                p: D7_FAULT_P,
-                seed: D7_SEED,
-            },
-            fp::FailAction::Panic,
-        );
-        s
-    };
-    // The injected panics are all caught by the service's quarantine
-    // guard; silence the default panic hook for the chaos window so the
-    // expected backtraces don't bury the report.
-    #[cfg(feature = "failpoints")]
-    let default_hook = {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        hook
-    };
-    let (outcomes, _, ids, stats) = d7_sweep(&engine, D7_SESSIONS);
-    #[cfg(feature = "failpoints")]
-    {
-        std::panic::set_hook(default_hook);
-        drop(scenario);
-    }
-
-    let faulted: Vec<usize> = (0..D7_SESSIONS).filter(|&i| d7_faulted(ids[i].0)).collect();
-    let survivors: Vec<usize> = (0..D7_SESSIONS)
-        .filter(|&i| !d7_faulted(ids[i].0))
-        .collect();
-    let exact = survivors
-        .iter()
-        .filter(|&&i| outcomes[i].error.is_none() && outcomes[i].traj == reference[i])
-        .count();
-    let mut survivor_determinism = if survivors.is_empty() {
-        1.0
-    } else {
-        exact as f64 / survivors.len() as f64
-    };
-    // Targeted sessions die on their first verb, typed — quarantined, not
-    // unwound, and not silently successful.
-    let faulted_typed = faulted.iter().all(|&i| {
-        matches!(outcomes[i].error, Some(ServeError::SessionPoisoned(_)))
-            && outcomes[i].traj.len() == 1
-    });
-    let _ = writeln!(
-        out,
-        "chaos pass: {} sessions, {} targeted by seed {:#x} (p={}), {} quarantined, \
-         {}/{} survivors exact",
-        D7_SESSIONS,
-        faulted.len(),
-        D7_SEED,
-        D7_FAULT_P,
-        stats.quarantines,
-        exact,
-        survivors.len(),
-    );
-    metrics.push(("sessions".into(), D7_SESSIONS as f64));
-    metrics.push(("faulted_sessions".into(), faulted.len() as f64));
-    metrics.push(("quarantines".into(), stats.quarantines as f64));
-    metrics.push(("faulted_typed".into(), faulted_typed as u8 as f64));
-    metrics.push(("faults_enabled".into(), faults_enabled as u8 as f64));
-
-    // Steady-state pass: registry empty (feature build: enabled-but-idle;
-    // default build: compiled out). Survivorship here is all sessions.
-    let t0 = Instant::now();
-    let (idle_outcomes, mut idle_lat, _, idle_stats) = d7_sweep(&engine, D7_SESSIONS);
-    let idle_elapsed = t0.elapsed();
-    let idle_exact = (0..D7_SESSIONS)
-        .filter(|&i| idle_outcomes[i].error.is_none() && idle_outcomes[i].traj == reference[i])
-        .count();
-    survivor_determinism = survivor_determinism.min(idle_exact as f64 / D7_SESSIONS as f64);
-    let idle_steps: usize = idle_outcomes.iter().map(|o| o.traj.len() - 1).sum();
-    let idle_p50 = d5_percentile(&mut idle_lat, 0.50);
-    let idle_p99 = d5_percentile(&mut idle_lat, 0.99);
-    metrics.push(("survivor_determinism".into(), survivor_determinism));
-    metrics.push(("idle_p50_ms".into(), idle_p50));
-    metrics.push(("idle_p99_ms".into(), idle_p99));
-    metrics.push((
-        "idle_steps_per_sec".into(),
-        idle_steps as f64 / idle_elapsed.as_secs_f64().max(1e-9),
-    ));
-    let _ = writeln!(
-        out,
-        "steady state ({}): {idle_steps} steps, p50 {idle_p50:.2}ms, p99 {idle_p99:.2}ms, \
-         {}/{} exact, 0 quarantines ({} observed)",
-        if faults_enabled {
-            "harness enabled, idle"
-        } else {
-            "harness compiled out"
-        },
-        idle_exact,
-        D7_SESSIONS,
-        idle_stats.quarantines,
-    );
-
-    // Lifecycle pass: admission control and TTL eviction against the
-    // logical clock — exact, deterministic counters, no faults involved.
-    let svc = ExplorationService::with_config(
-        Arc::clone(&engine),
-        ServiceConfig::default()
-            .with_max_sessions(8)
-            // Generous enough that the fill's own clock ticks (one per
-            // verb) never expire a session mid-scenario.
-            .with_idle_ttl_steps(100),
-    );
-    let mut lifecycle_ok = true;
-    let mut open_ids = Vec::new();
-    for _ in 0..8 {
-        open_ids.push(svc.open_with(d5_config()).expect("under capacity").0);
-    }
-    for _ in 0..4 {
-        lifecycle_ok &= matches!(
-            svc.open_with(d5_config()),
-            Err(ServeError::AtCapacity { open: 8, max: 8 })
-        );
-    }
-    svc.advance_clock(200);
-    let swept = svc.sweep_idle();
-    lifecycle_ok &= swept == 8 && svc.is_empty();
-    lifecycle_ok &= matches!(svc.display(open_ids[0]), Err(ServeError::SessionExpired(_)));
-    lifecycle_ok &= svc.open_with(d5_config()).is_ok();
-    let ls = svc.stats();
-    lifecycle_ok &= ls.rejections == 4 && ls.evictions == 8 && ls.opens == 9;
-    metrics.push(("rejections".into(), ls.rejections as f64));
-    metrics.push(("evictions".into(), ls.evictions as f64));
-    metrics.push(("lifecycle_ok".into(), lifecycle_ok as u8 as f64));
-    let cache_recoveries = engine
-        .neighbor_cache()
-        .map(|c| c.stats().recoveries)
-        .unwrap_or(0)
-        - cache_recoveries_before;
-    metrics.push((
-        "lock_recoveries".into(),
-        (stats.recoveries + cache_recoveries) as f64,
-    ));
-    let _ = writeln!(
-        out,
-        "lifecycle: 8-session cap rejected {} opens typed, TTL swept {} sessions, \
-         counters exact: {}",
-        ls.rejections, ls.evictions, lifecycle_ok,
-    );
-    out.push_str(
-        "(the fault selector is a seeded hash of the session id, so the targeted set is known \
-         before any thread runs; survivors must replay byte-identical to the single-threaded \
-         reference while targeted siblings panic and are quarantined — survivor_determinism is \
-         gated at 1.0 in CI in both the fault-enabled and default builds)\n",
-    );
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D8: live engine — streaming ingestion, incremental refresh, epoch swap
-// ---------------------------------------------------------------------------
-
-/// Actions per ingested batch in the d8 staleness sweep.
-const D8_BATCH: usize = 2_000;
-
-/// Send `actions` through a bounded channel and drain them into the
-/// service's ingest buffer (capacity == batch size, so the send loop
-/// never blocks).
-fn d8_feed(svc: &ExplorationService, actions: &[vexus_data::Action]) {
-    let (tx, mut rx) = vexus_data::stream::ChannelStream::with_capacity(actions.len().max(1));
-    for &a in actions {
-        assert!(tx.send(a), "d8 channel closed early");
-    }
-    drop(tx);
-    let drained = svc
-        .ingest(&mut rx, usize::MAX)
-        .expect("live service ingests");
-    assert_eq!(drained, actions.len());
-}
-
-/// Fraction of groups whose published neighbor list is byte-identical to
-/// a from-scratch [`GroupIndex::build`] over the same space — the CI-gated
-/// incremental-equivalence score (must be exactly 1.0).
-fn d8_equivalence(engine: &Vexus) -> f64 {
-    let reference = GroupIndex::build(
-        engine.groups(),
-        &IndexConfig {
-            materialize_fraction: engine.config().materialize_fraction,
-            threads: 0,
-        },
-    );
-    let n = engine.groups().len();
-    let equal = (0..n)
-        .filter(|&g| {
-            let g = GroupId::new(g as u32);
-            engine.index().materialized(g) == reference.materialized(g)
-                && engine.index().full_neighbor_count(g) == reference.full_neighbor_count(g)
-        })
-        .count();
-    equal as f64 / n.max(1) as f64
-}
-
-/// The live path end to end: bootstrap from a warmup prefix, stream the
-/// remaining action tape through the ingest buffer, and publish epochs by
-/// patching the index instead of rebuilding. Sweeps the refresh interval
-/// to expose the staleness-vs-refresh-cost trade, checks the patched
-/// index against a full rebuild (gated at exactly 1.0 in CI), and pins
-/// epoch continuity for sessions opened before refreshes.
-pub fn d8_live_engine() -> Report {
-    use vexus_core::LiveEngine;
-    use vexus_mining::DiscoverySelection;
-
-    let mut out = header(
-        "d8",
-        "live engine: streaming ingestion, incremental index refresh, epoch-swapped serving",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ds = workloads::bookcrossing_at(workloads::scale());
-    let (mut base, tape) = ds.data.split_actions();
-    let warmup = tape.len() / 4;
-    base.append_actions(&tape[..warmup]);
-    let live_tape = &tape[warmup..];
-    let config = EngineConfig::paper().with_discovery(DiscoverySelection::StreamFim {
-        support: 0.02,
-        epsilon: 0.004,
-        max_len: 3,
-    });
-    let _ = writeln!(
-        out,
-        "workload: {} users, {} warmup actions, {} streamed in {}-action batches",
-        base.n_users(),
-        warmup,
-        live_tape.len(),
-        D8_BATCH,
-    );
-
-    let mut equivalence_min = 1.0f64;
-    let mut pinning_ok = true;
-    let mut finest_refresh_ms = 0.0f64;
-    let mut finest_patch_ms = 0.0f64;
-    let mut finest_engine: Option<Arc<Vexus>> = None;
-    // Refresh every `interval` batches: staleness (actions waiting in the
-    // buffer when a refresh finally lands) trades against per-refresh cost.
-    for &interval in &[1usize, 4, 16] {
-        let live = Arc::new(
-            LiveEngine::bootstrap(base.clone(), config.clone()).expect("warmup mines groups"),
-        );
-        let svc = ExplorationService::live(Arc::clone(&live));
-        let (pinned, display0) = svc.open().expect("session opens");
-
-        let mut refresh_ms: Vec<f64> = Vec::new();
-        let mut patch_ms: Vec<f64> = Vec::new();
-        let mut lag_actions: Vec<usize> = Vec::new();
-        let mut rescored_total = 0usize;
-        let mut touched_total = 0usize;
-        let batches = live_tape.chunks(D8_BATCH).count();
-        for (bi, chunk) in live_tape.chunks(D8_BATCH).enumerate() {
-            d8_feed(&svc, chunk);
-            if (bi + 1) % interval == 0 || bi + 1 == batches {
-                lag_actions.push(live.pending().expect("live"));
-                let outcome = svc.refresh().expect("refresh applies");
-                assert!(outcome.advanced, "non-empty cut must advance");
-                refresh_ms.push(outcome.refresh_time.as_secs_f64() * 1e3);
-                // The index-patch slice of the refresh (the part a full
-                // rebuild would replace), as recorded by the new epoch.
-                patch_ms.push(svc.engine().build_stats().index_time.as_secs_f64() * 1e3);
-                rescored_total += outcome.rescored;
-                touched_total +=
-                    outcome.groups_added + outcome.groups_retired + outcome.groups_resized;
-            }
-        }
-        let engine = svc.engine();
-        let eq = d8_equivalence(&engine);
-        equivalence_min = equivalence_min.min(eq);
-        // Epoch pinning: the pre-refresh session still serves its opening
-        // display — refreshes swapped the published Arc, not its engine.
-        pinning_ok &= svc.display(pinned).expect("pinned session serves") == display0;
-        pinning_ok &= svc.stats().epoch == refresh_ms.len() as u64;
-        let mean_ms = refresh_ms.iter().sum::<f64>() / refresh_ms.len().max(1) as f64;
-        let max_ms = refresh_ms.iter().cloned().fold(0.0, f64::max);
-        let mean_patch = patch_ms.iter().sum::<f64>() / patch_ms.len().max(1) as f64;
-        let mean_lag = lag_actions.iter().sum::<usize>() as f64 / lag_actions.len().max(1) as f64;
-        let _ = writeln!(
-            out,
-            "interval {interval:>2} batches: {} refreshes | staleness {:>6.0} actions mean | \
-             refresh {mean_ms:>6.2} ms mean / {max_ms:>6.2} ms max (patch {mean_patch:>5.2} ms) | \
-             {} groups touched, {} lists rescored | equivalence {eq:.3}",
-            refresh_ms.len(),
-            mean_lag,
-            touched_total,
-            rescored_total,
-        );
-        if interval == 1 {
-            finest_refresh_ms = mean_ms;
-            finest_patch_ms = mean_patch;
-            finest_engine = Some(engine);
-            metrics.push(("refreshes".into(), refresh_ms.len() as f64));
-            metrics.push(("refresh_mean_ms".into(), mean_ms));
-            metrics.push(("refresh_max_ms".into(), max_ms));
-            metrics.push(("patch_mean_ms".into(), mean_patch));
-            metrics.push(("rescored_lists".into(), rescored_total as f64));
-        }
-    }
-
-    // What the incremental path buys: a from-scratch rebuild of the final
-    // epoch's index vs the mean per-refresh index patch (the slice of the
-    // refresh a rebuild would replace; the rest of the refresh — fold,
-    // discovery, publication — has no offline counterpart).
-    let engine = finest_engine.expect("interval-1 sweep ran");
-    let t0 = Instant::now();
-    let rebuilt = GroupIndex::build(
-        engine.groups(),
-        &IndexConfig {
-            materialize_fraction: engine.config().materialize_fraction,
-            threads: 0,
-        },
-    );
-    let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let speedup = rebuild_ms / finest_patch_ms.max(1e-9);
-    let _ = writeln!(
-        out,
-        "final epoch: {} groups, {} materialized entries | full index rebuild {rebuild_ms:.2} ms \
-         vs {finest_patch_ms:.2} ms mean patch ({speedup:.1}x) within a {finest_refresh_ms:.2} ms \
-         mean refresh | epoch pinning {}",
-        engine.groups().len(),
-        rebuilt.stats().materialized_entries,
-        if pinning_ok { "exact" } else { "VIOLATED" },
-    );
-    metrics.push(("incremental_equivalence".into(), equivalence_min));
-    metrics.push(("epoch_pinning_ok".into(), pinning_ok as u8 as f64));
-    metrics.push(("full_rebuild_ms".into(), rebuild_ms));
-    metrics.push(("patch_speedup".into(), speedup));
-    metrics.push(("groups_final".into(), engine.groups().len() as f64));
-    out.push_str(
-        "(equivalence = fraction of groups whose patched neighbor list is byte-identical to a \
-         from-scratch rebuild of the same epoch — gated at exactly 1.0 in CI; staleness is the \
-         ingest-buffer depth the moment a refresh lands)\n",
-    );
-    Report { text: out, metrics }
-}
-
-// ---------------------------------------------------------------------------
-// D9: durable live engine — WAL overhead, checkpoint cadence, crash recovery
-// ---------------------------------------------------------------------------
-
-/// A fresh scratch directory for one d9 durable run.
-fn d9_dir(case: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("vexus-bench-d9-{}-{case}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Feed one batch straight into a live engine's ingest buffer.
-fn d9_feed(live: &vexus_core::LiveEngine, actions: &[vexus_data::Action]) {
-    let (tx, mut rx) = vexus_data::stream::ChannelStream::with_capacity(actions.len().max(1));
-    for &a in actions {
-        assert!(tx.send(a), "d9 channel closed early");
-    }
-    drop(tx);
-    let drained = live.ingest(&mut rx, usize::MAX).expect("live ingests");
-    assert_eq!(drained, actions.len());
-}
-
-/// Bytes currently on disk in a durable directory.
-fn d9_disk_bytes(dir: &std::path::Path) -> u64 {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok()?.metadata().ok())
-                .map(|m| m.len())
-                .sum()
-        })
-        .unwrap_or(0)
-}
-
-/// The durability subsystem end to end: WAL overhead next to a WAL-off
-/// baseline (per-frame vs batched sync), a checkpoint-cadence sweep,
-/// recovery time against surviving log length, and the crash matrix —
-/// every case's recovered engine must be byte-identical to the
-/// uninterrupted run at the epoch it reports (`recovery_equivalence`,
-/// gated at exactly 1.0 in CI).
-pub fn d9_durability() -> Report {
-    use vexus_core::{DurabilityConfig, LiveEngine, WalSync};
-    use vexus_data::wal as walio;
-    use vexus_mining::DiscoverySelection;
-
-    let mut out = header(
-        "d9",
-        "durable live engine: write-ahead log, checkpoints, crash recovery",
-    );
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let ds = workloads::bookcrossing_at(workloads::scale());
-    let (mut base, tape) = ds.data.split_actions();
-    let warmup = tape.len() / 4;
-    base.append_actions(&tape[..warmup]);
-    let live_tape = &tape[warmup..];
-    let config = EngineConfig::paper().with_discovery(DiscoverySelection::StreamFim {
-        support: 0.02,
-        epsilon: 0.004,
-        max_len: 3,
-    });
-    let batches: Vec<&[vexus_data::Action]> = live_tape.chunks(D8_BATCH).collect();
-    let _ = writeln!(
-        out,
-        "workload: {} users, {} warmup actions, {} streamed in {} batches of {}",
-        base.n_users(),
-        warmup,
-        live_tape.len(),
-        batches.len(),
-        D8_BATCH,
-    );
-
-    // --- The WAL-off baseline, doubling as the byte-identity oracle:
-    // snapshot bytes of the published engine at every epoch.
-    let reference =
-        LiveEngine::bootstrap(base.clone(), config.clone()).expect("warmup mines groups");
-    let mut snapshots = vec![reference.engine().write_snapshot()];
-    let mut off_ms: Vec<f64> = Vec::new();
-    for chunk in &batches {
-        d9_feed(&reference, chunk);
-        let t0 = Instant::now();
-        let outcome = reference.refresh().expect("baseline refresh");
-        off_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(outcome.advanced);
-        snapshots.push(reference.engine().write_snapshot());
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let off_mean = mean(&off_ms);
-
-    // --- WAL overhead: same stream, logging every delta before it is
-    // applied, with no checkpoints in the way (`checkpoint_every: 0`).
-    let mut mode_dirs: Vec<(&str, std::path::PathBuf, usize)> = Vec::new();
-    for (label, sync) in [
-        ("per-frame", WalSync::PerFrame),
-        ("batched", WalSync::Batched),
-    ] {
-        let dir = d9_dir(label);
-        let durability = DurabilityConfig {
-            checkpoint_every: 0,
-            sync,
-            ..DurabilityConfig::new(&dir)
-        };
-        let live = LiveEngine::bootstrap_durable(base.clone(), config.clone(), durability)
-            .expect("durable bootstrap");
-        let mut ms: Vec<f64> = Vec::new();
-        let mut wal_bytes = 0u64;
-        for chunk in &batches {
-            d9_feed(&live, chunk);
-            let t0 = Instant::now();
-            let outcome = live.refresh().expect("durable refresh");
-            ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            assert!(outcome.wal_appended);
-            wal_bytes += outcome.wal_bytes;
-        }
-        assert!(live.engine().write_snapshot() == snapshots[batches.len()]);
-        let m = mean(&ms);
-        let _ = writeln!(
-            out,
-            "wal {label:>9}: refresh {m:>7.2} ms mean vs {off_mean:.2} ms wal-off \
-             ({:+.1}% overhead) | {wal_bytes} WAL bytes over {} frames",
-            (m / off_mean.max(1e-9) - 1.0) * 100.0,
-            batches.len(),
-        );
-        metrics.push((format!("wal_{}_refresh_ms", label.replace('-', "_")), m));
-        if sync == WalSync::PerFrame {
-            metrics.push(("wal_bytes".into(), wal_bytes as f64));
-            metrics.push(("wal_overhead_ratio".into(), m / off_mean.max(1e-9)));
-        }
-        mode_dirs.push((label, dir, batches.len()));
-    }
-    metrics.push(("wal_off_refresh_ms".into(), off_mean));
-
-    // --- Checkpoint cadence sweep: how often a full snapshot lands
-    // trades recovery work (frames left to replay) against refresh-path
-    // cost and disk footprint.
-    let mut cadence_dirs: Vec<(u64, std::path::PathBuf)> = Vec::new();
-    for &every in &[1u64, 4, 16] {
-        let dir = d9_dir(&format!("k{every}"));
-        let durability = DurabilityConfig {
-            checkpoint_every: every,
-            ..DurabilityConfig::new(&dir)
-        };
-        let live = LiveEngine::bootstrap_durable(base.clone(), config.clone(), durability)
-            .expect("durable bootstrap");
-        let mut ms: Vec<f64> = Vec::new();
-        let mut written = 0usize;
-        for chunk in &batches {
-            d9_feed(&live, chunk);
-            let t0 = Instant::now();
-            let outcome = live.refresh().expect("durable refresh");
-            ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            written += (outcome.checkpoint == vexus_core::CheckpointOutcome::Written) as usize;
-        }
-        let disk = d9_disk_bytes(&dir);
-        let _ = writeln!(
-            out,
-            "cadence K={every:>2}: {written} checkpoints over {} refreshes | refresh \
-             {:>7.2} ms mean (incl. checkpoint phase) | {} KiB on disk",
-            batches.len(),
-            mean(&ms),
-            disk / 1024,
-        );
-        if every == 4 {
-            metrics.push(("cadence4_refresh_ms".into(), mean(&ms)));
-            metrics.push(("cadence4_checkpoints".into(), written as f64));
-        }
-        cadence_dirs.push((every, dir));
-    }
-
-    // --- Recovery time vs surviving log length, and the crash matrix.
-    // Every directory above is a crash image (the engines were dropped
-    // with no shutdown hook); add bootstrap-only and mid-stream crashes,
-    // then a torn tail and a corrupt newest checkpoint. Every recovery
-    // must be byte-identical to the reference at the epoch it reports.
-    let mut cases_total = 0usize;
-    let mut cases_ok = 0usize;
-    let mut recover =
-        |dir: &std::path::Path, label: &str, out: &mut String| -> Option<(usize, f64)> {
-            let durability = DurabilityConfig::new(dir);
-            let t0 = Instant::now();
-            match LiveEngine::recover(base.clone(), config.clone(), durability) {
-                Ok((rec, report)) => {
-                    let ms = t0.elapsed().as_secs_f64() * 1e3;
-                    cases_total += 1;
-                    let identical =
-                        rec.engine().write_snapshot() == snapshots[report.final_epoch as usize];
-                    cases_ok += identical as usize;
-                    let _ = writeln!(
-                        out,
-                        "recover {label:>22}: watermark {} + {} frames replayed -> epoch {} in \
-                     {ms:>7.2} ms | byte-identical: {}",
-                        report.checkpoint_watermark,
-                        report.frames_replayed,
-                        report.final_epoch,
-                        if identical { "yes" } else { "NO" },
-                    );
-                    Some((report.frames_replayed, ms))
-                }
-                Err(e) => {
-                    cases_total += 1;
-                    let _ = writeln!(out, "recover {label:>22}: FAILED ({e})");
-                    None
-                }
-            }
-        };
-
-    // Full-log replays (K=0) and the cadence images: log length falls as
-    // the cadence tightens, and recovery time falls with it.
-    let mut recovery_points: Vec<(usize, f64)> = Vec::new();
-    for (label, dir, _) in &mode_dirs {
-        if let Some(p) = recover(dir, &format!("full log ({label})"), &mut out) {
-            recovery_points.push(p);
-        }
-    }
-    for (every, dir) in &cadence_dirs {
-        if let Some(p) = recover(dir, &format!("cadence K={every}"), &mut out) {
-            recovery_points.push(p);
-        }
-    }
-    if let Some(&(frames, ms)) = recovery_points.first() {
-        metrics.push(("recovery_full_frames".into(), frames as f64));
-        metrics.push(("recovery_full_ms".into(), ms));
-    }
-
-    // Mid-stream crash points for both cadences in the matrix.
-    for &every in &[1u64, 4] {
-        for crash_after in [1usize, batches.len().div_ceil(2)] {
-            let dir = d9_dir(&format!("crash-k{every}-b{crash_after}"));
-            let durability = DurabilityConfig {
-                checkpoint_every: every,
-                ..DurabilityConfig::new(&dir)
-            };
-            let live = LiveEngine::bootstrap_durable(base.clone(), config.clone(), durability)
-                .expect("durable bootstrap");
-            for chunk in &batches[..crash_after] {
-                d9_feed(&live, chunk);
-                live.refresh().expect("durable refresh");
-            }
-            drop(live);
-            recover(&dir, &format!("K={every} after {crash_after}"), &mut out);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    // Bootstrap-only crash: nothing but ckpt-0 and an empty segment.
-    let dir = d9_dir("crash-bootstrap");
-    drop(
-        LiveEngine::bootstrap_durable(base.clone(), config.clone(), DurabilityConfig::new(&dir))
-            .expect("durable bootstrap"),
-    );
-    recover(&dir, "bootstrap only", &mut out);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Damage cases on the K=4 image: tear the newest WAL segment
-    // mid-frame, then flip a byte in the newest checkpoint (recovery
-    // falls back to the previous one). Clean truncated recovery both
-    // times — still byte-identical at the epoch reported.
-    let k4 = &cadence_dirs[1].1;
-    let mut segments: Vec<std::path::PathBuf> = std::fs::read_dir(k4)
-        .expect("k4 dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "vxwl"))
-        .collect();
-    segments.sort();
-    if let Some(seg) = segments.last() {
-        let len = std::fs::metadata(seg).expect("segment").len();
-        walio::truncate_at(seg, len.saturating_sub(3)).expect("tear");
-        recover(k4, "torn tail (K=4)", &mut out);
-    }
-    let mut ckpts: Vec<std::path::PathBuf> = std::fs::read_dir(k4)
-        .expect("k4 dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "vxck"))
-        .collect();
-    ckpts.sort();
-    if ckpts.len() > 1 {
-        walio::corrupt_byte_at(ckpts.last().expect("newest"), 64, 0xff).expect("corrupt");
-        recover(k4, "corrupt newest ckpt", &mut out);
-    }
-
-    for (_, dir, _) in &mode_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    for (_, dir) in &cadence_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    let equivalence = cases_ok as f64 / cases_total.max(1) as f64;
-    let _ = writeln!(
-        out,
-        "crash matrix: {cases_ok}/{cases_total} recoveries byte-identical to the uninterrupted \
-         run at their reported epoch",
-    );
-    metrics.push(("recovery_cases".into(), cases_total as f64));
-    metrics.push(("recovery_equivalence".into(), equivalence));
-    out.push_str(
-        "(recovery_equivalence = fraction of crash-matrix recoveries whose engine snapshot is \
-         byte-identical to the uninterrupted run at the recovered epoch — gated at exactly 1.0 \
-         in CI, with and without failpoints)\n",
-    );
-    Report { text: out, metrics }
 }
 
 // ---------------------------------------------------------------------------
@@ -2791,11 +1232,16 @@ mod tests {
     fn c11_reports_zero_overlap_after() {
         let report = c11_force_layout();
         assert!(report.contains("overlap after"));
+        let mut rows = 0usize;
         for line in report.lines().skip(3) {
-            if let Some(after) = line.split('|').nth(2) {
-                let v: f64 = after.trim().parse().unwrap_or(0.0);
-                assert!(v < 1.0, "clutter not removed: {line}");
-            }
+            let after = line.split('|').nth(2).expect("overlap-after column");
+            let v: f64 = after
+                .trim()
+                .parse()
+                .unwrap_or_else(|e| panic!("unparsable overlap in {line:?}: {e}"));
+            assert!(v < 1.0, "clutter not removed: {line}");
+            rows += 1;
         }
+        assert!(rows >= 5, "expected one row per k, parsed {rows}");
     }
 }

@@ -44,9 +44,8 @@ pub struct EngineConfig {
     /// the unsharded closed-group space exactly at any shard count; `0`
     /// disables the exchange (sound, but oversharded runs may lose a
     /// sub-percent recall tail to shard-local closure growth). The
-    /// broadcast is frequency-pruned and deduplicated (and, with per-shard
-    /// projections, candidate→shard routed) — cost trims only, the merged
-    /// space is unchanged; see `vexus_mining::MergeContext`.
+    /// broadcast is frequency-pruned and deduplicated — cost trims only,
+    /// the merged space is unchanged; see `vexus_mining::MergeContext`.
     pub exchange_rounds: usize,
     /// Capacity (entries) of the engine's shared read-through cache over
     /// index neighbor queries. The index is immutable post-build, so a
@@ -56,8 +55,8 @@ pub struct EngineConfig {
     pub neighbor_cache_capacity: usize,
     /// Whether this session reads neighbor lists through the engine's
     /// shared cache (when one exists). Per-session switch so cache-on and
-    /// cache-off sessions can run side by side on one engine — the d5
-    /// ablation and the cache-equality tests rely on it.
+    /// cache-off sessions can run side by side on one engine — the
+    /// cache-equality tests rely on it.
     pub neighbor_cache: bool,
 }
 

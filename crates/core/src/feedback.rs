@@ -27,7 +27,7 @@ use vexus_mining::Group;
 /// differ by a few ulps between two sessions replaying the same clicks,
 /// and an ulp is enough to flip a greedy tie. A deterministic hasher
 /// makes every replay of a click sequence bit-identical — the property
-/// the `d5` concurrency gate pins.
+/// `tests/concurrent_serving.rs` pins.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DetHasher(u64);
 

@@ -31,7 +31,7 @@
 //!   the torn-write simulator the crash-recovery tests drive,
 //! * [`zipf`] — seeded Zipf/power-law samplers used by the generators,
 //! * [`synthetic`] — seeded generators standing in for the paper's
-//!   BOOKCROSSING and DB-AUTHORS datasets (see DESIGN.md §1 for the
+//!   BOOKCROSSING and DB-AUTHORS datasets (the module docs give the
 //!   substitution rationale).
 
 pub mod csv;

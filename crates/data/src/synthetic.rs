@@ -3,8 +3,8 @@
 //! The paper evaluates on two private-ish datasets: **DB-AUTHORS** (a crawl
 //! of database researchers; the published download link is dead) and
 //! **BOOKCROSSING** (public, but not shippable inside this offline repo).
-//! Per DESIGN.md §1 we substitute seeded generators that reproduce the
-//! *shape* the exploration stack depends on:
+//! We substitute seeded generators that reproduce the *shape* the
+//! exploration stack depends on:
 //!
 //! * the same attribute schemas and cardinalities,
 //! * Zipf-skewed activity and popularity,

@@ -50,7 +50,7 @@ pub enum WalSync {
     PerFrame,
     /// Commits only flush to the OS; [`WalWriter::sync`] (called at
     /// checkpoint time) forces stability. A crash may lose frames since
-    /// the last sync — the cheap knob the `d9` experiment measures.
+    /// the last sync — the cheap knob (`data.wal_append_us` in `benchmark/`).
     Batched,
 }
 

@@ -11,7 +11,8 @@
 //!
 //! * **transparency** — the cache stores the exact
 //!   [`GroupIndex::neighbors`] result, so cached and uncached answers are
-//!   byte-identical (pinned by tests and the `d5` determinism gate),
+//!   byte-identical (pinned by `cached_results_match_uncached` and the
+//!   root `cache_off_session_matches_cache_on` test),
 //! * **bounded memory** — per-shard FIFO eviction caps the entry count;
 //!   a `capacity` of 0 disables storage entirely (every query recomputes),
 //! * **cheap hits** — entries are `Arc<[Neighbor]>`, so a hit is one

@@ -401,8 +401,8 @@ impl GroupIndex {
     ///    boundary) carry over exactly.
     ///
     /// `scored_pairs` in the returned stats counts only the patch's
-    /// rescoring work — the incremental-vs-full cost the d8 experiment
-    /// reports — not the full build's pair count.
+    /// rescoring work — the incremental-vs-full cost `benchmark/` reports
+    /// as `index.rescored_share` — not the full build's pair count.
     pub fn apply_delta(
         &self,
         old_groups: &GroupSet,
@@ -665,8 +665,8 @@ impl GroupIndex {
     /// Assemble from storage parts, recomputing derived statistics.
     /// `heap_bytes` reflects what this representation actually owns, so a
     /// snapshot-loaded index (shared offset tables) reports less than its
-    /// built twin — by design; the d6 experiment prints both next to the
-    /// snapshot size.
+    /// built twin — by design; `benchmark/` reports it as
+    /// `index.heap_bytes` next to `core.snapshot_bytes`.
     pub(crate) fn from_parts(
         list_offsets: U32Store,
         entries: Vec<Neighbor>,

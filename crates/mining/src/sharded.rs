@@ -231,9 +231,10 @@ impl ShardScaled for StreamFimDiscovery {}
 /// recount stays sound either way; the refinement exists for the regime
 /// where closure-hiding actually bites — small shards with few candidates
 /// — while on rich spaces (thousands of candidates) it costs hundreds of
-/// milliseconds to recover a fraction of a percent of groups (measured by
-/// the `d2` experiment's `vs 1-shard` column, which reports the recall
-/// honestly at any cap).
+/// milliseconds to recover a fraction of a percent of groups (the recall
+/// without the exchange is pinned by
+/// `oversharded_recount_without_exchange_is_sound_with_high_recall`; with
+/// it the recount is exact at any cap).
 pub const CANDIDATE_REFINEMENT_CAP: usize = 1024;
 
 /// Intersection of two sorted token descriptions (merge scan).

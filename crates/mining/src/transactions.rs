@@ -186,7 +186,7 @@ mod tests {
         }
     }
 
-    /// The pre-d3 member-major closure: clone the first member's
+    /// The original member-major closure: clone the first member's
     /// transaction and `retain`-scan it against every other member's.
     /// Kept as the reference implementation the token-major rewrite is
     /// pinned against.
@@ -206,7 +206,7 @@ mod tests {
         common
     }
 
-    /// Left-to-right tidlist intersection, the pre-d3 `itemset_members`.
+    /// Left-to-right tidlist intersection, the original `itemset_members`.
     fn itemset_members_in_order(db: &TransactionDb, itemset: &[TokenId]) -> MemberSet {
         match itemset {
             [] => MemberSet::universe(db.n_transactions() as u32),

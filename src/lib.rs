@@ -1,6 +1,6 @@
 //! # vexus — umbrella crate
 //!
-//! Re-exports the full VEXUS stack (see the README and DESIGN.md):
+//! Re-exports the full VEXUS stack (see the README):
 //!
 //! * [`data`] — schema, columnar user data, CSV ETL, streams, synthetic datasets
 //! * [`mining`] — group discovery (LCM, α-MOMRI, BIRCH, stream FIM)

@@ -8,70 +8,52 @@
 //! Fault selection is a seeded hash of the session id, so each case
 //! knows its faulted set up front, independent of thread interleaving.
 //!
-//! Every test takes a [`fp::FailScenario`]: scenarios hold a process-wide
-//! lock, so these tests serialize against each other instead of fighting
-//! over the global registry.
+//! Every test holds a [`fp::FailScenario`] from its first statement to
+//! its last: scenarios hold a process-wide lock, so these tests serialize
+//! against each other instead of fighting over the global registry, and
+//! no unfaulted phase of one test (a reference replay, a clean refresh, a
+//! recovery) can run into a fault another test has armed. Mid-test the
+//! registry is emptied with `fp::clear_all`, not by releasing the lock.
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::{
+    config, engine, feed, replay_owned, replay_served, stream_config, ScratchDir, StreamWorkload,
+    Trajectory, Verb,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use vexus::core::failpoint as fp;
 use vexus::core::{
-    CoreError, EngineConfig, ExplorationService, OwnedSession, ServeError, SnapshotError, Vexus,
+    CheckpointOutcome, CoreError, DurabilityConfig, ExplorationService, LiveEngine, ServeError,
+    SessionId, SnapshotError, Vexus,
 };
 use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
+use vexus::data::{wal as walio, Action};
 use vexus::mining::GroupId;
-
-/// A budget the tiny engine never exhausts: outcomes depend only on
-/// session-local state, so survivor comparisons are exact.
-fn config() -> EngineConfig {
-    EngineConfig::default().with_budget(Duration::from_secs(600))
-}
-
-/// One engine shared by every test (immutable post-build).
-fn engine() -> Arc<Vexus> {
-    static ENGINE: OnceLock<Arc<Vexus>> = OnceLock::new();
-    Arc::clone(ENGINE.get_or_init(|| {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        Arc::new(Vexus::build(ds.data, config()).expect("non-empty group space"))
-    }))
-}
 
 const SESSIONS: usize = 12;
 const STEPS: usize = 5;
 
-enum Verb {
-    Click(GroupId),
-    Backtrack(usize),
-}
-
-/// Session `i`'s scripted verb at `step`, a function of its own display
-/// only — the same script the single-threaded reference replays.
-fn verb(i: usize, step: usize, display: &[GroupId]) -> Option<Verb> {
-    if step == 3 {
-        Some(Verb::Backtrack(1))
-    } else if display.is_empty() {
-        None
-    } else {
-        Some(Verb::Click(display[(i + step) % display.len()]))
+/// Session `i`'s script, a function of its own display only — the same
+/// script the single-threaded reference replays.
+fn script(i: usize) -> impl Fn(usize, &[GroupId], usize) -> Option<Verb> {
+    move |step, display, _| {
+        if step == 3 {
+            Some(Verb::Backtrack(1))
+        } else if display.is_empty() {
+            None
+        } else {
+            Some(Verb::Click(display[(i + step) % display.len()]))
+        }
     }
 }
 
 /// Session `i`'s exact display trajectory, single-threaded, no service.
-fn reference(i: usize) -> Vec<Vec<GroupId>> {
-    let mut s = OwnedSession::open_with(engine(), config()).expect("session opens");
-    let mut traj = vec![s.display().to_vec()];
-    for step in 0..STEPS {
-        let display = traj.last().expect("non-empty").clone();
-        let next = match verb(i, step, &display) {
-            Some(Verb::Click(g)) => s.click(g).expect("scripted click").to_vec(),
-            Some(Verb::Backtrack(to)) => s.backtrack(to).expect("scripted backtrack").to_vec(),
-            None => break,
-        };
-        traj.push(next);
-    }
-    traj
+fn reference(i: usize) -> Trajectory {
+    replay_owned(&config(), STEPS, script(i))
 }
 
 /// Run the script for every session concurrently against `svc`,
@@ -79,29 +61,14 @@ fn reference(i: usize) -> Vec<Vec<GroupId>> {
 /// the first error that stopped it.
 fn run_concurrent(
     svc: &ExplorationService,
-    opened: &[(vexus::core::SessionId, Vec<GroupId>)],
-) -> Vec<(Vec<Vec<GroupId>>, Option<ServeError>)> {
+    opened: &[(SessionId, Vec<GroupId>)],
+) -> Vec<(Trajectory, Option<ServeError>)> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = opened
             .iter()
             .enumerate()
             .map(|(i, (id, opening))| {
-                scope.spawn(move || {
-                    let mut traj = vec![opening.clone()];
-                    for step in 0..STEPS {
-                        let display = traj.last().expect("non-empty").clone();
-                        let result = match verb(i, step, &display) {
-                            Some(Verb::Click(g)) => svc.click(*id, g),
-                            Some(Verb::Backtrack(to)) => svc.backtrack(*id, to),
-                            None => break,
-                        };
-                        match result {
-                            Ok(next) => traj.push(next),
-                            Err(e) => return (traj, Some(e)),
-                        }
-                    }
-                    (traj, None)
-                })
+                scope.spawn(move || replay_served(svc, *id, opening.clone(), STEPS, script(i)))
             })
             .collect();
         handles
@@ -123,13 +90,13 @@ fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn survivors_replay_byte_identical_under_seeded_panics() {
+    let _scenario = fp::FailScenario::setup();
     let engine = engine();
     let refs: Vec<_> = (0..SESSIONS).map(reference).collect();
     let fault_p = 0.4;
     let mut total_faulted = 0usize;
     let mut total_survived = 0usize;
     for seed in [1u64, 7, 42] {
-        let scenario = fp::FailScenario::setup();
         fp::configure(
             fp::SERVE_STEP,
             fp::Trigger::KeyProb { p: fault_p, seed },
@@ -140,7 +107,7 @@ fn survivors_replay_byte_identical_under_seeded_panics() {
             .map(|_| svc.open_with(config()).expect("session opens"))
             .collect();
         let outcomes = quiet_panics(|| run_concurrent(&svc, &opened));
-        drop(scenario);
+        fp::clear_all();
         let mut faulted = 0usize;
         for (i, (traj, error)) in outcomes.iter().enumerate() {
             let id = opened[i].0;
@@ -178,8 +145,8 @@ fn survivors_replay_byte_identical_under_seeded_panics() {
 
 #[test]
 fn injected_step_and_open_errors_are_typed_and_stateless() {
+    let _scenario = fp::FailScenario::setup();
     let svc = ExplorationService::new(engine());
-    let scenario = fp::FailScenario::setup();
     let (id, display) = svc.open_with(config()).expect("session opens");
     // Error-action step faults: typed, no quarantine, no state change.
     fp::configure(fp::SERVE_STEP, fp::Trigger::Always, fp::FailAction::Error);
@@ -200,15 +167,15 @@ fn injected_step_and_open_errors_are_typed_and_stateless() {
     );
     assert_eq!(svc.stats().rejections, before.rejections + 1);
     assert_eq!(svc.len(), 1);
-    drop(scenario);
+    fp::clear_all();
     svc.open_with(config()).expect("opens once cleared");
 }
 
 #[test]
 fn poisoned_cache_shards_recover_as_misses() {
+    let _scenario = fp::FailScenario::setup();
     let engine = engine();
     let cache = engine.neighbor_cache().expect("engine built with a cache");
-    let scenario = fp::FailScenario::setup();
     fp::configure("cache.shard", fp::Trigger::Always, fp::FailAction::Panic);
     let sample: Vec<GroupId> = engine.groups().ids().take(8).collect();
     let before = cache.stats();
@@ -222,7 +189,7 @@ fn poisoned_cache_shards_recover_as_misses() {
             assert!(r.is_err(), "panic-action fail point fired");
         }
     });
-    drop(scenario);
+    fp::clear_all();
     // Post-storm: every poisoned shard recovers as a miss — answers stay
     // byte-identical to the direct index query, nothing panics.
     for &g in &sample {
@@ -246,19 +213,14 @@ fn poisoned_cache_shards_recover_as_misses() {
 /// sessions and new opens alike.
 #[test]
 fn refresh_faults_leave_the_published_epoch_serving() {
-    use vexus::core::{ExplorationService as Svc, LiveEngine, Request, Response};
+    let _scenario = fp::FailScenario::setup();
+    use vexus::core::{ExplorationService as Svc, Request, Response};
     use vexus::data::stream::ChannelStream;
-    use vexus::mining::DiscoverySelection;
 
     let ds = bookcrossing(&BookCrossingConfig::tiny());
     let (mut base, tape) = ds.data.split_actions();
     base.append_actions(&tape[..300]);
-    let live_config = config().with_discovery(DiscoverySelection::StreamFim {
-        support: 0.05,
-        epsilon: 0.01,
-        max_len: 3,
-    });
-    let live = Arc::new(LiveEngine::bootstrap(base, live_config).expect("bootstrap"));
+    let live = Arc::new(LiveEngine::bootstrap(base, stream_config()).expect("bootstrap"));
     let svc = Svc::live(Arc::clone(&live));
     let (pinned, display0) = svc.open().expect("session opens");
 
@@ -271,8 +233,6 @@ fn refresh_faults_leave_the_published_epoch_serving() {
         svc.ingest(&mut rx, usize::MAX)
             .expect("live service ingests")
     };
-
-    let scenario = fp::FailScenario::setup();
     feed(300..600);
     let buffered = live.pending().expect("live state intact");
 
@@ -305,7 +265,7 @@ fn refresh_faults_leave_the_published_epoch_serving() {
         matches!(err, ServeError::Core(CoreError::Halted(_))),
         "got {err}"
     );
-    drop(scenario);
+    fp::clear_all();
     assert!(!live.is_live(), "live ingestion halted");
     assert!(live.halt_cause().is_some(), "halt cause surfaced");
     assert!(svc.stats().halted, "halt surfaced in service stats");
@@ -335,35 +295,6 @@ fn refresh_faults_leave_the_published_epoch_serving() {
 // recovery phases of the durable live engine.
 // ---------------------------------------------------------------------------
 
-use std::path::{Path, PathBuf};
-use vexus::core::{CheckpointOutcome, DurabilityConfig, LiveEngine};
-use vexus::data::{wal as walio, Action, UserData};
-
-fn stream_config() -> EngineConfig {
-    use vexus::mining::DiscoverySelection;
-    config().with_discovery(DiscoverySelection::StreamFim {
-        support: 0.05,
-        epsilon: 0.01,
-        max_len: 3,
-    })
-}
-
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vexus-chaos-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn feed_live(live: &LiveEngine, actions: &[Action]) {
-    use vexus::data::stream::ChannelStream;
-    let (tx, mut rx) = ChannelStream::with_capacity(actions.len().max(1));
-    for &a in actions {
-        assert!(tx.send(a));
-    }
-    drop(tx);
-    live.ingest(&mut rx, usize::MAX).expect("live ingests");
-}
-
 /// Durable files in `dir` with the given extension, sorted by name
 /// (zero-padded stamps, so name order is stamp order).
 fn durable_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
@@ -378,37 +309,10 @@ fn durable_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
 
 /// The durable chaos workload: a warmed base, the remaining tape split
 /// into four chunks, and the uninterrupted run's snapshot bytes at every
-/// epoch (durability does not change engine bytes, so one reference
-/// serves every fault matrix below).
-struct DurableFixture {
-    base: UserData,
-    tape: Vec<Action>,
-    chunk: usize,
-    snapshots: Vec<Vec<u8>>,
-}
-
-fn fixture() -> &'static DurableFixture {
-    static F: OnceLock<DurableFixture> = OnceLock::new();
-    F.get_or_init(|| {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        let (mut base, tape) = ds.data.split_actions();
-        base.append_actions(&tape[..300]);
-        let tape = tape[300..].to_vec();
-        let chunk = tape.len().div_ceil(4);
-        let live = LiveEngine::bootstrap(base.clone(), stream_config()).expect("reference");
-        let mut snapshots = vec![live.engine().write_snapshot()];
-        for c in tape.chunks(chunk) {
-            feed_live(&live, c);
-            live.refresh().expect("reference refresh");
-            snapshots.push(live.engine().write_snapshot());
-        }
-        DurableFixture {
-            base,
-            tape,
-            chunk,
-            snapshots,
-        }
-    })
+/// epoch (one reference serves every fault matrix below).
+fn fixture() -> &'static StreamWorkload {
+    static F: OnceLock<StreamWorkload> = OnceLock::new();
+    F.get_or_init(|| StreamWorkload::new(300, 4))
 }
 
 /// The WAL/checkpoint fault matrix with the `Error` action: `wal.append`
@@ -420,20 +324,20 @@ fn fixture() -> &'static DurableFixture {
 /// from the surviving files is byte-identical.
 #[test]
 fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
+    let _scenario = fp::FailScenario::setup();
     let f = fixture();
-    let dir = tempdir("wal-faults");
+    let dir = ScratchDir::new("chaos-wal-faults");
     let durability = DurabilityConfig {
         checkpoint_every: 2,
-        ..DurabilityConfig::new(&dir)
+        ..DurabilityConfig::new(dir.path())
     };
     let live = LiveEngine::bootstrap_durable(f.base.clone(), stream_config(), durability.clone())
         .expect("durable bootstrap");
-    let chunks: Vec<&[Action]> = f.tape.chunks(f.chunk).collect();
-    let scenario = fp::FailScenario::setup();
+    let chunks: Vec<&[Action]> = f.chunks().collect();
 
     // wal.append, Error action: fires before any byte is staged. Typed,
     // nothing consumed, the segment is untouched.
-    feed_live(&live, chunks[0]);
+    feed(&live, chunks[0]);
     let buffered = live.pending().expect("live");
     fp::configure(fp::WAL_APPEND, fp::Trigger::Always, fp::FailAction::Error);
     assert_eq!(
@@ -441,7 +345,7 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
         CoreError::Injected(fp::WAL_APPEND)
     );
     assert_eq!(live.pending().expect("live"), buffered);
-    let seg0 = durable_files(&dir, "vxwl").remove(0);
+    let seg0 = durable_files(dir.path(), "vxwl").remove(0);
     assert_eq!(walio::read_wal(&seg0).expect("scan").frames.len(), 0);
     fp::clear(fp::WAL_APPEND);
 
@@ -469,7 +373,7 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
     // checkpoint.write, Error action: the refresh itself succeeds (the
     // epoch is already published), the checkpoint reports Failed, and no
     // checkpoint file lands.
-    feed_live(&live, chunks[1]);
+    feed(&live, chunks[1]);
     fp::configure(
         fp::CHECKPOINT_WRITE,
         fp::Trigger::Always,
@@ -479,11 +383,11 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
     assert!(out.advanced);
     assert_eq!(out.checkpoint, CheckpointOutcome::Failed);
     assert!(live.is_live());
-    assert_eq!(durable_files(&dir, "vxck").len(), 1, "only ckpt-0");
+    assert_eq!(durable_files(dir.path(), "vxck").len(), 1, "only ckpt-0");
 
     // checkpoint.write, Panic action: contained by the checkpoint phase's
     // own isolation — Failed, not a halt.
-    feed_live(&live, chunks[2]);
+    feed(&live, chunks[2]);
     fp::configure(
         fp::CHECKPOINT_WRITE,
         fp::Trigger::Always,
@@ -497,19 +401,22 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
     // Cleared: the still-due checkpoint lands at the next refresh, the
     // WAL rotates, and crash recovery from this directory is
     // byte-identical to the uninterrupted run.
-    feed_live(&live, chunks[3]);
+    feed(&live, chunks[3]);
     let out = live.refresh().expect("refresh");
     assert_eq!(out.checkpoint, CheckpointOutcome::Written);
-    assert_eq!(durable_files(&dir, "vxck").len(), 2, "ckpt-0 and ckpt-4");
+    assert_eq!(
+        durable_files(dir.path(), "vxck").len(),
+        2,
+        "ckpt-0 and ckpt-4"
+    );
     assert!(live.engine().write_snapshot() == f.snapshots[4]);
-    drop(scenario);
+    fp::clear_all();
     drop(live);
     let (recovered, report) =
         LiveEngine::recover(f.base.clone(), stream_config(), durability).expect("recover");
     assert_eq!(report.final_epoch, 4);
     assert_eq!(report.checkpoint_watermark, 4);
     assert!(recovered.engine().write_snapshot() == f.snapshots[4]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The kill-during-WAL matrix: a panic injected at `wal.append` or
@@ -518,26 +425,25 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
 /// back, restoring byte-identity and resuming the stream.
 #[test]
 fn kill_during_the_wal_phase_halts_then_recovery_restores_equivalence() {
+    let _scenario = fp::FailScenario::setup();
     let f = fixture();
-    let chunks: Vec<&[Action]> = f.tape.chunks(f.chunk).collect();
+    let chunks: Vec<&[Action]> = f.chunks().collect();
     for site in [fp::WAL_APPEND, fp::WAL_SYNC] {
-        let dir = tempdir(&format!("kill-{}", site.replace('.', "-")));
+        let dir = ScratchDir::new(&format!("chaos-kill-{}", site.replace('.', "-")));
         let durability = DurabilityConfig {
             checkpoint_every: 2,
-            ..DurabilityConfig::new(&dir)
+            ..DurabilityConfig::new(dir.path())
         };
         let live =
             LiveEngine::bootstrap_durable(f.base.clone(), stream_config(), durability.clone())
                 .expect("durable bootstrap");
-        feed_live(&live, chunks[0]);
+        feed(&live, chunks[0]);
         live.refresh().expect("clean first refresh");
-
-        let scenario = fp::FailScenario::setup();
-        feed_live(&live, chunks[1]);
+        feed(&live, chunks[1]);
         fp::configure(site, fp::Trigger::Always, fp::FailAction::Panic);
         let err = quiet_panics(|| live.refresh()).unwrap_err();
         assert!(matches!(err, CoreError::Halted(_)), "{site}: got {err}");
-        drop(scenario);
+        fp::clear_all();
         assert!(!live.is_live(), "{site}: ingestion halted");
         assert!(live.halt_cause().is_some(), "{site}: cause surfaced");
         assert_eq!(live.epoch(), 1, "{site}: old epoch still published");
@@ -561,11 +467,10 @@ fn kill_during_the_wal_phase_halts_then_recovery_restores_equivalence() {
         // Chunks lost with the in-memory buffer replay from the source
         // tape; the stream finishes byte-identical.
         for c in &chunks[e..] {
-            feed_live(&recovered, c);
+            feed(&recovered, c);
             recovered.refresh().expect("post-recovery refresh");
         }
         assert!(recovered.engine().write_snapshot() == *f.snapshots.last().unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -574,21 +479,21 @@ fn kill_during_the_wal_phase_halts_then_recovery_restores_equivalence() {
 /// succeeds and replays every frame.
 #[test]
 fn injected_replay_faults_fail_recovery_typed_then_retry_cleanly() {
+    let _scenario = fp::FailScenario::setup();
     let f = fixture();
-    let chunks: Vec<&[Action]> = f.tape.chunks(f.chunk).collect();
-    let dir = tempdir("replay-fault");
+    let chunks: Vec<&[Action]> = f.chunks().collect();
+    let dir = ScratchDir::new("chaos-replay-fault");
     let durability = DurabilityConfig {
         checkpoint_every: 64, // never: recovery must replay from the WAL
-        ..DurabilityConfig::new(&dir)
+        ..DurabilityConfig::new(dir.path())
     };
     let live = LiveEngine::bootstrap_durable(f.base.clone(), stream_config(), durability.clone())
         .expect("durable bootstrap");
     for c in &chunks[..2] {
-        feed_live(&live, c);
+        feed(&live, c);
         live.refresh().expect("durable refresh");
     }
     drop(live);
-    let scenario = fp::FailScenario::setup();
     fp::configure(
         fp::RECOVER_REPLAY,
         fp::Trigger::Always,
@@ -598,20 +503,19 @@ fn injected_replay_faults_fail_recovery_typed_then_retry_cleanly() {
         LiveEngine::recover(f.base.clone(), stream_config(), durability.clone()).unwrap_err(),
         CoreError::Injected(fp::RECOVER_REPLAY)
     );
-    drop(scenario);
+    fp::clear_all();
     let (recovered, report) =
         LiveEngine::recover(f.base.clone(), stream_config(), durability).expect("retry recovers");
     assert_eq!(report.frames_replayed, 2);
     assert_eq!(report.final_epoch, 2);
     assert!(recovered.engine().write_snapshot() == f.snapshots[2]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_snapshot_faults_fail_typed_then_load_cleanly() {
+    let _scenario = fp::FailScenario::setup();
     let engine = engine();
     let buf = engine.write_snapshot();
-    let scenario = fp::FailScenario::setup();
     fp::configure(
         fp::SNAPSHOT_LOAD,
         fp::Trigger::Always,
@@ -622,7 +526,7 @@ fn injected_snapshot_faults_fail_typed_then_load_cleanly() {
         Err(other) => panic!("expected a Malformed snapshot error, got {other}"),
         Ok(_) => panic!("injected snapshot fault did not fire"),
     }
-    drop(scenario);
+    fp::clear_all();
     // The exact same buffer loads once the registry is clear.
     let loaded = Vexus::from_snapshot(engine.data().clone(), &buf, config()).expect("loads");
     assert_eq!(loaded.groups(), engine.groups());

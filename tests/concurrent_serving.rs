@@ -7,73 +7,38 @@
 //! own displays, and the greedy budget is set far above convergence, so
 //! any divergence is a real serving bug — not timing noise.
 
+mod common;
+
+use common::{apply_served, config, engine, replay_owned, replay_served, Replay, Trajectory, Verb};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
-use vexus::core::engine::OwnedSession;
-use vexus::core::{EngineConfig, ExplorationService, Vexus};
-use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
+use vexus::core::{EngineConfig, ExplorationService};
 use vexus::mining::GroupId;
 
-/// A budget the tiny engine never exhausts: outcomes depend only on
-/// session-local state, never on scheduler noise.
-fn config() -> EngineConfig {
-    EngineConfig::default().with_budget(Duration::from_secs(600))
-}
-
-/// One engine shared by every proptest case (building it dominates the
-/// cost of a case; the engine is immutable post-build).
-fn engine() -> Arc<Vexus> {
-    static ENGINE: OnceLock<Arc<Vexus>> = OnceLock::new();
-    Arc::clone(ENGINE.get_or_init(|| {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        Arc::new(Vexus::build(ds.data, config()).expect("non-empty group space"))
-    }))
-}
-
-/// The verb a script pick maps to, given only session-local state.
-enum Verb {
-    Click(GroupId),
-    Backtrack(usize),
-    Stop,
-}
-
-fn verb(pick: usize, display: &[GroupId], history_len: usize) -> Verb {
-    if pick == 6 && history_len > 1 {
-        Verb::Backtrack(0)
-    } else if display.is_empty() {
-        Verb::Stop
-    } else {
-        Verb::Click(display[pick % display.len()])
+/// The script a pick sequence denotes: pick 6 backtracks to the opening
+/// step (once there is somewhere to come back from), every other pick
+/// clicks a display slot.
+fn picks(script: &[usize]) -> impl Fn(usize, &[GroupId], usize) -> Option<Verb> + '_ {
+    |step, display, history_len| {
+        let pick = script[step];
+        if pick == 6 && history_len > 1 {
+            Some(Verb::Backtrack(0))
+        } else if display.is_empty() {
+            None
+        } else {
+            Some(Verb::Click(display[pick % display.len()]))
+        }
     }
 }
 
 /// Replay `script` on one owned session, single-threaded; returns the
 /// display after every verb (opening display first).
-fn replay_single_threaded(script: &[usize], config: &EngineConfig) -> Vec<Vec<GroupId>> {
-    let mut session = OwnedSession::open_with(engine(), config.clone()).expect("session opens");
-    let mut traj = vec![session.display().to_vec()];
-    let mut history_len = 1usize;
-    for &pick in script {
-        let display = traj.last().expect("non-empty trajectory").clone();
-        match verb(pick, &display, history_len) {
-            Verb::Click(g) => {
-                traj.push(session.click(g).expect("scripted click").to_vec());
-                history_len += 1;
-            }
-            Verb::Backtrack(to) => {
-                traj.push(session.backtrack(to).expect("scripted backtrack").to_vec());
-                history_len = to + 1;
-            }
-            Verb::Stop => break,
-        }
-    }
-    traj
+fn replay_single_threaded(script: &[usize], config: &EngineConfig) -> Trajectory {
+    replay_owned(config, script.len(), picks(script))
 }
 
 /// Replay every script concurrently — one service over the shared engine,
 /// one thread per session — and return each session's trajectory.
-fn replay_concurrently(scripts: &[Vec<usize>], config: &EngineConfig) -> Vec<Vec<Vec<GroupId>>> {
+fn replay_concurrently(scripts: &[Vec<usize>], config: &EngineConfig) -> Vec<Trajectory> {
     let svc = ExplorationService::new(engine());
     let opened: Vec<_> = scripts
         .iter()
@@ -82,26 +47,13 @@ fn replay_concurrently(scripts: &[Vec<usize>], config: &EngineConfig) -> Vec<Vec
     std::thread::scope(|scope| {
         let handles: Vec<_> = scripts
             .iter()
-            .zip(&opened)
+            .zip(opened)
             .map(|(script, (id, opening))| {
                 let svc = &svc;
                 scope.spawn(move || {
-                    let mut traj = vec![opening.clone()];
-                    let mut history_len = 1usize;
-                    for &pick in script {
-                        let display = traj.last().expect("non-empty trajectory").clone();
-                        match verb(pick, &display, history_len) {
-                            Verb::Click(g) => {
-                                traj.push(svc.click(*id, g).expect("scripted click"));
-                                history_len += 1;
-                            }
-                            Verb::Backtrack(to) => {
-                                traj.push(svc.backtrack(*id, to).expect("scripted backtrack"));
-                                history_len = to + 1;
-                            }
-                            Verb::Stop => break,
-                        }
-                    }
+                    let (traj, error) =
+                        replay_served(svc, id, opening, script.len(), picks(script));
+                    assert_eq!(error, None, "scripted verb");
                     traj
                 })
             })
@@ -111,6 +63,91 @@ fn replay_concurrently(scripts: &[Vec<usize>], config: &EngineConfig) -> Vec<Vec
             .map(|h| h.join().expect("serving thread"))
             .collect()
     })
+}
+
+/// Sessions in the many-sessions-per-worker case below.
+const POOLED_SESSIONS: usize = 16;
+/// Worker threads stepping them.
+const WORKERS: usize = 2;
+/// Steps each session performs.
+const POOLED_STEPS: usize = 7;
+
+/// Session `i`'s pooled script: at step 5 backtrack to history step 2 (the
+/// restore path must stay exact under concurrency too), otherwise click a
+/// display slot chosen only from `(i, step)` and its own current display.
+fn pooled_script(i: usize) -> impl Fn(usize, &[GroupId], usize) -> Option<Verb> {
+    move |step, display, _| {
+        if step == 5 {
+            Some(Verb::Backtrack(2))
+        } else if display.is_empty() {
+            None
+        } else {
+            Some(Verb::Click(display[(i + step) % display.len()]))
+        }
+    }
+}
+
+/// Sessions ≫ workers, the shape a serving pool actually has: exactly two
+/// worker threads step sixteen sessions round-robin (worker `w` owns the
+/// sessions `i ≡ w mod 2`), so every step contends on the shared session
+/// table and neighbor cache while each worker interleaves many sessions'
+/// state. With the cache on and with it bypassed, every trajectory equals
+/// the single-threaded owned-session reference.
+#[test]
+fn two_workers_stepping_many_sessions_match_single_threaded() {
+    // A trimmed candidate pool keeps ~300 converged greedy steps
+    // test-sized; the serving machinery under test is unchanged.
+    let mut pooled = config();
+    pooled.candidate_pool = 96;
+    let reference: Vec<Trajectory> = (0..POOLED_SESSIONS)
+        .map(|i| replay_owned(&pooled, POOLED_STEPS, pooled_script(i)))
+        .collect();
+    assert!(
+        reference.iter().all(|t| t.len() == POOLED_STEPS + 1),
+        "every scripted step must land"
+    );
+    for cfg in [pooled.clone(), pooled.with_neighbor_cache(false)] {
+        let svc = ExplorationService::new(engine());
+        let opened: Vec<_> = (0..POOLED_SESSIONS)
+            .map(|_| svc.open_with(cfg.clone()).expect("session opens"))
+            .collect();
+        let served: Vec<(usize, Trajectory)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|w| {
+                    let (svc, opened) = (&svc, &opened);
+                    scope.spawn(move || {
+                        let mut mine: Vec<(usize, Replay)> = (w..POOLED_SESSIONS)
+                            .step_by(WORKERS)
+                            .map(|i| (i, Replay::new(opened[i].1.clone())))
+                            .collect();
+                        for step in 0..POOLED_STEPS {
+                            for (i, replay) in &mut mine {
+                                replay
+                                    .advance(step, pooled_script(*i), |verb| {
+                                        apply_served(svc, opened[*i].0, verb)
+                                    })
+                                    .expect("scripted verb");
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("serving worker"))
+                .map(|(i, replay)| (i, replay.traj))
+                .collect()
+        });
+        assert_eq!(served.len(), POOLED_SESSIONS);
+        for (i, traj) in served {
+            assert_eq!(
+                traj, reference[i],
+                "session {i} diverged (neighbor_cache = {})",
+                cfg.neighbor_cache
+            );
+        }
+    }
 }
 
 proptest! {

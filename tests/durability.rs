@@ -6,98 +6,33 @@
 //! a clean truncated recovery, never a panic and never silently wrong
 //! data.
 
+mod common;
+
+use common::{feed, stream_config, ScratchDir, StreamWorkload};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use vexus::core::{DurabilityConfig, EngineConfig, LiveEngine, WalSync};
-use vexus::data::stream::{ChannelStream, IngestBuffer};
-use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
+use vexus::core::{DurabilityConfig, LiveEngine, WalSync};
+use vexus::data::stream::IngestBuffer;
 use vexus::data::wal;
-use vexus::data::{Action, UserData};
-use vexus::mining::DiscoverySelection;
 
-fn stream_config() -> EngineConfig {
-    EngineConfig::default().with_discovery(DiscoverySelection::StreamFim {
-        support: 0.05,
-        epsilon: 0.01,
-        max_len: 3,
-    })
-}
-
-fn feed(live: &LiveEngine, actions: &[Action]) {
-    let (tx, mut rx) = ChannelStream::with_capacity(actions.len().max(1));
-    for &a in actions {
-        assert!(tx.send(a));
-    }
-    drop(tx);
-    live.ingest(&mut rx, usize::MAX).expect("live ingests");
-}
-
-/// A fresh, collision-free scratch directory for one recovery scenario.
-fn tempdir(name: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "vexus-durability-{}-{name}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// One streaming workload plus its uninterrupted reference: the snapshot
-/// bytes of the published engine at every epoch. Computed once — the
-/// reference does not depend on any durability knob.
-struct Workload {
-    base: UserData,
-    tape: Vec<Action>,
-    chunk: usize,
-    /// `snapshots[e]` = `write_snapshot()` of the engine at epoch `e`.
-    snapshots: Vec<Vec<u8>>,
-}
-
-impl Workload {
-    fn epochs(&self) -> usize {
-        self.snapshots.len() - 1
-    }
-}
-
-fn workloads() -> &'static [Workload] {
-    static W: OnceLock<Vec<Workload>> = OnceLock::new();
+/// Two streaming workloads (warm-up length × refresh count), each with
+/// its uninterrupted reference. Computed once.
+fn workloads() -> &'static [StreamWorkload] {
+    static W: OnceLock<Vec<StreamWorkload>> = OnceLock::new();
     W.get_or_init(|| {
         [(300usize, 4usize), (420, 3)]
             .iter()
-            .map(|&(warmup, n_chunks)| {
-                let ds = bookcrossing(&BookCrossingConfig::tiny());
-                let (mut base, tape) = ds.data.split_actions();
-                base.append_actions(&tape[..warmup]);
-                let tape = tape[warmup..].to_vec();
-                let chunk = tape.len().div_ceil(n_chunks);
-                let live = LiveEngine::bootstrap(base.clone(), stream_config())
-                    .expect("reference bootstrap");
-                let mut snapshots = vec![live.engine().write_snapshot()];
-                for c in tape.chunks(chunk) {
-                    feed(&live, c);
-                    live.refresh().expect("reference refresh");
-                    snapshots.push(live.engine().write_snapshot());
-                }
-                Workload {
-                    base,
-                    tape,
-                    chunk,
-                    snapshots,
-                }
-            })
+            .map(|&(warmup, n_chunks)| StreamWorkload::new(warmup, n_chunks))
             .collect()
     })
 }
 
 /// Run workload `w` durably, crash (drop) after `crash_after` refreshes.
-fn run_to_crash(w: &Workload, _dir: &std::path::Path, crash_after: usize, cfg: &DurabilityConfig) {
+fn run_to_crash(w: &StreamWorkload, crash_after: usize, cfg: &DurabilityConfig) {
     let live = LiveEngine::bootstrap_durable(w.base.clone(), stream_config(), cfg.clone())
         .expect("durable bootstrap");
-    for c in w.tape.chunks(w.chunk).take(crash_after) {
+    for c in w.chunks().take(crash_after) {
         feed(&live, c);
         live.refresh().expect("durable refresh");
     }
@@ -121,13 +56,13 @@ proptest! {
         let batched = batched_sel == 1;
         let w = &workloads()[wi];
         let crash_after = crash_sel % (w.epochs() + 1);
-        let dir = tempdir("oracle");
+        let dir = ScratchDir::new("durability-oracle");
         let cfg = DurabilityConfig {
             checkpoint_every: every,
             sync: if batched { WalSync::Batched } else { WalSync::PerFrame },
-            ..DurabilityConfig::new(&dir)
+            ..DurabilityConfig::new(dir.path())
         };
-        run_to_crash(w, &dir, crash_after, &cfg);
+        run_to_crash(w, crash_after, &cfg);
         let (recovered, report) =
             LiveEngine::recover(w.base.clone(), stream_config(), cfg).expect("recover");
         prop_assert_eq!(report.final_epoch, crash_after as u64);
@@ -138,7 +73,7 @@ proptest! {
             crash_after
         );
         // The recovered engine keeps streaming to the same final state.
-        for c in w.tape.chunks(w.chunk).skip(crash_after) {
+        for c in w.chunks().skip(crash_after) {
             feed(&recovered, c);
             recovered.refresh().expect("post-recovery refresh");
         }
@@ -146,7 +81,6 @@ proptest! {
             recovered.engine().write_snapshot() == *w.snapshots.last().unwrap(),
             "post-recovery stream diverges at the final epoch"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Any single-byte corruption (XOR flip) or truncation of any durable
@@ -166,14 +100,14 @@ proptest! {
         let truncate = truncate_sel == 1;
         let w = &workloads()[wi];
         let crash_after = crash_sel % (w.epochs() + 1);
-        let dir = tempdir("corrupt");
+        let dir = ScratchDir::new("durability-corrupt");
         let cfg = DurabilityConfig {
             checkpoint_every: every,
-            ..DurabilityConfig::new(&dir)
+            ..DurabilityConfig::new(dir.path())
         };
-        run_to_crash(w, &dir, crash_after, &cfg);
+        run_to_crash(w, crash_after, &cfg);
         // Damage one durable file, chosen arbitrarily.
-        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().path())
             .collect();
@@ -199,7 +133,6 @@ proptest! {
                 e
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -250,20 +183,29 @@ fn drain_with_retry_bounds_transient_retries() {
 fn recover_and_bootstrap_guard_their_directories() {
     use vexus::core::CoreError;
     let w = &workloads()[0];
-    let dir = tempdir("guards");
+    let dir = ScratchDir::new("durability-guards");
     // Recovering from a directory with no checkpoint is a typed error.
-    std::fs::create_dir_all(&dir).unwrap();
-    let err = LiveEngine::recover(w.base.clone(), stream_config(), DurabilityConfig::new(&dir))
-        .unwrap_err();
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let err = LiveEngine::recover(
+        w.base.clone(),
+        stream_config(),
+        DurabilityConfig::new(dir.path()),
+    )
+    .unwrap_err();
     assert!(matches!(err, CoreError::Recovery(_)), "{err}");
     // Bootstrapping twice into the same directory is a typed error.
-    let live =
-        LiveEngine::bootstrap_durable(w.base.clone(), stream_config(), DurabilityConfig::new(&dir))
-            .unwrap();
+    let live = LiveEngine::bootstrap_durable(
+        w.base.clone(),
+        stream_config(),
+        DurabilityConfig::new(dir.path()),
+    )
+    .unwrap();
     drop(live);
-    let err =
-        LiveEngine::bootstrap_durable(w.base.clone(), stream_config(), DurabilityConfig::new(&dir))
-            .unwrap_err();
+    let err = LiveEngine::bootstrap_durable(
+        w.base.clone(),
+        stream_config(),
+        DurabilityConfig::new(dir.path()),
+    )
+    .unwrap_err();
     assert!(matches!(err, CoreError::Recovery(_)), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -90,13 +90,29 @@ fn sharded_lcm_equivalence_over_seeded_dbauthors() {
     }
 }
 
+/// The same property at workload scale: the 3 000-user dataset the
+/// discovery-backend experiment (`d1`) mines, at 4 and 8 shards, with
+/// members compared — not a recall ratio over descriptions.
+#[test]
+fn sharded_lcm_equivalence_at_workload_scale() {
+    let ds = bookcrossing(&BookCrossingConfig {
+        n_users: 3_000,
+        n_books: 2_000,
+        n_ratings: 20_000,
+        n_communities: 8,
+        seed: 42,
+    });
+    assert_equivalence(&ds.data, 8, &[4, 8]);
+}
+
 /// The oversharded exactness pin: with the cross-shard closure exchange
 /// (on by default), sharded support-recount LCM reproduces the unsharded
 /// closed-group space *exactly* — recall == 1.0, members included — even
 /// when per-shard scaled support floors drop below 5 members, across
 /// seeds × 8/16 shards × both shard strategies. This is the guarantee the
-/// exchange round was built for; the CI recall gate on the `d2`
-/// experiment enforces the same property at workload scale.
+/// exchange round was built for; `sharded_lcm_equivalence_at_workload_scale`
+/// and the `build` workload's sharded-vs-unsharded check in `benchmark/`
+/// hold the same property at scale.
 #[test]
 fn oversharded_exchange_recount_is_exact_across_seeds_shards_and_strategies() {
     for seed in [7u64, 42, 1234] {

@@ -4,8 +4,9 @@
 //! any shape — truncated, bit-flipped, even re-stamped past the checksum —
 //! surfaces a typed [`SnapshotError`], never a panic.
 
+mod common;
+
 use proptest::prelude::*;
-use std::time::Duration;
 use vexus::core::{CoreError, EngineConfig, Vexus};
 use vexus::data::snapshot::restamp;
 use vexus::data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
@@ -99,14 +100,14 @@ proptest! {
 }
 
 /// A loaded engine is indistinguishable from its built original across a
-/// full deterministic exploration script (unlimited greedy budget removes
-/// the anytime cutoff, the same pin the d5 serving tests use).
+/// full deterministic exploration script (under the never-binding greedy
+/// budget every exact-trajectory test shares, `common::config`).
 #[test]
 fn loaded_engine_explores_identically() {
     let built = build(workload(0, 7), 2);
     let buf = built.write_snapshot();
     let loaded = Vexus::from_snapshot(built.data().clone(), &buf, built.config().clone()).unwrap();
-    let cfg = EngineConfig::default().with_budget(Duration::from_secs(600));
+    let cfg = common::config();
     let mut a = built.session_with(cfg.clone()).unwrap();
     let mut b = loaded.session_with(cfg).unwrap();
     assert_eq!(a.display(), b.display());
