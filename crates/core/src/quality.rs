@@ -35,9 +35,8 @@ pub fn coverage(groups: &GroupSet, selection: &[GroupId], reference: &MemberSet)
     coverage_with(groups, selection, reference, &mut mask)
 }
 
-/// [`coverage`] with a caller-owned mark set. The greedy selector
-/// evaluates the objective hundreds of times per click; reusing one
-/// `HashSet` across evaluations removes an allocation from every one.
+/// [`coverage`] with a caller-owned mark set, for callers that evaluate
+/// many selections in a row.
 pub fn coverage_with(
     groups: &GroupSet,
     selection: &[GroupId],
@@ -115,7 +114,10 @@ pub fn evaluate(groups: &GroupSet, selection: &[GroupId], reference: &MemberSet)
 }
 
 /// [`evaluate`] with a caller-owned coverage mark set (see
-/// [`coverage_with`]).
+/// [`coverage_with`]). This is the from-scratch definition of P2: the
+/// greedy selector evaluates swap trials incrementally
+/// ([`crate::greedy`]) and its tests require the result to equal this
+/// function's bit for bit.
 pub fn evaluate_with(
     groups: &GroupSet,
     selection: &[GroupId],

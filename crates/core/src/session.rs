@@ -30,7 +30,8 @@
 //! HISTORY snapshot is two `Arc` clones — a deep history costs O(actual
 //! feedback deltas), not O(steps × feedback size). The per-click scratch
 //! buffers of the greedy optimizer live in the session and are reused
-//! across clicks.
+//! across clicks; the opening step, whose reference is the whole
+//! population, runs on buffers of its own that are dropped on return.
 
 use crate::config::EngineConfig;
 use crate::error::CoreError;
@@ -200,7 +201,8 @@ pub struct Session<E: EngineRef> {
     history: Vec<HistoryStep>,
     memo: Memo,
     last_outcome: Option<SelectionOutcome>,
-    /// Reused greedy working memory (cleared each click, never shrunk).
+    /// Reused greedy working memory of the clicks (re-initialised each
+    /// click, never shrunk; the opening step does not touch it).
     scratch: SelectScratch,
     /// Reused candidate buffer for the neighbors → greedy handoff.
     candidates: Vec<ScoredCandidate>,
@@ -259,8 +261,10 @@ impl<E: EngineRef> Session<E> {
             .extend(by_size.into_iter().map(|id| (id, 1.0)));
         let reference = MemberSet::universe(self.engine.data().n_users() as u32);
         let params = self.select_params();
-        let outcome = greedy::select_k_with(
-            &mut self.scratch,
+        // The whole population is a far larger reference than any clicked
+        // group and is met once per session: a scratch of its own, dropped
+        // on return, keeps the session-resident one sized by clicks.
+        let outcome = greedy::select_k(
             self.engine.groups(),
             &self.candidates,
             &reference,

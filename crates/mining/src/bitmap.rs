@@ -207,11 +207,12 @@ impl MemberSet {
     /// Jaccard **similarity** `|A∩B| / |A∪B|` (1.0 for two empty sets by
     /// convention, matching "identical").
     pub fn jaccard(&self, other: &MemberSet) -> f64 {
-        let union = self.union_size(other);
+        let inter = self.intersection_size(other);
+        let union = self.len() + other.len() - inter;
         if union == 0 {
             return 1.0;
         }
-        self.intersection_size(other) as f64 / union as f64
+        inter as f64 / union as f64
     }
 
     /// Jaccard **distance** `1 - jaccard` — the metric the paper uses to
@@ -423,6 +424,17 @@ mod tests {
         MemberSet::from_shared(r.section_words(0x1).unwrap())
     }
 
+    /// Jaccard from the materialised `intersect` / `union` sets — the
+    /// ratio `jaccard` must produce without allocating either.
+    fn materialised_jaccard(a: &MemberSet, b: &MemberSet) -> f64 {
+        let (inter, union) = (a.intersect(b).len(), a.union(b).len());
+        if union == 0 {
+            1.0
+        } else {
+            inter as f64 / union as f64
+        }
+    }
+
     #[test]
     fn from_unsorted_sorts_and_dedupes() {
         let s = ms(&[3, 1, 2, 3, 1]);
@@ -448,6 +460,7 @@ mod tests {
         let e = MemberSet::empty();
         let a = ms(&[1]);
         assert_eq!(e.jaccard(&e), 1.0);
+        assert_eq!(e.jaccard(&e), materialised_jaccard(&e, &e));
         assert_eq!(e.jaccard(&a), 0.0);
         assert!(!e.overlaps(&a));
         assert!(e.is_subset_of(&a));
@@ -500,6 +513,7 @@ mod tests {
         assert!(!a.overlaps(&b));
         assert_eq!(a.intersection_size(&b), 0);
         assert_eq!(a.jaccard(&b), 0.0);
+        assert_eq!(a.jaccard(&b), materialised_jaccard(&a, &b));
     }
 
     #[test]
@@ -563,6 +577,7 @@ mod tests {
             prop_assert_eq!(got_inter.as_slice(), expect_inter.as_slice());
             prop_assert_eq!(got_union.as_slice(), expect_union.as_slice());
             prop_assert_eq!(got_diff.as_slice(), expect_diff.as_slice());
+            prop_assert_eq!(ma.jaccard(&mb), materialised_jaccard(&ma, &mb));
             prop_assert_eq!(ma.overlaps(&mb), !sa.is_disjoint(&sb));
             prop_assert_eq!(ma.is_subset_of(&mb), sa.is_subset(&sb));
             prop_assert_eq!(ma.contains_all(&mb), sb.is_subset(&sa));

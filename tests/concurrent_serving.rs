@@ -95,10 +95,7 @@ fn pooled_script(i: usize) -> impl Fn(usize, &[GroupId], usize) -> Option<Verb> 
 /// the single-threaded owned-session reference.
 #[test]
 fn two_workers_stepping_many_sessions_match_single_threaded() {
-    // A trimmed candidate pool keeps ~300 converged greedy steps
-    // test-sized; the serving machinery under test is unchanged.
-    let mut pooled = config();
-    pooled.candidate_pool = 96;
+    let pooled = config();
     let reference: Vec<Trajectory> = (0..POOLED_SESSIONS)
         .map(|i| replay_owned(&pooled, POOLED_STEPS, pooled_script(i)))
         .collect();
