@@ -2,6 +2,7 @@
 //! sweep.
 
 use std::time::Duration;
+use vexus_index::{IndexConfig, NeighborCache};
 use vexus_mining::DiscoverySelection;
 
 /// Configuration of the exploration engine.
@@ -137,6 +138,21 @@ impl EngineConfig {
     pub fn with_neighbor_cache(mut self, enabled: bool) -> Self {
         self.neighbor_cache = enabled;
         self
+    }
+
+    /// The index build configuration every engine-assembling path uses:
+    /// this config's materialization fraction on all available cores.
+    pub(crate) fn index_config(&self) -> IndexConfig {
+        IndexConfig {
+            materialize_fraction: self.materialize_fraction,
+            threads: 0,
+        }
+    }
+
+    /// A fresh, empty neighbor cache of the configured capacity (`None`
+    /// when the capacity is 0).
+    pub(crate) fn new_neighbor_cache(&self) -> Option<NeighborCache> {
+        (self.neighbor_cache_capacity > 0).then(|| NeighborCache::new(self.neighbor_cache_capacity))
     }
 }
 

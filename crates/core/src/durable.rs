@@ -35,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use vexus_data::wal::{action_words, actions_from_words};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync};
-use vexus_index::NeighborCache;
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, DiscoveryStats, StreamFimConfig};
 
@@ -388,17 +387,12 @@ pub(crate) fn decode_checkpoint(
         index_entries: decoded.index.stats().materialized_entries,
         index_bytes: decoded.index.stats().heap_bytes,
     };
-    let cache = if config.neighbor_cache_capacity > 0 {
-        Some(NeighborCache::new(config.neighbor_cache_capacity))
-    } else {
-        None
-    };
     let engine = Vexus::from_live_parts(
         decoded.data,
         decoded.vocab,
         decoded.groups,
         decoded.index,
-        cache,
+        config.new_neighbor_cache(),
         config.clone(),
         stats,
     );

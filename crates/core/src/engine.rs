@@ -15,7 +15,7 @@ use crate::session::{BorrowedEngine, EngineRef, ExplorationSession, Session};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vexus_data::{SnapshotError, UserData, Vocabulary};
-use vexus_index::{GroupIndex, IndexConfig, NeighborCache, OverlapGraph};
+use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
 use vexus_mining::{
     DiscoveryStats, GroupDiscovery, GroupSet, MergeStrategy, ShardScaled, ShardedDiscovery,
 };
@@ -165,13 +165,7 @@ impl VexusBuilder {
         }
         // Stage 4: index.
         let t0 = Instant::now();
-        let index = GroupIndex::build(
-            &groups,
-            &IndexConfig {
-                materialize_fraction: config.materialize_fraction,
-                threads: 0,
-            },
-        );
+        let index = GroupIndex::build(&groups, &config.index_config());
         let index_time = t0.elapsed();
         let stats = BuildStats {
             discovery,
@@ -181,17 +175,12 @@ impl VexusBuilder {
             index_entries: index.stats().materialized_entries,
             index_bytes: index.stats().heap_bytes,
         };
-        let cache = if config.neighbor_cache_capacity > 0 {
-            Some(NeighborCache::new(config.neighbor_cache_capacity))
-        } else {
-            None
-        };
         Ok(Vexus {
             data,
             vocab,
             groups,
             index,
-            cache,
+            cache: config.new_neighbor_cache(),
             config,
             stats,
             snapshot_bytes: 0,
@@ -287,11 +276,10 @@ impl Vexus {
     }
 
     /// Assemble an engine from a live refresh's parts (see
-    /// [`crate::live::LiveEngine`]): the epoch's dataset snapshot, the
-    /// bootstrap vocabulary, the canonical group space, the incrementally
-    /// patched index, and the carried-over neighbor cache. No pipeline
-    /// stage runs — the live path already ran incremental equivalents of
-    /// each stage.
+    /// [`crate::live::LiveEngine`]): the epoch's dataset, the bootstrap
+    /// vocabulary, the canonical group space, the index built over it,
+    /// and the carried-over neighbor cache. No pipeline stage runs — the
+    /// live path already mined the epoch and built its index.
     pub(crate) fn from_live_parts(
         data: UserData,
         vocab: Vocabulary,
@@ -421,17 +409,12 @@ impl Vexus {
             index_entries: decoded.index.stats().materialized_entries,
             index_bytes: decoded.index.stats().heap_bytes,
         };
-        let cache = if config.neighbor_cache_capacity > 0 {
-            Some(NeighborCache::new(config.neighbor_cache_capacity))
-        } else {
-            None
-        };
         Ok(Vexus {
             data: decoded.data,
             vocab: decoded.vocab,
             groups: decoded.groups,
             index: decoded.index,
-            cache,
+            cache: config.new_neighbor_cache(),
             config,
             stats,
             snapshot_bytes: decoded.buffer_bytes,

@@ -30,8 +30,8 @@
 //! baselines used by the experiments.
 //!
 //! [`live`] makes the engine refreshable: [`live::LiveEngine`] ingests
-//! action streams, patches the index incrementally, and publishes
-//! immutable engine epochs with one `Arc` swap — in-flight sessions pin
+//! action streams, mines them incrementally, rebuilds the index per
+//! epoch, and publishes immutable engine epochs with one `Arc` swap — in-flight sessions pin
 //! the epoch they opened against while new opens see the latest.
 //!
 //! [`durable`] makes the live engine crash-safe: every refresh appends

@@ -1,5 +1,5 @@
-//! The live engine: streaming ingestion, incremental refresh, and
-//! epoch-swapped publication.
+//! The live engine: streaming ingestion, refresh, and epoch-swapped
+//! publication.
 //!
 //! [`LiveEngine`] turns the offline pipeline into a live one. It owns two
 //! things:
@@ -11,25 +11,29 @@
 //!   a refresh swaps the `Arc` in the lock, never the `Vexus` behind an
 //!   already-cloned handle, so in-flight exploration replays
 //!   byte-identically across refreshes;
-//! * the **live state** — the growing dataset, the [`IngestBuffer`], and
-//!   the [`DeltaDiscovery`] driver, behind a `Mutex`. Only
-//!   [`LiveEngine::ingest`] and [`LiveEngine::refresh`] touch it.
+//! * the **live state** — the [`IngestBuffer`], the [`DeltaDiscovery`]
+//!   driver and the durable sink, behind a `Mutex`. Only
+//!   [`LiveEngine::ingest`] and [`LiveEngine::refresh`] touch it. The
+//!   dataset, vocabulary, group space and configuration live in the
+//!   published engine and nowhere else: a refresh reads them from the
+//!   epoch it captured under the state mutex.
 //!
-//! A refresh is incremental end to end: the buffered actions are cut into
-//! one epoch-stamped delta, appended to the dataset, fed to the stream
-//! miner, the epoch's group space is diffed against the previous one, and
-//! the published index is *patched* ([`GroupIndex::apply_delta`]) rather
-//! than rebuilt — rescoring only groups the delta touches, with the result
-//! proven byte-identical to a full rebuild. Publication is the last step:
-//! one `Arc` assignment under the write lock, then the epoch counter
-//! bumps. Nothing blocks in-flight verbs.
+//! A refresh cuts the buffered actions into one epoch-stamped delta,
+//! appends it to a copy of the published dataset, feeds it to the stream
+//! miner and diffs the epoch's group space against the previous one. The
+//! miner, the dataset append and the neighbor-cache carry-over are
+//! incremental; the index is rebuilt ([`GroupIndex::apply_delta`] is
+//! [`GroupIndex::build`] over the new space plus the dirty set the
+//! carry-over reads). Publication is the last step: one `Arc` assignment
+//! under the write lock, then the epoch counter bumps. Nothing blocks
+//! in-flight verbs.
 //!
 //! The refresh body runs under `catch_unwind` with the
 //! `ingest.apply` fail-point evaluated *before any mutation* (see
 //! [`crate::failpoint`]): an injected error leaves the state untouched and
 //! retryable, while a panic halts the live state — subsequent refreshes
-//! report [`CoreError::NotLive`] — with the old epoch still published and
-//! serving.
+//! report [`CoreError::Halted`] with the cause — with the old epoch still
+//! published and serving.
 
 use crate::config::EngineConfig;
 use crate::durable::{self, CheckpointOutcome, DurabilityConfig, DurableSink, RecoveryReport};
@@ -42,27 +46,21 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
 use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError, WalTail, WalWriter};
-use vexus_index::{GroupIndex, IndexConfig, NeighborCache};
-use vexus_mining::{DeltaDiscovery, DiscoverySelection, GroupSet, StreamFimConfig};
+use vexus_index::GroupIndex;
+use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
-/// Mutable ingestion-side state, guarded by one mutex. The `groups` field
-/// tracks the group space of the *published* index — the old space the
-/// next refresh diffs against.
+/// Mutable ingestion-side state, guarded by one mutex. Everything a
+/// refresh *reads* — dataset, vocabulary, the old group space, the
+/// configuration — it takes from the published engine.
 struct LiveState {
-    data: UserData,
-    vocab: Vocabulary,
     buffer: IngestBuffer,
     discovery: DeltaDiscovery,
-    groups: GroupSet,
-    config: EngineConfig,
     /// `Some` when the engine logs and checkpoints to a durable directory.
     durable: Option<DurableSink>,
 }
 
-/// The ingestion side of the engine: live, never-live, or halted.
+/// The ingestion side of the engine: live or halted.
 enum LiveSlot {
-    /// A [`LiveEngine::fixed`] wrapper — no ingestion state by design.
-    Fixed,
     /// Live ingestion state.
     Live(Box<LiveState>),
     /// The live state was dropped after a mid-refresh panic or an empty
@@ -92,8 +90,10 @@ pub struct RefreshOutcome {
     pub groups_retired: usize,
     /// Surviving groups whose member set changed.
     pub groups_resized: usize,
-    /// Neighbor lists rescored by the index patch (everything else was
-    /// copied with a pure id rewrite).
+    /// Groups in the refresh's dirty set: added, resized, or sharing a
+    /// member with a touched group. Every other group's neighbor list is
+    /// the old one up to an id rewrite (what the cache carry-over keys
+    /// on); the index itself is rebuilt either way.
     pub rescored: usize,
     /// Whether the delta was committed to the write-ahead log before it
     /// was applied (always `false` for non-durable engines and no-ops).
@@ -119,11 +119,10 @@ pub struct LiveEngine {
 }
 
 impl LiveSlot {
-    /// The live state, or the typed error for the other two shapes.
+    /// The live state, or the halt's typed error.
     fn live(&mut self) -> Result<&mut LiveState, CoreError> {
         match self {
             LiveSlot::Live(state) => Ok(state),
-            LiveSlot::Fixed => Err(NOT_LIVE),
             LiveSlot::Halted(cause) => Err(CoreError::Halted(cause)),
         }
     }
@@ -168,13 +167,7 @@ impl LiveEngine {
             return Err(CoreError::EmptyGroupSpace);
         }
         let t1 = Instant::now();
-        let index = GroupIndex::build(
-            &groups,
-            &IndexConfig {
-                materialize_fraction: config.materialize_fraction,
-                threads: 0,
-            },
-        );
+        let index = GroupIndex::build(&groups, &config.index_config());
         let stats = BuildStats {
             discovery: discovery.stats(discovery_time),
             index_time: t1.elapsed(),
@@ -183,30 +176,14 @@ impl LiveEngine {
             index_entries: index.stats().materialized_entries,
             index_bytes: index.stats().heap_bytes,
         };
-        let cache = if config.neighbor_cache_capacity > 0 {
-            Some(NeighborCache::new(config.neighbor_cache_capacity))
-        } else {
-            None
-        };
-        let engine = Vexus::from_live_parts(
-            data.clone(),
-            vocab.clone(),
-            groups.clone(),
-            index,
-            cache,
-            config.clone(),
-            stats,
-        );
+        let cache = config.new_neighbor_cache();
+        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, stats);
         Ok(LiveEngine {
             published: RwLock::new(Arc::new(engine)),
             epoch: AtomicU64::new(0),
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
-                data,
-                vocab,
                 buffer: IngestBuffer::new(),
                 discovery,
-                groups,
-                config,
                 durable: None,
             }))),
         })
@@ -260,19 +237,6 @@ impl LiveEngine {
         Ok(live)
     }
 
-    /// Wrap an already-built engine with no ingestion state — the
-    /// backwards-compatible shape the serving layer uses for offline
-    /// engines. [`LiveEngine::ingest`] and [`LiveEngine::refresh`] report
-    /// [`CoreError::NotLive`]; everything else behaves like a live engine
-    /// pinned at epoch 0.
-    pub fn fixed(engine: Arc<Vexus>) -> Self {
-        LiveEngine {
-            published: RwLock::new(engine),
-            epoch: AtomicU64::new(0),
-            state: Mutex::new(LiveSlot::Fixed),
-        }
-    }
-
     /// The currently published engine. Clones the `Arc` under a read lock
     /// held for the clone only — callers keep serving this epoch however
     /// long they hold the handle.
@@ -290,9 +254,9 @@ impl LiveEngine {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Whether the engine still has live ingestion state (`false` for
-    /// [`LiveEngine::fixed`] wrappers and after a refresh panic halted the
-    /// live side).
+    /// Whether the engine still has live ingestion state (`false` once a
+    /// mid-refresh panic or an empty epoch group space halted the live
+    /// side; see [`LiveEngine::halt_cause`]).
     pub fn is_live(&self) -> bool {
         matches!(
             *self.state.lock().unwrap_or_else(PoisonError::into_inner),
@@ -301,8 +265,8 @@ impl LiveEngine {
     }
 
     /// Why the live side halted, when it did: the cause a mid-refresh
-    /// panic or an empty epoch group space left behind. `None` for live
-    /// and fixed engines. A halted engine keeps serving its last
+    /// panic or an empty epoch group space left behind. `None` while the
+    /// engine is live. A halted engine keeps serving its last
     /// published epoch; [`LiveEngine::recover`] is the way back for
     /// durable engines.
     pub fn halt_cause(&self) -> Option<&'static str> {
@@ -327,17 +291,17 @@ impl LiveEngine {
     }
 
     /// Cut the ingest buffer and publish a new epoch reflecting it: append
-    /// the actions to the dataset, observe new arrivals, cut the epoch's
-    /// group space, patch the published index with the group delta, carry
-    /// over still-valid neighbor-cache entries, and swap the published
-    /// `Arc`. An empty cut is a no-op (`advanced: false`, no epoch
-    /// consumed).
+    /// the actions to a copy of the published dataset, observe new
+    /// arrivals, cut the epoch's group space, build its index, carry over
+    /// the neighbor-cache entries the group delta leaves exact, and swap
+    /// the published `Arc`. An empty cut is a no-op (`advanced: false`, no
+    /// epoch consumed).
     ///
     /// In-flight sessions are never blocked: the only write lock taken is
     /// for the final one-assignment swap. On a panic inside the body the
     /// live state halts (this and every subsequent call reports
-    /// [`CoreError::NotLive`]) while the previously published epoch keeps
-    /// serving untouched.
+    /// [`CoreError::Halted`] with the cause) while the previously
+    /// published epoch keeps serving untouched.
     pub fn refresh(&self) -> Result<RefreshOutcome, CoreError> {
         let t0 = Instant::now();
         let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -478,12 +442,12 @@ impl LiveEngine {
 
     /// [`LiveEngine::refresh`], retrying transient failures — injected
     /// faults and WAL I/O errors, both of which fire before any state
-    /// mutation — up to `attempts` times in total. Hard errors (halt
-    /// causes, an empty epoch group space, corrupt log state) pass
-    /// through immediately.
+    /// mutation — up to `attempts` times in total; `0` is treated as `1`
+    /// (the refresh always runs once). Hard errors (halt causes, an empty
+    /// epoch group space, corrupt log state) pass through immediately.
     pub fn refresh_with_retry(&self, attempts: usize) -> Result<RefreshOutcome, CoreError> {
         IngestBuffer::drain_with_retry(
-            attempts,
+            attempts.max(1),
             |e| {
                 matches!(
                     e,
@@ -569,19 +533,12 @@ impl LiveEngine {
             torn_tail |= scan.tail != WalTail::Clean;
             frames.extend(scan.frames);
         }
-        let data = ckpt.engine.data().clone();
-        let vocab = ckpt.engine.vocab().clone();
-        let groups = ckpt.engine.groups().clone();
         let live = LiveEngine {
             published: RwLock::new(Arc::new(ckpt.engine)),
             epoch: AtomicU64::new(watermark),
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
-                data,
-                vocab,
                 buffer: IngestBuffer::resume(watermark),
                 discovery: ckpt.discovery,
-                groups,
-                config,
                 // Attached only after replay: replayed frames must not be
                 // re-logged.
                 durable: None,
@@ -661,53 +618,44 @@ impl LiveEngine {
     }
 
     /// The refresh body, separated so the `catch_unwind` wrapper stays
-    /// readable. `Ok(None)` means the cut was empty. Any partially-applied
-    /// mutation on error is the caller's cue to halt — only
-    /// [`CoreError::EmptyGroupSpace`] can surface after mutation starts.
+    /// readable. `current` is the published epoch the caller captured
+    /// under the state mutex: the dataset, vocabulary, old group space and
+    /// configuration all come from it. `Ok(None)` means the cut was empty.
+    /// Once the buffer is cut and the miner has observed the delta, an
+    /// error is the caller's cue to halt — only
+    /// [`CoreError::EmptyGroupSpace`] can surface after that point.
     #[allow(clippy::type_complexity)]
     fn apply(
         state: &mut LiveState,
-        current: &Arc<Vexus>,
+        current: &Vexus,
     ) -> Result<Option<(Vexus, RefreshOutcome)>, CoreError> {
         let delta = state.buffer.cut();
         if delta.is_empty() {
             return Ok(None);
         }
-        let actions_applied = state.data.append_actions(&delta.actions);
+        let mut data = current.data().clone();
+        let actions_applied = data.append_actions(&delta.actions);
         let t0 = Instant::now();
         let arrivals = state
             .discovery
-            .observe_arrivals(&state.data, &state.vocab, &delta.actions);
+            .observe_arrivals(&data, current.vocab(), &delta.actions);
         let (groups_new, gdelta) = state.discovery.epoch();
         let discovery_time = t0.elapsed();
         if groups_new.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
+        let config = current.config();
         let t1 = Instant::now();
         let patch = current.index().apply_delta(
-            &state.groups,
+            current.groups(),
             &groups_new,
             &gdelta,
-            &IndexConfig {
-                materialize_fraction: state.config.materialize_fraction,
-                threads: 0,
-            },
+            &config.index_config(),
         );
         let index_time = t1.elapsed();
-        // Carry over cache entries that are provably still exact in the
-        // new epoch: the keyed group survived with an unchanged id and a
-        // clean (not rescored) list, and every cached neighbor id is
-        // likewise unchanged. Clean lists are byte-identical up to the id
-        // rewrite, so id-stable entries are byte-identical outright.
-        let cache = current.neighbor_cache().map(|c| {
-            c.carry_over(|g, list| {
-                let stable =
-                    |id: usize| id < patch.old_to_new.len() && patch.old_to_new[id] == id as u32;
-                stable(g as usize)
-                    && !patch.dirty[g as usize]
-                    && list.iter().all(|&(h, _)| stable(h.index()))
-            })
-        });
+        let cache = current
+            .neighbor_cache()
+            .map(|c| c.carry_over(|g, list| patch.carries(g, list)));
         let stats = BuildStats {
             discovery: state.discovery.stats(discovery_time),
             index_time,
@@ -717,15 +665,14 @@ impl LiveEngine {
             index_bytes: patch.index.stats().heap_bytes,
         };
         let engine = Vexus::from_live_parts(
-            state.data.clone(),
-            state.vocab.clone(),
-            groups_new.clone(),
+            data,
+            current.vocab().clone(),
+            groups_new,
             patch.index,
             cache,
-            state.config.clone(),
+            config.clone(),
             stats,
         );
-        state.groups = groups_new;
         Ok(Some((
             engine,
             RefreshOutcome {
@@ -749,8 +696,6 @@ impl std::fmt::Debug for LiveEngine {
             .finish_non_exhaustive()
     }
 }
-
-const NOT_LIVE: CoreError = CoreError::NotLive("no ingestion state (fixed engine)");
 
 const HALT_EMPTY_EPOCH: &str = "epoch cut produced an empty group space (old epoch still serving)";
 const HALT_PANIC: &str = "refresh panicked mid-apply (old epoch still serving)";
@@ -798,23 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_engines_serve_but_do_not_ingest() {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        let engine = Vexus::build(ds.data, EngineConfig::default())
-            .unwrap()
-            .shared();
-        let live = LiveEngine::fixed(Arc::clone(&engine));
-        assert!(Arc::ptr_eq(&live.engine(), &engine));
-        assert_eq!(live.epoch(), 0);
-        assert!(!live.is_live());
-        assert_eq!(live.refresh().unwrap_err(), NOT_LIVE);
-        assert_eq!(live.pending().unwrap_err(), NOT_LIVE);
-        let (tx, mut rx) = ChannelStream::with_capacity(1);
-        drop(tx);
-        assert_eq!(live.ingest(&mut rx, 8).unwrap_err(), NOT_LIVE);
-    }
-
-    #[test]
     fn empty_cut_refresh_is_a_noop() {
         let (base, _tape) = warmed(400);
         let live = LiveEngine::bootstrap(base, stream_config()).unwrap();
@@ -855,9 +783,9 @@ mod tests {
         assert_eq!(epoch0.groups().len(), epoch0.index().stats().n_groups);
     }
 
-    /// The tentpole equivalence claim at the engine level: a chain of
-    /// incremental refreshes ends in an index byte-identical to a full
-    /// rebuild over the final group space.
+    /// Refresh equivalence at the engine level: a chain of refreshes ends
+    /// in an index byte-identical to a full build over the final group
+    /// space.
     #[test]
     fn refreshed_index_matches_a_full_rebuild() {
         let (base, tape) = warmed(200);
@@ -869,7 +797,7 @@ mod tests {
         let engine = live.engine();
         let reference = GroupIndex::build(
             engine.groups(),
-            &IndexConfig {
+            &vexus_index::IndexConfig {
                 materialize_fraction: engine.config().materialize_fraction,
                 threads: 1,
             },
@@ -1086,9 +1014,23 @@ mod tests {
     fn refresh_with_retry_passes_hard_errors_through() {
         let (base, _tape) = warmed(400);
         let live = LiveEngine::bootstrap(base, stream_config()).unwrap();
-        // No pending actions: refresh succeeds as a no-op on attempt one.
-        let out = live.refresh_with_retry(3).unwrap();
-        assert!(!out.advanced);
+        // No pending actions: refresh succeeds as a no-op on attempt one —
+        // and `0` attempts means one, not a panic.
+        for attempts in [3, 0] {
+            let out = live.refresh_with_retry(attempts).unwrap();
+            assert!(!out.advanced);
+        }
+        // A halt is a hard error: it comes back as it is at any attempt
+        // count, and the published epoch is still there.
+        *live.state.lock().unwrap() = LiveSlot::Halted(HALT_PANIC);
+        for attempts in [0, 1, 3] {
+            assert_eq!(
+                live.refresh_with_retry(attempts).unwrap_err(),
+                CoreError::Halted(HALT_PANIC)
+            );
+        }
+        assert_eq!(live.halt_cause(), Some(HALT_PANIC));
+        assert_eq!(live.epoch(), 0);
     }
 
     #[test]

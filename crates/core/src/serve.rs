@@ -3,8 +3,9 @@
 //!
 //! The offline pipeline is expensive (discovery + index build); the
 //! per-click work is not. [`ExplorationService`] exploits that split: it
-//! holds a [`LiveEngine`] publishing immutable engine epochs and a table
-//! of open sessions, and answers open/click/backtrack/memo/close verbs
+//! holds an engine — one fixed `Arc<Vexus>`, or a [`LiveEngine`]
+//! publishing immutable engine epochs — and a table of open sessions,
+//! and answers open/click/backtrack/memo/close verbs
 //! from any thread. Each published `Vexus` is immutable, so sessions
 //! never contend on it — the only shared mutable state is the session
 //! table (behind an `RwLock`, held only for lookups) and each session's
@@ -15,8 +16,8 @@
 //! [`Request::Refresh`] swaps what *new* opens see without blocking or
 //! perturbing in-flight sessions (they replay byte-identically against
 //! their pinned epoch). Services over a plain `Arc<Vexus>`
-//! ([`ExplorationService::new`]) wrap it in [`LiveEngine::fixed`] and
-//! simply never advance.
+//! ([`ExplorationService::new`]) hold it directly and never advance:
+//! the ingestion verbs answer [`crate::CoreError::NotLive`].
 //!
 //! Lock discipline: a verb read-locks the table, clones the session's
 //! slot `Arc`, *drops the table lock*, then locks the session. Steps of
@@ -53,7 +54,7 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{OwnedSession, Vexus};
-use crate::error::ServeError;
+use crate::error::{CoreError, ServeError};
 use crate::failpoint;
 use crate::feedback::ContextView;
 use crate::live::{LiveEngine, RefreshOutcome};
@@ -155,8 +156,8 @@ pub struct ServiceStats {
     /// epoch; [`LiveEngine::recover`] over the durable directory is the
     /// way back (see [`LiveEngine::halt_cause`] for the cause).
     pub halted: bool,
-    /// The engine epoch currently published for new opens (0 for fixed
-    /// engines; see [`LiveEngine::epoch`]).
+    /// The engine epoch currently published for new opens (always 0 for
+    /// a fixed engine; see [`LiveEngine::epoch`]).
     pub epoch: u64,
 }
 
@@ -292,11 +293,29 @@ enum Slot {
 
 type Table = HashMap<u64, Slot>;
 
+/// What the service serves from: one engine for life, or whatever a live
+/// engine currently publishes.
+enum Engine {
+    Fixed(Arc<Vexus>),
+    Live(Arc<LiveEngine>),
+}
+
+impl Engine {
+    /// The live engine behind the ingestion verbs, or the typed refusal
+    /// of a fixed one.
+    fn live(&self) -> Result<&LiveEngine, CoreError> {
+        match self {
+            Engine::Live(live) => Ok(live),
+            Engine::Fixed(_) => Err(CoreError::NotLive("no ingestion state (fixed engine)")),
+        }
+    }
+}
+
 /// A session table over one shared engine: open sessions, step them from
 /// any thread, close them — with admission control, idle eviction and
 /// panic quarantine per [`ServiceConfig`].
 pub struct ExplorationService {
-    live: Arc<LiveEngine>,
+    engine: Engine,
     config: ServiceConfig,
     sessions: RwLock<Table>,
     next_id: AtomicU64,
@@ -310,8 +329,8 @@ pub struct ExplorationService {
 
 impl ExplorationService {
     /// A service over a fixed shared engine with default (unbounded)
-    /// limits. The engine is wrapped in [`LiveEngine::fixed`]: it serves
-    /// forever at epoch 0 and [`Self::refresh`] reports
+    /// limits. It serves that engine forever at epoch 0;
+    /// [`Self::refresh`] and [`Self::ingest`] report
     /// [`crate::CoreError::NotLive`].
     pub fn new(engine: Arc<Vexus>) -> Self {
         Self::with_config(engine, ServiceConfig::default())
@@ -320,7 +339,7 @@ impl ExplorationService {
     /// A service over a fixed shared engine with explicit operational
     /// limits (see [`Self::new`]).
     pub fn with_config(engine: Arc<Vexus>, config: ServiceConfig) -> Self {
-        Self::live_with_config(Arc::new(LiveEngine::fixed(engine)), config)
+        Self::over(Engine::Fixed(engine), config)
     }
 
     /// A service over a live engine with default (unbounded) limits: new
@@ -331,8 +350,12 @@ impl ExplorationService {
 
     /// A service over a live engine with explicit operational limits.
     pub fn live_with_config(live: Arc<LiveEngine>, config: ServiceConfig) -> Self {
+        Self::over(Engine::Live(live), config)
+    }
+
+    fn over(engine: Engine, config: ServiceConfig) -> Self {
         Self {
-            live,
+            engine,
             config,
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(0),
@@ -346,13 +369,10 @@ impl ExplorationService {
     /// the publication lock: it stays valid (and unchanged) however long
     /// the caller holds it, even across refreshes.
     pub fn engine(&self) -> Arc<Vexus> {
-        self.live.engine()
-    }
-
-    /// The live engine behind the service — ingestion and epoch telemetry
-    /// live here.
-    pub fn live_engine(&self) -> &Arc<LiveEngine> {
-        &self.live
+        match &self.engine {
+            Engine::Fixed(engine) => Arc::clone(engine),
+            Engine::Live(live) => live.engine(),
+        }
     }
 
     /// The service's operational limits.
@@ -362,8 +382,11 @@ impl ExplorationService {
 
     /// Cumulative service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.counters
-            .snapshot(self.live.epoch(), self.live.halt_cause().is_some())
+        let (epoch, halted) = match &self.engine {
+            Engine::Fixed(_) => (0, false),
+            Engine::Live(live) => (live.epoch(), live.halt_cause().is_some()),
+        };
+        self.counters.snapshot(epoch, halted)
     }
 
     /// The logical clock: verbs served so far (each verb ticks it once).
@@ -484,7 +507,7 @@ impl ExplorationService {
     /// Open a session with the engine's configuration; returns its id and
     /// opening display.
     pub fn open(&self) -> Result<(SessionId, Vec<GroupId>), ServeError> {
-        self.open_with(self.live.engine().config().clone())
+        self.open_with(self.engine().config().clone())
     }
 
     /// Open a session with an overriding configuration. Fails typed when
@@ -512,7 +535,7 @@ impl ExplorationService {
         }
         // Pin the epoch published *now*: the session keeps this handle for
         // life, refreshes notwithstanding.
-        let session = OwnedSession::open_with(self.live.engine(), config)?;
+        let session = OwnedSession::open_with(self.engine(), config)?;
         let display = session.display().to_vec();
         let slot = Arc::new(LiveSlot {
             session: Mutex::new(session),
@@ -658,7 +681,7 @@ impl ExplorationService {
     /// the durability counters the outcome reports.
     pub fn refresh(&self) -> Result<RefreshOutcome, ServeError> {
         self.tick();
-        let outcome = self.live.refresh().map_err(ServeError::from)?;
+        let outcome = self.engine.live()?.refresh()?;
         self.note_refresh(&outcome);
         Ok(outcome)
     }
@@ -668,10 +691,7 @@ impl ExplorationService {
     /// mutation (delegates to [`LiveEngine::refresh_with_retry`]).
     pub fn refresh_with_retry(&self, attempts: usize) -> Result<RefreshOutcome, ServeError> {
         self.tick();
-        let outcome = self
-            .live
-            .refresh_with_retry(attempts)
-            .map_err(ServeError::from)?;
+        let outcome = self.engine.live()?.refresh_with_retry(attempts)?;
         self.note_refresh(&outcome);
         Ok(outcome)
     }
@@ -703,7 +723,7 @@ impl ExplorationService {
         stream: &mut dyn vexus_data::ActionStream,
         max: usize,
     ) -> Result<usize, ServeError> {
-        self.live.ingest(stream, max).map_err(ServeError::from)
+        Ok(self.engine.live()?.ingest(stream, max)?)
     }
 
     /// Close a session, dropping its state. Closing a quarantined session
@@ -1031,6 +1051,11 @@ mod tests {
     fn fixed_services_refuse_the_refresh_verb() {
         let svc = service();
         let err = svc.handle(Request::Refresh).unwrap_err();
+        assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
+        let err = svc.refresh_with_retry(0).unwrap_err();
+        assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
+        let mut stream = vexus_data::stream::ReplayStream::from_actions(&[]);
+        let err = svc.ingest(&mut stream, 8).unwrap_err();
         assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
         assert_eq!(svc.stats().epoch, 0);
         assert_eq!(svc.stats().refreshes, 0);

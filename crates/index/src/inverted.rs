@@ -18,16 +18,16 @@
 //! exact fallback of [`GroupIndex::neighbors`] walks only the groups that
 //! overlap the query group instead of scanning the whole group space.
 //!
-//! For live deployments, [`GroupIndex::apply_delta`] patches a built index
-//! across an epoch's [`GroupDelta`] instead of rebuilding it: the retained
-//! CSR is spliced (no membership recount), only the groups the delta can
-//! actually affect are rescored, and every untouched list is copied with a
-//! pure id rewrite — byte-identical to [`GroupIndex::build`] over the new
-//! space, which stays the reference oracle.
+//! [`GroupIndex::build`] is the only code that scores pairs and lays out
+//! lists. A live refresh rebuilds the index over the new epoch's space;
+//! [`GroupIndex::apply_delta`] wraps that rebuild with the survivor id
+//! remap and the dirty set of the epoch's [`GroupDelta`], which is what
+//! lets the neighbor cache carry still-exact entries across the swap
+//! ([`IndexPatch::carries`]).
 
 use crate::graph::OverlapGraph;
 use vexus_data::U32Store;
-use vexus_mining::{GroupDelta, GroupId, GroupSet};
+use vexus_mining::{Group, GroupDelta, GroupId, GroupSet};
 
 /// Index construction knobs.
 #[derive(Debug, Clone)]
@@ -55,7 +55,8 @@ pub struct IndexStats {
     /// Total materialized neighbor entries.
     pub materialized_entries: usize,
     /// Overlapping candidate pairs scored during the build; each
-    /// unordered pair is scored once.
+    /// unordered pair is scored once. The index a refresh gets from
+    /// [`GroupIndex::apply_delta`] is a build and reports the same count.
     pub scored_pairs: usize,
     /// Approximate heap bytes of the index: materialized entries, the
     /// outer list/length vectors, and the retained member→groups CSR.
@@ -373,36 +374,29 @@ impl GroupIndex {
         )
     }
 
-    /// Patch this index across one epoch's [`GroupDelta`] instead of
-    /// rebuilding it. `old_groups` must be the space this index was built
-    /// over, `new_groups` the new epoch's space, and `delta` the
-    /// [`vexus_mining::delta::diff`] between them; both spaces must be
-    /// canonical (description-sorted), which makes the survivor id remap
-    /// monotone. The result is **byte-identical** to
-    /// [`GroupIndex::build`]`(new_groups, cfg)` — lists, full lengths and
-    /// the member→groups CSR — provided `cfg.materialize_fraction` matches
-    /// the original build (the proptest below pins this across random
-    /// delta sequences and thread counts).
+    /// The next epoch's index plus the refresh bookkeeping. `old_groups`
+    /// must be the space this index was built over, `new_groups` the new
+    /// epoch's space, and `delta` the [`vexus_mining::delta::diff`] between
+    /// them; both spaces must be canonical (description-sorted), which
+    /// makes the survivor id remap monotone.
     ///
-    /// Three incremental passes, none of which rescans untouched state:
+    /// The returned index **is** [`GroupIndex::build`]`(new_groups, cfg)`:
+    /// a refresh rebuilds, it does not patch (on every ledger workload the
+    /// delta dirties every list, and rescoring lists one by one is slower
+    /// than the symmetric build). What this function adds is the
+    /// bookkeeping [`crate::NeighborCache::carry_over`] needs (see
+    /// [`IndexPatch::carries`]): the survivor remap and the *dirty set* —
+    /// the new groups whose neighbor list can differ from the old one
+    /// beyond an id rewrite.
     ///
-    /// 1. **CSR splice** — per-user group lists are rewritten through the
-    ///    monotone remap and merged with the delta's membership gains /
-    ///    losses; memberships are never recounted.
-    /// 2. **Dirty-set rescore** — a new group's list must be recomputed
-    ///    iff the group is added or resized, or it shares a member with a
-    ///    touched group (only then can a neighbor appear, disappear, or
-    ///    change similarity). Dirty groups are rescored from the new CSR
-    ///    in parallel over size-aware chunks (`cfg.threads`).
-    /// 3. **Clean copy** — every other group's materialized list is the
-    ///    old list with ids rewritten: its neighbors are all unchanged
-    ///    survivors, and the monotone remap preserves the
-    ///    similarity-then-id total order, so bytes (and the kept-set
-    ///    boundary) carry over exactly.
-    ///
-    /// `scored_pairs` in the returned stats counts only the patch's
-    /// rescoring work — the incremental-vs-full cost `benchmark/` reports
-    /// as `index.rescored_share` — not the full build's pair count.
+    /// A group is dirty iff it is added or resized, or it shares a member
+    /// with a touched (added, retired or resized) group: only then can a
+    /// neighbor appear, disappear or change similarity. Every such share
+    /// is visible in the *old* CSR, because an unchanged survivor's
+    /// members are the same in both spaces. The walk marks each member of
+    /// a touched group once and then reads each marked member's old group
+    /// list once, so it is bounded by the old CSR's size, not by the
+    /// summed sizes of the touched groups.
     pub fn apply_delta(
         &self,
         old_groups: &GroupSet,
@@ -411,15 +405,12 @@ impl GroupIndex {
         cfg: &IndexConfig,
     ) -> IndexPatch {
         let n_old = old_groups.len();
-        let n_new = new_groups.len();
         debug_assert_eq!(n_old, self.len(), "old space does not match the index");
-        let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
 
-        // Survivor maps: old ids minus `retired`, zipped in order with new
+        // Survivor map: old ids minus `retired`, zipped in order with new
         // ids minus `added` (both canonical, so the zip is the monotone
-        // remap). `u32::MAX` marks retired / added ids.
+        // remap). `u32::MAX` marks retired ids.
         let mut old_to_new = vec![u32::MAX; n_old];
-        let mut new_to_old = vec![u32::MAX; n_new];
         {
             let mut retired = delta.retired.iter().peekable();
             let mut added = delta.added.iter().peekable();
@@ -434,7 +425,6 @@ impl GroupIndex {
                     j += 1;
                 }
                 old_to_new[i as usize] = j;
-                new_to_old[j as usize] = i;
                 j += 1;
             }
         }
@@ -446,216 +436,45 @@ impl GroupIndex {
             );
         }
 
-        // Membership splice lists: (user, new id) gains from added and
-        // grown groups, (user, old id) losses from shrunk groups. Retired
-        // groups need no loss entries — their ids remap to `u32::MAX` and
-        // drop out of every user list below.
-        let mut gains: Vec<(u32, u32)> = Vec::new();
-        let mut losses: Vec<(u32, u32)> = Vec::new();
-        for &g in &delta.added {
-            for u in new_groups.get(g).members.iter() {
-                gains.push((u, g.0));
+        // Added and resized groups are dirty outright. For the survivors,
+        // mark the members of every touched group, walked from the space
+        // that holds them (old for retired, new for added, both for
+        // resized); a member beyond the old CSR's universe is in no old
+        // group.
+        let old_csr = &self.member_groups;
+        let mut dirty = vec![false; new_groups.len()];
+        let mut touched = vec![false; old_csr.n_members()];
+        let mut mark = |group: &Group| {
+            for u in group.members.iter() {
+                if let Some(t) = touched.get_mut(u as usize) {
+                    *t = true;
+                }
             }
+        };
+        for &g in &delta.retired {
+            mark(old_groups.get(g));
         }
         for &(o, n) in &delta.resized {
-            member_diff(
-                old_groups.get(o).members.as_slice(),
-                new_groups.get(n).members.as_slice(),
-                |u| gains.push((u, n.0)),
-                |u| losses.push((u, o.0)),
-            );
-        }
-        gains.sort_unstable();
-        losses.sort_unstable();
-
-        // Pass 1: CSR splice. The user universe bound is recomputed the
-        // exact way `MemberGroupsCsr::build` computes it, so the patched
-        // CSR matches a rebuild even when the universe grows or shrinks.
-        let n_users = new_groups
-            .iter()
-            .filter_map(|(_, g)| g.members.as_slice().last())
-            .max()
-            .map(|&m| m as usize + 1)
-            .unwrap_or(0);
-        let old_csr = &self.member_groups;
-        let old_users = old_csr.n_members();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n_users + 1);
-        offsets.push(0);
-        let mut ids: Vec<u32> = Vec::with_capacity(old_csr.ids().len() + gains.len());
-        let (mut gat, mut lat) = (0usize, 0usize);
-        for u in 0..n_users as u32 {
-            let old_list: &[u32] = if (u as usize) < old_users {
-                old_csr.groups_of(u)
-            } else {
-                &[]
-            };
-            let lfrom = lat;
-            while lat < losses.len() && losses[lat].0 == u {
-                lat += 1;
-            }
-            let lost = &losses[lfrom..lat];
-            let gfrom = gat;
-            while gat < gains.len() && gains[gat].0 == u {
-                gat += 1;
-            }
-            let gained = &gains[gfrom..gat];
-            // Merge the remapped survivors of the old list with the gains;
-            // both runs are ascending (the remap is monotone), so the
-            // merged list is sorted exactly as a counting-sort rebuild
-            // would emit it.
-            let (mut gi, mut li) = (0usize, 0usize);
-            for &h in old_list {
-                if li < lost.len() && lost[li].1 == h {
-                    li += 1;
-                    continue;
-                }
-                let m = old_to_new[h as usize];
-                if m == u32::MAX {
-                    continue;
-                }
-                while gi < gained.len() && gained[gi].1 < m {
-                    ids.push(gained[gi].1);
-                    gi += 1;
-                }
-                ids.push(m);
-            }
-            for &(_, g) in &gained[gi..] {
-                ids.push(g);
-            }
-            offsets.push(ids.len() as u32);
-        }
-        let member_groups = MemberGroupsCsr {
-            offsets: offsets.into(),
-            ids: ids.into(),
-        };
-
-        // Pass 2: dirty set. Added and resized groups are dirty by
-        // definition; a survivor is dirty iff it shares a member with a
-        // touched group — and every such share is visible in the *old*
-        // CSR, because an unchanged survivor's members are the same in
-        // both spaces. Members of touched groups are walked from the
-        // space that holds them (old for retired/shrunk, new for
-        // added/grown, both for resized).
-        let mut dirty = vec![false; n_new];
-        for &g in &delta.added {
-            dirty[g.index()] = true;
-        }
-        for &(_, n) in &delta.resized {
+            mark(old_groups.get(o));
+            mark(new_groups.get(n));
             dirty[n.index()] = true;
         }
-        {
-            let mut mark_groups_of = |u: u32| {
-                if (u as usize) < old_users {
-                    for &h in old_csr.groups_of(u) {
-                        let m = old_to_new[h as usize];
-                        if m != u32::MAX {
-                            dirty[m as usize] = true;
-                        }
-                    }
-                }
-            };
-            for &g in &delta.retired {
-                for u in old_groups.get(g).members.iter() {
-                    mark_groups_of(u);
-                }
-            }
-            for &(o, n) in &delta.resized {
-                for u in old_groups.get(o).members.iter() {
-                    mark_groups_of(u);
-                }
-                for u in new_groups.get(n).members.iter() {
-                    mark_groups_of(u);
-                }
-            }
-            for &g in &delta.added {
-                for u in new_groups.get(g).members.iter() {
-                    mark_groups_of(u);
+        for &g in &delta.added {
+            mark(new_groups.get(g));
+            dirty[g.index()] = true;
+        }
+        // One pass over the marked members' old group lists.
+        for u in (0..touched.len()).filter(|&u| touched[u]) {
+            for &h in old_csr.groups_of(u as u32) {
+                let m = old_to_new[h as usize];
+                if m != u32::MAX {
+                    dirty[m as usize] = true;
                 }
             }
         }
-        let dirty_ids: Vec<u32> = (0..n_new as u32).filter(|&g| dirty[g as usize]).collect();
-
-        // Pass 3: rescore the dirty groups from the patched CSR, parallel
-        // over the same size-aware chunking the full build uses. Each
-        // group's list is computed independently into its own slot, so
-        // the result is byte-identical at any thread count.
-        let mut rescored_lists: Vec<Vec<Neighbor>> = vec![Vec::new(); dirty_ids.len()];
-        let mut rescored_full: Vec<u32> = vec![0; dirty_ids.len()];
-        if !dirty_ids.is_empty() {
-            let sizes: Vec<usize> = dirty_ids
-                .iter()
-                .map(|&g| new_groups.get(GroupId::new(g)).size())
-                .collect();
-            let threads = resolve_threads(cfg.threads, dirty_ids.len());
-            let chunks = size_aware_chunks(&sizes, threads);
-            crossbeam::thread::scope(|scope| {
-                let mut rest_lists = rescored_lists.as_mut_slice();
-                let mut rest_full = rescored_full.as_mut_slice();
-                let mut start = 0usize;
-                for &take in &chunks {
-                    let (lists_chunk, r) = rest_lists.split_at_mut(take);
-                    rest_lists = r;
-                    let (full_chunk, r) = rest_full.split_at_mut(take);
-                    rest_full = r;
-                    let ids_chunk = &dirty_ids[start..start + take];
-                    let member_groups = &member_groups;
-                    scope.spawn(move |_| {
-                        let mut counter = vec![0u32; n_new];
-                        for ((&g, list), full_len) in
-                            ids_chunk.iter().zip(lists_chunk).zip(full_chunk)
-                        {
-                            let mut full = overlapping_neighbors(
-                                new_groups,
-                                member_groups,
-                                GroupId::new(g),
-                                &mut counter,
-                            );
-                            *full_len = full.len() as u32;
-                            let keep = keep_of(fraction, full.len());
-                            let kept = select_top_in_place(&mut full, keep);
-                            full.truncate(kept);
-                            *list = full;
-                        }
-                    });
-                    start += take;
-                }
-            })
-            .expect("index patch scope");
-        }
-        let scored_pairs: usize = rescored_full.iter().map(|&l| l as usize).sum();
-
-        // Assembly: dirty groups take their rescored lists, clean groups
-        // copy their old list through the id rewrite.
-        let mut entries: Vec<Neighbor> = Vec::new();
-        let mut list_offsets: Vec<u32> = Vec::with_capacity(n_new + 1);
-        list_offsets.push(0);
-        let mut full_lengths = vec![0u32; n_new];
-        let mut at = 0usize;
-        for g in 0..n_new {
-            if dirty[g] {
-                full_lengths[g] = rescored_full[at];
-                entries.append(&mut rescored_lists[at]);
-                at += 1;
-            } else {
-                let o = GroupId::new(new_to_old[g]);
-                full_lengths[g] = self.full_lengths[o.index()];
-                for &(h, sim) in self.materialized(o) {
-                    let m = old_to_new[h.index()];
-                    debug_assert_ne!(m, u32::MAX, "clean list holds a retired neighbor");
-                    entries.push((GroupId::new(m), sim));
-                }
-            }
-            list_offsets.push(entries.len() as u32);
-        }
-        let rescored = dirty_ids.len();
+        let rescored = dirty.iter().filter(|&&d| d).count();
         IndexPatch {
-            index: Self::from_parts(
-                list_offsets.into(),
-                entries,
-                full_lengths.into(),
-                member_groups,
-                scored_pairs,
-            ),
+            index: Self::build(new_groups, cfg),
             old_to_new,
             dirty,
             rescored,
@@ -762,45 +581,37 @@ impl GroupIndex {
     }
 }
 
-/// The result of [`GroupIndex::apply_delta`]: the patched index plus the
-/// patch's bookkeeping, which the serving layer uses to decide which
-/// neighbor-cache entries survive the epoch swap.
+/// The result of [`GroupIndex::apply_delta`]: the new epoch's index plus
+/// the bookkeeping the serving layer uses to decide which neighbor-cache
+/// entries survive the epoch swap.
 pub struct IndexPatch {
-    /// The patched index — byte-identical to a full build over the new
-    /// space.
+    /// The new epoch's index: [`GroupIndex::build`] over the new space.
     pub index: GroupIndex,
     /// Old-space id → new-space id for survivors; `u32::MAX` for retired
     /// groups. Monotone over survivors (both spaces are canonical).
     pub old_to_new: Vec<u32>,
-    /// Per new-space group: whether its neighbor list was rescored (added,
-    /// resized, or sharing a member with a touched group). Clean groups'
-    /// lists were copied with a pure id rewrite.
+    /// Per new-space group: whether its neighbor list can differ from the
+    /// old epoch's (added, resized, or sharing a member with a touched
+    /// group). A clean group is a survivor whose rebuilt list is the old
+    /// list with ids rewritten through `old_to_new`.
     pub dirty: Vec<bool>,
-    /// Number of dirty groups rescored.
+    /// Number of dirty groups.
     pub rescored: usize,
 }
 
-/// Two-pointer diff of sorted member slices: `gained` receives members in
-/// `new` only, `lost` members in `old` only.
-fn member_diff(old: &[u32], new: &[u32], mut gained: impl FnMut(u32), mut lost: impl FnMut(u32)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() || j < new.len() {
-        if i == old.len() {
-            gained(new[j]);
-            j += 1;
-        } else if j == new.len() {
-            lost(old[i]);
-            i += 1;
-        } else if old[i] == new[j] {
-            i += 1;
-            j += 1;
-        } else if old[i] < new[j] {
-            lost(old[i]);
-            i += 1;
-        } else {
-            gained(new[j]);
-            j += 1;
-        }
+impl IndexPatch {
+    /// Whether an old-epoch cache entry — the neighbor `list` cached for
+    /// old-space group `g` — is still the new epoch's exact answer: `g`
+    /// survived with an unchanged id and a clean list, and every cached
+    /// neighbor id is likewise unchanged. A clean list is the old list up
+    /// to the monotone id rewrite, so an id-stable prefix of it is
+    /// byte-identical outright. The `keep` predicate of
+    /// [`crate::NeighborCache::carry_over`].
+    pub fn carries(&self, g: u32, list: &[Neighbor]) -> bool {
+        let stable = |id: usize| self.old_to_new.get(id) == Some(&(id as u32));
+        stable(g as usize)
+            && !self.dirty[g as usize]
+            && list.iter().all(|&(h, _)| stable(h.index()))
     }
 }
 
@@ -1407,43 +1218,160 @@ mod tests {
         assert_eq!(patch.rescored, 0, "nothing is dirty");
         assert_eq!(patch.old_to_new, vec![0, 1, 2], "identity remap");
         assert!(patch.dirty.iter().all(|&d| !d));
-        // A patch that rescored nothing reports zero patch work.
-        assert_eq!(patch.index.stats().scored_pairs, 0);
+        // The returned index is a build and reports the build's pairs.
+        assert_eq!(patch.index.stats().scored_pairs, idx.stats().scored_pairs);
+    }
+
+    /// What the dirty set promises about every group it leaves clean: the
+    /// group is a survivor, its list in the new index is its list in the
+    /// old index with ids rewritten through `old_to_new` (so every id in
+    /// it is a survivor too), and its full neighbor count is unchanged.
+    /// The index is a rebuild, so a group wrongly left clean shows here
+    /// and nowhere else.
+    fn assert_clean_groups_are_rewrites(old_idx: &GroupIndex, patch: &IndexPatch, what: &str) {
+        let mut new_to_old = vec![u32::MAX; patch.dirty.len()];
+        for (o, &n) in patch.old_to_new.iter().enumerate() {
+            if n != u32::MAX {
+                new_to_old[n as usize] = o as u32;
+            }
+        }
+        assert_eq!(
+            patch.rescored,
+            patch.dirty.iter().filter(|&&d| d).count(),
+            "{what}: rescored counts the dirty groups"
+        );
+        for g in (0..patch.dirty.len()).filter(|&g| !patch.dirty[g]) {
+            assert_ne!(
+                new_to_old[g],
+                u32::MAX,
+                "{what}: clean group {g} is not a survivor"
+            );
+            let (o, g) = (GroupId::new(new_to_old[g]), GroupId::new(g as u32));
+            let rewritten: Vec<Neighbor> = old_idx
+                .materialized(o)
+                .iter()
+                .map(|&(h, sim)| (GroupId::new(patch.old_to_new[h.index()]), sim))
+                .collect();
+            assert!(
+                rewritten.iter().all(|&(h, _)| h.0 != u32::MAX),
+                "{what}: clean list of {g} holds a retired neighbor"
+            );
+            assert_eq!(
+                patch.index.materialized(g),
+                &rewritten[..],
+                "{what}: clean list of {g} is not the old list rewritten"
+            );
+            assert_eq!(
+                patch.index.full_neighbor_count(g),
+                old_idx.full_neighbor_count(o),
+                "{what}: full length of clean {g}"
+            );
+        }
+    }
+
+    /// One epoch transition with a witness per member source of the dirty
+    /// walk — a survivor whose *only* link to anything touched runs
+    /// through that source — beside clean groups, both id-stable and
+    /// shifted. Tags are the canonical order.
+    ///
+    /// * `{5}` is retired; `{6}` shares 12 with it and nothing else.
+    /// * `{3}` shrinks (loses 32); `{10}` shares only 32 with old `{3}`.
+    /// * `{2}` grows (gains 6); `{11}` shares only 6 with new `{2}`.
+    /// * `{4}` is added; `{9}` shares only 40 with it.
+    /// * `{1}` and `{7}` overlap `{2}` in members it keeps.
+    /// * `{12}`, `{13}` are untouched and keep their ids; `{20}`, `{21}`
+    ///   are untouched but shift by one behind the added `{15}`.
+    fn witness_epochs() -> (GroupSet, GroupSet) {
+        let shared = [
+            (1, vec![0, 1, 2, 3]),
+            (6, vec![12, 13]),
+            (7, vec![0, 5]),
+            (9, vec![40, 41]),
+            (10, vec![32, 33]),
+            (11, vec![6, 50]),
+            (12, vec![60, 61, 62]),
+            (13, vec![61, 62, 63]),
+            (20, vec![100, 101, 102]),
+            (21, vec![101, 102, 103]),
+        ];
+        let mut old = shared.to_vec();
+        old.extend([
+            (2, vec![2, 3, 4, 5]),
+            (3, vec![30, 31, 32]),
+            (5, vec![10, 11, 12]),
+        ]);
+        let mut new = shared.to_vec();
+        new.extend([
+            (2, vec![2, 3, 4, 5, 6]),
+            (3, vec![30, 31]),
+            (4, vec![1, 2, 10, 40]),
+            (15, vec![200, 201]),
+        ]);
+        (described_space(&old), described_space(&new))
     }
 
     #[test]
     fn patch_matches_rebuild_across_add_retire_resize() {
-        // Old: {1}=[0..4]  {2}=[2..6]  {5}=[10,11,12]  {7}=[0,5]
-        // New: {1}=[0..4]  {2}=[2..7] (grew)  {4}=[1,2,10] (added),
-        // {5} retired, {7}=[0,5] untouched but overlaps nothing touched?
-        // ({7} shares 5 with nothing touched — 2 gains member 6, retains
-        // 5? no: {2}=[2,3,4,5] holds 5, so {7} is dirty via {2}'s resize.)
-        let old = described_space(&[
-            (1, vec![0, 1, 2, 3]),
-            (2, vec![2, 3, 4, 5]),
-            (5, vec![10, 11, 12]),
-            (7, vec![0, 5]),
-        ]);
-        let new = described_space(&[
-            (1, vec![0, 1, 2, 3]),
-            (2, vec![2, 3, 4, 5, 6]),
-            (4, vec![1, 2, 10]),
-            (7, vec![0, 5]),
-        ]);
+        let (old, new) = witness_epochs();
         let delta = diff(&old, &new);
-        assert_eq!(delta.added.len(), 1);
+        assert_eq!(delta.added.len(), 2);
         assert_eq!(delta.retired.len(), 1);
-        assert_eq!(delta.resized.len(), 1);
+        assert_eq!(delta.resized.len(), 2);
         for fraction in [0.0, 0.3, 1.0] {
             let cfg = patch_config(fraction, 1);
             let idx = GroupIndex::build(&old, &cfg);
             let patch = idx.apply_delta(&old, &new, &delta, &cfg);
             let rebuilt = GroupIndex::build(&new, &cfg);
-            assert_same_index(&patch.index, &rebuilt, &format!("fraction={fraction}"));
-            // The patch scored strictly less than the rebuild (only dirty
-            // groups were rescored).
-            assert!(patch.rescored <= new.len());
+            let what = format!("fraction={fraction}");
+            assert_same_index(&patch.index, &rebuilt, &what);
+            assert_clean_groups_are_rewrites(&idx, &patch, &what);
+            // New ids follow the tags 1 2 3 4 6 7 9 10 11 12 13 15 20 21:
+            // only the four untouched groups are clean.
+            let clean: Vec<usize> = (0..new.len()).filter(|&g| !patch.dirty[g]).collect();
+            assert_eq!(clean, vec![9, 10, 12, 13], "{what}");
+            assert_eq!(patch.rescored, new.len() - 4, "{what}");
         }
+    }
+
+    /// Carried cache entries are served as hits and are the new epoch's
+    /// exact answers: fill a cache over the old index at several `k`,
+    /// carry it across the epoch with [`IndexPatch::carries`], and query
+    /// every carried key against the new index.
+    #[test]
+    fn carried_cache_entries_are_exact_hits_in_the_new_epoch() {
+        use crate::cache::NeighborCache;
+        let (old, new) = witness_epochs();
+        let cfg = patch_config(0.3, 1);
+        let idx = GroupIndex::build(&old, &cfg);
+        let cache = NeighborCache::new(1024);
+        let ks = [1usize, 2, 8];
+        for (g, _) in old.iter() {
+            for k in ks {
+                cache.neighbors(&idx, &old, g, k);
+            }
+        }
+        let patch = idx.apply_delta(&old, &new, &diff(&old, &new), &cfg);
+        let carried = cache.carry_over(|g, list| patch.carries(g, list));
+        let mut expected = 0usize;
+        for (g, _) in old.iter() {
+            for k in ks {
+                if !patch.carries(g.0, &idx.neighbors(&old, g, k)) {
+                    continue;
+                }
+                expected += 1;
+                assert_eq!(
+                    &carried.neighbors(&patch.index, &new, g, k)[..],
+                    &patch.index.neighbors(&new, g, k)[..],
+                    "carried entry ({g}, {k}) is not the new epoch's answer"
+                );
+            }
+        }
+        // {12} and {13} at every k: clean and id-stable. {20} and {21}
+        // are clean but shifted, everything else is dirty or retired.
+        assert_eq!(expected, 2 * ks.len());
+        assert_eq!(carried.len(), expected);
+        let stats = carried.stats();
+        assert_eq!((stats.hits, stats.misses), (expected as u64, 0));
     }
 
     #[test]
@@ -1529,12 +1457,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        /// The incremental-refresh oracle: starting from a random described
-        /// space, apply random epochs of add / retire / resize ops and pin
-        /// [`GroupIndex::apply_delta`] byte-identical to a full
+        /// The refresh oracle: starting from a random described space,
+        /// apply random epochs of add / retire / resize ops and pin
+        /// [`GroupIndex::apply_delta`]'s index byte-identical to a full
         /// [`GroupIndex::build`] over every epoch's space, at thread counts
-        /// {1, 2, 4, 8}, chaining each epoch's patch off the previous
-        /// patched index.
+        /// {1, 2, 4, 8}, chaining each epoch off the previous one's index —
+        /// and pin its dirty set: every group left clean must be a pure id
+        /// rewrite of its old list.
         #[test]
         fn prop_apply_delta_equals_full_rebuild(
             initial in proptest::collection::vec(
@@ -1598,6 +1527,8 @@ mod tests {
                         patch.index.member_groups.ids(),
                         reference.member_groups.ids()
                     );
+                    assert_clean_groups_are_rewrites(
+                        &idx, &patch, &format!("epoch={e} threads={threads}"));
                     if threads == 1 {
                         chained = Some(patch.index);
                     }

@@ -12,13 +12,19 @@
 //! * [`inverted`] — the per-group neighbor lists with configurable
 //!   materialization fraction and an exact on-demand fallback,
 //! * [`graph`] — the undirected group graph `G` (edge ⇔ groups overlap)
-//!   that exploration navigates.
+//!   that exploration navigates,
+//! * [`cache`] — the shared read-through cache over neighbor queries and
+//!   its carry-over across an epoch swap.
 //!
 //! Index construction uses a flat CSR member→groups inverted map
 //! ([`inverted::MemberGroupsCsr`]) so that only *overlapping* pairs are
 //! ever scored (non-overlapping pairs have Jaccard similarity 0 and never
 //! enter a neighbor list), scores each unordered pair exactly once from
 //! the smaller-id side, and shards the work across threads with crossbeam.
+//! There is one way to make an index: a live refresh rebuilds it
+//! ([`GroupIndex::apply_delta`] is [`GroupIndex::build`] plus the survivor
+//! id remap and dirty set that [`NeighborCache::carry_over`] reads through
+//! [`IndexPatch::carries`]).
 
 pub mod cache;
 pub mod graph;

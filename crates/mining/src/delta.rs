@@ -11,11 +11,11 @@
 //! * every epoch's group space is **canonicalized** — sorted by
 //!   description, lexicographically ascending — before ids are assigned.
 //!   Surviving groups therefore keep their *relative* order between
-//!   epochs, which makes the old→new id remap **monotone**: downstream
-//!   consumers (the incremental index patch) can copy untouched neighbor
-//!   lists with a pure id rewrite and stay byte-identical to a full
-//!   rebuild, because the index's similarity-then-id tie-break order is
-//!   preserved under any monotone remap.
+//!   epochs, which makes the old→new id remap **monotone**: an untouched
+//!   group's neighbor list in the next epoch's index is its old list with
+//!   a pure id rewrite, because the index's similarity-then-id tie-break
+//!   order is preserved under any monotone remap — which is what lets the
+//!   neighbor cache carry id-stable entries across a refresh.
 //!
 //! [`DeltaDiscovery`] drives the miner over action deltas (each user is
 //! observed once, on arrival — the first action mentioning them) and cuts

@@ -31,8 +31,8 @@
 //! time: [`DeltaDiscovery`] observes users as they arrive on an action
 //! stream and cuts canonical, description-sorted epoch group spaces whose
 //! pairwise differences are typed [`GroupDelta`]s (added / retired /
-//! resized) — the contract the incremental index patch in `vexus-index`
-//! consumes.
+//! resized) — what `vexus-index` derives a refresh's dirty set and
+//! survivor id remap from.
 //!
 //! Shared substrate:
 //!

@@ -1,9 +1,9 @@
 //! Live stream intake: the second path of Fig. 1, end to end. Actions
 //! arrive on a channel from a producer thread; the engine bootstraps from
 //! a warmup prefix, then ingests the live stream and republishes itself
-//! epoch by epoch — patching the similarity index incrementally instead
-//! of rebuilding, while open sessions keep exploring the epoch they
-//! started on.
+//! epoch by epoch — the stream miner advances incrementally, the
+//! similarity index is rebuilt over each epoch's groups — while open
+//! sessions keep exploring the epoch they started on.
 //!
 //! Run with: `cargo run --release --example stream_exploration`
 //!
@@ -216,7 +216,7 @@ fn run_default() {
 
     // Consumer: drain the stream and refresh every few batches. Each
     // refresh cuts one epoch-stamped delta, folds it into the dataset,
-    // advances the stream miner, patches the index for just the touched
+    // advances the stream miner, rebuilds the index over the epoch's
     // groups, and publishes the new engine with one Arc swap.
     let mut drained = 0usize;
     while rx.is_live() || drained > 0 {
@@ -225,7 +225,7 @@ fn run_default() {
         if outcome.advanced {
             println!(
                 "epoch {}: +{} actions, {} arrivals, Δgroups +{}/-{}/~{}, \
-                 {} lists rescored in {:?}",
+                 {} dirty lists in {:?}",
                 outcome.epoch,
                 outcome.actions_applied,
                 outcome.arrivals,
