@@ -1,57 +1,22 @@
 //! Shared experiment workloads.
 //!
-//! Sizes default to laptop-friendly slices of the paper's datasets; the
-//! `VEXUS_SCALE` environment variable multiplies user/action counts for
-//! full-scale runs (e.g. `VEXUS_SCALE=14` approximates the real
-//! BOOKCROSSING's 278k users). Engines are assembled through
-//! [`VexusBuilder`], so every workload can run under any discovery
-//! backend (see [`engine_over`]).
+//! The two standard engines — laptop-sized slices of the paper's
+//! BOOKCROSSING and DB-AUTHORS datasets under [`EngineConfig::paper`] — are
+//! built once per process and shared by every experiment that reads them;
+//! the record is seeded and runs at this one scale (scale sweeps belong to
+//! `benchmark/`). Engines are assembled through [`VexusBuilder`], so a
+//! workload can run under any discovery backend (see [`engine_over`]).
 
+use std::sync::OnceLock;
 use vexus_core::engine::VexusBuilder;
 use vexus_core::{EngineConfig, Vexus};
 use vexus_data::synthetic::{
-    bookcrossing, dbauthors, grocery, BookCrossingConfig, DbAuthorsConfig, GroceryConfig,
-    SyntheticDataset,
+    bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig, SyntheticDataset,
 };
 use vexus_mining::GroupDiscovery;
 
-/// Scale multiplier from the environment (default 1).
-pub fn scale() -> usize {
-    std::env::var("VEXUS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
-/// The standard BookCrossing-like workload at a given scale multiplier.
-pub fn bookcrossing_at(mult: usize) -> SyntheticDataset {
-    bookcrossing(&BookCrossingConfig {
-        n_users: 5_000 * mult,
-        n_books: 4_000 * mult,
-        n_ratings: 30_000 * mult,
-        n_communities: 8,
-        seed: 42,
-    })
-}
-
-/// The standard DB-AUTHORS-like workload.
-pub fn dbauthors_at(mult: usize) -> SyntheticDataset {
-    dbauthors(&DbAuthorsConfig {
-        n_authors: 4_000 * mult,
-        n_publications: 30_000 * mult,
-        n_communities: 6,
-        seed: 42,
-    })
-}
-
-/// The grocery workload for the hypothesis-validation scenario.
-pub fn grocery_default() -> SyntheticDataset {
-    grocery(&GroceryConfig::default())
-}
-
 /// Build an engine over any dataset with any discovery backend — the
-/// plug-in seam the backend-comparison experiments use.
+/// plug-in seam the backend-comparison experiment uses.
 pub fn engine_over(
     ds: SyntheticDataset,
     backend: Box<dyn GroupDiscovery>,
@@ -64,59 +29,50 @@ pub fn engine_over(
         .expect("non-empty group space")
 }
 
-/// Build an engine over the standard BookCrossing workload.
-pub fn bookcrossing_engine(config: EngineConfig) -> (Vexus, Vec<u32>) {
-    let ds = bookcrossing_at(scale());
-    let latent = ds.latent.clone();
+/// Build the paper-configured engine and keep the dataset's latent
+/// community labels beside it.
+fn paper_engine(ds: SyntheticDataset) -> (Vexus, Vec<u32>) {
     let vexus = VexusBuilder::new(ds.data)
-        .config(config)
+        .config(EngineConfig::paper())
         .build()
         .expect("non-empty group space");
-    (vexus, latent)
+    (vexus, ds.latent)
 }
 
-/// Build an engine over the standard DB-AUTHORS workload.
-pub fn dbauthors_engine(config: EngineConfig) -> (Vexus, Vec<u32>) {
-    let ds = dbauthors_at(scale());
-    let latent = ds.latent.clone();
-    let vexus = VexusBuilder::new(ds.data)
-        .config(config)
-        .build()
-        .expect("non-empty group space");
-    (vexus, latent)
+/// The standard BookCrossing-like engine (5 000 users, 30 000 ratings).
+pub fn bookcrossing_engine() -> &'static Vexus {
+    static ENGINE: OnceLock<Vexus> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        let ds = bookcrossing(&BookCrossingConfig {
+            n_users: 5_000,
+            n_books: 4_000,
+            n_ratings: 30_000,
+            n_communities: 8,
+            seed: 42,
+        });
+        paper_engine(ds).0
+    })
 }
 
-/// Small engine for fast criterion benches.
-pub fn small_bookcrossing_engine(config: EngineConfig) -> Vexus {
-    let ds = bookcrossing(&BookCrossingConfig {
-        n_users: 2_000,
-        n_books: 1_500,
-        n_ratings: 12_000,
-        n_communities: 6,
-        seed: 7,
+/// The standard DB-AUTHORS-like engine (4 000 authors, 30 000
+/// publications) and each author's latent community.
+pub fn dbauthors_engine() -> (&'static Vexus, &'static [u32]) {
+    static ENGINE: OnceLock<(Vexus, Vec<u32>)> = OnceLock::new();
+    let (vexus, latent) = ENGINE.get_or_init(|| {
+        paper_engine(dbauthors(&DbAuthorsConfig {
+            n_authors: 4_000,
+            n_publications: 30_000,
+            n_communities: 6,
+            seed: 42,
+        }))
     });
-    VexusBuilder::new(ds.data)
-        .config(config)
-        .build()
-        .expect("non-empty group space")
+    (vexus, latent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vexus_mining::BirchDiscovery;
-
-    #[test]
-    fn scale_defaults_to_one() {
-        // (Environment is not set in tests.)
-        assert!(scale() >= 1);
-    }
-
-    #[test]
-    fn small_engine_builds() {
-        let vexus = small_bookcrossing_engine(EngineConfig::default());
-        assert!(vexus.build_stats().n_groups > 50);
-    }
 
     #[test]
     fn engine_over_swaps_backends() {

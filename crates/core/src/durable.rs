@@ -32,7 +32,6 @@ use crate::snapshot::{decode_engine_sections, encode_engine_sections};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use vexus_data::wal::{action_words, actions_from_words};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync};
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
@@ -376,12 +375,10 @@ pub(crate) fn decode_checkpoint(
     let stats = BuildStats {
         discovery: DiscoveryStats {
             algorithm: "checkpoint",
-            elapsed: Duration::ZERO,
             groups_discovered: decoded.groups.len(),
             candidates_considered: decoded.groups.len(),
             ..Default::default()
         },
-        index_time: Duration::ZERO,
         filtered_out: 0,
         n_groups: decoded.groups.len(),
         index_entries: decoded.index.stats().materialized_entries,

@@ -13,21 +13,18 @@ use crate::config::EngineConfig;
 use crate::error::CoreError;
 use crate::session::{BorrowedEngine, EngineRef, ExplorationSession, Session};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use vexus_data::{SnapshotError, UserData, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
 use vexus_mining::{
     DiscoveryStats, GroupDiscovery, GroupSet, MergeStrategy, ShardScaled, ShardedDiscovery,
 };
 
-/// Timings and sizes of the offline pre-processing stage.
+/// Sizes of the offline pre-processing stage.
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
-    /// Statistics reported by the discovery backend (algorithm name,
-    /// wall-clock, raw group count before size filtering).
+    /// Statistics reported by the discovery backend (algorithm name, raw
+    /// group count before size filtering).
     pub discovery: DiscoveryStats,
-    /// Wall-clock of index construction.
-    pub index_time: Duration,
     /// Groups removed by the size filter.
     pub filtered_out: usize,
     /// Discovered groups (after size filtering).
@@ -150,7 +147,6 @@ impl VexusBuilder {
             DiscoveryStage::Pregrouped(vocab, groups) => {
                 let stats = DiscoveryStats {
                     algorithm: "pregrouped",
-                    elapsed: Duration::ZERO,
                     groups_discovered: groups.len(),
                     candidates_considered: groups.len(),
                     ..Default::default()
@@ -164,12 +160,9 @@ impl VexusBuilder {
             return Err(CoreError::EmptyGroupSpace);
         }
         // Stage 4: index.
-        let t0 = Instant::now();
         let index = GroupIndex::build(&groups, &config.index_config());
-        let index_time = t0.elapsed();
         let stats = BuildStats {
             discovery,
-            index_time,
             filtered_out,
             n_groups: groups.len(),
             index_entries: index.stats().materialized_entries,
@@ -384,7 +377,6 @@ impl Vexus {
         bytes: &[u8],
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        let t0 = Instant::now();
         if crate::failpoint::inject(crate::failpoint::SNAPSHOT_LOAD, 0) {
             return Err(CoreError::Snapshot(SnapshotError::Malformed {
                 tag: 0,
@@ -398,12 +390,10 @@ impl Vexus {
         let stats = BuildStats {
             discovery: DiscoveryStats {
                 algorithm: "snapshot",
-                elapsed: t0.elapsed(),
                 groups_discovered: decoded.groups.len(),
                 candidates_considered: decoded.groups.len(),
                 ..Default::default()
             },
-            index_time: Duration::ZERO,
             filtered_out: 0,
             n_groups: decoded.groups.len(),
             index_entries: decoded.index.stats().materialized_entries,

@@ -159,18 +159,14 @@ impl LiveEngine {
             config.min_group_size,
             data.n_users(),
         );
-        let t0 = Instant::now();
         discovery.observe_arrivals(&data, &vocab, data.actions());
         let (groups, _) = discovery.epoch();
-        let discovery_time = t0.elapsed();
         if groups.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
-        let t1 = Instant::now();
         let index = GroupIndex::build(&groups, &config.index_config());
         let stats = BuildStats {
-            discovery: discovery.stats(discovery_time),
-            index_time: t1.elapsed(),
+            discovery: discovery.stats(),
             filtered_out: 0,
             n_groups: groups.len(),
             index_entries: index.stats().materialized_entries,
@@ -635,30 +631,25 @@ impl LiveEngine {
         }
         let mut data = current.data().clone();
         let actions_applied = data.append_actions(&delta.actions);
-        let t0 = Instant::now();
         let arrivals = state
             .discovery
             .observe_arrivals(&data, current.vocab(), &delta.actions);
         let (groups_new, gdelta) = state.discovery.epoch();
-        let discovery_time = t0.elapsed();
         if groups_new.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
         let config = current.config();
-        let t1 = Instant::now();
         let patch = current.index().apply_delta(
             current.groups(),
             &groups_new,
             &gdelta,
             &config.index_config(),
         );
-        let index_time = t1.elapsed();
         let cache = current
             .neighbor_cache()
             .map(|c| c.carry_over(|g, list| patch.carries(g, list)));
         let stats = BuildStats {
-            discovery: state.discovery.stats(discovery_time),
-            index_time,
+            discovery: state.discovery.stats(),
             filtered_out: 0,
             n_groups: groups_new.len(),
             index_entries: patch.index.stats().materialized_entries,

@@ -201,6 +201,8 @@ pub struct Session<E: EngineRef> {
     history: Vec<HistoryStep>,
     memo: Memo,
     last_outcome: Option<SelectionOutcome>,
+    /// Steps so far whose greedy call hit the time budget.
+    budget_exhausted_steps: usize,
     /// Reused greedy working memory of the clicks (re-initialised each
     /// click, never shrunk; the opening step does not touch it).
     scratch: SelectScratch,
@@ -242,6 +244,7 @@ impl<E: EngineRef> Session<E> {
             history: Vec::new(),
             memo: Memo::default(),
             last_outcome: None,
+            budget_exhausted_steps: 0,
             scratch: SelectScratch::new(),
             candidates: Vec::new(),
         };
@@ -279,6 +282,7 @@ impl<E: EngineRef> Session<E> {
     /// entry and the feedback snapshot are reference-count bumps.
     fn commit_step(&mut self, clicked: Option<GroupId>, outcome: SelectionOutcome) {
         self.display = Arc::from(outcome.selection.as_slice());
+        self.budget_exhausted_steps += usize::from(outcome.budget_exhausted);
         self.last_outcome = Some(outcome);
         self.history.push(HistoryStep {
             clicked,
@@ -584,6 +588,14 @@ impl<E: EngineRef> Session<E> {
     /// P2/P3 telemetry of the most recent greedy call.
     pub fn last_outcome(&self) -> Option<&SelectionOutcome> {
         self.last_outcome.as_ref()
+    }
+
+    /// How many steps of this session (the opening one included) returned
+    /// the anytime answer because the greedy ran out of
+    /// [`EngineConfig::time_budget`] — on a loaded machine a trajectory
+    /// that differs from the seeded one is budget-bound, not wrong.
+    pub fn budget_exhausted_steps(&self) -> usize {
+        self.budget_exhausted_steps
     }
 
     /// The current feedback vector (read-only).

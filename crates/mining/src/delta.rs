@@ -26,7 +26,6 @@
 use crate::discovery::DiscoveryStats;
 use crate::group::{GroupId, GroupSet};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
-use std::time::Duration;
 use vexus_data::{Action, UserData, Vocabulary};
 
 /// The difference between two consecutive epochs' group spaces.
@@ -264,10 +263,9 @@ impl DeltaDiscovery {
     /// Discovery stats for the space cut by the last [`DeltaDiscovery::epoch`]
     /// call, with the miner's stream telemetry filled in — the same
     /// observability surface a batch run reports.
-    pub fn stats(&self, elapsed: Duration) -> DiscoveryStats {
+    pub fn stats(&self) -> DiscoveryStats {
         DiscoveryStats {
             algorithm: "stream-fim-delta",
-            elapsed,
             groups_discovered: self.prev.len(),
             candidates_considered: self.miner.table_size(),
             stream_n_seen: self.miner.n_seen(),
@@ -409,7 +407,7 @@ mod tests {
         assert_eq!(third, second);
 
         // Telemetry mirrors the miner.
-        let stats = dd.stats(Duration::ZERO);
+        let stats = dd.stats();
         assert_eq!(stats.algorithm, "stream-fim-delta");
         assert_eq!(stats.stream_n_seen, 6);
         assert_eq!(stats.groups_discovered, 2);

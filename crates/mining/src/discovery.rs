@@ -28,7 +28,6 @@ use crate::momri::{discover as momri_discover, MomriConfig};
 use crate::sharded::{EnsembleDiscovery, MergeStrategy, MergeTelemetry, ShardedDiscovery};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
 use crate::transactions::TransactionDb;
-use std::time::{Duration, Instant};
 use vexus_data::{ShardStrategy, UserData, Vocabulary};
 
 /// One shard's (or one ensemble member's) contribution to a composite
@@ -41,20 +40,16 @@ pub struct ShardStats {
     pub algorithm: &'static str,
     /// Members (transactions) the shard covered.
     pub members: usize,
-    /// Wall-clock of this shard's discovery run.
-    pub elapsed: Duration,
     /// Groups the shard contributed before merging.
     pub groups_discovered: usize,
 }
 
-/// Timings and counts reported by one discovery run.
+/// Counts reported by one discovery run.
 #[derive(Debug, Clone, Default)]
 pub struct DiscoveryStats {
     /// Backend name (`"lcm"`, `"momri"`, `"birch"`, `"stream-fim"`,
     /// `"sharded"`, `"ensemble"`).
     pub algorithm: &'static str,
-    /// Wall-clock of the discovery stage.
-    pub elapsed: Duration,
     /// Groups returned (before any engine-side size filtering).
     pub groups_discovered: usize,
     /// Internal candidates examined, where the algorithm counts them
@@ -64,14 +59,10 @@ pub struct DiscoveryStats {
     /// Per-shard (or per-ensemble-member) breakdown; empty for plain
     /// single-pass runs.
     pub shards: Vec<ShardStats>,
-    /// Wall-clock of the merge stage folding shard outcomes into one group
-    /// space (zero for plain runs).
-    pub merge_elapsed: Duration,
     /// What the merge stage reported about its closure exchange (all zero
     /// for plain runs, when the exchange is disabled, or when it is
     /// skipped because at most one full-data part contributed
-    /// descriptions). `merge.exchange_elapsed` is a sub-interval of
-    /// `merge_elapsed`.
+    /// descriptions).
     pub merge: MergeTelemetry,
     /// Stream-miner transactions observed over the miner's lifetime
     /// (zero for non-stream backends). For live refreshes this is
@@ -126,12 +117,10 @@ impl GroupDiscovery for LcmDiscovery {
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let db = TransactionDb::build(data, vocab);
         let groups = mine_closed_groups(&db, &self.config);
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered: groups.len(),
             ..Default::default()
@@ -177,7 +166,6 @@ impl GroupDiscovery for MomriDiscovery {
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let db = TransactionDb::build(data, vocab);
         let result = momri_discover(&db, &self.config);
         let candidates_considered = result.candidates.len();
@@ -203,7 +191,6 @@ impl GroupDiscovery for MomriDiscovery {
         };
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered,
             ..Default::default()
@@ -246,7 +233,6 @@ impl GroupDiscovery for BirchDiscovery {
     }
 
     fn discover(&self, data: &UserData, _vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let featurizer = Featurizer::new(data);
         let mut tree = BirchTree::new(BirchConfig {
             branching: self.branching,
@@ -260,7 +246,6 @@ impl GroupDiscovery for BirchDiscovery {
         let groups = tree.into_groups(self.min_cluster_size);
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered,
             ..Default::default()
@@ -290,7 +275,6 @@ impl GroupDiscovery for StreamFimDiscovery {
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let mut miner = StreamMiner::new(self.config.clone());
         for u in data.users() {
             miner.observe(u.raw(), &vocab.user_tokens(data, u));
@@ -299,7 +283,6 @@ impl GroupDiscovery for StreamFimDiscovery {
         let groups = miner.groups();
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered,
             stream_n_seen: miner.n_seen(),

@@ -76,7 +76,6 @@ use crate::discovery::{DiscoveryOutcome, DiscoveryStats, GroupDiscovery, ShardSt
 use crate::group::{Group, GroupSet};
 use crate::transactions::TransactionDb;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 use vexus_data::shard::{ShardPlan, ShardStrategy};
 use vexus_data::{TokenId, UserData, Vocabulary};
 
@@ -606,8 +605,6 @@ pub struct MergeTelemetry {
     pub exchange_rounds_run: usize,
     /// Descriptions the exchange added to the recount worklist.
     pub exchange_candidates: usize,
-    /// Wall-clock of the exchange rounds.
-    pub exchange_elapsed: Duration,
     /// Candidate broadcasts the dedup stage saved: frontier descriptions
     /// that collapsed onto an already-broadcast (or within-round
     /// duplicate) frequency-pruned form, or pruned down to a singleton
@@ -769,7 +766,6 @@ impl MergeStrategy {
                     candidates
                 };
                 if ctx.exchange_rounds > 0 && derive && !candidates.is_empty() {
-                    let t_exchange = Instant::now();
                     let before = candidates.len();
                     let mut pool: std::collections::BTreeSet<Vec<TokenId>> =
                         candidates.iter().cloned().collect();
@@ -818,7 +814,6 @@ impl MergeStrategy {
                         frontier = fresh;
                     }
                     telemetry.exchange_candidates = candidates.len() - before;
-                    telemetry.exchange_elapsed = t_exchange.elapsed();
                 }
                 // Chunks come back in candidate order, so the merged group
                 // order is byte-identical at any worker count.
@@ -1021,7 +1016,6 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
                 shard,
                 algorithm: outcome.stats.algorithm,
                 members,
-                elapsed: outcome.stats.elapsed,
                 groups_discovered: outcome.stats.groups_discovered,
             });
             parts.push(outcome.groups);
@@ -1036,10 +1030,8 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let (parts, shard_stats) = self.mine_parts(data, vocab);
         let pre_merge = parts.iter().map(GroupSet::len).sum();
-        let t_merge = Instant::now();
         // Build the global database once, outside the strategy, so the
         // merge layer never rebuilds it (and callers re-merging through
         // `merge_in` can share one too).
@@ -1058,14 +1050,11 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
         let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
         // Re-apply the user's output caps that per-shard adaptation lifted.
         let groups = self.backend.finish_merge(groups);
-        let merge_elapsed = t_merge.elapsed();
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered: pre_merge,
             shards: shard_stats,
-            merge_elapsed,
             merge,
             ..Default::default()
         };
@@ -1163,7 +1152,6 @@ impl GroupDiscovery for EnsembleDiscovery {
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let t0 = Instant::now();
         let mut shard_stats = Vec::with_capacity(self.backends.len());
         let mut parts = Vec::with_capacity(self.backends.len());
         let mut pre_merge = 0usize;
@@ -1174,12 +1162,10 @@ impl GroupDiscovery for EnsembleDiscovery {
                 shard: i,
                 algorithm: outcome.stats.algorithm,
                 members: data.n_users(),
-                elapsed: outcome.stats.elapsed,
                 groups_discovered: outcome.stats.groups_discovered,
             });
             parts.push(outcome.groups);
         }
-        let t_merge = Instant::now();
         let db = matches!(self.merge, MergeStrategy::SupportRecount { .. })
             .then(|| TransactionDb::build(data, vocab));
         let mut ctx = MergeContext::new(data, vocab)
@@ -1190,14 +1176,11 @@ impl GroupDiscovery for EnsembleDiscovery {
             ctx = ctx.with_db(db);
         }
         let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
-        let merge_elapsed = t_merge.elapsed();
         let stats = DiscoveryStats {
             algorithm: self.name(),
-            elapsed: t0.elapsed(),
             groups_discovered: groups.len(),
             candidates_considered: pre_merge,
             shards: shard_stats,
-            merge_elapsed,
             merge,
             ..Default::default()
         };
@@ -1517,7 +1500,6 @@ mod tests {
             outcome.stats.merge.exchange_candidates > 0,
             "the oversharded regime should exercise the exchange"
         );
-        assert!(outcome.stats.merge.exchange_elapsed <= outcome.stats.merge_elapsed);
         // A second round is a fixpoint no-op: same space, same worklist.
         let two = ShardedDiscovery::new(lcm(10), 8)
             .support_recount(10)
@@ -1694,7 +1676,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(telemetry.exchange_rounds_run, 0);
         assert_eq!(telemetry.exchange_candidates, 0);
-        assert_eq!(telemetry.exchange_elapsed, Duration::ZERO);
     }
 
     #[test]
@@ -1810,7 +1791,6 @@ mod tests {
             .discover(&data, &vocab);
         assert_eq!(single, normalize(&out.groups));
         assert_eq!(out.stats.merge.exchange_rounds_run, 1);
-        assert!(out.stats.merge.exchange_elapsed <= out.stats.merge_elapsed);
     }
 
     #[test]

@@ -35,12 +35,10 @@ fn main() {
         .expect("group space non-empty");
     let stats = vexus.build_stats();
     println!(
-        "pre-processing[{}]: {} groups mined in {:?}; index {} KiB in {:?}",
+        "pre-processing[{}]: {} groups mined; index {} KiB",
         stats.discovery.algorithm,
         stats.n_groups,
-        stats.discovery.elapsed,
-        stats.index_bytes / 1024,
-        stats.index_time
+        stats.index_bytes / 1024
     );
 
     // 3. Interactive exploration: click through three steps.

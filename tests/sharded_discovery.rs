@@ -336,5 +336,4 @@ fn shard_stats_account_for_the_partition() {
         stats.candidates_considered, contributed,
         "pre-merge candidate count must equal the shard contributions"
     );
-    assert!(stats.merge_elapsed <= stats.elapsed);
 }
