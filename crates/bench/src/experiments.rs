@@ -127,17 +127,17 @@ pub fn f1_architecture() -> F1 {
         ("bookcrossing", workloads::bookcrossing_engine()),
         ("dbauthors", workloads::dbauthors_engine().0),
     ] {
-        let s = vexus.build_stats();
+        let index = vexus.index().stats();
         let session = vexus.session().expect("session opens");
         out.budget_exhausted += session.budget_exhausted_steps();
         out.rows.push(F1Row {
             dataset,
             users: vexus.data().n_users(),
             actions: vexus.data().n_actions(),
-            algorithm: s.discovery.algorithm,
-            groups: s.n_groups,
-            index_entries: s.index_entries,
-            index_kib: s.index_bytes / 1024,
+            algorithm: vexus.build_stats().discovery.algorithm,
+            groups: vexus.groups().len(),
+            index_entries: index.materialized_entries,
+            index_kib: index.heap_bytes / 1024,
             shown: session.display().len(),
         });
     }
@@ -327,7 +327,6 @@ pub fn d1_discovery_backends() -> D1 {
         let n_users = ds.data.n_users();
         let name = backend.name();
         let vexus = workloads::engine_over(ds, backend, EngineConfig::paper());
-        let s = vexus.build_stats();
         // Navigability: three clicks through the space, always on the
         // first circle (an open or non-empty step always shows one).
         let mut session = vexus.session().expect("session opens");
@@ -344,8 +343,8 @@ pub fn d1_discovery_backends() -> D1 {
         out.budget_exhausted += session.budget_exhausted_steps();
         out.rows.push(D1Row {
             backend: name,
-            groups: s.n_groups,
-            filtered: s.filtered_out,
+            groups: vexus.groups().len(),
+            filtered: vexus.build_stats().filtered_out,
             coverage: vexus.groups().distinct_users_covered(n_users) as f64 / n_users as f64,
             steps_ok,
             dead_end_neighbors,
@@ -612,7 +611,7 @@ pub fn c2_interaction_latency() -> C2 {
         out.rows.push(C2Row {
             scale,
             users,
-            groups: vexus.build_stats().n_groups,
+            groups: vexus.groups().len(),
             lookup,
             backtrack,
             click,

@@ -15,6 +15,9 @@
 //!   *before* applying it; a checkpoint rotates to a fresh segment named
 //!   by the new watermark.
 //!
+//! Checkpoint sections use tags `0x78`–`0x79` (the tag table is in
+//! [`vexus_data::snapshot`]).
+//!
 //! Checkpoints are written atomically (temp file, fsync, rename, directory
 //! fsync), so a crash at any byte leaves either the old file set or the
 //! new one — never a half-written checkpoint under a final name. The
@@ -32,8 +35,9 @@ use crate::snapshot::{decode_engine_sections, encode_engine_sections};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use vexus_data::snapshot::{join_u64, split_u64};
 use vexus_data::wal::{action_words, actions_from_words};
-use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync};
+use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError};
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, DiscoveryStats, StreamFimConfig};
 
@@ -57,7 +61,7 @@ const CKPT_SUFFIX: &str = ".vxck";
 const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".vxwl";
 
-/// How a durable live engine checkpoints and syncs.
+/// Where and how often a durable live engine checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Directory holding the checkpoint and WAL files.
@@ -65,8 +69,6 @@ pub struct DurabilityConfig {
     /// Write a checkpoint every this many advancing refreshes (`0` means
     /// never — the WAL grows unbounded and recovery replays everything).
     pub checkpoint_every: u64,
-    /// WAL flush discipline (per-frame `fdatasync` vs batched).
-    pub sync: WalSync,
     /// Checkpoints to keep on disk. At least one older checkpoint is
     /// worth retaining: recovery falls back to it when the newest file is
     /// corrupt.
@@ -74,12 +76,11 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Defaults: checkpoint every 8 refreshes, per-frame sync, retain 2.
+    /// Defaults: checkpoint every 8 refreshes, retain 2.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             checkpoint_every: 8,
-            sync: WalSync::PerFrame,
             retain: 2,
         }
     }
@@ -229,14 +230,6 @@ pub(crate) fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn split(v: u64) -> [u32; 2] {
-    [v as u32, (v >> 32) as u32]
-}
-
-fn join(lo: u32, hi: u32) -> u64 {
-    lo as u64 | ((hi as u64) << 32)
-}
-
 fn stream_fingerprint(config: &EngineConfig) -> Result<(StreamFimConfig, usize), CoreError> {
     let DiscoverySelection::StreamFim {
         support,
@@ -272,17 +265,16 @@ pub(crate) fn encode_checkpoint(
     let appended = &engine.data().actions()[n_base_actions..];
     let mut meta = Vec::with_capacity(CKPT_META_WORDS);
     meta.push(CKPT_FORMAT_VERSION);
-    meta.extend(split(watermark));
+    meta.extend(split_u64(watermark));
     meta.push(n_base_actions as u32);
     meta.push(appended.len() as u32);
-    meta.extend(split(fim.support.to_bits()));
-    meta.extend(split(fim.epsilon.to_bits()));
+    meta.extend(split_u64(fim.support.to_bits()));
+    meta.extend(split_u64(fim.epsilon.to_bits()));
     meta.push(fim.max_len as u32);
     meta.push(min_group_size as u32);
     let mut w = SnapshotWriter::new();
-    w.section_words(TAG_CKPT_META, &meta);
-    let tape: Vec<u32> = action_words(appended).collect();
-    w.section_words(TAG_CKPT_ACTIONS, &tape);
+    w.section_words(TAG_CKPT_META, meta);
+    w.section_words(TAG_CKPT_ACTIONS, action_words(appended));
     encode_engine_sections(engine, &mut w);
     encode_stream_state(discovery, &mut w);
     Ok(w.finish())
@@ -317,24 +309,21 @@ pub(crate) fn decode_checkpoint(
 ) -> Result<DecodedCheckpoint, CoreError> {
     let (fim, min_group_size) = stream_fingerprint(config)?;
     let r = SnapshotReader::load(bytes).map_err(CoreError::Snapshot)?;
-    let meta = r
-        .section_words(TAG_CKPT_META)
+    let meta: [u32; CKPT_META_WORDS] = r
+        .meta(TAG_CKPT_META, "checkpoint META is not eleven words")
         .map_err(CoreError::Snapshot)?;
-    if meta.len() != CKPT_META_WORDS {
-        return Err(ckpt_malformed("checkpoint META is not eleven words"));
-    }
     if meta[0] != CKPT_FORMAT_VERSION {
         return Err(ckpt_malformed("unsupported checkpoint format version"));
     }
-    let watermark = join(meta[1], meta[2]);
+    let watermark = join_u64(meta[1], meta[2]);
     let (n_base, n_appended) = (meta[3] as usize, meta[4] as usize);
     if n_base != base.actions().len() {
         return Err(CoreError::Recovery(
             "checkpoint was written against a different bootstrap dataset",
         ));
     }
-    if join(meta[5], meta[6]) != fim.support.to_bits()
-        || join(meta[7], meta[8]) != fim.epsilon.to_bits()
+    if join_u64(meta[5], meta[6]) != fim.support.to_bits()
+        || join_u64(meta[7], meta[8]) != fim.epsilon.to_bits()
         || meta[9] as usize != fim.max_len
         || meta[10] as usize != min_group_size
     {
@@ -380,9 +369,6 @@ pub(crate) fn decode_checkpoint(
             ..Default::default()
         },
         filtered_out: 0,
-        n_groups: decoded.groups.len(),
-        index_entries: decoded.index.stats().materialized_entries,
-        index_bytes: decoded.index.stats().heap_bytes,
     };
     let engine = Vexus::from_live_parts(
         decoded.data,

@@ -11,7 +11,7 @@
 
 use crate::config::EngineConfig;
 use crate::error::CoreError;
-use crate::session::{BorrowedEngine, EngineRef, ExplorationSession, Session};
+use crate::session::{ExplorationSession, Session};
 use std::sync::Arc;
 use vexus_data::{SnapshotError, UserData, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
@@ -19,7 +19,9 @@ use vexus_mining::{
     DiscoveryStats, GroupDiscovery, GroupSet, MergeStrategy, ShardScaled, ShardedDiscovery,
 };
 
-/// Sizes of the offline pre-processing stage.
+/// What the offline pre-processing stage did that the built engine cannot
+/// recompute. (What it produced is the engine: `groups().len()`,
+/// `index().stats()`.)
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
     /// Statistics reported by the discovery backend (algorithm name, raw
@@ -27,12 +29,6 @@ pub struct BuildStats {
     pub discovery: DiscoveryStats,
     /// Groups removed by the size filter.
     pub filtered_out: usize,
-    /// Discovered groups (after size filtering).
-    pub n_groups: usize,
-    /// Materialized neighbor entries.
-    pub index_entries: usize,
-    /// Approximate index heap bytes.
-    pub index_bytes: usize,
 }
 
 /// How the builder obtains the group space.
@@ -164,9 +160,6 @@ impl VexusBuilder {
         let stats = BuildStats {
             discovery,
             filtered_out,
-            n_groups: groups.len(),
-            index_entries: index.stats().materialized_entries,
-            index_bytes: index.stats().heap_bytes,
         };
         Ok(Vexus {
             data,
@@ -202,28 +195,6 @@ pub struct Vexus {
 
 /// An owned session over a shared engine handle — the serving shape.
 pub type OwnedSession = Session<Arc<Vexus>>;
-
-impl EngineRef for Arc<Vexus> {
-    fn data(&self) -> &UserData {
-        &self.as_ref().data
-    }
-
-    fn vocab(&self) -> &Vocabulary {
-        &self.as_ref().vocab
-    }
-
-    fn groups(&self) -> &GroupSet {
-        &self.as_ref().groups
-    }
-
-    fn index(&self) -> &GroupIndex {
-        &self.as_ref().index
-    }
-
-    fn neighbor_cache(&self) -> Option<&NeighborCache> {
-        self.as_ref().cache.as_ref()
-    }
-}
 
 impl OwnedSession {
     /// Open an owned session over a shared engine with the engine's
@@ -302,11 +273,7 @@ impl Vexus {
     /// Open a session with a different configuration (k sweeps, budget
     /// sweeps, feedback ablations) without re-running pre-processing.
     pub fn session_with(&self, config: EngineConfig) -> Result<ExplorationSession<'_>, CoreError> {
-        Session::open_engine(
-            BorrowedEngine::new(&self.data, &self.vocab, &self.groups, &self.index)
-                .with_cache(self.cache.as_ref()),
-            config,
-        )
+        Session::open_engine(self, config)
     }
 
     /// Wrap the engine in an `Arc` for concurrent serving (see
@@ -395,9 +362,6 @@ impl Vexus {
                 ..Default::default()
             },
             filtered_out: 0,
-            n_groups: decoded.groups.len(),
-            index_entries: decoded.index.stats().materialized_entries,
-            index_bytes: decoded.index.stats().heap_bytes,
         };
         Ok(Vexus {
             data: decoded.data,
@@ -445,15 +409,12 @@ mod tests {
         let ds = bookcrossing(&BookCrossingConfig::tiny());
         let vexus = Vexus::build(ds.data, EngineConfig::default()).unwrap();
         let stats = vexus.build_stats();
-        assert!(
-            stats.n_groups > 10,
-            "group space too small: {}",
-            stats.n_groups
-        );
-        assert!(stats.index_entries > 0);
-        assert!(stats.index_bytes > 0);
+        let n_groups = vexus.groups().len();
+        assert!(n_groups > 10, "group space too small: {n_groups}");
+        assert!(vexus.index().stats().materialized_entries > 0);
+        assert!(vexus.index().stats().heap_bytes > 0);
         assert_eq!(stats.discovery.algorithm, "lcm");
-        assert!(stats.discovery.groups_discovered >= stats.n_groups);
+        assert!(stats.discovery.groups_discovered >= n_groups);
         // Every group respects the size floor.
         assert!(vexus.groups().iter().all(|(_, g)| g.size() >= 5));
     }
@@ -481,14 +442,14 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(without.build_stats().discovery.merge.exchange_rounds_run, 0);
-        assert!(without.build_stats().n_groups <= with.build_stats().n_groups);
+        assert!(without.groups().len() <= with.groups().len());
     }
 
     #[test]
     fn builds_from_dbauthors() {
         let ds = dbauthors(&DbAuthorsConfig::tiny());
         let vexus = Vexus::build(ds.data, EngineConfig::default()).unwrap();
-        assert!(vexus.build_stats().n_groups > 10);
+        assert!(vexus.groups().len() > 10);
         let session = vexus.session().unwrap();
         assert!(!session.display().is_empty());
     }
@@ -579,7 +540,7 @@ mod tests {
         );
         assert_eq!(
             stats.discovery.groups_discovered,
-            stats.n_groups + stats.filtered_out
+            vexus.groups().len() + stats.filtered_out
         );
         assert!(vexus.groups().iter().all(|(_, g)| g.size() >= 8));
     }
@@ -638,7 +599,7 @@ mod tests {
         // Exactly the two groups under the floor were dropped, and the
         // accounting says so.
         assert_eq!(stats.filtered_out, 2);
-        assert_eq!(stats.n_groups, 1);
+        assert_eq!(vexus.groups().len(), 1);
         assert_eq!(stats.discovery.groups_discovered, 3);
         assert_eq!(vexus.groups().get(vexus_mining::GroupId::new(0)).size(), 6);
         // min_group_size = 1 keeps every curated group.
@@ -648,7 +609,7 @@ mod tests {
         };
         let vexus = Vexus::with_groups(data, vocab, groups, keep_all).unwrap();
         assert_eq!(vexus.build_stats().filtered_out, 0);
-        assert_eq!(vexus.build_stats().n_groups, 3);
+        assert_eq!(vexus.groups().len(), 3);
     }
 
     #[test]
@@ -670,7 +631,7 @@ mod tests {
         assert_eq!(stats.discovery.algorithm, "sharded");
         assert_eq!(stats.discovery.shards.len(), 4);
         assert!(stats.discovery.shards.iter().all(|s| s.algorithm == "lcm"));
-        assert!(stats.n_groups > 10);
+        assert!(vexus.groups().len() > 10);
         assert!(!vexus.session().unwrap().display().is_empty());
     }
 

@@ -21,9 +21,10 @@
 //!
 //! [`session::Session`] is the five-view state machine (GROUPVIZ,
 //! CONTEXT, STATS, HISTORY, MEMO + the LDA Focus view), generic over how
-//! the engine is held: [`session::ExplorationSession`] borrows it (the
-//! single-owner shape), [`engine::OwnedSession`] holds an `Arc<Vexus>`
-//! handle; [`engine::Vexus`] is the one-call facade that runs the offline
+//! the engine is held (any `Deref<Target = Vexus>`):
+//! [`session::ExplorationSession`] is `Session<&Vexus>` (the single-owner
+//! shape), [`engine::OwnedSession`] is `Session<Arc<Vexus>>`;
+//! [`engine::Vexus`] is the one-call facade that runs the offline
 //! pre-processing pipeline and opens sessions; [`serve`] runs many
 //! concurrent sessions over one shared engine behind a session table;
 //! [`simulate`] provides the target-driven simulated explorers and
@@ -63,5 +64,5 @@ pub use error::{CoreError, ServeError};
 pub use feedback::FeedbackVector;
 pub use live::{LiveEngine, RefreshOutcome};
 pub use serve::{ExplorationService, Request, Response, ServiceConfig, ServiceStats, SessionId};
-pub use session::{BorrowedEngine, EngineRef, ExplorationSession, Session};
+pub use session::{ExplorationSession, Session};
 pub use vexus_data::{SnapshotError, WalError, WalSync};

@@ -45,7 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
-use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError, WalTail, WalWriter};
+use vexus_data::{
+    ActionStream, IngestBuffer, UserData, Vocabulary, WalError, WalSync, WalTail, WalWriter,
+};
 use vexus_index::GroupIndex;
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
@@ -168,9 +170,6 @@ impl LiveEngine {
         let stats = BuildStats {
             discovery: discovery.stats(),
             filtered_out: 0,
-            n_groups: groups.len(),
-            index_entries: index.stats().materialized_entries,
-            index_bytes: index.stats().heap_bytes,
         };
         let cache = config.new_neighbor_cache();
         let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, stats);
@@ -220,7 +219,7 @@ impl LiveEngine {
             let bytes =
                 durable::encode_checkpoint(&live.engine(), &state.discovery, 0, n_base_actions)?;
             durable::write_atomic(&durable::ckpt_path(&durability.dir, 0), &bytes)?;
-            let wal = WalWriter::create(&durable::wal_path(&durability.dir, 0), durability.sync)?;
+            let wal = WalWriter::create(&durable::wal_path(&durability.dir, 0), WalSync::PerFrame)?;
             state.durable = Some(DurableSink {
                 config: durability,
                 wal,
@@ -420,7 +419,7 @@ impl LiveEngine {
             // unreachable.
             let wal = WalWriter::create(
                 &durable::wal_path(&sink.config.dir, watermark),
-                sink.config.sync,
+                WalSync::PerFrame,
             )?;
             durable::prune(&sink.config.dir, sink.config.retain)?;
             Ok(wal)
@@ -587,9 +586,9 @@ impl LiveEngine {
                     None => durable::wal_path(&durability.dir, watermark),
                 };
                 let wal = if seg_path.exists() {
-                    WalWriter::open(&seg_path, durability.sync)?.0
+                    WalWriter::open(&seg_path, WalSync::PerFrame)?.0
                 } else {
-                    WalWriter::create(&seg_path, durability.sync)?
+                    WalWriter::create(&seg_path, WalSync::PerFrame)?
                 };
                 state.durable = Some(DurableSink {
                     config: durability,
@@ -651,9 +650,6 @@ impl LiveEngine {
         let stats = BuildStats {
             discovery: state.discovery.stats(),
             filtered_out: 0,
-            n_groups: groups_new.len(),
-            index_entries: patch.index.stats().materialized_entries,
-            index_bytes: patch.index.stats().heap_bytes,
         };
         let engine = Vexus::from_live_parts(
             data,

@@ -13,15 +13,15 @@
 //!
 //! ## Session = state over a shared, immutable engine
 //!
-//! A [`Session`] is generic over an [`EngineRef`] — anything that can hand
-//! out the four immutable engine parts (dataset, vocabulary, group space,
-//! index). Two instantiations matter:
+//! A [`Session`] is generic over how it holds the engine — any
+//! `Deref<Target = Vexus>`. The engine is immutable post-build, so any
+//! number of sessions, on any number of threads, may hold the same one.
+//! Two instantiations matter:
 //!
-//! * [`ExplorationSession`] (`Session<BorrowedEngine<'_>>`) borrows the
-//!   parts — the original single-owner shape, still what
-//!   [`crate::engine::Vexus::session`] returns,
-//! * `Session<Arc<Vexus>>` ([`crate::engine::OwnedSession`]) owns a
-//!   cheap handle to a shared engine, so thousands of sessions can live on
+//! * [`ExplorationSession`] (`Session<&Vexus>`) borrows it — the
+//!   single-owner shape [`crate::engine::Vexus::session`] returns,
+//! * [`crate::engine::OwnedSession`] (`Session<Arc<Vexus>>`) owns a cheap
+//!   handle to a shared engine, so thousands of sessions can live on
 //!   different threads over one group space — the serving shape behind
 //!   [`crate::serve::ExplorationService`].
 //!
@@ -34,100 +34,21 @@
 //! population, runs on buffers of its own that are dropped on return.
 
 use crate::config::EngineConfig;
+use crate::engine::Vexus;
 use crate::error::CoreError;
 use crate::feedback::{ContextView, FeedbackVector};
 use crate::greedy::{self, ScoredCandidate, SelectParams, SelectScratch, SelectionOutcome};
+use std::ops::Deref;
 use std::sync::Arc;
-use vexus_data::{AttrId, UserData, UserId, Vocabulary};
-use vexus_index::{GroupIndex, NeighborCache};
+use vexus_data::{AttrId, UserData, UserId};
+use vexus_index::GroupIndex;
 use vexus_mining::features::Featurizer;
-use vexus_mining::{GroupId, GroupSet, MemberSet};
+use vexus_mining::{GroupId, MemberSet};
 use vexus_stats::StatsView;
 use vexus_viz::color::{Color, Palette};
 use vexus_viz::force::{ForceConfig, ForceLayout};
 use vexus_viz::lda::Lda;
 use vexus_viz::pca::Pca;
-
-/// Read access to the immutable engine parts a session explores over.
-///
-/// Implementors: [`BorrowedEngine`] (plain borrows, the single-owner
-/// shape) and `Arc<Vexus>` (a shared handle, the serving shape). The
-/// engine is immutable post-build, so any number of sessions — on any
-/// number of threads — may hold the same engine.
-pub trait EngineRef {
-    /// The dataset.
-    fn data(&self) -> &UserData;
-    /// The token vocabulary.
-    fn vocab(&self) -> &Vocabulary;
-    /// The discovered group space.
-    fn groups(&self) -> &GroupSet;
-    /// The similarity index.
-    fn index(&self) -> &GroupIndex;
-    /// The engine's shared neighbor cache, when it has one. Sessions read
-    /// index neighbor lists through it (unless the session config opts
-    /// out), sharing cached lists across all sessions on the engine.
-    fn neighbor_cache(&self) -> Option<&NeighborCache> {
-        None
-    }
-}
-
-/// An [`EngineRef`] over plain borrows — the thin shim that keeps the
-/// original `ExplorationSession<'a>` shape (and every existing example and
-/// test) working unchanged.
-#[derive(Debug, Clone, Copy)]
-pub struct BorrowedEngine<'a> {
-    data: &'a UserData,
-    vocab: &'a Vocabulary,
-    groups: &'a GroupSet,
-    index: &'a GroupIndex,
-    cache: Option<&'a NeighborCache>,
-}
-
-impl<'a> BorrowedEngine<'a> {
-    /// Borrow the four engine parts (no neighbor cache).
-    pub fn new(
-        data: &'a UserData,
-        vocab: &'a Vocabulary,
-        groups: &'a GroupSet,
-        index: &'a GroupIndex,
-    ) -> Self {
-        Self {
-            data,
-            vocab,
-            groups,
-            index,
-            cache: None,
-        }
-    }
-
-    /// Attach a shared neighbor cache.
-    pub fn with_cache(mut self, cache: Option<&'a NeighborCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-}
-
-impl EngineRef for BorrowedEngine<'_> {
-    fn data(&self) -> &UserData {
-        self.data
-    }
-
-    fn vocab(&self) -> &Vocabulary {
-        self.vocab
-    }
-
-    fn groups(&self) -> &GroupSet {
-        self.groups
-    }
-
-    fn index(&self) -> &GroupIndex {
-        self.index
-    }
-
-    fn neighbor_cache(&self) -> Option<&NeighborCache> {
-        self.cache
-    }
-}
 
 /// One entry of the HISTORY view. Snapshots are shared (`Arc`), so pushing
 /// a step never deep-copies the display or the feedback vector; a restore
@@ -192,8 +113,8 @@ pub struct Circle {
 }
 
 /// An interactive exploration over a pre-processed group space, generic
-/// over how the engine is held (see [`EngineRef`]).
-pub struct Session<E: EngineRef> {
+/// over how the engine is held (a borrow, an `Arc`).
+pub struct Session<E: Deref<Target = Vexus>> {
     engine: E,
     config: EngineConfig,
     feedback: Arc<FeedbackVector>,
@@ -210,26 +131,10 @@ pub struct Session<E: EngineRef> {
     candidates: Vec<ScoredCandidate>,
 }
 
-/// The borrowing session — `Session` over [`BorrowedEngine`]. Existing
-/// code spelled against `ExplorationSession<'a>` compiles unchanged.
-pub type ExplorationSession<'a> = Session<BorrowedEngine<'a>>;
+/// The borrowing session — what [`Vexus::session`] returns.
+pub type ExplorationSession<'a> = Session<&'a Vexus>;
 
-impl<'a> ExplorationSession<'a> {
-    /// Open a borrowing session from explicit engine parts: runs the
-    /// opening greedy step over the whole group space (reference = the
-    /// full population).
-    pub fn open(
-        data: &'a UserData,
-        vocab: &'a Vocabulary,
-        groups: &'a GroupSet,
-        index: &'a GroupIndex,
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        Session::open_engine(BorrowedEngine::new(data, vocab, groups, index), config)
-    }
-}
-
-impl<E: EngineRef> Session<E> {
+impl<E: Deref<Target = Vexus>> Session<E> {
     /// Open a session over any engine handle: runs the opening greedy step
     /// over the whole group space (reference = the full population).
     pub fn open_engine(engine: E, config: EngineConfig) -> Result<Self, CoreError> {

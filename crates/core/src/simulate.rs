@@ -18,10 +18,12 @@
 //!   precision (find *a* group almost entirely made of target users — the
 //!   discussion-club case).
 
+use crate::engine::Vexus;
 use crate::error::CoreError;
-use crate::session::{EngineRef, Session};
+use crate::session::Session;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Deref;
 use vexus_data::UserId;
 use vexus_mining::{GroupId, MemberSet};
 
@@ -95,7 +97,7 @@ pub struct StOutcome {
 /// The informed policy clicks the displayed group with the highest Jaccard
 /// similarity to the target (the navigation signal), regardless of the
 /// acceptance criterion (the stop signal).
-pub fn run_st<E: EngineRef>(
+pub fn run_st<E: Deref<Target = Vexus>>(
     session: &mut Session<E>,
     target: &MemberSet,
     accept: StAccept,
@@ -208,7 +210,11 @@ impl MtTask {
 
     /// The members of a group that survive the explorer's brushes — what
     /// she actually sees in the STATS table.
-    fn brushed_members<E: EngineRef>(&self, session: &Session<E>, g: GroupId) -> Vec<UserId> {
+    fn brushed_members<E: Deref<Target = Vexus>>(
+        &self,
+        session: &Session<E>,
+        g: GroupId,
+    ) -> Vec<UserId> {
         let data = session.data();
         session
             .group_members(g)
@@ -236,7 +242,7 @@ pub struct MtOutcome {
 /// Run an MT task: collect the target users by memoizing them whenever an
 /// *inspectable* displayed group contains them; the explorer clicks the
 /// group most likely to narrow onto uncollected targets.
-pub fn run_mt<E: EngineRef>(
+pub fn run_mt<E: Deref<Target = Vexus>>(
     session: &mut Session<E>,
     task: &MtTask,
     policy: Policy,
@@ -343,7 +349,7 @@ pub struct CommitteeOutcome {
 }
 
 /// Run a committee-formation task.
-pub fn run_committee<E: EngineRef>(
+pub fn run_committee<E: Deref<Target = Vexus>>(
     session: &mut Session<E>,
     task: &CommitteeTask,
     policy: Policy,

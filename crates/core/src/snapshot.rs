@@ -4,7 +4,8 @@
 //! the layer codecs — vocabulary (`0x50`), item catalog (`0x4x`), group
 //! space (`0x1x`), CSR + similarity index (`0x2x`/`0x3x`) — behind a
 //! single engine META section (`0x01`) carrying the shape words a loader
-//! cross-checks against the supplied dataset. Loading is validation plus
+//! cross-checks against the supplied dataset (the tag table is in
+//! [`vexus_data::snapshot`]). Loading is validation plus
 //! slice reinterpretation: one buffer copy into an `Arc<[u32]>`, then
 //! zero-copy views for the dominant payloads (group member lists, the
 //! CSR, the materialized neighbor offset tables). No per-group
@@ -27,8 +28,6 @@ use vexus_mining::GroupSet;
 /// CSR's member universe, the largest group member + 1) is stored so the
 /// index section can decode without waiting for the group space.
 pub const TAG_ENGINE_META: u32 = 0x01;
-
-const META_WORDS: usize = 4;
 
 /// The CSR member-universe bound: largest member id in the group space
 /// plus one — the same rule `MemberGroupsCsr::build` uses.
@@ -61,7 +60,7 @@ pub(crate) struct DecodedEngine {
 pub(crate) fn encode_engine_sections(vexus: &Vexus, w: &mut SnapshotWriter) {
     w.section_words(
         TAG_ENGINE_META,
-        &[
+        [
             vexus.data().n_users() as u32,
             vexus.vocab().len() as u32,
             vexus.groups().len() as u32,
@@ -94,19 +93,9 @@ pub(crate) fn decode_engine_sections(
     data: UserData,
     r: &SnapshotReader,
 ) -> Result<DecodedEngine, SnapshotError> {
-    let meta = r.section_words(TAG_ENGINE_META)?;
-    if meta.len() != META_WORDS {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_ENGINE_META,
-            what: "engine META is not four words",
-        });
-    }
-    let (n_users, n_tokens, n_groups, n_members) = (
-        meta[0] as usize,
-        meta[1] as usize,
-        meta[2] as usize,
-        meta[3] as usize,
-    );
+    let [n_users, n_tokens, n_groups, n_members] = r
+        .meta(TAG_ENGINE_META, "engine META is not four words")?
+        .map(|w| w as usize);
     if n_users != data.n_users() {
         return Err(SnapshotError::Malformed {
             tag: TAG_ENGINE_META,

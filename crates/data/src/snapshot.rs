@@ -32,9 +32,25 @@
 //! `tests/snapshot_roundtrip.rs`).
 //!
 //! Section **tags** are allocated in ranges so independent codecs cannot
-//! collide: `0x1x` engine meta (vexus-core), `0x2x` group set
-//! (vexus-mining), `0x3x` member→groups CSR + inverted index
-//! (vexus-index), `0x4x` item catalog, `0x5x` vocabulary (this crate).
+//! collide. This table is the one registry; the per-layer codec headers
+//! point here:
+//!
+//! | tags          | sections                          | codec                      |
+//! |---------------|-----------------------------------|----------------------------|
+//! | `0x01`        | engine META                       | `vexus_core::snapshot`     |
+//! | `0x1x`        | group set                         | `vexus_mining::snapshot`   |
+//! | `0x2x`        | member→groups CSR                 | `vexus_index::snapshot`    |
+//! | `0x3x`        | inverted similarity index         | `vexus_index::snapshot`    |
+//! | `0x4x`        | item catalog                      | this module                |
+//! | `0x5x`        | vocabulary                        | this module                |
+//! | `0x6x`        | WAL frame                         | [`crate::wal`]             |
+//! | `0x70`–`0x77` | stream-miner state                | `vexus_mining::snapshot`   |
+//! | `0x78`–`0x79` | checkpoint META + action tape     | `vexus_core::durable`      |
+//!
+//! What a persisted **list of lists** is — an offset table plus a flat
+//! payload, and what makes the pair valid — is decided here too:
+//! [`Ragged`] is the one type every layer's group descriptions, member
+//! lists, miner itemsets and CSR rows are written from and validated into.
 
 use crate::dataset::{ItemCatalog, Vocabulary};
 use crate::ids::{AttrId, TokenId, ValueId};
@@ -179,44 +195,6 @@ pub fn checksum(buf: &[u8]) -> u32 {
     (h ^ buf.len() as u32).wrapping_mul(PRIME)
 }
 
-/// [`checksum`] computed from the already-parsed little-endian words of a
-/// whole-word buffer — bit-identical to `checksum(bytes)` whenever
-/// `len_bytes == words.len() * 4`. The loader uses this right after the
-/// byte→word copy so the integrity pass reads the cache-warm words
-/// instead of re-parsing the raw bytes.
-fn checksum_of_words(words: &[u32], len_bytes: usize) -> u32 {
-    const OFFSET: u32 = 0x811c_9dc5;
-    const PRIME: u32 = 0x0100_0193;
-    debug_assert_eq!(len_bytes, words.len() * 4);
-    let mut lanes = [OFFSET; 8];
-    let mut stripes = words.chunks_exact(8);
-    let mut first = true;
-    for stripe in &mut stripes {
-        let mut ws: [u32; 8] = stripe.try_into().expect("8-word stripe");
-        if first {
-            ws[4] = 0;
-            first = false;
-        }
-        for j in 0..8 {
-            lanes[j] = (lanes[j] ^ ws[j]).wrapping_mul(PRIME);
-        }
-    }
-    let mut h = OFFSET;
-    for lane in lanes {
-        h = (h ^ lane).wrapping_mul(PRIME);
-    }
-    let tail_words = stripes.remainder();
-    let tail_start = len_bytes - tail_words.len() * 4;
-    for (k, &w) in tail_words.iter().enumerate() {
-        for (i, &b) in w.to_le_bytes().iter().enumerate() {
-            let at = tail_start + k * 4 + i;
-            let b = if (16..20).contains(&at) { 0 } else { b };
-            h = (h ^ b as u32).wrapping_mul(PRIME);
-        }
-    }
-    (h ^ len_bytes as u32).wrapping_mul(PRIME)
-}
-
 /// Recompute and stamp the checksum word of a serialized snapshot. The
 /// writer calls this last; corruption tests reuse it to re-seal a buffer
 /// after a targeted mutation so structural validation (not the checksum)
@@ -246,22 +224,20 @@ impl SnapshotWriter {
     }
 
     /// Append a `u32`-array section.
-    pub fn section_words(&mut self, tag: u32, words: &[u32]) {
-        let mut bytes = Vec::with_capacity(words.len() * 4);
+    pub fn section_words(&mut self, tag: u32, words: impl IntoIterator<Item = u32>) {
+        let words = words.into_iter();
+        let mut bytes = Vec::with_capacity(words.size_hint().0 * 4);
         for w in words {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
         self.sections.push((tag, bytes));
     }
 
-    /// Append a `u32`-array section from an iterator (avoids collecting a
-    /// temporary `Vec<u32>` for derived arrays).
-    pub fn section_word_iter(&mut self, tag: u32, words: impl Iterator<Item = u32>) {
-        let mut bytes = Vec::new();
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        self.sections.push((tag, bytes));
+    /// Append a list of lists as its two sections: the offset table, then
+    /// the flat items.
+    pub fn ragged(&mut self, offsets_tag: u32, items_tag: u32, lists: &Ragged) {
+        self.section_words(offsets_tag, lists.offsets.iter().copied());
+        self.section_words(items_tag, lists.items.iter().copied());
     }
 
     /// Append a raw byte section (string blobs). The recorded length is
@@ -412,6 +388,125 @@ impl PartialEq for U32Store {
     }
 }
 
+/// A list of `u32` lists in its persisted shape: list `i` is
+/// `items[offsets[i]..offsets[i + 1]]`. The one owner of that layout —
+/// every constructor establishes that `offsets` starts at 0, never
+/// decreases and ends exactly at `items.len()`, so [`Ragged::list`] cannot
+/// index out of range whatever file the table came from. Both arrays are
+/// borrowed-or-owned ([`U32Store`]): [`SnapshotReader::ragged`] yields
+/// views into the loaded buffer, the builders own theirs.
+#[derive(Debug, Clone)]
+pub struct Ragged {
+    offsets: U32Store,
+    items: U32Store,
+    /// The section `items` was loaded from (0 for a built table) — the tag
+    /// [`Ragged::ascending_below`] reports.
+    items_tag: u32,
+}
+
+impl Ragged {
+    /// The one constructor: `None` unless `offsets` is a monotone table
+    /// from 0 to exactly `items.len()`.
+    fn new(offsets: U32Store, items: U32Store, items_tag: u32) -> Option<Self> {
+        offsets_cover(&offsets, items.len()).then_some(Self {
+            offsets,
+            items,
+            items_tag,
+        })
+    }
+
+    /// Flatten `lists`, in order.
+    pub fn from_lists<L: IntoIterator<Item = u32>>(lists: impl IntoIterator<Item = L>) -> Self {
+        let (offsets, items) = flatten(lists);
+        Self::new(offsets.into(), items.into(), 0).expect("flatten records where each list ends")
+    }
+
+    /// Adopt an already-flat pair (a counting sort's output), or `None` if
+    /// `offsets` does not lay out `items`.
+    pub fn from_parts(offsets: Vec<u32>, items: Vec<u32>) -> Option<Self> {
+        Self::new(offsets.into(), items.into(), 0)
+    }
+
+    /// Additionally require every item to stay below `bound` and every
+    /// list to be strictly ascending — what a sorted id list over a dense
+    /// universe must satisfy. Array-global, never a per-list loop: the
+    /// bound is one vectorized `max` reduction over the flat items
+    /// ([`all_bounded`]), the order one flat violation-counting pass
+    /// ([`runs_sorted`]).
+    pub fn ascending_below(self, bound: usize, what: &'static str) -> Result<Self, SnapshotError> {
+        if all_bounded(&self.items, bound) && runs_sorted(&self.items, &self.offsets, |a, b| a >= b)
+        {
+            Ok(self)
+        } else {
+            Err(SnapshotError::Malformed {
+                tag: self.items_tag,
+                what,
+            })
+        }
+    }
+
+    /// Number of lists.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no lists.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// List `i`.
+    #[inline]
+    pub fn list(&self, i: usize) -> &[u32] {
+        &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// List `i` as storage of its own: a narrower view into the snapshot
+    /// buffer when this table is one, a copy otherwise.
+    pub fn store(&self, i: usize) -> U32Store {
+        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        match &self.items {
+            U32Store::Owned(v) => v[lo..hi].to_vec().into(),
+            U32Store::Shared(s) => s.slice(lo, hi - lo).expect("offsets lay out items").into(),
+        }
+    }
+
+    /// The offset table (`len() + 1` entries).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// The concatenated items, list-major.
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
+
+    /// The two arrays, `(offsets, items)`, for a structure that keeps them
+    /// beside a payload of its own.
+    pub fn into_parts(self) -> (U32Store, U32Store) {
+        (self.offsets, self.items)
+    }
+
+    /// Heap bytes owned by the table (zero for snapshot-backed views).
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.heap_bytes() + self.items.heap_bytes()
+    }
+}
+
+/// The one encoder of "offset table + flat payload": concatenate `lists`
+/// and record where each ends.
+fn flatten<T, L: IntoIterator<Item = T>>(lists: impl IntoIterator<Item = L>) -> (Vec<u32>, Vec<T>) {
+    let lists = lists.into_iter();
+    let mut offsets = Vec::with_capacity(lists.size_hint().0 + 1);
+    let mut items = Vec::new();
+    offsets.push(0u32);
+    for list in lists {
+        items.extend(list);
+        offsets.push(items.len() as u32);
+    }
+    (offsets, items)
+}
+
 /// A validated, loaded snapshot: the shared word buffer plus the parsed
 /// section table. All section accessors hand out [`WordSlice`] views (or
 /// decoded byte blobs for string sections) over the one buffer.
@@ -474,7 +569,7 @@ impl SnapshotReader {
             });
         }
         let stored = words[4];
-        let computed = checksum_of_words(&words, bytes.len());
+        let computed = checksum(bytes);
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
@@ -533,6 +628,31 @@ impl SnapshotReader {
         })
     }
 
+    /// A fixed-width section as exactly `N` words (`what` names the shape
+    /// in the error when the length is anything else).
+    pub fn meta<const N: usize>(
+        &self,
+        tag: u32,
+        what: &'static str,
+    ) -> Result<[u32; N], SnapshotError> {
+        self.section_words(tag)?
+            .as_slice()
+            .try_into()
+            .map_err(|_| SnapshotError::Malformed { tag, what })
+    }
+
+    /// A list of lists from its two sections, as zero-copy views, once the
+    /// offset table is known to be monotone from 0 to exactly the item
+    /// count.
+    pub fn ragged(&self, offsets_tag: u32, items_tag: u32) -> Result<Ragged, SnapshotError> {
+        let offsets = self.section_words(offsets_tag)?;
+        let items = self.section_words(items_tag)?;
+        Ragged::new(offsets.into(), items.into(), items_tag).ok_or(SnapshotError::Malformed {
+            tag: offsets_tag,
+            what: "offset table is not monotone from 0 to its payload length",
+        })
+    }
+
     /// A raw byte section, decoded to an owned blob (string tables; their
     /// contents become owned `String`s anyway).
     pub fn section_bytes_owned(&self, tag: u32) -> Result<Vec<u8>, SnapshotError> {
@@ -550,25 +670,22 @@ impl SnapshotReader {
     }
 }
 
-/// Validate that `offsets` is a monotone offset table ending exactly at
-/// `total` (`offsets[0] == 0`, non-decreasing, `offsets.last() == total`).
-/// Shared by every offsets-plus-payload section decoder.
-pub fn validate_offsets(
-    tag: u32,
-    offsets: &[u32],
-    total: usize,
-    what: &'static str,
-) -> Result<(), SnapshotError> {
-    if offsets.is_empty() || offsets[0] != 0 {
-        return Err(SnapshotError::Malformed { tag, what });
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(SnapshotError::Malformed { tag, what });
-    }
-    if *offsets.last().expect("non-empty") as usize != total {
-        return Err(SnapshotError::Malformed { tag, what });
-    }
-    Ok(())
+/// Split a `u64` into its `[lo, hi]` words — how every section stores one.
+pub fn split_u64(v: u64) -> [u32; 2] {
+    [v as u32, (v >> 32) as u32]
+}
+
+/// The `u64` stored as `[lo, hi]` by [`split_u64`].
+pub fn join_u64(lo: u32, hi: u32) -> u64 {
+    lo as u64 | ((hi as u64) << 32)
+}
+
+/// True iff `offsets` is a monotone offset table ending exactly at `total`
+/// (`offsets[0] == 0`, non-decreasing, `offsets.last() == total`).
+fn offsets_cover(offsets: &[u32], total: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+        && offsets.last().is_some_and(|&end| end as usize == total)
 }
 
 /// True iff every word stays below `bound`. A pure `max` reduction the
@@ -608,14 +725,8 @@ pub fn runs_sorted<T>(items: &[T], offsets: &[u32], violates: impl Fn(&T, &T) ->
 
 /// Encode a string table as an offsets section plus a UTF-8 blob section.
 fn encode_strings(w: &mut SnapshotWriter, offsets_tag: u32, bytes_tag: u32, strings: &[String]) {
-    let mut offsets = Vec::with_capacity(strings.len() + 1);
-    let mut blob = Vec::new();
-    offsets.push(0u32);
-    for s in strings {
-        blob.extend_from_slice(s.as_bytes());
-        offsets.push(blob.len() as u32);
-    }
-    w.section_words(offsets_tag, &offsets);
+    let (offsets, blob) = flatten(strings.iter().map(|s| s.bytes()));
+    w.section_words(offsets_tag, offsets);
     w.section_bytes(bytes_tag, &blob);
 }
 
@@ -627,7 +738,12 @@ fn decode_strings(
 ) -> Result<Vec<String>, SnapshotError> {
     let offsets = r.section_words(offsets_tag)?;
     let blob = r.section_bytes_owned(bytes_tag)?;
-    validate_offsets(offsets_tag, &offsets, blob.len(), "bad string offsets")?;
+    if !offsets_cover(&offsets, blob.len()) {
+        return Err(SnapshotError::Malformed {
+            tag: offsets_tag,
+            what: "bad string offsets",
+        });
+    }
     // One bulk UTF-8 validation over the whole blob, then O(1) char-
     // boundary checks at each split point: a substring of valid UTF-8 cut
     // at char boundaries is valid UTF-8, so this accepts exactly what
@@ -657,7 +773,7 @@ pub fn encode_item_catalog(cat: &ItemCatalog, w: &mut SnapshotWriter) {
         TAG_CATALOG_NAME_BYTES,
         &cat.item_names,
     );
-    w.section_words(TAG_CATALOG_CATEGORIES, &cat.item_categories);
+    w.section_words(TAG_CATALOG_CATEGORIES, cat.item_categories.iter().copied());
     encode_strings(
         w,
         TAG_CATALOG_LABEL_OFFSETS,
@@ -695,7 +811,7 @@ pub fn decode_item_catalog(r: &SnapshotReader) -> Result<ItemCatalog, SnapshotEr
 
 /// Encode the vocabulary as `(attr, value)` word pairs in token order.
 pub fn encode_vocabulary(vocab: &Vocabulary, w: &mut SnapshotWriter) {
-    w.section_word_iter(
+    w.section_words(
         TAG_VOCAB_PAIRS,
         vocab
             .pairs
@@ -739,7 +855,7 @@ mod tests {
 
     fn two_section_buf() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.section_words(0x1, &[1, 2, 3]);
+        w.section_words(0x1, [1, 2, 3]);
         w.section_bytes(0x2, b"hello");
         w.finish()
     }
@@ -830,25 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_of_words_matches_byte_checksum() {
-        // The word form must agree with the byte form for every
-        // whole-word length, including sub-stripe buffers where the tail
-        // covers the checksum bytes themselves.
-        for n_words in [5usize, 6, 7, 8, 9, 15, 16, 17, 64, 257] {
-            let bytes: Vec<u8> = (0..n_words * 4).map(|i| (i * 37 + 11) as u8).collect();
-            let words: Vec<u32> = bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            assert_eq!(
-                checksum_of_words(&words, bytes.len()),
-                checksum(&bytes),
-                "disagrees at {n_words} words"
-            );
-        }
-    }
-
-    #[test]
     fn out_of_bounds_and_misaligned_sections() {
         // Section offset beyond the buffer (restamped so the checksum is
         // valid and the structural check is what fires).
@@ -881,8 +978,8 @@ mod tests {
     #[test]
     fn duplicate_sections_rejected() {
         let mut w = SnapshotWriter::new();
-        w.section_words(0x7, &[1]);
-        w.section_words(0x7, &[2]);
+        w.section_words(0x7, [1]);
+        w.section_words(0x7, [2]);
         let buf = w.finish();
         assert_eq!(
             SnapshotReader::load(&buf).unwrap_err(),
@@ -908,13 +1005,74 @@ mod tests {
         assert!(owned.heap_bytes() >= 8);
     }
 
+    /// Load `offsets` / `items` as sections `0x1` / `0x2` and read them
+    /// back as a ragged table of ids below `bound`.
+    fn load_ragged(offsets: &[u32], items: &[u32], bound: usize) -> Result<Ragged, SnapshotError> {
+        let mut w = SnapshotWriter::new();
+        w.section_words(0x1, offsets.iter().copied());
+        w.section_words(0x2, items.iter().copied());
+        SnapshotReader::load(&w.finish())
+            .unwrap()
+            .ragged(0x1, 0x2)?
+            .ascending_below(bound, "x")
+    }
+
     #[test]
-    fn offsets_validation() {
-        assert!(validate_offsets(0x1, &[0, 2, 5], 5, "x").is_ok());
-        assert!(validate_offsets(0x1, &[], 0, "x").is_err());
-        assert!(validate_offsets(0x1, &[1, 2], 2, "x").is_err());
-        assert!(validate_offsets(0x1, &[0, 3, 2], 2, "x").is_err());
-        assert!(validate_offsets(0x1, &[0, 2], 3, "x").is_err());
+    fn ragged_round_trips_and_hands_out_lists() {
+        let built = Ragged::from_lists([vec![0, 3, 5], vec![], vec![1, 2]]);
+        assert_eq!(built.offsets(), &[0, 3, 3, 5]);
+        assert_eq!(built.items(), &[0, 3, 5, 1, 2]);
+        let mut w = SnapshotWriter::new();
+        w.ragged(0x1, 0x2, &built);
+        let r = SnapshotReader::load(&w.finish()).unwrap();
+        let loaded = r.ragged(0x1, 0x2).unwrap().ascending_below(6, "x").unwrap();
+        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded.list(0), &[0, 3, 5]);
+        assert_eq!(loaded.list(1), &[] as &[u32]);
+        assert_eq!(loaded.list(2), &[1, 2]);
+        // A loaded table and its lists are views; a built one owns both.
+        assert_eq!(loaded.heap_bytes(), 0);
+        assert_eq!(loaded.store(2).heap_bytes(), 0);
+        assert!(built.heap_bytes() > 0);
+        assert_eq!(built.store(2), loaded.store(2));
+        // No lists at all is a one-entry table.
+        let empty = Ragged::from_lists(Vec::<Vec<u32>>::new());
+        assert!(empty.is_empty());
+        assert_eq!(empty.offsets(), &[0]);
+        assert!(Ragged::from_parts(vec![0, 1], vec![9]).is_some());
+        assert!(Ragged::from_parts(vec![0, 2], vec![9]).is_none());
+    }
+
+    #[test]
+    fn ragged_rejects_each_broken_rule() {
+        let offsets_err = Err(SnapshotError::Malformed {
+            tag: 0x1,
+            what: "offset table is not monotone from 0 to its payload length",
+        });
+        let items_err = Err(SnapshotError::Malformed {
+            tag: 0x2,
+            what: "x",
+        });
+        let tags = |r: Result<Ragged, SnapshotError>| r.map(|_| ());
+        assert_eq!(tags(load_ragged(&[0, 2, 5], &[1, 2, 0, 3, 4], 5)), Ok(()));
+        // First offset is not 0.
+        assert_eq!(tags(load_ragged(&[1, 2], &[0, 1], 9)), offsets_err);
+        // Offsets decrease.
+        assert_eq!(tags(load_ragged(&[0, 3, 2], &[0, 1], 9)), offsets_err);
+        // Last offset is not the payload length (short, then long).
+        assert_eq!(tags(load_ragged(&[0, 2], &[0, 1, 2], 9)), offsets_err);
+        assert_eq!(tags(load_ragged(&[0, 4], &[0, 1, 2], 9)), offsets_err);
+        // An empty table has no first offset.
+        assert_eq!(tags(load_ragged(&[], &[], 9)), offsets_err);
+        // An item at the bound.
+        assert_eq!(tags(load_ragged(&[0, 2], &[0, 5], 5)), items_err);
+        // A descending (or repeated) pair inside a list.
+        assert_eq!(tags(load_ragged(&[0, 3], &[0, 2, 1], 9)), items_err);
+        assert_eq!(tags(load_ragged(&[0, 2], &[4, 4], 9)), items_err);
+        // The same pair across a list boundary is legal — also past an
+        // empty list, whose two offsets name the same boundary.
+        assert_eq!(tags(load_ragged(&[0, 2, 3], &[0, 2, 1], 9)), Ok(()));
+        assert_eq!(tags(load_ragged(&[0, 2, 2, 3], &[0, 2, 1], 9)), Ok(()));
     }
 
     #[test]

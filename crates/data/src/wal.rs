@@ -13,18 +13,18 @@
 //!
 //! [`WalWriter`] appends under a two-phase `append`/`commit` discipline:
 //! `append` stages the frame bytes, `commit` makes them part of the log
-//! (flushing per [`WalSync`]); any failure between the two rolls the file
+//! (one `fdatasync`); any failure between the two rolls the file
 //! back to its committed length, so a failed append can be retried without
 //! duplicating frames. [`read_wal`] scans a segment into frames plus a
 //! tail verdict; [`truncate_at`]/[`corrupt_byte_at`] are the torn-write
 //! simulator the crash tests drive.
 //!
-//! Section tags `0x6x` are reserved for WAL frames; `0x7x` for the live
-//! checkpoint sections layered on by `vexus-mining`/`vexus-core`.
+//! Section tags `0x6x` are reserved for WAL frames (the tag table is in
+//! [`crate::snapshot`]).
 
 use crate::dataset::Action;
 use crate::ids::{ItemId, UserId};
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{join_u64, split_u64, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -41,17 +41,17 @@ pub const TAG_WAL_FRAME: u32 = 0x60;
 /// Frame payload: `[user, item, value_bits]` per action.
 pub const TAG_WAL_ACTIONS: u32 = 0x61;
 
-/// When appended frames are forced to stable storage.
+/// When appended frames are forced to stable storage. There is one
+/// answer — on every commit — so this is not a choice: the enum and the
+/// parameter of [`WalWriter::create`] / [`WalWriter::open`] exist only
+/// because the ledger (`benchmark/src/workloads/live.rs`) spells
+/// `WalWriter::create(_, WalSync::PerFrame)`, and go with ROADMAP item 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WalSync {
     /// `fdatasync` on every [`WalWriter::commit`] — a committed frame
-    /// survives a crash. The durable default.
+    /// survives a crash.
     #[default]
     PerFrame,
-    /// Commits only flush to the OS; [`WalWriter::sync`] (called at
-    /// checkpoint time) forces stability. A crash may lose frames since
-    /// the last sync — the cheap knob (`data.wal_append_us` in `benchmark/`).
-    Batched,
 }
 
 /// Typed WAL failures. IO errors are flattened to `(op, ErrorKind)` so the
@@ -147,37 +147,29 @@ pub struct WalFrame {
 /// Encode one frame payload (a self-validating snapshot buffer).
 pub fn encode_frame(epoch: u64, actions: &[Action]) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
-    w.section_words(
-        TAG_WAL_FRAME,
-        &[epoch as u32, (epoch >> 32) as u32, actions.len() as u32],
-    );
-    w.section_word_iter(TAG_WAL_ACTIONS, action_words(actions));
+    let [lo, hi] = split_u64(epoch);
+    w.section_words(TAG_WAL_FRAME, [lo, hi, actions.len() as u32]);
+    w.section_words(TAG_WAL_ACTIONS, action_words(actions));
     w.finish()
 }
 
 /// Decode one frame payload written by [`encode_frame`].
 pub fn decode_frame(bytes: &[u8]) -> Result<WalFrame, WalError> {
     let r = SnapshotReader::load(bytes)?;
-    let meta = r.section_words(TAG_WAL_FRAME)?;
-    let meta = meta.as_slice();
-    if meta.len() != 3 {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_WAL_FRAME,
-            what: "frame META is not three words",
-        }
-        .into());
-    }
-    let epoch = meta[0] as u64 | ((meta[1] as u64) << 32);
+    let [lo, hi, n_actions] = r.meta(TAG_WAL_FRAME, "frame META is not three words")?;
     let payload = r.section_words(TAG_WAL_ACTIONS)?;
     let actions = actions_from_words(TAG_WAL_ACTIONS, payload.as_slice())?;
-    if actions.len() != meta[2] as usize {
+    if actions.len() != n_actions as usize {
         return Err(SnapshotError::Malformed {
             tag: TAG_WAL_FRAME,
             what: "frame META action count disagrees with the payload",
         }
         .into());
     }
-    Ok(WalFrame { epoch, actions })
+    Ok(WalFrame {
+        epoch: join_u64(lo, hi),
+        actions,
+    })
 }
 
 /// Where a segment scan ended.
@@ -293,7 +285,6 @@ pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    sync: WalSync,
     /// Valid log length: every byte below this is a whole committed frame
     /// (or the header). Rollback truncates to it.
     committed: u64,
@@ -306,7 +297,7 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create a fresh segment at `path` (fails if the file exists) and
     /// write its header.
-    pub fn create(path: &Path, sync: WalSync) -> Result<Self, WalError> {
+    pub fn create(path: &Path, _sync: WalSync) -> Result<Self, WalError> {
         let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
@@ -319,7 +310,6 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
-            sync,
             committed: WAL_HEADER_BYTES,
             staged: 0,
             poisoned: false,
@@ -330,7 +320,7 @@ impl WalWriter {
     /// Reopen an existing segment for appending: scan it, physically
     /// truncate any torn tail, and position at the end of the valid
     /// prefix. Returns the scan so the caller sees the surviving frames.
-    pub fn open(path: &Path, sync: WalSync) -> Result<(Self, WalScan), WalError> {
+    pub fn open(path: &Path, _sync: WalSync) -> Result<(Self, WalScan), WalError> {
         let scan = read_wal(path)?;
         let file = OpenOptions::new()
             .write(true)
@@ -340,7 +330,6 @@ impl WalWriter {
         let mut w = WalWriter {
             file,
             path: path.to_path_buf(),
-            sync,
             committed: scan.valid_bytes().max(WAL_HEADER_BYTES),
             staged: 0,
             poisoned: false,
@@ -389,19 +378,15 @@ impl WalWriter {
         }
     }
 
-    /// Commit the staged frame: flush it (and `fdatasync` under
-    /// [`WalSync::PerFrame`]) and extend the valid log length. Returns the
-    /// frame bytes committed. On error the staged bytes are rolled back.
+    /// Commit the staged frame: `fdatasync` it and extend the valid log
+    /// length. Returns the frame bytes committed. On error the staged
+    /// bytes are rolled back.
     pub fn commit(&mut self) -> Result<u64, WalError> {
         if self.poisoned {
             return Err(WalError::Poisoned);
         }
         let staged = self.staged;
-        let res = match self.sync {
-            WalSync::PerFrame => self.file.sync_data(),
-            WalSync::Batched => self.file.flush(),
-        };
-        if let Err(e) = res {
+        if let Err(e) = self.file.sync_data() {
             self.rollback();
             return Err(WalError::Io {
                 op: "commit",
@@ -429,12 +414,6 @@ impl WalWriter {
         {
             self.poisoned = true;
         }
-    }
-
-    /// Force every committed frame to stable storage (the checkpoint-time
-    /// barrier for [`WalSync::Batched`] writers).
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_data().map_err(io_err("sync"))
     }
 
     /// Valid log length in bytes (header plus committed frames).
@@ -527,10 +506,9 @@ mod tests {
         assert_eq!(scan.frames, expect);
         // Large epochs survive the two-word split.
         let path2 = path.with_file_name("wal-big.vxwl");
-        let mut w2 = WalWriter::create(&path2, WalSync::Batched).unwrap();
+        let mut w2 = WalWriter::create(&path2, WalSync::PerFrame).unwrap();
         w2.append(u64::MAX - 1, &[act(0, 0, 1.0)]).unwrap();
         w2.commit().unwrap();
-        w2.sync().unwrap();
         assert_eq!(read_wal(&path2).unwrap().frames[0].epoch, u64::MAX - 1);
     }
 

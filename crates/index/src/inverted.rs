@@ -26,6 +26,7 @@
 //! ([`IndexPatch::carries`]).
 
 use crate::graph::OverlapGraph;
+use vexus_data::snapshot::Ragged;
 use vexus_data::U32Store;
 use vexus_mining::{Group, GroupDelta, GroupId, GroupSet};
 
@@ -66,18 +67,15 @@ pub struct IndexStats {
 /// One neighbor entry: a group and its Jaccard similarity.
 pub type Neighbor = (GroupId, f32);
 
-/// Flat CSR member→groups map: `ids[offsets[u]..offsets[u + 1]]` are the
-/// groups containing member `u`, ascending. One `offsets`/`ids` pair
-/// instead of a per-member `Vec<Vec<u32>>` — no per-member allocations,
-/// cache-linear candidate scans — and is shared
-/// between the index build, the retained exact-fallback path and
-/// [`build_overlap_graph`].
-/// Storage is borrowed-or-owned ([`U32Store`]): the built form owns its
-/// arrays, the snapshot-loaded form views the shared buffer.
-#[derive(Debug, Clone, Default)]
+/// Flat CSR member→groups map: list `u` of one [`Ragged`] table holds the
+/// groups containing member `u`, ascending. One offsets/ids pair instead
+/// of a per-member `Vec<Vec<u32>>` — no per-member allocations,
+/// cache-linear candidate scans — and is shared between the index build,
+/// the retained exact-fallback path and [`build_overlap_graph`]. The built
+/// form owns its arrays, the snapshot-loaded form views the shared buffer.
+#[derive(Debug, Clone)]
 pub struct MemberGroupsCsr {
-    offsets: U32Store,
-    ids: U32Store,
+    lists: Ragged,
 }
 
 impl MemberGroupsCsr {
@@ -112,38 +110,30 @@ impl MemberGroupsCsr {
                 *at += 1;
             }
         }
-        Self {
-            offsets: offsets.into(),
-            ids: ids.into(),
-        }
+        let lists = Ragged::from_parts(offsets, ids).expect("a prefix sum of the list lengths");
+        Self { lists }
     }
 
-    /// Reassemble from storage (the snapshot decode path; offsets/ids may
-    /// be zero-copy views). The caller has validated CSR invariants.
-    pub(crate) fn from_stores(offsets: U32Store, ids: U32Store) -> Self {
-        Self { offsets, ids }
+    /// Wrap a loaded table (the snapshot decode path; the caller has
+    /// validated the CSR invariants).
+    pub(crate) fn from_lists(lists: Ragged) -> Self {
+        Self { lists }
     }
 
-    /// The raw offset table (`n_members + 1` entries).
-    pub(crate) fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The raw concatenated group ids, member-major.
-    pub(crate) fn ids(&self) -> &[u32] {
-        &self.ids
+    /// The underlying table — the snapshot encoder's view.
+    pub(crate) fn lists(&self) -> &Ragged {
+        &self.lists
     }
 
     /// Number of members covered (the dense id bound).
     pub fn n_members(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.lists.len()
     }
 
     /// The groups containing `member`, ascending.
+    #[inline]
     pub fn groups_of(&self, member: u32) -> &[u32] {
-        let lo = self.offsets[member as usize] as usize;
-        let hi = self.offsets[member as usize + 1] as usize;
-        &self.ids[lo..hi]
+        self.lists.list(member as usize)
     }
 
     /// The groups containing `member` whose id is strictly greater than
@@ -158,7 +148,7 @@ impl MemberGroupsCsr {
     /// Heap bytes owned by the map (zero for snapshot-backed views; the
     /// shared buffer is accounted once at the engine level).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.heap_bytes() + self.ids.heap_bytes()
+        self.lists.heap_bytes()
     }
 }
 
@@ -821,13 +811,13 @@ mod tests {
             "{what}: entries"
         );
         assert_eq!(
-            a.member_groups.offsets(),
-            b.member_groups.offsets(),
+            a.member_groups.lists().offsets(),
+            b.member_groups.lists().offsets(),
             "{what}: CSR offsets"
         );
         assert_eq!(
-            a.member_groups.ids(),
-            b.member_groups.ids(),
+            a.member_groups.lists().items(),
+            b.member_groups.lists().items(),
             "{what}: CSR ids"
         );
     }
@@ -1520,12 +1510,12 @@ mod tests {
                         );
                     }
                     prop_assert_eq!(
-                        patch.index.member_groups.offsets(),
-                        reference.member_groups.offsets()
+                        patch.index.member_groups.lists().offsets(),
+                        reference.member_groups.lists().offsets()
                     );
                     prop_assert_eq!(
-                        patch.index.member_groups.ids(),
-                        reference.member_groups.ids()
+                        patch.index.member_groups.lists().items(),
+                        reference.member_groups.lists().items()
                     );
                     assert_clean_groups_are_rewrites(
                         &idx, &patch, &format!("epoch={e} threads={threads}"));

@@ -1,4 +1,5 @@
-//! Snapshot codec for the inverted index (`0x2x` CSR + `0x3x` index tags).
+//! Snapshot codec for the inverted index (`0x2x` CSR + `0x3x` index tags;
+//! the tag table is in [`vexus_data::snapshot`]).
 //!
 //! The flat in-memory layout of [`GroupIndex`] — offset table + entry
 //! array + full-length table + member→groups CSR — maps 1:1 onto snapshot
@@ -9,7 +10,7 @@
 //! tables and the CSR load as zero-copy [`vexus_data::U32Store`] views.
 
 use crate::inverted::{neighbor_order, GroupIndex, MemberGroupsCsr, Neighbor};
-use vexus_data::snapshot::{all_bounded, runs_sorted, validate_offsets};
+use vexus_data::snapshot::{all_bounded, join_u64, runs_sorted, split_u64};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter};
 use vexus_mining::GroupId;
 
@@ -32,17 +33,15 @@ pub const TAG_INDEX_META: u32 = 0x34;
 /// Encode the index into its `0x2x`/`0x3x` sections.
 pub fn encode_group_index(index: &GroupIndex, w: &mut SnapshotWriter) {
     let (list_offsets, entries, full_lengths, csr) = index.parts();
-    w.section_words(TAG_CSR_OFFSETS, csr.offsets());
-    w.section_words(TAG_CSR_IDS, csr.ids());
-    w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets);
-    w.section_word_iter(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
-    w.section_word_iter(
+    w.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS, csr.lists());
+    w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets.iter().copied());
+    w.section_words(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
+    w.section_words(
         TAG_INDEX_LIST_SIMS,
         entries.iter().map(|&(_, s)| s.to_bits()),
     );
-    w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths);
-    let pairs = index.stats().scored_pairs as u64;
-    w.section_words(TAG_INDEX_META, &[pairs as u32, (pairs >> 32) as u32]);
+    w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
+    w.section_words(TAG_INDEX_META, split_u64(index.stats().scored_pairs as u64));
 }
 
 /// Decode the index written by [`encode_group_index`].
@@ -58,33 +57,24 @@ pub fn decode_group_index(
     n_groups: usize,
     n_members: usize,
 ) -> Result<GroupIndex, SnapshotError> {
-    // CSR: zero-copy stores after validation.
-    let csr_offsets = r.section_words(TAG_CSR_OFFSETS)?;
-    let csr_ids = r.section_words(TAG_CSR_IDS)?;
-    validate_offsets(TAG_CSR_OFFSETS, &csr_offsets, csr_ids.len(), "bad offsets")?;
-    if csr_offsets.len() != n_members + 1 {
+    // CSR: zero-copy views after validation.
+    let csr = r.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS)?;
+    if csr.len() != n_members {
         return Err(SnapshotError::Malformed {
             tag: TAG_CSR_OFFSETS,
             what: "CSR does not cover the member universe",
         });
     }
-    if !all_bounded(csr_ids.as_slice(), n_groups) {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_CSR_IDS,
-            what: "group id out of range",
-        });
-    }
-    if !runs_sorted(csr_ids.as_slice(), csr_offsets.as_slice(), |a, b| a >= b) {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_CSR_IDS,
-            what: "member's group list not strictly ascending",
-        });
-    }
+    let csr = csr.ascending_below(
+        n_groups,
+        "member's group list not strictly ascending below the group count",
+    )?;
 
     // Index lists: parallel id/sim sections interleaved into one flat
     // entry array (a single allocation for the whole index).
-    let list_offsets = r.section_words(TAG_INDEX_LIST_OFFSETS)?;
-    let ids = r.section_words(TAG_INDEX_LIST_IDS)?;
+    let (list_offsets, ids) = r
+        .ragged(TAG_INDEX_LIST_OFFSETS, TAG_INDEX_LIST_IDS)?
+        .into_parts();
     let sims = r.section_words(TAG_INDEX_LIST_SIMS)?;
     let full_lengths = r.section_words(TAG_INDEX_FULL_LENGTHS)?;
     if ids.len() != sims.len() {
@@ -93,12 +83,6 @@ pub fn decode_group_index(
             what: "id/similarity sections disagree in length",
         });
     }
-    validate_offsets(
-        TAG_INDEX_LIST_OFFSETS,
-        &list_offsets,
-        ids.len(),
-        "bad list offsets",
-    )?;
     if list_offsets.len() != n_groups + 1 || full_lengths.len() != n_groups {
         return Err(SnapshotError::Malformed {
             tag: TAG_INDEX_LIST_OFFSETS,
@@ -108,7 +92,7 @@ pub fn decode_group_index(
     // Whole-section validation (vectorizable folds and one flat
     // violation-counting pass), then a branch-free interleave into one
     // flat entry allocation.
-    if !all_bounded(ids.as_slice(), n_groups) {
+    if !all_bounded(&ids, n_groups) {
         return Err(SnapshotError::Malformed {
             tag: TAG_INDEX_LIST_IDS,
             what: "neighbor group id out of range",
@@ -130,7 +114,7 @@ pub fn decode_group_index(
         .zip(sims.iter())
         .map(|(&g, &bits)| (GroupId::new(g), f32::from_bits(bits)))
         .collect();
-    let offs = list_offsets.as_slice();
+    let offs: &[u32] = &list_offsets;
     for g in 0..n_groups {
         if (offs[g + 1] - offs[g]) > full_lengths[g] {
             return Err(SnapshotError::Malformed {
@@ -148,21 +132,14 @@ pub fn decode_group_index(
         });
     }
 
-    let meta = r.section_words(TAG_INDEX_META)?;
-    if meta.len() != 2 {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_INDEX_META,
-            what: "bad metadata length",
-        });
-    }
-    let scored_pairs = (meta[0] as u64 | ((meta[1] as u64) << 32)) as usize;
+    let [lo, hi] = r.meta(TAG_INDEX_META, "bad metadata length")?;
 
     Ok(GroupIndex::from_parts(
-        list_offsets.into(),
+        list_offsets,
         entries,
         full_lengths.into(),
-        MemberGroupsCsr::from_stores(csr_offsets.into(), csr_ids.into()),
-        scored_pairs,
+        MemberGroupsCsr::from_lists(csr),
+        join_u64(lo, hi) as usize,
     ))
 }
 
@@ -257,17 +234,16 @@ mod tests {
         let (gs, idx) = fixture();
         let (list_offsets, entries, full_lengths, csr) = idx.parts();
         let mut w = SnapshotWriter::new();
-        w.section_words(TAG_CSR_OFFSETS, csr.offsets());
-        w.section_words(TAG_CSR_IDS, csr.ids());
-        w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets);
-        w.section_word_iter(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
+        w.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS, csr.lists());
+        w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets.iter().copied());
+        w.section_words(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
         // NaN bits in the similarity channel.
-        w.section_word_iter(
+        w.section_words(
             TAG_INDEX_LIST_SIMS,
             entries.iter().map(|_| f32::NAN.to_bits()),
         );
-        w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths);
-        w.section_words(TAG_INDEX_META, &[0, 0]);
+        w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
+        w.section_words(TAG_INDEX_META, [0, 0]);
         let buf = w.finish();
         let r = SnapshotReader::load(&buf).unwrap();
         assert!(matches!(
@@ -284,18 +260,17 @@ mod tests {
         let (gs, idx) = fixture();
         let (list_offsets, entries, full_lengths, csr) = idx.parts();
         let mut w = SnapshotWriter::new();
-        w.section_words(TAG_CSR_OFFSETS, csr.offsets());
-        w.section_words(TAG_CSR_IDS, csr.ids());
-        w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets);
-        w.section_word_iter(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
+        w.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS, csr.lists());
+        w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets.iter().copied());
+        w.section_words(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
         // Ascending sims break the descending-similarity invariant for any
         // group with two or more materialized entries.
-        w.section_word_iter(
+        w.section_words(
             TAG_INDEX_LIST_SIMS,
             (0..entries.len()).map(|i| (i as f32).to_bits()),
         );
-        w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths);
-        w.section_words(TAG_INDEX_META, &[0, 0]);
+        w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
+        w.section_words(TAG_INDEX_META, [0, 0]);
         let buf = w.finish();
         let r = SnapshotReader::load(&buf).unwrap();
         let multi = (0..gs.len()).any(|g| list_offsets[g + 1] - list_offsets[g] >= 2);

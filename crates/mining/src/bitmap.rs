@@ -7,36 +7,20 @@
 //! compact (4 bytes/member), cache-friendly, and makes
 //! `intersection_size`/`jaccard` allocation-free.
 //!
-//! Storage is borrowed-or-owned: a built engine owns each set's `Vec<u32>`;
-//! a snapshot-loaded engine holds [`WordSlice`] views into the one shared
-//! snapshot buffer ([`MemberSet::from_shared`]), so loading N groups costs
-//! zero per-group allocations. Every operation routes through
+//! Storage is borrowed-or-owned ([`U32Store`]): a built engine owns each
+//! set's `Vec<u32>`; a snapshot-loaded engine holds views into the one
+//! shared snapshot buffer ([`MemberSet::from_shared`]), so loading N groups
+//! costs zero per-group allocations. Every operation routes through
 //! [`MemberSet::as_slice`], so the two forms are behaviorally identical
 //! (same `Eq`/`Hash`, same algebra).
 
 use std::fmt;
-use vexus_data::WordSlice;
-
-#[derive(Clone)]
-enum Repr {
-    /// Heap-owned members (the built form).
-    Owned(Vec<u32>),
-    /// View into a loaded snapshot buffer (the zero-copy form).
-    Shared(WordSlice),
-}
+use vexus_data::U32Store;
 
 /// An immutable sorted set of dense user indices.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct MemberSet {
-    repr: Repr,
-}
-
-impl Default for MemberSet {
-    fn default() -> Self {
-        Self {
-            repr: Repr::Owned(Vec::new()),
-        }
-    }
+    members: U32Store,
 }
 
 impl PartialEq for MemberSet {
@@ -81,7 +65,7 @@ impl MemberSet {
             "must be strictly sorted"
         );
         Self {
-            repr: Repr::Owned(sorted),
+            members: sorted.into(),
         }
     }
 
@@ -89,28 +73,26 @@ impl MemberSet {
     pub fn from_unsorted(mut v: Vec<u32>) -> Self {
         v.sort_unstable();
         v.dedup();
-        Self {
-            repr: Repr::Owned(v),
-        }
+        Self { members: v.into() }
     }
 
-    /// Build as a zero-copy view over a snapshot buffer. The words must be
-    /// strictly ascending — the snapshot decoder validates this before
-    /// constructing the view (debug-asserted here as well).
-    pub fn from_shared(words: WordSlice) -> Self {
+    /// Build over storage a snapshot decoder hands out — a zero-copy view
+    /// when it is one into a loaded buffer. The words must be strictly
+    /// ascending — the decoder validates this before constructing the
+    /// view (debug-asserted here as well).
+    pub fn from_shared(words: impl Into<U32Store>) -> Self {
+        let members = words.into();
         debug_assert!(
-            words.windows(2).all(|w| w[0] < w[1]),
+            members.windows(2).all(|w| w[0] < w[1]),
             "must be strictly sorted"
         );
-        Self {
-            repr: Repr::Shared(words),
-        }
+        Self { members }
     }
 
     /// The full universe `0..n`.
     pub fn universe(n: u32) -> Self {
         Self {
-            repr: Repr::Owned((0..n).collect()),
+            members: (0..n).collect::<Vec<u32>>().into(),
         }
     }
 
@@ -140,9 +122,9 @@ impl MemberSet {
     /// The members as a sorted slice.
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
-        match &self.repr {
-            Repr::Owned(v) => v,
-            Repr::Shared(s) => s.as_slice(),
+        match &self.members {
+            U32Store::Owned(v) => v,
+            U32Store::Shared(s) => s.as_slice(),
         }
     }
 
@@ -261,7 +243,7 @@ impl MemberSet {
             }
         }
         MemberSet {
-            repr: Repr::Owned(out),
+            members: out.into(),
         }
     }
 
@@ -290,7 +272,7 @@ impl MemberSet {
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
         MemberSet {
-            repr: Repr::Owned(out),
+            members: out.into(),
         }
     }
 
@@ -317,7 +299,7 @@ impl MemberSet {
             }
         }
         MemberSet {
-            repr: Repr::Owned(out),
+            members: out.into(),
         }
     }
 
@@ -387,15 +369,12 @@ impl MemberSet {
     /// snapshot buffer it borrows from is accounted once, at the engine
     /// level.
     pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Owned(v) => v.capacity() * std::mem::size_of::<u32>(),
-            Repr::Shared(_) => 0,
-        }
+        self.members.heap_bytes()
     }
 
     /// Whether this set is a zero-copy view over a snapshot buffer.
     pub fn is_shared(&self) -> bool {
-        matches!(self.repr, Repr::Shared(_))
+        matches!(self.members, U32Store::Shared(_))
     }
 }
 
@@ -418,7 +397,7 @@ mod tests {
     /// The same set in Shared form, views into a scratch snapshot buffer.
     fn shared(v: &[u32]) -> MemberSet {
         let mut w = vexus_data::SnapshotWriter::new();
-        w.section_words(0x1, v);
+        w.section_words(0x1, v.iter().copied());
         let buf = w.finish();
         let r = vexus_data::SnapshotReader::load(&buf).unwrap();
         MemberSet::from_shared(r.section_words(0x1).unwrap())

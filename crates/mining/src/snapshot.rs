@@ -1,12 +1,12 @@
 //! Snapshot codec for the group space (`0x1x` section tags) and the live
-//! stream-miner state (`0x7x` tags).
+//! stream-miner state (`0x70`–`0x77`; the tag table is in
+//! [`vexus_data::snapshot`]).
 //!
-//! A [`GroupSet`] flattens into four `u32` arrays — description offsets +
-//! tokens, member offsets + member ids — the same offsets-plus-payload
-//! shape the CSR index already uses. Decoding hands every group's member
-//! set back as a zero-copy [`MemberSet::from_shared`] view into the loaded
-//! buffer: the dominant payload (member ids) costs no per-group
-//! allocations. Descriptions are short (a handful of tokens) and live in
+//! A [`GroupSet`] flattens into two [`Ragged`] tables — descriptions and
+//! member lists — the same offsets-plus-payload shape the CSR index uses.
+//! Decoding hands every group's member set back as a zero-copy
+//! [`MemberSet::from_shared`] view into the loaded buffer: the dominant
+//! payload (member ids) costs no per-group allocations. Descriptions are short (a handful of tokens) and live in
 //! `HashMap` keys and move-heavy merge paths, so they are rebuilt as owned
 //! `Vec<TokenId>`s.
 //!
@@ -20,7 +20,7 @@ use crate::bitmap::MemberSet;
 use crate::delta::DeltaDiscovery;
 use crate::group::{Group, GroupSet};
 use crate::stream_fim::{MinerEntry, MinerState, StreamFimConfig, StreamMiner};
-use vexus_data::snapshot::{all_bounded, runs_sorted, validate_offsets};
+use vexus_data::snapshot::{join_u64, split_u64, Ragged};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, TokenId};
 
 /// Group-description offsets: `n_groups + 1` token offsets.
@@ -34,22 +34,19 @@ pub const TAG_GROUP_MEMBERS: u32 = 0x13;
 
 /// Encode the group space into its `0x1x` sections.
 pub fn encode_group_set(groups: &GroupSet, w: &mut SnapshotWriter) {
-    let mut desc_offsets = Vec::with_capacity(groups.len() + 1);
-    let mut member_offsets = Vec::with_capacity(groups.len() + 1);
-    let mut tokens = Vec::new();
-    let mut members = Vec::new();
-    desc_offsets.push(0u32);
-    member_offsets.push(0u32);
-    for (_, g) in groups.iter() {
-        tokens.extend(g.description.iter().map(|t| t.raw()));
-        desc_offsets.push(tokens.len() as u32);
-        members.extend_from_slice(g.members.as_slice());
-        member_offsets.push(members.len() as u32);
-    }
-    w.section_words(TAG_GROUP_DESC_OFFSETS, &desc_offsets);
-    w.section_words(TAG_GROUP_DESC_TOKENS, &tokens);
-    w.section_words(TAG_GROUP_MEMBER_OFFSETS, &member_offsets);
-    w.section_words(TAG_GROUP_MEMBERS, &members);
+    let descriptions = groups
+        .iter()
+        .map(|(_, g)| g.description.iter().map(|t| t.raw()));
+    w.ragged(
+        TAG_GROUP_DESC_OFFSETS,
+        TAG_GROUP_DESC_TOKENS,
+        &Ragged::from_lists(descriptions),
+    );
+    w.ragged(
+        TAG_GROUP_MEMBER_OFFSETS,
+        TAG_GROUP_MEMBERS,
+        &Ragged::from_lists(groups.iter().map(|(_, g)| g.members.iter())),
+    );
 }
 
 /// Decode the group space written by [`encode_group_set`], validating every
@@ -62,63 +59,32 @@ pub fn decode_group_set(
     n_users: usize,
     n_tokens: usize,
 ) -> Result<GroupSet, SnapshotError> {
-    let desc_offsets = r.section_words(TAG_GROUP_DESC_OFFSETS)?;
-    let tokens = r.section_words(TAG_GROUP_DESC_TOKENS)?;
-    let member_offsets = r.section_words(TAG_GROUP_MEMBER_OFFSETS)?;
-    let members = r.section_words(TAG_GROUP_MEMBERS)?;
-    validate_offsets(
-        TAG_GROUP_DESC_OFFSETS,
-        &desc_offsets,
-        tokens.len(),
-        "bad description offsets",
-    )?;
-    validate_offsets(
-        TAG_GROUP_MEMBER_OFFSETS,
-        &member_offsets,
-        members.len(),
-        "bad member offsets",
-    )?;
-    if desc_offsets.len() != member_offsets.len() {
+    let descriptions = r.ragged(TAG_GROUP_DESC_OFFSETS, TAG_GROUP_DESC_TOKENS)?;
+    let members = r.ragged(TAG_GROUP_MEMBER_OFFSETS, TAG_GROUP_MEMBERS)?;
+    if descriptions.len() != members.len() {
         return Err(SnapshotError::Malformed {
             tag: TAG_GROUP_MEMBER_OFFSETS,
             what: "description/member group counts disagree",
         });
     }
-    // Array-global validation: bounds are one vectorized `max` reduction
-    // per payload, per-list strict ascent is one flat violation-counting
-    // pass ([`runs_sorted`]) — the construction loop below stays pure.
-    if !all_bounded(tokens.as_slice(), n_tokens)
-        || !runs_sorted(tokens.as_slice(), desc_offsets.as_slice(), |a, b| a >= b)
-    {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_GROUP_DESC_TOKENS,
-            what: "description tokens not strictly ascending in vocabulary",
-        });
-    }
-    if !all_bounded(members.as_slice(), n_users)
-        || !runs_sorted(members.as_slice(), member_offsets.as_slice(), |a, b| a >= b)
-    {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_GROUP_MEMBERS,
-            what: "member ids not strictly ascending below the user count",
-        });
-    }
-    let n_groups = desc_offsets.len() - 1;
-    let mut out = Vec::with_capacity(n_groups);
-    for i in 0..n_groups {
-        let (dlo, dhi) = (desc_offsets[i] as usize, desc_offsets[i + 1] as usize);
-        let desc = &tokens.as_slice()[dlo..dhi];
-        let (mlo, mhi) = (member_offsets[i] as usize, member_offsets[i + 1] as usize);
-        out.push(Group {
-            description: desc.iter().map(|&t| TokenId::new(t)).collect(),
-            members: MemberSet::from_shared(
-                members
-                    .slice(mlo, mhi - mlo)
-                    .expect("validated member range"),
-            ),
-        });
-    }
-    Ok(GroupSet::from_groups(out))
+    // Validation is array-global, so the construction loop below is pure.
+    let descriptions = descriptions.ascending_below(
+        n_tokens,
+        "description tokens not strictly ascending in vocabulary",
+    )?;
+    let members = members.ascending_below(
+        n_users,
+        "member ids not strictly ascending below the user count",
+    )?;
+    let groups = (0..members.len()).map(|i| Group {
+        description: descriptions
+            .list(i)
+            .iter()
+            .map(|&t| TokenId::new(t))
+            .collect(),
+        members: MemberSet::from_shared(members.store(i)),
+    });
+    Ok(GroupSet::from_groups(groups.collect()))
 }
 
 /// Stream-state META: `[n_seen_lo, n_seen_hi, evictions_lo, evictions_hi,
@@ -141,14 +107,6 @@ pub const TAG_STREAM_MEMBERS: u32 = 0x76;
 /// `u / 32`); trailing bits past `n_users` are zero.
 pub const TAG_STREAM_SEEN: u32 = 0x77;
 
-fn split(v: u64) -> [u32; 2] {
-    [v as u32, (v >> 32) as u32]
-}
-
-fn join(lo: u32, hi: u32) -> u64 {
-    lo as u64 | ((hi as u64) << 32)
-}
-
 /// Encode a [`DeltaDiscovery`] driver's mutable state into its `0x7x`
 /// sections. The encoding is canonical — a pure function of the logical
 /// state (see [`StreamMiner::export_state`]) — so two drivers in the same
@@ -156,36 +114,35 @@ fn join(lo: u32, hi: u32) -> u64 {
 pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
     let state = dd.miner().export_state();
     let seen = dd.seen();
-    let mut meta = Vec::with_capacity(8);
-    meta.extend(split(state.n_seen));
-    meta.extend(split(state.evictions));
-    meta.extend(split(dd.arrivals()));
-    meta.push(state.entries.len() as u32);
-    meta.push(seen.len() as u32);
-    w.section_words(TAG_STREAM_META, &meta);
+    let meta = [
+        split_u64(state.n_seen),
+        split_u64(state.evictions),
+        split_u64(dd.arrivals()),
+        [state.entries.len() as u32, seen.len() as u32],
+    ];
+    w.section_words(TAG_STREAM_META, meta.into_iter().flatten());
 
-    let mut key_offsets = Vec::with_capacity(state.entries.len() + 1);
-    let mut member_offsets = Vec::with_capacity(state.entries.len() + 1);
-    let mut keys = Vec::new();
-    let mut members = Vec::new();
-    let mut counts = Vec::with_capacity(state.entries.len() * 2);
-    let mut deltas = Vec::with_capacity(state.entries.len() * 2);
-    key_offsets.push(0u32);
-    member_offsets.push(0u32);
-    for e in &state.entries {
-        keys.extend(e.itemset.iter().map(|t| t.raw()));
-        key_offsets.push(keys.len() as u32);
-        members.extend_from_slice(&e.members);
-        member_offsets.push(members.len() as u32);
-        counts.extend(split(e.count));
-        deltas.extend(split(e.delta));
-    }
-    w.section_words(TAG_STREAM_KEY_OFFSETS, &key_offsets);
-    w.section_words(TAG_STREAM_KEY_TOKENS, &keys);
-    w.section_words(TAG_STREAM_COUNTS, &counts);
-    w.section_words(TAG_STREAM_DELTAS, &deltas);
-    w.section_words(TAG_STREAM_MEMBER_OFFSETS, &member_offsets);
-    w.section_words(TAG_STREAM_MEMBERS, &members);
+    let entries = &state.entries;
+    let itemsets = entries.iter().map(|e| e.itemset.iter().map(|t| t.raw()));
+    w.ragged(
+        TAG_STREAM_KEY_OFFSETS,
+        TAG_STREAM_KEY_TOKENS,
+        &Ragged::from_lists(itemsets),
+    );
+    w.section_words(
+        TAG_STREAM_COUNTS,
+        entries.iter().flat_map(|e| split_u64(e.count)),
+    );
+    w.section_words(
+        TAG_STREAM_DELTAS,
+        entries.iter().flat_map(|e| split_u64(e.delta)),
+    );
+    let members = entries.iter().map(|e| e.members.iter().copied());
+    w.ragged(
+        TAG_STREAM_MEMBER_OFFSETS,
+        TAG_STREAM_MEMBERS,
+        &Ragged::from_lists(members),
+    );
 
     let mut packed = vec![0u32; seen.len().div_ceil(32)];
     for (u, &s) in seen.iter().enumerate() {
@@ -193,7 +150,7 @@ pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
             packed[u / 32] |= 1 << (u % 32);
         }
     }
-    w.section_words(TAG_STREAM_SEEN, &packed);
+    w.section_words(TAG_STREAM_SEEN, packed);
 }
 
 /// Decode the stream state written by [`encode_stream_state`] and
@@ -215,17 +172,10 @@ pub fn decode_stream_state(
     prev: GroupSet,
     epochs_cut: u64,
 ) -> Result<DeltaDiscovery, SnapshotError> {
-    let meta = r.section_words(TAG_STREAM_META)?;
-    let meta = meta.as_slice();
-    if meta.len() != 8 {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_STREAM_META,
-            what: "stream META is not eight words",
-        });
-    }
-    let n_seen = join(meta[0], meta[1]);
-    let evictions = join(meta[2], meta[3]);
-    let arrivals = join(meta[4], meta[5]);
+    let meta: [u32; 8] = r.meta(TAG_STREAM_META, "stream META is not eight words")?;
+    let n_seen = join_u64(meta[0], meta[1]);
+    let evictions = join_u64(meta[2], meta[3]);
+    let arrivals = join_u64(meta[4], meta[5]);
     let n_entries = meta[6] as usize;
     if meta[7] as usize != n_users {
         return Err(SnapshotError::Malformed {
@@ -234,13 +184,11 @@ pub fn decode_stream_state(
         });
     }
 
-    let key_offsets = r.section_words(TAG_STREAM_KEY_OFFSETS)?;
-    let keys = r.section_words(TAG_STREAM_KEY_TOKENS)?;
+    let itemsets = r.ragged(TAG_STREAM_KEY_OFFSETS, TAG_STREAM_KEY_TOKENS)?;
     let counts = r.section_words(TAG_STREAM_COUNTS)?;
     let deltas = r.section_words(TAG_STREAM_DELTAS)?;
-    let member_offsets = r.section_words(TAG_STREAM_MEMBER_OFFSETS)?;
-    let members = r.section_words(TAG_STREAM_MEMBERS)?;
-    if key_offsets.len() != n_entries + 1 || member_offsets.len() != n_entries + 1 {
+    let members = r.ragged(TAG_STREAM_MEMBER_OFFSETS, TAG_STREAM_MEMBERS)?;
+    if itemsets.len() != n_entries || members.len() != n_entries {
         return Err(SnapshotError::Malformed {
             tag: TAG_STREAM_KEY_OFFSETS,
             what: "offset tables disagree with the META entry count",
@@ -252,34 +200,14 @@ pub fn decode_stream_state(
             what: "count/delta tables disagree with the META entry count",
         });
     }
-    validate_offsets(
-        TAG_STREAM_KEY_OFFSETS,
-        &key_offsets,
-        keys.len(),
-        "bad itemset offsets",
+    let itemsets = itemsets.ascending_below(
+        n_tokens,
+        "itemset tokens not strictly ascending in vocabulary",
     )?;
-    validate_offsets(
-        TAG_STREAM_MEMBER_OFFSETS,
-        &member_offsets,
-        members.len(),
-        "bad member offsets",
+    let members = members.ascending_below(
+        n_users,
+        "member ids not strictly ascending below the user count",
     )?;
-    if !all_bounded(keys.as_slice(), n_tokens)
-        || !runs_sorted(keys.as_slice(), key_offsets.as_slice(), |a, b| a >= b)
-    {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_STREAM_KEY_TOKENS,
-            what: "itemset tokens not strictly ascending in vocabulary",
-        });
-    }
-    if !all_bounded(members.as_slice(), n_users)
-        || !runs_sorted(members.as_slice(), member_offsets.as_slice(), |a, b| a >= b)
-    {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_STREAM_MEMBERS,
-            what: "member ids not strictly ascending below the user count",
-        });
-    }
 
     let packed = r.section_words(TAG_STREAM_SEEN)?;
     if packed.len() != n_users.div_ceil(32) {
@@ -312,33 +240,26 @@ pub fn decode_stream_state(
     }
 
     let mut entries = Vec::with_capacity(n_entries);
-    let counts = counts.as_slice();
-    let deltas = deltas.as_slice();
     for i in 0..n_entries {
-        let (klo, khi) = (key_offsets[i] as usize, key_offsets[i + 1] as usize);
-        let itemset: Vec<TokenId> = keys.as_slice()[klo..khi]
-            .iter()
-            .map(|&t| TokenId::new(t))
-            .collect();
+        let itemset: Vec<TokenId> = itemsets.list(i).iter().map(|&t| TokenId::new(t)).collect();
         if itemset.is_empty() {
             return Err(SnapshotError::Malformed {
                 tag: TAG_STREAM_KEY_TOKENS,
                 what: "empty itemset in the miner table",
             });
         }
-        let count = join(counts[2 * i], counts[2 * i + 1]);
+        let count = join_u64(counts[2 * i], counts[2 * i + 1]);
         if count == 0 {
             return Err(SnapshotError::Malformed {
                 tag: TAG_STREAM_COUNTS,
                 what: "zero-count entry in the miner table",
             });
         }
-        let (mlo, mhi) = (member_offsets[i] as usize, member_offsets[i + 1] as usize);
         entries.push(MinerEntry {
             itemset,
             count,
-            delta: join(deltas[2 * i], deltas[2 * i + 1]),
-            members: members.as_slice()[mlo..mhi].to_vec(),
+            delta: join_u64(deltas[2 * i], deltas[2 * i + 1]),
+            members: members.list(i).to_vec(),
         });
     }
     if !entries.windows(2).all(|w| w[0].itemset < w[1].itemset) {
@@ -434,10 +355,10 @@ mod tests {
     #[test]
     fn decode_rejects_unsorted_members() {
         let mut w = SnapshotWriter::new();
-        w.section_words(TAG_GROUP_DESC_OFFSETS, &[0, 0]);
-        w.section_words(TAG_GROUP_DESC_TOKENS, &[]);
-        w.section_words(TAG_GROUP_MEMBER_OFFSETS, &[0, 2]);
-        w.section_words(TAG_GROUP_MEMBERS, &[3, 1]);
+        w.section_words(TAG_GROUP_DESC_OFFSETS, [0, 0]);
+        w.section_words(TAG_GROUP_DESC_TOKENS, []);
+        w.section_words(TAG_GROUP_MEMBER_OFFSETS, [0, 2]);
+        w.section_words(TAG_GROUP_MEMBERS, [3, 1]);
         let buf = w.finish();
         let r = SnapshotReader::load(&buf).unwrap();
         assert!(matches!(
@@ -452,10 +373,10 @@ mod tests {
     #[test]
     fn decode_rejects_mismatched_offset_tables() {
         let mut w = SnapshotWriter::new();
-        w.section_words(TAG_GROUP_DESC_OFFSETS, &[0, 0, 0]);
-        w.section_words(TAG_GROUP_DESC_TOKENS, &[]);
-        w.section_words(TAG_GROUP_MEMBER_OFFSETS, &[0, 1]);
-        w.section_words(TAG_GROUP_MEMBERS, &[0]);
+        w.section_words(TAG_GROUP_DESC_OFFSETS, [0, 0, 0]);
+        w.section_words(TAG_GROUP_DESC_TOKENS, []);
+        w.section_words(TAG_GROUP_MEMBER_OFFSETS, [0, 1]);
+        w.section_words(TAG_GROUP_MEMBERS, [0]);
         let buf = w.finish();
         let r = SnapshotReader::load(&buf).unwrap();
         assert!(matches!(
@@ -557,14 +478,14 @@ mod tests {
     }
 
     fn base_sections(w: &mut SnapshotWriter, meta: &[u32], seen_words: &[u32]) {
-        w.section_words(TAG_STREAM_META, meta);
-        w.section_words(TAG_STREAM_KEY_OFFSETS, &[0, 1]);
-        w.section_words(TAG_STREAM_KEY_TOKENS, &[0]);
-        w.section_words(TAG_STREAM_COUNTS, &[1, 0]);
-        w.section_words(TAG_STREAM_DELTAS, &[0, 0]);
-        w.section_words(TAG_STREAM_MEMBER_OFFSETS, &[0, 1]);
-        w.section_words(TAG_STREAM_MEMBERS, &[0]);
-        w.section_words(TAG_STREAM_SEEN, seen_words);
+        w.section_words(TAG_STREAM_META, meta.iter().copied());
+        w.section_words(TAG_STREAM_KEY_OFFSETS, [0, 1]);
+        w.section_words(TAG_STREAM_KEY_TOKENS, [0]);
+        w.section_words(TAG_STREAM_COUNTS, [1, 0]);
+        w.section_words(TAG_STREAM_DELTAS, [0, 0]);
+        w.section_words(TAG_STREAM_MEMBER_OFFSETS, [0, 1]);
+        w.section_words(TAG_STREAM_MEMBERS, [0]);
+        w.section_words(TAG_STREAM_SEEN, seen_words.iter().copied());
     }
 
     #[test]
@@ -580,14 +501,14 @@ mod tests {
         ));
         // Zero-count miner entry.
         let err = tampered(|w| {
-            w.section_words(TAG_STREAM_META, &[1, 0, 0, 0, 1, 0, 1, 64]);
-            w.section_words(TAG_STREAM_KEY_OFFSETS, &[0, 1]);
-            w.section_words(TAG_STREAM_KEY_TOKENS, &[0]);
-            w.section_words(TAG_STREAM_COUNTS, &[0, 0]);
-            w.section_words(TAG_STREAM_DELTAS, &[0, 0]);
-            w.section_words(TAG_STREAM_MEMBER_OFFSETS, &[0, 1]);
-            w.section_words(TAG_STREAM_MEMBERS, &[0]);
-            w.section_words(TAG_STREAM_SEEN, &[1, 0]);
+            w.section_words(TAG_STREAM_META, [1, 0, 0, 0, 1, 0, 1, 64]);
+            w.section_words(TAG_STREAM_KEY_OFFSETS, [0, 1]);
+            w.section_words(TAG_STREAM_KEY_TOKENS, [0]);
+            w.section_words(TAG_STREAM_COUNTS, [0, 0]);
+            w.section_words(TAG_STREAM_DELTAS, [0, 0]);
+            w.section_words(TAG_STREAM_MEMBER_OFFSETS, [0, 1]);
+            w.section_words(TAG_STREAM_MEMBERS, [0]);
+            w.section_words(TAG_STREAM_SEEN, [1, 0]);
         })
         .unwrap_err();
         assert!(matches!(
@@ -599,14 +520,14 @@ mod tests {
         ));
         // Entries out of canonical (itemset-ascending) order.
         let err = tampered(|w| {
-            w.section_words(TAG_STREAM_META, &[2, 0, 0, 0, 1, 0, 2, 64]);
-            w.section_words(TAG_STREAM_KEY_OFFSETS, &[0, 1, 2]);
-            w.section_words(TAG_STREAM_KEY_TOKENS, &[3, 1]);
-            w.section_words(TAG_STREAM_COUNTS, &[1, 0, 1, 0]);
-            w.section_words(TAG_STREAM_DELTAS, &[0, 0, 0, 0]);
-            w.section_words(TAG_STREAM_MEMBER_OFFSETS, &[0, 1, 2]);
-            w.section_words(TAG_STREAM_MEMBERS, &[0, 1]);
-            w.section_words(TAG_STREAM_SEEN, &[1, 0]);
+            w.section_words(TAG_STREAM_META, [2, 0, 0, 0, 1, 0, 2, 64]);
+            w.section_words(TAG_STREAM_KEY_OFFSETS, [0, 1, 2]);
+            w.section_words(TAG_STREAM_KEY_TOKENS, [3, 1]);
+            w.section_words(TAG_STREAM_COUNTS, [1, 0, 1, 0]);
+            w.section_words(TAG_STREAM_DELTAS, [0, 0, 0, 0]);
+            w.section_words(TAG_STREAM_MEMBER_OFFSETS, [0, 1, 2]);
+            w.section_words(TAG_STREAM_MEMBERS, [0, 1]);
+            w.section_words(TAG_STREAM_SEEN, [1, 0]);
         })
         .unwrap_err();
         assert!(matches!(

@@ -26,11 +26,10 @@ fn main() {
         .config(EngineConfig::paper())
         .build()
         .expect("group space non-empty");
-    let stats = vexus.build_stats();
     println!(
         "engine: {} groups, index {} KiB — built once, shared by every session",
-        stats.n_groups,
-        stats.index_bytes / 1024
+        vexus.groups().len(),
+        vexus.index().stats().heap_bytes / 1024
     );
 
     // 2. A service over the shared engine. `Vexus::shared()` moves the

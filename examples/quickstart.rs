@@ -33,12 +33,11 @@ fn main() {
         .config(EngineConfig::paper())
         .build()
         .expect("group space non-empty");
-    let stats = vexus.build_stats();
     println!(
         "pre-processing[{}]: {} groups mined; index {} KiB",
-        stats.discovery.algorithm,
-        stats.n_groups,
-        stats.index_bytes / 1024
+        vexus.build_stats().discovery.algorithm,
+        vexus.groups().len(),
+        vexus.index().stats().heap_bytes / 1024
     );
 
     // 3. Interactive exploration: click through three steps.

@@ -26,7 +26,7 @@ fn main() {
     let built = Vexus::build(ds.data.clone(), EngineConfig::paper()).expect("non-empty");
     println!(
         "built:  {} groups in {:?} ({} KiB resident)",
-        built.build_stats().n_groups,
+        built.groups().len(),
         t.elapsed(),
         built.heap_bytes() / 1024
     );

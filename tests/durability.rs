@@ -1,10 +1,9 @@
 //! The crash-recovery oracle for the durable live engine, plus corruption
-//! robustness: across workloads, crash points, checkpoint cadences, and
-//! sync modes, `LiveEngine::recover` must reconstruct an engine
-//! byte-identical to the uninterrupted run — and any single-byte
-//! corruption or truncation of a durable file must yield a typed error or
-//! a clean truncated recovery, never a panic and never silently wrong
-//! data.
+//! robustness: across workloads, crash points and checkpoint cadences,
+//! `LiveEngine::recover` must reconstruct an engine byte-identical to the
+//! uninterrupted run — and any single-byte corruption or truncation of a
+//! durable file must yield a typed error or a clean truncated recovery,
+//! never a panic and never silently wrong data.
 
 mod common;
 
@@ -12,7 +11,7 @@ use common::{feed, stream_config, ScratchDir, StreamWorkload};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use vexus::core::{DurabilityConfig, LiveEngine, WalSync};
+use vexus::core::{DurabilityConfig, LiveEngine};
 use vexus::data::stream::IngestBuffer;
 use vexus::data::wal;
 
@@ -42,24 +41,21 @@ fn run_to_crash(w: &StreamWorkload, crash_after: usize, cfg: &DurabilityConfig) 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
-    /// The tentpole oracle: for every workload × crash point × cadence ×
-    /// sync mode, recovery is byte-identical to the uninterrupted run at
-    /// the crash epoch, and finishing the stream on the recovered engine
-    /// is byte-identical at the final epoch.
+    /// The tentpole oracle: for every workload × crash point × cadence,
+    /// recovery is byte-identical to the uninterrupted run at the crash
+    /// epoch, and finishing the stream on the recovered engine is
+    /// byte-identical at the final epoch.
     #[test]
     fn crash_recovery_is_byte_identical(
         wi in 0usize..2,
         crash_sel in 0usize..64,
         every in 1u64..=3,
-        batched_sel in 0u8..2,
     ) {
-        let batched = batched_sel == 1;
         let w = &workloads()[wi];
         let crash_after = crash_sel % (w.epochs() + 1);
         let dir = ScratchDir::new("durability-oracle");
         let cfg = DurabilityConfig {
             checkpoint_every: every,
-            sync: if batched { WalSync::Batched } else { WalSync::PerFrame },
             ..DurabilityConfig::new(dir.path())
         };
         run_to_crash(w, crash_after, &cfg);

@@ -6,8 +6,9 @@
 
 mod common;
 
+use common::{feed, stream_config, ScratchDir, StreamWorkload};
 use proptest::prelude::*;
-use vexus::core::{CoreError, EngineConfig, Vexus};
+use vexus::core::{CoreError, DurabilityConfig, EngineConfig, LiveEngine, Vexus};
 use vexus::data::snapshot::restamp;
 use vexus::data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
 use vexus::data::UserData;
@@ -117,4 +118,61 @@ fn loaded_engine_explores_identically() {
         b.click(pick).unwrap();
         assert_eq!(a.display(), b.display(), "diverged at step {step}");
     }
+}
+
+/// `(byte length, stored checksum word)` of a snapshot-container buffer.
+fn length_and_stamp(buf: &[u8]) -> (usize, u32) {
+    (
+        buf.len(),
+        u32::from_le_bytes(buf[16..20].try_into().unwrap()),
+    )
+}
+
+/// The three on-disk formats pinned across commits, not just across a
+/// round trip: a codec change that moves one byte of a snapshot, a
+/// checkpoint or a WAL frame changes one of these six numbers (computed at
+/// commit 113d8f2) and must come with a format-version bump.
+#[test]
+fn format_bytes_are_pinned() {
+    let data = bookcrossing(&BookCrossingConfig {
+        seed: 1,
+        ..BookCrossingConfig::tiny()
+    })
+    .data;
+    let snapshot = Vexus::build(data, EngineConfig::default())
+        .unwrap()
+        .write_snapshot();
+    assert_eq!(
+        length_and_stamp(&snapshot),
+        (65_056, 2_188_217_522),
+        "engine snapshot"
+    );
+
+    // One durable refresh with a checkpoint at every watermark: the
+    // directory then holds `ckpt-…1` and, in the bootstrap segment, the
+    // first WAL frame (a length word, then a snapshot-container payload).
+    let w = StreamWorkload::new(300, 4);
+    let dir = ScratchDir::new("format-pin");
+    let cfg = DurabilityConfig {
+        checkpoint_every: 1,
+        ..DurabilityConfig::new(dir.path())
+    };
+    let live = LiveEngine::bootstrap_durable(w.base.clone(), stream_config(), cfg).unwrap();
+    feed(&live, w.chunks().next().unwrap());
+    live.refresh().unwrap();
+    drop(live);
+    let ckpt = std::fs::read(dir.path().join(format!("ckpt-{:020}.vxck", 1))).unwrap();
+    assert_eq!(
+        length_and_stamp(&ckpt),
+        (69_308, 281_616_569),
+        "checkpoint at watermark 1"
+    );
+    let segment = std::fs::read(dir.path().join(format!("wal-{:020}.vxwl", 0))).unwrap();
+    let frame_len = u32::from_le_bytes(segment[8..12].try_into().unwrap()) as usize;
+    let frame = &segment[12..12 + frame_len];
+    assert_eq!(
+        length_and_stamp(frame),
+        (5_156, 2_664_849_154),
+        "first WAL frame"
+    );
 }
