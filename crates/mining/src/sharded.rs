@@ -65,10 +65,14 @@
 //! once**; the pruned form itself joins the recount worklist, which is
 //! what keeps the completeness argument intact (a hidden set whose every
 //! carrier carries the whole pruned form is exactly that form's recount).
-//! The re-closure runs against the one global transaction database: every
-//! member lives in exactly one shard, so the union of per-shard distinct
-//! projections equals the global distinct projections, and in-process
-//! per-shard copies would only duplicate every transaction.
+//! The re-closure runs against the *distinct rows* of the one global
+//! transaction database, deduplicated once per merge: every member lives
+//! in exactly one shard, so the union of per-shard distinct projections
+//! equals the global distinct projections (in-process per-shard copies
+//! would only duplicate every transaction), and members who carry the
+//! same transaction project alike onto every candidate — a family is a
+//! function of the set of rows, not of how many users carry each. The
+//! recount itself keeps the full database: it needs the real members.
 
 use crate::bitmap::MemberSet;
 use crate::discovery::{BirchDiscovery, LcmDiscovery, MomriDiscovery, StreamFimDiscovery};
@@ -473,6 +477,19 @@ fn fan_out<T: Sync, R: Send>(
     .expect("merge worker scope")
 }
 
+/// The distinct transactions of `db` as a database of their own — what the
+/// exchange scans. A candidate's family is a function of the *set* of
+/// projections ([`exchange_family`] dedups them first thing), users with
+/// the same transaction project alike, and user populations repeat few
+/// attribute combinations many times over; member ids in the result mean
+/// nothing, so only the exchange may read it.
+fn distinct_rows(db: &TransactionDb) -> TransactionDb {
+    let mut rows: Vec<&[TokenId]> = db.transactions().iter().map(Vec::as_slice).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    TransactionDb::from_transactions(rows.into_iter().map(<[_]>::to_vec).collect(), db.n_tokens())
+}
+
 /// One exchange round: re-close every broadcast candidate against the
 /// transaction projection and return the deduplicated union of the
 /// families. The result is sorted, so it is byte-identical at any worker
@@ -649,8 +666,10 @@ pub enum MergeStrategy {
     /// one exchange round it reproduces the unsharded closed-group space
     /// at any shard count. Cost model: one exchange round scans, per
     /// *distinct frequency-pruned* candidate, the tidlists of its frequent
-    /// tokens once (`O(Σ support(token))` carrier mask updates), then
-    /// recounts the handful of sub-descriptions it surfaces — in return
+    /// tokens over the *distinct transactions* once (`O(Σ support(token))`
+    /// mask updates, support counted in distinct rows, after one
+    /// `O(n log n)` row sort per merge), then recounts the handful of
+    /// sub-descriptions it surfaces against the full database — in return
     /// the quadratic refinement cap stops being a correctness knob. See
     /// the module docs for the prune/dedup argument.
     SupportRecount {
@@ -767,6 +786,7 @@ impl MergeStrategy {
                 };
                 if ctx.exchange_rounds > 0 && derive && !candidates.is_empty() {
                     let before = candidates.len();
+                    let rows = distinct_rows(db);
                     let mut pool: std::collections::BTreeSet<Vec<TokenId>> =
                         candidates.iter().cloned().collect();
                     // Pruned forms broadcast so far: a form's family is
@@ -802,7 +822,7 @@ impl MergeStrategy {
                         }
                         broadcast.sort_unstable();
                         telemetry.exchange_deduped += frontier.len() - broadcast.len();
-                        let found = exchange_round(db, &broadcast, ctx.threads);
+                        let found = exchange_round(&rows, &broadcast, ctx.threads);
                         let fresh: Vec<Vec<TokenId>> = found
                             .into_iter()
                             .filter(|d| pool.insert(d.clone()))
@@ -1510,6 +1530,73 @@ mod tests {
             two.stats.merge.exchange_candidates,
             outcome.stats.merge.exchange_candidates
         );
+    }
+
+    #[test]
+    fn exchange_over_distinct_rows_leaves_the_oversharded_merge_unmoved() {
+        // The exact-recount fixture through the explicit `mine_parts` →
+        // `merge_in_traced` spelling. The expected values were read off
+        // the merge that handed the exchange every user's row (300 rows,
+        // 279 of them distinct): telemetry, group count and an
+        // order-sensitive FNV-1a digest of the merged space.
+        let (data, vocab) = fixture();
+        let driver = ShardedDiscovery::new(lcm(10), 8).support_recount(10);
+        let (parts, _) = driver.mine_parts(&data, &vocab);
+        let db = TransactionDb::build(&data, &vocab);
+        let ctx = MergeContext::new(&data, &vocab)
+            .with_db(&db)
+            .with_partial_parts(true);
+        let (groups, telemetry) = driver.merge.merge_in_traced(parts, &ctx);
+        assert_eq!(telemetry.exchange_rounds_run, 1);
+        assert_eq!(telemetry.exchange_candidates, 64);
+        assert_eq!(telemetry.exchange_deduped, 64);
+        assert_eq!(groups.len(), 132);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u32| {
+            digest = (digest ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3);
+        };
+        for (_, g) in groups.iter() {
+            eat(g.description.len() as u32);
+            g.description.iter().for_each(|t| eat(t.raw()));
+            eat(g.members.len() as u32);
+            g.members.iter().for_each(&mut eat);
+        }
+        assert_eq!(digest, 0x3489_9cdb_9b35_17e7);
+    }
+
+    proptest::proptest! {
+        /// Duplicate-heavy populations: a handful of distinct rows, each
+        /// carried by several users. `wide` candidates (66 tokens) take
+        /// the token-list fallback, the others the mask path; the small
+        /// cap makes the family cap bind.
+        #[test]
+        fn prop_exchange_family_reads_only_the_distinct_rows(
+            pool in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..70, 0..40), 1..7),
+            picks in proptest::collection::vec(0usize..64, 1..40),
+            narrow in proptest::collection::btree_set(0u32..70, 2..12),
+            wide in 0u8..2,
+            small_cap in 0u8..2
+        ) {
+            let rows: Vec<Vec<TokenId>> = picks
+                .iter()
+                .map(|&i| pool[i % pool.len()].iter().map(|&t| TokenId::new(t)).collect())
+                .collect();
+            let db = TransactionDb::from_transactions(rows, 70);
+            let distinct = distinct_rows(&db);
+            proptest::prop_assert!(distinct.n_transactions() <= pool.len());
+            let y: Vec<TokenId> = if wide == 1 {
+                (0..66).map(TokenId::new).collect()
+            } else {
+                narrow.iter().map(|&t| TokenId::new(t)).collect()
+            };
+            let cap = if small_cap == 1 { 2 } else { EXCHANGE_FAMILY_CAP };
+            let mut scratch = Vec::new();
+            proptest::prop_assert_eq!(
+                exchange_family(&distinct, &y, cap, &mut scratch),
+                exchange_family(&db, &y, cap, &mut scratch)
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! the itemset miners.
 //!
 //! Each user becomes one transaction: the sorted set of
-//! `(attribute, value)` tokens they carry. A [`TransactionDb`] additionally
-//! pre-computes per-token tidlists (which users carry a token), the core
-//! lookup of LCM's occurrence-delivery step.
+//! `(attribute, value)` tokens they carry — what LCM's occurrence-deliver
+//! step walks, a node's members at a time ([`crate::lcm`]). A
+//! [`TransactionDb`] additionally pre-computes per-token tidlists (which
+//! users carry a token): the lookup behind [`TransactionDb::itemset_members`]
+//! and [`TransactionDb::closure`], which recount a description handed in
+//! from outside the miner (the sharded merge, the tests' oracles).
 
 use crate::bitmap::MemberSet;
 use vexus_data::{TokenId, UserData, Vocabulary};
