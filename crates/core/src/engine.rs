@@ -317,10 +317,11 @@ impl Vexus {
         &self.stats
     }
 
-    /// Build the overlap graph `G` on demand (exploration itself uses the
-    /// index; the graph supports reachability analyses).
+    /// Build the overlap graph `G` on demand from the index's retained
+    /// member→groups map (exploration itself uses the index; the graph
+    /// supports reachability analyses).
     pub fn overlap_graph(&self) -> OverlapGraph {
-        OverlapGraph::build(&self.groups)
+        self.index.overlap_graph(&self.groups)
     }
 
     /// Serialize the built engine (vocabulary, item catalog, group space,
@@ -668,5 +669,6 @@ mod tests {
         let vexus = Vexus::build(ds.data, EngineConfig::default()).unwrap();
         let graph = vexus.overlap_graph();
         assert_eq!(graph.n_nodes(), vexus.groups().len());
+        assert_eq!(graph.n_edges(), vexus.index().stats().scored_pairs);
     }
 }

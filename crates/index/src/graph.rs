@@ -2,6 +2,7 @@
 //! where an edge exists between two groups if they are not disjoint. Group
 //! exploration is a navigation in that graph."
 
+use crate::inverted::{MemberGroupsCsr, RowScratch};
 use vexus_mining::{GroupId, GroupSet};
 
 /// Undirected overlap graph over groups.
@@ -12,32 +13,28 @@ pub struct OverlapGraph {
 }
 
 impl OverlapGraph {
-    /// Build from a group set (computes the member→groups map internally).
+    /// Build from a group set (computes the member→groups map internally;
+    /// an engine's index retains one — see
+    /// [`crate::GroupIndex::overlap_graph`]).
     pub fn build(groups: &GroupSet) -> Self {
-        crate::inverted::build_overlap_graph(groups)
+        Self::from_member_groups(groups, &MemberGroupsCsr::build(groups))
     }
 
-    /// Build from a precomputed member→groups CSR map.
-    pub(crate) fn from_member_groups(
-        n_groups: usize,
-        member_groups: &crate::inverted::MemberGroupsCsr,
-    ) -> Self {
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n_groups];
-        // For each member, all containing groups are pairwise adjacent.
-        for u in 0..member_groups.n_members() as u32 {
-            let gs = member_groups.groups_of(u);
-            for (i, &a) in gs.iter().enumerate() {
-                for &b in &gs[i + 1..] {
-                    adjacency[a as usize].push(b);
-                    adjacency[b as usize].push(a);
-                }
-            }
-        }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-            adj.dedup();
-            adj.shrink_to_fit();
-        }
+    /// Build from the member→groups CSR of `groups`: a node's adjacency is
+    /// the ids its index row touches, sorted — nothing is pushed per
+    /// co-membership, so the peak is the output.
+    pub(crate) fn from_member_groups(groups: &GroupSet, member_groups: &MemberGroupsCsr) -> Self {
+        let mut scratch = RowScratch::new(groups.len());
+        let mut row: Vec<u32> = Vec::new();
+        let adjacency = groups
+            .ids()
+            .map(|g| {
+                row.clear();
+                scratch.overlaps(member_groups, groups, g, |h, _| row.push(h));
+                row.sort_unstable();
+                row.clone()
+            })
+            .collect();
         Self { adjacency }
     }
 

@@ -8,18 +8,22 @@
 //! memory and build time against fallback frequency, which is exactly what
 //! experiment C3 sweeps.
 //!
-//! The build's candidate generator is a flat CSR member→groups map
-//! ([`MemberGroupsCsr`]), and every overlapping pair is scored **once**,
-//! from the smaller-id side: workers score their group ranges into
-//! thread-local buckets, and a deterministic scatter/merge assembles the
-//! per-group lists. The output is byte-identical at any thread count
-//! (the tests pin it against the brute-force [`compute_all_neighbors`]).
-//! The CSR is retained in the built index so the
-//! exact fallback of [`GroupIndex::neighbors`] walks only the groups that
-//! overlap the query group instead of scanning the whole group space.
+//! The index is built a row at a time. The candidate generator is a flat
+//! CSR member→groups map ([`MemberGroupsCsr`]); one kernel
+//! (`RowScratch::overlaps`) walks a group's members' lists into an
+//! intersection counter and yields every overlapping group with its
+//! intersection size. [`GroupIndex::build`] hands each worker a
+//! contiguous range of groups; per group the worker scores the whole row,
+//! ranks it on integer keys (`neighbor_key`) and keeps the top fraction.
+//! A row depends on nothing but its group, so the output is
+//! byte-identical at any thread count by construction (the tests pin it
+//! against the brute-force [`compute_all_neighbors`]). The CSR is retained
+//! in the built index, so the exact fallback of [`GroupIndex::neighbors`]
+//! and [`GroupIndex::overlap_graph`] run the same kernel over it instead
+//! of scanning the whole group space.
 //!
-//! [`GroupIndex::build`] is the only code that scores pairs and lays out
-//! lists. A live refresh rebuilds the index over the new epoch's space;
+//! [`GroupIndex::build`] is the only code that lays out lists. A live
+//! refresh rebuilds the index over the new epoch's space;
 //! [`GroupIndex::apply_delta`] wraps that rebuild with the survivor id
 //! remap and the dirty set of the epoch's [`GroupDelta`], which is what
 //! lets the neighbor cache carry still-exact entries across the swap
@@ -55,9 +59,10 @@ pub struct IndexStats {
     pub n_groups: usize,
     /// Total materialized neighbor entries.
     pub materialized_entries: usize,
-    /// Overlapping candidate pairs scored during the build; each
-    /// unordered pair is scored once. The index a refresh gets from
-    /// [`GroupIndex::apply_delta`] is a build and reports the same count.
+    /// Overlapping pairs of the space, each unordered pair counted once
+    /// (the build scores a pair from both of its rows). The index a
+    /// refresh gets from [`GroupIndex::apply_delta`] is a build and
+    /// reports the same count.
     pub scored_pairs: usize,
     /// Approximate heap bytes of the index: materialized entries, the
     /// outer list/length vectors, and the retained member→groups CSR.
@@ -71,8 +76,8 @@ pub type Neighbor = (GroupId, f32);
 /// groups containing member `u`, ascending. One offsets/ids pair instead
 /// of a per-member `Vec<Vec<u32>>` — no per-member allocations,
 /// cache-linear candidate scans — and is shared between the index build,
-/// the retained exact-fallback path and [`build_overlap_graph`]. The built
-/// form owns its arrays, the snapshot-loaded form views the shared buffer.
+/// the retained exact-fallback path and the overlap graph. The built form
+/// owns its arrays, the snapshot-loaded form views the shared buffer.
 #[derive(Debug, Clone)]
 pub struct MemberGroupsCsr {
     lists: Ragged,
@@ -136,15 +141,6 @@ impl MemberGroupsCsr {
         self.lists.list(member as usize)
     }
 
-    /// The groups containing `member` whose id is strictly greater than
-    /// `gid` — the smaller-id side of the symmetric pair scan. The list is
-    /// ascending, so this is a suffix located by binary search.
-    fn groups_of_above(&self, member: u32, gid: u32) -> &[u32] {
-        let list = self.groups_of(member);
-        let from = list.partition_point(|&h| h <= gid);
-        &list[from..]
-    }
-
     /// Heap bytes owned by the map (zero for snapshot-backed views; the
     /// shared buffer is accounted once at the engine level).
     pub fn heap_bytes(&self) -> usize {
@@ -176,189 +172,101 @@ pub struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Build the index over `groups`.
+    /// Build the index over `groups`, a row at a time.
     ///
-    /// Two phases. Phase one scores every overlapping pair exactly once:
-    /// workers own disjoint group ranges and each scores the pairs whose
-    /// *smaller* id falls in its range (the CSR walk skips to the
-    /// strictly-greater suffix of every member list), pushing the scored
-    /// neighbor entry for both endpoints into thread-local buckets. Phase
-    /// two scatters the buckets into per-group slices by counting sort and
-    /// runs the top-fraction selection per group in parallel. Both the
-    /// kept set and its order are determined by the total neighbor order
-    /// (descending similarity, ids as tie-break), so the index is
-    /// byte-identical at any thread count.
+    /// Workers own contiguous group ranges, balanced by member count. For
+    /// every owned group a worker scores the full row with the row kernel
+    /// (`scored_row`), orders the top `materialize_fraction` of it on
+    /// integer keys (`select_top`) and appends only that prefix, its
+    /// length and the row's full length to its own part. The parts
+    /// concatenate in range order. A row is a function of its group alone
+    /// and `neighbor_key` order is total, so the index is byte-identical
+    /// at any thread count.
     pub fn build(groups: &GroupSet, cfg: &IndexConfig) -> Self {
+        /// One worker's rows: the kept prefixes back to back, and per row
+        /// the kept and the full length.
+        #[derive(Default)]
+        struct Part {
+            entries: Vec<Neighbor>,
+            kept_lens: Vec<u32>,
+            full_lens: Vec<u32>,
+        }
+
         let n = groups.len();
         let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
         let member_groups = MemberGroupsCsr::build(groups);
-        let threads = resolve_threads(cfg.threads, n);
 
         // Chunk boundaries balance the summed *member* count per worker,
-        // not the group count: a group's candidate scan walks its members'
-        // inverted lists, so with skewed group sizes an even group split
-        // leaves most workers idle behind the one that drew the giants.
+        // not the group count: a row walks its members' inverted lists, so
+        // with skewed group sizes an even group split leaves most workers
+        // idle behind the one that drew the giants.
         let sizes: Vec<usize> = groups.iter().map(|(_, g)| g.size()).collect();
-        let chunks = size_aware_chunks(&sizes, threads);
+        let chunks = size_aware_chunks(&sizes, resolve_threads(cfg.threads, n));
 
-        // Phase 1: per-worker pair scoring into thread-local buckets.
-        // `forward` holds each owned group's greater-id neighbors
-        // contiguously (lengths alongside); `backward` holds the mirrored
-        // entries destined for greater-id groups anywhere in the space.
-        struct Bucket {
-            start: usize,
-            forward: Vec<Neighbor>,
-            forward_lens: Vec<u32>,
-            backward: Vec<(u32, Neighbor)>,
-        }
-        let buckets: Vec<Bucket> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            for &take in &chunks {
-                let member_groups = &member_groups;
-                let base = start;
-                handles.push(scope.spawn(move |_| {
-                    let mut counter: Vec<u32> = vec![0; n];
-                    let mut touched: Vec<u32> = Vec::new();
-                    let mut bucket = Bucket {
-                        start: base,
-                        forward: Vec::new(),
-                        forward_lens: Vec::with_capacity(take),
-                        backward: Vec::new(),
-                    };
-                    for offset in 0..take {
-                        let a = (base + offset) as u32;
-                        let g = groups.get(GroupId::new(a));
-                        for u in g.members.iter() {
-                            for &h in member_groups.groups_of_above(u, a) {
-                                if counter[h as usize] == 0 {
-                                    touched.push(h);
-                                }
-                                counter[h as usize] += 1;
-                            }
-                        }
-                        bucket.forward_lens.push(touched.len() as u32);
-                        for &h in touched.iter() {
-                            let inter = counter[h as usize] as usize;
-                            counter[h as usize] = 0;
-                            let other = groups.get(GroupId::new(h));
-                            let union = g.size() + other.size() - inter;
-                            let sim = inter as f32 / union as f32;
-                            bucket.forward.push((GroupId::new(h), sim));
-                            bucket.backward.push((h, (GroupId::new(a), sim)));
-                        }
-                        touched.clear();
-                    }
-                    bucket
-                }));
-                start += take;
+        let rows = |base: usize, take: usize| {
+            let mut scratch = RowScratch::new(n);
+            let mut keys: Vec<u64> = Vec::new();
+            let mut part = Part::default();
+            for g in base..base + take {
+                scored_row(
+                    &mut scratch,
+                    &member_groups,
+                    groups,
+                    GroupId::new(g as u32),
+                    &mut keys,
+                );
+                let full = keys.len();
+                let kept = select_top(&mut keys, keep_of(fraction, full));
+                part.kept_lens.push(kept.len() as u32);
+                part.entries.extend(kept);
+                part.full_lens.push(full as u32);
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("index build worker panicked"))
-                .collect()
-        })
-        .expect("index build scope");
+            part
+        };
+        // A lone chunk (one thread, or a tiny space) runs on the caller.
+        let parts: Vec<Part> = if chunks.len() <= 1 {
+            chunks.iter().map(|&take| rows(0, take)).collect()
+        } else {
+            crossbeam::thread::scope(|scope| {
+                let rows = &rows;
+                let mut base = 0usize;
+                let handles: Vec<_> = chunks
+                    .iter()
+                    .map(|&take| {
+                        let start = base;
+                        base += take;
+                        scope.spawn(move |_| rows(start, take))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("index build worker panicked"))
+                    .collect()
+            })
+            .expect("index build scope")
+        };
 
-        // Phase 2a: deterministic scatter. Count every group's full degree
-        // (forward entries it owns plus backward entries targeting it),
-        // prefix-sum the slice layout, then place entries. The per-group
-        // multiset of entries is independent of the chunking; the order
-        // within a slice is not, but the total-order selection below makes
-        // that irrelevant.
-        let scored_pairs: usize = buckets.iter().map(|b| b.forward.len()).sum();
-        let mut full_lengths = vec![0usize; n];
-        for bucket in &buckets {
-            for (offset, &len) in bucket.forward_lens.iter().enumerate() {
-                full_lengths[bucket.start + offset] += len as usize;
-            }
-            for &(h, _) in &bucket.backward {
-                full_lengths[h as usize] += 1;
-            }
-        }
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        for &len in &full_lengths {
-            starts.push(starts.last().unwrap() + len);
-        }
-        let mut entries: Vec<Neighbor> = vec![(GroupId::new(0), 0.0); *starts.last().unwrap()];
-        let mut cursor: Vec<usize> = starts[..n].to_vec();
-        // Consume the buckets as they scatter so each worker's pair
-        // storage is freed immediately — the transient peak is one copy of
-        // the pair data plus the bucket being drained, not both in full.
-        for bucket in buckets {
-            let mut at = 0usize;
-            for (offset, &len) in bucket.forward_lens.iter().enumerate() {
-                let g = bucket.start + offset;
-                let len = len as usize;
-                entries[cursor[g]..cursor[g] + len].copy_from_slice(&bucket.forward[at..at + len]);
-                cursor[g] += len;
-                at += len;
-            }
-            for (h, entry) in bucket.backward {
-                entries[cursor[h as usize]] = entry;
-                cursor[h as usize] += 1;
-            }
-        }
-
-        // Phase 2b: per-group top-fraction selection, parallel over the
-        // same size-aware ranges (selection cost follows list length,
-        // which follows member count). Groups own disjoint `entries`
-        // slices, so selection runs in place; each worker records the kept
-        // length per group. The kept set and its order come from the total
-        // neighbor order, so they are independent of the chunking.
-        let mut kept_lens = vec![0u32; n];
-        crossbeam::thread::scope(|scope| {
-            let mut remaining_kept = kept_lens.as_mut_slice();
-            let mut remaining_entries = entries.as_mut_slice();
-            let mut start = 0usize;
-            let mut handles = Vec::new();
-            for &take in &chunks {
-                let (kept_chunk, rest_kept) = remaining_kept.split_at_mut(take);
-                remaining_kept = rest_kept;
-                let span = starts[start + take] - starts[start];
-                let (entries_chunk, rest_entries) = remaining_entries.split_at_mut(span);
-                remaining_entries = rest_entries;
-                let full_lengths = &full_lengths;
-                let base = start;
-                handles.push(scope.spawn(move |_| {
-                    let mut entries_chunk = entries_chunk;
-                    for (offset, out) in kept_chunk.iter_mut().enumerate() {
-                        let (full, rest) = entries_chunk.split_at_mut(full_lengths[base + offset]);
-                        entries_chunk = rest;
-                        let kept = select_top_in_place(full, keep_of(fraction, full.len()));
-                        *out = kept as u32;
-                    }
-                }));
-                start += take;
-            }
-            for h in handles {
-                h.join().expect("index select worker panicked");
-            }
-        })
-        .expect("index select scope");
-
-        // Deterministic sequential compaction: move every group's kept
-        // prefix into the final flat array and lay down the offset table.
-        let total_kept: usize = kept_lens.iter().map(|&k| k as usize).sum();
-        let mut flat: Vec<Neighbor> = Vec::with_capacity(total_kept);
+        // Exact-capacity concatenation, in range order.
+        let mut entries: Vec<Neighbor> =
+            Vec::with_capacity(parts.iter().map(|p| p.entries.len()).sum());
         let mut list_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        list_offsets.push(0);
-        for g in 0..n {
-            let at = starts[g];
-            flat.extend_from_slice(&entries[at..at + kept_lens[g] as usize]);
-            list_offsets.push(flat.len() as u32);
+        let mut full_lengths: Vec<u32> = Vec::with_capacity(n);
+        let mut end = 0u32;
+        list_offsets.push(end);
+        for part in &parts {
+            entries.extend_from_slice(&part.entries);
+            for &kept in &part.kept_lens {
+                end += kept;
+                list_offsets.push(end);
+            }
+            full_lengths.extend_from_slice(&part.full_lens);
         }
-        drop(entries);
-
+        // Every overlapping pair sits in both of its rows.
+        let scored_pairs = full_lengths.iter().map(|&l| l as usize).sum::<usize>() / 2;
         Self::from_parts(
             list_offsets.into(),
-            flat,
-            full_lengths
-                .iter()
-                .map(|&l| l as u32)
-                .collect::<Vec<_>>()
-                .into(),
+            entries,
+            full_lengths.into(),
             member_groups,
             scored_pairs,
         )
@@ -372,9 +280,9 @@ impl GroupIndex {
     ///
     /// The returned index **is** [`GroupIndex::build`]`(new_groups, cfg)`:
     /// a refresh rebuilds, it does not patch (on every ledger workload the
-    /// delta dirties every list, and rescoring lists one by one is slower
-    /// than the symmetric build). What this function adds is the
-    /// bookkeeping [`crate::NeighborCache::carry_over`] needs (see
+    /// delta dirties every list, so a patch has no row to skip). What this
+    /// function adds is the bookkeeping
+    /// [`crate::NeighborCache::carry_over`] needs (see
     /// [`IndexPatch::carries`]): the survivor remap and the *dirty set* —
     /// the new groups whose neighbor list can differ from the old one
     /// beyond an id rewrite.
@@ -543,20 +451,32 @@ impl GroupIndex {
 
     /// Top-`k` neighbors of `g`, exact. Served from the materialized prefix
     /// in O(k) when it suffices; falls back to an on-demand exact scan
-    /// otherwise. The fallback walks only the groups overlapping `g` via
-    /// the retained member→groups CSR (the build's counter trick), not the
-    /// whole group space, then applies the same partial selection the
-    /// build path uses.
+    /// otherwise. The fallback is one row of the build — the same kernel
+    /// over the retained member→groups CSR, so only the groups overlapping
+    /// `g` are scored, and the same key selection — cut at `k` instead of
+    /// at the materialized fraction.
     pub fn neighbors(&self, groups: &GroupSet, g: GroupId, k: usize) -> Vec<Neighbor> {
         let list = self.materialized(g);
         if k <= list.len() || list.len() == self.full_neighbor_count(g) {
             return list[..k.min(list.len())].to_vec();
         }
         // Fallback: exact recomputation (the price of materializing less).
-        let mut counter = vec![0u32; groups.len()];
-        let mut full = overlapping_neighbors(groups, &self.member_groups, g, &mut counter);
-        select_top(&mut full, k);
-        full
+        let mut keys = Vec::with_capacity(self.full_neighbor_count(g));
+        scored_row(
+            &mut RowScratch::new(self.len()),
+            &self.member_groups,
+            groups,
+            g,
+            &mut keys,
+        );
+        select_top(&mut keys, k).collect()
+    }
+
+    /// The overlap graph `G` of the indexed space (an edge between any two
+    /// groups sharing a member), read off the retained member→groups CSR.
+    /// `groups` must be the space this index was built over.
+    pub fn overlap_graph(&self, groups: &GroupSet) -> OverlapGraph {
+        OverlapGraph::from_member_groups(groups, &self.member_groups)
     }
 
     /// Whether serving `k` neighbors of `g` would need the exact fallback.
@@ -605,7 +525,7 @@ impl IndexPatch {
     }
 }
 
-/// Worker count resolution shared by both build phases.
+/// Worker count of a build over `n` groups.
 fn resolve_threads(threads: usize, n: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
@@ -623,62 +543,101 @@ fn keep_of(fraction: f64, scored: usize) -> usize {
     ((fraction * scored as f64).ceil() as usize).min(scored)
 }
 
-/// Order the top `keep` entries of `slice` into its sorted prefix under
-/// [`neighbor_order`] and return how many were kept. Partial selection
-/// first — only the kept prefix needs full ordering — then one sort of
-/// the prefix. `neighbor_order` is a total order over distinct neighbor
-/// ids, so the kept prefix is independent of the input permutation (what
-/// makes the parallel build deterministic).
-fn select_top_in_place(slice: &mut [Neighbor], keep: usize) -> usize {
-    let keep = keep.min(slice.len());
-    if keep == 0 {
-        return 0;
-    }
-    if keep < slice.len() {
-        slice.select_nth_unstable_by(keep - 1, neighbor_order);
-    }
-    slice[..keep].sort_by(neighbor_order);
-    keep
+/// Reusable scratch of the row kernel: one intersection counter per group
+/// of the space, all zero between rows, and the ids the current row
+/// touched.
+pub(crate) struct RowScratch {
+    counter: Vec<u32>,
+    touched: Vec<u32>,
 }
 
-/// [`select_top_in_place`] for an owned list: truncate to the kept prefix
-/// and release the spare capacity.
-fn select_top(neighbors: &mut Vec<Neighbor>, keep: usize) {
-    let kept = select_top_in_place(neighbors, keep);
-    neighbors.truncate(kept);
-    neighbors.shrink_to_fit();
-}
+impl RowScratch {
+    /// Scratch for rows over a space of `n_groups` groups.
+    pub(crate) fn new(n_groups: usize) -> Self {
+        Self {
+            counter: vec![0; n_groups],
+            touched: Vec::new(),
+        }
+    }
 
-/// Every group overlapping `g`, scored but unordered, generated from the
-/// member→groups CSR by intersection counting. `counter` is caller-owned
-/// zeroed scratch of length `groups.len()`; it is returned zeroed.
-fn overlapping_neighbors(
-    groups: &GroupSet,
-    member_groups: &MemberGroupsCsr,
-    gid: GroupId,
-    counter: &mut [u32],
-) -> Vec<Neighbor> {
-    let g = groups.get(gid);
-    let mut touched: Vec<u32> = Vec::new();
-    for u in g.members.iter() {
-        for &h in member_groups.groups_of(u) {
-            if h != gid.0 {
-                if counter[h as usize] == 0 {
-                    touched.push(h);
+    /// The row kernel — the one walk of a group's members' CSR lists.
+    /// `emit(h, |g ∩ h|)` is called once for every *other* group `h`
+    /// sharing a member with `g` (the walk meets `g` itself under every
+    /// member and drops it here), in first-touch order. `member_groups`
+    /// must be the map of the space `g` belongs to. The counter is zero
+    /// again on return.
+    pub(crate) fn overlaps(
+        &mut self,
+        member_groups: &MemberGroupsCsr,
+        groups: &GroupSet,
+        g: GroupId,
+        mut emit: impl FnMut(u32, u32),
+    ) {
+        let (offsets, items) = (member_groups.lists.offsets(), member_groups.lists.items());
+        for u in groups.get(g).members.iter() {
+            for &h in &items[offsets[u as usize] as usize..offsets[u as usize + 1] as usize] {
+                let count = &mut self.counter[h as usize];
+                if *count == 0 {
+                    self.touched.push(h);
                 }
-                counter[h as usize] += 1;
+                *count += 1;
+            }
+        }
+        for h in self.touched.drain(..) {
+            let inter = std::mem::take(&mut self.counter[h as usize]);
+            if h != g.0 {
+                emit(h, inter);
             }
         }
     }
-    let mut neighbors: Vec<Neighbor> = Vec::with_capacity(touched.len());
-    for h in touched {
-        let inter = counter[h as usize] as usize;
-        counter[h as usize] = 0;
-        let other = groups.get(GroupId::new(h));
-        let union = g.size() + other.size() - inter;
-        neighbors.push((GroupId::new(h), inter as f32 / union as f32));
+}
+
+/// A neighbor as one integer whose ascending order is [`neighbor_order`]:
+/// the similarity's bits complemented in the high half (a Jaccard of
+/// overlapping sets is positive and finite, and such floats order like
+/// their bit patterns), the id in the low half as the tie-break.
+fn neighbor_key(id: u32, sim: f32) -> u64 {
+    u64::from(!sim.to_bits()) << 32 | u64::from(id)
+}
+
+/// The neighbor a [`neighbor_key`] was made from, bit for bit.
+fn key_neighbor(key: u64) -> Neighbor {
+    (
+        GroupId::new(key as u32),
+        f32::from_bits(!((key >> 32) as u32)),
+    )
+}
+
+/// The full neighbor row of `gid` as keys, unordered: every group
+/// overlapping it, scored with the exact `f32` Jaccard similarity.
+fn scored_row(
+    scratch: &mut RowScratch,
+    member_groups: &MemberGroupsCsr,
+    groups: &GroupSet,
+    gid: GroupId,
+    keys: &mut Vec<u64>,
+) {
+    let size = groups.get(gid).size();
+    keys.clear();
+    scratch.overlaps(member_groups, groups, gid, |h, inter| {
+        let inter = inter as usize;
+        let union = size + groups.get(GroupId::new(h)).size() - inter;
+        keys.push(neighbor_key(h, inter as f32 / union as f32));
+    });
+}
+
+/// Order the `keep` smallest of `keys` into its sorted prefix and return
+/// that prefix as neighbors. Partial selection first — only the kept
+/// prefix needs full ordering — then one sort of the prefix. Keys of one
+/// row are distinct (distinct ids), so the prefix does not depend on the
+/// input permutation.
+fn select_top(keys: &mut [u64], keep: usize) -> impl ExactSizeIterator<Item = Neighbor> + '_ {
+    let keep = keep.min(keys.len());
+    if keep > 0 && keep < keys.len() {
+        keys.select_nth_unstable(keep - 1);
     }
-    neighbors
+    keys[..keep].sort_unstable();
+    keys[..keep].iter().map(|&key| key_neighbor(key))
 }
 
 /// Split `sizes.len()` items into at most `workers` contiguous chunks
@@ -748,14 +707,6 @@ pub fn compute_all_neighbors(groups: &GroupSet, g: GroupId) -> Vec<Neighbor> {
     out
 }
 
-/// Build the overlap graph from a group set (edges between any two groups
-/// sharing a member). Exposed here because it reuses the member→groups
-/// CSR.
-pub fn build_overlap_graph(groups: &GroupSet) -> OverlapGraph {
-    let member_groups = MemberGroupsCsr::build(groups);
-    OverlapGraph::from_member_groups(groups.len(), &member_groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,17 +731,23 @@ mod tests {
     }
 
     fn bookcrossing_groups(min_support: usize) -> GroupSet {
-        let ds =
-            vexus_data::synthetic::bookcrossing(&vexus_data::synthetic::BookCrossingConfig::tiny());
-        let vocab = vexus_data::Vocabulary::build(&ds.data);
-        let db = vexus_mining::transactions::TransactionDb::build(&ds.data, &vocab);
-        vexus_mining::mine_closed_groups(
-            &db,
+        mined_groups(
+            &vexus_data::synthetic::BookCrossingConfig::tiny(),
             &vexus_mining::LcmConfig {
                 min_support,
                 ..Default::default()
             },
         )
+    }
+
+    fn mined_groups(
+        data: &vexus_data::synthetic::BookCrossingConfig,
+        lcm: &vexus_mining::LcmConfig,
+    ) -> GroupSet {
+        let ds = vexus_data::synthetic::bookcrossing(data);
+        let vocab = vexus_data::Vocabulary::build(&ds.data);
+        let db = vexus_mining::transactions::TransactionDb::build(&ds.data, &vocab);
+        vexus_mining::mine_closed_groups(&db, lcm)
     }
 
     /// Materialized lists, full lengths and entry/pair stats must agree.
@@ -824,7 +781,7 @@ mod tests {
 
     /// The build's oracle, sharing no code with it: every list is the
     /// top-fraction prefix of the brute-force full scan, every full length
-    /// is the scan's, and each unordered overlapping pair was scored once.
+    /// is the scan's, and each unordered overlapping pair is counted once.
     fn assert_matches_brute_force(idx: &GroupIndex, gs: &GroupSet, fraction: f64, what: &str) {
         assert_eq!(idx.len(), gs.len(), "{what}: group count");
         let mut overlapping = 0usize;
@@ -856,9 +813,6 @@ mod tests {
         assert_eq!(csr.groups_of(4), &[1, 2]);
         assert_eq!(csr.groups_of(7), &[] as &[u32]);
         assert_eq!(csr.groups_of(100), &[3]);
-        // The greater-than suffix used by the symmetric scan.
-        assert_eq!(csr.groups_of_above(3, 0), &[1, 2]);
-        assert_eq!(csr.groups_of_above(3, 2), &[] as &[u32]);
         // Empty group set: no members, nothing to index.
         let empty = MemberGroupsCsr::build(&GroupSet::new());
         assert_eq!(empty.n_members(), 0);
@@ -1171,6 +1125,55 @@ mod tests {
         assert!(tenth.stats().heap_bytes < full.stats().heap_bytes);
     }
 
+    #[test]
+    fn engine_scale_build_is_chunking_independent() {
+        // A ×1 dataset mined at the paper configuration: every chunking of
+        // the rows encodes to the same index sections, and sampled lists
+        // are the brute-force scan cut at the materialized fraction.
+        let gs = mined_groups(
+            &vexus_data::synthetic::BookCrossingConfig {
+                n_users: 5_000,
+                n_books: 4_000,
+                n_ratings: 30_000,
+                n_communities: 8,
+                seed: 7,
+            },
+            &vexus_mining::LcmConfig {
+                min_support: 5,
+                max_description: 4,
+                max_groups: 100_000,
+                emit_root: false,
+            },
+        );
+        assert!(gs.len() > 1_000, "fixture too small: {}", gs.len());
+        let encoded = |threads| {
+            let idx = GroupIndex::build(
+                &gs,
+                &IndexConfig {
+                    materialize_fraction: 0.1,
+                    threads,
+                },
+            );
+            let mut w = vexus_data::SnapshotWriter::new();
+            crate::snapshot::encode_group_index(&idx, &mut w);
+            (idx, w.finish())
+        };
+        let (serial, bytes) = encoded(1);
+        for threads in [2usize, 3, 7] {
+            assert!(encoded(threads).1 == bytes, "threads={threads}");
+        }
+        for g in (0..gs.len()).step_by(gs.len() / 64).take(64) {
+            let g = GroupId::new(g as u32);
+            let all = compute_all_neighbors(&gs, g);
+            assert_eq!(
+                serial.materialized(g),
+                &all[..keep_of(0.1, all.len())],
+                "list of {g}"
+            );
+            assert_eq!(serial.full_neighbor_count(g), all.len());
+        }
+    }
+
     use vexus_data::TokenId;
     use vexus_mining::delta::{canonicalize, diff};
 
@@ -1418,10 +1421,59 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
+        /// A row of random `(id, inter, |a|, |b|)` with `1 ≤ inter ≤ min`:
+        /// tiny sizes (many equal similarities under different ids), full
+        /// `u32` sizes, `sim == 1.0` and the smallest ratio `u32` sizes
+        /// allow. Sorting the keys is sorting the neighbors by
+        /// [`neighbor_order`], a key gives back its `(id, sim)` bit for bit,
+        /// and [`select_top`] is a prefix of that sort.
+        #[test]
+        fn prop_neighbor_key_order_is_neighbor_order(
+            raw in proptest::collection::vec(
+                (0u8..4, 0u32..=u32::MAX, 1u32..=u32::MAX, 1u32..=u32::MAX, 0u32..=u32::MAX),
+                1..40),
+            keep in 0usize..45
+        ) {
+            let mut row: Vec<Neighbor> = Vec::new();
+            for (shape, id, a, b, pick) in raw {
+                let (id, a, b) = match shape {
+                    0 => (id % 64, a % 6 + 1, b % 6 + 1),
+                    1 => (id, a % 5_000 + 1, b % 5_000 + 1),
+                    2 => (id, a, b),
+                    _ if pick % 2 == 0 => (id, a, a),
+                    _ => (id, u32::MAX, u32::MAX),
+                };
+                let inter = match shape {
+                    3 if pick % 2 == 0 => a as usize,
+                    3 => 1,
+                    _ => 1 + pick as usize % a.min(b) as usize,
+                };
+                let union = a as usize + b as usize - inter;
+                if row.iter().all(|&(h, _)| h.0 != id) {
+                    row.push((GroupId::new(id), inter as f32 / union as f32));
+                }
+            }
+            let bits = |list: &[Neighbor]| -> Vec<(u32, u32)> {
+                list.iter().map(|&(h, sim)| (h.0, sim.to_bits())).collect()
+            };
+            let mut keys: Vec<u64> = row.iter().map(|&(h, sim)| neighbor_key(h.0, sim)).collect();
+            let back: Vec<Neighbor> = keys.iter().map(|&key| key_neighbor(key)).collect();
+            prop_assert_eq!(bits(&back), bits(&row), "round trip");
+            row.sort_by(neighbor_order);
+            let mut selected = keys.clone();
+            let selected: Vec<Neighbor> = select_top(&mut selected, keep).collect();
+            prop_assert_eq!(bits(&selected), bits(&row[..keep.min(row.len())]), "selection");
+            keys.sort_unstable();
+            let sorted: Vec<Neighbor> = keys.iter().map(|&key| key_neighbor(key)).collect();
+            prop_assert_eq!(bits(&sorted), bits(&row), "order");
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        /// Random skewed group-size fixtures: the symmetric CSR build must
-        /// equal the brute-force scan — lists, full lengths and one
-        /// scoring per unordered pair — at thread counts {1, 2, 4, 8}.
+        /// Random skewed group-size fixtures: the row-at-a-time build must
+        /// equal the brute-force scan — lists, full lengths and one count
+        /// per unordered pair — at thread counts {1, 2, 4, 8}.
         #[test]
         fn prop_build_equals_brute_force(
             raw_groups in proptest::collection::vec(

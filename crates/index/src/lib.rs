@@ -19,8 +19,9 @@
 //! Index construction uses a flat CSR member→groups inverted map
 //! ([`inverted::MemberGroupsCsr`]) so that only *overlapping* pairs are
 //! ever scored (non-overlapping pairs have Jaccard similarity 0 and never
-//! enter a neighbor list), scores each unordered pair exactly once from
-//! the smaller-id side, and shards the work across threads with crossbeam.
+//! enter a neighbor list); the build scores, ranks and keeps one whole
+//! neighbor row per group and shards the rows across threads with
+//! crossbeam.
 //! There is one way to make an index: a live refresh rebuilds it
 //! ([`GroupIndex::apply_delta`] is [`GroupIndex::build`] plus the survivor
 //! id remap and dirty set that [`NeighborCache::carry_over`] reads through
