@@ -24,29 +24,41 @@
 //! ## The objective is evaluated incrementally, and bit-identically
 //!
 //! A swap trial changes one of the k selected groups, so the objective is
-//! not recomputed from the member lists. An `Evaluator` is set up once
-//! per [`select_k_with`] call and makes a trial cost
-//! O(⌈|reference|/64⌉ + k²) word and `f64` operations. It produces the very
-//! `f64` that [`crate::quality::evaluate_with`] — the single from-scratch
+//! not recomputed from the member lists, and no step of a call merges two
+//! sorted lists. An `Evaluator` is set up once per [`select_k_with`] call
+//! over the pool's *window* — the member ids from the smallest pool
+//! member, rounded down to a multiple of 64, up to the largest — and makes
+//! a trial cost O(⌈|reference ∩ window|/64⌉ + k²) word and `f64`
+//! operations, plus one bit probe per member of the unselected side of
+//! each distance it meets for the first time. It produces the very `f64`
+//! that [`crate::quality::evaluate_with`] — the single from-scratch
 //! definition of P2, which the oracle tests at the bottom of this file
 //! compare against bit for bit — would produce, for three reasons:
 //!
 //! * **Coverage is an exact integer.** Each pool group gets one bitset row
-//!   over the *ranks* of the sorted reference (bit `j` set iff
-//!   `reference[j]` is a member). Per position, the OR of the other k−1
-//!   selected rows and its popcount are computed once (an accepted swap at
-//!   that position does not change them); a trial's covered count is that
-//!   popcount plus `popcount(row & !others)`. The same integer is then
-//!   divided by the same `|reference|`.
+//!   over the *ranks* of the reference's members inside the window (bit
+//!   `j` set iff the `j`-th of them is a member; no other reference member
+//!   can be covered). A row is filled in one pass over the group's own
+//!   members: a rank bitvector of the reference over the window, with the
+//!   count of reference members before each of its words, turns a member
+//!   into its rank. Per position, the OR of the other k−1 selected rows
+//!   and its popcount are computed once (an accepted swap at that position
+//!   does not change them); a trial's covered count is that popcount plus
+//!   `popcount(row & !others)`. The same integer is then divided by the
+//!   same `|reference|`.
 //! * **Diversity is re-summed in `quality::diversity`'s `i < j` order** from
 //!   a lazy memo of pairwise Jaccard distances, never kept as a running
 //!   sum: a different reduction order moves the last ulp, and an ulp is
 //!   enough to flip a greedy tie (see `feedback.rs`). Only groups that have
-//!   been in the selection own a memo row; every pair a trial needs has at
-//!   least one such side.
-//! * **Jaccard is symmetric in exact integers**
-//!   (`inter / (|a| + |b| − inter)`), so a distance memoized for `(a, b)`
-//!   is the `f64` a from-scratch evaluation computes for `(b, a)`.
+//!   been in the selection own a memo row, and each such group also owns a
+//!   bit-row of its members over the window; every pair a trial needs has
+//!   at least one such side. A memo miss counts `inter` by probing the
+//!   other group's members against that bit-row, branch-free.
+//! * **Jaccard is one formula over exact integers.** `(inter, |a|, |b|)`
+//!   becomes a similarity in [`jaccard_of_counts`] alone, which
+//!   [`MemberSet::jaccard`] — and through it `quality::diversity` — calls
+//!   too; and it is symmetric, so a distance memoized for `(a, b)` is the
+//!   `f64` a from-scratch evaluation computes for `(b, a)`.
 //!
 //! The mean affinity is re-summed over the k selected candidates in
 //! selection order.
@@ -54,6 +66,7 @@
 use crate::feedback::FeedbackVector;
 use crate::quality::Quality;
 use std::time::{Duration, Instant};
+use vexus_mining::bitmap::jaccard_of_counts;
 use vexus_mining::{GroupId, GroupSet, MemberSet};
 
 /// Parameters of one selection call.
@@ -119,21 +132,27 @@ struct Cand {
 const NO_ROW: u32 = u32::MAX;
 
 /// Reusable working memory for [`select_k_with`]: the ranked candidate
-/// pool, the selection, and the per-call evaluator's coverage rows and
-/// distance memo. A session that owns one `SelectScratch` amortizes those
-/// allocations across its clicks; every buffer is fully re-initialised at
-/// the start of a call, so a call's result never depends on the previous
-/// one.
+/// pool, the selection, and the per-call evaluator's rank lookup, coverage
+/// rows, member bit-rows and distance memo. A session that owns one
+/// `SelectScratch` amortizes those allocations across its clicks; every
+/// buffer is fully re-initialised at the start of a call, so a call's
+/// result never depends on the previous one.
 ///
-/// **Bound.** With `pool` candidates past the similarity filter and
-/// `words = ⌈|reference| / 64⌉`, a call that selects anything leaves the
-/// scratch holding at most `pool·words + words + rows·pool` eight-byte
-/// words (coverage rows, the OR of the other selected rows, memo rows),
-/// where `rows ≤ min(pool, k + accepted swaps)`, plus `pool` candidates and
-/// row indices. Capacity follows the largest call the scratch has served,
-/// which is why [`crate::session::Session`] runs its opening step — the
-/// one call measured against the whole population — on a scratch of its
-/// own.
+/// **Bound.** Take a call with `pool` candidates past the similarity
+/// filter whose members span `window` words (from the smallest member
+/// rounded down to a multiple of 64 through the largest; 0 if the pool has
+/// no member), and let `words = ⌈|reference ∩ window| / 64⌉ ≤
+/// ⌈|reference| / 64⌉` and `rows ≤ min(pool, k + accepted swaps)`. If it
+/// selects anything, it leaves the scratch holding at most
+/// `pool·words + words + rows·pool + rows·window + window` eight-byte words
+/// (coverage rows, the OR of the other selected rows, memo rows, member
+/// bit-rows of the groups that were selected, the reference's rank
+/// bitvector) plus `window` four-byte prefix counts, `pool` candidates and
+/// `pool` row indices. That is 1.5 bits per user id in the window for the
+/// rank lookup, and bit-rows only for groups that entered the selection.
+/// Capacity follows the largest call the scratch has served, which is why
+/// [`crate::session::Session`] runs its opening step — the one call
+/// measured against the whole population — on a scratch of its own.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     pool: Vec<Cand>,
@@ -141,14 +160,23 @@ pub struct SelectScratch {
     eval: EvalBuffers,
 }
 
-/// The [`Evaluator`]'s share of a [`SelectScratch`].
+/// The [`Evaluator`]'s share of a [`SelectScratch`]. Bit `o` of a
+/// `window`-word row stands for member id `base + o`.
 #[derive(Debug, Default)]
 struct EvalBuffers {
-    /// `pool × words`: bit `j` of row `i` is set iff `reference[j]` is a
-    /// member of pool entry `i`.
+    /// `window`: the reference's members inside the window.
+    ref_bits: Vec<u64>,
+    /// `window`: how many of those lie before each word, so a member's
+    /// rank among them is one popcount away.
+    ref_before: Vec<u32>,
+    /// `pool × words`: bit `j` of row `i` is set iff the `j`-th reference
+    /// member inside the window is a member of pool entry `i`.
     cover: Vec<u64>,
     /// `words`: OR of the selected rows except the position under trial.
     others: Vec<u64>,
+    /// `rows × window`: the members of each pool entry that owns a memo
+    /// row, in the memo's row order.
+    member_bits: Vec<u64>,
     /// `rows × pool` Jaccard distances; `NAN` = not computed yet.
     memo: Vec<f64>,
     /// Pool entry → its memo row, [`NO_ROW`] until it is first selected.
@@ -191,32 +219,36 @@ fn rank_pool(
     );
     pool.sort_by(|a, b| {
         b.weighted_sim
-            .partial_cmp(&a.weighted_sim)
-            .expect("finite weighted similarity")
+            .total_cmp(&a.weighted_sim)
             .then_with(|| a.id.cmp(&b.id))
     });
 }
 
-/// Set bit `j` of `row` for every `reference[j]` found in `members` (both
-/// strictly ascending).
-fn mark_ranks(row: &mut [u64], members: &[u32], reference: &[u32]) {
-    let (mut i, mut j) = (0, 0);
-    while i < members.len() && j < reference.len() {
-        match members[i].cmp(&reference[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                row[j / 64] |= 1 << (j % 64);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+/// Row `i` of a matrix of `words`-word rows.
+fn row(rows: &[u64], words: usize, i: usize) -> &[u64] {
+    &rows[i * words..(i + 1) * words]
 }
 
-/// Coverage row `i` of a `pool × words` matrix.
-fn row(cover: &[u64], words: usize, i: usize) -> &[u64] {
-    &cover[i * words..(i + 1) * words]
+/// The `base` and length in words of the window `members` span: from the
+/// smallest member rounded down to a multiple of 64 through the largest.
+/// `(0, 0)` when there is no member.
+fn window<'m>(members: impl Iterator<Item = &'m [u32]>) -> (u32, usize) {
+    let (lo, hi) = members
+        .filter_map(|m| Some((*m.first()?, *m.last()?)))
+        .fold((u32::MAX, 0), |(lo, hi), (f, l)| (lo.min(f), hi.max(l)));
+    if lo > hi {
+        return (0, 0);
+    }
+    let base = lo & !63;
+    (base, ((hi - base) / 64 + 1) as usize)
+}
+
+/// Set the bit of each of `ids` (all inside the window) in a window row.
+fn mark(row: &mut [u64], ids: &[u32], base: u32) {
+    for &u in ids {
+        let off = (u - base) as usize;
+        row[off / 64] |= 1 << (off % 64);
+    }
 }
 
 /// The P2 objective of one [`select_k_with`] call over the scratch's
@@ -227,6 +259,10 @@ struct Evaluator<'a> {
     params: &'a SelectParams,
     pool: &'a [Cand],
     reference_len: usize,
+    /// The member id bit 0 of a window row stands for, and the row length.
+    base: u32,
+    window: usize,
+    /// Length of a coverage row.
     words: usize,
     /// The selection position [`Self::exclude`] last left out of
     /// `buf.others`, and the popcount of what it left in.
@@ -243,17 +279,44 @@ impl<'a> Evaluator<'a> {
         pool: &'a [Cand],
         buf: &'a mut EvalBuffers,
     ) -> Self {
-        let words = reference.len().div_ceil(64);
+        let members = |cand: &Cand| groups.get(cand.id).members.as_slice();
+        let (base, window) = window(pool.iter().map(members));
+
+        // The reference's rank lookup over the window.
+        let ids = reference.as_slice();
+        let end = u64::from(base) + 64 * window as u64;
+        let inside =
+            ids.partition_point(|&u| u < base)..ids.partition_point(|&u| u64::from(u) < end);
+        buf.ref_bits.clear();
+        buf.ref_bits.resize(window, 0);
+        mark(&mut buf.ref_bits, &ids[inside], base);
+        buf.ref_before.clear();
+        let mut ranked = 0;
+        buf.ref_before.extend(buf.ref_bits.iter().map(|bits| {
+            let before = ranked;
+            ranked += bits.count_ones();
+            before
+        }));
+
+        let words = (ranked as usize).div_ceil(64);
         buf.cover.clear();
         buf.cover.resize(pool.len() * words, 0);
         if words > 0 {
             for (cand, row) in pool.iter().zip(buf.cover.chunks_exact_mut(words)) {
-                let members = &groups.get(cand.id).members;
-                mark_ranks(row, members.as_slice(), reference.as_slice());
+                for &u in members(cand) {
+                    let off = (u - base) as usize;
+                    let (bits, bit) = (buf.ref_bits[off / 64], off % 64);
+                    if bits >> bit & 1 == 1 {
+                        let rank = buf.ref_before[off / 64] as usize
+                            + (bits & ((1 << bit) - 1)).count_ones() as usize;
+                        row[rank / 64] |= 1 << (rank % 64);
+                    }
+                }
             }
         }
         buf.others.clear();
         buf.others.resize(words, 0);
+        buf.member_bits.clear();
         buf.memo.clear();
         buf.row_of.clear();
         buf.row_of.resize(pool.len(), NO_ROW);
@@ -262,6 +325,8 @@ impl<'a> Evaluator<'a> {
             params,
             pool,
             reference_len: reference.len(),
+            base,
+            window,
             words,
             pos: 0,
             covered_wo: 0,
@@ -269,14 +334,23 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Give pool entry `i` a memo row: called for every entry that enters
-    /// the selection, so each pair a trial needs has a row to live in.
+    fn members(&self, i: usize) -> &'a [u32] {
+        self.groups.get(self.pool[i].id).members.as_slice()
+    }
+
+    /// Give pool entry `i` a memo row and a member bit-row: called for
+    /// every entry that enters the selection, so each pair a trial needs
+    /// has a row to live in and a row to probe.
     fn own_row(&mut self, i: usize) {
         if self.buf.row_of[i] == NO_ROW {
             self.buf.row_of[i] = (self.buf.memo.len() / self.pool.len()) as u32;
             self.buf
                 .memo
                 .resize(self.buf.memo.len() + self.pool.len(), f64::NAN);
+            let members = self.members(i);
+            let start = self.buf.member_bits.len();
+            self.buf.member_bits.resize(start + self.window, 0);
+            mark(&mut self.buf.member_bits[start..], members, self.base);
         }
     }
 
@@ -310,7 +384,8 @@ impl<'a> Evaluator<'a> {
             (y, x)
         };
         let n = self.pool.len();
-        let cell = self.buf.row_of[own] as usize * n + other;
+        let row_of_own = self.buf.row_of[own] as usize;
+        let cell = row_of_own * n + other;
         if self.buf.memo[cell].is_nan() {
             // Symmetric in exact integers: if the other side owns a row
             // too, the pair may already be there.
@@ -319,8 +394,17 @@ impl<'a> Evaluator<'a> {
                 row => self.buf.memo[row as usize * n + own],
             };
             self.buf.memo[cell] = if mirrored.is_nan() {
-                let a = &self.groups.get(self.pool[own].id).members;
-                a.jaccard_distance(&self.groups.get(self.pool[other].id).members)
+                let bits = row(&self.buf.member_bits, self.window, row_of_own);
+                let others = self.members(other);
+                let inter: u64 = others
+                    .iter()
+                    .map(|&u| {
+                        let off = (u - self.base) as usize;
+                        bits[off / 64] >> (off % 64) & 1
+                    })
+                    .sum();
+                let (a, b) = (self.members(own).len(), others.len());
+                1.0 - jaccard_of_counts(inter as usize, a, b)
             } else {
                 mirrored
             };
@@ -648,21 +732,45 @@ mod tests {
     /// call `scratch` last served.
     fn assert_scratch_bound(
         scratch: &SelectScratch,
+        groups: &GroupSet,
         reference: &MemberSet,
         k: usize,
         accepted: usize,
     ) {
         let pool = scratch.pool.len();
-        let words = reference.len().div_ceil(64);
-        let buf = &scratch.eval;
-        assert!(buf.cover.len() <= pool * words);
-        assert!(buf.others.len() <= words);
-        assert!(buf.row_of.len() <= pool);
+        // The window, spelled out: every member id of every pool entry.
+        let ids: Vec<u32> = scratch
+            .pool
+            .iter()
+            .flat_map(|c| groups.get(c.id).members.iter())
+            .collect();
+        let (window, words) = match (ids.iter().min(), ids.iter().max()) {
+            (Some(&lo), Some(&hi)) => {
+                let base = lo - lo % 64;
+                let window = (hi - base) as usize / 64 + 1;
+                let end = base as usize + 64 * window;
+                let inside = reference
+                    .iter()
+                    .filter(|&u| u >= base && (u as usize) < end)
+                    .count();
+                (window, inside.div_ceil(64))
+            }
+            _ => (0, 0),
+        };
+        assert!(words <= reference.len().div_ceil(64));
         let rows = pool.min(k + accepted);
+        let what = format!("pool {pool}, window {window}, k {k}, {accepted} accepted swaps");
+        let buf = &scratch.eval;
+        assert!(buf.ref_bits.len() <= window, "{what}: rank bits");
+        assert!(buf.ref_before.len() <= window, "{what}: rank prefix counts");
+        assert!(buf.cover.len() <= pool * words, "{what}: coverage rows");
+        assert!(buf.others.len() <= words, "{what}: others");
+        assert!(buf.row_of.len() <= pool, "{what}: row indices");
+        assert!(buf.memo.len() <= rows * pool, "{what}: memo cells");
         assert!(
-            buf.memo.len() <= rows * pool,
-            "{} memo cells for pool {pool}, k {k}, {accepted} accepted swaps",
-            buf.memo.len()
+            buf.member_bits.len() <= rows * window,
+            "{what}: {} member bit-row words",
+            buf.member_bits.len()
         );
     }
 
@@ -888,10 +996,21 @@ mod tests {
 
     #[test]
     fn reused_scratch_stays_within_its_bound_and_matches_a_fresh_one() {
-        // 40 groups of 30 consecutive members (mod 140), so every reference
-        // size below cuts through some of them.
-        let sets: Vec<Vec<u32>> = (0..40)
-            .map(|i| ((i * 7)..(i * 7 + 30)).map(|x| x % 140).collect())
+        // Four families of 40 groups, each group 30 consecutive positions
+        // `x` (mod 140), so every reference below cuts through some of
+        // them. Position `x` of a family is member id `shift + stride·x`:
+        // the family's window starts at a different base and spans 3 to
+        // 11 words.
+        let families: [(i64, i64); 4] = [(0, 1), (1037, 1), (70, 2), (5013, 5)];
+        let sets: Vec<Vec<u32>> = families
+            .iter()
+            .flat_map(|&(shift, stride)| {
+                (0..40).map(move |i| {
+                    ((i * 7)..(i * 7 + 30))
+                        .map(|x| (shift + stride * (x % 140)) as u32)
+                        .collect()
+                })
+            })
             .collect();
         let slices: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
         let groups = gs(&slices);
@@ -902,23 +1021,41 @@ mod tests {
         };
         let feedback = FeedbackVector::new();
         let mut reused = SelectScratch::new();
-        // A large reference and the full pool first, then references around
-        // the word boundary with the pool shrinking and growing: stale
-        // coverage bits, memo cells or row indices would change a result.
-        let calls: [(u32, usize); 8] = [
-            (130, 40),
-            (0, 3),
-            (1, 25),
-            (63, 7),
-            (64, 40),
-            (65, 2),
-            (130, 12),
-            (64, 31),
+        // (family, reference = positions `from..from + n`, pool). First a
+        // large reference and the full pool, then references around the
+        // word boundary with the pool shrinking and growing; then the
+        // window grows, shrinks and moves its base, with references
+        // reaching below it: stale coverage bits, rank words, member bits,
+        // memo cells or row indices would change a result.
+        let calls: [(usize, i64, i64, usize); 15] = [
+            (0, 0, 130, 40),
+            (0, 0, 0, 3),
+            (0, 0, 1, 25),
+            (0, 0, 63, 7),
+            (0, 0, 64, 40),
+            (0, 0, 65, 2),
+            (0, 0, 130, 12),
+            (0, 0, 64, 31),
+            (3, -10, 150, 40),
+            (1, -30, 100, 20),
+            (2, -40, 180, 40),
+            (0, 0, 130, 40),
+            (1, 5, 65, 33),
+            (3, 0, 20, 9),
+            // 17 reference members below the base, exactly 64 inside.
+            (1, -30, 81, 17),
         ];
-        for (n, pool) in calls {
-            let reference = MemberSet::universe(n);
+        for (family, from, n, pool) in calls {
+            let (shift, stride) = families[family];
+            let reference: MemberSet = (from..from + n)
+                .map(|x| shift + stride * x)
+                .filter(|&u| u >= 0)
+                .map(|u| u as u32)
+                .collect();
             let candidates: Vec<ScoredCandidate> = all_candidates(&groups)
                 .into_iter()
+                .skip(40 * family)
+                .take(40)
                 .rev()
                 .take(pool)
                 .collect();
@@ -930,14 +1067,17 @@ mod tests {
                 &feedback,
                 &params,
             );
-            let what = format!("|reference| {n}, pool {pool}");
+            let what = format!(
+                "family {family}, reference {from}..{}, pool {pool}",
+                from + n
+            );
             let fresh = select_k(&groups, &candidates, &reference, &feedback, &params);
             assert_same_outcome(&got, &fresh, &what);
             let (want, accepted) =
                 select_k_oracle(&groups, &candidates, &reference, &feedback, &params);
             assert_same_outcome(&got, &want, &what);
             assert_eq!(reused.pool.len(), pool);
-            assert_scratch_bound(&reused, &reference, params.k, accepted);
+            assert_scratch_bound(&reused, &groups, &reference, params.k, accepted);
         }
     }
 
@@ -963,7 +1103,7 @@ mod tests {
             let (want, accepted) =
                 select_k_oracle(groups, candidates, reference, feedback, &params);
             assert_same_outcome(&got, &want, what);
-            assert_scratch_bound(scratch, reference, params.k, accepted);
+            assert_scratch_bound(scratch, groups, reference, params.k, accepted);
             let from_scratch = quality::evaluate(groups, &got.selection, reference);
             assert_eq!(
                 got.quality.diversity.to_bits(),
@@ -981,11 +1121,7 @@ mod tests {
             let mut scratch = SelectScratch::new();
             let mut feedback = FeedbackVector::new();
             // The opening step, as `Session::opening_step` poses it.
-            let mut by_size: Vec<GroupId> = groups.ids().collect();
-            by_size.sort_by_key(|&id| std::cmp::Reverse(groups.get(id).size()));
-            by_size.truncate(pool);
-            let candidates: Vec<ScoredCandidate> =
-                by_size.into_iter().map(|id| (id, 1.0)).collect();
+            let candidates = crate::session::opening_candidates(groups, pool);
             let population = MemberSet::universe(vexus.data().n_users() as u32);
             let opening = check(
                 &mut scratch,
@@ -1028,7 +1164,10 @@ mod tests {
             // Entries `< len` duplicate that group, the rest nest a prefix
             // of one inside it.
             derived in proptest::collection::vec(0usize..24, 0..5),
-            reference in (0usize..4, proptest::collection::vec(0u32..200, 1..150)),
+            // Member `u` becomes id `offset + stride·u`: the window starts
+            // anywhere, mostly off a word boundary, and spans 2–5 words.
+            placement in (0u32..100_000, 1u32..4),
+            reference in (0usize..4, proptest::collection::vec(0u32..300, 1..150)),
             sims in proptest::collection::vec(1u32..5, 16),
             shape in (0usize..=7, 0usize..2, 0usize..2),
             rewards in proptest::collection::vec(0usize..16, 0..=3)
@@ -1039,13 +1178,20 @@ mod tests {
                 let keep = if d < sets.len() { source.len() } else { source.len() / 2 };
                 sets.push(source[..keep].to_vec());
             }
+            let (offset, stride) = placement;
+            for set in &mut sets {
+                set.iter_mut().for_each(|u| *u = offset + stride * *u);
+            }
             let slices: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
             let groups = gs(&slices);
             let reference = match reference {
                 (0, _) => MemberSet::empty(),
                 // Disjoint from every group.
-                (1, r) => MemberSet::from_unsorted(r.into_iter().map(|u| u + 1000).collect()),
-                (_, r) => MemberSet::from_unsorted(r),
+                (1, r) => MemberSet::from_unsorted(r.into_iter().map(|u| offset + 1000 + u).collect()),
+                // Reaching below the window and past its end.
+                (_, r) => MemberSet::from_unsorted(
+                    r.into_iter().map(|u| (offset + u).saturating_sub(50)).collect(),
+                ),
             };
             // Quarter-step similarities tie often; the bound drops the lowest.
             let candidates: Vec<ScoredCandidate> = groups
@@ -1068,7 +1214,7 @@ mod tests {
             let got = select_k_with(&mut scratch, &groups, &candidates, &reference, &feedback, &params);
             let (want, accepted) = select_k_oracle(&groups, &candidates, &reference, &feedback, &params);
             assert_same_outcome(&got, &want, "random case");
-            assert_scratch_bound(&scratch, &reference, k, accepted);
+            assert_scratch_bound(&scratch, &groups, &reference, k, accepted);
         }
     }
 }

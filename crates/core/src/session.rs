@@ -43,7 +43,7 @@ use std::sync::Arc;
 use vexus_data::{AttrId, UserData, UserId};
 use vexus_index::GroupIndex;
 use vexus_mining::features::Featurizer;
-use vexus_mining::{GroupId, MemberSet};
+use vexus_mining::{GroupId, GroupSet, MemberSet};
 use vexus_stats::StatsView;
 use vexus_viz::color::{Color, Palette};
 use vexus_viz::force::{ForceConfig, ForceLayout};
@@ -125,7 +125,11 @@ pub struct Session<E: Deref<Target = Vexus>> {
     /// Steps so far whose greedy call hit the time budget.
     budget_exhausted_steps: usize,
     /// Reused greedy working memory of the clicks (re-initialised each
-    /// click, never shrunk; the opening step does not touch it).
+    /// click, never shrunk; the opening step does not touch it). It holds
+    /// what the largest click needed: pool × clicked-group coverage bits,
+    /// member bit-rows for the groups that entered a selection only, and
+    /// 1.5 bits per user id of the pool's window for the rank lookup — the
+    /// bound [`SelectScratch`] states.
     scratch: SelectScratch,
     /// Reused candidate buffer for the neighbors → greedy handoff.
     candidates: Vec<ScoredCandidate>,
@@ -133,6 +137,15 @@ pub struct Session<E: Deref<Target = Vexus>> {
 
 /// The borrowing session — what [`Vexus::session`] returns.
 pub type ExplorationSession<'a> = Session<&'a Vexus>;
+
+/// The opening step's candidates: the `pool` largest groups, ties in id
+/// order (the sort is stable), each at similarity 1 — there is no clicked
+/// group to be similar to.
+pub(crate) fn opening_candidates(groups: &GroupSet, pool: usize) -> Vec<ScoredCandidate> {
+    let mut by_size: Vec<GroupId> = groups.ids().collect();
+    by_size.sort_by_key(|&id| std::cmp::Reverse(groups.get(id).size()));
+    by_size.into_iter().take(pool).map(|id| (id, 1.0)).collect()
+}
 
 impl<E: Deref<Target = Vexus>> Session<E> {
     /// Open a session over any engine handle: runs the opening greedy step
@@ -157,16 +170,9 @@ impl<E: Deref<Target = Vexus>> Session<E> {
         Ok(session)
     }
 
-    /// Re-run the opening step (used by `restart` flows and the C5 sweep).
+    /// The opening step, run once by [`Self::open_engine`].
     fn opening_step(&mut self) {
-        // Opening candidates: the biggest groups, similarity 1 (no anchor).
-        let groups = self.engine.groups();
-        let mut by_size: Vec<GroupId> = groups.ids().collect();
-        by_size.sort_by_key(|&id| std::cmp::Reverse(groups.get(id).size()));
-        by_size.truncate(self.config.candidate_pool);
-        self.candidates.clear();
-        self.candidates
-            .extend(by_size.into_iter().map(|id| (id, 1.0)));
+        self.candidates = opening_candidates(self.engine.groups(), self.config.candidate_pool);
         let reference = MemberSet::universe(self.engine.data().n_users() as u32);
         let params = self.select_params();
         // The whole population is a far larger reference than any clicked

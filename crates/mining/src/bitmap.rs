@@ -187,14 +187,9 @@ impl MemberSet {
     }
 
     /// Jaccard **similarity** `|A∩B| / |A∪B|` (1.0 for two empty sets by
-    /// convention, matching "identical").
+    /// convention, matching "identical"); see [`jaccard_of_counts`].
     pub fn jaccard(&self, other: &MemberSet) -> f64 {
-        let inter = self.intersection_size(other);
-        let union = self.len() + other.len() - inter;
-        if union == 0 {
-            return 1.0;
-        }
-        inter as f64 / union as f64
+        jaccard_of_counts(self.intersection_size(other), self.len(), other.len())
     }
 
     /// Jaccard **distance** `1 - jaccard` — the metric the paper uses to
@@ -376,6 +371,20 @@ impl MemberSet {
     pub fn is_shared(&self) -> bool {
         matches!(self.members, U32Store::Shared(_))
     }
+}
+
+/// Jaccard similarity of two sets of sizes `a` and `b` sharing `inter`
+/// members: `inter / (a + b − inter)`, 1.0 when both are empty. The one
+/// place the ratio is formed — [`MemberSet::jaccard`] and the greedy
+/// selector's bit-row intersections both end here, so equal integers give
+/// the same `f64` to the last bit.
+#[inline]
+pub fn jaccard_of_counts(inter: usize, a: usize, b: usize) -> f64 {
+    let union = a + b - inter;
+    if union == 0 {
+        return 1.0;
+    }
+    inter as f64 / union as f64
 }
 
 impl FromIterator<u32> for MemberSet {
@@ -561,6 +570,28 @@ mod tests {
             prop_assert_eq!(ma.is_subset_of(&mb), sa.is_subset(&sb));
             prop_assert_eq!(ma.contains_all(&mb), sb.is_subset(&sa));
             prop_assert_eq!(mb.contains_all(&ma), sa.is_subset(&sb));
+        }
+
+        #[test]
+        fn prop_jaccard_of_counts_is_the_materialised_ratio(
+            a in proptest::collection::vec(0u32..200, 0..60),
+            b in proptest::collection::vec(0u32..200, 0..60),
+            empty in 0usize..8
+        ) {
+            // One side empty every few cases, both every few dozen.
+            let (a, b) = match empty {
+                0 => (Vec::new(), b),
+                1 => (a, Vec::new()),
+                2 => (Vec::new(), Vec::new()),
+                _ => (a, b),
+            };
+            let sa: BTreeSet<u32> = a.iter().copied().collect();
+            let sb: BTreeSet<u32> = b.iter().copied().collect();
+            let inter = sa.intersection(&sb).count();
+            let (ma, mb) = (MemberSet::from_unsorted(a), MemberSet::from_unsorted(b));
+            let want = materialised_jaccard(&ma, &mb);
+            prop_assert_eq!(jaccard_of_counts(inter, sa.len(), sb.len()).to_bits(), want.to_bits());
+            prop_assert_eq!(ma.jaccard(&mb).to_bits(), want.to_bits());
         }
 
         #[test]
