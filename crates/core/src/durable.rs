@@ -20,7 +20,10 @@
 //!
 //! Checkpoints are written atomically (temp file, fsync, rename, directory
 //! fsync), so a crash at any byte leaves either the old file set or the
-//! new one — never a half-written checkpoint under a final name. The
+//! new one — never a half-written checkpoint under a final name. A WAL
+//! segment's directory entry is fsynced when the segment is created
+//! ([`vexus_data::WalWriter::create`]), before any frame can be
+//! acknowledged from it. The
 //! retention policy keeps the newest [`DurabilityConfig::retain`]
 //! checkpoints and every WAL segment any retained checkpoint still needs;
 //! because WAL frames are only dropped by whole-segment deletion *after* a

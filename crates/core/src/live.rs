@@ -853,6 +853,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The durable directory's bound, driven past four times `retain`
+    /// checkpoints: after every checkpoint the directory holds exactly the
+    /// newest `retain` checkpoints and the segments they still need (each
+    /// checkpoint rotated the log to a segment named by its watermark, so
+    /// exactly those), and it recovers to the published engine.
+    #[test]
+    fn durable_directory_stays_bounded_past_four_times_retain() {
+        let dir = tempdir("retention");
+        let (base, tape) = warmed(300);
+        let retain = 2;
+        let config = DurabilityConfig {
+            checkpoint_every: 2,
+            retain,
+            ..DurabilityConfig::new(&dir)
+        };
+        let live =
+            LiveEngine::bootstrap_durable(base.clone(), stream_config(), config.clone()).unwrap();
+        let refreshes = 2 * (4 * retain + 1);
+        let mut written = 0;
+        for chunk in tape.chunks(tape.len().div_ceil(refreshes)) {
+            feed(&live, chunk);
+            if live.refresh().unwrap().checkpoint != CheckpointOutcome::Written {
+                continue;
+            }
+            written += 1;
+            let stamps = |listed: Vec<(u64, std::path::PathBuf)>| -> Vec<u64> {
+                listed.into_iter().map(|(stamp, _)| stamp).collect()
+            };
+            let epoch = live.epoch();
+            let checkpoints = stamps(durable::list_checkpoints(&dir).unwrap());
+            assert_eq!(checkpoints, vec![epoch - 2, epoch], "after epoch {epoch}");
+            assert_eq!(stamps(durable::list_segments(&dir).unwrap()), checkpoints);
+            let (recovered, report) =
+                LiveEngine::recover(base.clone(), stream_config(), config.clone()).unwrap();
+            assert_eq!(report.final_epoch, epoch);
+            assert_eq!(
+                recovered.engine().write_snapshot(),
+                live.engine().write_snapshot(),
+                "recovery after epoch {epoch}"
+            );
+        }
+        assert!(written > 4 * retain, "{written} checkpoints written");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The tentpole oracle at unit scale: kill the engine (drop it) at
     /// every refresh boundary and recover; the recovered engine must be
     /// byte-identical to the uninterrupted run at the same epoch, and

@@ -73,6 +73,30 @@
 //! same transaction project alike onto every candidate — a family is a
 //! function of the set of rows, not of how many users carry each. The
 //! recount itself keeps the full database: it needs the real members.
+//!
+//! Both data-sized stages are one pass over rows, not one scan per
+//! candidate, so they cost what they find rather than what they probe:
+//!
+//! - **The exchange reads each family's seed off subset counts.** One walk
+//!   of the distinct rows through a trie of every subset of the broadcast
+//!   candidates counts, for each subset `S`, the rows containing `S`
+//!   (`SubsetCounts`). Superset Möbius inversion over a candidate `y`'s
+//!   `2^|y|` counts leaves, for each `S ⊆ y`, the rows whose projection
+//!   `T ∩ y` is exactly `S` — so the distinct projections, the seed a scan
+//!   of `y`'s tidlists collects, are the `S` with a non-zero count. A
+//!   candidate whose `2^|y|` subsets outnumber the mask updates of that
+//!   scan keeps the scan (`counts_pay_off`); the rule also bounds the
+//!   trie by the scan volume it replaces.
+//! - **The recount walks the transactions once.** Every transaction of the
+//!   global database walks a prefix trie of the worklist in user order,
+//!   visiting exactly the candidates it contains; each gains the user as a
+//!   member and narrows its closure to the running intersection of its
+//!   members' rows (`recount`). No tidlist is intersected and no closure
+//!   checked token by token.
+//!
+//! Both passes split the rows into contiguous ranges over
+//! [`MergeContext::threads`] and sum or concatenate the ranges' results in
+//! range order, so the merge is byte-identical at any worker count.
 
 use crate::bitmap::MemberSet;
 use crate::discovery::{BirchDiscovery, LcmDiscovery, MomriDiscovery, StreamFimDiscovery};
@@ -306,25 +330,20 @@ fn close_under_intersection(seed: Vec<Vec<TokenId>>, cap: usize) -> Vec<Vec<Toke
 pub const EXCHANGE_FAMILY_CAP: usize = 4096;
 
 /// The re-closure of a broadcast candidate `y` against the transaction
-/// projection `db`: the distinct projections of its transactions onto `y`
-/// (each projection is the closure of a single member, restricted to `y`
-/// — no support floor), then the intersection products of all of them.
+/// projection `db`, by scanning `y`'s tidlists: the distinct projections
+/// of its transactions onto `y` (each projection is the closure of a
+/// single member, restricted to `y` — no support floor), then the
+/// intersection products of all of them ([`family_of_seed`]). The
+/// exchange takes this path only for the candidates its cost rule sends
+/// to the scan ([`counts_pay_off`]); the rest read the same seed off
+/// [`SubsetCounts`].
 ///
-/// Hot path: a projection is a subset of `y`, so for the (universal in
-/// practice) case `|y| ≤ 64` each one is a `u64` bitmask over `y`'s token
-/// positions. One pass over the tidlists ORs each carrier's position bit
-/// into a dense per-member scratch word (reset via the touched list, never
-/// rescanned), distinct masks fall out of a word sort, and the
-/// intersection closure becomes a bitwise-AND worklist — no per-carrier
-/// allocation, comparison or tree insert. Descriptions longer than 64
-/// tokens (wider than any real schema here) fall back to the generic
-/// [`exchange_family_reference`]. Deterministic: masks are explored in
-/// sorted word order, which for subsets of the same `y` is a total order,
-/// and the result is converted back to sorted token lists. The family
-/// equals the reference's except under the [`EXCHANGE_FAMILY_CAP`]: the
-/// cap can only bind past `|y| > 12` (the family is bounded by
-/// `2^|y|`), where the two explorations may keep different — equally
-/// sound — subsets.
+/// Descriptions longer than 64 tokens (wider than any real schema here)
+/// fall back to the generic [`exchange_family_reference`]; the others scan
+/// for `u64` masks ([`seed_by_scan`]). The family equals the reference's
+/// except under the [`EXCHANGE_FAMILY_CAP`]: the cap can only bind past
+/// `|y| > 12` (the family is bounded by `2^|y|`), where the two
+/// explorations may keep different — equally sound — subsets.
 ///
 /// `scratch` is caller-owned zeroed scratch, grown here to the
 /// projection's transaction count; it is returned zeroed.
@@ -341,6 +360,17 @@ fn exchange_family(
     if y.len() > 64 {
         return exchange_family_reference(db, y, cap);
     }
+    family_of_seed(y, seed_by_scan(db, y, scratch), cap)
+}
+
+/// The seed of `y`'s family (`|y| ≤ 64`): the distinct strict, non-empty
+/// projections `T ∩ y` of the transactions of `db`, as ascending `u64`
+/// masks over `y`'s token positions. One pass over the tidlists ORs each
+/// carrier's position bit into a dense per-member scratch word (reset via
+/// the touched list, never rescanned), and the distinct masks fall out of
+/// a word sort — `Σ_{t∈y} support(t)` mask updates, no per-carrier
+/// allocation, comparison or tree insert.
+fn seed_by_scan(db: &TransactionDb, y: &[TokenId], scratch: &mut Vec<u64>) -> Vec<u64> {
     let full: u64 = if y.len() == 64 {
         u64::MAX
     } else {
@@ -371,6 +401,14 @@ fn exchange_family(
     }
     seed.sort_unstable();
     seed.dedup();
+    seed
+}
+
+/// A family from its seed: the seed's closure under bitwise AND (masks
+/// explored in ascending word order, which for subsets of the same `y` is
+/// a total order, so the result is deterministic), converted back to
+/// sorted token lists.
+fn family_of_seed(y: &[TokenId], seed: Vec<u64>, cap: usize) -> Vec<Vec<TokenId>> {
     close_masks_under_and(seed, cap)
         .into_iter()
         .map(|mask| {
@@ -451,35 +489,261 @@ fn exchange_family_reference(db: &TransactionDb, y: &[TokenId], cap: usize) -> V
 }
 
 /// Run `work` over `items` on up to `threads` scoped workers (`0` =
-/// available parallelism), one contiguous chunk per worker. Chunk results
-/// are re-concatenated in order, so the result sequence is byte-identical
-/// to the sequential path at any worker count.
-fn fan_out<T: Sync, R: Send>(
+/// available parallelism), one contiguous chunk per worker, and return the
+/// chunk results in chunk order. `work` also gets the index of its chunk's
+/// first item. A lone chunk runs on the caller.
+fn map_chunks<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
-    work: impl Fn(&[T]) -> Vec<R> + Sync,
+    work: impl Fn(usize, &[T]) -> R + Sync,
 ) -> Vec<R> {
     let workers = resolve_workers(threads).min(items.len()).max(1);
     if workers <= 1 {
-        return work(items);
+        return vec![work(0, items)];
     }
+    let chunk = items.len().div_ceil(workers);
     crossbeam::thread::scope(|scope| {
         let work = &work;
         let handles: Vec<_> = items
-            .chunks(items.len().div_ceil(workers))
-            .map(|chunk| scope.spawn(move |_| work(chunk)))
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, part)| scope.spawn(move |_| work(i * chunk, part)))
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("merge worker panicked"))
+            .map(|h| h.join().expect("merge worker panicked"))
             .collect()
     })
     .expect("merge worker scope")
 }
 
+/// [`map_chunks`] with each chunk yielding a sequence, re-concatenated in
+/// order, so the result sequence is byte-identical to the sequential path
+/// at any worker count.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    work: impl Fn(&[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    map_chunks(items, threads, |_, chunk| work(chunk))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// A token trie laid out for walking rows through it. Node 0 is the root,
+/// the empty set; every other node stands for the token set on its path
+/// from the root. Node `n`'s children are the nodes `kids[n].0..kids[n].1`
+/// — contiguous and ascending by token — so a row finds the children it
+/// carries by binary search.
+struct Trie {
+    token: Vec<TokenId>,
+    kids: Vec<(u32, u32)>,
+}
+
+impl Trie {
+    /// The prefix trie of `lists` (sorted token lists): a node per
+    /// distinct prefix, so every list is a node.
+    fn prefixes<L: AsRef<[TokenId]>>(lists: &[L]) -> Self {
+        Self::build(lists, false)
+    }
+
+    /// The trie of every subset of every list (a subset's prefixes are
+    /// subsets too): a node per distinct subset.
+    fn subsets<L: AsRef<[TokenId]>>(lists: &[L]) -> Self {
+        Self::build(lists, true)
+    }
+
+    fn build<L: AsRef<[TokenId]>>(lists: &[L], every_subset: bool) -> Self {
+        let mut trie = Trie {
+            token: vec![TokenId::new(0)],
+            kids: vec![(0, 0)],
+        };
+        let mut entries: Vec<(TokenId, u32, u32)> = (0..lists.len() as u32)
+            .map(|l| (TokenId::new(0), l, 0))
+            .collect();
+        trie.grow(0, 0..entries.len(), lists, every_subset, &mut entries);
+        trie
+    }
+
+    /// Give `node` its children, then theirs, depth first. Each entry
+    /// `(_, list, next)` in `entries[at]` is a list containing the node's
+    /// set whose tokens from position `next` on may extend it — only the
+    /// next one in a prefix trie, any of them in a subset trie. The
+    /// children's entries go on the end of `entries`, sorted by token, one
+    /// run per child; `entries` is truncated back before returning.
+    fn grow<L: AsRef<[TokenId]>>(
+        &mut self,
+        node: usize,
+        at: std::ops::Range<usize>,
+        lists: &[L],
+        every_subset: bool,
+        entries: &mut Vec<(TokenId, u32, u32)>,
+    ) {
+        let base = entries.len();
+        for e in at {
+            let (_, l, next) = entries[e];
+            let list = lists[l as usize].as_ref();
+            let next = next as usize;
+            let stop = if every_subset {
+                list.len()
+            } else {
+                list.len().min(next + 1)
+            };
+            for (j, &t) in list.iter().enumerate().take(stop).skip(next) {
+                entries.push((t, l, j as u32 + 1));
+            }
+        }
+        entries[base..].sort_unstable_by_key(|&(t, _, _)| t);
+        let first = self.token.len();
+        for e in base..entries.len() {
+            let t = entries[e].0;
+            if e == base || entries[e - 1].0 != t {
+                self.token.push(t);
+                self.kids.push((0, 0));
+            }
+        }
+        self.kids[node] = (first as u32, self.token.len() as u32);
+        let (mut child, mut run) = (first, base);
+        while run < entries.len() {
+            let end = run + entries[run..].partition_point(|e| e.0 == entries[run].0);
+            self.grow(child, run..end, lists, every_subset, entries);
+            (child, run) = (child + 1, end);
+        }
+        entries.truncate(base);
+    }
+
+    fn len(&self) -> usize {
+        self.token.len()
+    }
+
+    /// The child of `node` extending its set by `token`.
+    fn child(&self, node: usize, token: TokenId) -> Option<usize> {
+        let (lo, hi) = (self.kids[node].0 as usize, self.kids[node].1 as usize);
+        let at = self.token[lo..hi].binary_search(&token).ok()?;
+        Some(lo + at)
+    }
+
+    /// The node of a sorted token list.
+    fn find(&self, list: &[TokenId]) -> Option<usize> {
+        list.iter().try_fold(0, |node, &t| self.child(node, t))
+    }
+
+    /// Call `visit` on every node whose set the sorted `row` contains, the
+    /// root first: a node is entered only through children whose token
+    /// the row carries, so the walk costs the nodes it visits.
+    fn walk(&self, row: &[TokenId], visit: &mut impl FnMut(usize)) {
+        self.descend(0, row, visit);
+    }
+
+    fn descend(&self, node: usize, rest: &[TokenId], visit: &mut impl FnMut(usize)) {
+        visit(node);
+        let (mut lo, hi) = (self.kids[node].0 as usize, self.kids[node].1 as usize);
+        for (i, &t) in rest.iter().enumerate() {
+            if lo == hi {
+                break;
+            }
+            let at = lo + self.token[lo..hi].partition_point(|&c| c < t);
+            if at < hi && self.token[at] == t {
+                self.descend(at, &rest[i + 1..], visit);
+                lo = at + 1;
+            } else {
+                lo = at;
+            }
+        }
+    }
+}
+
+/// A candidate's carriers as the recount's row walk finds them: members
+/// ascending, and the intersection of their rows (`None` before the
+/// first).
+#[derive(Default)]
+struct Carriers {
+    members: Vec<u32>,
+    closure: Option<Vec<TokenId>>,
+}
+
+impl Carriers {
+    fn add(&mut self, member: u32, row: &[TokenId]) {
+        self.members.push(member);
+        self.narrow(row);
+    }
+
+    /// Fold in the carriers a later user range found.
+    fn append(&mut self, later: Carriers) {
+        self.members.extend(later.members);
+        if let Some(row) = later.closure {
+            self.narrow(&row);
+        }
+    }
+
+    fn narrow(&mut self, row: &[TokenId]) {
+        match &mut self.closure {
+            None => self.closure = Some(row.to_vec()),
+            Some(common) => common.retain(|t| row.binary_search(t).is_ok()),
+        }
+    }
+}
+
+/// What the recount makes of one candidate: its closed description and
+/// exact members, or `None` under the support floor.
+type Recounted = Option<(Vec<TokenId>, MemberSet)>;
+
+/// Recount every candidate against the global database in one pass over
+/// its transactions. The candidates form a prefix trie; each transaction
+/// walks it in user order, visiting exactly the candidate prefixes it
+/// contains, so a candidate ending at a visited node gains the user as a
+/// member and narrows its closure to the running intersection of its
+/// members' rows. The cost is the supports of the trie's nodes, never a
+/// tidlist intersection or a closure's subset checks. Workers take
+/// contiguous user ranges, folded in range order, so members stay
+/// ascending and the result is identical at any worker count: per
+/// candidate in worklist order, what `recount_one` computes. The
+/// candidates must be distinct, as the merge's worklist is.
+fn recount(
+    db: &TransactionDb,
+    candidates: &[Vec<TokenId>],
+    min_support: usize,
+    threads: usize,
+) -> Vec<Recounted> {
+    let trie = Trie::prefixes(candidates);
+    // The candidate ending at each node; `usize::MAX` where none does.
+    let mut ending = vec![usize::MAX; trie.len()];
+    for (i, c) in candidates.iter().enumerate() {
+        let node = trie.find(c).expect("a candidate is a node of its trie");
+        assert_eq!(ending[node], usize::MAX, "recount candidates are distinct");
+        ending[node] = i;
+    }
+    let mut ranges = map_chunks(db.transactions(), threads, |first, rows| {
+        let mut found: Vec<Carriers> = candidates.iter().map(|_| Carriers::default()).collect();
+        for (member, row) in (first as u32..).zip(rows) {
+            trie.walk(row, &mut |node| {
+                if let Some(carriers) = found.get_mut(ending[node]) {
+                    carriers.add(member, row);
+                }
+            });
+        }
+        found
+    })
+    .into_iter();
+    let mut found = ranges.next().expect("map_chunks yields a chunk");
+    for later in ranges {
+        for (carriers, more) in found.iter_mut().zip(later) {
+            carriers.append(more);
+        }
+    }
+    found
+        .into_iter()
+        .map(|Carriers { members, closure }| {
+            (members.len() >= min_support)
+                .then(|| (closure.unwrap_or_default(), MemberSet::from_sorted(members)))
+        })
+        .collect()
+}
+
 /// The distinct transactions of `db` as a database of their own — what the
-/// exchange scans. A candidate's family is a function of the *set* of
-/// projections ([`exchange_family`] dedups them first thing), users with
+/// exchange counts or scans. A candidate's family is a function of the
+/// *set* of projections (its seed is the distinct ones), users with
 /// the same transaction project alike, and user populations repeat few
 /// attribute combinations many times over; member ids in the result mean
 /// nothing, so only the exchange may read it.
@@ -490,26 +754,124 @@ fn distinct_rows(db: &TransactionDb) -> TransactionDb {
     TransactionDb::from_transactions(rows.into_iter().map(<[_]>::to_vec).collect(), db.n_tokens())
 }
 
+/// The exchange's cost rule, from exact counts: `y`'s seed is read off
+/// subset counts when its `2^|y|` subsets number no more than the mask
+/// updates a scan makes (`Σ_{t∈y} rows(t)`), and scanned otherwise. The
+/// rule also bounds the subset trie by the scan volume it replaces.
+fn counts_pay_off(rows: &TransactionDb, y: &[TokenId]) -> bool {
+    let volume: usize = y.iter().map(|&t| rows.support(t)).sum();
+    y.len() < 64 && 1u64 << y.len() <= volume as u64
+}
+
+/// For every subset `S` of a set of candidates, the number of rows that
+/// contain `S`: one walk of every row through the trie of all the
+/// candidates' subsets (the walk visits exactly the subsets a row
+/// contains). Workers take contiguous row ranges and their counts are
+/// summed.
+struct SubsetCounts {
+    trie: Trie,
+    rows_containing: Vec<u32>,
+}
+
+impl SubsetCounts {
+    fn new(rows: &TransactionDb, candidates: &[&Vec<TokenId>], threads: usize) -> Self {
+        let trie = Trie::subsets(candidates);
+        let rows_containing = map_chunks(rows.transactions(), threads, |_, chunk| {
+            let mut counts = vec![0u32; trie.len()];
+            for row in chunk {
+                trie.walk(row, &mut |node| counts[node] += 1);
+            }
+            counts
+        })
+        .into_iter()
+        .reduce(|mut total, part| {
+            total.iter_mut().zip(part).for_each(|(t, p)| *t += p);
+            total
+        })
+        .expect("map_chunks yields a chunk");
+        Self {
+            trie,
+            rows_containing,
+        }
+    }
+
+    /// The seed [`seed_by_scan`] collects for `y` (one of the counted
+    /// candidates), read off the counts: the rows containing each of `y`'s
+    /// `2^|y|` subsets, then superset Möbius inversion, which turns "rows
+    /// containing `S`" into "rows whose projection `T ∩ y` is exactly
+    /// `S`"; the seed is every strict, non-empty `S` some row projects to.
+    /// `scratch` holds `2^|y|` words.
+    fn seed(&self, y: &[TokenId], scratch: &mut Vec<u32>) -> Vec<u64> {
+        let full = (1usize << y.len()) - 1;
+        let exact = scratch;
+        exact.clear();
+        exact.resize(full + 1, 0);
+        // Each subset's node is its highest token's child of the rest.
+        for mask in 1..=full {
+            let high = (usize::BITS - 1 - mask.leading_zeros()) as usize;
+            let rest = exact[mask ^ (1 << high)] as usize;
+            let node = self.trie.child(rest, y[high]);
+            exact[mask] = node.expect("a counted candidate's subset is a trie node") as u32;
+        }
+        for slot in exact.iter_mut() {
+            *slot = self.rows_containing[*slot as usize];
+        }
+        for bit in (0..y.len()).map(|i| 1usize << i) {
+            for mask in 0..=full {
+                if mask & bit == 0 {
+                    exact[mask] -= exact[mask | bit];
+                }
+            }
+        }
+        (1..full)
+            .filter(|&mask| exact[mask] > 0)
+            .map(|mask| mask as u64)
+            .collect()
+    }
+}
+
 /// One exchange round: re-close every broadcast candidate against the
-/// transaction projection and return the deduplicated union of the
-/// families. The result is sorted, so it is byte-identical at any worker
+/// distinct rows and return the deduplicated union of the families. Each
+/// candidate's seed comes off [`SubsetCounts`] or a scan, as
+/// [`counts_pay_off`] decides; either way it is the same seed, closed the
+/// same way. The result is sorted, so it is byte-identical at any worker
 /// count.
 fn exchange_round(
-    db: &TransactionDb,
+    rows: &TransactionDb,
     candidates: &[Vec<TokenId>],
     threads: usize,
 ) -> Vec<Vec<TokenId>> {
-    let mut out = fan_out(candidates, threads, |chunk| {
+    let (counted, scanned): (Vec<&Vec<TokenId>>, Vec<&Vec<TokenId>>) =
+        candidates.iter().partition(|y| counts_pay_off(rows, y));
+    let subsets = SubsetCounts::new(rows, &counted, threads);
+    let mut out = fan_out(&counted, threads, |chunk| {
+        let mut scratch = Vec::new();
+        chunk
+            .iter()
+            .flat_map(|y| family_of_seed(y, subsets.seed(y, &mut scratch), EXCHANGE_FAMILY_CAP))
+            .collect()
+    });
+    out.extend(families_by_scan(rows, &scanned, threads));
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The families of `candidates`, each scanned ([`exchange_family`]),
+/// concatenated in candidate order.
+fn families_by_scan<Y: AsRef<[TokenId]> + Sync>(
+    rows: &TransactionDb,
+    candidates: &[Y],
+    threads: usize,
+) -> Vec<Vec<TokenId>> {
+    fan_out(candidates, threads, |chunk| {
         // One mask scratch per worker, reused across its candidates.
         let mut scratch = Vec::new();
         chunk
             .iter()
-            .flat_map(|y| exchange_family(db, y, EXCHANGE_FAMILY_CAP, &mut scratch))
+            .flat_map(|y| exchange_family(rows, y.as_ref(), EXCHANGE_FAMILY_CAP, &mut scratch))
             .collect()
-    });
-    out.sort_unstable();
-    out.dedup();
-    out
+    })
 }
 
 /// Worker count resolution: `0` means use the machine's available
@@ -527,7 +889,7 @@ fn resolve_workers(threads: usize) -> usize {
 /// Shared inputs of a merge: the global dataset and vocabulary, an
 /// optional pre-built [`TransactionDb`] (reused instead of rebuilt when a
 /// strategy needs one — the recount's dominant fixed cost), and the worker
-/// count for the recount fan-out.
+/// count for the exchange and recount passes.
 #[derive(Clone, Copy)]
 pub struct MergeContext<'a> {
     /// The global dataset.
@@ -538,8 +900,9 @@ pub struct MergeContext<'a> {
     /// built one. `None` makes [`MergeStrategy::SupportRecount`] build its
     /// own.
     pub db: Option<&'a TransactionDb>,
-    /// Worker threads for the candidate recount (`0` = available
-    /// parallelism). Output is byte-identical at any thread count.
+    /// Worker threads for the exchange and recount passes, each taking a
+    /// contiguous range of rows (`0` = available parallelism). Output is
+    /// byte-identical at any thread count.
     pub threads: usize,
     /// Cross-shard closure exchange rounds run by
     /// [`MergeStrategy::SupportRecount`] before the global recount
@@ -629,20 +992,23 @@ pub struct MergeTelemetry {
     pub exchange_deduped: usize,
 }
 
-/// Recount one candidate description against the global database: exact
-/// members, then the closure. `None` when support is under the floor.
-fn recount_one(
-    db: &TransactionDb,
-    description: &[TokenId],
-    min_support: usize,
-) -> Option<(Vec<TokenId>, MemberSet)> {
-    let members = db.itemset_members(description);
-    if members.len() < min_support {
-        return None;
-    }
-    let closed = db.closure(&members);
-    Some((closed, members))
+/// The two stages of a support-recount merge whose cost grows with the
+/// data: one exchange round (distinct rows, broadcast candidates, threads)
+/// and the recount (database, worklist, floor, threads). The shipped merge
+/// runs [`exchange_round`] and [`recount`]; the tests swap in the
+/// per-candidate oracles they replaced.
+struct RecountStages {
+    exchange: ExchangeStage,
+    recount: RecountStage,
 }
+
+type ExchangeStage = fn(&TransactionDb, &[Vec<TokenId>], usize) -> Vec<Vec<TokenId>>;
+type RecountStage = fn(&TransactionDb, &[Vec<TokenId>], usize, usize) -> Vec<Recounted>;
+
+const SHIPPED_STAGES: RecountStages = RecountStages {
+    exchange: exchange_round,
+    recount,
+};
 
 /// How per-shard (or per-backend) group spaces fold into one.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -664,14 +1030,19 @@ pub enum MergeStrategy {
     /// space is not just sound (every group an exact global closed group,
     /// the SON argument in the module docs) but *complete*: with at least
     /// one exchange round it reproduces the unsharded closed-group space
-    /// at any shard count. Cost model: one exchange round scans, per
-    /// *distinct frequency-pruned* candidate, the tidlists of its frequent
-    /// tokens over the *distinct transactions* once (`O(Σ support(token))`
-    /// mask updates, support counted in distinct rows, after one
-    /// `O(n log n)` row sort per merge), then recounts the handful of
-    /// sub-descriptions it surfaces against the full database — in return
-    /// the quadratic refinement cap stops being a correctness knob. See
-    /// the module docs for the prune/dedup argument.
+    /// at any shard count. Cost model, after one `O(n log n)` row sort per
+    /// merge for the *distinct transactions*: one exchange round walks
+    /// every distinct row once through the trie of all subsets of the
+    /// *distinct frequency-pruned* candidates (the nodes a row visits are
+    /// the subsets it contains), then spends `O(|y| · 2^|y|)` per
+    /// candidate `y` on the Möbius inversion — or, where `2^|y|` exceeds
+    /// `Σ_{t∈y} rows(t)`, scans `y`'s tidlists over the distinct rows at
+    /// that many mask updates instead. The recount walks every transaction
+    /// once through the prefix trie of the worklist: its cost is the
+    /// summed support of the trie's nodes, and what it keeps is the
+    /// candidates' members. In return for the exchange, the quadratic
+    /// refinement cap stops being a correctness knob. See the module docs
+    /// for the prune/dedup argument and the two passes.
     SupportRecount {
         /// Global support floor after recounting.
         min_support: usize,
@@ -697,6 +1068,17 @@ impl MergeStrategy {
         &self,
         parts: Vec<GroupSet>,
         ctx: &MergeContext<'_>,
+    ) -> (GroupSet, MergeTelemetry) {
+        self.merge_staged(parts, ctx, &SHIPPED_STAGES)
+    }
+
+    /// [`MergeStrategy::merge_in_traced`] with the support recount's two
+    /// data-sized stages supplied.
+    fn merge_staged(
+        &self,
+        parts: Vec<GroupSet>,
+        ctx: &MergeContext<'_>,
+        stages: &RecountStages,
     ) -> (GroupSet, MergeTelemetry) {
         let mut telemetry = MergeTelemetry::default();
         let groups = match self {
@@ -822,7 +1204,7 @@ impl MergeStrategy {
                         }
                         broadcast.sort_unstable();
                         telemetry.exchange_deduped += frontier.len() - broadcast.len();
-                        let found = exchange_round(&rows, &broadcast, ctx.threads);
+                        let found = (stages.exchange)(&rows, &broadcast, ctx.threads);
                         let fresh: Vec<Vec<TokenId>> = found
                             .into_iter()
                             .filter(|d| pool.insert(d.clone()))
@@ -835,18 +1217,13 @@ impl MergeStrategy {
                     }
                     telemetry.exchange_candidates = candidates.len() - before;
                 }
-                // Chunks come back in candidate order, so the merged group
+                // Results come back in candidate order, so the merged group
                 // order is byte-identical at any worker count.
-                let recounted = fan_out(&candidates, ctx.threads, |chunk| {
-                    chunk
-                        .iter()
-                        .filter_map(|d| recount_one(db, d, *min_support))
-                        .collect()
-                });
+                let recounted = (stages.recount)(db, &candidates, *min_support, ctx.threads);
                 let mut out = GroupSet::new();
                 let mut seen_closed = std::collections::BTreeSet::new();
                 let population = db.n_transactions();
-                for (closed, members) in recounted {
+                for (closed, members) in recounted.into_iter().flatten() {
                     // Normalize the root convention: the group carried by
                     // the *entire* population (whose description is
                     // necessarily the root closure) is emitted only when
@@ -890,8 +1267,9 @@ pub struct ShardedDiscovery<B> {
     pub strategy: ShardStrategy,
     /// How per-shard group spaces fold into one.
     pub merge: MergeStrategy,
-    /// Worker threads for the merge's candidate recount (`0` = available
-    /// parallelism). The merged output is byte-identical at any count.
+    /// Worker threads for the merge's exchange and recount passes (`0` =
+    /// available parallelism). The merged output is byte-identical at any
+    /// count.
     pub merge_threads: usize,
     /// Cross-shard closure exchange rounds for the support-recount merge
     /// (`0` disables; default `1` — one round pins exactness at any shard
@@ -1092,7 +1470,8 @@ pub struct EnsembleDiscovery {
     backends: Vec<Box<dyn GroupDiscovery>>,
     /// How member group spaces fold into one.
     pub merge: MergeStrategy,
-    /// Worker threads for the merge's candidate recount (`0` = auto).
+    /// Worker threads for the merge's exchange and recount passes (`0` =
+    /// auto).
     pub merge_threads: usize,
     /// Closure exchange rounds for the support-recount merge (`0` = off;
     /// members run on the full data, so each part is treated as one
@@ -1206,6 +1585,57 @@ impl GroupDiscovery for EnsembleDiscovery {
         };
         DiscoveryOutcome { groups, stats }
     }
+}
+
+/// The stages the shipped ones are pinned against: every candidate's seed
+/// scanned, every candidate recounted on its own.
+#[cfg(test)]
+const ORACLE_STAGES: RecountStages = RecountStages {
+    exchange: exchange_round_by_scan,
+    recount: recount_by_candidate,
+};
+
+/// [`exchange_round`] with every candidate scanned.
+#[cfg(test)]
+fn exchange_round_by_scan(
+    rows: &TransactionDb,
+    candidates: &[Vec<TokenId>],
+    threads: usize,
+) -> Vec<Vec<TokenId>> {
+    let mut out = families_by_scan(rows, candidates, threads);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// [`recount`] one candidate at a time ([`recount_one`]), in contiguous
+/// candidate chunks.
+#[cfg(test)]
+fn recount_by_candidate(
+    db: &TransactionDb,
+    candidates: &[Vec<TokenId>],
+    min_support: usize,
+    threads: usize,
+) -> Vec<Recounted> {
+    fan_out(candidates, threads, |chunk| {
+        chunk
+            .iter()
+            .map(|d| recount_one(db, d, min_support))
+            .collect()
+    })
+}
+
+/// Recount one candidate description against the global database: exact
+/// members by tidlist intersection, then the closure. `None` when support
+/// is under the floor.
+#[cfg(test)]
+fn recount_one(db: &TransactionDb, description: &[TokenId], min_support: usize) -> Recounted {
+    let members = db.itemset_members(description);
+    if members.len() < min_support {
+        return None;
+    }
+    let closed = db.closure(&members);
+    Some((closed, members))
 }
 
 #[cfg(test)]
@@ -1377,13 +1807,44 @@ mod tests {
 
     #[test]
     fn mask_path_and_wide_fallback_agree_at_the_width_boundary() {
-        // 66 tokens: one member carries all of them, four lack exactly one
-        // (so which of them project onto the full candidate changes with
-        // the width), and three short transactions make the intersection
-        // products non-trivial. |y| = 63 and 64 exercise the partial- and
-        // full-mask arms, |y| = 65 the fallback the masks cannot represent.
-        const TOKENS: u32 = 66;
+        // The cost rule's boundary first. y = {0, 1, 2} has 2^3 = 8
+        // subsets; over `at` its tokens' row supports sum to exactly 8
+        // (3 + 3 + 2), so its seed is read off subset counts, and over
+        // `below` (row {0} gone: 2 + 3 + 2) it is scanned. Either way the
+        // round yields the reference family {0}, {1}, {0,1}, {1,2}.
         let d = |v: &[u32]| v.iter().map(|&t| TokenId::new(t)).collect::<Vec<_>>();
+        let at = TransactionDb::from_transactions(
+            vec![d(&[0, 1, 2]), d(&[0, 1]), d(&[1, 2]), d(&[0]), d(&[3])],
+            4,
+        );
+        let below = TransactionDb::from_transactions(
+            vec![d(&[0, 1, 2]), d(&[0, 1]), d(&[1, 2]), d(&[3])],
+            4,
+        );
+        let three = d(&[0, 1, 2]);
+        assert!(counts_pay_off(&at, &three), "2^|y| = volume reads counts");
+        assert!(!counts_pay_off(&below, &three), "2^|y| > volume scans");
+        for rows in [&at, &below] {
+            let mut reference = exchange_family_reference(rows, &three, EXCHANGE_FAMILY_CAP);
+            reference.sort_unstable();
+            assert_eq!(
+                exchange_round(rows, std::slice::from_ref(&three), 1),
+                reference
+            );
+        }
+        assert_eq!(
+            exchange_round(&at, std::slice::from_ref(&three), 1),
+            vec![d(&[0]), d(&[0, 1]), d(&[1]), d(&[1, 2])]
+        );
+
+        // Then the scan's own width boundary, which only scanned
+        // candidates reach. 66 tokens: one member carries all of them,
+        // four lack exactly one (so which of them project onto the full
+        // candidate changes with the width), and three short transactions
+        // make the intersection products non-trivial. |y| = 63 and 64
+        // exercise the partial- and full-mask arms, |y| = 65 the fallback
+        // the masks cannot represent.
+        const TOKENS: u32 = 66;
         let lacking = |skip: u32| d(&(0..TOKENS).filter(|&t| t != skip).collect::<Vec<_>>());
         let mut transactions = vec![lacking(TOKENS)]; // skips nothing
         transactions.extend([0, 62, 63, 64].map(lacking));
@@ -1393,6 +1854,7 @@ mod tests {
         let mut scratch = Vec::new();
         for width in [63u32, 64, 65] {
             let y = y(width);
+            assert!(!counts_pay_off(&db, &y), "|y|={width} is scanned");
             let mut family = exchange_family(&db, &y, EXCHANGE_FAMILY_CAP, &mut scratch);
             let mut reference = exchange_family_reference(&db, &y, EXCHANGE_FAMILY_CAP);
             assert!(
@@ -1596,6 +2058,120 @@ mod tests {
                 exchange_family(&distinct, &y, cap, &mut scratch),
                 exchange_family(&db, &y, cap, &mut scratch)
             );
+        }
+
+        /// The one-pass recount is the per-candidate recount, result for
+        /// result: rows drawn with repetition from a small pool (empty
+        /// rows included), distinct candidates in random order over a
+        /// universe whose tokens 10 and 11 nobody carries (zero
+        /// carriers), the empty candidate among them, floors 0, 1 and k,
+        /// one to three workers.
+        #[test]
+        fn prop_one_pass_recount_equals_the_oracle(
+            pool in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..10, 0..6), 1..8),
+            picks in proptest::collection::vec(0usize..64, 0..48),
+            raw in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..12, 0..5), 0..32),
+            floor in 0u8..3,
+            k in 2usize..6,
+            threads in 1usize..4
+        ) {
+            let rows: Vec<Vec<TokenId>> = picks
+                .iter()
+                .map(|&i| pool[i % pool.len()].iter().map(|&t| TokenId::new(t)).collect())
+                .collect();
+            let db = TransactionDb::from_transactions(rows, 12);
+            let mut seen = std::collections::BTreeSet::new();
+            let candidates: Vec<Vec<TokenId>> = raw
+                .iter()
+                .filter(|s| seen.insert(*s))
+                .map(|s| s.iter().map(|&t| TokenId::new(t)).collect())
+                .collect();
+            let min_support = [0, 1, k][floor as usize];
+            proptest::prop_assert_eq!(
+                recount(&db, &candidates, min_support, threads),
+                recount_by_candidate(&db, &candidates, min_support, 1)
+            );
+        }
+
+        /// Seeds read off subset counts are the seeds a scan collects, for
+        /// candidates on both sides of the cost rule (narrow ones count,
+        /// wide ones over few rows would scan); the round agrees with the
+        /// all-scan round too. Tokens 12 and 13 nobody carries.
+        #[test]
+        fn prop_seeds_by_counts_equal_seeds_by_scan(
+            pool in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..12, 0..8), 1..10),
+            picks in proptest::collection::vec(0usize..64, 0..60),
+            raw in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..14, 0..10), 1..12),
+            threads in 1usize..4
+        ) {
+            let rows: Vec<Vec<TokenId>> = picks
+                .iter()
+                .map(|&i| pool[i % pool.len()].iter().map(|&t| TokenId::new(t)).collect())
+                .collect();
+            let rows = distinct_rows(&TransactionDb::from_transactions(rows, 14));
+            let ys: Vec<Vec<TokenId>> = raw
+                .iter()
+                .map(|s| s.iter().map(|&t| TokenId::new(t)).collect())
+                .collect();
+            let subsets = SubsetCounts::new(&rows, &ys.iter().collect::<Vec<_>>(), threads);
+            let (mut counts, mut scan) = (Vec::new(), Vec::new());
+            for y in &ys {
+                proptest::prop_assert_eq!(
+                    subsets.seed(y, &mut counts),
+                    seed_by_scan(&rows, y, &mut scan),
+                    "y = {:?}, counted: {}", y, counts_pay_off(&rows, y)
+                );
+            }
+            proptest::prop_assert_eq!(
+                exchange_round(&rows, &ys, threads),
+                exchange_round_by_scan(&rows, &ys, 1)
+            );
+        }
+    }
+
+    #[test]
+    fn merge_in_equals_the_oracle_merge_at_any_thread_count() {
+        // The shipped merge against one built from the per-candidate
+        // oracles (every seed scanned, every candidate recounted on its
+        // own, one worker), over fixtures where the exchange bites:
+        // same groups in the same order, same telemetry.
+        let (data, vocab) = fixture();
+        let db = TransactionDb::build(&data, &vocab);
+        for (shards, strategy) in [(8, ShardStrategy::Hash), (16, ShardStrategy::Contiguous)] {
+            let driver = ShardedDiscovery::new(lcm(10), shards)
+                .with_strategy(strategy)
+                .support_recount(10);
+            let (parts, _) = driver.mine_parts(&data, &vocab);
+            let ctx = MergeContext::new(&data, &vocab)
+                .with_db(&db)
+                .with_partial_parts(true);
+            let (oracle, expected) =
+                driver
+                    .merge
+                    .merge_staged(parts.clone(), &ctx.with_threads(1), &ORACLE_STAGES);
+            assert!(expected.exchange_candidates > 0, "{shards} shards");
+            for threads in [1, 2, 4] {
+                let (merged, telemetry) = driver
+                    .merge
+                    .merge_in_traced(parts.clone(), &ctx.with_threads(threads));
+                assert_eq!(merged, oracle, "{shards} shards, {threads} threads");
+                assert_eq!(
+                    (
+                        telemetry.exchange_rounds_run,
+                        telemetry.exchange_candidates,
+                        telemetry.exchange_deduped
+                    ),
+                    (
+                        expected.exchange_rounds_run,
+                        expected.exchange_candidates,
+                        expected.exchange_deduped
+                    )
+                );
+            }
         }
     }
 

@@ -5,9 +5,12 @@
 //! `(attribute, value)` tokens they carry — what LCM's occurrence-deliver
 //! step walks, a node's members at a time ([`crate::lcm`]). A
 //! [`TransactionDb`] additionally pre-computes per-token tidlists (which
-//! users carry a token): the lookup behind [`TransactionDb::itemset_members`]
-//! and [`TransactionDb::closure`], which recount a description handed in
-//! from outside the miner (the sharded merge, the tests' oracles).
+//! users carry a token): what the sharded merge's frequency pruning and
+//! exchange scan read, and the lookup behind
+//! [`TransactionDb::itemset_members`] and [`TransactionDb::closure`], which
+//! recount one description handed in from outside the miner (the tests'
+//! oracles; the sharded merge recounts every candidate in one walk over
+//! the transactions instead).
 
 use crate::bitmap::MemberSet;
 use vexus_data::{TokenId, UserData, Vocabulary};
