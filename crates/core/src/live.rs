@@ -12,21 +12,26 @@
 //!   already-cloned handle, so in-flight exploration replays
 //!   byte-identically across refreshes;
 //! * the **live state** — the [`IngestBuffer`], the [`DeltaDiscovery`]
-//!   driver and the durable sink, behind a `Mutex`. Only
-//!   [`LiveEngine::ingest`] and [`LiveEngine::refresh`] touch it. The
-//!   dataset, vocabulary, group space and configuration live in the
-//!   published engine and nowhere else: a refresh reads them from the
-//!   epoch it captured under the state mutex.
+//!   driver, the published space's [`OverlapRows`] and the durable sink,
+//!   behind a `Mutex`. Only [`LiveEngine::ingest`] and
+//!   [`LiveEngine::refresh`] touch it. The dataset, vocabulary, group
+//!   space and configuration live in the published engine and nowhere
+//!   else: a refresh reads them from the epoch it captured under the state
+//!   mutex.
 //!
 //! A refresh cuts the buffered actions into one epoch-stamped delta,
 //! appends it to a copy of the published dataset, feeds it to the stream
 //! miner and diffs the epoch's group space against the previous one. The
-//! miner, the dataset append and the neighbor-cache carry-over are
-//! incremental; the index is rebuilt ([`GroupIndex::apply_delta`] is
-//! [`GroupIndex::build`] over the new space plus the dirty set the
-//! carry-over reads). Publication is the last step: one `Arc` assignment
-//! under the write lock, then the epoch counter bumps. Nothing blocks
-//! in-flight verbs.
+//! miner, the dataset append, the index and the neighbor-cache carry-over
+//! are all incremental: [`OverlapRows::advance`] moves the carried pair
+//! overlap counts by the memberships the group delta flips and lays out
+//! the new index from them — byte-identical to
+//! [`vexus_index::GroupIndex::build`] over the new space — with the dirty
+//! set the carry-over reads. Bootstrap gets epoch 0's index and rows from
+//! one walk; recovery walks the checkpoint's loaded index once for its
+//! rows. Publication is the last step: one `Arc` assignment under the
+//! write lock, then the epoch counter bumps. Nothing blocks in-flight
+//! verbs.
 //!
 //! The refresh body runs under `catch_unwind` with the
 //! `ingest.apply` fail-point evaluated *before any mutation* (see
@@ -48,7 +53,7 @@ use vexus_data::stream::ReplayStream;
 use vexus_data::{
     ActionStream, IngestBuffer, UserData, Vocabulary, WalError, WalSync, WalTail, WalWriter,
 };
-use vexus_index::GroupIndex;
+use vexus_index::OverlapRows;
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
 /// Mutable ingestion-side state, guarded by one mutex. Everything a
@@ -57,6 +62,9 @@ use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 struct LiveState {
     buffer: IngestBuffer,
     discovery: DeltaDiscovery,
+    /// The published space's pair overlap counts, which the next refresh
+    /// advances and lays its index out from.
+    rows: OverlapRows,
     /// `Some` when the engine logs and checkpoints to a durable directory.
     durable: Option<DurableSink>,
 }
@@ -95,7 +103,8 @@ pub struct RefreshOutcome {
     /// Groups in the refresh's dirty set: added, resized, or sharing a
     /// member with a touched group. Every other group's neighbor list is
     /// the old one up to an id rewrite (what the cache carry-over keys
-    /// on); the index itself is rebuilt either way.
+    /// on); every row of the new index is laid out from the carried
+    /// overlap counts either way.
     pub rescored: usize,
     /// Whether the delta was committed to the write-ahead log before it
     /// was applied (always `false` for non-durable engines and no-ops).
@@ -166,7 +175,8 @@ impl LiveEngine {
         if groups.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
-        let index = GroupIndex::build(&groups, &config.index_config());
+        // One walk gives epoch 0's index and the rows refreshes carry.
+        let (rows, index) = OverlapRows::build(&groups, &config.index_config());
         let stats = BuildStats {
             discovery: discovery.stats(),
             filtered_out: 0,
@@ -179,6 +189,7 @@ impl LiveEngine {
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
                 buffer: IngestBuffer::new(),
                 discovery,
+                rows,
                 durable: None,
             }))),
         })
@@ -287,10 +298,10 @@ impl LiveEngine {
 
     /// Cut the ingest buffer and publish a new epoch reflecting it: append
     /// the actions to a copy of the published dataset, observe new
-    /// arrivals, cut the epoch's group space, build its index, carry over
-    /// the neighbor-cache entries the group delta leaves exact, and swap
-    /// the published `Arc`. An empty cut is a no-op (`advanced: false`, no
-    /// epoch consumed).
+    /// arrivals, cut the epoch's group space, advance the carried overlap
+    /// rows and lay out its index from them, carry over the neighbor-cache
+    /// entries the group delta leaves exact, and swap the published `Arc`.
+    /// An empty cut is a no-op (`advanced: false`, no epoch consumed).
     ///
     /// In-flight sessions are never blocked: the only write lock taken is
     /// for the final one-assignment swap. On a panic inside the body the
@@ -520,6 +531,13 @@ impl LiveEngine {
             ));
         };
         let watermark = ckpt.watermark;
+        // Replay refreshes advance the checkpointed space's rows, walked
+        // once from the CSR the checkpoint loaded.
+        let rows = OverlapRows::of_index(
+            ckpt.engine.index(),
+            ckpt.engine.groups(),
+            &config.index_config(),
+        );
         let segments = durable::list_segments(&durability.dir)?;
         let mut frames = Vec::new();
         let mut torn_tail = false;
@@ -534,6 +552,7 @@ impl LiveEngine {
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
                 buffer: IngestBuffer::resume(watermark),
                 discovery: ckpt.discovery,
+                rows,
                 // Attached only after replay: replayed frames must not be
                 // re-logged.
                 durable: None,
@@ -638,7 +657,8 @@ impl LiveEngine {
             return Err(CoreError::EmptyGroupSpace);
         }
         let config = current.config();
-        let patch = current.index().apply_delta(
+        let patch = state.rows.advance(
+            current.index(),
             current.groups(),
             &groups_new,
             &gdelta,
@@ -693,6 +713,7 @@ mod tests {
     use vexus_data::stream::ChannelStream;
     use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
     use vexus_data::Action;
+    use vexus_index::GroupIndex;
     use vexus_mining::GroupId;
 
     fn stream_config() -> EngineConfig {

@@ -960,6 +960,48 @@ mod tests {
         assert!(svc.is_empty());
     }
 
+    /// The eviction log's bound, driven past three times itself: after
+    /// every eviction the log holds exactly `min(evicted, memory)` ids,
+    /// newest last; afterwards the newest `memory` evicted ids answer
+    /// `SessionExpired`, every older one `UnknownSession`, and the counter
+    /// has seen them all.
+    #[test]
+    fn eviction_log_stays_bounded_past_three_times_its_memory() {
+        let memory = 4;
+        let svc = ExplorationService::with_config(
+            engine(),
+            ServiceConfig::default()
+                .with_idle_ttl_steps(100)
+                .with_eviction_memory(memory),
+        );
+        let ids: Vec<SessionId> = (0..3 * memory + 2).map(|_| svc.open().unwrap().0).collect();
+        svc.advance_clock(1_000);
+        for (evicted, &id) in (1..).zip(&ids) {
+            assert_eq!(
+                svc.display(id).unwrap_err(),
+                ServeError::SessionExpired(id.0)
+            );
+            let log = svc.evicted.lock().unwrap();
+            assert_eq!(log.len(), evicted.min(memory), "after {evicted} evictions");
+            assert_eq!(log.back(), Some(&id.0));
+        }
+        let (older, newest) = ids.split_at(ids.len() - memory);
+        for &id in newest {
+            assert_eq!(
+                svc.display(id).unwrap_err(),
+                ServeError::SessionExpired(id.0)
+            );
+        }
+        for &id in older {
+            assert_eq!(
+                svc.display(id).unwrap_err(),
+                ServeError::UnknownSession(id.0)
+            );
+        }
+        assert_eq!(svc.stats().evictions, ids.len() as u64);
+        assert!(svc.is_empty());
+    }
+
     #[test]
     fn sweep_idle_collects_stale_sessions_in_bulk() {
         let svc = ExplorationService::with_config(

@@ -22,17 +22,21 @@
 //! and [`GroupIndex::overlap_graph`] run the same kernel over it instead
 //! of scanning the whole group space.
 //!
-//! [`GroupIndex::build`] is the only code that lays out lists. A live
-//! refresh rebuilds the index over the new epoch's space;
-//! [`GroupIndex::apply_delta`] wraps that rebuild with the survivor id
-//! remap and the dirty set of the epoch's [`GroupDelta`], which is what
-//! lets the neighbor cache carry still-exact entries across the swap
-//! ([`IndexPatch::carries`]).
+//! A live refresh does not walk the CSR. It carries the space's pair
+//! overlap counts across epochs ([`OverlapRows`]), moves them by the
+//! memberships the epoch's [`GroupDelta`] flips, and lays out every row of
+//! the new index from them with the same keys and the same selection as
+//! the build, so the refreshed index is byte-identical to
+//! [`GroupIndex::build`] over the new space. [`GroupIndex::apply_delta`]
+//! is the stateless form of that refresh, and its [`IndexPatch`] carries
+//! the survivor id remap and the dirty set that let the neighbor cache
+//! keep still-exact entries across the swap ([`IndexPatch::carries`]).
 
 use crate::graph::OverlapGraph;
+use crate::overlap::OverlapRows;
 use vexus_data::snapshot::Ragged;
 use vexus_data::U32Store;
-use vexus_mining::{Group, GroupDelta, GroupId, GroupSet};
+use vexus_mining::{GroupDelta, GroupId, GroupSet};
 
 /// Index construction knobs.
 #[derive(Debug, Clone)]
@@ -60,9 +64,9 @@ pub struct IndexStats {
     /// Total materialized neighbor entries.
     pub materialized_entries: usize,
     /// Overlapping pairs of the space, each unordered pair counted once
-    /// (the build scores a pair from both of its rows). The index a
-    /// refresh gets from [`GroupIndex::apply_delta`] is a build and
-    /// reports the same count.
+    /// (the build scores a pair from both of its rows). A refreshed index
+    /// counts the pairs of its carried [`OverlapRows`], which are the
+    /// build's pairs, and reports the same count.
     pub scored_pairs: usize,
     /// Approximate heap bytes of the index: materialized entries, the
     /// outer list/length vectors, and the retained member→groups CSR.
@@ -89,14 +93,7 @@ impl MemberGroupsCsr {
     /// scatters the group ids. Groups are visited in ascending id order,
     /// so every member's group list comes out sorted.
     pub fn build(groups: &GroupSet) -> Self {
-        // Member sets are sorted, so the universe bound is each group's
-        // last slice element: O(groups), not a walk over every membership.
-        let n_users = groups
-            .iter()
-            .filter_map(|(_, g)| g.members.as_slice().last())
-            .max()
-            .map(|&m| m as usize + 1)
-            .unwrap_or(0);
+        let n_users = Self::universe(groups);
         let mut offsets = vec![0u32; n_users + 1];
         for (_, g) in groups.iter() {
             for u in g.members.iter() {
@@ -119,8 +116,20 @@ impl MemberGroupsCsr {
         Self { lists }
     }
 
-    /// Wrap a loaded table (the snapshot decode path; the caller has
-    /// validated the CSR invariants).
+    /// The number of members the map of `groups` covers: one past the
+    /// largest member id. Member sets are sorted, so that is each group's
+    /// last slice element: O(groups), not a walk over every membership.
+    pub(crate) fn universe(groups: &GroupSet) -> usize {
+        groups
+            .iter()
+            .filter_map(|(_, g)| g.members.as_slice().last())
+            .max()
+            .map(|&m| m as usize + 1)
+            .unwrap_or(0)
+    }
+
+    /// Wrap a loaded table (the snapshot decode path, and a refresh's
+    /// patched map; the caller has established the CSR invariants).
     pub(crate) fn from_lists(lists: Ragged) -> Self {
         Self { lists }
     }
@@ -183,118 +192,23 @@ impl GroupIndex {
     /// and `neighbor_key` order is total, so the index is byte-identical
     /// at any thread count.
     pub fn build(groups: &GroupSet, cfg: &IndexConfig) -> Self {
-        /// One worker's rows: the kept prefixes back to back, and per row
-        /// the kept and the full length.
-        #[derive(Default)]
-        struct Part {
-            entries: Vec<Neighbor>,
-            kept_lens: Vec<u32>,
-            full_lens: Vec<u32>,
-        }
-
-        let n = groups.len();
-        let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
         let member_groups = MemberGroupsCsr::build(groups);
-
-        // Chunk boundaries balance the summed *member* count per worker,
-        // not the group count: a row walks its members' inverted lists, so
-        // with skewed group sizes an even group split leaves most workers
-        // idle behind the one that drew the giants.
-        let sizes: Vec<usize> = groups.iter().map(|(_, g)| g.size()).collect();
-        let chunks = size_aware_chunks(&sizes, resolve_threads(cfg.threads, n));
-
-        let rows = |base: usize, take: usize| {
-            let mut scratch = RowScratch::new(n);
-            let mut keys: Vec<u64> = Vec::new();
-            let mut part = Part::default();
-            for g in base..base + take {
-                scored_row(
-                    &mut scratch,
-                    &member_groups,
-                    groups,
-                    GroupId::new(g as u32),
-                    &mut keys,
-                );
-                let full = keys.len();
-                let kept = select_top(&mut keys, keep_of(fraction, full));
-                part.kept_lens.push(kept.len() as u32);
-                part.entries.extend(kept);
-                part.full_lens.push(full as u32);
-            }
-            part
-        };
-        // A lone chunk (one thread, or a tiny space) runs on the caller.
-        let parts: Vec<Part> = if chunks.len() <= 1 {
-            chunks.iter().map(|&take| rows(0, take)).collect()
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let rows = &rows;
-                let mut base = 0usize;
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|&take| {
-                        let start = base;
-                        base += take;
-                        scope.spawn(move |_| rows(start, take))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("index build worker panicked"))
-                    .collect()
-            })
-            .expect("index build scope")
-        };
-
-        // Exact-capacity concatenation, in range order.
-        let mut entries: Vec<Neighbor> =
-            Vec::with_capacity(parts.iter().map(|p| p.entries.len()).sum());
-        let mut list_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut full_lengths: Vec<u32> = Vec::with_capacity(n);
-        let mut end = 0u32;
-        list_offsets.push(end);
-        for part in &parts {
-            entries.extend_from_slice(&part.entries);
-            for &kept in &part.kept_lens {
-                end += kept;
-                list_offsets.push(end);
-            }
-            full_lengths.extend_from_slice(&part.full_lens);
-        }
-        // Every overlapping pair sits in both of its rows.
-        let scored_pairs = full_lengths.iter().map(|&l| l as usize).sum::<usize>() / 2;
-        Self::from_parts(
-            list_offsets.into(),
-            entries,
-            full_lengths.into(),
-            member_groups,
-            scored_pairs,
-        )
+        walk(groups, &member_groups, cfg, false).into_index(member_groups)
     }
 
-    /// The next epoch's index plus the refresh bookkeeping. `old_groups`
-    /// must be the space this index was built over, `new_groups` the new
-    /// epoch's space, and `delta` the [`vexus_mining::delta::diff`] between
-    /// them; both spaces must be canonical (description-sorted), which
-    /// makes the survivor id remap monotone.
+    /// The next epoch's index plus the refresh bookkeeping, from this
+    /// index alone. `old_groups` must be the space this index was built
+    /// over, `new_groups` the new epoch's space, and `delta` the
+    /// [`vexus_mining::delta::diff`] between them; both spaces must be
+    /// canonical (description-sorted), which makes the survivor id remap
+    /// monotone.
     ///
-    /// The returned index **is** [`GroupIndex::build`]`(new_groups, cfg)`:
-    /// a refresh rebuilds, it does not patch (on every ledger workload the
-    /// delta dirties every list, so a patch has no row to skip). What this
-    /// function adds is the bookkeeping
-    /// [`crate::NeighborCache::carry_over`] needs (see
-    /// [`IndexPatch::carries`]): the survivor remap and the *dirty set* —
-    /// the new groups whose neighbor list can differ from the old one
-    /// beyond an id rewrite.
-    ///
-    /// A group is dirty iff it is added or resized, or it shares a member
-    /// with a touched (added, retired or resized) group: only then can a
-    /// neighbor appear, disappear or change similarity. Every such share
-    /// is visible in the *old* CSR, because an unchanged survivor's
-    /// members are the same in both spaces. The walk marks each member of
-    /// a touched group once and then reads each marked member's old group
-    /// list once, so it is bounded by the old CSR's size, not by the
-    /// summed sizes of the touched groups.
+    /// This is the stateless form of a live refresh: it walks the retained
+    /// CSR once for the old space's [`OverlapRows`] and then runs
+    /// [`OverlapRows::advance`], which is what a live engine does with
+    /// rows it carried from the previous epoch instead. The returned index
+    /// is byte-identical to [`GroupIndex::build`]`(new_groups, cfg)`; see
+    /// [`OverlapRows::advance`] for the dirty set.
     pub fn apply_delta(
         &self,
         old_groups: &GroupSet,
@@ -302,81 +216,8 @@ impl GroupIndex {
         delta: &GroupDelta,
         cfg: &IndexConfig,
     ) -> IndexPatch {
-        let n_old = old_groups.len();
-        debug_assert_eq!(n_old, self.len(), "old space does not match the index");
-
-        // Survivor map: old ids minus `retired`, zipped in order with new
-        // ids minus `added` (both canonical, so the zip is the monotone
-        // remap). `u32::MAX` marks retired ids.
-        let mut old_to_new = vec![u32::MAX; n_old];
-        {
-            let mut retired = delta.retired.iter().peekable();
-            let mut added = delta.added.iter().peekable();
-            let mut j = 0u32;
-            for i in 0..n_old as u32 {
-                if retired.peek().is_some_and(|r| r.0 == i) {
-                    retired.next();
-                    continue;
-                }
-                while added.peek().is_some_and(|a| a.0 == j) {
-                    added.next();
-                    j += 1;
-                }
-                old_to_new[i as usize] = j;
-                j += 1;
-            }
-        }
-        for &(o, n) in &delta.resized {
-            debug_assert_eq!(
-                old_to_new[o.index()],
-                n.0,
-                "resized pair off the survivor zip"
-            );
-        }
-
-        // Added and resized groups are dirty outright. For the survivors,
-        // mark the members of every touched group, walked from the space
-        // that holds them (old for retired, new for added, both for
-        // resized); a member beyond the old CSR's universe is in no old
-        // group.
-        let old_csr = &self.member_groups;
-        let mut dirty = vec![false; new_groups.len()];
-        let mut touched = vec![false; old_csr.n_members()];
-        let mut mark = |group: &Group| {
-            for u in group.members.iter() {
-                if let Some(t) = touched.get_mut(u as usize) {
-                    *t = true;
-                }
-            }
-        };
-        for &g in &delta.retired {
-            mark(old_groups.get(g));
-        }
-        for &(o, n) in &delta.resized {
-            mark(old_groups.get(o));
-            mark(new_groups.get(n));
-            dirty[n.index()] = true;
-        }
-        for &g in &delta.added {
-            mark(new_groups.get(g));
-            dirty[g.index()] = true;
-        }
-        // One pass over the marked members' old group lists.
-        for u in (0..touched.len()).filter(|&u| touched[u]) {
-            for &h in old_csr.groups_of(u as u32) {
-                let m = old_to_new[h as usize];
-                if m != u32::MAX {
-                    dirty[m as usize] = true;
-                }
-            }
-        }
-        let rescored = dirty.iter().filter(|&&d| d).count();
-        IndexPatch {
-            index: Self::build(new_groups, cfg),
-            old_to_new,
-            dirty,
-            rescored,
-        }
+        OverlapRows::of_index(self, old_groups, cfg)
+            .advance(self, old_groups, new_groups, delta, cfg)
     }
 
     /// Assemble from storage parts, recomputing derived statistics.
@@ -408,6 +249,11 @@ impl GroupIndex {
             member_groups,
             stats,
         }
+    }
+
+    /// The retained member→groups map of the indexed space.
+    pub(crate) fn member_groups(&self) -> &MemberGroupsCsr {
+        &self.member_groups
     }
 
     /// The flat storage parts `(list_offsets, entries, full_lengths,
@@ -491,19 +337,21 @@ impl GroupIndex {
     }
 }
 
-/// The result of [`GroupIndex::apply_delta`]: the new epoch's index plus
-/// the bookkeeping the serving layer uses to decide which neighbor-cache
+/// The result of a refresh ([`OverlapRows::advance`], or its stateless
+/// form [`GroupIndex::apply_delta`]): the new epoch's index plus the
+/// bookkeeping the serving layer uses to decide which neighbor-cache
 /// entries survive the epoch swap.
 pub struct IndexPatch {
-    /// The new epoch's index: [`GroupIndex::build`] over the new space.
+    /// The new epoch's index, laid out from the carried overlap counts and
+    /// byte-identical to [`GroupIndex::build`] over the new space.
     pub index: GroupIndex,
     /// Old-space id → new-space id for survivors; `u32::MAX` for retired
     /// groups. Monotone over survivors (both spaces are canonical).
     pub old_to_new: Vec<u32>,
     /// Per new-space group: whether its neighbor list can differ from the
     /// old epoch's (added, resized, or sharing a member with a touched
-    /// group). A clean group is a survivor whose rebuilt list is the old
-    /// list with ids rewritten through `old_to_new`.
+    /// group). A clean group is a survivor whose new list is the old list
+    /// with ids rewritten through `old_to_new`.
     pub dirty: Vec<bool>,
     /// Number of dirty groups.
     pub rescored: usize,
@@ -525,6 +373,134 @@ impl IndexPatch {
     }
 }
 
+/// The rows of one walk over a space, in group order: the laid-out index
+/// parts and, when the walk keeps them, the overlap rows.
+pub(crate) struct Walk {
+    pub(crate) list_offsets: Vec<u32>,
+    pub(crate) entries: Vec<Neighbor>,
+    pub(crate) full_lengths: Vec<u32>,
+    /// Row `g` is the next `full_lengths[g]` pairs `(h, |g ∩ h|)`,
+    /// ascending `h`; empty unless the walk keeps rows.
+    pub(crate) rows: Vec<(u32, u32)>,
+}
+
+impl Walk {
+    /// The index over the walked space, which `member_groups` maps.
+    pub(crate) fn into_index(self, member_groups: MemberGroupsCsr) -> GroupIndex {
+        // Every overlapping pair sits in both of its rows.
+        let scored_pairs = self.full_lengths.iter().map(|&l| l as usize).sum::<usize>() / 2;
+        GroupIndex::from_parts(
+            self.list_offsets.into(),
+            self.entries,
+            self.full_lengths.into(),
+            member_groups,
+            scored_pairs,
+        )
+    }
+}
+
+/// The build's one walk over `groups`, a row at a time (see
+/// [`GroupIndex::build`]). With `keep_rows` every worker also keeps each
+/// row as `(h, |g ∩ h|)` pairs ascending by id, for [`OverlapRows`].
+/// `member_groups` must map `groups`.
+pub(crate) fn walk(
+    groups: &GroupSet,
+    member_groups: &MemberGroupsCsr,
+    cfg: &IndexConfig,
+    keep_rows: bool,
+) -> Walk {
+    /// One worker's rows: the kept prefixes back to back, per row the
+    /// kept and the full length, and the overlap rows when kept.
+    #[derive(Default)]
+    struct Part {
+        entries: Vec<Neighbor>,
+        kept_lens: Vec<u32>,
+        full_lens: Vec<u32>,
+        rows: Vec<(u32, u32)>,
+    }
+
+    let n = groups.len();
+    let fraction = cfg.materialize_fraction.clamp(0.0, 1.0);
+
+    // Chunk boundaries balance the summed *member* count per worker, not
+    // the group count: a row walks its members' inverted lists, so with
+    // skewed group sizes an even group split leaves most workers idle
+    // behind the one that drew the giants.
+    let sizes: Vec<usize> = groups.iter().map(|(_, g)| g.size()).collect();
+    let chunks = size_aware_chunks(&sizes, resolve_threads(cfg.threads, n));
+
+    let rows = |base: usize, take: usize| {
+        let mut scratch = RowScratch::new(n);
+        let mut keys: Vec<u64> = Vec::new();
+        let mut part = Part::default();
+        for g in base..base + take {
+            let gid = GroupId::new(g as u32);
+            if keep_rows {
+                let start = part.rows.len();
+                scratch.overlaps(member_groups, groups, gid, |h, inter| {
+                    part.rows.push((h, inter))
+                });
+                part.rows[start..].sort_unstable();
+                row_keys(groups, gid, &part.rows[start..], &mut keys);
+            } else {
+                scored_row(&mut scratch, member_groups, groups, gid, &mut keys);
+            }
+            let full = keys.len();
+            let kept = select_top(&mut keys, keep_of(fraction, full));
+            part.kept_lens.push(kept.len() as u32);
+            part.entries.extend(kept);
+            part.full_lens.push(full as u32);
+        }
+        part
+    };
+    // A lone chunk (one thread, or a tiny space) runs on the caller.
+    let parts: Vec<Part> = if chunks.len() <= 1 {
+        chunks.iter().map(|&take| rows(0, take)).collect()
+    } else {
+        crossbeam::thread::scope(|scope| {
+            let rows = &rows;
+            let mut base = 0usize;
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|&take| {
+                    let start = base;
+                    base += take;
+                    scope.spawn(move |_| rows(start, take))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("index build worker panicked"))
+                .collect()
+        })
+        .expect("index build scope")
+    };
+
+    // Exact-capacity concatenation, in range order.
+    let mut entries: Vec<Neighbor> =
+        Vec::with_capacity(parts.iter().map(|p| p.entries.len()).sum());
+    let mut list_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut full_lengths: Vec<u32> = Vec::with_capacity(n);
+    let mut rows: Vec<(u32, u32)> = Vec::with_capacity(parts.iter().map(|p| p.rows.len()).sum());
+    let mut end = 0u32;
+    list_offsets.push(end);
+    for part in &parts {
+        entries.extend_from_slice(&part.entries);
+        for &kept in &part.kept_lens {
+            end += kept;
+            list_offsets.push(end);
+        }
+        full_lengths.extend_from_slice(&part.full_lens);
+        rows.extend_from_slice(&part.rows);
+    }
+    Walk {
+        list_offsets,
+        entries,
+        full_lengths,
+        rows,
+    }
+}
+
 /// Worker count of a build over `n` groups.
 fn resolve_threads(threads: usize, n: usize) -> usize {
     if threads == 0 {
@@ -539,7 +515,7 @@ fn resolve_threads(threads: usize, n: usize) -> usize {
 }
 
 /// Materialized-prefix length for a full list of `scored` neighbors.
-fn keep_of(fraction: f64, scored: usize) -> usize {
+pub(crate) fn keep_of(fraction: f64, scored: usize) -> usize {
     ((fraction * scored as f64).ceil() as usize).min(scored)
 }
 
@@ -608,6 +584,15 @@ fn key_neighbor(key: u64) -> Neighbor {
     )
 }
 
+/// The key of neighbor `h` of a group of `size` members, scored with the
+/// exact `f32` Jaccard similarity from the `inter` members they share.
+#[inline]
+fn overlap_key(groups: &GroupSet, size: usize, h: u32, inter: u32) -> u64 {
+    let inter = inter as usize;
+    let union = size + groups.get(GroupId::new(h)).size() - inter;
+    neighbor_key(h, inter as f32 / union as f32)
+}
+
 /// The full neighbor row of `gid` as keys, unordered: every group
 /// overlapping it, scored with the exact `f32` Jaccard similarity.
 fn scored_row(
@@ -620,10 +605,19 @@ fn scored_row(
     let size = groups.get(gid).size();
     keys.clear();
     scratch.overlaps(member_groups, groups, gid, |h, inter| {
-        let inter = inter as usize;
-        let union = size + groups.get(GroupId::new(h)).size() - inter;
-        keys.push(neighbor_key(h, inter as f32 / union as f32));
+        keys.push(overlap_key(groups, size, h, inter));
     });
+}
+
+/// The same keys as [`scored_row`], from `gid`'s overlap row of
+/// `(h, |gid ∩ h|)` pairs instead of a walk.
+pub(crate) fn row_keys(groups: &GroupSet, gid: GroupId, row: &[(u32, u32)], keys: &mut Vec<u64>) {
+    let size = groups.get(gid).size();
+    keys.clear();
+    keys.extend(
+        row.iter()
+            .map(|&(h, inter)| overlap_key(groups, size, h, inter)),
+    );
 }
 
 /// Order the `keep` smallest of `keys` into its sorted prefix and return
@@ -631,7 +625,10 @@ fn scored_row(
 /// prefix needs full ordering — then one sort of the prefix. Keys of one
 /// row are distinct (distinct ids), so the prefix does not depend on the
 /// input permutation.
-fn select_top(keys: &mut [u64], keep: usize) -> impl ExactSizeIterator<Item = Neighbor> + '_ {
+pub(crate) fn select_top(
+    keys: &mut [u64],
+    keep: usize,
+) -> impl ExactSizeIterator<Item = Neighbor> + '_ {
     let keep = keep.min(keys.len());
     if keep > 0 && keep < keys.len() {
         keys.select_nth_unstable(keep - 1);
@@ -708,7 +705,7 @@ pub fn compute_all_neighbors(groups: &GroupSet, g: GroupId) -> Vec<Neighbor> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vexus_mining::{Group, MemberSet};
 
@@ -751,7 +748,7 @@ mod tests {
     }
 
     /// Materialized lists, full lengths and entry/pair stats must agree.
-    fn assert_same_index(a: &GroupIndex, b: &GroupIndex, what: &str) {
+    pub(crate) fn assert_same_index(a: &GroupIndex, b: &GroupIndex, what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: group count");
         for g in 0..a.len() {
             let g = GroupId::new(g as u32);
@@ -1179,7 +1176,7 @@ mod tests {
 
     /// A described group space from `(tag, members)` pairs, in canonical
     /// (description-sorted) order. Tags must be unique.
-    fn described_space(defs: &[(u32, Vec<u32>)]) -> GroupSet {
+    pub(crate) fn described_space(defs: &[(u32, Vec<u32>)]) -> GroupSet {
         let mut gs = GroupSet::new();
         for (tag, members) in defs {
             gs.push(Group::new(

@@ -14,7 +14,9 @@
 //! * [`graph`] — the undirected group graph `G` (edge ⇔ groups overlap)
 //!   that exploration navigates,
 //! * [`cache`] — the shared read-through cache over neighbor queries and
-//!   its carry-over across an epoch swap.
+//!   its carry-over across an epoch swap,
+//! * [`overlap`] — the pair overlap counts a live refresh carries across
+//!   epochs and lays out each new index from.
 //!
 //! Index construction uses a flat CSR member→groups inverted map
 //! ([`inverted::MemberGroupsCsr`]) so that only *overlapping* pairs are
@@ -22,16 +24,19 @@
 //! enter a neighbor list); the build scores, ranks and keeps one whole
 //! neighbor row per group and shards the rows across threads with
 //! crossbeam.
-//! There is one way to make an index: a live refresh rebuilds it
-//! ([`GroupIndex::apply_delta`] is [`GroupIndex::build`] plus the survivor
-//! id remap and dirty set that [`NeighborCache::carry_over`] reads through
-//! [`IndexPatch::carries`]).
+//! A live refresh does not walk the CSR: [`OverlapRows::advance`] moves
+//! the carried counts by the epoch's membership flips and lays out the
+//! same bytes [`GroupIndex::build`] would, plus the survivor id remap and
+//! dirty set that [`NeighborCache::carry_over`] reads through
+//! [`IndexPatch::carries`].
 
 pub mod cache;
 pub mod graph;
 pub mod inverted;
+pub mod overlap;
 pub mod snapshot;
 
 pub use cache::{CacheStats, NeighborCache};
 pub use graph::OverlapGraph;
 pub use inverted::{GroupIndex, IndexConfig, IndexPatch, IndexStats, MemberGroupsCsr};
+pub use overlap::OverlapRows;
