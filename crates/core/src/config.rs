@@ -54,11 +54,6 @@ pub struct EngineConfig {
     /// builds no cache. Purely a performance knob: cached and uncached
     /// answers are byte-identical.
     pub neighbor_cache_capacity: usize,
-    /// Whether this session reads neighbor lists through the engine's
-    /// shared cache (when one exists). Per-session switch so cache-on and
-    /// cache-off sessions can run side by side on one engine — the
-    /// cache-equality tests rely on it.
-    pub neighbor_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -77,7 +72,6 @@ impl Default for EngineConfig {
             merge_threads: 0,
             exchange_rounds: 1,
             neighbor_cache_capacity: 4096,
-            neighbor_cache: true,
         }
     }
 }
@@ -133,13 +127,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: toggle this session's use of the engine's shared
-    /// neighbor cache.
-    pub fn with_neighbor_cache(mut self, enabled: bool) -> Self {
-        self.neighbor_cache = enabled;
-        self
-    }
-
     /// The index build configuration every engine-assembling path uses:
     /// this config's materialization fraction on all available cores.
     pub(crate) fn index_config(&self) -> IndexConfig {
@@ -192,12 +179,9 @@ mod tests {
                 .exchange_rounds,
             0
         );
-        // Neighbor caching defaults on with a bounded capacity; both are
-        // plain knobs.
-        let d = EngineConfig::default();
-        assert!(d.neighbor_cache);
-        assert!(d.neighbor_cache_capacity > 0);
-        assert!(!d.with_neighbor_cache(false).neighbor_cache);
+        // Neighbor caching defaults on with a bounded capacity; 0 builds
+        // no cache.
+        assert!(EngineConfig::default().neighbor_cache_capacity > 0);
         assert_eq!(
             EngineConfig::default()
                 .with_neighbor_cache_capacity(0)

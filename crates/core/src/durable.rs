@@ -63,6 +63,8 @@ const CKPT_PREFIX: &str = "ckpt-";
 const CKPT_SUFFIX: &str = ".vxck";
 const WAL_PREFIX: &str = "wal-";
 const WAL_SUFFIX: &str = ".vxwl";
+/// [`write_atomic`]'s temp file: `ckpt-<watermark>.tmp`.
+const TMP_SUFFIX: &str = ".tmp";
 
 /// Where and how often a durable live engine checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +128,20 @@ pub struct RecoveryReport {
     pub halted: Option<&'static str>,
 }
 
+/// What a durable live engine's sink has done since the engine was
+/// bootstrapped or recovered, read with [`crate::LiveEngine::durable_counts`].
+/// The bootstrap checkpoint and the frames recovery replays are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurableCounts {
+    /// Deltas committed to the write-ahead log before they were applied.
+    pub wal_frames: u64,
+    /// Checkpoints written by the cadence policy.
+    pub checkpoints: u64,
+    /// Checkpoint attempts that failed (the refresh itself succeeded; the
+    /// WAL keeps every frame and the next refresh retries).
+    pub checkpoint_failures: u64,
+}
+
 /// The live engine's handle on its durable directory: the open WAL
 /// segment plus the checkpoint cadence counters.
 pub(crate) struct DurableSink {
@@ -136,10 +152,8 @@ pub(crate) struct DurableSink {
     pub n_base_actions: usize,
     /// Advancing refreshes since the last durable checkpoint.
     pub since_checkpoint: u64,
-    /// Lifetime frames committed (telemetry).
-    pub wal_frames: u64,
-    /// Lifetime checkpoints written (telemetry).
-    pub checkpoints: u64,
+    /// What the sink has done (see [`DurableCounts`]).
+    pub counts: DurableCounts,
 }
 
 fn io_core(op: &'static str) -> impl Fn(std::io::Error) -> CoreError {
@@ -208,12 +222,24 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Apply the retention policy: keep the newest `retain` checkpoints
-/// (always at least one), then delete every WAL segment entirely covered
-/// by the oldest retained watermark — segment `i` is covered when the
-/// *next* segment starts at or below it (so every frame in `i` is below
-/// the watermark too). The newest segment is never deleted.
+/// Delete every orphaned checkpoint temp file. A crash or an I/O error
+/// between [`write_atomic`]'s create and rename leaves one behind, and no
+/// later checkpoint reuses its watermark to overwrite it.
+pub(crate) fn remove_orphans(dir: &Path) -> Result<(), CoreError> {
+    for (_, path) in list_stamped(dir, CKPT_PREFIX, TMP_SUFFIX)? {
+        fs::remove_file(path).map_err(io_core("checkpoint temp prune"))?;
+    }
+    Ok(())
+}
+
+/// Apply the retention policy: remove orphaned temp files, keep the
+/// newest `retain` checkpoints (always at least one), then delete every
+/// WAL segment entirely covered by the oldest retained watermark —
+/// segment `i` is covered when the *next* segment starts at or below it
+/// (so every frame in `i` is below the watermark too). The newest segment
+/// is never deleted.
 pub(crate) fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
+    remove_orphans(dir)?;
     let ckpts = list_checkpoints(dir)?;
     let keep = retain.max(1);
     if ckpts.len() <= keep {

@@ -345,7 +345,7 @@ impl Vexus {
         bytes: &[u8],
         config: EngineConfig,
     ) -> Result<Self, CoreError> {
-        if crate::failpoint::inject(crate::failpoint::SNAPSHOT_LOAD, 0) {
+        if crate::failpoint::hit_key(crate::failpoint::SNAPSHOT_LOAD, 0) {
             return Err(CoreError::Snapshot(SnapshotError::Malformed {
                 tag: 0,
                 what: "injected fault (snapshot.load)",

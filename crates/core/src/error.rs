@@ -23,8 +23,8 @@ pub enum CoreError {
     /// fixed engines, non-stream discovery selections, or a live engine
     /// halted after a panic mid-refresh. The payload says which.
     NotLive(&'static str),
-    /// A fault-injection site fired (only reachable with the `failpoints`
-    /// feature and an active scenario).
+    /// A fault-injection site fired (only while a `FailScenario` arms
+    /// the site).
     Injected(&'static str),
     /// The live engine halted after a mid-refresh panic or an empty epoch
     /// group space; the payload is the cause. The published engine keeps
@@ -103,8 +103,8 @@ pub enum ServeError {
     /// The session panicked mid-verb and was quarantined; it no longer
     /// accepts verbs. Other sessions are unaffected.
     SessionPoisoned(u64),
-    /// A fault-injection site fired (only reachable with the
-    /// `failpoints` feature and an active scenario).
+    /// A fault-injection site fired (only while a `FailScenario` arms
+    /// the site).
     Injected(&'static str),
     /// The underlying session verb failed.
     Core(CoreError),

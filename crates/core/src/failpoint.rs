@@ -1,14 +1,12 @@
-//! Fail-point sites compiled into the serving stack behind the
-//! `failpoints` cargo feature.
+//! The fail-point sites of the serving stack, compiled into every build.
 //!
-//! Production code calls the crate-private `inject` at each named site;
-//! without the
-//! feature the call is a `const false` the optimizer deletes, with it the
-//! call forwards to the seeded registry in `vexus-failpoint` (one relaxed
-//! atomic load when no scenario is active). Sites either return an
-//! injected typed error (`FailAction::Error` ⇒ `inject` returns `true`)
-//! or panic at the site (`FailAction::Panic`) to exercise the
-//! `catch_unwind` quarantine path.
+//! Production code calls [`hit_key`] at each named site, keyed as the
+//! catalog below says; the seeded registry lives in
+//! [`vexus_data::failpoint`] and is re-exported here. While no
+//! [`FailScenario`] arms a site the call is one relaxed atomic load.
+//! Sites either return an injected typed error (`FailAction::Error` ⇒
+//! `hit_key` returns `true`) or panic at the site (`FailAction::Panic`)
+//! to exercise the `catch_unwind` quarantine path.
 //!
 //! Site catalog (see README "Robustness"):
 //!
@@ -54,22 +52,6 @@ pub const CHECKPOINT_WRITE: &str = "checkpoint.write";
 /// the frame's epoch).
 pub const RECOVER_REPLAY: &str = "recover.replay";
 
-#[cfg(feature = "failpoints")]
-pub use vexus_failpoint::{
-    clear, clear_all, configure, fired, key_selected, FailAction, FailScenario, Trigger,
+pub use vexus_data::failpoint::{
+    clear, clear_all, configure, fired, hit_key, key_selected, FailAction, FailScenario, Trigger,
 };
-
-/// Evaluate the fail point at `site` for `key`: `true` means the site
-/// must fail with its injected error. Compiles to `false` without the
-/// `failpoints` feature.
-#[cfg(feature = "failpoints")]
-#[inline(always)]
-pub(crate) fn inject(site: &str, key: u64) -> bool {
-    vexus_failpoint::hit_key(site, key)
-}
-
-#[cfg(not(feature = "failpoints"))]
-#[inline(always)]
-pub(crate) fn inject(_site: &str, _key: u64) -> bool {
-    false
-}

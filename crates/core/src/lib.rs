@@ -58,7 +58,7 @@ pub mod simulate;
 pub mod snapshot;
 
 pub use config::EngineConfig;
-pub use durable::{CheckpointOutcome, DurabilityConfig, RecoveryReport};
+pub use durable::{CheckpointOutcome, DurabilityConfig, DurableCounts, RecoveryReport};
 pub use engine::{OwnedSession, Vexus};
 pub use error::{CoreError, ServeError};
 pub use feedback::FeedbackVector;

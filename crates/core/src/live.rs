@@ -41,7 +41,9 @@
 //! published and serving.
 
 use crate::config::EngineConfig;
-use crate::durable::{self, CheckpointOutcome, DurabilityConfig, DurableSink, RecoveryReport};
+use crate::durable::{
+    self, CheckpointOutcome, DurabilityConfig, DurableCounts, DurableSink, RecoveryReport,
+};
 use crate::engine::{BuildStats, Vexus};
 use crate::error::CoreError;
 use crate::failpoint;
@@ -76,8 +78,9 @@ enum LiveSlot {
     /// The live state was dropped after a mid-refresh panic or an empty
     /// epoch group space. The published engine keeps serving; ingestion
     /// verbs report [`CoreError::Halted`] with this cause, and
-    /// [`LiveEngine::recover`] is the way back for durable engines.
-    Halted(&'static str),
+    /// [`LiveEngine::recover`] is the way back for durable engines. The
+    /// dropped sink's counts stay readable.
+    Halted(&'static str, DurableCounts),
 }
 
 /// What one [`LiveEngine::refresh`] call did.
@@ -134,8 +137,20 @@ impl LiveSlot {
     fn live(&mut self) -> Result<&mut LiveState, CoreError> {
         match self {
             LiveSlot::Live(state) => Ok(state),
-            LiveSlot::Halted(cause) => Err(CoreError::Halted(cause)),
+            LiveSlot::Halted(cause, _) => Err(CoreError::Halted(cause)),
         }
+    }
+
+    fn durable_counts(&self) -> DurableCounts {
+        match self {
+            LiveSlot::Live(state) => state.durable.as_ref().map(|s| s.counts).unwrap_or_default(),
+            LiveSlot::Halted(_, counts) => *counts,
+        }
+    }
+
+    /// Drop the live state, keeping its durable counts.
+    fn halt(&mut self, cause: &'static str) {
+        *self = LiveSlot::Halted(cause, self.durable_counts());
     }
 }
 
@@ -236,8 +251,7 @@ impl LiveEngine {
                 wal,
                 n_base_actions,
                 since_checkpoint: 0,
-                wal_frames: 0,
-                checkpoints: 1,
+                counts: DurableCounts::default(),
             });
         }
         Ok(live)
@@ -277,9 +291,19 @@ impl LiveEngine {
     /// durable engines.
     pub fn halt_cause(&self) -> Option<&'static str> {
         match *self.state.lock().unwrap_or_else(PoisonError::into_inner) {
-            LiveSlot::Halted(cause) => Some(cause),
+            LiveSlot::Halted(cause, _) => Some(cause),
             _ => None,
         }
+    }
+
+    /// What the durable sink has done since this engine was bootstrapped
+    /// or recovered, whichever verb drove the refreshes; all zero for a
+    /// non-durable engine. A halt keeps the counts it reached.
+    pub fn durable_counts(&self) -> DurableCounts {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .durable_counts()
     }
 
     /// Drain up to `max` actions from `stream` into the ingest buffer
@@ -319,7 +343,7 @@ impl LiveEngine {
         let current = self.engine();
         let epoch_now = self.epoch.load(Ordering::Acquire);
         let body = catch_unwind(AssertUnwindSafe(|| {
-            if failpoint::inject(failpoint::INGEST_APPLY, epoch_now) {
+            if failpoint::hit_key(failpoint::INGEST_APPLY, epoch_now) {
                 return Err(CoreError::Injected(failpoint::INGEST_APPLY));
             }
             let (wal_appended, wal_bytes) = Self::log_delta(state)?;
@@ -355,12 +379,12 @@ impl LiveEngine {
                     // published space; a later refresh would diff against
                     // the wrong epoch. Halt rather than serve corrupt
                     // deltas.
-                    *guard = LiveSlot::Halted(HALT_EMPTY_EPOCH);
+                    guard.halt(HALT_EMPTY_EPOCH);
                 }
                 Err(e)
             }
             Err(_) => {
-                *guard = LiveSlot::Halted(HALT_PANIC);
+                guard.halt(HALT_PANIC);
                 Err(CoreError::Halted(HALT_PANIC))
             }
         }
@@ -379,17 +403,17 @@ impl LiveEngine {
             return Ok((false, 0));
         };
         let delta_epoch = state.buffer.next_epoch();
-        if failpoint::inject(failpoint::WAL_APPEND, delta_epoch) {
+        if failpoint::hit_key(failpoint::WAL_APPEND, delta_epoch) {
             return Err(CoreError::Injected(failpoint::WAL_APPEND));
         }
         sink.wal
             .append(delta_epoch, state.buffer.pending_actions())?;
-        if failpoint::inject(failpoint::WAL_SYNC, delta_epoch) {
+        if failpoint::hit_key(failpoint::WAL_SYNC, delta_epoch) {
             sink.wal.rollback();
             return Err(CoreError::Injected(failpoint::WAL_SYNC));
         }
         let bytes = sink.wal.commit()?;
-        sink.wal_frames += 1;
+        sink.counts.wal_frames += 1;
         Ok((true, bytes))
     }
 
@@ -417,7 +441,7 @@ impl LiveEngine {
         }
         let discovery = &state.discovery;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if failpoint::inject(failpoint::CHECKPOINT_WRITE, watermark) {
+            if failpoint::hit_key(failpoint::CHECKPOINT_WRITE, watermark) {
                 return Err(CoreError::Injected(failpoint::CHECKPOINT_WRITE));
             }
             let bytes =
@@ -438,11 +462,14 @@ impl LiveEngine {
         match result {
             Ok(Ok(wal)) => {
                 sink.wal = wal;
-                sink.checkpoints += 1;
+                sink.counts.checkpoints += 1;
                 sink.since_checkpoint = 0;
                 CheckpointOutcome::Written
             }
-            Ok(Err(_)) | Err(_) => CheckpointOutcome::Failed,
+            Ok(Err(_)) | Err(_) => {
+                sink.counts.checkpoint_failures += 1;
+                CheckpointOutcome::Failed
+            }
         }
     }
 
@@ -575,7 +602,7 @@ impl LiveEngine {
             if frame.actions.is_empty() {
                 return Err(CoreError::Recovery("empty frame in the write-ahead log"));
             }
-            if failpoint::inject(failpoint::RECOVER_REPLAY, frame.epoch) {
+            if failpoint::hit_key(failpoint::RECOVER_REPLAY, frame.epoch) {
                 return Err(CoreError::Injected(failpoint::RECOVER_REPLAY));
             }
             let mut stream = ReplayStream::from_actions(&frame.actions);
@@ -597,6 +624,7 @@ impl LiveEngine {
                 }
             }
         }
+        durable::remove_orphans(&durability.dir)?;
         {
             let mut guard = live.state.lock().unwrap_or_else(PoisonError::into_inner);
             if let Ok(state) = guard.live() {
@@ -614,8 +642,7 @@ impl LiveEngine {
                     wal,
                     n_base_actions,
                     since_checkpoint: frames_replayed as u64,
-                    wal_frames: 0,
-                    checkpoints: 0,
+                    counts: DurableCounts::default(),
                 });
             }
         }
@@ -878,7 +905,8 @@ mod tests {
     /// checkpoints: after every checkpoint the directory holds exactly the
     /// newest `retain` checkpoints and the segments they still need (each
     /// checkpoint rotated the log to a segment named by its watermark, so
-    /// exactly those), and it recovers to the published engine.
+    /// exactly those) and nothing else — an orphaned checkpoint temp file
+    /// planted up front is gone — and it recovers to the published engine.
     #[test]
     fn durable_directory_stays_bounded_past_four_times_retain() {
         let dir = tempdir("retention");
@@ -891,6 +919,8 @@ mod tests {
         };
         let live =
             LiveEngine::bootstrap_durable(base.clone(), stream_config(), config.clone()).unwrap();
+        // What a crash between a checkpoint's create and rename leaves.
+        std::fs::write(dir.join("ckpt-00000000000000000001.tmp"), b"torn").unwrap();
         let refreshes = 2 * (4 * retain + 1);
         let mut written = 0;
         for chunk in tape.chunks(tape.len().div_ceil(refreshes)) {
@@ -903,9 +933,25 @@ mod tests {
                 listed.into_iter().map(|(stamp, _)| stamp).collect()
             };
             let epoch = live.epoch();
-            let checkpoints = stamps(durable::list_checkpoints(&dir).unwrap());
+            let (ckpts, segments) = (
+                durable::list_checkpoints(&dir).unwrap(),
+                durable::list_segments(&dir).unwrap(),
+            );
+            let mut listed: Vec<_> = ckpts
+                .iter()
+                .chain(&segments)
+                .map(|(_, p)| p.clone())
+                .collect();
+            let mut on_disk: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            listed.sort();
+            on_disk.sort();
+            assert_eq!(on_disk, listed, "after epoch {epoch}");
+            let checkpoints = stamps(ckpts);
             assert_eq!(checkpoints, vec![epoch - 2, epoch], "after epoch {epoch}");
-            assert_eq!(stamps(durable::list_segments(&dir).unwrap()), checkpoints);
+            assert_eq!(stamps(segments), checkpoints);
             let (recovered, report) =
                 LiveEngine::recover(base.clone(), stream_config(), config.clone()).unwrap();
             assert_eq!(report.final_epoch, epoch);
@@ -1075,7 +1121,7 @@ mod tests {
         }
         // A halt is a hard error: it comes back as it is at any attempt
         // count, and the published epoch is still there.
-        *live.state.lock().unwrap() = LiveSlot::Halted(HALT_PANIC);
+        live.state.lock().unwrap().halt(HALT_PANIC);
         for attempts in [0, 1, 3] {
             assert_eq!(
                 live.refresh_with_retry(attempts).unwrap_err(),
@@ -1084,6 +1130,54 @@ mod tests {
         }
         assert_eq!(live.halt_cause(), Some(HALT_PANIC));
         assert_eq!(live.epoch(), 0);
+    }
+
+    /// The durable counts have one owner, the sink: refreshes driven on
+    /// the live engine directly show up in a service's stats beside those
+    /// driven through it; the bootstrap checkpoint and recovery's replay
+    /// are not counted, and a halt keeps the counts.
+    #[test]
+    fn service_stats_count_refreshes_driven_on_the_live_engine() {
+        use crate::serve::ExplorationService;
+        let dir = tempdir("counts");
+        let (base, tape) = warmed(300);
+        let live = Arc::new(
+            LiveEngine::bootstrap_durable(base.clone(), stream_config(), durability(&dir, 2))
+                .unwrap(),
+        );
+        let svc = ExplorationService::live(Arc::clone(&live));
+        assert_eq!(svc.stats().checkpoints, 0, "bootstrap checkpoint");
+        let chunks: Vec<_> = tape.chunks(tape.len().div_ceil(5)).collect();
+        for chunk in &chunks[..4] {
+            feed(&live, chunk);
+            live.refresh().unwrap();
+        }
+        feed(&live, chunks[4]);
+        svc.refresh().unwrap();
+        let counts = DurableCounts {
+            wal_frames: 5,
+            checkpoints: 2,
+            checkpoint_failures: 0,
+        };
+        let stats = svc.stats();
+        assert_eq!(
+            (
+                stats.wal_frames,
+                stats.checkpoints,
+                stats.checkpoint_failures
+            ),
+            (5, 2, 0)
+        );
+        assert_eq!(live.durable_counts(), counts);
+        assert_eq!(stats.refreshes, 1, "refresh verbs served");
+        live.state.lock().unwrap().halt(HALT_PANIC);
+        assert_eq!(live.durable_counts(), counts, "a halt keeps the counts");
+        drop((svc, live));
+        let (recovered, report) =
+            LiveEngine::recover(base, stream_config(), durability(&dir, 2)).unwrap();
+        assert_eq!(report.frames_replayed, 1);
+        assert_eq!(recovered.durable_counts(), DurableCounts::default());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -43,16 +43,17 @@
 //! * **Observability** — [`ServiceStats`] counts opens, rejections,
 //!   evictions, quarantines and lock recoveries, surfaced through the
 //!   [`Request::Stats`] verb.
-//! * **Fault injection** — with the `failpoints` cargo feature the
+//! * **Fault injection** — while a scenario arms them, the
 //!   `serve.open`/`serve.step` sites (see [`crate::failpoint`]) inject
-//!   seeded panics or typed [`ServeError::Injected`] errors; without the
-//!   feature the sites compile to nothing.
+//!   seeded panics or typed [`ServeError::Injected`] errors; idle, each
+//!   costs one relaxed atomic load.
 //!
 //! [`Request`]/[`Response`] mirror the verb surface as plain data for
 //! transport-style callers (one enum in, one enum out); the typed methods
 //! are the direct API.
 
 use crate::config::EngineConfig;
+use crate::durable::DurableCounts;
 use crate::engine::{OwnedSession, Vexus};
 use crate::error::{CoreError, ServeError};
 use crate::failpoint;
@@ -144,7 +145,10 @@ pub struct ServiceStats {
     /// failed refreshes excluded).
     pub refreshes: u64,
     /// Deltas committed to the write-ahead log before applying (durable
-    /// engines only; see [`crate::DurabilityConfig`]).
+    /// engines only; see [`crate::DurabilityConfig`]). This and the two
+    /// checkpoint counts are [`LiveEngine::durable_counts`]: since the live
+    /// engine was bootstrapped or recovered, refreshes driven on it
+    /// directly included.
     pub wal_frames: u64,
     /// Checkpoints written by the cadence policy.
     pub checkpoints: u64,
@@ -169,13 +173,10 @@ struct Counters {
     quarantines: AtomicU64,
     recoveries: AtomicU64,
     refreshes: AtomicU64,
-    wal_frames: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_failures: AtomicU64,
 }
 
 impl Counters {
-    fn snapshot(&self, epoch: u64, halted: bool) -> ServiceStats {
+    fn snapshot(&self, epoch: u64, halted: bool, durable: DurableCounts) -> ServiceStats {
         ServiceStats {
             opens: self.opens.load(Ordering::SeqCst),
             rejections: self.rejections.load(Ordering::SeqCst),
@@ -183,9 +184,9 @@ impl Counters {
             quarantines: self.quarantines.load(Ordering::SeqCst),
             recoveries: self.recoveries.load(Ordering::SeqCst),
             refreshes: self.refreshes.load(Ordering::SeqCst),
-            wal_frames: self.wal_frames.load(Ordering::SeqCst),
-            checkpoints: self.checkpoints.load(Ordering::SeqCst),
-            checkpoint_failures: self.checkpoint_failures.load(Ordering::SeqCst),
+            wal_frames: durable.wal_frames,
+            checkpoints: durable.checkpoints,
+            checkpoint_failures: durable.checkpoint_failures,
             halted,
             epoch,
         }
@@ -382,11 +383,11 @@ impl ExplorationService {
 
     /// Cumulative service counters.
     pub fn stats(&self) -> ServiceStats {
-        let (epoch, halted) = match &self.engine {
-            Engine::Fixed(_) => (0, false),
-            Engine::Live(live) => (live.epoch(), live.halt_cause().is_some()),
+        let (epoch, halted, durable) = match &self.engine {
+            Engine::Fixed(_) => Default::default(),
+            Engine::Live(l) => (l.epoch(), l.halt_cause().is_some(), l.durable_counts()),
         };
-        self.counters.snapshot(epoch, halted)
+        self.counters.snapshot(epoch, halted, durable)
     }
 
     /// The logical clock: verbs served so far (each verb ticks it once).
@@ -517,7 +518,7 @@ impl ExplorationService {
         let now = self.tick();
         self.sweep_idle();
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        if failpoint::inject(failpoint::SERVE_OPEN, id.0) {
+        if failpoint::hit_key(failpoint::SERVE_OPEN, id.0) {
             self.counters.rejections.fetch_add(1, Ordering::SeqCst);
             return Err(ServeError::Injected(failpoint::SERVE_OPEN));
         }
@@ -624,7 +625,7 @@ impl ExplorationService {
             Injected,
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if failpoint::inject(failpoint::SERVE_STEP, id.0) {
+            if failpoint::hit_key(failpoint::SERVE_STEP, id.0) {
                 return Outcome::Injected;
             }
             Outcome::Done(f(&mut session))
@@ -677,8 +678,7 @@ impl ExplorationService {
 
     /// Cut the live engine's ingest buffer and publish a new epoch for
     /// subsequent opens (delegates to [`LiveEngine::refresh`]). Counts
-    /// one logical tick and, when the epoch advanced, one refresh plus
-    /// the durability counters the outcome reports.
+    /// one logical tick and, when the epoch advanced, one refresh.
     pub fn refresh(&self) -> Result<RefreshOutcome, ServeError> {
         self.tick();
         let outcome = self.engine.live()?.refresh()?;
@@ -699,20 +699,6 @@ impl ExplorationService {
     fn note_refresh(&self, outcome: &RefreshOutcome) {
         if outcome.advanced {
             self.counters.refreshes.fetch_add(1, Ordering::SeqCst);
-        }
-        if outcome.wal_appended {
-            self.counters.wal_frames.fetch_add(1, Ordering::SeqCst);
-        }
-        match outcome.checkpoint {
-            crate::durable::CheckpointOutcome::Written => {
-                self.counters.checkpoints.fetch_add(1, Ordering::SeqCst);
-            }
-            crate::durable::CheckpointOutcome::Failed => {
-                self.counters
-                    .checkpoint_failures
-                    .fetch_add(1, Ordering::SeqCst);
-            }
-            crate::durable::CheckpointOutcome::NotDue => {}
         }
     }
 

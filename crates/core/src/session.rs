@@ -203,20 +203,15 @@ impl<E: Deref<Target = Vexus>> Session<E> {
     }
 
     /// Fill the reusable candidate buffer with the clicked group's index
-    /// neighbors — through the engine's shared cache when present and
-    /// enabled ([`EngineConfig::neighbor_cache`]), directly otherwise.
+    /// neighbors — through the engine's shared cache when it has one
+    /// ([`EngineConfig::neighbor_cache_capacity`] > 0), directly otherwise.
     /// Both paths produce identical candidates.
     fn refresh_candidates(&mut self, g: GroupId) {
         let groups = self.engine.groups();
         let index = self.engine.index();
         let pool = self.config.candidate_pool;
         self.candidates.clear();
-        let cache = if self.config.neighbor_cache {
-            self.engine.neighbor_cache()
-        } else {
-            None
-        };
-        match cache {
+        match self.engine.neighbor_cache() {
             Some(cache) => {
                 let neighbors = cache.neighbors(index, groups, g, pool);
                 self.candidates

@@ -5,10 +5,9 @@
 //! `"cache.shard"`, `"snapshot.load"` — where a test, chaos experiment or
 //! example can inject a failure: either a panic (to exercise panic
 //! isolation and lock poisoning) or an error (the site maps it to its own
-//! typed error). Sites are compiled into consumers only behind their
-//! `failpoints` cargo feature; release builds without the feature carry
-//! no branch at all, and builds *with* the feature but no configured
-//! sites pay one relaxed atomic load per site hit.
+//! typed error). Every build compiles every site; while nothing is
+//! configured a site costs one relaxed atomic load. The registry lives in
+//! the data substrate because every layer with a site depends on it.
 //!
 //! Triggers are **deterministic**: no wall clock, no global RNG. Counter
 //! triggers ([`Trigger::Always`], [`Trigger::Nth`], [`Trigger::Prob`])
@@ -22,10 +21,12 @@
 //! under several layers), so concurrently configured scenarios would
 //! interfere; [`FailScenario::setup`] serializes scenarios behind one
 //! process-wide lock and clears the registry on drop, the same contract
-//! as fail-rs.
+//! as fail-rs. The sites are live in every build, so a site armed outside
+//! a scenario would fault every test in its process: [`configure`] panics
+//! then, and a test binary that arms a site holds a scenario in every test.
 //!
 //! ```
-//! use vexus_failpoint as fp;
+//! use vexus_data::failpoint as fp;
 //! let scenario = fp::FailScenario::setup();
 //! fp::configure("demo.site", fp::Trigger::Nth(2), fp::FailAction::Error);
 //! assert!(!fp::hit("demo.site")); // call 1
@@ -36,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, TryLockError};
 
 /// What a fired fail point does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,8 +114,13 @@ pub fn key_selected(seed: u64, p: f64, key: u64) -> bool {
 }
 
 /// Configure (or reconfigure) a fail point. Takes effect immediately for
-/// every thread; the per-site call/fired counters reset.
+/// every thread; the per-site call/fired counters reset. Panics unless a
+/// [`FailScenario`] holds the scenario lock (see the module docs).
 pub fn configure(site: &str, trigger: Trigger, action: FailAction) {
+    assert!(
+        matches!(SCENARIO_LOCK.try_lock(), Err(TryLockError::WouldBlock)),
+        "failpoint {site:?} configured outside a FailScenario"
+    );
     let mut map = registry().write().unwrap_or_else(PoisonError::into_inner);
     map.insert(
         site.to_string(),

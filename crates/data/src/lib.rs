@@ -16,6 +16,7 @@
 //! * [`csv`] — a dependency-free RFC-4180-ish CSV reader/writer,
 //! * [`etl`] — the cleaning pipeline (trimming, null normalization,
 //!   deduplication, clamping) that precedes import,
+//! * [`failpoint`] — the seeded fail-point registry behind every layer's sites,
 //! * [`shard`] — member-disjoint [`shard::ShardPlan`]s (hash / contiguous)
 //!   that let the discovery stage run one worker per slice of the user
 //!   space,
@@ -38,6 +39,7 @@ pub mod csv;
 pub mod dataset;
 pub mod error;
 pub mod etl;
+pub mod failpoint;
 pub mod ids;
 pub mod schema;
 pub mod shard;

@@ -30,7 +30,6 @@ const SHARDS: usize = 16;
 /// Fail-point site: fires inside a shard's insert critical section,
 /// keyed by shard index (`Panic` action poisons the shard, `Error`
 /// action skips the insert — both degrade to cache misses).
-#[cfg(feature = "failpoints")]
 const FP_CACHE_SHARD: &str = "cache.shard";
 
 /// Hit/miss counters of a [`NeighborCache`], readable at any time.
@@ -157,8 +156,7 @@ impl NeighborCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.per_shard > 0 {
             let mut guard = self.lock_shard(si);
-            #[cfg(feature = "failpoints")]
-            if vexus_failpoint::hit_key(FP_CACHE_SHARD, si as u64) {
+            if vexus_data::failpoint::hit_key(FP_CACHE_SHARD, si as u64) {
                 return computed;
             }
             if !guard.entries.contains_key(&key) {

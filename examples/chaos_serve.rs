@@ -9,18 +9,14 @@
 //! and the `ServiceStats` counters account for exactly what happened.
 //!
 //! Run with:
-//!   `cargo run --release --features failpoints --example chaos_serve`
-//!
-//! Without the feature the fail-point registry is compiled out (the serve
-//! fast path carries zero overhead), so the example just explains itself.
+//!   `cargo run --release --example chaos_serve`
 
-#[cfg(feature = "failpoints")]
+use std::sync::Arc;
+use vexus::core::failpoint as fp;
+use vexus::core::{ExplorationService, ServeError, Vexus};
+use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
+
 fn main() {
-    use std::sync::Arc;
-    use vexus::core::failpoint as fp;
-    use vexus::core::{ExplorationService, ServeError, Vexus};
-    use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
-
     const SESSIONS: usize = 16;
     const STEPS: usize = 6;
     const FAULT_P: f64 = 0.1;
@@ -134,13 +130,5 @@ fn main() {
     println!(
         "contained: {quarantined} quarantined, {} survivors unaffected",
         SESSIONS - quarantined as usize
-    );
-}
-
-#[cfg(not(feature = "failpoints"))]
-fn main() {
-    println!(
-        "fail points are compiled out; run with\n  \
-         cargo run --release --features failpoints --example chaos_serve"
     );
 }

@@ -1,5 +1,5 @@
 //! Chaos tests for the hardened serving layer, driven by the seeded
-//! fail-point registry (`--features failpoints`).
+//! fail-point registry (`vexus::data::failpoint`, live in every build).
 //!
 //! The containment contract under test: a fault injected into one
 //! session — a panic mid-verb, an injected error, a poisoned cache shard
@@ -14,7 +14,7 @@
 //! no unfaulted phase of one test (a reference replay, a clean refresh, a
 //! recovery) can run into a fault another test has armed. Mid-test the
 //! registry is emptied with `fp::clear_all`, not by releasing the lock.
-#![cfg(feature = "failpoints")]
+//! (Arming a site outside a scenario panics.)
 
 mod common;
 

@@ -33,14 +33,23 @@ pub fn stream_config() -> EngineConfig {
     })
 }
 
+fn tiny_engine(config: EngineConfig) -> Arc<Vexus> {
+    let ds = bookcrossing(&BookCrossingConfig::tiny());
+    Arc::new(Vexus::build(ds.data, config).expect("non-empty group space"))
+}
+
 /// One engine shared by every test of a binary (building it dominates the
 /// cost of a case; the engine is immutable post-build).
 pub fn engine() -> Arc<Vexus> {
     static ENGINE: OnceLock<Arc<Vexus>> = OnceLock::new();
-    Arc::clone(ENGINE.get_or_init(|| {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        Arc::new(Vexus::build(ds.data, config()).expect("non-empty group space"))
-    }))
+    Arc::clone(ENGINE.get_or_init(|| tiny_engine(config())))
+}
+
+/// The same engine built without a neighbor cache (capacity 0): its
+/// sessions read neighbor lists from the index directly.
+pub fn uncached_engine() -> Arc<Vexus> {
+    static ENGINE: OnceLock<Arc<Vexus>> = OnceLock::new();
+    Arc::clone(ENGINE.get_or_init(|| tiny_engine(config().with_neighbor_cache_capacity(0))))
 }
 
 /// A session's display trajectory: the opening display, then the display
@@ -117,7 +126,17 @@ pub fn replay_owned(
     steps: usize,
     script: impl Fn(usize, &[GroupId], usize) -> Option<Verb>,
 ) -> Trajectory {
-    let mut session = OwnedSession::open_with(engine(), config.clone()).expect("session opens");
+    replay_owned_on(engine(), config, steps, script)
+}
+
+/// [`replay_owned`] over the given engine.
+pub fn replay_owned_on(
+    engine: Arc<Vexus>,
+    config: &EngineConfig,
+    steps: usize,
+    script: impl Fn(usize, &[GroupId], usize) -> Option<Verb>,
+) -> Trajectory {
+    let mut session = OwnedSession::open_with(engine, config.clone()).expect("session opens");
     let mut replay = Replay::new(session.display().to_vec());
     replay
         .run(steps, script, |verb| match *verb {

@@ -2,14 +2,17 @@
 //! sessions served concurrently from one shared engine (through
 //! [`vexus::core::ExplorationService`]) must see exactly the display
 //! trajectories the same scripts produce single-threaded, and a session
-//! that bypasses the shared neighbor cache must see exactly what a cached
-//! session sees. Scripts are deterministic functions of each session's
+//! on an engine without the shared neighbor cache must see exactly what a
+//! cached session sees. Scripts are deterministic functions of each session's
 //! own displays, and the greedy budget is set far above convergence, so
 //! any divergence is a real serving bug — not timing noise.
 
 mod common;
 
-use common::{apply_served, config, engine, replay_owned, replay_served, Replay, Trajectory, Verb};
+use common::{
+    apply_served, config, engine, replay_owned, replay_owned_on, replay_served, uncached_engine,
+    Replay, Trajectory, Verb,
+};
 use proptest::prelude::*;
 use vexus::core::{EngineConfig, ExplorationService};
 use vexus::mining::GroupId;
@@ -91,8 +94,8 @@ fn pooled_script(i: usize) -> impl Fn(usize, &[GroupId], usize) -> Option<Verb> 
 /// worker threads step sixteen sessions round-robin (worker `w` owns the
 /// sessions `i ≡ w mod 2`), so every step contends on the shared session
 /// table and neighbor cache while each worker interleaves many sessions'
-/// state. With the cache on and with it bypassed, every trajectory equals
-/// the single-threaded owned-session reference.
+/// state. On an engine with the cache and on one without, every
+/// trajectory equals the single-threaded owned-session reference.
 #[test]
 fn two_workers_stepping_many_sessions_match_single_threaded() {
     let pooled = config();
@@ -103,10 +106,11 @@ fn two_workers_stepping_many_sessions_match_single_threaded() {
         reference.iter().all(|t| t.len() == POOLED_STEPS + 1),
         "every scripted step must land"
     );
-    for cfg in [pooled.clone(), pooled.with_neighbor_cache(false)] {
-        let svc = ExplorationService::new(engine());
+    for shared in [engine(), uncached_engine()] {
+        let cached = shared.neighbor_cache().is_some();
+        let svc = ExplorationService::new(shared);
         let opened: Vec<_> = (0..POOLED_SESSIONS)
-            .map(|_| svc.open_with(cfg.clone()).expect("session opens"))
+            .map(|_| svc.open_with(pooled.clone()).expect("session opens"))
             .collect();
         let served: Vec<(usize, Trajectory)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..WORKERS)
@@ -140,8 +144,7 @@ fn two_workers_stepping_many_sessions_match_single_threaded() {
         for (i, traj) in served {
             assert_eq!(
                 traj, reference[i],
-                "session {i} diverged (neighbor_cache = {})",
-                cfg.neighbor_cache
+                "session {i} diverged (neighbor cache: {cached})"
             );
         }
     }
@@ -167,14 +170,14 @@ proptest! {
         prop_assert_eq!(concurrent, reference);
     }
 
-    /// A session that bypasses the shared neighbor cache sees exactly what
-    /// a cached session sees — the cache is a pure perf layer.
+    /// A session on an engine without the shared neighbor cache sees
+    /// exactly what a cached session sees — the cache is a pure perf layer.
     #[test]
     fn cache_off_session_matches_cache_on(
         script in proptest::collection::vec(0usize..8, 1..7)
     ) {
         let cached = replay_single_threaded(&script, &config());
-        let uncached = replay_single_threaded(&script, &config().with_neighbor_cache(false));
+        let uncached = replay_owned_on(uncached_engine(), &config(), script.len(), picks(&script));
         prop_assert_eq!(cached, uncached);
     }
 }
