@@ -1,5 +1,10 @@
 //! Durability for the live engine: checkpoint files, the on-disk layout,
-//! and the retention policy.
+//! the retention policy, and the only code that touches the directory.
+//!
+//! Every file-system operation on a durable directory lives here: the
+//! writer `DurableSink` (start, log, checkpoint, resume) and the recovery
+//! scan `load`. `live.rs` keeps epochs, publication, halting and the
+//! replay loop, and makes no file-system call.
 //!
 //! A durable live engine directory holds exactly two kinds of files, both
 //! named by the epoch they start at (zero-padded so lexicographic order is
@@ -23,24 +28,30 @@
 //! new one — never a half-written checkpoint under a final name. A WAL
 //! segment's directory entry is fsynced when the segment is created
 //! ([`vexus_data::WalWriter::create`]), before any frame can be
-//! acknowledged from it. The
-//! retention policy keeps the newest [`DurabilityConfig::retain`]
-//! checkpoints and every WAL segment any retained checkpoint still needs;
-//! because WAL frames are only dropped by whole-segment deletion *after* a
-//! newer checkpoint is durable, a crash between the snapshot landing and
-//! the prune is safe — recovery simply skips frames at or below the
-//! watermark it loads.
+//! acknowledged from it. A segment is created in the step that switches
+//! the log to it, and retention runs after, so a segment named `W` holds no
+//! frame below `W`. The retention policy keeps the newest
+//! [`DurabilityConfig::retain`] checkpoints and every WAL segment any
+//! retained checkpoint still needs; because WAL frames are only dropped by
+//! whole-segment deletion *after* a newer checkpoint is durable, a crash
+//! between the snapshot landing and the prune is safe — recovery simply
+//! skips frames at or below the watermark it loads.
 
 use crate::config::EngineConfig;
 use crate::engine::{BuildStats, Vexus};
 use crate::error::CoreError;
+use crate::failpoint;
 use crate::snapshot::{decode_engine_sections, encode_engine_sections};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use vexus_data::snapshot::{join_u64, split_u64};
-use vexus_data::wal::{action_words, actions_from_words};
-use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError};
+use vexus_data::wal::{action_words, actions_from_words, read_wal, WalFrame};
+use vexus_data::{
+    Action, SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync, WalTail,
+    WalWriter,
+};
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, DiscoveryStats, StreamFimConfig};
 
@@ -102,7 +113,8 @@ pub enum CheckpointOutcome {
     /// The checkpoint failed (injected fault, I/O error, or a panic in
     /// the checkpoint phase). The refresh itself still succeeded — the
     /// epoch was already published — and the WAL keeps every frame, so
-    /// nothing is lost: the next refresh retries the checkpoint.
+    /// nothing is lost: the next refresh retries the checkpoint. The log
+    /// is on the new segment if and only if that segment exists.
     Failed,
 }
 
@@ -111,7 +123,8 @@ pub enum CheckpointOutcome {
 pub struct RecoveryReport {
     /// Watermark of the checkpoint recovery loaded.
     pub checkpoint_watermark: u64,
-    /// Newer checkpoint files that failed to decode and were discarded.
+    /// Newer checkpoint files that failed to decode and were discarded,
+    /// which recovery only does when the log reaches their epochs.
     pub checkpoints_skipped: usize,
     /// WAL frames replayed through the normal ingest/refresh path.
     pub frames_replayed: usize,
@@ -142,18 +155,212 @@ pub struct DurableCounts {
     pub checkpoint_failures: u64,
 }
 
-/// The live engine's handle on its durable directory: the open WAL
-/// segment plus the checkpoint cadence counters.
+/// The live engine's writer on its durable directory: the open WAL
+/// segment, the checkpoint cadence and the counts.
 pub(crate) struct DurableSink {
-    pub config: DurabilityConfig,
-    pub wal: vexus_data::WalWriter,
+    config: DurabilityConfig,
+    /// The segment the log appends to; `None` only inside
+    /// [`DurableSink::start`], before its rotation.
+    wal: Option<WalWriter>,
     /// Actions in the bootstrap dataset (the tape before the live phase);
     /// checkpoints store only what came after.
-    pub n_base_actions: usize,
+    n_base_actions: usize,
     /// Advancing refreshes since the last durable checkpoint.
-    pub since_checkpoint: u64,
+    since_checkpoint: u64,
     /// What the sink has done (see [`DurableCounts`]).
     pub counts: DurableCounts,
+}
+
+impl DurableSink {
+    fn new(config: DurabilityConfig, n_base_actions: usize, since_checkpoint: u64) -> Self {
+        DurableSink {
+            config,
+            wal: None,
+            n_base_actions,
+            since_checkpoint,
+            counts: DurableCounts::default(),
+        }
+    }
+
+    /// Make a bootstrapped engine durable: create the directory, refuse
+    /// one that already holds checkpoints or segments, rotate at 0.
+    pub(crate) fn start(
+        config: DurabilityConfig,
+        engine: &Vexus,
+        discovery: &DeltaDiscovery,
+        n_base_actions: usize,
+    ) -> Result<Self, CoreError> {
+        fs::create_dir_all(&config.dir).map_err(io_core("create durable dir"))?;
+        if !list_checkpoints(&config.dir)?.is_empty() || !list_segments(&config.dir)?.is_empty() {
+            return Err(CoreError::Recovery(
+                "durable directory already holds engine state; use LiveEngine::recover",
+            ));
+        }
+        let mut sink = Self::new(config, n_base_actions, 0);
+        sink.rotate(engine, discovery, 0)?;
+        Ok(sink)
+    }
+
+    /// Reattach the log after recovery replayed `replayed` frames above
+    /// `watermark`: reopen the newest segment (truncating a torn tail), or
+    /// create the watermark's when there is none.
+    pub(crate) fn resume(
+        config: DurabilityConfig,
+        n_base_actions: usize,
+        watermark: u64,
+        replayed: u64,
+    ) -> Result<Self, CoreError> {
+        let mut sink = Self::new(config, n_base_actions, replayed);
+        let dir = &sink.config.dir;
+        sink.wal = Some(match list_segments(dir)?.pop() {
+            Some((_, newest)) => WalWriter::open(&newest, WalSync::PerFrame)?.0,
+            None => create_segment(dir, watermark)?,
+        });
+        Ok(sink)
+    }
+
+    /// Commit delta `epoch` before it is applied; returns its bytes. An
+    /// error (the `wal.append` and `wal.sync` sites fire here) leaves the
+    /// log at its last committed frame, so a retry appends it once.
+    pub(crate) fn log(&mut self, epoch: u64, actions: &[Action]) -> Result<u64, CoreError> {
+        let wal = self.wal.as_mut().expect("a started sink has a segment");
+        if failpoint::hit_key(failpoint::WAL_APPEND, epoch) {
+            return Err(CoreError::Injected(failpoint::WAL_APPEND));
+        }
+        wal.append(epoch, actions)?;
+        if failpoint::hit_key(failpoint::WAL_SYNC, epoch) {
+            wal.rollback();
+            return Err(CoreError::Injected(failpoint::WAL_SYNC));
+        }
+        let bytes = wal.commit()?;
+        self.counts.wal_frames += 1;
+        Ok(bytes)
+    }
+
+    /// The checkpoint phase after epoch `watermark` was published: when
+    /// due, the `checkpoint.write` site, then the rotation. Any error or
+    /// panic reports [`CheckpointOutcome::Failed`] and keeps the
+    /// checkpoint due; the refresh itself never fails here.
+    pub(crate) fn checkpoint(
+        &mut self,
+        engine: &Vexus,
+        discovery: &DeltaDiscovery,
+        watermark: u64,
+    ) -> CheckpointOutcome {
+        self.since_checkpoint += 1;
+        if self.config.checkpoint_every == 0 || self.since_checkpoint < self.config.checkpoint_every
+        {
+            return CheckpointOutcome::NotDue;
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if failpoint::hit_key(failpoint::CHECKPOINT_WRITE, watermark) {
+                return Err(CoreError::Injected(failpoint::CHECKPOINT_WRITE));
+            }
+            self.rotate(engine, discovery, watermark)
+        }));
+        if let Ok(Ok(())) = result {
+            self.counts.checkpoints += 1;
+            self.since_checkpoint = 0;
+            CheckpointOutcome::Written
+        } else {
+            self.counts.checkpoint_failures += 1;
+            CheckpointOutcome::Failed
+        }
+    }
+
+    /// The only code that writes a checkpoint file (at bootstrap and on
+    /// the cadence). The checkpoint lands before any WAL byte can become
+    /// unreachable; the log switches to the new segment in the step that
+    /// creates it; retention runs last, so its errors strand nothing.
+    fn rotate(
+        &mut self,
+        engine: &Vexus,
+        discovery: &DeltaDiscovery,
+        watermark: u64,
+    ) -> Result<(), CoreError> {
+        let bytes = encode_checkpoint(engine, discovery, watermark, self.n_base_actions)?;
+        write_atomic(&ckpt_path(&self.config.dir, watermark), &bytes)?;
+        self.wal = Some(create_segment(&self.config.dir, watermark)?);
+        prune(&self.config.dir, self.config.retain)
+    }
+}
+
+/// The only code that creates a segment; a failed create leaves no file.
+fn create_segment(dir: &Path, first_epoch: u64) -> Result<WalWriter, CoreError> {
+    let path = wal_path(dir, first_epoch);
+    Ok(WalWriter::create(&path, WalSync::PerFrame)?)
+}
+
+/// The recovery scan: the newest checkpoint that decodes cleanly, the
+/// frames at or above its watermark (one per epoch, no gap), and the
+/// report's load-side fields. A skipped checkpoint's name proves its epoch
+/// was published: if the frames do not reach it, [`CoreError::Recovery`]
+/// and nothing is deleted. Otherwise the corrupt files and orphans go.
+pub(crate) fn load(
+    durability: &DurabilityConfig,
+    base: &UserData,
+    config: &EngineConfig,
+) -> Result<(DecodedCheckpoint, Vec<WalFrame>, RecoveryReport), CoreError> {
+    let dir = &durability.dir;
+    let ckpts = list_checkpoints(dir)?;
+    let no_checkpoint = CoreError::Recovery("no checkpoint in the durable directory");
+    let newest = ckpts.last().ok_or(no_checkpoint)?.0;
+    let mut corrupt = Vec::new();
+    let mut loaded = None;
+    for (stamp, path) in ckpts.iter().rev() {
+        let bytes = fs::read(path).map_err(io_core("checkpoint read"))?;
+        match decode_checkpoint(base, &bytes, config) {
+            Ok(d) if d.watermark == *stamp => {
+                loaded = Some(d);
+                break;
+            }
+            // A decoded watermark disagreeing with the file name is
+            // corruption too (a renamed or cross-copied file).
+            Ok(_) | Err(CoreError::Snapshot(_)) => corrupt.push(path),
+            // Fingerprint/base mismatches: an older checkpoint cannot
+            // help, and the file is not corrupt — keep it and fail.
+            Err(e) => return Err(e),
+        }
+    }
+    let checkpoint = loaded.ok_or(CoreError::Recovery(
+        "no checkpoint in the durable directory decodes cleanly",
+    ))?;
+    let mut report = RecoveryReport {
+        checkpoint_watermark: checkpoint.watermark,
+        checkpoints_skipped: corrupt.len(),
+        ..RecoveryReport::default()
+    };
+    let mut frames = Vec::new();
+    for (_, path) in list_segments(dir)? {
+        let scan = read_wal(&path)?;
+        report.torn_tail |= scan.tail != WalTail::Clean;
+        for frame in scan.frames {
+            let expected = checkpoint.watermark + frames.len() as u64;
+            if frame.epoch < expected {
+                report.frames_skipped += 1;
+                continue;
+            }
+            if frame.epoch > expected {
+                return Err(CoreError::Recovery(
+                    "gap in the write-ahead log: a frame needed for replay is missing",
+                ));
+            }
+            if frame.actions.is_empty() {
+                return Err(CoreError::Recovery("empty frame in the write-ahead log"));
+            }
+            frames.push(frame);
+        }
+    }
+    if !corrupt.is_empty() && checkpoint.watermark + (frames.len() as u64) < newest {
+        return Err(CoreError::Recovery(
+            "the write-ahead log does not reach a published checkpoint that failed to decode",
+        ));
+    }
+    for path in corrupt {
+        fs::remove_file(path).map_err(io_core("corrupt checkpoint remove"))?;
+    }
+    remove_orphans(dir)?;
+    Ok((checkpoint, frames, report))
 }
 
 fn io_core(op: &'static str) -> impl Fn(std::io::Error) -> CoreError {
@@ -201,7 +408,7 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CoreError
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename over the final name, fsync the directory. A crash at any
 /// point leaves either no file or the whole file under `path`.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
     let dir = path
         .parent()
         .ok_or(CoreError::Recovery("durable path has no parent directory"))?;
@@ -225,7 +432,7 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
 /// Delete every orphaned checkpoint temp file. A crash or an I/O error
 /// between [`write_atomic`]'s create and rename leaves one behind, and no
 /// later checkpoint reuses its watermark to overwrite it.
-pub(crate) fn remove_orphans(dir: &Path) -> Result<(), CoreError> {
+fn remove_orphans(dir: &Path) -> Result<(), CoreError> {
     for (_, path) in list_stamped(dir, CKPT_PREFIX, TMP_SUFFIX)? {
         fs::remove_file(path).map_err(io_core("checkpoint temp prune"))?;
     }
@@ -238,7 +445,7 @@ pub(crate) fn remove_orphans(dir: &Path) -> Result<(), CoreError> {
 /// segment `i` is covered when the *next* segment starts at or below it
 /// (so every frame in `i` is below the watermark too). The newest segment
 /// is never deleted.
-pub(crate) fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
+fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
     remove_orphans(dir)?;
     let ckpts = list_checkpoints(dir)?;
     let keep = retain.max(1);
@@ -284,7 +491,7 @@ fn stream_fingerprint(config: &EngineConfig) -> Result<(StreamFimConfig, usize),
 /// META, the appended action tape, the engine's snapshot sections
 /// (unchanged bytes, same tags as a standalone snapshot), and the
 /// stream-miner state.
-pub(crate) fn encode_checkpoint(
+fn encode_checkpoint(
     engine: &Vexus,
     discovery: &DeltaDiscovery,
     watermark: u64,
@@ -331,7 +538,7 @@ fn ckpt_malformed(what: &'static str) -> CoreError {
 /// [`CoreError::Snapshot`] (recovery falls back to an older checkpoint);
 /// a base dataset or configuration that disagrees with the checkpoint's
 /// fingerprint is [`CoreError::Recovery`] (falling back cannot help).
-pub(crate) fn decode_checkpoint(
+fn decode_checkpoint(
     base: &UserData,
     bytes: &[u8],
     config: &EngineConfig,

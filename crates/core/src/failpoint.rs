@@ -29,6 +29,9 @@
 //!   `CheckpointOutcome::Failed` while the refresh itself still succeeds (the
 //!   epoch already published); the WAL is retained and the next refresh
 //!   retries the checkpoint                                                     |
+//! | `wal.create`    | 0            | creating a WAL segment fails with an I/O
+//!   error after its header is written; the file is removed, so a rotation
+//!   reports `CheckpointOutcome::Failed` and the log stays on its old segment |
 //! | `recover.replay` | frame epoch | `LiveEngine::recover` fails with
 //!   `CoreError::Injected` mid-replay; the durable directory is untouched and
 //!   a retry without the scenario recovers fully                                |
@@ -48,6 +51,8 @@ pub const WAL_APPEND: &str = "wal.append";
 pub const WAL_SYNC: &str = "wal.sync";
 /// Injected fault inside the checkpoint phase (keyed by watermark).
 pub const CHECKPOINT_WRITE: &str = "checkpoint.write";
+/// Injected I/O error after a new WAL segment's header is written (key 0).
+pub const WAL_CREATE: &str = "wal.create";
 /// Injected fault while replaying a WAL frame during recovery (keyed by
 /// the frame's epoch).
 pub const RECOVER_REPLAY: &str = "recover.replay";

@@ -39,6 +39,11 @@
 //! retryable, while a panic halts the live state — subsequent refreshes
 //! report [`CoreError::Halted`] with the cause — with the old epoch still
 //! published and serving.
+//!
+//! A durable engine's directory belongs to [`crate::durable`]; this module
+//! makes no file-system call. A refresh has the sink log before it applies
+//! and checkpoint after it publishes; recovery replays what the recovery
+//! scan loaded through [`LiveEngine::refresh`], then resumes the sink.
 
 use crate::config::EngineConfig;
 use crate::durable::{
@@ -52,9 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
-use vexus_data::{
-    ActionStream, IngestBuffer, UserData, Vocabulary, WalError, WalSync, WalTail, WalWriter,
-};
+use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError};
 use vexus_index::OverlapRows;
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
@@ -198,62 +201,56 @@ impl LiveEngine {
         };
         let cache = config.new_neighbor_cache();
         let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, stats);
-        Ok(LiveEngine {
+        Ok(Self::assemble(engine, 0, discovery, rows))
+    }
+
+    /// A live engine publishing `engine` as epoch `epoch` (its next cut is
+    /// stamped `epoch` too), with no durable sink yet.
+    fn assemble(engine: Vexus, epoch: u64, discovery: DeltaDiscovery, rows: OverlapRows) -> Self {
+        LiveEngine {
             published: RwLock::new(Arc::new(engine)),
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
-                buffer: IngestBuffer::new(),
+                buffer: IngestBuffer::resume(epoch),
                 discovery,
                 rows,
                 durable: None,
             }))),
-        })
+        }
+    }
+
+    /// Attach the durable sink `make` builds from the published engine and
+    /// the live discovery state; a halted engine gets none.
+    fn attach(
+        &self,
+        make: impl FnOnce(&Vexus, &DeltaDiscovery) -> Result<DurableSink, CoreError>,
+    ) -> Result<(), CoreError> {
+        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if let LiveSlot::Live(state) = &mut *guard {
+            state.durable = Some(make(&self.engine(), &state.discovery)?);
+        }
+        Ok(())
     }
 
     /// Bootstrap a live engine that logs every delta to a write-ahead log
     /// and checkpoints on the configured cadence, so a crash at any point
     /// recovers byte-identically via [`LiveEngine::recover`].
     ///
-    /// The directory is created if missing and must not already hold
-    /// durable engine state (that is what `recover` is for). Epoch 0 is
-    /// made durable immediately: the bootstrap checkpoint
-    /// (`ckpt-…0.vxck`) and an empty first WAL segment land before this
-    /// returns.
+    /// [`LiveEngine::bootstrap`] plus the sink's start: the directory is
+    /// created if missing and must not already hold durable engine state
+    /// (that is what `recover` is for), and epoch 0 is made durable by the
+    /// rotation every checkpoint uses — `ckpt-…0.vxck` and an empty first
+    /// WAL segment land before this returns.
     pub fn bootstrap_durable(
         data: UserData,
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, CoreError> {
-        std::fs::create_dir_all(&durability.dir).map_err(|e| {
-            CoreError::Wal(WalError::Io {
-                op: "create durable dir",
-                kind: e.kind(),
-            })
-        })?;
-        if !durable::list_checkpoints(&durability.dir)?.is_empty()
-            || !durable::list_segments(&durability.dir)?.is_empty()
-        {
-            return Err(CoreError::Recovery(
-                "durable directory already holds engine state; use LiveEngine::recover",
-            ));
-        }
         let n_base_actions = data.actions().len();
         let live = Self::bootstrap(data, config)?;
-        {
-            let mut guard = live.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let state = guard.live().expect("bootstrap produced a live slot");
-            let bytes =
-                durable::encode_checkpoint(&live.engine(), &state.discovery, 0, n_base_actions)?;
-            durable::write_atomic(&durable::ckpt_path(&durability.dir, 0), &bytes)?;
-            let wal = WalWriter::create(&durable::wal_path(&durability.dir, 0), WalSync::PerFrame)?;
-            state.durable = Some(DurableSink {
-                config: durability,
-                wal,
-                n_base_actions,
-                since_checkpoint: 0,
-                counts: DurableCounts::default(),
-            });
-        }
+        live.attach(|engine, discovery| {
+            DurableSink::start(durability, engine, discovery, n_base_actions)
+        })?;
         Ok(live)
     }
 
@@ -346,28 +343,37 @@ impl LiveEngine {
             if failpoint::hit_key(failpoint::INGEST_APPLY, epoch_now) {
                 return Err(CoreError::Injected(failpoint::INGEST_APPLY));
             }
-            let (wal_appended, wal_bytes) = Self::log_delta(state)?;
-            Self::apply(state, &current).map(|r| (r, wal_appended, wal_bytes))
+            // Log-then-apply: an error here leaves the buffer intact.
+            let wal_bytes = match state.durable.as_mut() {
+                Some(sink) if state.buffer.pending() > 0 => {
+                    Some(sink.log(state.buffer.next_epoch(), state.buffer.pending_actions())?)
+                }
+                _ => None,
+            };
+            Self::apply(state, &current).map(|r| (r, wal_bytes))
         }));
         match body {
-            Ok(Ok((None, _, _))) => Ok(RefreshOutcome {
+            Ok(Ok((None, _))) => Ok(RefreshOutcome {
                 epoch: epoch_now,
                 refresh_time: t0.elapsed(),
                 ..RefreshOutcome::default()
             }),
-            Ok(Ok((Some((engine, outcome)), wal_appended, wal_bytes))) => {
+            Ok(Ok((Some((engine, outcome)), wal_bytes))) => {
                 let engine = Arc::new(engine);
                 *self
                     .published
                     .write()
                     .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&engine);
                 let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                let checkpoint = Self::maybe_checkpoint(&mut guard, &engine, epoch);
+                let checkpoint = match state.durable.as_mut() {
+                    Some(sink) => sink.checkpoint(&engine, &state.discovery, epoch),
+                    None => CheckpointOutcome::NotDue,
+                };
                 Ok(RefreshOutcome {
                     epoch,
                     advanced: true,
-                    wal_appended,
-                    wal_bytes,
+                    wal_appended: wal_bytes.is_some(),
+                    wal_bytes: wal_bytes.unwrap_or(0),
                     checkpoint,
                     refresh_time: t0.elapsed(),
                     ..outcome
@@ -390,117 +396,38 @@ impl LiveEngine {
         }
     }
 
-    /// Append the pending delta to the write-ahead log, if the engine is
-    /// durable and there is anything to log. Runs *before* any state
-    /// mutation (log-then-apply): an error here leaves the buffer intact
-    /// and the log rolled back to its last committed frame, so a plain
-    /// retry appends the frame exactly once. Returns `(appended, bytes)`.
-    fn log_delta(state: &mut LiveState) -> Result<(bool, u64), CoreError> {
-        if state.buffer.pending() == 0 {
-            return Ok((false, 0));
-        }
-        let Some(sink) = state.durable.as_mut() else {
-            return Ok((false, 0));
-        };
-        let delta_epoch = state.buffer.next_epoch();
-        if failpoint::hit_key(failpoint::WAL_APPEND, delta_epoch) {
-            return Err(CoreError::Injected(failpoint::WAL_APPEND));
-        }
-        sink.wal
-            .append(delta_epoch, state.buffer.pending_actions())?;
-        if failpoint::hit_key(failpoint::WAL_SYNC, delta_epoch) {
-            sink.wal.rollback();
-            return Err(CoreError::Injected(failpoint::WAL_SYNC));
-        }
-        let bytes = sink.wal.commit()?;
-        sink.counts.wal_frames += 1;
-        Ok((true, bytes))
-    }
-
-    /// Run the checkpoint policy after publication. A failure — injected
-    /// fault, I/O error, or a panic inside the checkpoint phase — never
-    /// fails the refresh (the epoch already published) and never loses
-    /// data (the WAL keeps every frame): it reports
-    /// [`CheckpointOutcome::Failed`] and leaves the cadence counter at or
-    /// past the threshold, so the next advancing refresh retries.
-    fn maybe_checkpoint(
-        guard: &mut LiveSlot,
-        engine: &Arc<Vexus>,
-        watermark: u64,
-    ) -> CheckpointOutcome {
-        let Ok(state) = guard.live() else {
-            return CheckpointOutcome::NotDue;
-        };
-        let Some(sink) = state.durable.as_mut() else {
-            return CheckpointOutcome::NotDue;
-        };
-        sink.since_checkpoint += 1;
-        if sink.config.checkpoint_every == 0 || sink.since_checkpoint < sink.config.checkpoint_every
-        {
-            return CheckpointOutcome::NotDue;
-        }
-        let discovery = &state.discovery;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if failpoint::hit_key(failpoint::CHECKPOINT_WRITE, watermark) {
-                return Err(CoreError::Injected(failpoint::CHECKPOINT_WRITE));
-            }
-            let bytes =
-                durable::encode_checkpoint(engine, discovery, watermark, sink.n_base_actions)?;
-            durable::write_atomic(&durable::ckpt_path(&sink.config.dir, watermark), &bytes)?;
-            // Rotate to a fresh segment named by the new watermark, then
-            // let retention drop whole segments the remaining checkpoints
-            // no longer need. Order matters for crash safety: the
-            // checkpoint is durable before any WAL byte becomes
-            // unreachable.
-            let wal = WalWriter::create(
-                &durable::wal_path(&sink.config.dir, watermark),
-                WalSync::PerFrame,
-            )?;
-            durable::prune(&sink.config.dir, sink.config.retain)?;
-            Ok(wal)
-        }));
-        match result {
-            Ok(Ok(wal)) => {
-                sink.wal = wal;
-                sink.counts.checkpoints += 1;
-                sink.since_checkpoint = 0;
-                CheckpointOutcome::Written
-            }
-            Ok(Err(_)) | Err(_) => {
-                sink.counts.checkpoint_failures += 1;
-                CheckpointOutcome::Failed
-            }
-        }
-    }
-
     /// [`LiveEngine::refresh`], retrying transient failures — injected
     /// faults and WAL I/O errors, both of which fire before any state
     /// mutation — up to `attempts` times in total; `0` is treated as `1`
     /// (the refresh always runs once). Hard errors (halt causes, an empty
     /// epoch group space, corrupt log state) pass through immediately.
     pub fn refresh_with_retry(&self, attempts: usize) -> Result<RefreshOutcome, CoreError> {
-        IngestBuffer::drain_with_retry(
-            attempts.max(1),
-            |e| {
-                matches!(
-                    e,
-                    CoreError::Injected(_) | CoreError::Wal(WalError::Io { .. })
-                )
-            },
-            || self.refresh(),
-        )
+        let mut attempt = 1;
+        loop {
+            match self.refresh() {
+                Err(CoreError::Injected(_) | CoreError::Wal(WalError::Io { .. }))
+                    if attempt < attempts =>
+                {
+                    attempt += 1
+                }
+                result => return result,
+            }
+        }
     }
 
     /// Recover a durable live engine from its directory.
     ///
-    /// Loads the newest checkpoint that decodes cleanly (a corrupt newer
-    /// file is deleted and recovery falls back to the previous one — it
-    /// must not resurrect through retention), then replays every
-    /// surviving WAL frame above the watermark through the normal
-    /// ingest/refresh path, producing an engine byte-identical to the
-    /// uninterrupted run at the same epoch. Torn segment tails (a crash
-    /// mid-append) are detected by the per-frame checksums, reported in
-    /// the [`RecoveryReport`], and truncated when the log reopens for
+    /// The recovery scan ([`crate::durable`]) loads the newest checkpoint
+    /// that decodes cleanly and the frames above its watermark. A corrupt
+    /// newer checkpoint is skipped and deleted — it must not resurrect
+    /// through retention — but only when those frames reach its epoch: its
+    /// name proves that epoch was published, so recovery refuses to land
+    /// below it ([`CoreError::Recovery`], nothing deleted). The frames then
+    /// replay through the normal ingest/refresh path, producing an engine
+    /// byte-identical to the uninterrupted run at the same epoch, and the
+    /// durable sink resumes on the newest segment. Torn segment tails (a
+    /// crash mid-append) are detected by the per-frame checksums, reported
+    /// in the [`RecoveryReport`], and truncated when the log reopens for
     /// appending. `base` and `config` must match what the engine was
     /// bootstrapped with — both are cross-checked against the
     /// checkpoint's fingerprint ([`CoreError::Recovery`] on mismatch,
@@ -515,146 +442,36 @@ impl LiveEngine {
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), CoreError> {
-        let n_base_actions = base.actions().len();
-        let ckpts = durable::list_checkpoints(&durability.dir)?;
-        if ckpts.is_empty() {
-            return Err(CoreError::Recovery(
-                "no checkpoint in the durable directory",
-            ));
-        }
-        let mut checkpoints_skipped = 0usize;
-        let mut loaded = None;
-        for (stamp, path) in ckpts.iter().rev() {
-            let bytes = std::fs::read(path).map_err(|e| {
-                CoreError::Wal(WalError::Io {
-                    op: "checkpoint read",
-                    kind: e.kind(),
-                })
-            })?;
-            match durable::decode_checkpoint(&base, &bytes, &config) {
-                Ok(d) if d.watermark == *stamp => {
-                    loaded = Some(d);
-                    break;
-                }
-                // A decoded watermark disagreeing with the file name is
-                // corruption too (a renamed or cross-copied file).
-                Ok(_) | Err(CoreError::Snapshot(_)) => {
-                    checkpoints_skipped += 1;
-                    std::fs::remove_file(path).map_err(|e| {
-                        CoreError::Wal(WalError::Io {
-                            op: "corrupt checkpoint remove",
-                            kind: e.kind(),
-                        })
-                    })?;
-                }
-                // Fingerprint/base mismatches: an older checkpoint cannot
-                // help, and the file is not corrupt — keep it and fail.
-                Err(e) => return Err(e),
-            }
-        }
-        let Some(ckpt) = loaded else {
-            return Err(CoreError::Recovery(
-                "no checkpoint in the durable directory decodes cleanly",
-            ));
-        };
-        let watermark = ckpt.watermark;
+        let (checkpoint, frames, mut report) = durable::load(&durability, &base, &config)?;
+        let watermark = checkpoint.watermark;
         // Replay refreshes advance the checkpointed space's rows, walked
-        // once from the CSR the checkpoint loaded.
+        // once from the CSR the checkpoint loaded. The sink is attached only
+        // after replay: replayed frames must not be re-logged.
         let rows = OverlapRows::of_index(
-            ckpt.engine.index(),
-            ckpt.engine.groups(),
+            checkpoint.engine.index(),
+            checkpoint.engine.groups(),
             &config.index_config(),
         );
-        let segments = durable::list_segments(&durability.dir)?;
-        let mut frames = Vec::new();
-        let mut torn_tail = false;
-        for (_, path) in &segments {
-            let scan = vexus_data::wal::read_wal(path)?;
-            torn_tail |= scan.tail != WalTail::Clean;
-            frames.extend(scan.frames);
-        }
-        let live = LiveEngine {
-            published: RwLock::new(Arc::new(ckpt.engine)),
-            epoch: AtomicU64::new(watermark),
-            state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
-                buffer: IngestBuffer::resume(watermark),
-                discovery: ckpt.discovery,
-                rows,
-                // Attached only after replay: replayed frames must not be
-                // re-logged.
-                durable: None,
-            }))),
-        };
-        let mut frames_replayed = 0usize;
-        let mut frames_skipped = 0usize;
-        let mut halted = None;
-        let mut expected = watermark;
+        let live = Self::assemble(checkpoint.engine, watermark, checkpoint.discovery, rows);
         for frame in &frames {
-            if frame.epoch < expected {
-                frames_skipped += 1;
-                continue;
-            }
-            if frame.epoch > expected {
-                return Err(CoreError::Recovery(
-                    "gap in the write-ahead log: a frame needed for replay is missing",
-                ));
-            }
-            if frame.actions.is_empty() {
-                return Err(CoreError::Recovery("empty frame in the write-ahead log"));
-            }
             if failpoint::hit_key(failpoint::RECOVER_REPLAY, frame.epoch) {
                 return Err(CoreError::Injected(failpoint::RECOVER_REPLAY));
             }
-            let mut stream = ReplayStream::from_actions(&frame.actions);
-            live.ingest(&mut stream, usize::MAX)?;
-            match live.refresh() {
-                Ok(_) => {
-                    frames_replayed += 1;
-                    expected += 1;
-                }
-                Err(e) => {
-                    // Replay re-hit the deterministic halt the original
-                    // run died on; every later frame postdates the crash
-                    // and cannot exist. Anything else is a real error.
-                    if let Some(cause) = live.halt_cause() {
-                        halted = Some(cause);
-                        break;
-                    }
-                    return Err(e);
-                }
+            live.ingest(&mut ReplayStream::from_actions(&frame.actions), usize::MAX)?;
+            if let Err(e) = live.refresh() {
+                // Replay re-hit the deterministic halt the original run
+                // died on; every later frame postdates the crash and cannot
+                // exist. Anything else is a real error.
+                report.halted = Some(live.halt_cause().ok_or(e)?);
+                break;
             }
+            report.frames_replayed += 1;
         }
-        durable::remove_orphans(&durability.dir)?;
-        {
-            let mut guard = live.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Ok(state) = guard.live() {
-                let seg_path = match segments.last() {
-                    Some(&(first, _)) => durable::wal_path(&durability.dir, first),
-                    None => durable::wal_path(&durability.dir, watermark),
-                };
-                let wal = if seg_path.exists() {
-                    WalWriter::open(&seg_path, WalSync::PerFrame)?.0
-                } else {
-                    WalWriter::create(&seg_path, WalSync::PerFrame)?
-                };
-                state.durable = Some(DurableSink {
-                    config: durability,
-                    wal,
-                    n_base_actions,
-                    since_checkpoint: frames_replayed as u64,
-                    counts: DurableCounts::default(),
-                });
-            }
-        }
-        let report = RecoveryReport {
-            checkpoint_watermark: watermark,
-            checkpoints_skipped,
-            frames_replayed,
-            frames_skipped,
-            torn_tail,
-            final_epoch: live.epoch(),
-            halted,
-        };
+        live.attach(|_, _| {
+            let replayed = report.frames_replayed as u64;
+            DurableSink::resume(durability, base.actions().len(), watermark, replayed)
+        })?;
+        report.final_epoch = live.epoch();
         Ok((live, report))
     }
 

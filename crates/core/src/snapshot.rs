@@ -17,7 +17,7 @@ use vexus_data::snapshot::{
 };
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, Vocabulary};
 use vexus_index::snapshot::{decode_group_index, encode_group_index};
-use vexus_index::GroupIndex;
+use vexus_index::{GroupIndex, MemberGroupsCsr};
 use vexus_mining::snapshot::{decode_group_set, encode_group_set};
 use vexus_mining::GroupSet;
 
@@ -28,17 +28,6 @@ use vexus_mining::GroupSet;
 /// CSR's member universe, the largest group member + 1) is stored so the
 /// index section can decode without waiting for the group space.
 pub const TAG_ENGINE_META: u32 = 0x01;
-
-/// The CSR member-universe bound: largest member id in the group space
-/// plus one — the same rule `MemberGroupsCsr::build` uses.
-fn member_universe(groups: &GroupSet) -> usize {
-    groups
-        .iter()
-        .filter_map(|(_, g)| g.members.as_slice().last())
-        .max()
-        .map(|&m| m as usize + 1)
-        .unwrap_or(0)
-}
 
 /// Everything [`decode_engine`] hands back to the engine assembler.
 pub(crate) struct DecodedEngine {
@@ -64,7 +53,7 @@ pub(crate) fn encode_engine_sections(vexus: &Vexus, w: &mut SnapshotWriter) {
             vexus.data().n_users() as u32,
             vexus.vocab().len() as u32,
             vexus.groups().len() as u32,
-            member_universe(vexus.groups()) as u32,
+            MemberGroupsCsr::universe(vexus.groups()) as u32,
         ],
     );
     encode_vocabulary(vexus.vocab(), w);
@@ -121,7 +110,7 @@ pub(crate) fn decode_engine_sections(
             what: "snapshot group count does not match its group sections",
         });
     }
-    if member_universe(&groups) != n_members {
+    if MemberGroupsCsr::universe(&groups) != n_members {
         return Err(SnapshotError::Malformed {
             tag: TAG_ENGINE_META,
             what: "snapshot member universe does not match its group space",

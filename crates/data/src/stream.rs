@@ -230,37 +230,6 @@ impl IngestBuffer {
         }
         ActionDelta { epoch, actions }
     }
-
-    /// Drive a fallible drain step (typically a live-engine refresh that
-    /// applies this buffer) with a capped retry budget: `step` runs until
-    /// it succeeds, fails non-transiently, or has failed `attempts` times.
-    ///
-    /// The live engine's fail-point contract makes injected ingest faults
-    /// *pre-mutation* — an error leaves the buffer and the engine state
-    /// untouched — which is exactly what makes blind re-invocation safe.
-    /// `transient` classifies errors: `true` retries, `false` returns the
-    /// error immediately (a halted engine, say, never heals by retrying).
-    /// The last transient error is returned once attempts are exhausted.
-    ///
-    /// # Panics
-    /// Panics if `attempts` is zero (a drain that may never run is a
-    /// caller bug, not an error condition).
-    pub fn drain_with_retry<T, E>(
-        attempts: usize,
-        transient: impl Fn(&E) -> bool,
-        mut step: impl FnMut() -> Result<T, E>,
-    ) -> Result<T, E> {
-        assert!(attempts > 0, "drain_with_retry needs at least one attempt");
-        let mut last = None;
-        for _ in 0..attempts {
-            match step() {
-                Ok(v) => return Ok(v),
-                Err(e) if transient(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("attempts > 0 so at least one step ran"))
-    }
 }
 
 /// Fixed-width binary frame codec for actions on the wire.
@@ -487,47 +456,6 @@ mod tests {
         let delta = buf.cut();
         assert_eq!((delta.epoch, delta.len()), (7, 3));
         assert_eq!(buf.next_epoch(), 8);
-    }
-
-    #[test]
-    fn drain_with_retry_caps_attempts_and_passes_hard_errors() {
-        // Transient failures are retried up to the cap…
-        let mut calls = 0;
-        let out: Result<u32, &str> = IngestBuffer::drain_with_retry(
-            3,
-            |e| *e == "transient",
-            || {
-                calls += 1;
-                if calls < 3 {
-                    Err("transient")
-                } else {
-                    Ok(99)
-                }
-            },
-        );
-        assert_eq!((out, calls), (Ok(99), 3));
-        // …exhaustion returns the last transient error…
-        let mut calls = 0;
-        let out: Result<u32, &str> = IngestBuffer::drain_with_retry(
-            2,
-            |e| *e == "transient",
-            || {
-                calls += 1;
-                Err("transient")
-            },
-        );
-        assert_eq!((out, calls), (Err("transient"), 2));
-        // …and a non-transient error short-circuits on the first hit.
-        let mut calls = 0;
-        let out: Result<u32, &str> = IngestBuffer::drain_with_retry(
-            5,
-            |e| *e == "transient",
-            || {
-                calls += 1;
-                Err("halted")
-            },
-        );
-        assert_eq!((out, calls), (Err("halted"), 1));
     }
 
     use proptest::prelude::*;

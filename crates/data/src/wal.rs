@@ -27,7 +27,7 @@ use crate::ids::{ItemId, UserId};
 use crate::snapshot::{join_u64, split_u64, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Segment-file magic (first four bytes of every WAL segment).
 pub const WAL_MAGIC: [u8; 4] = *b"VXWL";
@@ -279,12 +279,34 @@ pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
     scan_wal(&bytes)
 }
 
+/// Fail-point site after a new segment's header is written (key 0),
+/// catalogued in `vexus_core::failpoint`.
+const FP_WAL_CREATE: &str = "wal.create";
+
+/// Write a freshly created segment's header and make it durable: the
+/// header by `fdatasync`, the directory entry by an `fsync` of the parent.
+fn init_segment(file: &mut File, path: &Path) -> Result<(), WalError> {
+    file.write_all(&WAL_MAGIC).map_err(io_err("create"))?;
+    file.write_all(&WAL_VERSION.to_le_bytes())
+        .map_err(io_err("create"))?;
+    if crate::failpoint::hit(FP_WAL_CREATE) {
+        return Err(io_err("create")(std::io::ErrorKind::Other.into()));
+    }
+    file.sync_data().map_err(io_err("sync"))?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io_err("dir sync"))
+}
+
 /// Appends frames to one WAL segment under the two-phase
 /// `append`/`commit` discipline (see the module docs).
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     /// Valid log length: every byte below this is a whole committed frame
     /// (or the header). Rollback truncates to it.
     committed: u64,
@@ -303,26 +325,21 @@ impl WalWriter {
     /// already committed and acknowledged. This closes the one such gap
     /// known from reading the code; only an enumeration of crash states
     /// can show it was the last.
+    ///
+    /// A failure after the file exists removes it before the error
+    /// returns, so a failed create leaves no segment a log never wrote to.
     pub fn create(path: &Path, _sync: WalSync) -> Result<Self, WalError> {
         let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(path)
             .map_err(io_err("create"))?;
-        file.write_all(&WAL_MAGIC).map_err(io_err("create"))?;
-        file.write_all(&WAL_VERSION.to_le_bytes())
-            .map_err(io_err("create"))?;
-        file.sync_data().map_err(io_err("sync"))?;
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        File::open(dir)
-            .and_then(|d| d.sync_all())
-            .map_err(io_err("dir sync"))?;
+        if let Err(e) = init_segment(&mut file, path) {
+            let _ = std::fs::remove_file(path);
+            return Err(e);
+        }
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             committed: WAL_HEADER_BYTES,
             staged: 0,
             poisoned: false,
@@ -342,7 +359,6 @@ impl WalWriter {
             .map_err(io_err("open"))?;
         let mut w = WalWriter {
             file,
-            path: path.to_path_buf(),
             committed: scan.valid_bytes().max(WAL_HEADER_BYTES),
             staged: 0,
             poisoned: false,
@@ -438,11 +454,6 @@ impl WalWriter {
     pub fn frames(&self) -> u64 {
         self.frames
     }
-
-    /// The segment file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Torn-write simulator: cut `path` to `len` bytes, as a crash mid-write
@@ -471,6 +482,7 @@ pub fn corrupt_byte_at(path: &Path, offset: u64, xor: u8) -> Result<(), WalError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn act(u: u32, i: u32, v: f32) -> Action {
         Action {

@@ -276,17 +276,31 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// The bound under churn: far more distinct `(group, k)` keys than the
+    /// capacity, over many rounds. The ceiling holds after every round, and
+    /// at the end every shard holds exactly its quota with its FIFO order
+    /// in step with its entries.
     #[test]
     fn capacity_bounds_entries() {
         let (gs, idx) = fixture();
-        let cache = NeighborCache::new(16);
-        for round in 0..3 {
+        let capacity = 32;
+        let cache = NeighborCache::new(capacity);
+        let ceiling = capacity.div_ceil(SHARDS) * SHARDS;
+        let rounds = 12;
+        assert!(rounds * gs.len() >= 4 * capacity, "drive past the bound");
+        for round in 0..rounds {
             for (gid, _) in gs.iter() {
-                cache.neighbors(&idx, &gs, gid, 8 + round);
+                cache.neighbors(&idx, &gs, gid, 1 + round);
             }
+            assert!(cache.len() <= ceiling, "round {round}: {}", cache.len());
         }
-        // ceil(16/SHARDS) per shard * SHARDS shards is the hard ceiling.
-        assert!(cache.len() <= 16usize.div_ceil(SHARDS) * SHARDS);
+        for i in 0..SHARDS {
+            let shard = cache.lock_shard(i);
+            assert_eq!(shard.entries.len(), cache.per_shard, "shard {i}");
+            assert_eq!(shard.order.len(), shard.entries.len(), "shard {i}");
+        }
+        assert_eq!(cache.len(), ceiling);
+        assert_eq!(cache.stats().misses, (rounds * gs.len()) as u64);
     }
 
     #[test]

@@ -119,7 +119,8 @@ impl MemberGroupsCsr {
     /// The number of members the map of `groups` covers: one past the
     /// largest member id. Member sets are sorted, so that is each group's
     /// last slice element: O(groups), not a walk over every membership.
-    pub(crate) fn universe(groups: &GroupSet) -> usize {
+    /// The engine snapshot stores it as its member-universe word.
+    pub fn universe(groups: &GroupSet) -> usize {
         groups
             .iter()
             .filter_map(|(_, g)| g.members.as_slice().last())

@@ -419,6 +419,46 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
     assert!(recovered.engine().write_snapshot() == f.snapshots[4]);
 }
 
+/// A rotation that cannot finish its segment leaves none behind:
+/// `wal.create` fails after the header lands at watermark 1, the checkpoint
+/// reports `Failed`, no `wal-1` exists and the log stays on `wal-0`. So
+/// when the newest checkpoint is later damaged, recovery from checkpoint 1
+/// still finds frame 1 and reaches the published epoch.
+#[test]
+fn a_failed_segment_create_leaves_no_segment_behind() {
+    let _scenario = fp::FailScenario::setup();
+    let f = fixture();
+    let chunks: Vec<&[Action]> = f.chunks().collect();
+    let dir = ScratchDir::new("chaos-wal-create");
+    let durability = DurabilityConfig {
+        checkpoint_every: 1,
+        retain: 2,
+        ..DurabilityConfig::new(dir.path())
+    };
+    let live = LiveEngine::bootstrap_durable(f.base.clone(), stream_config(), durability.clone())
+        .expect("durable bootstrap");
+    let seg0 = durable_files(dir.path(), "vxwl");
+    fp::configure(fp::WAL_CREATE, fp::Trigger::Always, fp::FailAction::Error);
+    feed(&live, chunks[0]);
+    let out = live.refresh().expect("refresh survives a failed create");
+    assert_eq!(out.checkpoint, CheckpointOutcome::Failed);
+    assert_eq!(fp::fired(fp::WAL_CREATE), 1);
+    assert_eq!(durable_files(dir.path(), "vxwl"), seg0, "no wal-1");
+    fp::clear_all();
+    feed(&live, chunks[1]);
+    let out = live.refresh().expect("refresh");
+    assert_eq!(out.checkpoint, CheckpointOutcome::Written);
+    assert!(live.engine().write_snapshot() == f.snapshots[2]);
+    drop(live);
+    let newest = durable_files(dir.path(), "vxck").pop().expect("ckpt-2");
+    walio::corrupt_byte_at(&newest, 64, 0xff).expect("corrupt");
+    let (recovered, report) =
+        LiveEngine::recover(f.base.clone(), stream_config(), durability).expect("recover");
+    assert_eq!(report.checkpoint_watermark, 1);
+    assert_eq!(report.final_epoch, 2);
+    assert!(recovered.engine().write_snapshot() == f.snapshots[2]);
+}
+
 /// The kill-during-WAL matrix: a panic injected at `wal.append` or
 /// `wal.sync` halts live ingestion with a typed cause while the old epoch
 /// keeps serving — and [`LiveEngine::recover`] is the documented path

@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use vexus::core::{DurabilityConfig, LiveEngine};
-use vexus::data::stream::IngestBuffer;
 use vexus::data::wal;
 
 /// Two streaming workloads (warm-up length × refresh count), each with
@@ -132,45 +131,6 @@ proptest! {
     }
 }
 
-/// `IngestBuffer::drain_with_retry` retries transient failures up to the
-/// attempt bound and passes hard failures straight through.
-#[test]
-fn drain_with_retry_bounds_transient_retries() {
-    #[derive(Debug, PartialEq)]
-    enum E {
-        Transient,
-        Hard,
-    }
-    let transient = |e: &E| *e == E::Transient;
-    // Succeeds on the third of three attempts.
-    let mut calls = 0;
-    let out = IngestBuffer::drain_with_retry(3, transient, || {
-        calls += 1;
-        if calls < 3 {
-            Err(E::Transient)
-        } else {
-            Ok(calls)
-        }
-    });
-    assert_eq!(out, Ok(3));
-    // The attempt budget is a hard cap.
-    let mut calls = 0;
-    let out: Result<(), E> = IngestBuffer::drain_with_retry(2, transient, || {
-        calls += 1;
-        Err(E::Transient)
-    });
-    assert_eq!(out, Err(E::Transient));
-    assert_eq!(calls, 2);
-    // Hard errors do not consume retries.
-    let mut calls = 0;
-    let out: Result<(), E> = IngestBuffer::drain_with_retry(5, transient, || {
-        calls += 1;
-        Err(E::Hard)
-    });
-    assert_eq!(out, Err(E::Hard));
-    assert_eq!(calls, 1);
-}
-
 /// Recovery of a halted engine reproduces the halt: the engine serves the
 /// last good epoch and reports the same cause. (Driven here without
 /// failpoints by recovering into an *empty* directory — the bootstrap
@@ -204,4 +164,85 @@ fn recover_and_bootstrap_guard_their_directories() {
     )
     .unwrap_err();
     assert!(matches!(err, CoreError::Recovery(_)), "{err}");
+}
+
+/// The files in `dir` with extension `ext`, in name order (zero-padded
+/// stamps, so name order is epoch order).
+fn files_with(dir: &std::path::Path, ext: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .collect();
+    files.sort();
+    files
+}
+
+/// A checkpoint whose retention step fails must not strand acknowledged
+/// frames. With a directory blocking retention, checkpoint 1 lands but
+/// reports `Failed`; the log must already write to `wal-1`, or the next
+/// successful prune deletes `wal-0` while it still holds frame 1, and a
+/// damaged newest checkpoint then recovers an older epoch with no error.
+#[test]
+fn a_failed_prune_strands_no_acknowledged_frame() {
+    use vexus::core::CheckpointOutcome;
+    let w = &workloads()[0];
+    let dir = ScratchDir::new("durability-failed-prune");
+    let cfg = DurabilityConfig {
+        checkpoint_every: 1,
+        retain: 2,
+        ..DurabilityConfig::new(dir.path())
+    };
+    let live = LiveEngine::bootstrap_durable(w.base.clone(), stream_config(), cfg.clone()).unwrap();
+    // A directory under an orphan temp name: retention cannot remove it.
+    let blocker = dir.path().join("ckpt-00000000000000000099.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let chunks: Vec<_> = w.chunks().collect();
+    feed(&live, chunks[0]);
+    assert_eq!(
+        live.refresh().unwrap().checkpoint,
+        CheckpointOutcome::Failed
+    );
+    std::fs::remove_dir(&blocker).unwrap();
+    feed(&live, chunks[1]);
+    assert_eq!(
+        live.refresh().unwrap().checkpoint,
+        CheckpointOutcome::Written
+    );
+    let published = live.engine().write_snapshot();
+    drop(live);
+    let newest = files_with(dir.path(), "vxck").pop().unwrap();
+    wal::corrupt_byte_at(&newest, 64, 0xff).unwrap();
+    let (recovered, report) = LiveEngine::recover(w.base.clone(), stream_config(), cfg).unwrap();
+    assert_eq!(report.checkpoints_skipped, 1);
+    assert_eq!(report.checkpoint_watermark, 1);
+    assert_eq!(report.final_epoch, 2);
+    assert!(recovered.engine().write_snapshot() == published);
+}
+
+/// A checkpoint's file name proves its epoch was published. When it fails
+/// to decode and the log does not reach its epoch, recovery refuses with a
+/// typed error and deletes nothing, so a retry refuses again instead of
+/// silently serving the older checkpoint's epoch.
+#[test]
+fn recovery_never_lands_below_a_checkpoint_it_skipped() {
+    use vexus::core::CoreError;
+    let w = &workloads()[0];
+    let dir = ScratchDir::new("durability-below-skipped");
+    let cfg = DurabilityConfig {
+        checkpoint_every: 2,
+        ..DurabilityConfig::new(dir.path())
+    };
+    run_to_crash(w, 4, &cfg);
+    for segment in files_with(dir.path(), "vxwl") {
+        std::fs::remove_file(segment).unwrap();
+    }
+    let ckpts = files_with(dir.path(), "vxck");
+    assert_eq!(ckpts.len(), 2, "checkpoints 2 and 4");
+    wal::corrupt_byte_at(&ckpts[1], 64, 0xff).unwrap();
+    for _ in 0..2 {
+        let err = LiveEngine::recover(w.base.clone(), stream_config(), cfg.clone()).unwrap_err();
+        assert!(matches!(err, CoreError::Recovery(_)), "{err}");
+        assert_eq!(files_with(dir.path(), "vxck"), ckpts, "nothing deleted");
+    }
 }
