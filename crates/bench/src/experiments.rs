@@ -15,7 +15,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 use vexus_core::engine::VexusBuilder;
 use vexus_core::greedy::{self, ScoredCandidate, SelectParams};
-use vexus_core::simulate::{run_committee, run_st, CommitteeTask, Policy, StAccept};
+use vexus_core::simulate::{run_mt, run_st, MtTask, Policy, StAccept, Wanted};
 use vexus_core::{EngineConfig, FeedbackVector};
 use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
 use vexus_data::{UserId, Vocabulary};
@@ -812,33 +812,36 @@ pub fn c4_committee_formation() -> C4 {
             let v = schema
                 .value(venue_attr, venue)
                 .expect("DB-AUTHORS has sigmod, vldb and cikm as main venues");
-            let task = CommitteeTask {
-                size: 12,
+            let size = 12;
+            let task = MtTask {
+                wanted: Wanted::Committee {
+                    size,
+                    balance_attr: Some(region_attr),
+                    max_per_value: 3,
+                },
                 brush: vec![(venue_attr, v)],
                 min_activity: 8,
                 inspect_limit: 15,
                 max_iterations: 25,
-                balance_attr: Some(region_attr),
-                max_per_value: 3,
             };
             let mut session = vexus.session().expect("session opens");
-            let informed = run_committee(&mut session, &task, Policy::Informed).expect("runs");
+            let informed = run_mt(&mut session, &task, Policy::Informed).expect("runs");
             budget_exhausted += session.budget_exhausted_steps();
             let mut random_iterations = 0.0;
             let mut random_fill = 0.0;
             let seeds = 3;
             for seed in 0..seeds {
                 let mut s = vexus.session().expect("session opens");
-                let r = run_committee(&mut s, &task, Policy::Random { seed }).expect("runs");
+                let r = run_mt(&mut s, &task, Policy::Random { seed }).expect("runs");
                 budget_exhausted += s.budget_exhausted_steps();
                 random_iterations += r.iterations as f64 / seeds as f64;
-                random_fill += r.fill / seeds as f64;
+                random_fill += r.recall / seeds as f64;
             }
             C4Row {
                 venue,
-                size: task.size,
+                size,
                 informed_iterations: informed.iterations,
-                informed_fill: informed.fill,
+                informed_fill: informed.recall,
                 random_iterations,
                 random_fill,
             }

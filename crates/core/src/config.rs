@@ -51,8 +51,8 @@ pub struct EngineConfig {
     /// Capacity (entries) of the engine's shared read-through cache over
     /// index neighbor queries. The index is immutable post-build, so a
     /// cached neighbor list serves *every* session on the engine; `0`
-    /// builds no cache. Purely a performance knob: cached and uncached
-    /// answers are byte-identical.
+    /// stores nothing, so every query goes to the index. Purely a
+    /// performance knob: cached and uncached answers are byte-identical.
     pub neighbor_cache_capacity: usize,
 }
 
@@ -120,13 +120,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: set the shared neighbor cache capacity (`0` = build
-    /// no cache).
-    pub fn with_neighbor_cache_capacity(mut self, capacity: usize) -> Self {
-        self.neighbor_cache_capacity = capacity;
-        self
-    }
-
     /// The index build configuration every engine-assembling path uses:
     /// this config's materialization fraction on all available cores.
     pub(crate) fn index_config(&self) -> IndexConfig {
@@ -136,10 +129,10 @@ impl EngineConfig {
         }
     }
 
-    /// A fresh, empty neighbor cache of the configured capacity (`None`
-    /// when the capacity is 0).
-    pub(crate) fn new_neighbor_cache(&self) -> Option<NeighborCache> {
-        (self.neighbor_cache_capacity > 0).then(|| NeighborCache::new(self.neighbor_cache_capacity))
+    /// A fresh, empty neighbor cache of the configured capacity (at 0 it
+    /// stores nothing).
+    pub(crate) fn new_neighbor_cache(&self) -> NeighborCache {
+        NeighborCache::new(self.neighbor_cache_capacity)
     }
 }
 
@@ -179,15 +172,8 @@ mod tests {
                 .exchange_rounds,
             0
         );
-        // Neighbor caching defaults on with a bounded capacity; 0 builds
-        // no cache.
+        // Neighbor caching defaults on with a bounded capacity.
         assert!(EngineConfig::default().neighbor_cache_capacity > 0);
-        assert_eq!(
-            EngineConfig::default()
-                .with_neighbor_cache_capacity(0)
-                .neighbor_cache_capacity,
-            0
-        );
     }
 
     #[test]

@@ -15,9 +15,7 @@ use crate::session::{ExplorationSession, Session};
 use std::sync::Arc;
 use vexus_data::{SnapshotError, UserData, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
-use vexus_mining::{
-    DiscoveryStats, GroupDiscovery, GroupSet, MergeStrategy, ShardScaled, ShardedDiscovery,
-};
+use vexus_mining::{DiscoveryStats, GroupDiscovery, GroupSet};
 
 /// What the offline pre-processing stage did that the built engine cannot
 /// recompute. (What it produced is the engine: `groups().len()`,
@@ -98,19 +96,16 @@ impl VexusBuilder {
         self
     }
 
-    /// Stage 2 (sharded): run `backend` per member-disjoint hash shard on
-    /// worker threads and fold the per-shard spaces through `merge` (see
-    /// [`vexus_mining::ShardedDiscovery`] for strategy details). Per-shard
-    /// timings land in [`BuildStats::discovery`]'s `shards`.
-    pub fn discovery_sharded<B>(self, backend: B, shards: usize, merge: MergeStrategy) -> Self
-    where
-        B: GroupDiscovery + ShardScaled + Sync + 'static,
-    {
-        self.discovery(ShardedDiscovery::new(backend, shards).with_merge(merge))
-    }
-
     /// Stage 2 (bypass): use an externally discovered group space and its
-    /// vocabulary. The size filter and index stages still run.
+    /// vocabulary — the pre-discovered plug-in path.
+    ///
+    /// **The size-filter stage still runs**: every supplied group with
+    /// fewer than `config.min_group_size` members is silently dropped, the
+    /// same as for any discovery backend. The removal count is reported in
+    /// [`BuildStats::filtered_out`] (and a regression test pins it), so a
+    /// curated space shrinking here is visible, not mysterious. Pass a
+    /// smaller `min_group_size` — `1` disables the filter — to keep
+    /// curated small groups.
     pub fn groups(mut self, vocab: Vocabulary, groups: GroupSet) -> Self {
         self.stage = DiscoveryStage::Pregrouped(vocab, groups);
         self
@@ -183,9 +178,10 @@ pub struct Vexus {
     vocab: Vocabulary,
     groups: GroupSet,
     index: GroupIndex,
-    /// Shared read-through cache over index neighbor queries (None when
-    /// [`EngineConfig::neighbor_cache_capacity`] is 0).
-    cache: Option<NeighborCache>,
+    /// Shared read-through cache over index neighbor queries; every click
+    /// reads through it. At [`EngineConfig::neighbor_cache_capacity`] 0 it
+    /// stores nothing and answers every query from the index.
+    pub(crate) cache: NeighborCache,
     config: EngineConfig,
     stats: BuildStats,
     /// Size of the retained snapshot buffer backing zero-copy views when
@@ -217,28 +213,6 @@ impl Vexus {
         VexusBuilder::new(data).config(config).build()
     }
 
-    /// Assemble an engine from an externally discovered group space (the
-    /// pre-discovered plug-in path; see also [`VexusBuilder::groups`]).
-    ///
-    /// **The size-filter stage still runs**: every supplied group with
-    /// fewer than `config.min_group_size` members is silently dropped, the
-    /// same as for any discovery backend. The removal count is reported in
-    /// [`BuildStats::filtered_out`] (and a regression test pins it), so a
-    /// curated space shrinking here is visible, not mysterious. Pass a
-    /// smaller `min_group_size` — `1` disables the filter — to keep
-    /// curated small groups.
-    pub fn with_groups(
-        data: UserData,
-        vocab: Vocabulary,
-        groups: GroupSet,
-        config: EngineConfig,
-    ) -> Result<Self, CoreError> {
-        VexusBuilder::new(data)
-            .config(config)
-            .groups(vocab, groups)
-            .build()
-    }
-
     /// Assemble an engine from a live refresh's parts (see
     /// [`crate::live::LiveEngine`]): the epoch's dataset, the bootstrap
     /// vocabulary, the canonical group space, the index built over it,
@@ -249,7 +223,7 @@ impl Vexus {
         vocab: Vocabulary,
         groups: GroupSet,
         index: GroupIndex,
-        cache: Option<NeighborCache>,
+        cache: NeighborCache,
         config: EngineConfig,
         stats: BuildStats,
     ) -> Self {
@@ -282,9 +256,11 @@ impl Vexus {
         Arc::new(self)
     }
 
-    /// The shared neighbor cache, when one is configured.
+    /// The shared neighbor cache: always `Some`. The `Option` stays only
+    /// because the benchmark's workloads match on it, and goes with ROADMAP
+    /// item 2.
     pub fn neighbor_cache(&self) -> Option<&NeighborCache> {
-        self.cache.as_ref()
+        Some(&self.cache)
     }
 
     /// The dataset.
@@ -511,7 +487,6 @@ mod tests {
         let ds = bookcrossing(&BookCrossingConfig::tiny());
         let config = EngineConfig::default().with_discovery(DiscoverySelection::Momri {
             config: MomriConfig::default(),
-            materialize: vexus_mining::MomriMaterialize::Candidates,
         });
         let vexus = Vexus::build(ds.data, config).unwrap();
         assert_eq!(vexus.build_stats().discovery.algorithm, "momri");
@@ -547,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn with_groups_plugin_path() {
+    fn supplied_groups_plugin_path() {
         let ds = bookcrossing(&BookCrossingConfig::tiny());
         let data = ds.data;
         let vocab = Vocabulary::build(&data);
@@ -563,16 +538,20 @@ mod tests {
         }
         let groups = tree.into_groups(5);
         assert!(!groups.is_empty());
-        let vexus = Vexus::with_groups(data, vocab, groups, EngineConfig::default()).unwrap();
+        let vexus = VexusBuilder::new(data)
+            .groups(vocab, groups)
+            .build()
+            .unwrap();
         assert_eq!(vexus.build_stats().discovery.algorithm, "pregrouped");
         let session = vexus.session().unwrap();
         assert!(!session.display().is_empty());
     }
 
     #[test]
-    fn with_groups_applies_min_group_size_and_reports_it() {
-        // Regression pin (noted in PR 1): `with_groups` is NOT a verbatim
-        // passthrough — the size-filter stage runs on supplied groups too.
+    fn supplied_groups_get_min_group_size_and_report_it() {
+        // Regression pin: `VexusBuilder::groups` is NOT a
+        // verbatim passthrough — the size-filter stage runs on supplied
+        // groups too.
         use vexus_mining::{Group, MemberSet};
         let mut b = vexus_data::UserDataBuilder::new(vexus_data::Schema::new());
         for i in 0..10 {
@@ -594,8 +573,11 @@ mod tests {
             min_group_size: 5,
             ..EngineConfig::default()
         };
-        let vexus =
-            Vexus::with_groups(data.clone(), vocab.clone(), groups.clone(), config).unwrap();
+        let vexus = VexusBuilder::new(data.clone())
+            .config(config)
+            .groups(vocab.clone(), groups.clone())
+            .build()
+            .unwrap();
         let stats = vexus.build_stats();
         // Exactly the two groups under the floor were dropped, and the
         // accounting says so.
@@ -608,32 +590,13 @@ mod tests {
             min_group_size: 1,
             ..EngineConfig::default()
         };
-        let vexus = Vexus::with_groups(data, vocab, groups, keep_all).unwrap();
-        assert_eq!(vexus.build_stats().filtered_out, 0);
-        assert_eq!(vexus.groups().len(), 3);
-    }
-
-    #[test]
-    fn builder_sharded_discovery_reports_per_shard_stats() {
-        let ds = bookcrossing(&BookCrossingConfig::tiny());
-        let vexus = VexusBuilder::new(ds.data)
-            .config(EngineConfig::default())
-            .discovery_sharded(
-                LcmDiscovery::new(vexus_mining::LcmConfig {
-                    min_support: 5,
-                    ..Default::default()
-                }),
-                4,
-                vexus_mining::MergeStrategy::SupportRecount { min_support: 5 },
-            )
+        let vexus = VexusBuilder::new(data)
+            .config(keep_all)
+            .groups(vocab, groups)
             .build()
             .unwrap();
-        let stats = vexus.build_stats();
-        assert_eq!(stats.discovery.algorithm, "sharded");
-        assert_eq!(stats.discovery.shards.len(), 4);
-        assert!(stats.discovery.shards.iter().all(|s| s.algorithm == "lcm"));
-        assert!(vexus.groups().len() > 10);
-        assert!(!vexus.session().unwrap().display().is_empty());
+        assert_eq!(vexus.build_stats().filtered_out, 0);
+        assert_eq!(vexus.groups().len(), 3);
     }
 
     #[test]
@@ -643,7 +606,10 @@ mod tests {
             EngineConfig::default().with_discovery(DiscoverySelection::default().sharded(4));
         let vexus = Vexus::build(ds.data, config).unwrap();
         assert_eq!(vexus.build_stats().discovery.algorithm, "sharded");
-        assert_eq!(vexus.build_stats().discovery.shards.len(), 4);
+        let shards = &vexus.build_stats().discovery.shards;
+        assert_eq!(shards.len(), 4);
+        assert!(shards.iter().all(|s| s.algorithm == "lcm"));
+        assert!(vexus.groups().len() > 10);
         assert!(!vexus.session().unwrap().display().is_empty());
     }
 

@@ -51,8 +51,6 @@ pub const WAL_APPEND: &str = "wal.append";
 pub const WAL_SYNC: &str = "wal.sync";
 /// Injected fault inside the checkpoint phase (keyed by watermark).
 pub const CHECKPOINT_WRITE: &str = "checkpoint.write";
-/// Injected I/O error after a new WAL segment's header is written (key 0).
-pub const WAL_CREATE: &str = "wal.create";
 /// Injected fault while replaying a WAL frame during recovery (keyed by
 /// the frame's epoch).
 pub const RECOVER_REPLAY: &str = "recover.replay";
@@ -60,3 +58,5 @@ pub const RECOVER_REPLAY: &str = "recover.replay";
 pub use vexus_data::failpoint::{
     clear, clear_all, configure, fired, hit_key, key_selected, FailAction, FailScenario, Trigger,
 };
+/// Injected I/O error after a new WAL segment's header is written (key 0).
+pub use vexus_data::wal::FP_WAL_CREATE as WAL_CREATE;

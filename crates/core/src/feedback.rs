@@ -57,31 +57,20 @@ impl Hasher for DetHasher {
 
 type DetMap<K> = HashMap<K, f64, BuildHasherDefault<DetHasher>>;
 
+/// Fraction of new mass granted per positive feedback event.
+const LEARNING_RATE: f64 = 0.3;
+
 /// The normalized feedback vector over users and demographic values.
 #[derive(Debug, Clone, Default)]
 pub struct FeedbackVector {
     users: DetMap<UserId>,
     tokens: DetMap<TokenId>,
-    /// Fraction of new mass granted per positive feedback event.
-    learning_rate: f64,
 }
 
 impl FeedbackVector {
-    /// Fresh, empty vector (uniform/no bias) with the default learning
-    /// rate.
+    /// Fresh, empty vector (uniform/no bias).
     pub fn new() -> Self {
-        Self {
-            users: DetMap::default(),
-            tokens: DetMap::default(),
-            learning_rate: 0.3,
-        }
-    }
-
-    /// Override the learning rate (`0 < rate < 1`).
-    pub fn with_learning_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0 && rate < 1.0, "learning rate must be in (0,1)");
-        self.learning_rate = rate;
-        self
+        Self::default()
     }
 
     /// Whether no feedback has been recorded (or everything was unlearned).
@@ -103,11 +92,7 @@ impl FeedbackVector {
         if member_count + token_count == 0 {
             return;
         }
-        let new_mass = if self.is_empty() {
-            1.0
-        } else {
-            self.learning_rate
-        };
+        let new_mass = if self.is_empty() { 1.0 } else { LEARNING_RATE };
         // Existing mass shrinks to (1 - new_mass).
         if !self.is_empty() {
             let keep = 1.0 - new_mass;

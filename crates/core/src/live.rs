@@ -508,9 +508,7 @@ impl LiveEngine {
             &gdelta,
             &config.index_config(),
         );
-        let cache = current
-            .neighbor_cache()
-            .map(|c| c.carry_over(|g, list| patch.carries(g, list)));
+        let cache = current.cache.carry_over(|g, list| patch.carries(g, list));
         let stats = BuildStats {
             discovery: state.discovery.stats(),
             filtered_out: 0,

@@ -59,36 +59,6 @@ pub fn coverage_with(
     covered as f64 / reference.len() as f64
 }
 
-/// Weighted coverage: reference members contribute their feedback-derived
-/// weight instead of 1 ("the most *interesting* records"). `weights` maps
-/// member → weight; members absent from the map weigh `base`.
-pub fn weighted_coverage(
-    groups: &GroupSet,
-    selection: &[GroupId],
-    reference: &MemberSet,
-    weights: &std::collections::HashMap<u32, f64>,
-    base: f64,
-) -> f64 {
-    if reference.is_empty() {
-        return 1.0;
-    }
-    let weight_of = |u: u32| weights.get(&u).copied().unwrap_or(base);
-    let total: f64 = reference.iter().map(weight_of).sum();
-    if total <= 0.0 {
-        return 1.0;
-    }
-    let mut seen = std::collections::HashSet::with_capacity(reference.len());
-    let mut covered = 0.0;
-    for &gid in selection {
-        for u in groups.get(gid).members.iter() {
-            if reference.contains(u) && seen.insert(u) {
-                covered += weight_of(u);
-            }
-        }
-    }
-    covered / total
-}
-
 /// Combined P2 objective used by the greedy selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quality {
@@ -169,32 +139,6 @@ mod tests {
         assert_eq!(coverage(&groups, &ids(&[2]), &reference), 0.0);
         // Empty reference trivially covered.
         assert_eq!(coverage(&groups, &ids(&[0]), &MemberSet::empty()), 1.0);
-    }
-
-    #[test]
-    fn weighted_coverage_prioritizes_heavy_members() {
-        let groups = gs(&[&[0], &[1]]);
-        let reference = MemberSet::from_unsorted(vec![0, 1]);
-        let mut weights = std::collections::HashMap::new();
-        weights.insert(0u32, 0.9);
-        weights.insert(1u32, 0.1);
-        let heavy = weighted_coverage(&groups, &ids(&[0]), &reference, &weights, 0.0);
-        let light = weighted_coverage(&groups, &ids(&[1]), &reference, &weights, 0.0);
-        assert!((heavy - 0.9).abs() < 1e-12);
-        assert!((light - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_coverage_base_weight_fills_gaps() {
-        let groups = gs(&[&[0, 1]]);
-        let reference = MemberSet::from_unsorted(vec![0, 1, 2, 3]);
-        let weights = std::collections::HashMap::new();
-        // Uniform base weight reduces to plain coverage.
-        let w = weighted_coverage(&groups, &ids(&[0]), &reference, &weights, 1.0);
-        assert!((w - 0.5).abs() < 1e-12);
-        // Zero total weight is trivially covered.
-        let z = weighted_coverage(&groups, &ids(&[0]), &reference, &weights, 0.0);
-        assert_eq!(z, 1.0);
     }
 
     #[test]

@@ -107,26 +107,6 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    /// Set the session-table capacity.
-    pub fn with_max_sessions(mut self, max: usize) -> Self {
-        self.max_sessions = max;
-        self
-    }
-
-    /// Set the idle TTL in logical steps.
-    pub fn with_idle_ttl_steps(mut self, ttl: u64) -> Self {
-        self.idle_ttl_steps = ttl;
-        self
-    }
-
-    /// Set the recent-eviction memory size.
-    pub fn with_eviction_memory(mut self, n: usize) -> Self {
-        self.eviction_memory = n;
-        self
-    }
-}
-
 /// Cumulative service counters, snapshot via
 /// [`ExplorationService::stats`] or the [`Request::Stats`] verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -393,13 +373,6 @@ impl ExplorationService {
     /// The logical clock: verbs served so far (each verb ticks it once).
     pub fn clock(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)
-    }
-
-    /// Advance the logical clock by `steps` without serving a verb —
-    /// deterministic idle-time injection for tests and experiments.
-    /// Returns the new clock value.
-    pub fn advance_clock(&self, steps: u64) -> u64 {
-        self.clock.fetch_add(steps, Ordering::SeqCst) + steps
     }
 
     fn tick(&self) -> u64 {
@@ -904,7 +877,10 @@ mod tests {
     fn at_capacity_opens_are_rejected_typed() {
         let svc = ExplorationService::with_config(
             engine(),
-            ServiceConfig::default().with_max_sessions(2),
+            ServiceConfig {
+                max_sessions: 2,
+                ..ServiceConfig::default()
+            },
         );
         let (a, _) = svc.open().unwrap();
         let (_b, _) = svc.open().unwrap();
@@ -924,7 +900,10 @@ mod tests {
     fn idle_sessions_expire_against_the_logical_clock() {
         let svc = ExplorationService::with_config(
             engine(),
-            ServiceConfig::default().with_idle_ttl_steps(5),
+            ServiceConfig {
+                idle_ttl_steps: 5,
+                ..ServiceConfig::default()
+            },
         );
         let (a, _) = svc.open().unwrap();
         let (b, _) = svc.open().unwrap();
@@ -932,7 +911,7 @@ mod tests {
         for _ in 0..3 {
             svc.display(a).unwrap();
         }
-        svc.advance_clock(10);
+        svc.clock.fetch_add(10, Ordering::SeqCst); // idle time, no verb
         assert_eq!(svc.display(b).unwrap_err(), ServeError::SessionExpired(b.0));
         // `a` expired too (its last touch is also >5 steps old now).
         assert_eq!(svc.display(a).unwrap_err(), ServeError::SessionExpired(a.0));
@@ -956,12 +935,14 @@ mod tests {
         let memory = 4;
         let svc = ExplorationService::with_config(
             engine(),
-            ServiceConfig::default()
-                .with_idle_ttl_steps(100)
-                .with_eviction_memory(memory),
+            ServiceConfig {
+                idle_ttl_steps: 100,
+                eviction_memory: memory,
+                ..ServiceConfig::default()
+            },
         );
         let ids: Vec<SessionId> = (0..3 * memory + 2).map(|_| svc.open().unwrap().0).collect();
-        svc.advance_clock(1_000);
+        svc.clock.fetch_add(1_000, Ordering::SeqCst); // idle time, no verb
         for (evicted, &id) in (1..).zip(&ids) {
             assert_eq!(
                 svc.display(id).unwrap_err(),
@@ -992,25 +973,30 @@ mod tests {
     fn sweep_idle_collects_stale_sessions_in_bulk() {
         let svc = ExplorationService::with_config(
             engine(),
-            ServiceConfig::default().with_idle_ttl_steps(4),
+            ServiceConfig {
+                idle_ttl_steps: 4,
+                ..ServiceConfig::default()
+            },
         );
         for _ in 0..3 {
             svc.open().unwrap();
         }
         assert_eq!(svc.sweep_idle(), 0, "nothing stale yet");
-        svc.advance_clock(50);
+        svc.clock.fetch_add(50, Ordering::SeqCst); // idle time, no verb
         assert_eq!(svc.sweep_idle(), 3);
         assert!(svc.is_empty());
         assert_eq!(svc.stats().evictions, 3);
         // Opens sweep automatically: stale load never blocks fresh users.
         let svc2 = ExplorationService::with_config(
             engine(),
-            ServiceConfig::default()
-                .with_max_sessions(1)
-                .with_idle_ttl_steps(4),
+            ServiceConfig {
+                max_sessions: 1,
+                idle_ttl_steps: 4,
+                ..ServiceConfig::default()
+            },
         );
         svc2.open().unwrap();
-        svc2.advance_clock(50);
+        svc2.clock.fetch_add(50, Ordering::SeqCst); // idle time, no verb
         svc2.open().unwrap();
         assert_eq!(svc2.len(), 1);
     }

@@ -203,29 +203,18 @@ impl<E: Deref<Target = Vexus>> Session<E> {
     }
 
     /// Fill the reusable candidate buffer with the clicked group's index
-    /// neighbors — through the engine's shared cache when it has one
-    /// ([`EngineConfig::neighbor_cache_capacity`] > 0), directly otherwise.
-    /// Both paths produce identical candidates.
+    /// neighbors, read through the engine's shared cache.
     fn refresh_candidates(&mut self, g: GroupId) {
-        let groups = self.engine.groups();
-        let index = self.engine.index();
-        let pool = self.config.candidate_pool;
+        let engine = &*self.engine;
+        let neighbors = engine.cache.neighbors(
+            engine.index(),
+            engine.groups(),
+            g,
+            self.config.candidate_pool,
+        );
         self.candidates.clear();
-        match self.engine.neighbor_cache() {
-            Some(cache) => {
-                let neighbors = cache.neighbors(index, groups, g, pool);
-                self.candidates
-                    .extend(neighbors.iter().map(|&(id, sim)| (id, sim as f64)));
-            }
-            None => {
-                self.candidates.extend(
-                    index
-                        .neighbors(groups, g, pool)
-                        .into_iter()
-                        .map(|(id, sim)| (id, sim as f64)),
-                );
-            }
-        }
+        self.candidates
+            .extend(neighbors.iter().map(|&(id, sim)| (id, sim as f64)));
     }
 
     fn select_params(&self) -> SelectParams {

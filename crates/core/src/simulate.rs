@@ -23,6 +23,7 @@ use crate::error::CoreError;
 use crate::session::Session;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use vexus_data::UserId;
 use vexus_mining::{GroupId, MemberSet};
@@ -106,7 +107,7 @@ pub fn run_st<E: Deref<Target = Vexus>>(
 ) -> Result<StOutcome, CoreError> {
     let mut rng = policy_rng(policy);
     let mut best = 0.0_f64;
-    let mut clicked_before: std::collections::HashSet<GroupId> = Default::default();
+    let mut clicked_before: HashSet<GroupId> = Default::default();
     for iteration in 0..=max_iterations {
         // Inspect the display. Navigation climbs the acceptance score
         // itself (with Jaccard as tiebreaker), so a precision-seeking
@@ -164,11 +165,30 @@ pub fn run_st<E: Deref<Target = Vexus>>(
     })
 }
 
+/// Who counts as a find in a multi-target run.
+#[derive(Debug, Clone)]
+pub enum Wanted {
+    /// These named users (collect *them*).
+    Targets(Vec<UserId>),
+    /// The committee-formation task of Scenario 1: any `size` users passing
+    /// the task's brushes ("geographically distributed male and female
+    /// researchers with different seniority and expertise levels") — the
+    /// chair has requirements, not a name list.
+    Committee {
+        /// Committee size to fill.
+        size: usize,
+        /// Attribute to balance over (e.g. region or gender), if any.
+        balance_attr: Option<vexus_data::AttrId>,
+        /// Maximum recruits sharing one value of `balance_attr`.
+        max_per_value: usize,
+    },
+}
+
 /// Parameters of a multi-target run.
 #[derive(Debug, Clone)]
 pub struct MtTask {
-    /// The users to collect.
-    pub targets: Vec<UserId>,
+    /// The users that count.
+    pub wanted: Wanted,
     /// Maximum clicks.
     pub max_iterations: usize,
     /// Largest *brushed* member list the explorer reads in the STATS
@@ -185,27 +205,16 @@ pub struct MtTask {
 }
 
 impl MtTask {
-    /// A task with no brushes: raw member lists up to `inspect_limit`.
-    pub fn new(targets: Vec<UserId>, max_iterations: usize, inspect_limit: usize) -> Self {
+    /// Collect `targets` with no brushes: raw member lists up to
+    /// `inspect_limit`.
+    pub fn targets(targets: Vec<UserId>, max_iterations: usize, inspect_limit: usize) -> Self {
         Self {
-            targets,
+            wanted: Wanted::Targets(targets),
             max_iterations,
             inspect_limit,
             brush: Vec::new(),
             min_activity: 0,
         }
-    }
-
-    /// Add a profile brush.
-    pub fn with_brush(mut self, attr: vexus_data::AttrId, value: vexus_data::ValueId) -> Self {
-        self.brush.push((attr, value));
-        self
-    }
-
-    /// Add an activity floor.
-    pub fn with_min_activity(mut self, min: usize) -> Self {
-        self.min_activity = min;
-        self
     }
 
     /// The members of a group that survive the explorer's brushes — what
@@ -231,26 +240,36 @@ impl MtTask {
 /// Outcome of a multi-target run.
 #[derive(Debug, Clone)]
 pub struct MtOutcome {
-    /// Target users collected into MEMO.
+    /// Users collected into MEMO, in the order they were found.
     pub collected: Vec<UserId>,
     /// Iterations used.
     pub iterations: usize,
-    /// Fraction of targets collected.
+    /// Fraction of the task done: targets collected, or committee seats
+    /// filled (`1` when nothing was wanted).
     pub recall: f64,
 }
 
-/// Run an MT task: collect the target users by memoizing them whenever an
-/// *inspectable* displayed group contains them; the explorer clicks the
-/// group most likely to narrow onto uncollected targets.
+/// Run an MT task: harvest every *inspectable* displayed group's brushed
+/// table into MEMO, then click the displayed group densest in wanted,
+/// uncollected users, until the task is done or the clicks run out.
 pub fn run_mt<E: Deref<Target = Vexus>>(
     session: &mut Session<E>,
     task: &MtTask,
     policy: Policy,
 ) -> Result<MtOutcome, CoreError> {
     let mut rng = policy_rng(policy);
-    let target_set: std::collections::HashSet<UserId> = task.targets.iter().copied().collect();
+    let (goal, target_set, balance): (usize, Option<HashSet<UserId>>, _) = match &task.wanted {
+        Wanted::Targets(targets) => (targets.len(), Some(targets.iter().copied().collect()), None),
+        Wanted::Committee {
+            size,
+            balance_attr,
+            max_per_value,
+        } => (*size, None, balance_attr.map(|a| (a, *max_per_value))),
+    };
+    let counts = |u: &UserId| target_set.as_ref().is_none_or(|t| t.contains(u));
     let mut collected: Vec<UserId> = Vec::new();
-    let mut collected_set: std::collections::HashSet<UserId> = Default::default();
+    let mut collected_set: HashSet<UserId> = Default::default();
+    let mut per_value: HashMap<u32, usize> = Default::default();
     let mut iterations = 0usize;
     loop {
         // Harvest: open STATS on each displayed group, apply the profile
@@ -261,13 +280,24 @@ pub fn run_mt<E: Deref<Target = Vexus>>(
                 continue;
             }
             for u in table {
-                if target_set.contains(&u) && collected_set.insert(u) {
-                    collected.push(u);
-                    session.memo_user(u);
+                if collected.len() >= goal || !counts(&u) || collected_set.contains(&u) {
+                    continue;
                 }
+                if let Some((attr, max)) = balance {
+                    let slot = per_value
+                        .entry(session.data().value(u, attr).raw())
+                        .or_insert(0);
+                    if *slot >= max {
+                        continue;
+                    }
+                    *slot += 1;
+                }
+                collected_set.insert(u);
+                collected.push(u);
+                session.memo_user(u);
             }
         }
-        if collected.len() == task.targets.len() || iterations >= task.max_iterations {
+        if collected.len() >= goal || iterations >= task.max_iterations {
             break;
         }
         if session.display().is_empty() {
@@ -279,148 +309,17 @@ pub fn run_mt<E: Deref<Target = Vexus>>(
                 session.display()[r.gen_range(0..session.display().len())]
             }
             _ => {
-                // Highest density of uncollected targets in the *brushed*
-                // view (drives the walk toward focused groups); ties break
-                // toward more remaining targets.
-                let mut best: Option<(GroupId, f64, usize)> = None;
+                // Highest density of wanted, uncollected users in the
+                // *brushed* view: the fastest way to a readable table full
+                // of finds.
+                let mut best: Option<(GroupId, f64)> = None;
                 for &g in session.display() {
                     let table = task.brushed_members(session, g);
                     let gain = table
                         .iter()
-                        .filter(|u| target_set.contains(u) && !collected_set.contains(u))
+                        .filter(|u| counts(u) && !collected_set.contains(u))
                         .count();
                     let density = gain as f64 / session.group_members(g).len().max(1) as f64;
-                    if best.is_none_or(|(_, bd, bg)| density > bd || (density == bd && gain > bg)) {
-                        best = Some((g, density, gain));
-                    }
-                }
-                best.expect("display non-empty").0
-            }
-        };
-        iterations += 1;
-        if session.click(click)?.is_empty() {
-            break;
-        }
-    }
-    let recall = if task.targets.is_empty() {
-        1.0
-    } else {
-        collected.len() as f64 / task.targets.len() as f64
-    };
-    Ok(MtOutcome {
-        collected,
-        iterations,
-        recall,
-    })
-}
-
-/// The committee-formation task of Scenario 1: recruit `size` researchers
-/// matching a profile, with an optional per-value cap on a balance
-/// attribute ("geographically distributed male and female researchers with
-/// different seniority and expertise levels"). Unlike [`MtTask`], *any*
-/// qualifying user counts — the chair has requirements, not a name list.
-#[derive(Debug, Clone)]
-pub struct CommitteeTask {
-    /// Committee size to fill.
-    pub size: usize,
-    /// Profile brushes (e.g. `main_venue = sigmod`).
-    pub brush: Vec<(vexus_data::AttrId, vexus_data::ValueId)>,
-    /// Minimum activity (publication count) per recruit.
-    pub min_activity: usize,
-    /// Largest brushed table the chair reads.
-    pub inspect_limit: usize,
-    /// Maximum clicks.
-    pub max_iterations: usize,
-    /// Attribute to balance over (e.g. region or gender), if any.
-    pub balance_attr: Option<vexus_data::AttrId>,
-    /// Maximum recruits sharing one value of `balance_attr`.
-    pub max_per_value: usize,
-}
-
-/// Outcome of a committee-formation run.
-#[derive(Debug, Clone)]
-pub struct CommitteeOutcome {
-    /// Recruited members (also in MEMO).
-    pub recruited: Vec<UserId>,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Fraction of the committee filled.
-    pub fill: f64,
-}
-
-/// Run a committee-formation task.
-pub fn run_committee<E: Deref<Target = Vexus>>(
-    session: &mut Session<E>,
-    task: &CommitteeTask,
-    policy: Policy,
-) -> Result<CommitteeOutcome, CoreError> {
-    let mut rng = policy_rng(policy);
-    let mut recruited: Vec<UserId> = Vec::new();
-    let mut recruited_set: std::collections::HashSet<UserId> = Default::default();
-    let mut per_value: std::collections::HashMap<u32, usize> = Default::default();
-    let mut iterations = 0usize;
-
-    let qualifies = |session: &Session<E>, u: UserId| -> bool {
-        let data = session.data();
-        task.brush.iter().all(|&(a, v)| data.value(u, a) == v)
-            && data.user_activity(u) >= task.min_activity
-    };
-
-    loop {
-        // Harvest from brushed tables short enough to scan.
-        for &g in session.display().to_vec().iter() {
-            if recruited.len() >= task.size {
-                break;
-            }
-            let table: Vec<UserId> = session
-                .group_members(g)
-                .iter()
-                .map(UserId::new)
-                .filter(|&u| qualifies(session, u))
-                .collect();
-            if table.is_empty() || table.len() > task.inspect_limit {
-                continue;
-            }
-            for u in table {
-                if recruited.len() >= task.size || recruited_set.contains(&u) {
-                    continue;
-                }
-                if let Some(attr) = task.balance_attr {
-                    let v = session.data().value(u, attr);
-                    let slot = per_value.entry(v.raw()).or_insert(0);
-                    if *slot >= task.max_per_value {
-                        continue;
-                    }
-                    *slot += 1;
-                }
-                recruited_set.insert(u);
-                recruited.push(u);
-                session.memo_user(u);
-            }
-        }
-        if recruited.len() >= task.size || iterations >= task.max_iterations {
-            break;
-        }
-        if session.display().is_empty() {
-            break;
-        }
-        let click = match (&mut rng, policy) {
-            (Some(r), Policy::Random { .. }) => {
-                session.display()[r.gen_range(0..session.display().len())]
-            }
-            _ => {
-                // Click the group with the highest density of qualifying,
-                // unrecruited researchers: the fastest way to a readable
-                // table full of candidates.
-                let mut best: Option<(GroupId, f64)> = None;
-                for &g in session.display() {
-                    let members = session.group_members(g);
-                    let hits = members
-                        .iter()
-                        .map(UserId::new)
-                        .filter(|&u| qualifies(session, u) && !recruited_set.contains(&u))
-                        .count();
-                    let density = hits as f64 / members.len().max(1) as f64;
                     if best.is_none_or(|(_, bd)| density > bd) {
                         best = Some((g, density));
                     }
@@ -433,11 +332,15 @@ pub fn run_committee<E: Deref<Target = Vexus>>(
             break;
         }
     }
-    let fill = recruited.len() as f64 / task.size.max(1) as f64;
-    Ok(CommitteeOutcome {
-        recruited,
+    let recall = if goal == 0 {
+        1.0
+    } else {
+        collected.len() as f64 / goal as f64
+    };
+    Ok(MtOutcome {
+        collected,
         iterations,
-        fill,
+        recall,
     })
 }
 
@@ -461,7 +364,7 @@ mod tests {
     }
 
     fn mt_task(targets: Vec<UserId>, max_iterations: usize, inspect_limit: usize) -> MtTask {
-        MtTask::new(targets, max_iterations, inspect_limit)
+        MtTask::targets(targets, max_iterations, inspect_limit)
     }
 
     #[test]

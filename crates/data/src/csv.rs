@@ -185,12 +185,6 @@ pub fn parse(input: &str, opts: CsvOptions) -> Result<CsvTable, DataError> {
     Ok(table)
 }
 
-/// Parse a CSV file from disk.
-pub fn parse_file(path: &std::path::Path, opts: CsvOptions) -> Result<CsvTable, DataError> {
-    let text = std::fs::read_to_string(path)?;
-    parse(&text, opts)
-}
-
 /// Serialize records to CSV, quoting only when necessary.
 pub fn write(header: &[String], records: &[Vec<String>], opts: CsvOptions) -> String {
     let mut out = String::new();

@@ -146,11 +146,6 @@ impl UserData {
         self.items.name(item)
     }
 
-    /// Category label of an item, if any.
-    pub fn item_category(&self, item: ItemId) -> Option<&str> {
-        self.items.category(item)
-    }
-
     /// All item-category labels.
     pub fn item_category_labels(&self) -> &[String] {
         self.items.category_labels()
@@ -161,11 +156,6 @@ impl UserData {
     /// catalog.
     pub fn item_catalog(&self) -> &Arc<ItemCatalog> {
         &self.items
-    }
-
-    /// The shared schema handle (pointer-equal across projections).
-    pub fn schema_arc(&self) -> &Arc<Schema> {
-        &self.schema
     }
 
     /// Replace the item catalog, keeping everything else. Snapshot load
@@ -185,15 +175,6 @@ impl UserData {
     /// The full column of `attr` (one entry per user).
     pub fn column(&self, attr: AttrId) -> &[ValueId] {
         &self.columns[attr.index()]
-    }
-
-    /// Iterate over a user's actions.
-    pub fn user_actions(&self, user: UserId) -> impl Iterator<Item = &Action> + '_ {
-        let lo = self.user_offsets[user.index()] as usize;
-        let hi = self.user_offsets[user.index() + 1] as usize;
-        self.actions_by_user[lo..hi]
-            .iter()
-            .map(move |&i| &self.actions[i as usize])
     }
 
     /// Number of actions by `user`.
@@ -435,11 +416,6 @@ impl UserDataBuilder {
         Ok(())
     }
 
-    /// Set a demographic to an already-interned value id.
-    pub fn set_demo_id(&mut self, user: UserId, attr: AttrId, value: ValueId) {
-        self.columns[attr.index()][user.index()] = value;
-    }
-
     /// Set a numeric demographic (binned per the schema).
     pub fn set_demo_numeric(&mut self, user: UserId, attr: AttrId, x: f64) {
         let v = self.schema.bin_numeric(attr, x);
@@ -605,6 +581,15 @@ impl Vocabulary {
 mod tests {
     use super::*;
 
+    /// A user's actions, read off the by-user CSR.
+    fn user_actions(d: &UserData, user: UserId) -> impl Iterator<Item = &Action> + '_ {
+        let lo = d.user_offsets[user.index()] as usize;
+        let hi = d.user_offsets[user.index() + 1] as usize;
+        d.actions_by_user[lo..hi]
+            .iter()
+            .map(move |&i| &d.actions[i as usize])
+    }
+
     fn small() -> UserData {
         let mut s = Schema::new();
         let gender = s.add_categorical("gender");
@@ -641,7 +626,7 @@ mod tests {
         let d = small();
         let mary = UserId::new(0);
         let bob = UserId::new(1);
-        let mary_actions: Vec<_> = d.user_actions(mary).collect();
+        let mary_actions: Vec<_> = user_actions(&d, mary).collect();
         assert_eq!(mary_actions.len(), 2);
         assert!(mary_actions.iter().all(|a| a.user == mary));
         assert_eq!(d.user_activity(bob), 1);
@@ -653,7 +638,7 @@ mod tests {
         let d = small();
         assert_eq!(d.n_items(), 2);
         assert_eq!(d.item_name(ItemId::new(0)), "Mr Miracle");
-        assert_eq!(d.item_category(ItemId::new(0)), Some("fiction"));
+        assert_eq!(d.item_catalog().category(ItemId::new(0)), Some("fiction"));
         assert_eq!(d.item_category_labels(), &["fiction", "scifi"]);
     }
 
@@ -668,7 +653,7 @@ mod tests {
         assert_eq!(i, i2);
         let d = b.build();
         assert_eq!(d.n_users(), 1);
-        assert_eq!(d.item_category(i), None);
+        assert_eq!(d.item_catalog().category(i), None);
     }
 
     #[test]
@@ -758,9 +743,9 @@ mod tests {
         let i = b.item("x", None);
         b.action(busy, i, 1.0);
         let d = b.build();
-        assert_eq!(d.user_actions(idle).count(), 0);
+        assert_eq!(user_actions(&d, idle).count(), 0);
         assert_eq!(d.user_activity(idle), 0);
-        assert_eq!(d.user_actions(busy).count(), 1);
+        assert_eq!(user_actions(&d, busy).count(), 1);
     }
 
     #[test]
@@ -777,9 +762,7 @@ mod tests {
         // Items are shared; only mary's two actions survive, re-indexed.
         assert_eq!(p.n_items(), d.n_items());
         assert_eq!(p.n_actions(), 2);
-        assert!(p
-            .user_actions(UserId::new(0))
-            .all(|a| a.user == UserId::new(0)));
+        assert!(user_actions(&p, UserId::new(0)).all(|a| a.user == UserId::new(0)));
         // The *global* vocabulary still tokenizes projected users: value
         // ids are shared because the schema is shared.
         let vocab = Vocabulary::build(&d);
@@ -822,8 +805,8 @@ mod tests {
         // The schema rides along by refcount, not by clone — the carried
         // projection seam, partially closed: schema + catalog are shared,
         // user columns/actions are still copied (see ROADMAP).
-        assert!(Arc::ptr_eq(d.schema_arc(), a.schema_arc()));
-        assert!(Arc::ptr_eq(d.schema_arc(), b.schema_arc()));
+        assert!(Arc::ptr_eq(&d.schema, &a.schema));
+        assert!(Arc::ptr_eq(&d.schema, &b.schema));
         assert_eq!(a.schema().attr("gender"), d.schema().attr("gender"));
     }
 
@@ -903,7 +886,7 @@ mod tests {
         assert_eq!(d.n_actions(), 6);
         assert_csr_matches_rebuild(&d);
         // Per-user order: old actions first, then the batch in order.
-        let bob: Vec<f32> = d.user_actions(UserId::new(1)).map(|a| a.value).collect();
+        let bob: Vec<f32> = user_actions(&d, UserId::new(1)).map(|a| a.value).collect();
         assert_eq!(bob, vec![2.0, 3.0, 5.0]);
         // Appending nothing is a no-op.
         assert_eq!(d.append_actions(&[]), 0);

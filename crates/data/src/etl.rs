@@ -8,9 +8,8 @@
 //! rather than silently swallowed.
 
 use crate::csv::CsvTable;
-use crate::dataset::{UserData, UserDataBuilder};
+use crate::dataset::UserDataBuilder;
 use crate::error::DataError;
-use crate::schema::Schema;
 use std::collections::HashSet;
 
 /// One cleaning operation over the raw string table.
@@ -307,39 +306,11 @@ pub struct ImportStats {
     pub default_values: usize,
 }
 
-/// Convenience: parse CSV text, clean it with a default pipeline, and import
-/// it into a fresh dataset.
-pub fn load_csv(
-    text: &str,
-    opts: crate::csv::CsvOptions,
-    schema: Schema,
-    spec: &ImportSpec,
-) -> Result<(UserData, EtlReport, ImportStats), DataError> {
-    let mut table = crate::csv::parse(text, opts)?;
-    let report = clean(
-        &mut table,
-        &[
-            CleanOp::TrimWhitespace,
-            CleanOp::NormalizeNulls(vec![
-                "null".into(),
-                "n/a".into(),
-                "na".into(),
-                "none".into(),
-                "-".into(),
-            ]),
-            CleanOp::DropRagged,
-            CleanOp::DropDuplicates,
-        ],
-    );
-    let mut builder = UserDataBuilder::new(schema);
-    let stats = import(&table, spec, &mut builder)?;
-    Ok((builder.build(), report, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::{parse, CsvOptions};
+    use crate::schema::Schema;
 
     fn ratings_csv() -> &'static str {
         "user,age,gender,book,genre,rating\n\
@@ -489,30 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn load_csv_end_to_end() {
-        let (d, report, stats) =
-            load_csv(ratings_csv(), CsvOptions::default(), schema(), &spec()).unwrap();
-        assert!(report.records_out <= report.records_in);
-        assert!(stats.actions_imported >= 4);
-        assert_eq!(d.n_users(), 4);
-        assert!(d.n_items() >= 2);
-    }
-
-    #[test]
     fn empty_table_imports_to_empty_dataset() {
-        let (d, report, stats) = load_csv(
-            "user,item,rating\n",
-            CsvOptions::default(),
-            Schema::new(),
-            &ImportSpec {
-                user_column: "user".into(),
-                item_column: Some("item".into()),
-                value_column: Some("rating".into()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.records_in, 0);
+        let table = parse("user,item,rating\n", CsvOptions::default()).unwrap();
+        let mut b = UserDataBuilder::new(Schema::new());
+        let spec = ImportSpec {
+            user_column: "user".into(),
+            item_column: Some("item".into()),
+            value_column: Some("rating".into()),
+            ..Default::default()
+        };
+        let stats = import(&table, &spec, &mut b).unwrap();
+        let d = b.build();
+        assert!(table.records.is_empty());
         assert_eq!(stats.actions_imported, 0);
         assert_eq!(d.n_users(), 0);
     }

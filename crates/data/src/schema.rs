@@ -69,32 +69,6 @@ impl Schema {
         })
     }
 
-    /// Add a numeric attribute binned at `edges`, with generated labels
-    /// (`"<e0"`, `"e0..e1"`, …, `">=en"`).
-    pub fn add_numeric_binned(&mut self, name: impl Into<String>, edges: &[f64]) -> AttrId {
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "bin edges must be strictly ascending"
-        );
-        let mut labels = Vec::with_capacity(edges.len() + 1);
-        if edges.is_empty() {
-            labels.push("all".to_string());
-        } else {
-            labels.push(format!("<{}", edges[0]));
-            for w in edges.windows(2) {
-                labels.push(format!("{}..{}", w[0], w[1]));
-            }
-            labels.push(format!(">={}", edges[edges.len() - 1]));
-        }
-        self.add_attribute(AttributeDef {
-            name: name.into(),
-            kind: AttributeKind::Numeric {
-                edges: edges.to_vec(),
-                labels,
-            },
-        })
-    }
-
     /// Add a numeric attribute with caller-provided bin labels.
     pub fn add_numeric_labeled(
         &mut self,
@@ -265,12 +239,6 @@ impl Schema {
             }
         }
     }
-
-    /// Total number of `(attribute, value)` pairs across all dictionaries —
-    /// an upper bound for token-universe sizing.
-    pub fn total_values(&self) -> usize {
-        self.value_labels.iter().map(|v| v.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -330,9 +298,9 @@ mod tests {
     #[test]
     fn numeric_intern_parses_and_rejects() {
         let mut s = Schema::new();
-        let age = s.add_numeric_binned("age", &[18.0, 65.0]);
+        let age = s.add_numeric_labeled("age", &[18.0, 65.0], &["minor", "adult", "senior"]);
         let v = s.intern_value(age, "40").unwrap();
-        assert_eq!(s.value_label(age, v), "18..65");
+        assert_eq!(s.value_label(age, v), "adult");
         assert!(matches!(
             s.intern_value(age, "forty"),
             Err(DataError::BadValue { .. })
@@ -345,15 +313,6 @@ mod tests {
         let g = s.add_categorical("gender");
         assert_eq!(s.intern_value(g, "").unwrap(), ValueId::MISSING);
         assert_eq!(s.value_label(g, ValueId::MISSING), "<missing>");
-    }
-
-    #[test]
-    fn generated_bin_labels() {
-        let mut s = Schema::new();
-        let a = s.add_numeric_binned("pubs", &[10.0, 100.0]);
-        assert_eq!(s.value_label(a, ValueId::new(0)), "<10");
-        assert_eq!(s.value_label(a, ValueId::new(1)), "10..100");
-        assert_eq!(s.value_label(a, ValueId::new(2)), ">=100");
     }
 
     #[test]
@@ -371,15 +330,5 @@ mod tests {
         let mut s = Schema::new();
         s.add_categorical("gender");
         s.add_categorical("gender");
-    }
-
-    #[test]
-    fn total_values_sums_dictionaries() {
-        let mut s = Schema::new();
-        let g = s.add_categorical("gender");
-        s.add_numeric_binned("age", &[30.0]); // 2 bins
-        s.intern_value(g, "m").unwrap();
-        s.intern_value(g, "f").unwrap();
-        assert_eq!(s.total_values(), 4);
     }
 }

@@ -794,14 +794,12 @@ mod tests {
         // Organic purchase rate for young professionals vs others.
         let mut yp = (0usize, 0usize);
         let mut other = (0usize, 0usize);
-        for (i, u) in d.users().enumerate() {
-            for a in d.user_actions(u) {
-                let organic = d.item_category(a.item) == Some("organic");
-                if ds.latent[i] == 1 {
-                    yp = (yp.0 + usize::from(organic), yp.1 + 1);
-                } else {
-                    other = (other.0 + usize::from(organic), other.1 + 1);
-                }
+        for a in d.actions() {
+            let organic = d.item_catalog().category(a.item) == Some("organic");
+            if ds.latent[a.user.index()] == 1 {
+                yp = (yp.0 + usize::from(organic), yp.1 + 1);
+            } else {
+                other = (other.0 + usize::from(organic), other.1 + 1);
             }
         }
         assert!(yp.1 > 100 && other.1 > 100);

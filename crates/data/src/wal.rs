@@ -281,7 +281,7 @@ pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
 
 /// Fail-point site after a new segment's header is written (key 0),
 /// catalogued in `vexus_core::failpoint`.
-const FP_WAL_CREATE: &str = "wal.create";
+pub const FP_WAL_CREATE: &str = "wal.create";
 
 /// Write a freshly created segment's header and make it durable: the
 /// header by `fdatasync`, the directory entry by an `fsync` of the parent.
@@ -445,11 +445,6 @@ impl WalWriter {
         }
     }
 
-    /// Valid log length in bytes (header plus committed frames).
-    pub fn committed_bytes(&self) -> u64 {
-        self.committed
-    }
-
     /// Frames committed through this writer.
     pub fn frames(&self) -> u64 {
         self.frames
@@ -523,7 +518,7 @@ mod tests {
         assert_eq!(w.frames(), 3);
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.tail, WalTail::Clean);
-        assert_eq!(scan.bytes, w.committed_bytes());
+        assert_eq!(scan.bytes, w.committed);
         let expect: Vec<WalFrame> = sample_frames()
             .into_iter()
             .map(|(epoch, actions)| WalFrame { epoch, actions })
@@ -541,7 +536,7 @@ mod tests {
     fn every_truncation_is_a_clean_torn_tail() {
         let path = tmp("truncate");
         let w = write_sample(&path, WalSync::PerFrame);
-        let full = w.committed_bytes();
+        let full = w.committed;
         drop(w);
         let bytes = std::fs::read(&path).unwrap();
         for cut in 0..full {
@@ -564,7 +559,7 @@ mod tests {
     fn reopen_truncates_the_torn_tail_and_appends() {
         let path = tmp("reopen");
         let w = write_sample(&path, WalSync::PerFrame);
-        let full = w.committed_bytes();
+        let full = w.committed;
         drop(w);
         // Tear the last frame in half.
         truncate_at(&path, full - 7).unwrap();
@@ -583,7 +578,7 @@ mod tests {
     fn corruption_is_torn_never_silent() {
         let path = tmp("corrupt");
         let w = write_sample(&path, WalSync::PerFrame);
-        let full = w.committed_bytes();
+        let full = w.committed;
         drop(w);
         let pristine = std::fs::read(&path).unwrap();
         let clean = scan_wal(&pristine).unwrap();
@@ -606,11 +601,11 @@ mod tests {
         let mut w = WalWriter::create(&path, WalSync::PerFrame).unwrap();
         w.append(0, &[act(1, 1, 1.0)]).unwrap();
         w.commit().unwrap();
-        let committed = w.committed_bytes();
+        let committed = w.committed;
         // Stage a frame, then abandon it (the wal.sync fail-point path).
         w.append(1, &[act(2, 2, 2.0)]).unwrap();
         w.rollback();
-        assert_eq!(w.committed_bytes(), committed);
+        assert_eq!(w.committed, committed);
         // The retried append lands exactly once.
         w.append(1, &[act(2, 2, 2.0)]).unwrap();
         w.commit().unwrap();

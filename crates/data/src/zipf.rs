@@ -62,15 +62,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Probability mass of a rank.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        if rank == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[rank] - self.cdf[rank - 1]
-        }
-    }
 }
 
 /// Sample from a discrete distribution given by (unnormalized) weights.
@@ -95,21 +86,34 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability mass of a rank, read off the CDF.
+    fn pmf(z: &Zipf, rank: usize) -> f64 {
+        if rank == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[rank] - z.cdf[rank - 1]
+        }
+    }
+
     #[test]
     fn uniform_when_alpha_zero() {
         let z = Zipf::new(4, 0.0);
         for k in 0..4 {
-            assert!((z.pmf(k) - 0.25).abs() < 1e-12, "pmf({k}) = {}", z.pmf(k));
+            assert!(
+                (pmf(&z, k) - 0.25).abs() < 1e-12,
+                "pmf({k}) = {}",
+                pmf(&z, k)
+            );
         }
     }
 
     #[test]
     fn rank_zero_dominates_with_skew() {
         let z = Zipf::new(1000, 1.0);
-        assert!(z.pmf(0) > z.pmf(1));
-        assert!(z.pmf(1) > z.pmf(100));
+        assert!(pmf(&z, 0) > pmf(&z, 1));
+        assert!(pmf(&z, 1) > pmf(&z, 100));
         // Harmonic: p(0)/p(1) == 2 for alpha=1.
-        assert!((z.pmf(0) / z.pmf(1) - 2.0).abs() < 1e-9);
+        assert!((pmf(&z, 0) / pmf(&z, 1) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -124,9 +128,9 @@ mod tests {
         for (k, &count) in counts.iter().enumerate() {
             let emp = count as f64 / n as f64;
             assert!(
-                (emp - z.pmf(k)).abs() < 0.01,
+                (emp - pmf(&z, k)).abs() < 0.01,
                 "rank {k}: empirical {emp}, pmf {}",
-                z.pmf(k)
+                pmf(&z, k)
             );
         }
     }

@@ -180,12 +180,6 @@ impl MemberSet {
         }
     }
 
-    /// `|self ∪ other|` without allocating.
-    #[inline]
-    pub fn union_size(&self, other: &MemberSet) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
-    }
-
     /// Jaccard **similarity** `|A∩B| / |A∪B|` (1.0 for two empty sets by
     /// convention, matching "identical"); see [`jaccard_of_counts`].
     pub fn jaccard(&self, other: &MemberSet) -> f64 {
@@ -298,11 +292,6 @@ impl MemberSet {
         }
     }
 
-    /// Whether `self ⊆ other`.
-    pub fn is_subset_of(&self, other: &MemberSet) -> bool {
-        other.contains_all(self)
-    }
-
     /// Whether `other ⊆ self`, with early exit on the first member of
     /// `other` that `self` does not contain. Galloping (exponential search)
     /// advances through `self`, so verifying a small set against a large
@@ -365,11 +354,6 @@ impl MemberSet {
     /// level.
     pub fn heap_bytes(&self) -> usize {
         self.members.heap_bytes()
-    }
-
-    /// Whether this set is a zero-copy view over a snapshot buffer.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.members, U32Store::Shared(_))
     }
 }
 
@@ -435,7 +419,6 @@ mod tests {
         let a = ms(&[1, 2, 3, 5, 8]);
         let b = ms(&[2, 3, 4, 8, 9]);
         assert_eq!(a.intersection_size(&b), 3);
-        assert_eq!(a.union_size(&b), 7);
         assert_eq!(a.intersect(&b).as_slice(), &[2, 3, 8]);
         assert_eq!(a.union(&b).as_slice(), &[1, 2, 3, 4, 5, 8, 9]);
         assert_eq!(a.difference(&b).as_slice(), &[1, 5]);
@@ -451,7 +434,7 @@ mod tests {
         assert_eq!(e.jaccard(&e), materialised_jaccard(&e, &e));
         assert_eq!(e.jaccard(&a), 0.0);
         assert!(!e.overlaps(&a));
-        assert!(e.is_subset_of(&a));
+        assert!(a.contains_all(&e));
         assert_eq!(e.union(&a).as_slice(), &[1]);
     }
 
@@ -461,7 +444,8 @@ mod tests {
         use std::hash::{Hash, Hasher};
         let owned = ms(&[1, 2, 3, 5, 8]);
         let view = shared(&[1, 2, 3, 5, 8]);
-        assert!(view.is_shared() && !owned.is_shared());
+        let is_shared = |s: &MemberSet| matches!(s.members, U32Store::Shared(_));
+        assert!(is_shared(&view) && !is_shared(&owned));
         assert_eq!(owned, view);
         assert_eq!(view.as_slice(), owned.as_slice());
         assert_eq!(view.heap_bytes(), 0);
@@ -476,7 +460,7 @@ mod tests {
         let other = shared(&[2, 3, 4, 8, 9]);
         assert_eq!(owned.intersection_size(&other), 3);
         assert_eq!(other.intersect(&owned).as_slice(), &[2, 3, 8]);
-        assert!(!other.intersect(&owned).is_shared());
+        assert!(!is_shared(&other.intersect(&owned)));
         assert!(view.contains(5) && !view.contains(4));
         assert_eq!(format!("{view:?}"), "MemberSet[1, 2, 3, 5, 8]");
         // Empty shared view.
@@ -524,8 +508,8 @@ mod tests {
     fn subset_and_universe() {
         let u = MemberSet::universe(10);
         let s = ms(&[0, 5, 9]);
-        assert!(s.is_subset_of(&u));
-        assert!(!u.is_subset_of(&s));
+        assert!(u.contains_all(&s));
+        assert!(!s.contains_all(&u));
         assert_eq!(u.len(), 10);
     }
 
@@ -555,7 +539,6 @@ mod tests {
             let ma = MemberSet::from_unsorted(a);
             let mb = MemberSet::from_unsorted(b);
             prop_assert_eq!(ma.intersection_size(&mb), sa.intersection(&sb).count());
-            prop_assert_eq!(ma.union_size(&mb), sa.union(&sb).count());
             let expect_inter: Vec<u32> = sa.intersection(&sb).copied().collect();
             let expect_union: Vec<u32> = sa.union(&sb).copied().collect();
             let expect_diff: Vec<u32> = sa.difference(&sb).copied().collect();
@@ -567,7 +550,6 @@ mod tests {
             prop_assert_eq!(got_diff.as_slice(), expect_diff.as_slice());
             prop_assert_eq!(ma.jaccard(&mb), materialised_jaccard(&ma, &mb));
             prop_assert_eq!(ma.overlaps(&mb), !sa.is_disjoint(&sb));
-            prop_assert_eq!(ma.is_subset_of(&mb), sa.is_subset(&sb));
             prop_assert_eq!(ma.contains_all(&mb), sb.is_subset(&sa));
             prop_assert_eq!(mb.contains_all(&ma), sa.is_subset(&sb));
         }
@@ -604,7 +586,6 @@ mod tests {
             let (va, vb) = (shared(ma.as_slice()), shared(mb.as_slice()));
             prop_assert_eq!(&ma, &va);
             prop_assert_eq!(va.intersection_size(&vb), ma.intersection_size(&mb));
-            prop_assert_eq!(va.union_size(&vb), ma.union_size(&mb));
             prop_assert_eq!(va.intersect(&vb).as_slice(), ma.intersect(&mb).as_slice());
             prop_assert_eq!(va.union(&vb).as_slice(), ma.union(&mb).as_slice());
             prop_assert_eq!(va.difference(&vb).as_slice(), ma.difference(&mb).as_slice());

@@ -176,23 +176,6 @@ impl DeltaDiscovery {
         new
     }
 
-    /// Observe every not-yet-seen user in id order — the batch-parity
-    /// bootstrap (a fresh driver over a complete dataset then mines the
-    /// same space as [`crate::StreamFimDiscovery`]). Returns the number
-    /// observed.
-    pub fn observe_all(&mut self, data: &UserData, vocab: &Vocabulary) -> usize {
-        let mut new = 0;
-        for u in data.users() {
-            if !self.seen[u.index()] {
-                self.seen[u.index()] = true;
-                self.miner.observe(u.raw(), &vocab.user_tokens(data, u));
-                new += 1;
-            }
-        }
-        self.arrivals += new as u64;
-        new
-    }
-
     /// Users that have arrived so far.
     pub fn arrivals(&self) -> u64 {
         self.arrivals
@@ -414,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_all_matches_batch_discovery() {
+    fn arrivals_in_id_order_match_batch_discovery() {
         use crate::discovery::{GroupDiscovery, StreamFimDiscovery};
         use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
         let ds = bookcrossing(&BookCrossingConfig::tiny());
@@ -426,7 +409,20 @@ mod tests {
         };
         let batch = StreamFimDiscovery::new(cfg.clone()).discover(&ds.data, &vocab);
         let mut dd = DeltaDiscovery::new(cfg, 1, ds.data.n_users());
-        assert_eq!(dd.observe_all(&ds.data, &vocab), ds.data.n_users());
+        // One arrival per user, in id order: the batch backend's stream.
+        let arrivals: Vec<Action> = ds
+            .data
+            .users()
+            .map(|user| Action {
+                user,
+                item: vexus_data::ItemId::new(0),
+                value: 1.0,
+            })
+            .collect();
+        assert_eq!(
+            dd.observe_arrivals(&ds.data, &vocab, &arrivals),
+            ds.data.n_users()
+        );
         let (live, delta) = dd.epoch();
         // Same space, canonical order (the batch space re-sorted).
         assert_eq!(live.len(), batch.groups.len());

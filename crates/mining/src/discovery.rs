@@ -129,34 +129,20 @@ impl GroupDiscovery for LcmDiscovery {
     }
 }
 
-/// Which part of the α-MOMRI result becomes the engine's group space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MomriMaterialize {
-    /// The full closed-group candidate space (richest navigation surface).
-    #[default]
-    Candidates,
-    /// Only the best front solution's groups (a curated, small space).
-    BestSolution,
-    /// The union of all front solutions' groups.
-    FrontUnion,
-}
-
-/// α-MOMRI multi-objective discovery.
+/// α-MOMRI multi-objective discovery. The group space is the α-Pareto
+/// front: every front solution's groups, in first-seen order (best
+/// coverage first), not the closed-group candidate space the front was
+/// chosen from.
 #[derive(Debug, Clone, Default)]
 pub struct MomriDiscovery {
     /// Optimizer configuration.
     pub config: MomriConfig,
-    /// Result materialization policy.
-    pub materialize: MomriMaterialize,
 }
 
 impl MomriDiscovery {
     /// Backend with the given optimizer configuration.
     pub fn new(config: MomriConfig) -> Self {
-        Self {
-            config,
-            materialize: MomriMaterialize::default(),
-        }
+        Self { config }
     }
 }
 
@@ -169,26 +155,15 @@ impl GroupDiscovery for MomriDiscovery {
         let db = TransactionDb::build(data, vocab);
         let result = momri_discover(&db, &self.config);
         let candidates_considered = result.candidates.len();
-        let groups = match self.materialize {
-            MomriMaterialize::Candidates => result.candidates,
-            MomriMaterialize::BestSolution => result
-                .front
-                .first()
-                .map(|best| result.solution_groups(best))
-                .unwrap_or_default(),
-            MomriMaterialize::FrontUnion => {
-                let mut out = GroupSet::new();
-                let mut seen = std::collections::BTreeSet::new();
-                for sol in &result.front {
-                    for &id in &sol.groups {
-                        if seen.insert(id) {
-                            out.push(result.candidates.get(id).clone());
-                        }
-                    }
+        let mut groups = GroupSet::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for sol in &result.front {
+            for &id in &sol.groups {
+                if seen.insert(id) {
+                    groups.push(result.candidates.get(id).clone());
                 }
-                out
             }
-        };
+        }
         let stats = DiscoveryStats {
             algorithm: self.name(),
             groups_discovered: groups.len(),
@@ -336,8 +311,6 @@ pub enum DiscoverySelection {
     Momri {
         /// Optimizer configuration.
         config: MomriConfig,
-        /// Result materialization policy.
-        materialize: MomriMaterialize,
     },
     /// BIRCH CF-tree clustering.
     Birch {
@@ -431,13 +404,7 @@ impl DiscoverySelection {
                 max_groups,
                 emit_root: false,
             })),
-            Self::Momri {
-                config,
-                materialize,
-            } => BaseBackend::Momri(MomriDiscovery {
-                config,
-                materialize,
-            }),
+            Self::Momri { config } => BaseBackend::Momri(MomriDiscovery { config }),
             Self::Birch {
                 branching,
                 threshold,
@@ -571,6 +538,7 @@ enum BaseBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GroupId;
     use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
 
     fn fixture() -> (vexus_data::UserData, Vocabulary) {
@@ -593,27 +561,29 @@ mod tests {
     }
 
     #[test]
-    fn momri_materialization_modes_nest() {
+    fn momri_space_is_the_front_not_the_candidates() {
         let (data, vocab) = fixture();
-        let base = MomriDiscovery::default();
-        let candidates = base.discover(&data, &vocab);
-        let best = MomriDiscovery {
-            materialize: MomriMaterialize::BestSolution,
-            ..base.clone()
+        let backend = MomriDiscovery::default();
+        let out = backend.discover(&data, &vocab);
+        let result = momri_discover(&TransactionDb::build(&data, &vocab), &backend.config);
+        // Every front solution's groups, first-seen order, each once.
+        let mut want: Vec<GroupId> = Vec::new();
+        for sol in &result.front {
+            for &id in &sol.groups {
+                if !want.contains(&id) {
+                    want.push(id);
+                }
+            }
         }
-        .discover(&data, &vocab);
-        let union = MomriDiscovery {
-            materialize: MomriMaterialize::FrontUnion,
-            ..base
+        assert!(!want.is_empty());
+        assert_eq!(out.groups.len(), want.len());
+        for ((_, got), &id) in out.groups.iter().zip(&want) {
+            assert_eq!(got, result.candidates.get(id));
         }
-        .discover(&data, &vocab);
-        assert!(!best.groups.is_empty());
-        assert!(best.groups.len() <= union.groups.len());
-        assert!(union.groups.len() <= candidates.groups.len());
-        assert_eq!(
-            candidates.stats.candidates_considered,
-            candidates.groups.len()
-        );
+        // The candidate space is what the front was chosen from, not the
+        // engine's group space.
+        assert!(out.groups.len() < result.candidates.len());
+        assert_eq!(out.stats.candidates_considered, result.candidates.len());
     }
 
     #[test]
@@ -660,7 +630,6 @@ mod tests {
             DiscoverySelection::default(),
             DiscoverySelection::Momri {
                 config: MomriConfig::default(),
-                materialize: MomriMaterialize::Candidates,
             },
             DiscoverySelection::Birch {
                 branching: 10,

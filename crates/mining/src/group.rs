@@ -155,14 +155,6 @@ impl GroupSet {
         before - self.groups.len()
     }
 
-    /// Ids of groups containing a given user.
-    pub fn groups_of_user(&self, user: u32) -> Vec<GroupId> {
-        self.iter()
-            .filter(|(_, g)| g.members.contains(user))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Total members across groups (with multiplicity).
     pub fn total_memberships(&self) -> usize {
         self.groups.iter().map(Group::size).sum()
@@ -254,12 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn groups_of_user_and_coverage() {
+    fn memberships_and_coverage() {
         let mut gs = GroupSet::new();
         gs.push(Group::new(vec![], MemberSet::from_unsorted(vec![0, 1])));
         gs.push(Group::new(vec![], MemberSet::from_unsorted(vec![1, 2])));
-        assert_eq!(gs.groups_of_user(1), vec![GroupId::new(0), GroupId::new(1)]);
-        assert_eq!(gs.groups_of_user(9), vec![]);
         assert_eq!(gs.total_memberships(), 4);
         assert_eq!(gs.distinct_users_covered(5), 3);
     }

@@ -62,7 +62,7 @@ pub use bitmap::MemberSet;
 pub use delta::{DeltaDiscovery, GroupDelta};
 pub use discovery::{
     BirchDiscovery, DiscoveryOutcome, DiscoverySelection, DiscoveryStats, GroupDiscovery,
-    LcmDiscovery, MergeSelection, MomriDiscovery, MomriMaterialize, ShardStats, StreamFimDiscovery,
+    LcmDiscovery, MergeSelection, MomriDiscovery, ShardStats, StreamFimDiscovery,
 };
 pub use features::Featurizer;
 pub use group::{Group, GroupId, GroupSet};

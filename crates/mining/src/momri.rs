@@ -77,18 +77,6 @@ pub struct MomriResult {
     pub front: Vec<MomriSolution>,
 }
 
-impl MomriResult {
-    /// Materialize one solution as a [`GroupSet`] (for feeding into the
-    /// exploration pipeline).
-    pub fn solution_groups(&self, solution: &MomriSolution) -> GroupSet {
-        let mut gs = GroupSet::new();
-        for &id in &solution.groups {
-            gs.push(self.candidates.get(id).clone());
-        }
-        gs
-    }
-}
-
 /// Run α-MOMRI discovery over a transaction database.
 pub fn discover(db: &TransactionDb, cfg: &MomriConfig) -> MomriResult {
     let candidates = mine_closed_groups(db, &cfg.lcm);
@@ -326,13 +314,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn solution_groups_materializes() {
-        let result = discover(&db(), &MomriConfig::default());
-        let gs = result.solution_groups(&result.front[0]);
-        assert_eq!(gs.len(), result.front[0].groups.len());
     }
 
     #[test]

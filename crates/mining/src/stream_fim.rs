@@ -247,23 +247,10 @@ impl StreamMiner {
         miner
     }
 
-    /// Itemsets whose *guaranteed* frequency clears `(σ − ε)·N`, with their
-    /// tracked counts — the standard lossy-counting query.
-    pub fn frequent_itemsets(&self) -> Vec<(Vec<TokenId>, u64)> {
-        let n = self.n_seen as f64;
-        let threshold = ((self.cfg.support - self.cfg.epsilon) * n).max(0.0);
-        let mut out: Vec<(Vec<TokenId>, u64)> = self
-            .table
-            .iter()
-            .filter(|(_, e)| e.count as f64 >= threshold)
-            .map(|(k, e)| (k.clone(), e.count))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Materialize the frequent itemsets as groups (members are the users
-    /// observed carrying the itemset since it was tracked).
+    /// The itemsets whose *guaranteed* frequency clears `(σ − ε)·N` — the
+    /// standard lossy-counting query — as groups, most frequent first. A
+    /// group's members are the users observed carrying the itemset since
+    /// it was tracked, so its size is the tracked count.
     pub fn groups(&self) -> GroupSet {
         let n = self.n_seen as f64;
         let threshold = ((self.cfg.support - self.cfg.epsilon) * n).max(0.0);
@@ -342,9 +329,9 @@ mod tests {
         }
         let exact = exact_counts(&stream, 2);
         let reported: std::collections::HashSet<Vec<TokenId>> = miner
-            .frequent_itemsets()
-            .into_iter()
-            .map(|(s, _)| s)
+            .groups()
+            .iter()
+            .map(|(_, g)| g.description.clone())
             .collect();
         let n = stream.len() as f64;
         for (itemset, count) in &exact {
@@ -371,8 +358,9 @@ mod tests {
         }
         let exact = exact_counts(&stream, 2);
         let slack = cfg.epsilon * stream.len() as f64;
-        for (itemset, count) in miner.frequent_itemsets() {
-            let truth = exact[&itemset];
+        for (_, g) in miner.groups().iter() {
+            let (itemset, count) = (&g.description, g.size() as u64);
+            let truth = exact[itemset];
             assert!(count <= truth, "overcounted {itemset:?}");
             assert!(
                 (truth - count) as f64 <= slack,
@@ -481,10 +469,6 @@ mod tests {
         assert_eq!(resumed.evictions(), uninterrupted.evictions());
         assert_eq!(resumed.table_size(), uninterrupted.table_size());
         assert_eq!(resumed.groups(), uninterrupted.groups());
-        assert_eq!(
-            resumed.frequent_itemsets(),
-            uninterrupted.frequent_itemsets()
-        );
         // And the next export is canonical-equal, so a checkpoint of a
         // recovered run is byte-identical to one of an uninterrupted run.
         assert_eq!(resumed.export_state(), uninterrupted.export_state());
@@ -503,7 +487,6 @@ mod tests {
     #[test]
     fn empty_stream_reports_nothing() {
         let miner = StreamMiner::new(StreamFimConfig::default());
-        assert!(miner.frequent_itemsets().is_empty());
         assert!(miner.groups().is_empty());
     }
 

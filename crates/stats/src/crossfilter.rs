@@ -52,8 +52,6 @@ struct Dimension {
     n_bins: usize,
     /// Histogram counts: records in bin passing all *other* filters.
     counts: Vec<u64>,
-    /// Optional per-bin sums of a weight column.
-    sums: Option<(Vec<f64>, Vec<f64>)>, // (weight per record, sum per bin)
     brush: BrushState,
 }
 
@@ -62,8 +60,6 @@ struct Dimension {
 pub struct Histogram {
     /// Count per bin of records passing every other dimension's brush.
     pub counts: Vec<u64>,
-    /// Optional per-bin weight sums (same filter semantics).
-    pub sums: Option<Vec<f64>>,
 }
 
 /// The crossfilter engine over `n` records.
@@ -83,16 +79,6 @@ impl Crossfilter {
             dims: Vec::new(),
             selection_count: n,
         }
-    }
-
-    /// Number of records.
-    pub fn n_records(&self) -> usize {
-        self.n
-    }
-
-    /// Number of dimensions.
-    pub fn n_dims(&self) -> usize {
-        self.dims.len()
     }
 
     /// Add a numeric dimension with explicit bin edges (ascending). Bin `i`
@@ -125,7 +111,6 @@ impl Crossfilter {
             bin_of,
             n_bins,
             counts,
-            sums: None,
             brush: BrushState::None,
         });
         DimId(self.dims.len() - 1)
@@ -154,25 +139,9 @@ impl Crossfilter {
             bin_of: cats,
             n_bins: n_cats,
             counts,
-            sums: None,
             brush: BrushState::None,
         });
         DimId(self.dims.len() - 1)
-    }
-
-    /// Attach a weight column to a dimension: histograms then also report
-    /// per-bin sums of `weights` (e.g. sum of ratings per genre).
-    pub fn attach_weights(&mut self, dim: DimId, weights: Vec<f64>) {
-        assert_eq!(weights.len(), self.n);
-        let d = &mut self.dims[dim.0];
-        let mut sums = vec![0.0; d.n_bins];
-        let bit = 1u32 << dim.0;
-        for (r, &w) in weights.iter().enumerate() {
-            if self.masks[r] & !bit == 0 {
-                sums[d.bin_of[r] as usize] += w;
-            }
-        }
-        d.sums = Some((weights, sums));
     }
 
     /// Records currently passing **all** brushes.
@@ -187,11 +156,6 @@ impl Crossfilter {
             .collect()
     }
 
-    /// Whether one record is selected.
-    pub fn is_selected(&self, record: u32) -> bool {
-        self.masks[record as usize] == 0
-    }
-
     /// The current brush of a dimension.
     pub fn brush(&self, dim: DimId) -> &BrushState {
         &self.dims[dim.0].brush
@@ -199,10 +163,8 @@ impl Crossfilter {
 
     /// Histogram of a dimension (reflecting all *other* brushes).
     pub fn histogram(&self, dim: DimId) -> Histogram {
-        let d = &self.dims[dim.0];
         Histogram {
-            counts: d.counts.clone(),
-            sums: d.sums.as_ref().map(|(_, s)| s.clone()),
+            counts: self.dims[dim.0].counts.clone(),
         }
     }
 
@@ -401,14 +363,8 @@ impl Crossfilter {
                 let bin = d.bin_of[record] as usize;
                 if is {
                     d.counts[bin] += 1;
-                    if let Some((w, s)) = &mut d.sums {
-                        s[bin] += w[record];
-                    }
                 } else {
                     d.counts[bin] -= 1;
-                    if let Some((w, s)) = &mut d.sums {
-                        s[bin] -= w[record];
-                    }
                 }
             }
         }
@@ -422,16 +378,12 @@ impl Crossfilter {
         for (i, d) in self.dims.iter().enumerate() {
             let bit = 1u32 << i;
             let mut counts = vec![0u64; d.n_bins];
-            let mut sums = d.sums.as_ref().map(|_| vec![0.0; d.n_bins]);
             for r in 0..self.n {
                 if self.masks[r] & !bit == 0 {
                     counts[d.bin_of[r] as usize] += 1;
-                    if let (Some(s), Some((w, _))) = (&mut sums, &d.sums) {
-                        s[d.bin_of[r] as usize] += w[r];
-                    }
                 }
             }
-            hists.push(Histogram { counts, sums });
+            hists.push(Histogram { counts });
         }
         (selection, hists)
     }
@@ -443,17 +395,10 @@ impl Crossfilter {
         if sel != self.selection_count {
             return false;
         }
-        for (i, h) in hists.iter().enumerate() {
-            if h.counts != self.dims[i].counts {
-                return false;
-            }
-            if let (Some(s), Some((_, have))) = (&h.sums, &self.dims[i].sums) {
-                if s.iter().zip(have).any(|(a, b)| (a - b).abs() > 1e-6) {
-                    return false;
-                }
-            }
-        }
-        true
+        hists
+            .iter()
+            .zip(&self.dims)
+            .all(|(h, d)| h.counts == d.counts)
     }
 }
 
@@ -554,20 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_sum_per_bin() {
-        let (mut cf, _, gender) = fixture();
-        cf.attach_weights(gender, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let h = cf.histogram(gender);
-        assert_eq!(h.sums.unwrap(), vec![1.0 + 3.0 + 5.0, 2.0 + 4.0 + 6.0]);
-        let (mut cf2, age, gender2) = fixture();
-        cf2.attach_weights(gender2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        cf2.brush_range(age, 18.0, 40.0);
-        let h2 = cf2.histogram(gender2);
-        assert_eq!(h2.sums.unwrap(), vec![3.0, 2.0]);
-        assert!(cf2.check_consistency());
-    }
-
-    #[test]
     fn top_lists_selected_by_value_desc() {
         let (mut cf, age, gender) = fixture();
         cf.brush_categories(gender, &[0]);
@@ -618,7 +549,6 @@ mod tests {
             let mut cf = Crossfilter::new(n);
             let dn = cf.add_numeric(vals, &[25.0, 50.0, 75.0]);
             let dc = cf.add_categorical(cats, 4);
-            cf.attach_weights(dn, (0..n).map(|i| i as f64).collect());
             for (kind, a, b, cat_list) in ops {
                 match kind {
                     0 => cf.brush_range(dn, a.min(b), a.max(b)),

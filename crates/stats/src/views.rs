@@ -5,7 +5,7 @@
 //! STATS … The explorer can brush on histograms and constrain the set of
 //! users … An updated list of selected users is shown in a table."
 
-use crate::crossfilter::{Crossfilter, DimId, Histogram};
+use crate::crossfilter::{Crossfilter, DimId};
 use std::collections::HashMap;
 use vexus_data::{AttrId, UserData, UserId};
 
@@ -79,7 +79,7 @@ impl<'a> StatsView<'a> {
     /// dimensions.
     pub fn histogram(&self, attr: AttrId) -> Vec<(String, u64)> {
         let dim = self.dims[&attr];
-        let Histogram { counts, .. } = self.cf.histogram(dim);
+        let counts = self.cf.histogram(dim).counts;
         let card = self.data.schema().cardinality(attr);
         let mut out = Vec::with_capacity(counts.len());
         for (bin, &c) in counts.iter().enumerate() {

@@ -159,11 +159,6 @@ impl Lda {
         }
     }
 
-    /// Number of discriminant directions.
-    pub fn n_components(&self) -> usize {
-        self.directions.len()
-    }
-
     /// Project one sample.
     pub fn project(&self, point: &[f64]) -> Vec<f64> {
         self.directions
@@ -238,7 +233,7 @@ mod tests {
     fn rank_limit_clamps_components() {
         let (pts, labels) = tricky_blobs(); // 2 classes -> at most 1 direction
         let lda = Lda::fit(&pts, &labels, 5);
-        assert_eq!(lda.n_components(), 1);
+        assert_eq!(lda.directions.len(), 1);
     }
 
     #[test]
@@ -257,7 +252,7 @@ mod tests {
             labels.push((i % 3) as u32);
         }
         let lda = Lda::fit(&pts, &labels, 2);
-        assert_eq!(lda.n_components(), 2);
+        assert_eq!(lda.directions.len(), 2);
         let proj = lda.project_all(&pts);
         assert!(silhouette(&proj, &labels) > 0.8);
         // Eigenvalues descending.

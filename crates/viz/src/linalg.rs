@@ -29,25 +29,6 @@ impl Matrix {
         m
     }
 
-    /// Build from row slices.
-    ///
-    /// # Panics
-    /// Panics on ragged input.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |x| x.len());
-        assert!(rows.iter().all(|x| x.len() == c), "ragged rows");
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Rows.
     pub fn n_rows(&self) -> usize {
         self.rows
@@ -63,27 +44,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * other`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -93,14 +53,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Matrix-vector product.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, x.len());
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Frobenius norm of the off-diagonal part (Jacobi convergence check).
@@ -272,6 +224,57 @@ pub fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Constructors and products only the checks below use.
+    impl Matrix {
+        /// Build from row slices.
+        ///
+        /// # Panics
+        /// Panics on ragged input.
+        fn from_rows(rows: &[&[f64]]) -> Self {
+            let r = rows.len();
+            let c = rows.first().map_or(0, |x| x.len());
+            assert!(rows.iter().all(|x| x.len() == c), "ragged rows");
+            let mut data = Vec::with_capacity(r * c);
+            for row in rows {
+                data.extend_from_slice(row);
+            }
+            Self {
+                rows: r,
+                cols: c,
+                data,
+            }
+        }
+
+        /// Matrix product `self * other`.
+        ///
+        /// # Panics
+        /// Panics on dimension mismatch.
+        fn matmul(&self, other: &Matrix) -> Matrix {
+            assert_eq!(self.cols, other.rows, "dimension mismatch");
+            let mut out = Matrix::zeros(self.rows, other.cols);
+            for i in 0..self.rows {
+                for k in 0..self.cols {
+                    let a = self[(i, k)];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for j in 0..other.cols {
+                        out[(i, j)] += a * other[(k, j)];
+                    }
+                }
+            }
+            out
+        }
+
+        /// Matrix-vector product.
+        fn matvec(&self, x: &[f64]) -> Vec<f64> {
+            assert_eq!(self.cols, x.len());
+            (0..self.rows)
+                .map(|i| self.row(i).iter().zip(x).map(|(a, b)| a * b).sum())
+                .collect()
+        }
+    }
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol

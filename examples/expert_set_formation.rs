@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example expert_set_formation`
 
 use vexus::core::engine::VexusBuilder;
-use vexus::core::simulate::{run_committee, CommitteeTask, Policy};
+use vexus::core::simulate::{run_mt, MtTask, Policy, Wanted};
 use vexus::core::EngineConfig;
 use vexus::data::synthetic::{dbauthors, DbAuthorsConfig};
 
@@ -33,28 +33,27 @@ fn main() {
     let venue = schema.attr("main_venue").expect("main_venue");
     let region = schema.attr("region").expect("region");
     let sigmod = schema.value(venue, "sigmod").expect("sigmod");
-    let task = CommitteeTask {
-        size: 12,
+    let size = 12;
+    let task = MtTask {
+        wanted: Wanted::Committee {
+            size,
+            balance_attr: Some(region),
+            max_per_value: 3,
+        },
         brush: vec![(venue, sigmod)],
         min_activity: 8,
         inspect_limit: 15,
         max_iterations: 25,
-        balance_attr: Some(region),
-        max_per_value: 3,
     };
-    println!(
-        "requirements: {} active sigmod researchers, <= 3 per region",
-        task.size
-    );
+    println!("requirements: {size} active sigmod researchers, <= 3 per region");
 
     // The chair explores, brushing STATS to venue=sigmod and reading the
     // tables of focused groups; recruits land in MEMO.
     let mut session = vexus.session().expect("session opens");
-    let outcome = run_committee(&mut session, &task, Policy::Informed).expect("runs");
+    let outcome = run_mt(&mut session, &task, Policy::Informed).expect("runs");
     println!(
-        "recruited {}/{} in {} iterations (paper claim: <10 on average)",
-        outcome.recruited.len(),
-        task.size,
+        "recruited {}/{size} in {} iterations (paper claim: <10 on average)",
+        outcome.collected.len(),
         outcome.iterations
     );
 

@@ -45,11 +45,16 @@ pub fn engine() -> Arc<Vexus> {
     Arc::clone(ENGINE.get_or_init(|| tiny_engine(config())))
 }
 
-/// The same engine built without a neighbor cache (capacity 0): its
-/// sessions read neighbor lists from the index directly.
+/// The same engine with a capacity-0 neighbor cache: it stores nothing,
+/// so its sessions read every neighbor list from the index.
 pub fn uncached_engine() -> Arc<Vexus> {
     static ENGINE: OnceLock<Arc<Vexus>> = OnceLock::new();
-    Arc::clone(ENGINE.get_or_init(|| tiny_engine(config().with_neighbor_cache_capacity(0))))
+    Arc::clone(ENGINE.get_or_init(|| {
+        tiny_engine(EngineConfig {
+            neighbor_cache_capacity: 0,
+            ..config()
+        })
+    }))
 }
 
 /// A session's display trajectory: the opening display, then the display

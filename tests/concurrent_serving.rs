@@ -106,8 +106,7 @@ fn two_workers_stepping_many_sessions_match_single_threaded() {
         reference.iter().all(|t| t.len() == POOLED_STEPS + 1),
         "every scripted step must land"
     );
-    for shared in [engine(), uncached_engine()] {
-        let cached = shared.neighbor_cache().is_some();
+    for (cached, shared) in [(true, engine()), (false, uncached_engine())] {
         let svc = ExplorationService::new(shared);
         let opened: Vec<_> = (0..POOLED_SESSIONS)
             .map(|_| svc.open_with(pooled.clone()).expect("session opens"))

@@ -189,7 +189,6 @@ fn config_selection_reaches_every_backend() {
         (
             DiscoverySelection::Momri {
                 config: MomriConfig::default(),
-                materialize: vexus::mining::MomriMaterialize::Candidates,
             },
             "momri",
         ),

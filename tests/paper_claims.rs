@@ -102,6 +102,8 @@ fn d1_every_backend_is_navigable_or_explains_its_dead_end() {
     let note = budget_note(d1.budget_exhausted);
     let backends: Vec<&str> = d1.rows.iter().map(|r| r.backend).collect();
     assert_eq!(backends, ["lcm", "momri", "birch", "stream-fim"]);
+    // α-MOMRI serves its front, not LCM's candidate space it chose from.
+    assert_ne!(d1.rows[1].groups, d1.rows[0].groups, "{d1}");
     for r in &d1.rows {
         assert!(r.groups > 0 && r.coverage > 0.9, "{note}{d1}");
         if r.backend == "birch" {

@@ -114,10 +114,10 @@ fn all_plugin_paths_agree_on_heavy_structure() {
         miner.observe(u.raw(), &vocab.user_tokens(&ds.data, u));
     }
     let stream_singletons: std::collections::HashSet<vexus::data::TokenId> = miner
-        .frequent_itemsets()
-        .into_iter()
-        .filter(|(set, _)| set.len() == 1)
-        .map(|(set, _)| set[0])
+        .groups()
+        .iter()
+        .filter(|(_, g)| g.description.len() == 1)
+        .map(|(_, g)| g.description[0])
         .collect();
     // Every very frequent singleton description found by LCM must also be
     // caught by the stream miner (no false negatives).

@@ -66,7 +66,9 @@ proptest! {
         edges.sort_by(|a, b| a.partial_cmp(b).unwrap());
         edges.dedup();
         let mut schema = Schema::new();
-        let attr = schema.add_numeric_binned("x", &edges);
+        let labels: Vec<String> = (0..=edges.len()).map(|i| format!("bin{i}")).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let attr = schema.add_numeric_labeled("x", &edges, &labels);
         let mut xs = xs;
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let bins: Vec<u32> = xs.iter().map(|&x| schema.bin_numeric(attr, x).raw()).collect();

@@ -2,8 +2,9 @@
 //! (MT) on DB-AUTHORS and discussion groups (ST) on BookCrossing, plus the
 //! baseline comparisons.
 
-use vexus::core::simulate::{run_mt, run_st, MtTask, Policy, StAccept};
-use vexus::core::{EngineConfig, Vexus};
+use std::collections::HashMap;
+use vexus::core::simulate::{run_mt, run_st, MtOutcome, MtTask, Policy, StAccept, Wanted};
+use vexus::core::{EngineConfig, ExplorationSession, Vexus};
 use vexus::data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
 use vexus::data::UserId;
 use vexus::mining::MemberSet;
@@ -47,7 +48,7 @@ fn scenario1_committee_formation_collects_experts() {
     let mut session = vexus.session().expect("session opens");
     let out = run_mt(
         &mut session,
-        &MtTask::new(committee.clone(), 20, 150),
+        &MtTask::targets(committee.clone(), 20, 150),
         Policy::Informed,
     )
     .expect("mt runs");
@@ -61,6 +62,112 @@ fn scenario1_committee_formation_collects_experts() {
         assert!(committee.contains(u));
         assert!(session.memo().users().contains(u));
     }
+}
+
+/// The committee invariants of a finished [`run_mt`]: every recruit passes
+/// the brushes, no balance value is over its cap, MEMO holds exactly the
+/// recruits, the fill is at most 1, and every recruit was readable in a
+/// brushed table no longer than `inspect_limit` on some display.
+fn assert_committee_invariants(session: &ExplorationSession<'_>, task: &MtTask, out: &MtOutcome) {
+    let Wanted::Committee {
+        size,
+        balance_attr,
+        max_per_value,
+    } = task.wanted
+    else {
+        panic!("a committee task");
+    };
+    let data = session.data();
+    let table = |g| -> Vec<UserId> {
+        session
+            .group_members(g)
+            .iter()
+            .map(UserId::new)
+            .filter(|&u| {
+                task.brush.iter().all(|&(a, v)| data.value(u, a) == v)
+                    && data.user_activity(u) >= task.min_activity
+            })
+            .collect()
+    };
+    let mut per_value: HashMap<u32, usize> = HashMap::new();
+    for &u in &out.collected {
+        assert!(
+            task.brush.iter().all(|&(a, v)| data.value(u, a) == v),
+            "recruit {u:?} fails the profile brush"
+        );
+        assert!(data.user_activity(u) >= task.min_activity);
+        if let Some(attr) = balance_attr {
+            *per_value.entry(data.value(u, attr).raw()).or_insert(0) += 1;
+        }
+        let readable = session.history().iter().any(|step| {
+            step.display.iter().any(|&g| {
+                let t = table(g);
+                t.len() <= task.inspect_limit && t.contains(&u)
+            })
+        });
+        assert!(readable, "recruit {u:?} came from no readable table");
+    }
+    assert!(per_value.values().all(|&n| n <= max_per_value));
+    assert_eq!(session.memo().users(), out.collected.as_slice());
+    assert!(out.recall <= 1.0);
+    assert_eq!(out.recall, out.collected.len() as f64 / size as f64);
+}
+
+/// The committee invariants on `c4`'s engine and tasks, for the informed
+/// chair and three random ones.
+#[test]
+fn c4_committees_keep_the_task_invariants() {
+    let (vexus, _) = vexus_bench::workloads::dbauthors_engine();
+    let schema = vexus.data().schema();
+    let venue = schema.attr("main_venue").expect("main_venue");
+    let region = schema.attr("region").expect("region");
+    for name in ["sigmod", "vldb", "cikm"] {
+        let task = MtTask {
+            wanted: Wanted::Committee {
+                size: 12,
+                balance_attr: Some(region),
+                max_per_value: 3,
+            },
+            brush: vec![(venue, schema.value(venue, name).expect("venue"))],
+            min_activity: 8,
+            inspect_limit: 15,
+            max_iterations: 25,
+        };
+        for policy in [
+            Policy::Informed,
+            Policy::Random { seed: 0 },
+            Policy::Random { seed: 1 },
+            Policy::Random { seed: 2 },
+        ] {
+            let mut session = vexus.session().expect("session opens");
+            let out = run_mt(&mut session, &task, policy).expect("mt runs");
+            assert_committee_invariants(&session, &task, &out);
+        }
+    }
+}
+
+/// A balance cap of one per region on a tiny engine binds before the
+/// committee fills: the run ends short, one recruit per region.
+#[test]
+fn binding_balance_cap_leaves_the_committee_short() {
+    let ds = dbauthors(&DbAuthorsConfig::tiny());
+    let vexus = Vexus::build(ds.data, EngineConfig::default()).expect("group space non-empty");
+    let region = vexus.data().schema().attr("region").expect("region");
+    let task = MtTask {
+        wanted: Wanted::Committee {
+            size: 50,
+            balance_attr: Some(region),
+            max_per_value: 1,
+        },
+        brush: Vec::new(),
+        min_activity: 1,
+        inspect_limit: 60,
+        max_iterations: 10,
+    };
+    let mut session = vexus.session().expect("session opens");
+    let out = run_mt(&mut session, &task, Policy::Informed).expect("mt runs");
+    assert_committee_invariants(&session, &task, &out);
+    assert!(!out.collected.is_empty() && out.recall < 1.0);
 }
 
 #[test]

@@ -124,7 +124,6 @@ proptest! {
         let d1 = cf.add_categorical(cats, 6);
         let acts: Vec<f64> = (0..n).map(|i| (i % 50) as f64).collect();
         let d2 = cf.add_numeric(acts, &[10.0, 25.0]);
-        cf.attach_weights(d2, (0..n).map(|i| i as f64 * 0.5).collect());
         for (kind, a, b, cat_list) in ops {
             match kind {
                 0 => cf.brush_range(d0, a.min(b), a.max(b)),
