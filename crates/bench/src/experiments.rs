@@ -134,7 +134,7 @@ pub fn f1_architecture() -> F1 {
             dataset,
             users: vexus.data().n_users(),
             actions: vexus.data().n_actions(),
-            algorithm: vexus.build_stats().discovery.algorithm,
+            algorithm: vexus.build_stats().algorithm,
             groups: vexus.groups().len(),
             index_entries: index.materialized_entries,
             index_kib: index.heap_bytes / 1024,

@@ -82,6 +82,6 @@ mod tests {
             Box::new(BirchDiscovery::default()),
             EngineConfig::default(),
         );
-        assert_eq!(vexus.build_stats().discovery.algorithm, "birch");
+        assert_eq!(vexus.build_stats().algorithm, "birch");
     }
 }

@@ -184,16 +184,16 @@ mod tests {
             c.discovery,
             DiscoverySelection::Sharded { shards: 8, .. }
         ));
-        let e = EngineConfig::default().with_discovery(DiscoverySelection::ensemble(
-            vec![
+        let e = EngineConfig::default().with_discovery(DiscoverySelection::Ensemble {
+            members: vec![
                 DiscoverySelection::default(),
                 DiscoverySelection::Birch {
                     branching: 10,
                     threshold: 1.6,
                 },
             ],
-            MergeSelection::Union,
-        ));
+            merge: MergeSelection::Union,
+        });
         assert!(matches!(
             e.discovery,
             DiscoverySelection::Ensemble { ref members, .. } if members.len() == 2

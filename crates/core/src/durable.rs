@@ -53,7 +53,7 @@ use vexus_data::{
     WalWriter,
 };
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
-use vexus_mining::{DeltaDiscovery, DiscoverySelection, DiscoveryStats, StreamFimConfig};
+use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
 /// Checkpoint META: `[format_version, watermark_lo, watermark_hi,
 /// n_base_actions, n_appended, support_bits_lo, support_bits_hi,
@@ -594,16 +594,10 @@ fn decode_checkpoint(
         decoded.data.n_users(),
         decoded.vocab.len(),
         decoded.groups.clone(),
-        watermark + 1,
     )
     .map_err(CoreError::Snapshot)?;
     let stats = BuildStats {
-        discovery: DiscoveryStats {
-            algorithm: "checkpoint",
-            groups_discovered: decoded.groups.len(),
-            candidates_considered: decoded.groups.len(),
-            ..Default::default()
-        },
+        algorithm: "checkpoint",
         filtered_out: 0,
     };
     let engine = Vexus::from_live_parts(

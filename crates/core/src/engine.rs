@@ -15,16 +15,17 @@ use crate::session::{ExplorationSession, Session};
 use std::sync::Arc;
 use vexus_data::{SnapshotError, UserData, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
-use vexus_mining::{DiscoveryStats, GroupDiscovery, GroupSet};
+use vexus_mining::{GroupDiscovery, GroupSet};
 
 /// What the offline pre-processing stage did that the built engine cannot
 /// recompute. (What it produced is the engine: `groups().len()`,
 /// `index().stats()`.)
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
-    /// Statistics reported by the discovery backend (algorithm name, raw
-    /// group count before size filtering).
-    pub discovery: DiscoveryStats,
+    /// Where the group space came from: the discovery backend's
+    /// [`GroupDiscovery::name`], or `"pregrouped"`, `"snapshot"`,
+    /// `"checkpoint"` or `"stream-fim-delta"` (a live epoch).
+    pub algorithm: &'static str,
     /// Groups removed by the size filter.
     pub filtered_out: usize,
 }
@@ -119,31 +120,19 @@ impl VexusBuilder {
             stage,
         } = self;
         // Stage 2: discovery.
-        let (vocab, mut groups, discovery) = match stage {
-            DiscoveryStage::FromConfig => {
-                let vocab = Vocabulary::build(&data);
-                let backend = config.discovery.backend_with(
-                    config.min_group_size,
-                    config.merge_threads,
-                    config.exchange_rounds,
-                );
-                let outcome = backend.discover(&data, &vocab);
-                (vocab, outcome.groups, outcome.stats)
-            }
-            DiscoveryStage::Backend(backend) => {
-                let vocab = Vocabulary::build(&data);
-                let outcome = backend.discover(&data, &vocab);
-                (vocab, outcome.groups, outcome.stats)
-            }
-            DiscoveryStage::Pregrouped(vocab, groups) => {
-                let stats = DiscoveryStats {
-                    algorithm: "pregrouped",
-                    groups_discovered: groups.len(),
-                    candidates_considered: groups.len(),
-                    ..Default::default()
-                };
-                (vocab, groups, stats)
-            }
+        let discover = |backend: Box<dyn GroupDiscovery>| {
+            let vocab = Vocabulary::build(&data);
+            let groups = backend.discover(&data, &vocab).groups;
+            (vocab, groups, backend.name())
+        };
+        let (vocab, mut groups, algorithm) = match stage {
+            DiscoveryStage::FromConfig => discover(config.discovery.backend_with(
+                config.min_group_size,
+                config.merge_threads,
+                config.exchange_rounds,
+            )),
+            DiscoveryStage::Backend(backend) => discover(backend),
+            DiscoveryStage::Pregrouped(vocab, groups) => (vocab, groups, "pregrouped"),
         };
         // Stage 3: size filter.
         let filtered_out = groups.filter_by_size(config.min_group_size, usize::MAX);
@@ -153,7 +142,7 @@ impl VexusBuilder {
         // Stage 4: index.
         let index = GroupIndex::build(&groups, &config.index_config());
         let stats = BuildStats {
-            discovery,
+            algorithm,
             filtered_out,
         };
         Ok(Vexus {
@@ -332,12 +321,7 @@ impl Vexus {
             return Err(CoreError::EmptyGroupSpace);
         }
         let stats = BuildStats {
-            discovery: DiscoveryStats {
-                algorithm: "snapshot",
-                groups_discovered: decoded.groups.len(),
-                candidates_considered: decoded.groups.len(),
-                ..Default::default()
-            },
+            algorithm: "snapshot",
             filtered_out: 0,
         };
         Ok(Vexus {
@@ -390,8 +374,7 @@ mod tests {
         assert!(n_groups > 10, "group space too small: {n_groups}");
         assert!(vexus.index().stats().materialized_entries > 0);
         assert!(vexus.index().stats().heap_bytes > 0);
-        assert_eq!(stats.discovery.algorithm, "lcm");
-        assert!(stats.discovery.groups_discovered >= n_groups);
+        assert_eq!(stats.algorithm, "lcm");
         // Every group respects the size floor.
         assert!(vexus.groups().iter().all(|(_, g)| g.size() >= 5));
     }
@@ -399,27 +382,28 @@ mod tests {
     #[test]
     fn exchange_rounds_thread_through_the_builder_to_sharded_discovery() {
         // The oversharded regime exercises the exchange: the default
-        // config (one round) reports exchange telemetry and its group
-        // space is a superset of the exchange-off run over the same
-        // sharded selection.
+        // config (one round) reproduces the unsharded group space, and the
+        // exchange-off run over the same sharded selection finds a strict
+        // subset, so the zero reached the merge.
         let ds = bookcrossing(&BookCrossingConfig::tiny());
+        let spaces = |config: EngineConfig| {
+            let vexus = VexusBuilder::new(ds.data.clone())
+                .config(config)
+                .build()
+                .unwrap();
+            let groups = vexus.groups().iter();
+            groups
+                .map(|(_, g)| (g.description.clone(), g.members.as_slice().to_vec()))
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let unsharded = spaces(EngineConfig::default());
         let config =
             EngineConfig::default().with_discovery(DiscoverySelection::default().sharded(8));
-        let with = VexusBuilder::new(ds.data.clone())
-            .config(config.clone())
-            .build()
-            .unwrap();
-        assert_eq!(with.build_stats().discovery.merge.exchange_rounds_run, 1);
-        // The broadcast dedup telemetry flows through too: eight shards
-        // over a tiny dataset mine plenty of closures that frequency-prune
-        // onto shared (or singleton, broadcast-free) forms.
-        assert!(with.build_stats().discovery.merge.exchange_deduped > 0);
-        let without = VexusBuilder::new(ds.data)
-            .config(config.with_exchange_rounds(0))
-            .build()
-            .unwrap();
-        assert_eq!(without.build_stats().discovery.merge.exchange_rounds_run, 0);
-        assert!(without.groups().len() <= with.groups().len());
+        let with = spaces(config.clone());
+        assert_eq!(with, unsharded);
+        let without = spaces(config.with_exchange_rounds(0));
+        assert!(without.is_subset(&with));
+        assert_ne!(without, with);
     }
 
     #[test]
@@ -458,7 +442,7 @@ mod tests {
             .discovery(BirchDiscovery::default())
             .build()
             .unwrap();
-        assert_eq!(vexus.build_stats().discovery.algorithm, "birch");
+        assert_eq!(vexus.build_stats().algorithm, "birch");
         let session = vexus.session().unwrap();
         assert!(!session.display().is_empty());
     }
@@ -479,7 +463,7 @@ mod tests {
             .discovery_boxed(backend)
             .build()
             .unwrap();
-        assert_eq!(vexus.build_stats().discovery.algorithm, "stream-fim");
+        assert_eq!(vexus.build_stats().algorithm, "stream-fim");
     }
 
     #[test]
@@ -489,7 +473,7 @@ mod tests {
             config: MomriConfig::default(),
         });
         let vexus = Vexus::build(ds.data, config).unwrap();
-        assert_eq!(vexus.build_stats().discovery.algorithm, "momri");
+        assert_eq!(vexus.build_stats().algorithm, "momri");
         assert!(!vexus.session().unwrap().display().is_empty());
     }
 
@@ -514,8 +498,14 @@ mod tests {
             stats.filtered_out > 0,
             "expected small clusters to be pruned"
         );
+        let vocab = Vocabulary::build(vexus.data());
+        let discovered = BirchDiscovery {
+            min_cluster_size: 1,
+            ..BirchDiscovery::default()
+        }
+        .discover(vexus.data(), &vocab);
         assert_eq!(
-            stats.discovery.groups_discovered,
+            discovered.groups.len(),
             vexus.groups().len() + stats.filtered_out
         );
         assert!(vexus.groups().iter().all(|(_, g)| g.size() >= 8));
@@ -542,7 +532,7 @@ mod tests {
             .groups(vocab, groups)
             .build()
             .unwrap();
-        assert_eq!(vexus.build_stats().discovery.algorithm, "pregrouped");
+        assert_eq!(vexus.build_stats().algorithm, "pregrouped");
         let session = vexus.session().unwrap();
         assert!(!session.display().is_empty());
     }
@@ -583,7 +573,6 @@ mod tests {
         // accounting says so.
         assert_eq!(stats.filtered_out, 2);
         assert_eq!(vexus.groups().len(), 1);
-        assert_eq!(stats.discovery.groups_discovered, 3);
         assert_eq!(vexus.groups().get(vexus_mining::GroupId::new(0)).size(), 6);
         // min_group_size = 1 keeps every curated group.
         let keep_all = EngineConfig {
@@ -605,10 +594,7 @@ mod tests {
         let config =
             EngineConfig::default().with_discovery(DiscoverySelection::default().sharded(4));
         let vexus = Vexus::build(ds.data, config).unwrap();
-        assert_eq!(vexus.build_stats().discovery.algorithm, "sharded");
-        let shards = &vexus.build_stats().discovery.shards;
-        assert_eq!(shards.len(), 4);
-        assert!(shards.iter().all(|s| s.algorithm == "lcm"));
+        assert_eq!(vexus.build_stats().algorithm, "sharded");
         assert!(vexus.groups().len() > 10);
         assert!(!vexus.session().unwrap().display().is_empty());
     }

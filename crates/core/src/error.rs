@@ -36,6 +36,9 @@ pub enum CoreError {
     /// Crash recovery could not reconstruct a consistent engine from the
     /// durable directory; the payload says what was inconsistent.
     Recovery(&'static str),
+    /// The schema has more attributes than the STATS view can show; the
+    /// payload is the schema's attribute count.
+    SchemaTooWide(usize),
 }
 
 impl fmt::Display for CoreError {
@@ -59,6 +62,12 @@ impl fmt::Display for CoreError {
             }
             CoreError::Wal(e) => write!(f, "write-ahead log failed: {e}"),
             CoreError::Recovery(what) => write!(f, "crash recovery failed: {what}"),
+            CoreError::SchemaTooWide(n) => {
+                write!(
+                    f,
+                    "schema has {n} attributes, more than the STATS view shows"
+                )
+            }
         }
     }
 }

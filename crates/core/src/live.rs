@@ -61,6 +61,13 @@ use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError};
 use vexus_index::OverlapRows;
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
+/// What every live epoch reports as its build: mined by the stream miner's
+/// epoch cut, never size-filtered after it (the cut filters).
+const LIVE_BUILD: BuildStats = BuildStats {
+    algorithm: "stream-fim-delta",
+    filtered_out: 0,
+};
+
 /// Mutable ingestion-side state, guarded by one mutex. Everything a
 /// refresh *reads* — dataset, vocabulary, the old group space, the
 /// configuration — it takes from the published engine.
@@ -195,12 +202,8 @@ impl LiveEngine {
         }
         // One walk gives epoch 0's index and the rows refreshes carry.
         let (rows, index) = OverlapRows::build(&groups, &config.index_config());
-        let stats = BuildStats {
-            discovery: discovery.stats(),
-            filtered_out: 0,
-        };
         let cache = config.new_neighbor_cache();
-        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, stats);
+        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, LIVE_BUILD);
         Ok(Self::assemble(engine, 0, discovery, rows))
     }
 
@@ -509,10 +512,6 @@ impl LiveEngine {
             &config.index_config(),
         );
         let cache = current.cache.carry_over(|g, list| patch.carries(g, list));
-        let stats = BuildStats {
-            discovery: state.discovery.stats(),
-            filtered_out: 0,
-        };
         let engine = Vexus::from_live_parts(
             data,
             current.vocab().clone(),
@@ -520,7 +519,7 @@ impl LiveEngine {
             patch.index,
             cache,
             config.clone(),
-            stats,
+            LIVE_BUILD,
         );
         Ok(Some((
             engine,
@@ -614,6 +613,8 @@ mod tests {
         assert!(!tape.is_empty());
         let live = LiveEngine::bootstrap(base, stream_config()).unwrap();
         let epoch0 = live.engine();
+        assert_eq!(epoch0.build_stats().algorithm, "stream-fim-delta");
+        assert_eq!(epoch0.build_stats().filtered_out, 0);
         let n = feed(&live, &tape);
         assert_eq!(n, tape.len());
         assert_eq!(live.pending().unwrap(), n);
@@ -625,6 +626,8 @@ mod tests {
         assert_eq!(live.pending().unwrap(), 0);
         let epoch1 = live.engine();
         assert!(!Arc::ptr_eq(&epoch0, &epoch1), "refresh must swap the Arc");
+        assert_eq!(epoch1.build_stats().algorithm, "stream-fim-delta");
+        assert_eq!(epoch1.build_stats().filtered_out, 0);
         assert_eq!(
             epoch1.data().actions().len(),
             epoch0.data().actions().len() + tape.len()
@@ -810,6 +813,15 @@ mod tests {
                 LiveEngine::recover(base.clone(), stream_config(), durability(&dir, 2)).unwrap();
             assert_eq!(report.final_epoch, crash_after as u64);
             assert_eq!(report.halted, None);
+            // Served straight from the checkpoint, or from the last frame
+            // replayed through a refresh.
+            let built = recovered.engine().build_stats().clone();
+            let by = if report.frames_replayed == 0 {
+                "checkpoint"
+            } else {
+                "stream-fim-delta"
+            };
+            assert_eq!((built.algorithm, built.filtered_out), (by, 0));
             assert_eq!(
                 recovered.engine().write_snapshot(),
                 ref_snapshots[crash_after],

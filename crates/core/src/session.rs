@@ -315,7 +315,8 @@ impl<E: Deref<Target = Vexus>> Session<E> {
     }
 
     /// The STATS view over a group's members (coordinated histograms +
-    /// brushable user table).
+    /// brushable user table). Fails with [`CoreError::SchemaTooWide`] on a
+    /// schema with more attributes than the view's histograms cover.
     pub fn stats_view(&self, g: GroupId) -> Result<StatsView<'_>, CoreError> {
         if g.index() >= self.engine.groups().len() {
             return Err(CoreError::UnknownGroup(g.0));
@@ -328,7 +329,8 @@ impl<E: Deref<Target = Vexus>> Session<E> {
             .iter()
             .map(UserId::new)
             .collect();
-        Ok(StatsView::new(self.engine.data(), members))
+        let data = self.engine.data();
+        StatsView::new(data, members).ok_or(CoreError::SchemaTooWide(data.schema().len()))
     }
 
     /// The Focus view: a 2-D projection of a group's members, labeled (and
@@ -723,6 +725,54 @@ mod tests {
         let hist = view.histogram(gender_like);
         let total: u64 = hist.iter().map(|(_, c)| c).sum();
         assert_eq!(total as usize, view.n_users());
+    }
+
+    /// A pregrouped engine over `n_attrs` categorical attributes: six
+    /// users, one group holding all of them.
+    fn wide_engine(n_attrs: usize) -> Vexus {
+        use vexus_mining::{Group, GroupSet, MemberSet};
+        let mut schema = vexus_data::Schema::new();
+        let attrs: Vec<_> = (0..n_attrs)
+            .map(|a| schema.add_categorical(format!("a{a}")))
+            .collect();
+        let mut b = vexus_data::UserDataBuilder::new(schema);
+        for u in 0..6 {
+            let user = b.user(&format!("u{u}"));
+            for &attr in &attrs {
+                b.set_demo(user, attr, if u % 2 == 0 { "x" } else { "y" })
+                    .unwrap();
+            }
+        }
+        let data = b.build();
+        let vocab = vexus_data::Vocabulary::build(&data);
+        let mut groups = GroupSet::new();
+        groups.push(Group::new(vec![], MemberSet::universe(6)));
+        let config = EngineConfig {
+            min_group_size: 1,
+            ..EngineConfig::default()
+        };
+        crate::engine::VexusBuilder::new(data)
+            .config(config)
+            .groups(vocab, groups)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn stats_view_refuses_a_schema_wider_than_the_crossfilter() {
+        // 31 attributes plus the activity dimension fill the crossfilter.
+        let vexus = wide_engine(31);
+        let session = vexus.session().unwrap();
+        let view = session.stats_view(GroupId::new(0)).unwrap();
+        assert_eq!(view.n_users(), 6);
+        // One more is refused with a typed error, not a panic.
+        let vexus = wide_engine(32);
+        let session = vexus.session().unwrap();
+        let err = session.stats_view(GroupId::new(0)).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "schema has 32 attributes, more than the STATS view shows"
+        );
     }
 
     #[test]

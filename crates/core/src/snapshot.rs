@@ -147,7 +147,7 @@ mod tests {
         assert_eq!(loaded.vocab().len(), built.vocab().len());
         assert_eq!(loaded.index().len(), built.index().len());
         assert_eq!(loaded.write_snapshot(), buf);
-        assert_eq!(loaded.build_stats().discovery.algorithm, "snapshot");
+        assert_eq!(loaded.build_stats().algorithm, "snapshot");
         assert_eq!(loaded.snapshot_bytes(), buf.len());
         assert_eq!(built.snapshot_bytes(), 0);
     }

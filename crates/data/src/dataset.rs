@@ -6,8 +6,8 @@
 //!   (demographics, column-major),
 //! * a table of **items** (books, movies, papers, …) with an optional
 //!   category,
-//! * a list of **actions** `[user, item, value]` with a CSR index for
-//!   per-user iteration.
+//! * a list of **actions** `[user, item, value]` with a per-user action
+//!   count.
 //!
 //! The [`Vocabulary`] flattens `(attribute, value)` pairs into dense
 //! [`TokenId`]s; each user's sorted token set is the "transaction" consumed
@@ -63,21 +63,6 @@ impl ItemCatalog {
         &self.item_names[item.index()]
     }
 
-    /// Category label of an item, if any.
-    pub fn category(&self, item: ItemId) -> Option<&str> {
-        let idx = self.item_categories[item.index()];
-        if idx == u32::MAX {
-            None
-        } else {
-            Some(&self.category_labels[idx as usize])
-        }
-    }
-
-    /// All category labels.
-    pub fn category_labels(&self) -> &[String] {
-        &self.category_labels
-    }
-
     /// Heap bytes owned by the catalog (string contents + tables).
     pub fn heap_bytes(&self) -> usize {
         string_table_bytes(&self.item_names)
@@ -104,10 +89,8 @@ pub struct UserData {
     /// Shared item tables; projections hold the same `Arc`.
     items: Arc<ItemCatalog>,
     actions: Vec<Action>,
-    /// CSR offsets into `actions_by_user`: actions of user `u` are
-    /// `actions_by_user[user_offsets[u] .. user_offsets[u+1]]`.
-    user_offsets: Vec<u32>,
-    actions_by_user: Vec<u32>,
+    /// `activity[user]` = number of `actions` by `user`.
+    activity: Vec<u32>,
 }
 
 impl UserData {
@@ -141,16 +124,6 @@ impl UserData {
         &self.user_names[user.index()]
     }
 
-    /// Display name of an item.
-    pub fn item_name(&self, item: ItemId) -> &str {
-        self.items.name(item)
-    }
-
-    /// All item-category labels.
-    pub fn item_category_labels(&self) -> &[String] {
-        self.items.category_labels()
-    }
-
     /// The shared item catalog. Projections of this dataset return the
     /// same `Arc` (pointer-equal), so holding many projections costs one
     /// catalog.
@@ -179,7 +152,7 @@ impl UserData {
 
     /// Number of actions by `user`.
     pub fn user_activity(&self, user: UserId) -> usize {
-        (self.user_offsets[user.index() + 1] - self.user_offsets[user.index()]) as usize
+        self.activity[user.index()] as usize
     }
 
     /// Iterate over all user ids.
@@ -193,7 +166,7 @@ impl UserData {
     /// `0..members.len()` in the same order. The schema, items and category
     /// tables are carried over unchanged (so `ValueId`s — and hence any
     /// global `Vocabulary` — stay valid); actions are filtered to the kept
-    /// users and the CSR index is rebuilt.
+    /// users, whose activity counts carry over.
     ///
     /// The item catalog is *shared*, not cloned: the projection holds the
     /// same [`Arc<ItemCatalog>`], so N concurrent shard projections of a
@@ -225,20 +198,18 @@ impl UserData {
                 ..*a
             })
             .collect();
-        let (user_offsets, actions_by_user) = csr_index(members.len(), &actions);
         UserData {
             schema: Arc::clone(&self.schema),
             user_names,
             columns,
             items: Arc::clone(&self.items),
             actions,
-            user_offsets,
-            actions_by_user,
+            activity: members.iter().map(|&g| self.activity[g as usize]).collect(),
         }
     }
 
-    /// Split off every action, leaving a demographics-only dataset with an
-    /// empty (but valid) CSR action index. The returned actions are in
+    /// Split off every action, leaving a demographics-only dataset whose
+    /// users all have activity 0. The returned actions are in
     /// insertion order, so replaying them through
     /// [`UserData::append_actions`] — in any batching — reconstructs this
     /// dataset exactly. This is the live-deployment splitter: demographics
@@ -246,75 +217,26 @@ impl UserData {
     /// [`crate::stream::ActionStream`].
     pub fn split_actions(mut self) -> (UserData, Vec<Action>) {
         let actions = std::mem::take(&mut self.actions);
-        let (user_offsets, actions_by_user) = csr_index(self.n_users(), &[]);
-        self.user_offsets = user_offsets;
-        self.actions_by_user = actions_by_user;
+        self.activity.fill(0);
         (self, actions)
     }
 
-    /// Append a batch of actions, patching the CSR per-user index in place
-    /// instead of rebuilding it. Actions referencing unknown users or items
-    /// are skipped (a live stream may race ahead of the demographic
+    /// Append a batch of actions. Actions referencing unknown users or
+    /// items are skipped (a live stream may race ahead of the demographic
     /// universe); the number of actions actually applied is returned.
     ///
-    /// The result is indistinguishable from rebuilding: appending in any
-    /// batching yields the same dataset as building with all actions at
-    /// once (appended actions keep insertion order, so within each user
-    /// they land after every existing action — exactly where the full
-    /// CSR-index rebuild would put them). Pinned by tests below.
+    /// Appending in any batching yields the same dataset as building with
+    /// all actions at once. Pinned by tests below.
     pub fn append_actions(&mut self, batch: &[Action]) -> usize {
-        let n_users = self.n_users();
-        let n_items = self.n_items();
-        let applied_from = self.actions.len();
-        self.actions.extend(
-            batch
-                .iter()
-                .filter(|a| a.user.index() < n_users && a.item.index() < n_items),
-        );
-        let applied = &self.actions[applied_from..];
-        if applied.is_empty() {
-            return 0;
-        }
-
-        // Per-user addition counts → new offsets (old + running additions).
-        let mut added = vec![0u32; n_users];
-        for a in applied {
-            added[a.user.index()] += 1;
-        }
-        let old_offsets = std::mem::take(&mut self.user_offsets);
-        let mut new_offsets = Vec::with_capacity(n_users + 1);
-        let mut shift = 0u32;
-        new_offsets.push(0);
-        for u in 0..n_users {
-            shift += added[u];
-            new_offsets.push(old_offsets[u + 1] + shift);
-        }
-
-        // Shift existing per-user slices toward the back, last user first:
-        // every destination is at or past its source, so the descending
-        // walk never overwrites a slice it still has to move.
-        self.actions_by_user
-            .resize(self.actions_by_user.len() + applied.len(), 0);
-        for u in (0..n_users).rev() {
-            let src = old_offsets[u] as usize..old_offsets[u + 1] as usize;
-            let dst = new_offsets[u] as usize;
-            if dst != src.start && !src.is_empty() {
-                self.actions_by_user.copy_within(src, dst);
+        let (n_users, n_items) = (self.n_users(), self.n_items());
+        let before = self.actions.len();
+        for a in batch {
+            if a.user.index() < n_users && a.item.index() < n_items {
+                self.actions.push(*a);
+                self.activity[a.user.index()] += 1;
             }
         }
-
-        // Scatter the new action indices into each user's tail slot, in
-        // insertion order (the same order the full rebuild preserves).
-        let mut cursor: Vec<u32> = (0..n_users)
-            .map(|u| new_offsets[u] + (old_offsets[u + 1] - old_offsets[u]))
-            .collect();
-        for (i, a) in applied.iter().enumerate() {
-            let slot = cursor[a.user.index()];
-            self.actions_by_user[slot as usize] = (applied_from + i) as u32;
-            cursor[a.user.index()] += 1;
-        }
-        self.user_offsets = new_offsets;
-        applied.len()
+        self.actions.len() - before
     }
 
     /// Human-readable `attr=value` description for a user's demographics.
@@ -330,29 +252,17 @@ impl UserData {
     }
 }
 
-/// Build the CSR per-user action index: offsets plus action indices grouped
-/// by user (insertion order preserved within a user).
-fn csr_index(n_users: usize, actions: &[Action]) -> (Vec<u32>, Vec<u32>) {
-    let mut counts = vec![0u32; n_users + 1];
+/// Per-user action counts.
+fn activity(n_users: usize, actions: &[Action]) -> Vec<u32> {
+    let mut counts = vec![0u32; n_users];
     for a in actions {
-        counts[a.user.index() + 1] += 1;
+        counts[a.user.index()] += 1;
     }
-    for i in 1..=n_users {
-        counts[i] += counts[i - 1];
-    }
-    let user_offsets = counts.clone();
-    let mut cursor = counts;
-    let mut actions_by_user = vec![0u32; actions.len()];
-    for (i, a) in actions.iter().enumerate() {
-        let slot = cursor[a.user.index()];
-        actions_by_user[slot as usize] = i as u32;
-        cursor[a.user.index()] += 1;
-    }
-    (user_offsets, actions_by_user)
+    counts
 }
 
 /// Builder for [`UserData`]. Users, items and actions may be added in any
-/// interleaving; `build` finalizes the CSR action index.
+/// interleaving; `build` counts each user's actions.
 #[derive(Debug, Default)]
 pub struct UserDataBuilder {
     schema: Schema,
@@ -475,8 +385,8 @@ impl UserDataBuilder {
 
     /// Finalize into an immutable [`UserData`].
     pub fn build(self) -> UserData {
-        let (user_offsets, actions_by_user) = csr_index(self.user_names.len(), &self.actions);
         UserData {
+            activity: activity(self.user_names.len(), &self.actions),
             schema: Arc::new(self.schema),
             user_names: self.user_names,
             columns: self.columns,
@@ -486,8 +396,6 @@ impl UserDataBuilder {
                 category_labels: self.item_category_labels,
             }),
             actions: self.actions,
-            user_offsets,
-            actions_by_user,
         }
     }
 }
@@ -578,16 +486,28 @@ impl Vocabulary {
 }
 
 #[cfg(test)]
+impl ItemCatalog {
+    /// Category label of an item, if any.
+    pub(crate) fn category(&self, item: ItemId) -> Option<&str> {
+        let idx = self.item_categories[item.index()];
+        (idx != u32::MAX).then(|| self.category_labels[idx as usize].as_str())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A user's actions, read off the by-user CSR.
+    /// A user's actions, in insertion order.
     fn user_actions(d: &UserData, user: UserId) -> impl Iterator<Item = &Action> + '_ {
-        let lo = d.user_offsets[user.index()] as usize;
-        let hi = d.user_offsets[user.index() + 1] as usize;
-        d.actions_by_user[lo..hi]
-            .iter()
-            .map(move |&i| &d.actions[i as usize])
+        d.actions().iter().filter(move |a| a.user == user)
+    }
+
+    /// Every user's activity equals a count over the action list.
+    fn assert_activity_matches_actions(d: &UserData) {
+        for u in d.users() {
+            assert_eq!(d.user_activity(u), user_actions(d, u).count(), "user {u:?}");
+        }
     }
 
     fn small() -> UserData {
@@ -622,24 +542,21 @@ mod tests {
     }
 
     #[test]
-    fn csr_action_index_is_correct() {
+    fn user_activity_counts_each_users_actions() {
         let d = small();
-        let mary = UserId::new(0);
-        let bob = UserId::new(1);
-        let mary_actions: Vec<_> = user_actions(&d, mary).collect();
-        assert_eq!(mary_actions.len(), 2);
-        assert!(mary_actions.iter().all(|a| a.user == mary));
-        assert_eq!(d.user_activity(bob), 1);
+        assert_eq!(d.user_activity(UserId::new(0)), 2);
+        assert_eq!(d.user_activity(UserId::new(1)), 1);
         assert_eq!(d.n_actions(), 3);
+        assert_activity_matches_actions(&d);
     }
 
     #[test]
     fn items_and_categories() {
         let d = small();
         assert_eq!(d.n_items(), 2);
-        assert_eq!(d.item_name(ItemId::new(0)), "Mr Miracle");
+        assert_eq!(d.item_catalog().name(ItemId::new(0)), "Mr Miracle");
         assert_eq!(d.item_catalog().category(ItemId::new(0)), Some("fiction"));
-        assert_eq!(d.item_category_labels(), &["fiction", "scifi"]);
+        assert_eq!(d.item_catalog().category_labels, ["fiction", "scifi"]);
     }
 
     #[test]
@@ -762,7 +679,11 @@ mod tests {
         // Items are shared; only mary's two actions survive, re-indexed.
         assert_eq!(p.n_items(), d.n_items());
         assert_eq!(p.n_actions(), 2);
-        assert!(user_actions(&p, UserId::new(0)).all(|a| a.user == UserId::new(0)));
+        assert_eq!(
+            p.user_activity(UserId::new(0)),
+            d.user_activity(UserId::new(0))
+        );
+        assert_activity_matches_actions(&p);
         // The *global* vocabulary still tokenizes projected users: value
         // ids are shared because the schema is shared.
         let vocab = Vocabulary::build(&d);
@@ -773,7 +694,10 @@ mod tests {
         // Projecting everything is an identity on the visible surface.
         let all = d.project_users(&[0, 1]);
         assert_eq!(all.n_users(), d.n_users());
-        assert_eq!(all.n_actions(), d.n_actions());
+        assert_eq!(all.actions(), d.actions());
+        assert!(d
+            .users()
+            .all(|u| all.user_activity(u) == d.user_activity(u)));
         // Empty projection is valid.
         let none = d.project_users(&[]);
         assert_eq!(none.n_users(), 0);
@@ -833,15 +757,7 @@ mod tests {
         assert!(!Arc::ptr_eq(swapped.item_catalog(), d.item_catalog()));
         assert_eq!(swapped.n_users(), d.n_users());
         assert_eq!(swapped.n_actions(), d.n_actions());
-        assert_eq!(swapped.item_name(ItemId::new(0)), "Mr Miracle");
-    }
-
-    /// The in-place CSR patch must be indistinguishable from a full
-    /// rebuild over the concatenated action list.
-    fn assert_csr_matches_rebuild(d: &UserData) {
-        let (offsets, by_user) = csr_index(d.n_users(), &d.actions);
-        assert_eq!(d.user_offsets, offsets, "offsets != full rebuild");
-        assert_eq!(d.actions_by_user, by_user, "index != full rebuild");
+        assert_eq!(swapped.item_catalog().name(ItemId::new(0)), "Mr Miracle");
     }
 
     #[test]
@@ -857,12 +773,13 @@ mod tests {
         assert_eq!(bare.append_actions(&actions[..1]), 1);
         assert_eq!(bare.append_actions(&actions[1..]), actions.len() - 1);
         assert_eq!(bare.actions(), full.actions());
-        assert_eq!(bare.user_offsets, full.user_offsets);
-        assert_eq!(bare.actions_by_user, full.actions_by_user);
+        assert!(full
+            .users()
+            .all(|u| bare.user_activity(u) == full.user_activity(u)));
     }
 
     #[test]
-    fn append_actions_patches_the_csr_in_place() {
+    fn append_actions_counts_each_users_actions() {
         let mut d = small();
         let dune = ItemId::new(1);
         let batch = [
@@ -884,13 +801,14 @@ mod tests {
         ];
         assert_eq!(d.append_actions(&batch), 3);
         assert_eq!(d.n_actions(), 6);
-        assert_csr_matches_rebuild(&d);
+        assert_eq!(d.user_activity(UserId::new(1)), 3);
+        assert_activity_matches_actions(&d);
         // Per-user order: old actions first, then the batch in order.
         let bob: Vec<f32> = user_actions(&d, UserId::new(1)).map(|a| a.value).collect();
         assert_eq!(bob, vec![2.0, 3.0, 5.0]);
         // Appending nothing is a no-op.
         assert_eq!(d.append_actions(&[]), 0);
-        assert_csr_matches_rebuild(&d);
+        assert_activity_matches_actions(&d);
     }
 
     #[test]
@@ -915,7 +833,7 @@ mod tests {
         ];
         assert_eq!(d.append_actions(&batch), 1);
         assert_eq!(d.n_actions(), 4);
-        assert_csr_matches_rebuild(&d);
+        assert_activity_matches_actions(&d);
     }
 
     #[test]
@@ -953,12 +871,14 @@ mod tests {
                 inc.append_actions(chunk);
             }
             assert_eq!(inc.actions(), at_once.actions(), "split={split}");
-            assert_eq!(inc.user_offsets, at_once.user_offsets, "split={split}");
-            assert_eq!(
-                inc.actions_by_user, at_once.actions_by_user,
-                "split={split}"
-            );
-            assert_csr_matches_rebuild(&inc);
+            for u in base.users() {
+                assert_eq!(
+                    inc.user_activity(u),
+                    at_once.user_activity(u),
+                    "split={split}"
+                );
+            }
+            assert_activity_matches_actions(&inc);
         }
     }
 

@@ -148,11 +148,6 @@ impl Schema {
             .ok_or_else(|| DataError::UnknownAttribute(name.to_string()))
     }
 
-    /// The definition of `attr`.
-    pub fn def(&self, attr: AttrId) -> &AttributeDef {
-        &self.attrs[attr.index()]
-    }
-
     /// Attribute name.
     pub fn attr_name(&self, attr: AttrId) -> &str {
         &self.attrs[attr.index()].name

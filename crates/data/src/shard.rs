@@ -79,11 +79,6 @@ impl ShardPlan {
         Self::build(n_members, n_shards, ShardStrategy::Hash)
     }
 
-    /// Contiguous-partition shorthand.
-    pub fn contiguous(n_members: usize, n_shards: usize) -> Self {
-        Self::build(n_members, n_shards, ShardStrategy::Contiguous)
-    }
-
     /// The strategy the plan was built with.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn contiguous_is_a_balanced_partition() {
         for (n, k) in [(10, 3), (100, 8), (7, 7), (5, 1), (0, 4), (3, 5)] {
-            let plan = ShardPlan::contiguous(n, k);
+            let plan = ShardPlan::build(n, k, ShardStrategy::Contiguous);
             assert_partition(&plan, n);
             let sizes: Vec<usize> = plan.iter().map(<[u32]>::len).collect();
             let (min, max) = (

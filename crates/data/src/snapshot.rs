@@ -594,11 +594,6 @@ impl SnapshotReader {
         Ok(Self { words, sections })
     }
 
-    /// Tags present, in table order.
-    pub fn tags(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sections.iter().map(|&(t, _, _)| t)
-    }
-
     /// Total buffer size in bytes.
     pub fn buffer_bytes(&self) -> usize {
         self.words.len() * 4
@@ -865,7 +860,8 @@ mod tests {
         let buf = two_section_buf();
         assert_eq!(buf.len() % 4, 0);
         let r = SnapshotReader::load(&buf).unwrap();
-        assert_eq!(r.tags().collect::<Vec<_>>(), vec![0x1, 0x2]);
+        let tags: Vec<u32> = r.sections.iter().map(|&(t, _, _)| t).collect();
+        assert_eq!(tags, vec![0x1, 0x2]);
         assert_eq!(r.section_words(0x1).unwrap().as_slice(), &[1, 2, 3]);
         assert_eq!(r.section_bytes_owned(0x2).unwrap(), b"hello");
         assert_eq!(r.buffer_bytes(), buf.len());

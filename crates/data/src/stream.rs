@@ -162,7 +162,6 @@ impl ActionDelta {
 pub struct IngestBuffer {
     pending: Vec<Action>,
     next_epoch: u64,
-    drained: u64,
 }
 
 impl IngestBuffer {
@@ -193,7 +192,6 @@ impl IngestBuffer {
             }
             drained += got;
         }
-        self.drained += drained as u64;
         drained
     }
 
@@ -208,11 +206,6 @@ impl IngestBuffer {
     /// crash between the append and the apply replays the same delta.
     pub fn pending_actions(&self) -> &[Action] {
         &self.pending
-    }
-
-    /// Total actions drained over the buffer's lifetime.
-    pub fn drained(&self) -> u64 {
-        self.drained
     }
 
     /// The epoch stamp the next non-empty cut will carry.
@@ -432,7 +425,6 @@ mod tests {
         assert_eq!(buf.pull(&mut stream, usize::MAX), 6);
         let second = buf.cut();
         assert_eq!((second.epoch, second.len()), (1, 6));
-        assert_eq!(buf.drained(), 10);
         // Delta contents preserve arrival order.
         let all: Vec<f32> = first
             .actions

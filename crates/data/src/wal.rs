@@ -313,7 +313,6 @@ pub struct WalWriter {
     /// Bytes staged by `append` since the last `commit`.
     staged: u64,
     poisoned: bool,
-    frames: u64,
 }
 
 impl WalWriter {
@@ -343,7 +342,6 @@ impl WalWriter {
             committed: WAL_HEADER_BYTES,
             staged: 0,
             poisoned: false,
-            frames: 0,
         })
     }
 
@@ -362,7 +360,6 @@ impl WalWriter {
             committed: scan.valid_bytes().max(WAL_HEADER_BYTES),
             staged: 0,
             poisoned: false,
-            frames: 0,
         };
         w.file.set_len(w.committed).map_err(io_err("truncate"))?;
         if scan.bytes < WAL_HEADER_BYTES {
@@ -424,9 +421,6 @@ impl WalWriter {
         }
         self.committed += staged;
         self.staged = 0;
-        if staged > 0 {
-            self.frames += 1;
-        }
         Ok(staged)
     }
 
@@ -443,11 +437,6 @@ impl WalWriter {
         {
             self.poisoned = true;
         }
-    }
-
-    /// Frames committed through this writer.
-    pub fn frames(&self) -> u64 {
-        self.frames
     }
 }
 
@@ -515,7 +504,6 @@ mod tests {
     fn frames_round_trip_through_a_segment() {
         let path = tmp("roundtrip");
         let w = write_sample(&path, WalSync::PerFrame);
-        assert_eq!(w.frames(), 3);
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.tail, WalTail::Clean);
         assert_eq!(scan.bytes, w.committed);

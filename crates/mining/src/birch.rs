@@ -122,7 +122,6 @@ struct LeafEntry {
 pub struct BirchTree {
     cfg: BirchConfig,
     root: Node,
-    n_points: usize,
 }
 
 impl BirchTree {
@@ -135,13 +134,7 @@ impl BirchTree {
                 entries: Vec::new(),
             },
             cfg,
-            n_points: 0,
         }
-    }
-
-    /// Points inserted so far.
-    pub fn n_points(&self) -> usize {
-        self.n_points
     }
 
     /// Insert one point.
@@ -150,7 +143,6 @@ impl BirchTree {
     /// Panics if `x.len() != cfg.dim`.
     pub fn insert(&mut self, user: u32, x: &[f64]) {
         assert_eq!(x.len(), self.cfg.dim, "feature dimensionality mismatch");
-        self.n_points += 1;
         let cf = ClusteringFeature::of_point(x);
         if let Some((left, right)) = Self::insert_rec(&mut self.root, user, &cf, &self.cfg) {
             // Root split: grow the tree by one level.
@@ -407,8 +399,9 @@ mod tests {
             ];
             tree.insert(u, &x);
         }
-        assert_eq!(tree.n_points(), 300);
         let clusters = tree.clusters();
+        let clustered: usize = clusters.iter().map(|(_, m)| m.len()).sum();
+        assert_eq!(clustered, 300);
         // Every cluster must be pure: all members from the same blob.
         for (_, members) in &clusters {
             let blobs: std::collections::HashSet<usize> =
@@ -477,8 +470,6 @@ mod tests {
             all.sort_unstable();
             let expect: Vec<u32> = (0..points.len() as u32).collect();
             prop_assert_eq!(all, expect);
-            // CF counts agree with membership counts.
-            prop_assert_eq!(tree.n_points(), points.len());
         }
 
         #[test]

@@ -215,27 +215,6 @@ impl MemberSet {
         false
     }
 
-    /// Materialized intersection.
-    pub fn intersect(&self, other: &MemberSet) -> MemberSet {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(a.len().min(b.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        MemberSet {
-            members: out.into(),
-        }
-    }
-
     /// Materialized union.
     pub fn union(&self, other: &MemberSet) -> MemberSet {
         let (a, b) = (self.as_slice(), other.as_slice());
@@ -263,68 +242,6 @@ impl MemberSet {
         MemberSet {
             members: out.into(),
         }
-    }
-
-    /// Materialized difference `self \ other`.
-    pub fn difference(&self, other: &MemberSet) -> MemberSet {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(a.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() {
-            if j >= b.len() {
-                out.extend_from_slice(&a[i..]);
-                break;
-            }
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        MemberSet {
-            members: out.into(),
-        }
-    }
-
-    /// Whether `other ⊆ self`, with early exit on the first member of
-    /// `other` that `self` does not contain. Galloping (exponential search)
-    /// advances through `self`, so verifying a small set against a large
-    /// one is sublinear in `self` — the hot check of the token-major
-    /// [`crate::transactions::TransactionDb::closure`].
-    pub fn contains_all(&self, other: &MemberSet) -> bool {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        if b.len() > a.len() {
-            return false;
-        }
-        let Some(&last) = b.last() else {
-            return true;
-        };
-        if last > a[a.len() - 1] || b[0] < a[0] {
-            return false;
-        }
-        let mut lo = 0usize;
-        for &x in b {
-            if lo >= a.len() {
-                return false;
-            }
-            // Exponential search from `lo` for a window containing x.
-            let mut bound = 1usize;
-            while lo + bound < a.len() && a[lo + bound] < x {
-                bound *= 2;
-            }
-            let hi = (lo + bound + 1).min(a.len());
-            match a[lo..hi].binary_search(&x) {
-                Ok(i) => lo += i + 1,
-                Err(_) => return false,
-            }
-        }
-        true
     }
 
     /// Count of members also present in a boolean mask (indexed by member).
@@ -377,6 +294,32 @@ impl FromIterator<u32> for MemberSet {
     }
 }
 
+/// The oracles' intersection: the reference miner and the tests' recounts
+/// intersect member sets; the shipped miners never materialize one.
+#[cfg(test)]
+impl MemberSet {
+    /// Materialized intersection.
+    pub(crate) fn intersect(&self, other: &MemberSet) -> MemberSet {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        MemberSet {
+            members: out.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +364,6 @@ mod tests {
         assert_eq!(a.intersection_size(&b), 3);
         assert_eq!(a.intersect(&b).as_slice(), &[2, 3, 8]);
         assert_eq!(a.union(&b).as_slice(), &[1, 2, 3, 4, 5, 8, 9]);
-        assert_eq!(a.difference(&b).as_slice(), &[1, 5]);
         assert!(a.overlaps(&b));
         assert!((a.jaccard(&b) - 3.0 / 7.0).abs() < 1e-12);
     }
@@ -434,7 +376,6 @@ mod tests {
         assert_eq!(e.jaccard(&e), materialised_jaccard(&e, &e));
         assert_eq!(e.jaccard(&a), 0.0);
         assert!(!e.overlaps(&a));
-        assert!(a.contains_all(&e));
         assert_eq!(e.union(&a).as_slice(), &[1]);
     }
 
@@ -489,28 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn contains_all_matches_subset_semantics() {
-        let big = ms(&[1, 2, 3, 5, 8, 13, 21, 34]);
-        assert!(big.contains_all(&ms(&[2, 8, 34])));
-        assert!(big.contains_all(&MemberSet::empty()));
-        assert!(big.contains_all(&big.clone()));
-        assert!(!big.contains_all(&ms(&[2, 4])));
-        assert!(!big.contains_all(&ms(&[0, 1])));
-        assert!(!big.contains_all(&ms(&[34, 35])));
-        assert!(!MemberSet::empty().contains_all(&ms(&[1])));
-        // Galloping regime: tiny set verified against a huge one.
-        let huge = MemberSet::from_sorted((0..100_000).map(|x| x * 2).collect());
-        assert!(huge.contains_all(&ms(&[0, 50_000, 199_998])));
-        assert!(!huge.contains_all(&ms(&[0, 50_001])));
-    }
-
-    #[test]
-    fn subset_and_universe() {
+    fn universe_holds_every_id_below_n() {
         let u = MemberSet::universe(10);
-        let s = ms(&[0, 5, 9]);
-        assert!(u.contains_all(&s));
-        assert!(!s.contains_all(&u));
-        assert_eq!(u.len(), 10);
+        assert_eq!(u.as_slice(), (0..10).collect::<Vec<u32>>().as_slice());
     }
 
     #[test]
@@ -541,17 +463,12 @@ mod tests {
             prop_assert_eq!(ma.intersection_size(&mb), sa.intersection(&sb).count());
             let expect_inter: Vec<u32> = sa.intersection(&sb).copied().collect();
             let expect_union: Vec<u32> = sa.union(&sb).copied().collect();
-            let expect_diff: Vec<u32> = sa.difference(&sb).copied().collect();
             let got_inter = ma.intersect(&mb);
             let got_union = ma.union(&mb);
-            let got_diff = ma.difference(&mb);
             prop_assert_eq!(got_inter.as_slice(), expect_inter.as_slice());
             prop_assert_eq!(got_union.as_slice(), expect_union.as_slice());
-            prop_assert_eq!(got_diff.as_slice(), expect_diff.as_slice());
             prop_assert_eq!(ma.jaccard(&mb), materialised_jaccard(&ma, &mb));
             prop_assert_eq!(ma.overlaps(&mb), !sa.is_disjoint(&sb));
-            prop_assert_eq!(ma.contains_all(&mb), sb.is_subset(&sa));
-            prop_assert_eq!(mb.contains_all(&ma), sa.is_subset(&sb));
         }
 
         #[test]
@@ -588,9 +505,7 @@ mod tests {
             prop_assert_eq!(va.intersection_size(&vb), ma.intersection_size(&mb));
             prop_assert_eq!(va.intersect(&vb).as_slice(), ma.intersect(&mb).as_slice());
             prop_assert_eq!(va.union(&vb).as_slice(), ma.union(&mb).as_slice());
-            prop_assert_eq!(va.difference(&vb).as_slice(), ma.difference(&mb).as_slice());
             prop_assert_eq!(va.overlaps(&vb), ma.overlaps(&mb));
-            prop_assert_eq!(va.contains_all(&vb), ma.contains_all(&mb));
             prop_assert!((va.jaccard(&vb) - ma.jaccard(&mb)).abs() < 1e-15);
         }
 

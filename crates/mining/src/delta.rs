@@ -23,7 +23,6 @@
 //! filtered group space and diffs it against the previous epoch into a
 //! [`GroupDelta`] of added / retired / resized groups.
 
-use crate::discovery::DiscoveryStats;
 use crate::group::{GroupId, GroupSet};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
 use vexus_data::{Action, UserData, Vocabulary};
@@ -50,11 +49,6 @@ impl GroupDelta {
     /// Whether the two epochs have identical group spaces.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.retired.is_empty() && self.resized.is_empty()
-    }
-
-    /// Number of groups the delta touches (in either space).
-    pub fn touched(&self) -> usize {
-        self.added.len() + self.retired.len() + self.resized.len()
     }
 }
 
@@ -132,7 +126,6 @@ pub struct DeltaDiscovery {
     arrivals: u64,
     min_group_size: usize,
     prev: GroupSet,
-    epochs_cut: u64,
 }
 
 impl DeltaDiscovery {
@@ -148,7 +141,6 @@ impl DeltaDiscovery {
             arrivals: 0,
             min_group_size,
             prev: GroupSet::new(),
-            epochs_cut: 0,
         }
     }
 
@@ -189,11 +181,6 @@ impl DeltaDiscovery {
         &self.seen
     }
 
-    /// Epochs cut so far (one per [`DeltaDiscovery::epoch`] call).
-    pub fn epochs_cut(&self) -> u64 {
-        self.epochs_cut
-    }
-
     /// Reassemble a driver from checkpointed parts: the rebuilt miner
     /// ([`StreamMiner::from_state`]), the arrival bits, and the previous
     /// epoch's canonical space (`prev` — the group space of the engine
@@ -206,7 +193,6 @@ impl DeltaDiscovery {
         arrivals: u64,
         min_group_size: usize,
         prev: GroupSet,
-        epochs_cut: u64,
     ) -> Self {
         Self {
             miner,
@@ -214,12 +200,10 @@ impl DeltaDiscovery {
             arrivals,
             min_group_size,
             prev,
-            epochs_cut,
         }
     }
 
-    /// The underlying miner (telemetry: `n_seen`, `table_size`,
-    /// `evictions`).
+    /// The underlying miner, whose state checkpoints persist.
     pub fn miner(&self) -> &StreamMiner {
         &self.miner
     }
@@ -239,23 +223,7 @@ impl DeltaDiscovery {
         let groups = canonicalize(groups);
         let delta = diff(&self.prev, &groups);
         self.prev = groups.clone();
-        self.epochs_cut += 1;
         (groups, delta)
-    }
-
-    /// Discovery stats for the space cut by the last [`DeltaDiscovery::epoch`]
-    /// call, with the miner's stream telemetry filled in — the same
-    /// observability surface a batch run reports.
-    pub fn stats(&self) -> DiscoveryStats {
-        DiscoveryStats {
-            algorithm: "stream-fim-delta",
-            groups_discovered: self.prev.len(),
-            candidates_considered: self.miner.table_size(),
-            stream_n_seen: self.miner.n_seen(),
-            stream_table_size: self.miner.table_size(),
-            stream_evictions: self.miner.evictions(),
-            ..Default::default()
-        }
     }
 }
 
@@ -293,7 +261,6 @@ mod tests {
         let a = space(&[(&[1], &[0, 1]), (&[2], &[1, 2])]);
         let d = diff(&a, &a.clone());
         assert!(d.is_empty());
-        assert_eq!(d.touched(), 0);
     }
 
     #[test]
@@ -307,7 +274,6 @@ mod tests {
         assert_eq!(d.added, vec![GroupId::new(2)]);
         assert_eq!(d.retired, vec![GroupId::new(2)]);
         assert_eq!(d.resized, vec![(GroupId::new(1), GroupId::new(1))]);
-        assert_eq!(d.touched(), 3);
     }
 
     #[test]
@@ -388,12 +354,7 @@ mod tests {
         let (third, d2) = dd.epoch();
         assert!(d2.is_empty());
         assert_eq!(third, second);
-
-        // Telemetry mirrors the miner.
-        let stats = dd.stats();
-        assert_eq!(stats.algorithm, "stream-fim-delta");
-        assert_eq!(stats.stream_n_seen, 6);
-        assert_eq!(stats.groups_discovered, 2);
+        assert_eq!(dd.groups(), &second);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! can be employed." This module is that seam as a first-class trait:
 //! every algorithm in the crate is exposed as a [`GroupDiscovery`] backend
 //! taking `(&UserData, &Vocabulary)` and returning a [`DiscoveryOutcome`]
-//! (a [`GroupSet`] plus [`DiscoveryStats`]), so the engine, the experiment
+//! (the discovered [`GroupSet`]), so the engine, the experiment
 //! harness and future scaling work (sharded discovery, async refresh,
 //! remote backends) all plug in behind one interface.
 //!
@@ -25,7 +25,7 @@ use crate::features::Featurizer;
 use crate::group::GroupSet;
 use crate::lcm::{mine_closed_groups, LcmConfig};
 use crate::momri::{discover as momri_discover, MomriConfig};
-use crate::sharded::{EnsembleDiscovery, MergeStrategy, MergeTelemetry, ShardedDiscovery};
+use crate::sharded::{EnsembleDiscovery, MergeStrategy, ShardedDiscovery};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
 use crate::transactions::TransactionDb;
 use vexus_data::{ShardStrategy, UserData, Vocabulary};
@@ -44,51 +44,19 @@ pub struct ShardStats {
     pub groups_discovered: usize,
 }
 
-/// Counts reported by one discovery run.
-#[derive(Debug, Clone, Default)]
-pub struct DiscoveryStats {
-    /// Backend name (`"lcm"`, `"momri"`, `"birch"`, `"stream-fim"`,
-    /// `"sharded"`, `"ensemble"`).
-    pub algorithm: &'static str,
-    /// Groups returned (before any engine-side size filtering).
-    pub groups_discovered: usize,
-    /// Internal candidates examined, where the algorithm counts them
-    /// (closed sets for LCM/MOMRI, tracked itemsets for stream FIM, CF
-    /// leaf entries for BIRCH; pre-merge groups for sharded/ensemble runs).
-    pub candidates_considered: usize,
-    /// Per-shard (or per-ensemble-member) breakdown; empty for plain
-    /// single-pass runs.
-    pub shards: Vec<ShardStats>,
-    /// What the merge stage reported about its closure exchange (all zero
-    /// for plain runs, when the exchange is disabled, or when it is
-    /// skipped because at most one full-data part contributed
-    /// descriptions).
-    pub merge: MergeTelemetry,
-    /// Stream-miner transactions observed over the miner's lifetime
-    /// (zero for non-stream backends). For live refreshes this is
-    /// cumulative across epochs, so batch and incremental runs report the
-    /// same telemetry surface.
-    pub stream_n_seen: u64,
-    /// Itemset entries the stream miner held in-core when the group space
-    /// was materialized (zero for non-stream backends).
-    pub stream_table_size: usize,
-    /// Itemset entries evicted by the stream miner's bucket-boundary
-    /// pruning over its lifetime (zero for non-stream backends).
-    pub stream_evictions: u64,
-}
-
-/// The result of one discovery run.
+/// The result of one discovery run. It stays a struct only because the
+/// benchmark's build workload reads `outcome.groups`; it collapses to the
+/// [`GroupSet`] itself once that workload no longer does.
 #[derive(Debug)]
 pub struct DiscoveryOutcome {
     /// The discovered group space.
     pub groups: GroupSet,
-    /// Run statistics.
-    pub stats: DiscoveryStats,
 }
 
 /// A pluggable offline group-discovery algorithm.
 pub trait GroupDiscovery {
-    /// Stable backend name for stats and reports.
+    /// Stable backend name, reported as [`ShardStats::algorithm`] and as
+    /// the engine's build algorithm.
     fn name(&self) -> &'static str;
 
     /// Discover groups over a dataset. Implementations must be
@@ -118,14 +86,9 @@ impl GroupDiscovery for LcmDiscovery {
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
         let db = TransactionDb::build(data, vocab);
-        let groups = mine_closed_groups(&db, &self.config);
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered: groups.len(),
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome {
+            groups: mine_closed_groups(&db, &self.config),
+        }
     }
 }
 
@@ -154,7 +117,6 @@ impl GroupDiscovery for MomriDiscovery {
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
         let db = TransactionDb::build(data, vocab);
         let result = momri_discover(&db, &self.config);
-        let candidates_considered = result.candidates.len();
         let mut groups = GroupSet::new();
         let mut seen = std::collections::BTreeSet::new();
         for sol in &result.front {
@@ -164,13 +126,7 @@ impl GroupDiscovery for MomriDiscovery {
                 }
             }
         }
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered,
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome { groups }
     }
 }
 
@@ -217,15 +173,9 @@ impl GroupDiscovery for BirchDiscovery {
         for u in data.users() {
             tree.insert(u.raw(), &featurizer.features(data, u));
         }
-        let candidates_considered = tree.clusters().len();
-        let groups = tree.into_groups(self.min_cluster_size);
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered,
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome {
+            groups: tree.into_groups(self.min_cluster_size),
+        }
     }
 }
 
@@ -254,18 +204,9 @@ impl GroupDiscovery for StreamFimDiscovery {
         for u in data.users() {
             miner.observe(u.raw(), &vocab.user_tokens(data, u));
         }
-        let candidates_considered = miner.table_size();
-        let groups = miner.groups();
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered,
-            stream_n_seen: miner.n_seen(),
-            stream_table_size: miner.table_size(),
-            stream_evictions: miner.evictions(),
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome {
+            groups: miner.groups(),
+        }
     }
 }
 
@@ -384,15 +325,10 @@ impl DiscoverySelection {
         }
     }
 
-    /// Combine several selections into an ensemble behind `merge`.
-    pub fn ensemble(members: Vec<DiscoverySelection>, merge: MergeSelection) -> Self {
-        Self::Ensemble { members, merge }
-    }
-
     /// Materialize a base (non-composite) variant's concrete backend —
     /// the single place each variant's configuration becomes a backend
     /// value, shared by the plain and sharded paths of
-    /// [`DiscoverySelection::backend`]. `None` for composite variants.
+    /// [`DiscoverySelection::backend_with`]. `None` for composite variants.
     fn base_backend(&self, min_group_size: usize) -> Option<BaseBackend> {
         Some(match self.clone() {
             Self::Lcm {
@@ -427,28 +363,17 @@ impl DiscoverySelection {
     }
 
     /// Materialize the selected backend. `min_group_size` supplies support
-    /// floors for variants that key off group size. Composite variants
-    /// merge with auto-sized recount parallelism and one closure exchange
-    /// round (the exactness default); see
-    /// [`DiscoverySelection::backend_with`] for explicit knobs.
+    /// floors for variants that key off group size. The composite variants
+    /// take an explicit worker count for their merge recount (`0` =
+    /// available parallelism — purely a performance knob: the merged group
+    /// space is byte-identical at any count) and an explicit cross-shard
+    /// closure exchange round count (`0` disables the exchange and with it
+    /// the oversharded-regime exactness guarantee; see
+    /// [`crate::sharded::MergeContext::exchange_rounds`]).
     ///
     /// # Panics
     /// If a [`DiscoverySelection::Sharded`] wraps anything but the four
     /// base variants (nest the other way round: ensemble of sharded).
-    pub fn backend(&self, min_group_size: usize) -> Box<dyn GroupDiscovery> {
-        self.backend_with(min_group_size, 0, 1)
-    }
-
-    /// As [`DiscoverySelection::backend`], with an explicit worker count
-    /// for the composite variants' merge recount (`0` = available
-    /// parallelism — purely a performance knob: the merged group space is
-    /// byte-identical at any count) and an explicit cross-shard closure
-    /// exchange round count (`0` disables the exchange and with it the
-    /// oversharded-regime exactness guarantee; see
-    /// [`crate::sharded::MergeContext::exchange_rounds`]).
-    ///
-    /// # Panics
-    /// As [`DiscoverySelection::backend`].
     pub fn backend_with(
         &self,
         min_group_size: usize,
@@ -556,8 +481,6 @@ mod tests {
         })
         .discover(&data, &vocab);
         assert!(out.groups.len() > 20, "got {}", out.groups.len());
-        assert_eq!(out.stats.algorithm, "lcm");
-        assert_eq!(out.stats.groups_discovered, out.groups.len());
     }
 
     #[test]
@@ -583,7 +506,6 @@ mod tests {
         // The candidate space is what the front was chosen from, not the
         // engine's group space.
         assert!(out.groups.len() < result.candidates.len());
-        assert_eq!(out.stats.candidates_considered, result.candidates.len());
     }
 
     #[test]
@@ -595,32 +517,26 @@ mod tests {
         assert!(out.groups.iter().all(|(_, g)| g.description.is_empty()));
         // No group smaller than the floor.
         assert!(out.groups.iter().all(|(_, g)| g.size() >= 5));
-        assert_eq!(out.stats.algorithm, "birch");
     }
 
     #[test]
     fn stream_backend_observes_every_user_once() {
         let (data, vocab) = fixture();
-        let out = StreamFimDiscovery::new(StreamFimConfig {
+        let config = StreamFimConfig {
             support: 0.05,
             epsilon: 0.01,
             max_len: 3,
-        })
-        .discover(&data, &vocab);
+        };
+        let out = StreamFimDiscovery::new(config.clone()).discover(&data, &vocab);
         assert!(!out.groups.is_empty());
         assert!(out.groups.iter().all(|(_, g)| !g.description.is_empty()));
-        // Stream telemetry surfaces in the stats.
-        assert_eq!(out.stats.stream_n_seen, data.n_users() as u64);
-        assert_eq!(out.stats.stream_table_size, out.stats.candidates_considered);
-    }
-
-    #[test]
-    fn non_stream_backends_report_zero_stream_telemetry() {
-        let (data, vocab) = fixture();
-        let out = LcmDiscovery::default().discover(&data, &vocab);
-        assert_eq!(out.stats.stream_n_seen, 0);
-        assert_eq!(out.stats.stream_table_size, 0);
-        assert_eq!(out.stats.stream_evictions, 0);
+        // The same space as a miner fed each user's transaction once.
+        let mut miner = StreamMiner::new(config);
+        for u in data.users() {
+            miner.observe(u.raw(), &vocab.user_tokens(&data, u));
+        }
+        assert_eq!(miner.n_seen(), data.n_users() as u64);
+        assert_eq!(out.groups, miner.groups());
     }
 
     #[test]
@@ -642,14 +558,13 @@ mod tests {
             },
         ];
         for sel in selections {
-            let backend = sel.backend(5);
+            let backend = sel.backend_with(5, 0, 1);
             let out = backend.discover(&data, &vocab);
             assert!(
                 !out.groups.is_empty(),
                 "backend {} produced no groups",
                 backend.name()
             );
-            assert_eq!(out.stats.algorithm, backend.name());
         }
     }
 
@@ -657,12 +572,12 @@ mod tests {
     fn discovery_is_deterministic() {
         let (data, vocab) = fixture();
         for backend in [
-            DiscoverySelection::default().backend(5),
+            DiscoverySelection::default().backend_with(5, 0, 1),
             DiscoverySelection::Birch {
                 branching: 10,
                 threshold: 1.6,
             }
-            .backend(5),
+            .backend_with(5, 0, 1),
         ] {
             let a = backend.discover(&data, &vocab);
             let b = backend.discover(&data, &vocab);

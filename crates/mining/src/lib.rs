@@ -61,8 +61,8 @@ pub mod transactions;
 pub use bitmap::MemberSet;
 pub use delta::{DeltaDiscovery, GroupDelta};
 pub use discovery::{
-    BirchDiscovery, DiscoveryOutcome, DiscoverySelection, DiscoveryStats, GroupDiscovery,
-    LcmDiscovery, MergeSelection, MomriDiscovery, ShardStats, StreamFimDiscovery,
+    BirchDiscovery, DiscoveryOutcome, DiscoverySelection, GroupDiscovery, LcmDiscovery,
+    MergeSelection, MomriDiscovery, ShardStats, StreamFimDiscovery,
 };
 pub use features::Featurizer;
 pub use group::{Group, GroupId, GroupSet};

@@ -100,7 +100,7 @@
 
 use crate::bitmap::MemberSet;
 use crate::discovery::{BirchDiscovery, LcmDiscovery, MomriDiscovery, StreamFimDiscovery};
-use crate::discovery::{DiscoveryOutcome, DiscoveryStats, GroupDiscovery, ShardStats};
+use crate::discovery::{DiscoveryOutcome, GroupDiscovery, ShardStats};
 use crate::group::{Group, GroupSet};
 use crate::transactions::TransactionDb;
 use std::collections::BTreeMap;
@@ -1057,13 +1057,7 @@ impl MergeStrategy {
     /// exchange rounds before the recount, and fans both stages out over
     /// `ctx.threads` workers. The merged output is byte-identical for
     /// every thread count (chunked, deterministically re-concatenated).
-    pub fn merge_in(&self, parts: Vec<GroupSet>, ctx: &MergeContext<'_>) -> GroupSet {
-        self.merge_in_traced(parts, ctx).0
-    }
-
-    /// As [`MergeStrategy::merge_in`], additionally reporting
-    /// [`MergeTelemetry`] (exchange rounds run, descriptions added, and
-    /// wall-clock) for the discovery driver's stats.
+    /// Also returns the exchange's [`MergeTelemetry`].
     pub fn merge_in_traced(
         &self,
         parts: Vec<GroupSet>,
@@ -1255,8 +1249,8 @@ impl MergeStrategy {
 ///
 /// The backend must be [`ShardScaled`] (so the driver can scale its
 /// absolute thresholds per shard) and `Sync` (workers share it by
-/// reference). Member ids in the merged outcome are global; per-shard
-/// timings land in [`DiscoveryStats::shards`].
+/// reference). Member ids in the merged outcome are global;
+/// [`ShardedDiscovery::mine_parts`] reports what each shard covered.
 #[derive(Debug, Clone)]
 pub struct ShardedDiscovery<B> {
     /// The prototype backend; each shard runs `backend.for_shard(f)`.
@@ -1368,7 +1362,7 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
             .min(n_shards)
             .max(1);
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut per_shard: Vec<(usize, DiscoveryOutcome, usize)> =
+        let mut per_shard: Vec<(usize, &'static str, GroupSet, usize)> =
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -1389,9 +1383,9 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
                                     data.schema().len(),
                                     recount_witnesses,
                                 );
-                                let mut outcome = worker.discover(&shard_data, vocab);
-                                outcome.groups = remap_to_global(outcome.groups, members);
-                                mined.push((s, outcome, members.len()));
+                                let groups = worker.discover(&shard_data, vocab).groups;
+                                let groups = remap_to_global(groups, members);
+                                mined.push((s, worker.name(), groups, members.len()));
                             }
                             mined
                         })
@@ -1405,18 +1399,18 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
             .expect("shard scope");
         // Claim order is racy; shard order (and hence merge input order)
         // must not be.
-        per_shard.sort_by_key(|&(s, _, _)| s);
+        per_shard.sort_by_key(|&(s, ..)| s);
 
         let mut shard_stats = Vec::with_capacity(per_shard.len());
         let mut parts = Vec::with_capacity(per_shard.len());
-        for (shard, outcome, members) in per_shard {
+        for (shard, algorithm, groups, members) in per_shard {
             shard_stats.push(ShardStats {
                 shard,
-                algorithm: outcome.stats.algorithm,
+                algorithm,
                 members,
-                groups_discovered: outcome.stats.groups_discovered,
+                groups_discovered: groups.len(),
             });
-            parts.push(outcome.groups);
+            parts.push(groups);
         }
         (parts, shard_stats)
     }
@@ -1428,11 +1422,10 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let (parts, shard_stats) = self.mine_parts(data, vocab);
-        let pre_merge = parts.iter().map(GroupSet::len).sum();
+        let (parts, _) = self.mine_parts(data, vocab);
         // Build the global database once, outside the strategy, so the
         // merge layer never rebuilds it (and callers re-merging through
-        // `merge_in` can share one too).
+        // `merge_in_traced` can share one too).
         let recounting = matches!(self.merge, MergeStrategy::SupportRecount { .. });
         let db = recounting.then(|| TransactionDb::build(data, vocab));
         // `partial_parts` tells the merge the parts are shard-local, so
@@ -1445,18 +1438,11 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
         if let Some(db) = db.as_ref() {
             ctx = ctx.with_db(db);
         }
-        let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
+        let (groups, _) = self.merge.merge_in_traced(parts, &ctx);
         // Re-apply the user's output caps that per-shard adaptation lifted.
-        let groups = self.backend.finish_merge(groups);
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered: pre_merge,
-            shards: shard_stats,
-            merge,
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome {
+            groups: self.backend.finish_merge(groups),
+        }
     }
 }
 
@@ -1464,8 +1450,7 @@ impl<B: GroupDiscovery + ShardScaled + Sync> GroupDiscovery for ShardedDiscovery
 ///
 /// Members run sequentially (each may itself be a parallel
 /// [`ShardedDiscovery`]); their outcomes fold through the same
-/// [`MergeStrategy`] the sharded driver uses, and each member's run is
-/// reported as one entry of [`DiscoveryStats::shards`].
+/// [`MergeStrategy`] the sharded driver uses.
 pub struct EnsembleDiscovery {
     backends: Vec<Box<dyn GroupDiscovery>>,
     /// How member group spaces fold into one.
@@ -1528,12 +1513,6 @@ impl EnsembleDiscovery {
         self.backends.push(backend);
     }
 
-    /// Builder-style: add a member backend.
-    pub fn with(mut self, backend: impl GroupDiscovery + 'static) -> Self {
-        self.push(Box::new(backend));
-        self
-    }
-
     /// Number of member backends.
     pub fn len(&self) -> usize {
         self.backends.len()
@@ -1551,20 +1530,11 @@ impl GroupDiscovery for EnsembleDiscovery {
     }
 
     fn discover(&self, data: &UserData, vocab: &Vocabulary) -> DiscoveryOutcome {
-        let mut shard_stats = Vec::with_capacity(self.backends.len());
-        let mut parts = Vec::with_capacity(self.backends.len());
-        let mut pre_merge = 0usize;
-        for (i, backend) in self.backends.iter().enumerate() {
-            let outcome = backend.discover(data, vocab);
-            pre_merge += outcome.groups.len();
-            shard_stats.push(ShardStats {
-                shard: i,
-                algorithm: outcome.stats.algorithm,
-                members: data.n_users(),
-                groups_discovered: outcome.stats.groups_discovered,
-            });
-            parts.push(outcome.groups);
-        }
+        let parts = self
+            .backends
+            .iter()
+            .map(|backend| backend.discover(data, vocab).groups)
+            .collect();
         let db = matches!(self.merge, MergeStrategy::SupportRecount { .. })
             .then(|| TransactionDb::build(data, vocab));
         let mut ctx = MergeContext::new(data, vocab)
@@ -1574,16 +1544,9 @@ impl GroupDiscovery for EnsembleDiscovery {
         if let Some(db) = db.as_ref() {
             ctx = ctx.with_db(db);
         }
-        let (groups, merge) = self.merge.merge_in_traced(parts, &ctx);
-        let stats = DiscoveryStats {
-            algorithm: self.name(),
-            groups_discovered: groups.len(),
-            candidates_considered: pre_merge,
-            shards: shard_stats,
-            merge,
-            ..Default::default()
-        };
-        DiscoveryOutcome { groups, stats }
+        DiscoveryOutcome {
+            groups: self.merge.merge_in_traced(parts, &ctx).0,
+        }
     }
 }
 
@@ -1671,6 +1634,22 @@ mod tests {
             max_description: 8,
             ..Default::default()
         })
+    }
+
+    /// [`ShardedDiscovery::discover`]'s merge stage, spelled out so a test
+    /// reads the exchange's [`MergeTelemetry`].
+    fn merge_telemetry<B: GroupDiscovery + ShardScaled + Sync>(
+        driver: &ShardedDiscovery<B>,
+        data: &UserData,
+        vocab: &Vocabulary,
+    ) -> MergeTelemetry {
+        let (parts, _) = driver.mine_parts(data, vocab);
+        let db = TransactionDb::build(data, vocab);
+        let ctx = MergeContext::new(data, vocab)
+            .with_db(&db)
+            .with_exchange_rounds(driver.exchange_rounds)
+            .with_partial_parts(driver.shards > 1);
+        driver.merge.merge_in_traced(parts, &ctx).1
     }
 
     #[test]
@@ -1928,11 +1907,15 @@ mod tests {
                 normalize(&sharded.groups),
                 "{shards}-shard recount diverged from the global mine"
             );
-            assert_eq!(sharded.stats.algorithm, "sharded");
-            assert_eq!(sharded.stats.shards.len(), shards);
-            assert!(sharded.stats.shards.iter().all(|s| s.algorithm == "lcm"));
-            let covered: usize = sharded.stats.shards.iter().map(|s| s.members).sum();
+            let driver = ShardedDiscovery::new(lcm(10), shards).support_recount(10);
+            let (parts, stats) = driver.mine_parts(&data, &vocab);
+            assert_eq!(stats.len(), shards);
+            assert!(stats.iter().all(|s| s.algorithm == "lcm"));
+            let covered: usize = stats.iter().map(|s| s.members).sum();
             assert_eq!(covered, data.n_users());
+            for (part, s) in parts.iter().zip(&stats) {
+                assert_eq!(part.len(), s.groups_discovered);
+            }
         }
     }
 
@@ -1950,10 +1933,10 @@ mod tests {
             normalize(&lcm(10).discover(&data, &vocab).groups)
                 .into_iter()
                 .collect();
-        let outcome = ShardedDiscovery::new(lcm(10), 8)
+        let driver = ShardedDiscovery::new(lcm(10), 8)
             .support_recount(10)
-            .with_exchange_rounds(0)
-            .discover(&data, &vocab);
+            .with_exchange_rounds(0);
+        let outcome = driver.discover(&data, &vocab);
         let sharded: std::collections::BTreeSet<_> =
             normalize(&outcome.groups).into_iter().collect();
         assert!(
@@ -1962,8 +1945,9 @@ mod tests {
         );
         let recall = sharded.len() as f64 / single.len() as f64;
         assert!(recall >= 0.95, "recall degraded too far: {recall:.3}");
-        assert_eq!(outcome.stats.merge.exchange_rounds_run, 0);
-        assert_eq!(outcome.stats.merge.exchange_candidates, 0);
+        let telemetry = merge_telemetry(&driver, &data, &vocab);
+        assert_eq!(telemetry.exchange_rounds_run, 0);
+        assert_eq!(telemetry.exchange_candidates, 0);
     }
 
     #[test]
@@ -1973,25 +1957,19 @@ mod tests {
         // space equals the unsharded mine.
         let (data, vocab) = fixture();
         let single = normalize(&lcm(10).discover(&data, &vocab).groups);
-        let outcome = ShardedDiscovery::new(lcm(10), 8)
-            .support_recount(10)
-            .discover(&data, &vocab);
-        assert_eq!(single, normalize(&outcome.groups));
-        assert_eq!(outcome.stats.merge.exchange_rounds_run, 1);
+        let driver = ShardedDiscovery::new(lcm(10), 8).support_recount(10);
+        assert_eq!(single, normalize(&driver.discover(&data, &vocab).groups));
+        let one = merge_telemetry(&driver, &data, &vocab);
+        assert_eq!(one.exchange_rounds_run, 1);
         assert!(
-            outcome.stats.merge.exchange_candidates > 0,
+            one.exchange_candidates > 0,
             "the oversharded regime should exercise the exchange"
         );
         // A second round is a fixpoint no-op: same space, same worklist.
-        let two = ShardedDiscovery::new(lcm(10), 8)
-            .support_recount(10)
-            .with_exchange_rounds(2)
-            .discover(&data, &vocab);
-        assert_eq!(single, normalize(&two.groups));
-        assert_eq!(
-            two.stats.merge.exchange_candidates,
-            outcome.stats.merge.exchange_candidates
-        );
+        let driver = driver.with_exchange_rounds(2);
+        assert_eq!(single, normalize(&driver.discover(&data, &vocab).groups));
+        let two = merge_telemetry(&driver, &data, &vocab);
+        assert_eq!(two.exchange_candidates, one.exchange_candidates);
     }
 
     #[test]
@@ -2242,7 +2220,7 @@ mod tests {
         let merge = MergeStrategy::SupportRecount { min_support: 3 };
         let ctx = MergeContext::new(&dummy, &vocab).with_db(&db);
         // Taken as a full-data part, {0,1} (support 2) just vanishes.
-        let plain = merge.merge_in(vec![part.clone()], &ctx);
+        let (plain, _) = merge.merge_in_traced(vec![part.clone()], &ctx);
         assert!(plain.is_empty());
         // Declared a shard projection, the exchange surfaces {0}.
         let (recovered, telemetry) =
@@ -2311,12 +2289,12 @@ mod tests {
         let ctx = MergeContext::new(&dummy, &vocab)
             .with_db(&db)
             .with_partial_parts(true);
-        let dropped = merge.merge_in(parts.clone(), &ctx);
+        let (dropped, _) = merge.merge_in_traced(parts.clone(), &ctx);
         assert!(
             dropped.iter().all(|(_, g)| g.description != d(&[0])),
             "default context normalizes the population group out"
         );
-        let kept = merge.merge_in(parts, &ctx.with_keep_population_group(true));
+        let (kept, _) = merge.merge_in_traced(parts, &ctx.with_keep_population_group(true));
         assert_eq!(normalize(&kept), normalize(&single));
     }
 
@@ -2365,7 +2343,7 @@ mod tests {
         let dummy = vexus_data::UserDataBuilder::new(vexus_data::Schema::new()).build();
         let vocab = Vocabulary::build(&dummy);
         let merge = MergeStrategy::SupportRecount { min_support: 2 };
-        let merged = merge.merge_in(
+        let (merged, _) = merge.merge_in_traced(
             parts,
             &MergeContext::new(&dummy, &vocab)
                 .with_db(&db)
@@ -2422,8 +2400,8 @@ mod tests {
         };
         let a = GroupSet::from_groups(vec![gs(&[1], &[0, 1]), gs(&[], &[5, 6])]);
         let b = GroupSet::from_groups(vec![gs(&[1], &[2, 3]), gs(&[2], &[9])]);
-        let merged = MergeStrategy::DedupByDescription
-            .merge_in(vec![a, b], &MergeContext::new(&data, &vocab));
+        let (merged, _) = MergeStrategy::DedupByDescription
+            .merge_in_traced(vec![a, b], &MergeContext::new(&data, &vocab));
         let norm = normalize(&merged);
         assert!(norm.contains(&(vec![TokenId::new(1)], vec![0, 1, 2, 3])));
         assert!(norm.contains(&(vec![TokenId::new(2)], vec![9])));
@@ -2447,13 +2425,19 @@ mod tests {
         // exchange runs (two contributing parts), reports its telemetry,
         // and — by the fixpoint property — adds nothing to the space.
         let (data, vocab) = fixture();
-        let single = normalize(&lcm(10).discover(&data, &vocab).groups);
-        let out = EnsembleDiscovery::new(MergeStrategy::SupportRecount { min_support: 10 })
-            .with(lcm(10))
-            .with(lcm(10))
-            .discover(&data, &vocab);
-        assert_eq!(single, normalize(&out.groups));
-        assert_eq!(out.stats.merge.exchange_rounds_run, 1);
+        let single = lcm(10).discover(&data, &vocab).groups;
+        let merge = MergeStrategy::SupportRecount { min_support: 10 };
+        let mut ensemble = EnsembleDiscovery::new(merge.clone());
+        ensemble.push(Box::new(lcm(10)));
+        ensemble.push(Box::new(lcm(10)));
+        let out = ensemble.discover(&data, &vocab);
+        assert_eq!(normalize(&single), normalize(&out.groups));
+        // The same merge, spelled out: the exchange ran one round.
+        let db = TransactionDb::build(&data, &vocab);
+        let ctx = MergeContext::new(&data, &vocab).with_db(&db);
+        let (merged, telemetry) = merge.merge_in_traced(vec![single.clone(), single], &ctx);
+        assert_eq!(telemetry.exchange_rounds_run, 1);
+        assert_eq!(normalize(&merged), normalize(&out.groups));
     }
 
     #[test]
@@ -2482,35 +2466,39 @@ mod tests {
         let single = normalize(&rooted.discover(&data, &vocab).groups);
         assert_eq!(single.len(), 3, "root {{red}} plus the two shape groups");
         let merge = MergeStrategy::SupportRecount { min_support: 2 };
-        let dropped = EnsembleDiscovery::new(merge.clone())
-            .with(rooted.clone())
-            .with(rooted.clone())
-            .discover(&data, &vocab);
+        let mut dropped = EnsembleDiscovery::new(merge.clone());
+        dropped.push(Box::new(rooted.clone()));
+        dropped.push(Box::new(rooted.clone()));
+        let dropped = dropped.discover(&data, &vocab);
         assert_eq!(
             dropped.groups.len(),
             2,
             "default recount normalizes the population group out"
         );
-        let kept = EnsembleDiscovery::new(merge)
-            .with(rooted.clone())
-            .with(rooted)
-            .with_keep_population_group(true)
-            .discover(&data, &vocab);
+        let mut kept = EnsembleDiscovery::new(merge).with_keep_population_group(true);
+        kept.push(Box::new(rooted.clone()));
+        kept.push(Box::new(rooted));
+        let kept = kept.discover(&data, &vocab);
         assert_eq!(single, normalize(&kept.groups));
     }
 
     #[test]
     fn ensemble_unions_described_and_clustered_groups() {
         let (data, vocab) = fixture();
-        let ensemble = EnsembleDiscovery::new(MergeStrategy::Union)
-            .with(lcm(10))
-            .with(BirchDiscovery::default());
+        let mut ensemble = EnsembleDiscovery::new(MergeStrategy::Union);
+        ensemble.push(Box::new(lcm(10)));
+        ensemble.push(Box::new(BirchDiscovery::default()));
         assert_eq!(ensemble.len(), 2);
         let out = ensemble.discover(&data, &vocab);
-        assert_eq!(out.stats.algorithm, "ensemble");
-        assert_eq!(out.stats.shards.len(), 2);
-        assert_eq!(out.stats.shards[0].algorithm, "lcm");
-        assert_eq!(out.stats.shards[1].algorithm, "birch");
+        // Both members ran: the union holds each one's space, in order.
+        let mut both = lcm(10).discover(&data, &vocab).groups.into_vec();
+        both.extend(
+            BirchDiscovery::default()
+                .discover(&data, &vocab)
+                .groups
+                .into_vec(),
+        );
+        assert_eq!(out.groups, GroupSet::from_groups(both));
         let described = out
             .groups
             .iter()
@@ -2524,40 +2512,68 @@ mod tests {
     #[test]
     fn selection_wires_sharded_and_ensemble_backends() {
         let (data, vocab) = fixture();
-        let sharded = DiscoverySelection::default().sharded(4).backend(10);
-        let out = sharded.discover(&data, &vocab);
-        assert_eq!(out.stats.algorithm, "sharded");
-        assert_eq!(out.stats.shards.len(), 4);
-        assert!(!out.groups.is_empty());
+        let sharded = DiscoverySelection::default()
+            .sharded(4)
+            .backend_with(10, 0, 1);
+        assert_eq!(sharded.name(), "sharded");
+        assert!(!sharded.discover(&data, &vocab).groups.is_empty());
 
-        let ensemble = DiscoverySelection::ensemble(
-            vec![
-                DiscoverySelection::default(),
-                DiscoverySelection::Birch {
-                    branching: 10,
-                    threshold: 1.6,
-                },
-            ],
-            crate::discovery::MergeSelection::Union,
-        )
-        .backend(5);
+        let members = vec![
+            DiscoverySelection::default(),
+            DiscoverySelection::Birch {
+                branching: 10,
+                threshold: 1.6,
+            },
+        ];
+        let parts: Vec<GroupSet> = members
+            .iter()
+            .map(|m| m.backend_with(5, 0, 1).discover(&data, &vocab).groups)
+            .collect();
+        let ensemble = DiscoverySelection::Ensemble {
+            members,
+            merge: crate::discovery::MergeSelection::Union,
+        }
+        .backend_with(5, 0, 1);
+        assert_eq!(ensemble.name(), "ensemble");
         let out = ensemble.discover(&data, &vocab);
-        assert_eq!(out.stats.algorithm, "ensemble");
-        assert_eq!(out.stats.shards.len(), 2);
+        assert_eq!(
+            out.groups.len(),
+            parts.iter().map(GroupSet::len).sum::<usize>()
+        );
     }
 
     #[test]
     fn selection_threads_exchange_rounds_to_the_merge() {
         let (data, vocab) = fixture();
         let selection = DiscoverySelection::default().sharded(8);
-        // The default backend() materialization keeps one exchange round.
-        let on = selection.backend(10).discover(&data, &vocab);
-        assert_eq!(on.stats.merge.exchange_rounds_run, 1);
-        // An explicit zero disables it end to end.
+        // The selection's base backend, spelled out.
+        let base = LcmDiscovery::new(LcmConfig {
+            min_support: 10,
+            max_description: 4,
+            max_groups: 100_000,
+            emit_root: false,
+        });
+        let driver = |rounds| {
+            ShardedDiscovery::new(base.clone(), 8)
+                .support_recount(10)
+                .with_exchange_rounds(rounds)
+        };
+        // One round merges as the one-round driver does.
+        let on = selection.backend_with(10, 0, 1).discover(&data, &vocab);
+        assert_eq!(on.groups, driver(1).discover(&data, &vocab).groups);
+        // An explicit zero disables it end to end: the space is the
+        // zero-round driver's, which this oversharded fixture tells apart
+        // from the one-round space.
         let off = selection.backend_with(10, 1, 0).discover(&data, &vocab);
-        assert_eq!(off.stats.merge.exchange_rounds_run, 0);
-        assert_eq!(off.stats.merge.exchange_candidates, 0);
+        assert_eq!(off.groups, driver(0).discover(&data, &vocab).groups);
+        assert_ne!(off.groups, on.groups);
         assert!(off.groups.len() <= on.groups.len());
+        // The shard count reaches the driver too: with the exchange off the
+        // space depends on the partition, and four shards mine another one.
+        let four = ShardedDiscovery::new(base.clone(), 4)
+            .support_recount(10)
+            .with_exchange_rounds(0);
+        assert_ne!(off.groups, four.discover(&data, &vocab).groups);
     }
 
     #[test]
@@ -2566,7 +2582,7 @@ mod tests {
         let _ = DiscoverySelection::default()
             .sharded(2)
             .sharded(2)
-            .backend(5);
+            .backend_with(5, 0, 1);
     }
 
     #[test]
@@ -2583,10 +2599,9 @@ mod tests {
     fn more_shards_than_users_still_works() {
         let (data, vocab) = fixture();
         let small = data.project_users(&[0, 1, 2, 3, 4]);
-        let out = ShardedDiscovery::new(lcm(1), 8)
-            .support_recount(1)
-            .discover(&small, &vocab);
-        assert_eq!(out.stats.shards.len(), 8);
+        let driver = ShardedDiscovery::new(lcm(1), 8).support_recount(1);
+        let out = driver.discover(&small, &vocab);
+        assert_eq!(driver.mine_parts(&small, &vocab).1.len(), 8);
         // No panic on empty shards; any mined group has global ids < 5.
         assert!(out
             .groups

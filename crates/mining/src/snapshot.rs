@@ -157,12 +157,11 @@ pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
 /// reassemble the driver. `cfg` and `min_group_size` come from the
 /// caller's engine configuration (a checkpoint loader cross-checks them
 /// against its own META before calling); `prev` is the group space the
-/// next epoch cut must diff against (the checkpoint's engine space);
-/// `epochs_cut` restores the cut counter. Every structural invariant the
+/// next epoch cut must diff against (the checkpoint's engine space).
+/// Every structural invariant the
 /// miner relies on is validated — offsets, canonical entry order, sorted
 /// itemsets and member lists, bit padding — so restamped corruption
 /// surfaces as a typed error, never a panic or silent wrong state.
-#[allow(clippy::too_many_arguments)]
 pub fn decode_stream_state(
     r: &SnapshotReader,
     cfg: StreamFimConfig,
@@ -170,7 +169,6 @@ pub fn decode_stream_state(
     n_users: usize,
     n_tokens: usize,
     prev: GroupSet,
-    epochs_cut: u64,
 ) -> Result<DeltaDiscovery, SnapshotError> {
     let meta: [u32; 8] = r.meta(TAG_STREAM_META, "stream META is not eight words")?;
     let n_seen = join_u64(meta[0], meta[1]);
@@ -282,7 +280,6 @@ pub fn decode_stream_state(
         arrivals,
         min_group_size,
         prev,
-        epochs_cut,
     ))
 }
 
@@ -420,7 +417,7 @@ mod tests {
         for u in [0usize, 2, 7, 40] {
             seen[u] = true;
         }
-        DeltaDiscovery::from_parts(miner, seen, 4, 2, sample(), 9)
+        DeltaDiscovery::from_parts(miner, seen, 4, 2, sample())
     }
 
     fn encode_to_buf(dd: &DeltaDiscovery) -> Vec<u8> {
@@ -431,7 +428,7 @@ mod tests {
 
     fn decode_from_buf(buf: &[u8], n_users: usize) -> Result<DeltaDiscovery, SnapshotError> {
         let r = SnapshotReader::load(buf)?;
-        decode_stream_state(&r, StreamFimConfig::default(), 2, n_users, 9, sample(), 9)
+        decode_stream_state(&r, StreamFimConfig::default(), 2, n_users, 9, sample())
     }
 
     #[test]
@@ -442,7 +439,6 @@ mod tests {
         assert_eq!(back.miner().export_state(), dd.miner().export_state());
         assert_eq!(back.seen(), dd.seen());
         assert_eq!(back.arrivals(), dd.arrivals());
-        assert_eq!(back.epochs_cut(), dd.epochs_cut());
         assert_eq!(back.groups(), dd.groups());
         // The encoding is canonical: re-encoding the decoded driver is
         // byte-identical.

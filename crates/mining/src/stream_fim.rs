@@ -109,22 +109,6 @@ impl StreamMiner {
         }
     }
 
-    /// Transactions processed so far.
-    pub fn n_seen(&self) -> u64 {
-        self.n_seen
-    }
-
-    /// Entries currently held in-core.
-    pub fn table_size(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Itemset entries evicted by bucket-boundary pruning over the miner's
-    /// lifetime — the telemetry counterpart of the memory bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Process one transaction. `tokens` must be sorted ascending.
     pub fn observe(&mut self, user: u32, tokens: &[TokenId]) {
         debug_assert!(
@@ -268,6 +252,25 @@ impl StreamMiner {
             ));
         }
         gs
+    }
+}
+
+#[cfg(test)]
+impl StreamMiner {
+    /// Transactions processed so far.
+    pub(crate) fn n_seen(&self) -> u64 {
+        self.n_seen
+    }
+
+    /// Entries currently held in-core.
+    pub(crate) fn table_size(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Itemset entries evicted by bucket-boundary pruning over the miner's
+    /// lifetime — the counterpart of the memory bound.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions
     }
 }
 

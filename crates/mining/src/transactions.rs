@@ -6,11 +6,8 @@
 //! step walks, a node's members at a time ([`crate::lcm`]). A
 //! [`TransactionDb`] additionally pre-computes per-token tidlists (which
 //! users carry a token): what the sharded merge's frequency pruning and
-//! exchange scan read, and the lookup behind
-//! [`TransactionDb::itemset_members`] and [`TransactionDb::closure`], which
-//! recount one description handed in from outside the miner (the tests'
-//! oracles; the sharded merge recounts every candidate in one walk over
-//! the transactions instead).
+//! exchange scan read. The merge recounts every candidate in one walk over
+//! the transactions.
 
 use crate::bitmap::MemberSet;
 use vexus_data::{TokenId, UserData, Vocabulary};
@@ -77,58 +74,40 @@ impl TransactionDb {
     pub fn transactions(&self) -> &[Vec<TokenId>] {
         &self.transactions
     }
+}
 
+/// Recount one description from outside the miner: the oracles the miners'
+/// and the sharded merge's tests check groups against.
+#[cfg(test)]
+impl TransactionDb {
     /// Members carrying *all* tokens of `itemset` (intersection of
     /// tidlists). Empty itemset = all users.
-    ///
-    /// Intersects in ascending-support order: starting from the rarest
-    /// token bounds every later intersection by the smallest tidlist, and
-    /// the accumulator can only shrink from there. The result is identical
-    /// for any order (intersection is commutative).
-    pub fn itemset_members(&self, itemset: &[TokenId]) -> MemberSet {
+    pub(crate) fn itemset_members(&self, itemset: &[TokenId]) -> MemberSet {
         match itemset {
-            [] => MemberSet::universe(self.transactions.len() as u32),
-            [t] => self.tidlist(*t).clone(),
-            _ => {
-                let mut order: Vec<TokenId> = itemset.to_vec();
-                order.sort_unstable_by_key(|t| self.tidlists[t.index()].len());
-                let mut acc = self.tidlist(order[0]).clone();
-                for t in &order[1..] {
+            [] => MemberSet::universe(self.n_transactions() as u32),
+            [first, rest @ ..] => {
+                let mut acc = self.tidlist(*first).clone();
+                for t in rest {
                     acc = acc.intersect(self.tidlist(*t));
-                    if acc.is_empty() {
-                        break;
-                    }
                 }
                 acc
             }
         }
     }
 
-    /// The closure of a member set: every token carried by *all* members.
-    /// This is the "common attributes" the paper says discovery returns per
-    /// group, and the closure operator of LCM.
-    ///
-    /// Token-major: the candidate tokens are the shortest member
-    /// transaction (any common token must appear in every member's
-    /// transaction, so the shortest one bounds the candidates), and each
-    /// candidate is verified with one galloping
-    /// [`MemberSet::contains_all`] subset check against its tidlist —
-    /// early-exiting on the first member that does not carry it — instead
-    /// of a `retain` scan over every member's transaction.
-    pub fn closure(&self, members: &MemberSet) -> Vec<TokenId> {
-        let Some(smallest) = members
-            .iter()
-            .min_by_key(|&u| self.transactions[u as usize].len())
-        else {
-            // Empty member set: closed under everything; return empty to
-            // keep descriptions meaningful.
+    /// The closure of a member set: every token carried by *all* members
+    /// (empty for the empty set).
+    pub(crate) fn closure(&self, members: &MemberSet) -> Vec<TokenId> {
+        let mut iter = members.iter();
+        let Some(first) = iter.next() else {
             return Vec::new();
         };
-        self.transactions[smallest as usize]
-            .iter()
-            .copied()
-            .filter(|t| self.tidlists[t.index()].contains_all(members))
-            .collect()
+        let mut common: Vec<TokenId> = self.transaction(first).to_vec();
+        for user in iter {
+            let tx = self.transaction(user);
+            common.retain(|t| tx.binary_search(t).is_ok());
+        }
+        common
     }
 }
 
@@ -189,92 +168,6 @@ mod tests {
             for t in &set {
                 assert!(closure.contains(t), "closure must contain original itemset");
             }
-        }
-    }
-
-    /// The original member-major closure: clone the first member's
-    /// transaction and `retain`-scan it against every other member's.
-    /// Kept as the reference implementation the token-major rewrite is
-    /// pinned against.
-    fn closure_member_major(db: &TransactionDb, members: &MemberSet) -> Vec<TokenId> {
-        let mut iter = members.iter();
-        let Some(first) = iter.next() else {
-            return Vec::new();
-        };
-        let mut common: Vec<TokenId> = db.transaction(first).to_vec();
-        for user in iter {
-            let tx = db.transaction(user);
-            common.retain(|t| tx.binary_search(t).is_ok());
-            if common.is_empty() {
-                break;
-            }
-        }
-        common
-    }
-
-    /// Left-to-right tidlist intersection, the original `itemset_members`.
-    fn itemset_members_in_order(db: &TransactionDb, itemset: &[TokenId]) -> MemberSet {
-        match itemset {
-            [] => MemberSet::universe(db.n_transactions() as u32),
-            [first, rest @ ..] => {
-                let mut acc = db.tidlist(*first).clone();
-                for t in rest {
-                    acc = acc.intersect(db.tidlist(*t));
-                }
-                acc
-            }
-        }
-    }
-
-    use proptest::prelude::*;
-
-    /// A random transaction database over a `n_tokens` universe; each raw
-    /// transaction is reduced mod `n_tokens`, sorted and dedup'd.
-    fn db_from_raw(n_tokens: u32, raw_txs: &[Vec<u32>]) -> TransactionDb {
-        let transactions: Vec<Vec<TokenId>> = raw_txs
-            .iter()
-            .map(|tx| {
-                let mut v: Vec<u32> = tx.iter().map(|t| t % n_tokens).collect();
-                v.sort_unstable();
-                v.dedup();
-                v.into_iter().map(TokenId::new).collect()
-            })
-            .collect();
-        TransactionDb::from_transactions(transactions, n_tokens as usize)
-    }
-
-    proptest! {
-        #[test]
-        fn prop_token_major_closure_matches_member_major(
-            n_tokens in 2u32..24,
-            raw_txs in proptest::collection::vec(
-                proptest::collection::vec(0u32..1_000, 0..10), 2..40),
-            picks in proptest::collection::vec(0u32..10_000, 0..12)
-        ) {
-            let db = db_from_raw(n_tokens, &raw_txs);
-            let n = db.n_transactions() as u32;
-            let members = MemberSet::from_unsorted(
-                picks.into_iter().map(|p| p % n).collect(),
-            );
-            prop_assert_eq!(db.closure(&members), closure_member_major(&db, &members));
-        }
-
-        #[test]
-        fn prop_support_ordered_intersection_matches_in_order(
-            n_tokens in 2u32..24,
-            raw_txs in proptest::collection::vec(
-                proptest::collection::vec(0u32..1_000, 0..10), 2..40),
-            picks in proptest::collection::vec(0u32..1_000, 0..6)
-        ) {
-            let db = db_from_raw(n_tokens, &raw_txs);
-            let mut itemset: Vec<TokenId> =
-                picks.into_iter().map(|p| TokenId::new(p % n_tokens)).collect();
-            itemset.sort_unstable();
-            itemset.dedup();
-            prop_assert_eq!(
-                db.itemset_members(&itemset).as_slice(),
-                itemset_members_in_order(&db, &itemset).as_slice()
-            );
         }
     }
 }

@@ -26,9 +26,12 @@ pub struct StatsView<'a> {
 impl<'a> StatsView<'a> {
     /// Build the view over `users` (every schema attribute becomes one
     /// categorical dimension; a numeric "activity" dimension is added from
-    /// the action log). The schema may hold at most 31 attributes — the
-    /// demo schemas have fewer than ten.
-    pub fn new(data: &'a UserData, users: Vec<UserId>) -> Self {
+    /// the action log). `None` if the schema is too wide for that: the
+    /// attributes plus activity must fit in [`crate::crossfilter::MAX_DIMS`].
+    pub fn new(data: &'a UserData, users: Vec<UserId>) -> Option<Self> {
+        if data.schema().len() >= crate::crossfilter::MAX_DIMS {
+            return None;
+        }
         let n = users.len();
         let mut cf = Crossfilter::new(n);
         let mut dims = HashMap::new();
@@ -55,13 +58,13 @@ impl<'a> StatsView<'a> {
             .map(|&u| data.user_activity(u) as f64)
             .collect();
         let activity_dim = cf.add_numeric(activity, &[1.0, 5.0, 20.0, 100.0]);
-        Self {
+        Some(Self {
             data,
             users,
             cf,
             dims,
             activity_dim,
-        }
+        })
     }
 
     /// Number of users under inspection.
@@ -230,7 +233,7 @@ mod tests {
     #[test]
     fn histograms_show_demographic_distributions() {
         let d = data();
-        let view = StatsView::new(&d, d.users().collect());
+        let view = StatsView::new(&d, d.users().collect()).unwrap();
         let gender = d.schema().attr("gender").unwrap();
         let hist = view.histogram(gender);
         assert_eq!(
@@ -245,7 +248,7 @@ mod tests {
         // "by brushing on gender to select females and on publication rate
         // to select extremely active … the table lists Elke".
         let d = data();
-        let mut view = StatsView::new(&d, d.users().collect());
+        let mut view = StatsView::new(&d, d.users().collect()).unwrap();
         let gender = d.schema().attr("gender").unwrap();
         view.brush(gender, &["female"]);
         view.brush_activity(20.0, 1e9);
@@ -259,7 +262,7 @@ mod tests {
     #[test]
     fn brushing_is_coordinated_across_histograms() {
         let d = data();
-        let mut view = StatsView::new(&d, d.users().collect());
+        let mut view = StatsView::new(&d, d.users().collect()).unwrap();
         let gender = d.schema().attr("gender").unwrap();
         let seniority = d.schema().attr("seniority").unwrap();
         view.brush(gender, &["female"]);
@@ -284,7 +287,7 @@ mod tests {
     #[test]
     fn unlearn_by_clearing_brush() {
         let d = data();
-        let mut view = StatsView::new(&d, d.users().collect());
+        let mut view = StatsView::new(&d, d.users().collect()).unwrap();
         let gender = d.schema().attr("gender").unwrap();
         view.brush(gender, &["female"]);
         assert_eq!(view.n_selected(), 3);
@@ -301,7 +304,7 @@ mod tests {
         let d = data();
         // Only the first three users (a "group").
         let members: Vec<UserId> = d.users().take(3).collect();
-        let view = StatsView::new(&d, members);
+        let view = StatsView::new(&d, members).unwrap();
         assert_eq!(view.n_users(), 3);
         let gender = d.schema().attr("gender").unwrap();
         assert_eq!(
@@ -319,7 +322,7 @@ mod tests {
         b.set_demo(u1, g, "female").unwrap();
         b.user("anon");
         let d = b.build();
-        let view = StatsView::new(&d, d.users().collect());
+        let view = StatsView::new(&d, d.users().collect()).unwrap();
         let hist = view.histogram(g);
         assert!(hist.contains(&("<missing>".to_string(), 1)));
     }
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn render_text_mentions_every_attribute() {
         let d = data();
-        let view = StatsView::new(&d, d.users().collect());
+        let view = StatsView::new(&d, d.users().collect()).unwrap();
         let text = view.render_text();
         assert!(text.contains("[gender]"));
         assert!(text.contains("[seniority]"));
@@ -337,7 +340,7 @@ mod tests {
     #[test]
     fn empty_user_set() {
         let d = data();
-        let view = StatsView::new(&d, Vec::new());
+        let view = StatsView::new(&d, Vec::new()).unwrap();
         assert_eq!(view.n_selected(), 0);
         let gender = d.schema().attr("gender").unwrap();
         assert_eq!(view.share(gender, "male"), Some(0.0));

@@ -225,11 +225,6 @@ impl ForceLayout {
         }
         total
     }
-
-    /// Kinetic energy (convergence indicator).
-    pub fn energy(&self) -> f64 {
-        self.nodes.iter().map(|n| n.vx * n.vx + n.vy * n.vy).sum()
-    }
 }
 
 /// Intersection area of two circles `(x, y, r)`.
@@ -351,12 +346,16 @@ mod tests {
 
     #[test]
     fn energy_decays_toward_equilibrium() {
+        // Kinetic energy, the convergence indicator.
+        let energy = |layout: &ForceLayout| -> f64 {
+            layout.nodes.iter().map(|n| n.vx * n.vx + n.vy * n.vy).sum()
+        };
         let radii = [30.0, 25.0, 20.0, 15.0];
         let mut layout = ForceLayout::new(&radii, ForceConfig::default());
         layout.run(20);
-        let early = layout.energy();
+        let early = energy(&layout);
         layout.run(400);
-        let late = layout.energy();
+        let late = energy(&layout);
         assert!(
             late < early.max(1e-3),
             "energy should decay: early {early} late {late}"

@@ -25,8 +25,6 @@ pub struct Lda {
     mean: Vec<f64>,
     /// `directions[k]` = k-th discriminant direction in input space.
     directions: Vec<Vec<f64>>,
-    /// Generalized eigenvalues (class-separation power), descending.
-    pub eigenvalues: Vec<f64>,
 }
 
 impl Lda {
@@ -137,7 +135,7 @@ impl Lda {
                 m[(j, i)] = avg;
             }
         }
-        let (vals, vecs) = jacobi_eigen(&m, 64);
+        let (_, vecs) = jacobi_eigen(&m, 64);
 
         let mut directions = Vec::with_capacity(k);
         for c in 0..k {
@@ -155,7 +153,6 @@ impl Lda {
         Self {
             mean: global_mean,
             directions,
-            eigenvalues: vals[..k].to_vec(),
         }
     }
 
@@ -255,8 +252,6 @@ mod tests {
         assert_eq!(lda.directions.len(), 2);
         let proj = lda.project_all(&pts);
         assert!(silhouette(&proj, &labels) > 0.8);
-        // Eigenvalues descending.
-        assert!(lda.eigenvalues[0] >= lda.eigenvalues[1]);
     }
 
     #[test]
@@ -308,12 +303,5 @@ mod tests {
         for p in lda.project_all(&pts) {
             assert!(p.iter().all(|x| x.is_finite()));
         }
-    }
-
-    #[test]
-    fn eigenvalues_are_nonnegative() {
-        let (pts, labels) = tricky_blobs();
-        let lda = Lda::fit(&pts, &labels, 1);
-        assert!(lda.eigenvalues.iter().all(|&v| v > -1e-6));
     }
 }

@@ -9,8 +9,6 @@ pub struct Pca {
     mean: Vec<f64>,
     /// `components[(d, k)]`: loading of input dim `d` on component `k`.
     components: Matrix,
-    /// Explained variance per retained component, descending.
-    pub explained: Vec<f64>,
 }
 
 impl Pca {
@@ -52,18 +50,14 @@ impl Pca {
                 cov[(j, i)] = v;
             }
         }
-        let (vals, vecs) = jacobi_eigen(&cov, 64);
+        let (_, vecs) = jacobi_eigen(&cov, 64);
         let mut components = Matrix::zeros(dim, k);
         for c in 0..k {
             for d in 0..dim {
                 components[(d, c)] = vecs[(d, c)];
             }
         }
-        Self {
-            mean,
-            components,
-            explained: vals[..k].to_vec(),
-        }
+        Self { mean, components }
     }
 
     /// Project one sample.
@@ -82,13 +76,6 @@ impl Pca {
     /// Project many samples.
     pub fn project_all(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
         points.iter().map(|p| self.project(p)).collect()
-    }
-
-    /// Loadings of component `k` (unit vector in input space).
-    pub fn component(&self, k: usize) -> Vec<f64> {
-        (0..self.components.n_rows())
-            .map(|d| self.components[(d, k)])
-            .collect()
     }
 
     /// The fitted per-dimension mean.
@@ -166,10 +153,12 @@ mod tests {
             .map(|i| vec![i as f64 * 0.1, i as f64 * 0.2])
             .collect();
         let pca = Pca::fit(&points, 1);
-        let v = pca.component(0);
-        let expected = [1.0 / 5.0f64.sqrt(), 2.0 / 5.0f64.sqrt()];
-        let dot = (v[0] * expected[0] + v[1] * expected[1]).abs();
-        assert!(dot > 0.999, "component misaligned: dot {dot}");
+        // A unit step along (1, 2) from the mean projects to its full
+        // length √5 on an aligned component.
+        let m = pca.mean();
+        let p = pca.project(&[m[0] + 1.0, m[1] + 2.0]);
+        let aligned = p[0].abs() / 5.0f64.sqrt();
+        assert!(aligned > 0.999, "component misaligned: {aligned}");
     }
 
     #[test]
@@ -186,9 +175,11 @@ mod tests {
             .map(|i| vec![i as f64, (i % 7) as f64 * 0.1, 0.0])
             .collect();
         let pca = Pca::fit(&points, 3);
-        assert!(pca.explained[0] >= pca.explained[1]);
-        assert!(pca.explained[1] >= pca.explained[2] - 1e-12);
-        assert!(pca.explained[2].abs() < 1e-9, "flat axis has no variance");
+        let projected = pca.project_all(&points);
+        let variance = |k: usize| projected.iter().map(|p| p[k] * p[k]).sum::<f64>();
+        assert!(variance(0) >= variance(1));
+        assert!(variance(1) >= variance(2) - 1e-12);
+        assert!(variance(2).abs() < 1e-9, "flat axis has no variance");
     }
 
     #[test]

@@ -70,15 +70,6 @@ impl SvgDoc {
         self
     }
 
-    /// Straight line.
-    pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64) -> &mut Self {
-        self.body.push_str(&format!(
-            "  <line x1=\"{x1:.1}\" y1=\"{y1:.1}\" x2=\"{x2:.1}\" y2=\"{y2:.1}\" \
-             stroke=\"#999\" stroke-width=\"1\"/>\n"
-        ));
-        self
-    }
-
     /// Finish the document.
     pub fn finish(&self) -> String {
         format!(
@@ -118,15 +109,13 @@ mod tests {
         doc.circle(10.0, 10.0, 5.0, Palette::color(0), "a group")
             .point(20.0, 20.0, Palette::color(1))
             .text(5.0, 45.0, 10.0, "label")
-            .rect(0.0, 0.0, 10.0, 10.0, Palette::color(2))
-            .line(0.0, 0.0, 100.0, 50.0);
+            .rect(0.0, 0.0, 10.0, 10.0, Palette::color(2));
         let svg = doc.finish();
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert!(svg.contains("<circle"));
         assert!(svg.contains("<title>a group</title>"));
         assert!(svg.contains("<rect"));
-        assert!(svg.contains("<line"));
         assert!(svg.contains("width=\"100\""));
     }
 

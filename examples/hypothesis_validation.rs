@@ -52,7 +52,7 @@ fn main() {
     let session = vexus.session().expect("session opens");
     let group_stats = session.stats_view(gid).expect("stats view");
     let population: Vec<UserId> = data.users().collect();
-    let population_stats = StatsView::new(data, population);
+    let population_stats = StatsView::new(data, population).expect("schema fits the view");
 
     println!(
         "\n{:<16} {:>12} {:>12}",

@@ -35,7 +35,7 @@ fn main() {
         .expect("group space non-empty");
     println!(
         "pre-processing[{}]: {} groups mined; index {} KiB",
-        vexus.build_stats().discovery.algorithm,
+        vexus.build_stats().algorithm,
         vexus.groups().len(),
         vexus.index().stats().heap_bytes / 1024
     );

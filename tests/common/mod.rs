@@ -14,7 +14,8 @@ use vexus::core::{
 };
 use vexus::data::stream::ChannelStream;
 use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
-use vexus::data::{Action, UserData};
+use vexus::data::{Action, TokenId, UserData};
+use vexus::mining::transactions::TransactionDb;
 use vexus::mining::{DiscoverySelection, GroupId};
 
 /// A budget the tiny engine never exhausts: a step's outcome depends only
@@ -261,4 +262,32 @@ impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// The users whose transaction carries every token of `description`,
+/// found by scanning every transaction.
+pub fn carriers(db: &TransactionDb, description: &[TokenId]) -> Vec<u32> {
+    (0..db.n_transactions() as u32)
+        .filter(|&u| {
+            let tx = db.transaction(u);
+            description.iter().all(|t| tx.binary_search(t).is_ok())
+        })
+        .collect()
+}
+
+/// The tokens every one of `members` carries (none for no members): the
+/// closure of a member set.
+pub fn common_tokens(db: &TransactionDb, members: &[u32]) -> Vec<TokenId> {
+    let Some((&first, rest)) = members.split_first() else {
+        return Vec::new();
+    };
+    let carried_by_all = |t: &TokenId| {
+        rest.iter()
+            .all(|&u| db.transaction(u).binary_search(t).is_ok())
+    };
+    db.transaction(first)
+        .iter()
+        .copied()
+        .filter(carried_by_all)
+        .collect()
 }

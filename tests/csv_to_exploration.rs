@@ -97,7 +97,7 @@ fn csv_to_exploration_end_to_end() {
         })
         .build()
         .expect("group space non-empty");
-    assert_eq!(vexus.build_stats().discovery.algorithm, "lcm");
+    assert_eq!(vexus.build_stats().algorithm, "lcm");
     assert!(vexus.groups().len() > 5);
     let mut session = vexus.session().expect("session opens");
     let g = session.display()[0];

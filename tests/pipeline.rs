@@ -6,6 +6,8 @@ use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
 use vexus::data::Vocabulary;
 use vexus::mining::transactions::TransactionDb;
 
+mod common;
+
 fn engine() -> Vexus {
     let ds = bookcrossing(&BookCrossingConfig::tiny());
     Vexus::build(ds.data, EngineConfig::default()).expect("group space non-empty")
@@ -22,10 +24,14 @@ fn discovered_groups_are_closed_and_frequent() {
             "support floor violated"
         );
         // Description is exactly the closure of the member set.
-        assert_eq!(db.closure(&g.members), g.description, "group not closed");
+        assert_eq!(
+            common::common_tokens(&db, g.members.as_slice()),
+            g.description,
+            "group not closed"
+        );
         // Members are exactly the users carrying the description.
         assert_eq!(
-            db.itemset_members(&g.description).as_slice(),
+            common::carriers(&db, &g.description),
             g.members.as_slice(),
             "member set does not match description"
         );

@@ -35,7 +35,7 @@ fn momri_front_plugs_into_the_engine() {
         .discovery(MomriDiscovery::default())
         .build()
         .expect("engine builds");
-    assert_eq!(vexus.build_stats().discovery.algorithm, "momri");
+    assert_eq!(vexus.build_stats().algorithm, "momri");
     let session = vexus.session().expect("session opens");
     assert!(!session.display().is_empty());
 }
@@ -57,7 +57,7 @@ fn birch_clusters_plug_into_the_engine() {
         })
         .build()
         .expect("engine builds");
-    assert_eq!(vexus.build_stats().discovery.algorithm, "birch");
+    assert_eq!(vexus.build_stats().algorithm, "birch");
     let n_users_covered = vexus.groups().distinct_users_covered(n_users);
     assert!(
         n_users_covered > n_users / 4,
@@ -82,7 +82,7 @@ fn stream_fim_groups_plug_into_the_engine() {
         }))
         .build()
         .expect("engine builds");
-    assert_eq!(vexus.build_stats().discovery.algorithm, "stream-fim");
+    assert_eq!(vexus.build_stats().algorithm, "stream-fim");
     // The builder's size filter replaced the hand-rolled filter_by_size.
     assert!(vexus.groups().iter().all(|(_, g)| g.size() >= 5));
     let mut session = vexus.session().expect("session opens");
@@ -146,7 +146,7 @@ fn backend_trait_objects_are_interchangeable() {
             .discovery_boxed(backend)
             .build()
             .expect("engine builds");
-        assert_eq!(vexus.build_stats().discovery.algorithm, name);
+        assert_eq!(vexus.build_stats().algorithm, name);
         assert!(!vexus.session().expect("session opens").display().is_empty());
     }
 }

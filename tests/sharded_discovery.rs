@@ -12,6 +12,8 @@ use vexus::mining::{
     ShardedDiscovery,
 };
 
+mod common;
+
 fn normalize(groups: &GroupSet) -> Vec<(Vec<vexus::data::TokenId>, Vec<u32>)> {
     let mut v: Vec<_> = groups
         .iter()
@@ -189,8 +191,8 @@ mod exchange_noop_property {
             let parts = || vec![groups.clone(), groups.clone()];
             let merge = MergeStrategy::SupportRecount { min_support };
             let ctx = MergeContext::new(&dummy, &dummy_vocab).with_db(&db);
-            let without = merge.merge_in(parts(), &ctx.with_exchange_rounds(0));
-            let with = merge.merge_in(parts(), &ctx.with_exchange_rounds(1));
+            let (without, _) = merge.merge_in_traced(parts(), &ctx.with_exchange_rounds(0));
+            let (with, _) = merge.merge_in_traced(parts(), &ctx.with_exchange_rounds(1));
             prop_assert_eq!(
                 normalize(&without),
                 normalize(&with),
@@ -218,12 +220,12 @@ fn merged_groups_satisfy_global_closure_invariants() {
         for (_, g) in out.groups.iter() {
             assert!(g.size() >= 10, "support floor violated");
             assert_eq!(
-                db.itemset_members(&g.description).as_slice(),
+                common::carriers(&db, &g.description),
                 g.members.as_slice(),
                 "members are not the exact carriers of the description"
             );
             assert_eq!(
-                db.closure(&g.members),
+                common::common_tokens(&db, g.members.as_slice()),
                 g.description,
                 "description is not closed globally"
             );
@@ -272,7 +274,7 @@ fn parallel_recount_is_byte_identical_to_sequential() {
         // including the 0 = auto worker count.
         let (parts, _) = driver.mine_parts(&ds.data, &vocab);
         let merge = MergeStrategy::SupportRecount { min_support: 12 };
-        let baseline = merge.merge_in(
+        let (baseline, _) = merge.merge_in_traced(
             parts.clone(),
             &MergeContext::new(&ds.data, &vocab)
                 .with_db(&db)
@@ -283,13 +285,16 @@ fn parallel_recount_is_byte_identical_to_sequential() {
             "re-merging the mined parts must reproduce the discovery outcome"
         );
         for threads in [0usize, 2, 4, 8] {
-            let merged = merge.merge_in(
+            let (merged, _) = merge.merge_in_traced(
                 parts.clone(),
                 &MergeContext::new(&ds.data, &vocab)
                     .with_db(&db)
                     .with_threads(threads),
             );
-            assert_eq!(baseline, merged, "merge_in threads={threads} diverged");
+            assert_eq!(
+                baseline, merged,
+                "merge_in_traced threads={threads} diverged"
+            );
         }
     }
 }
@@ -304,8 +309,8 @@ fn merge_reuses_caller_db_without_changing_output() {
     let driver = ShardedDiscovery::new(lcm(10), 3).support_recount(10);
     let (parts, _) = driver.mine_parts(&ds.data, &vocab);
     let merge = MergeStrategy::SupportRecount { min_support: 10 };
-    let own_db = merge.merge_in(parts.clone(), &MergeContext::new(&ds.data, &vocab));
-    let reused = merge.merge_in(
+    let (own_db, _) = merge.merge_in_traced(parts.clone(), &MergeContext::new(&ds.data, &vocab));
+    let (reused, _) = merge.merge_in_traced(
         parts,
         &MergeContext::new(&ds.data, &vocab)
             .with_db(&db)
@@ -320,20 +325,22 @@ fn merge_reuses_caller_db_without_changing_output() {
 fn shard_stats_account_for_the_partition() {
     let ds = bookcrossing(&BookCrossingConfig::tiny());
     let vocab = Vocabulary::build(&ds.data);
-    let out = ShardedDiscovery::new(lcm(10), 5)
+    let (parts, shards) = ShardedDiscovery::new(lcm(10), 5)
         .support_recount(10)
-        .discover(&ds.data, &vocab);
-    let stats = &out.stats;
-    assert_eq!(stats.shards.len(), 5);
-    let members: usize = stats.shards.iter().map(|s| s.members).sum();
+        .mine_parts(&ds.data, &vocab);
+    assert_eq!(shards.len(), 5);
+    let members: usize = shards.iter().map(|s| s.members).sum();
     assert_eq!(
         members,
         ds.data.n_users(),
         "shards must partition the users"
     );
-    let contributed: usize = stats.shards.iter().map(|s| s.groups_discovered).sum();
-    assert_eq!(
-        stats.candidates_considered, contributed,
-        "pre-merge candidate count must equal the shard contributions"
-    );
+    for (part, s) in parts.iter().zip(&shards) {
+        assert_eq!(
+            part.len(),
+            s.groups_discovered,
+            "shard {} reports another candidate count than it contributed",
+            s.shard
+        );
+    }
 }

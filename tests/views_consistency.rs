@@ -168,7 +168,7 @@ fn stats_view_brush_matches_crossfilter_semantics() {
 fn stats_view_over_full_population() {
     let vexus = engine();
     let all: Vec<UserId> = vexus.data().users().collect();
-    let view = StatsView::new(vexus.data(), all);
+    let view = StatsView::new(vexus.data(), all).expect("schema fits the view");
     assert_eq!(view.n_users(), vexus.data().n_users());
     let gender = vexus.data().schema().attr("gender").unwrap();
     let male = view.share(gender, "male").expect("share");
