@@ -32,15 +32,15 @@ pub struct EngineConfig {
     /// Minimum group size kept after discovery (the size-filter stage,
     /// applied to every backend's output).
     pub min_group_size: usize,
-    /// Which discovery backend the offline pipeline runs (LCM, α-MOMRI,
-    /// BIRCH or stream FIM) and its per-algorithm knobs.
+    /// Which discovery backend the offline pipeline runs (LCM, stream FIM,
+    /// or either sharded) and its per-algorithm knobs. Other backends plug
+    /// in through `VexusBuilder::discovery`.
     pub discovery: DiscoverySelection,
     /// Worker threads for the merge layer's support recount when
-    /// `discovery` is a sharded or ensemble composite (`0` = available
-    /// parallelism). Purely a performance knob: the merged group space is
+    /// `discovery` is sharded (`0` = available parallelism). Purely a performance knob: the merged group space is
     /// byte-identical at any count.
     pub merge_threads: usize,
-    /// Cross-shard closure exchange rounds for composite discovery's
+    /// Cross-shard closure exchange rounds for sharded discovery's
     /// support-recount merge. The default `1` makes sharded LCM reproduce
     /// the unsharded closed-group space exactly at any shard count; `0`
     /// disables the exchange (sound, but oversharded runs may lose a
@@ -177,38 +177,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_ensemble_selections_embed_in_config() {
-        use vexus_mining::{DiscoverySelection, MergeSelection};
+    fn sharded_selection_embeds_in_config() {
+        use vexus_mining::DiscoverySelection;
         let c = EngineConfig::default().with_discovery(DiscoverySelection::default().sharded(8));
         assert!(matches!(
             c.discovery,
             DiscoverySelection::Sharded { shards: 8, .. }
         ));
-        let e = EngineConfig::default().with_discovery(DiscoverySelection::Ensemble {
-            members: vec![
-                DiscoverySelection::default(),
-                DiscoverySelection::Birch {
-                    branching: 10,
-                    threshold: 1.6,
-                },
-            ],
-            merge: MergeSelection::Union,
-        });
-        assert!(matches!(
-            e.discovery,
-            DiscoverySelection::Ensemble { ref members, .. } if members.len() == 2
-        ));
     }
 
     #[test]
     fn discovery_selection_is_swappable() {
-        let c = EngineConfig::default().with_discovery(vexus_mining::DiscoverySelection::Birch {
-            branching: 8,
-            threshold: 1.5,
-        });
+        let c =
+            EngineConfig::default().with_discovery(vexus_mining::DiscoverySelection::StreamFim {
+                support: 0.05,
+                epsilon: 0.01,
+                max_len: 3,
+            });
         assert!(matches!(
             c.discovery,
-            vexus_mining::DiscoverySelection::Birch { branching: 8, .. }
+            vexus_mining::DiscoverySelection::StreamFim { max_len: 3, .. }
         ));
         // The default remains the paper's LCM path.
         assert!(matches!(

@@ -4,10 +4,10 @@
 //!
 //! [`VexusBuilder`] is the pipeline. Its discovery stage accepts any
 //! [`GroupDiscovery`] backend — the paper's LCM default, α-MOMRI, BIRCH or
-//! stream FIM, or an external implementation — and every stage reports
-//! into [`BuildStats`]. [`Vexus::build`] remains the one-call facade,
-//! routing through the builder with the backend selected by
-//! [`EngineConfig::discovery`].
+//! stream FIM, an ensemble, or an external implementation — and every
+//! stage reports into [`BuildStats`]. [`Vexus::build`] remains the one-call
+//! facade, routing through the builder with the backend selected by
+//! [`EngineConfig::discovery`] (LCM, stream FIM, or either sharded).
 
 use crate::config::EngineConfig;
 use crate::error::CoreError;
@@ -361,7 +361,7 @@ mod tests {
     use super::*;
     use vexus_data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
     use vexus_mining::{
-        BirchDiscovery, DiscoverySelection, LcmDiscovery, MomriConfig, StreamFimConfig,
+        BirchDiscovery, DiscoverySelection, LcmDiscovery, MomriDiscovery, StreamFimConfig,
         StreamFimDiscovery,
     };
 
@@ -467,13 +467,14 @@ mod tests {
     }
 
     #[test]
-    fn config_selected_discovery_drives_the_facade() {
+    fn builder_selected_momri_drives_the_engine() {
         let ds = bookcrossing(&BookCrossingConfig::tiny());
-        let config = EngineConfig::default().with_discovery(DiscoverySelection::Momri {
-            config: MomriConfig::default(),
-        });
-        let vexus = Vexus::build(ds.data, config).unwrap();
+        let vexus = VexusBuilder::new(ds.data)
+            .discovery(MomriDiscovery::default())
+            .build()
+            .unwrap();
         assert_eq!(vexus.build_stats().algorithm, "momri");
+        assert_eq!(vexus.groups().len(), 5);
         assert!(!vexus.session().unwrap().display().is_empty());
     }
 

@@ -14,8 +14,6 @@ pub enum CoreError {
     NotDisplayed(u32),
     /// The group space is empty (discovery produced nothing).
     EmptyGroupSpace,
-    /// A named attribute is missing from the schema.
-    UnknownAttribute(String),
     /// A snapshot buffer failed to load (corrupt, truncated, or written
     /// against a different dataset).
     Snapshot(SnapshotError),
@@ -50,7 +48,6 @@ impl fmt::Display for CoreError {
                 write!(f, "group g{g} is not currently displayed in GroupViz")
             }
             CoreError::EmptyGroupSpace => write!(f, "group discovery produced no groups"),
-            CoreError::UnknownAttribute(a) => write!(f, "unknown attribute {a:?}"),
             CoreError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
             CoreError::NotLive(why) => write!(f, "engine is not live: {why}"),
             CoreError::Injected(site) => write!(f, "injected fault ({site})"),
@@ -159,9 +156,6 @@ mod tests {
     fn messages_identify_the_subject() {
         assert!(CoreError::UnknownGroup(7).to_string().contains("g7"));
         assert!(CoreError::BadHistoryStep(3).to_string().contains('3'));
-        assert!(CoreError::UnknownAttribute("x".into())
-            .to_string()
-            .contains("\"x\""));
     }
 
     #[test]

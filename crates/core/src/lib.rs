@@ -63,6 +63,6 @@ pub use engine::{OwnedSession, Vexus};
 pub use error::{CoreError, ServeError};
 pub use feedback::FeedbackVector;
 pub use live::{LiveEngine, RefreshOutcome};
-pub use serve::{ExplorationService, Request, Response, ServiceConfig, ServiceStats, SessionId};
+pub use serve::{ExplorationService, ServiceConfig, ServiceStats, SessionId};
 pub use session::{ExplorationSession, Session};
 pub use vexus_data::{SnapshotError, WalError, WalSync};

@@ -13,9 +13,9 @@
 //!
 //! **Epoch discipline**: every open clones the currently published
 //! `Arc<Vexus>` and the session keeps that handle for life — a
-//! [`Request::Refresh`] swaps what *new* opens see without blocking or
-//! perturbing in-flight sessions (they replay byte-identically against
-//! their pinned epoch). Services over a plain `Arc<Vexus>`
+//! [`ExplorationService::refresh`] swaps what *new* opens see without
+//! blocking or perturbing in-flight sessions (they replay byte-identically
+//! against their pinned epoch). Services over a plain `Arc<Vexus>`
 //! ([`ExplorationService::new`]) hold it directly and never advance:
 //! the ingestion verbs answer [`crate::CoreError::NotLive`].
 //!
@@ -42,15 +42,11 @@
 //!   the service.
 //! * **Observability** — [`ServiceStats`] counts opens, rejections,
 //!   evictions, quarantines and lock recoveries, surfaced through the
-//!   [`Request::Stats`] verb.
+//!   [`ExplorationService::stats`] verb.
 //! * **Fault injection** — while a scenario arms them, the
 //!   `serve.open`/`serve.step` sites (see [`crate::failpoint`]) inject
 //!   seeded panics or typed [`ServeError::Injected`] errors; idle, each
 //!   costs one relaxed atomic load.
-//!
-//! [`Request`]/[`Response`] mirror the verb surface as plain data for
-//! transport-style callers (one enum in, one enum out); the typed methods
-//! are the direct API.
 
 use crate::config::EngineConfig;
 use crate::durable::DurableCounts;
@@ -108,7 +104,7 @@ impl Default for ServiceConfig {
 }
 
 /// Cumulative service counters, snapshot via
-/// [`ExplorationService::stats`] or the [`Request::Stats`] verb.
+/// [`ExplorationService::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Sessions opened successfully.
@@ -171,89 +167,6 @@ impl Counters {
             epoch,
         }
     }
-}
-
-/// A request to the service — the verb surface as plain data.
-#[derive(Debug, Clone)]
-pub enum Request {
-    /// Open a session with the engine's configuration.
-    Open,
-    /// Open a session with an overriding configuration.
-    OpenWith(EngineConfig),
-    /// Click a displayed group in a session.
-    Click {
-        /// Target session.
-        session: SessionId,
-        /// The displayed group to click.
-        group: GroupId,
-    },
-    /// Backtrack a session to a history step.
-    Backtrack {
-        /// Target session.
-        session: SessionId,
-        /// History step index to restore.
-        step: usize,
-    },
-    /// Read a session's current display.
-    Display {
-        /// Target session.
-        session: SessionId,
-    },
-    /// Read a session's CONTEXT view (top-`n` per side).
-    Context {
-        /// Target session.
-        session: SessionId,
-        /// Entries per side.
-        n: usize,
-    },
-    /// Bookmark a group in a session's MEMO.
-    MemoGroup {
-        /// Target session.
-        session: SessionId,
-        /// Group to bookmark.
-        group: GroupId,
-    },
-    /// Bookmark a user in a session's MEMO.
-    MemoUser {
-        /// Target session.
-        session: SessionId,
-        /// User to bookmark.
-        user: UserId,
-    },
-    /// Read the service's cumulative [`ServiceStats`].
-    Stats,
-    /// Cut the live engine's ingest buffer and publish a new epoch for
-    /// subsequent opens (see [`LiveEngine::refresh`]). In-flight sessions
-    /// are never blocked or perturbed. Fails with
-    /// [`crate::CoreError::NotLive`] on a fixed-engine service.
-    Refresh,
-    /// Close a session, dropping its state.
-    Close {
-        /// Target session.
-        session: SessionId,
-    },
-}
-
-/// A successful response from the service.
-#[derive(Debug, Clone)]
-pub enum Response {
-    /// A session was opened.
-    Opened {
-        /// The new session's id.
-        session: SessionId,
-        /// Its opening display.
-        display: Vec<GroupId>,
-    },
-    /// The (new) display of a session after a step verb.
-    Display(Vec<GroupId>),
-    /// A CONTEXT snapshot.
-    Context(ContextView),
-    /// A [`ServiceStats`] snapshot.
-    Stats(ServiceStats),
-    /// What a [`Request::Refresh`] did.
-    Refreshed(RefreshOutcome),
-    /// The verb succeeded with nothing to return.
-    Ack,
 }
 
 /// A live session's table slot: its state plus the logical time it was
@@ -705,40 +618,6 @@ impl ExplorationService {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Serve one [`Request`] — the transport-style entry point.
-    pub fn handle(&self, request: Request) -> Result<Response, ServeError> {
-        match request {
-            Request::Open => {
-                let (session, display) = self.open()?;
-                Ok(Response::Opened { session, display })
-            }
-            Request::OpenWith(config) => {
-                let (session, display) = self.open_with(config)?;
-                Ok(Response::Opened { session, display })
-            }
-            Request::Click { session, group } => Ok(Response::Display(self.click(session, group)?)),
-            Request::Backtrack { session, step } => {
-                Ok(Response::Display(self.backtrack(session, step)?))
-            }
-            Request::Display { session } => Ok(Response::Display(self.display(session)?)),
-            Request::Context { session, n } => Ok(Response::Context(self.context(session, n)?)),
-            Request::MemoGroup { session, group } => {
-                self.memo_group(session, group)?;
-                Ok(Response::Ack)
-            }
-            Request::MemoUser { session, user } => {
-                self.memo_user(session, user)?;
-                Ok(Response::Ack)
-            }
-            Request::Stats => Ok(Response::Stats(self.stats())),
-            Request::Refresh => Ok(Response::Refreshed(self.refresh()?)),
-            Request::Close { session } => {
-                self.close(session)?;
-                Ok(Response::Ack)
-            }
-        }
-    }
 }
 
 // The whole point of the service is cross-thread serving; pin the auto
@@ -829,48 +708,6 @@ mod tests {
         svc.click(a, display_a[0]).unwrap();
         assert_eq!(svc.display(b).unwrap(), display_b);
         assert!(svc.context(b, 5).unwrap().users.is_empty());
-    }
-
-    #[test]
-    fn request_response_mirrors_typed_verbs() {
-        let svc = service();
-        let (id, display) = match svc.handle(Request::Open).unwrap() {
-            Response::Opened { session, display } => (session, display),
-            other => panic!("expected Opened, got {other:?}"),
-        };
-        let next = match svc
-            .handle(Request::Click {
-                session: id,
-                group: display[0],
-            })
-            .unwrap()
-        {
-            Response::Display(d) => d,
-            other => panic!("expected Display, got {other:?}"),
-        };
-        assert!(!next.is_empty());
-        assert!(matches!(
-            svc.handle(Request::Context { session: id, n: 3 }).unwrap(),
-            Response::Context(_)
-        ));
-        assert!(matches!(
-            svc.handle(Request::MemoGroup {
-                session: id,
-                group: display[0],
-            })
-            .unwrap(),
-            Response::Ack
-        ));
-        let stats = match svc.handle(Request::Stats).unwrap() {
-            Response::Stats(s) => s,
-            other => panic!("expected Stats, got {other:?}"),
-        };
-        assert_eq!(stats.opens, 1);
-        assert!(matches!(
-            svc.handle(Request::Close { session: id }).unwrap(),
-            Response::Ack
-        ));
-        assert!(svc.handle(Request::Display { session: id }).is_err());
     }
 
     #[test]
@@ -1064,7 +901,7 @@ mod tests {
     #[test]
     fn fixed_services_refuse_the_refresh_verb() {
         let svc = service();
-        let err = svc.handle(Request::Refresh).unwrap_err();
+        let err = svc.refresh().unwrap_err();
         assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
         let err = svc.refresh_with_retry(0).unwrap_err();
         assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
@@ -1107,10 +944,7 @@ mod tests {
         }
         drop(tx);
         svc.ingest(&mut rx, usize::MAX).unwrap();
-        let outcome = match svc.handle(Request::Refresh).unwrap() {
-            Response::Refreshed(o) => o,
-            other => panic!("expected Refreshed, got {other:?}"),
-        };
+        let outcome = svc.refresh().unwrap();
         assert!(outcome.advanced);
         assert_eq!(outcome.epoch, 1);
         assert_eq!(svc.stats().epoch, 1);

@@ -14,8 +14,6 @@ pub enum DataError {
     },
     /// A record referenced an attribute not present in the schema.
     UnknownAttribute(String),
-    /// A record referenced a user outside the dataset.
-    UnknownUser(String),
     /// A value could not be coerced to the attribute's kind.
     BadValue {
         /// Attribute whose parse failed.
@@ -23,10 +21,6 @@ pub enum DataError {
         /// The raw offending value.
         value: String,
     },
-    /// The dataset under construction is internally inconsistent.
-    Inconsistent(String),
-    /// An I/O error, stringified (kept `Clone`/`Eq` for test ergonomics).
-    Io(String),
 }
 
 impl fmt::Display for DataError {
@@ -36,23 +30,14 @@ impl fmt::Display for DataError {
                 write!(f, "csv parse error at line {line}: {message}")
             }
             DataError::UnknownAttribute(a) => write!(f, "unknown attribute: {a}"),
-            DataError::UnknownUser(u) => write!(f, "unknown user: {u}"),
             DataError::BadValue { attribute, value } => {
                 write!(f, "bad value {value:?} for attribute {attribute:?}")
             }
-            DataError::Inconsistent(m) => write!(f, "inconsistent dataset: {m}"),
-            DataError::Io(m) => write!(f, "io error: {m}"),
         }
     }
 }
 
 impl std::error::Error for DataError {}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -71,12 +56,5 @@ mod tests {
             value: "abc".into(),
         };
         assert!(e.to_string().contains("age"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
-        let e: DataError = io.into();
-        assert!(matches!(e, DataError::Io(_)));
     }
 }

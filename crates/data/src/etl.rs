@@ -239,9 +239,9 @@ pub fn import(
 
     let mut stats = ImportStats::default();
     for rec in &table.records {
-        let Some(user_name) = rec.get(user_col) else {
-            continue;
-        };
+        // A short (ragged) row missing the key cell counts like an empty
+        // one.
+        let user_name = rec.get(user_col).map_or("", String::as_str);
         if user_name.is_empty() {
             stats.skipped_rows += 1;
             continue;
@@ -256,9 +256,7 @@ pub fn import(
             }
         }
         if let Some(ic) = item_col {
-            let Some(item_name) = rec.get(ic) else {
-                continue;
-            };
+            let item_name = rec.get(ic).map_or("", String::as_str);
             if item_name.is_empty() {
                 stats.skipped_rows += 1;
                 continue;
@@ -442,6 +440,28 @@ mod tests {
             import(&table, &spec, &mut b),
             Err(DataError::UnknownAttribute(_))
         ));
+    }
+
+    #[test]
+    fn short_rows_count_as_skipped() {
+        // Row 2 has no user cell at all, row 3 an empty item cell: both
+        // are rows missing a key, and both are counted.
+        let table = parse(
+            "item,user,rating\nb1,alice,5\nb2\n,bob,3\n",
+            CsvOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(table.records.len(), 3);
+        let mut b = UserDataBuilder::new(Schema::new());
+        let spec = ImportSpec {
+            user_column: "user".into(),
+            item_column: Some("item".into()),
+            value_column: Some("rating".into()),
+            ..Default::default()
+        };
+        let stats = import(&table, &spec, &mut b).unwrap();
+        assert_eq!(stats.actions_imported, 1);
+        assert_eq!(stats.skipped_rows, 2);
     }
 
     #[test]

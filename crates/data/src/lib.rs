@@ -17,7 +17,7 @@
 //! * [`etl`] — the cleaning pipeline (trimming, null normalization,
 //!   deduplication, clamping) that precedes import,
 //! * [`failpoint`] — the seeded fail-point registry behind every layer's sites,
-//! * [`shard`] — member-disjoint [`shard::ShardPlan`]s (hash / contiguous)
+//! * [`shard`] — member-disjoint [`shard::ShardPlan`]s (hash-partitioned)
 //!   that let the discovery stage run one worker per slice of the user
 //!   space,
 //! * [`snapshot`] — the versioned flat-buffer snapshot format (header,
@@ -53,7 +53,7 @@ pub use dataset::{Action, ItemCatalog, UserData, UserDataBuilder, Vocabulary};
 pub use error::DataError;
 pub use ids::{AttrId, ItemId, TokenId, UserId, ValueId};
 pub use schema::{AttributeDef, AttributeKind, Schema};
-pub use shard::{ShardPlan, ShardStrategy};
+pub use shard::ShardPlan;
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, U32Store, WordSlice};
 pub use stream::{ActionDelta, ActionStream, IngestBuffer};
 pub use wal::{WalError, WalFrame, WalScan, WalSync, WalTail, WalWriter};

@@ -17,18 +17,19 @@
 //!   (one-hot demographics + activity) end to end,
 //! * [`StreamFimDiscovery`] — lossy-counting FIM over user arrivals.
 //!
-//! [`DiscoverySelection`] is the plain-data configuration mirror of the
-//! four backends, suitable for embedding in engine configs.
+//! [`DiscoverySelection`] names, as plain data for engine configs, the
+//! backends a configuration selects: LCM, stream FIM and their sharded
+//! driver. The others plug in as values through `VexusBuilder::discovery`.
 
 use crate::birch::{BirchConfig, BirchTree};
 use crate::features::Featurizer;
 use crate::group::GroupSet;
 use crate::lcm::{mine_closed_groups, LcmConfig};
 use crate::momri::{discover as momri_discover, MomriConfig};
-use crate::sharded::{EnsembleDiscovery, MergeStrategy, ShardedDiscovery};
+use crate::sharded::{ShardScaled, ShardedDiscovery};
 use crate::stream_fim::{StreamFimConfig, StreamMiner};
 use crate::transactions::TransactionDb;
-use vexus_data::{ShardStrategy, UserData, Vocabulary};
+use vexus_data::{UserData, Vocabulary};
 
 /// One shard's (or one ensemble member's) contribution to a composite
 /// discovery run.
@@ -210,35 +211,12 @@ impl GroupDiscovery for StreamFimDiscovery {
     }
 }
 
-/// Plain-data selection of a merge layer, embeddable in engine
-/// configuration. The engine supplies the support floor (its
-/// `min_group_size`) where a strategy needs one; see
-/// [`crate::sharded::MergeStrategy`] for the semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeSelection {
-    /// Concatenate every part's groups unchanged.
-    Union,
-    /// Merge groups sharing a description by unioning their members.
-    DedupByDescription,
-    /// Re-evaluate each description globally (members, closure, support).
-    #[default]
-    SupportRecount,
-}
-
-impl MergeSelection {
-    /// Materialize the strategy, supplying `min_support` where needed.
-    pub fn strategy(self, min_support: usize) -> MergeStrategy {
-        match self {
-            Self::Union => MergeStrategy::Union,
-            Self::DedupByDescription => MergeStrategy::DedupByDescription,
-            Self::SupportRecount => MergeStrategy::SupportRecount { min_support },
-        }
-    }
-}
-
-/// Plain-data selection of a discovery backend, embeddable in engine
-/// configuration (the engine derives support floors from its own
-/// `min_group_size` where a variant leaves them implicit).
+/// Plain-data selection of the discovery backends an engine configuration
+/// names: LCM (the default offline path), stream FIM (the live engine's
+/// miner) and either of them sharded. The engine derives support floors
+/// from its own `min_group_size`. Every other backend (α-MOMRI, BIRCH, an
+/// ensemble, an external implementation) plugs in as a value through
+/// `VexusBuilder::discovery`.
 #[derive(Debug, Clone)]
 pub enum DiscoverySelection {
     /// Closed frequent itemsets (the default offline path).
@@ -247,18 +225,6 @@ pub enum DiscoverySelection {
         max_description: usize,
         /// Hard cap on the discovered group space.
         max_groups: usize,
-    },
-    /// α-MOMRI multi-objective discovery.
-    Momri {
-        /// Optimizer configuration.
-        config: MomriConfig,
-    },
-    /// BIRCH CF-tree clustering.
-    Birch {
-        /// Branching factor.
-        branching: usize,
-        /// Absorption threshold.
-        threshold: f64,
     },
     /// Lossy-counting stream FIM.
     StreamFim {
@@ -269,27 +235,15 @@ pub enum DiscoverySelection {
         /// Maximum itemset length.
         max_len: usize,
     },
-    /// Run a base backend per member-disjoint shard on worker threads and
-    /// fold the per-shard group spaces through a merge layer. `inner` must
-    /// be one of the four base variants — shard an ensemble by sharding its
-    /// members instead.
+    /// Run the inner backend per hash shard on worker threads and fold the
+    /// per-shard group spaces through the support-recount merge. A
+    /// `Sharded` inner selection is looked through: the outermost count
+    /// applies.
     Sharded {
-        /// The base backend to run on every shard.
+        /// The backend to run on every shard.
         inner: Box<DiscoverySelection>,
         /// Number of shards (workers).
         shards: usize,
-        /// How members are assigned to shards.
-        strategy: ShardStrategy,
-        /// How per-shard group spaces fold into one.
-        merge: MergeSelection,
-    },
-    /// Union several backends' group spaces behind one merge layer
-    /// (e.g. LCM ∪ BIRCH: described and clustered groups side by side).
-    Ensemble {
-        /// The member backends, each itself any selection.
-        members: Vec<DiscoverySelection>,
-        /// How the member group spaces fold into one.
-        merge: MergeSelection,
     },
 }
 
@@ -303,160 +257,92 @@ impl Default for DiscoverySelection {
 }
 
 impl DiscoverySelection {
-    /// Wrap this selection in a sharded driver with the default strategy
-    /// (hash sharding, support-recount merge).
+    /// Shard this selection `shards` ways. Sharding a `Sharded` selection
+    /// replaces its count.
     pub fn sharded(self, shards: usize) -> Self {
-        self.sharded_with(shards, ShardStrategy::Hash, MergeSelection::SupportRecount)
+        let inner = match self {
+            Self::Sharded { inner, .. } => inner,
+            base => Box::new(base),
+        };
+        Self::Sharded { inner, shards }
     }
 
-    /// Wrap this selection in a sharded driver with explicit strategy and
-    /// merge choices.
-    pub fn sharded_with(
-        self,
-        shards: usize,
-        strategy: ShardStrategy,
-        merge: MergeSelection,
-    ) -> Self {
-        Self::Sharded {
-            inner: Box::new(self),
-            shards,
-            strategy,
-            merge,
-        }
-    }
-
-    /// Materialize a base (non-composite) variant's concrete backend —
-    /// the single place each variant's configuration becomes a backend
-    /// value, shared by the plain and sharded paths of
-    /// [`DiscoverySelection::backend_with`]. `None` for composite variants.
-    fn base_backend(&self, min_group_size: usize) -> Option<BaseBackend> {
-        Some(match self.clone() {
+    /// The backend under however many `Sharded` layers, with its support
+    /// floor taken from `min_group_size`.
+    fn base_backend(&self, min_group_size: usize) -> BaseBackend {
+        match self {
             Self::Lcm {
                 max_description,
                 max_groups,
             } => BaseBackend::Lcm(LcmDiscovery::new(LcmConfig {
                 min_support: min_group_size,
-                max_description,
-                max_groups,
+                max_description: *max_description,
+                max_groups: *max_groups,
                 emit_root: false,
             })),
-            Self::Momri { config } => BaseBackend::Momri(MomriDiscovery { config }),
-            Self::Birch {
-                branching,
-                threshold,
-            } => BaseBackend::Birch(BirchDiscovery {
-                branching,
-                threshold,
-                min_cluster_size: min_group_size,
-            }),
             Self::StreamFim {
                 support,
                 epsilon,
                 max_len,
             } => BaseBackend::StreamFim(StreamFimDiscovery::new(StreamFimConfig {
-                support,
-                epsilon,
-                max_len,
+                support: *support,
+                epsilon: *epsilon,
+                max_len: *max_len,
             })),
-            Self::Sharded { .. } | Self::Ensemble { .. } => return None,
-        })
+            Self::Sharded { inner, .. } => inner.base_backend(min_group_size),
+        }
     }
 
-    /// Materialize the selected backend. `min_group_size` supplies support
-    /// floors for variants that key off group size. The composite variants
-    /// take an explicit worker count for their merge recount (`0` =
+    /// Materialize the selected backend. `min_group_size` supplies LCM's
+    /// support floor and the sharded merge's recount floor. A sharded
+    /// selection also takes the merge recount's worker count (`0` =
     /// available parallelism — purely a performance knob: the merged group
-    /// space is byte-identical at any count) and an explicit cross-shard
-    /// closure exchange round count (`0` disables the exchange and with it
-    /// the oversharded-regime exactness guarantee; see
+    /// space is byte-identical at any count) and the cross-shard closure
+    /// exchange round count (`0` disables the exchange and with it the
+    /// oversharded-regime exactness guarantee; see
     /// [`crate::sharded::MergeContext::exchange_rounds`]).
-    ///
-    /// # Panics
-    /// If a [`DiscoverySelection::Sharded`] wraps anything but the four
-    /// base variants (nest the other way round: ensemble of sharded).
     pub fn backend_with(
         &self,
         min_group_size: usize,
         merge_threads: usize,
         exchange_rounds: usize,
     ) -> Box<dyn GroupDiscovery> {
-        match self {
-            Self::Sharded {
-                inner,
-                shards,
-                strategy,
-                merge,
-            } => {
-                let merge = merge.strategy(min_group_size);
-                // `ShardedDiscovery` is generic over a concrete, clonable
-                // backend (each shard runs an adapted copy), so the base
-                // variants are wrapped per concrete type.
-                let base = inner.base_backend(min_group_size).unwrap_or_else(|| {
-                    panic!(
-                        "DiscoverySelection::Sharded composes over a base backend; \
-                         to shard an ensemble, shard its members instead"
-                    )
-                });
-                fn wrap<B: GroupDiscovery + crate::sharded::ShardScaled + Sync + 'static>(
-                    backend: B,
-                    shards: usize,
-                    strategy: ShardStrategy,
-                    merge: MergeStrategy,
-                    merge_threads: usize,
-                    exchange_rounds: usize,
-                ) -> Box<dyn GroupDiscovery> {
-                    Box::new(
-                        ShardedDiscovery::new(backend, shards)
-                            .with_strategy(strategy)
-                            .with_merge(merge)
-                            .with_merge_threads(merge_threads)
-                            .with_exchange_rounds(exchange_rounds),
-                    )
-                }
-                match base {
-                    BaseBackend::Lcm(b) => {
-                        wrap(b, *shards, *strategy, merge, merge_threads, exchange_rounds)
-                    }
-                    BaseBackend::Momri(b) => {
-                        wrap(b, *shards, *strategy, merge, merge_threads, exchange_rounds)
-                    }
-                    BaseBackend::Birch(b) => {
-                        wrap(b, *shards, *strategy, merge, merge_threads, exchange_rounds)
-                    }
-                    BaseBackend::StreamFim(b) => {
-                        wrap(b, *shards, *strategy, merge, merge_threads, exchange_rounds)
-                    }
-                }
-            }
-            Self::Ensemble { members, merge } => {
-                let mut ensemble = EnsembleDiscovery::new(merge.strategy(min_group_size))
-                    .with_merge_threads(merge_threads)
-                    .with_exchange_rounds(exchange_rounds);
-                for member in members {
-                    ensemble.push(member.backend_with(
-                        min_group_size,
-                        merge_threads,
-                        exchange_rounds,
-                    ));
-                }
-                Box::new(ensemble)
-            }
-            base => match base.base_backend(min_group_size).expect("base variant") {
+        let base = self.base_backend(min_group_size);
+        let Self::Sharded { shards, .. } = *self else {
+            return match base {
                 BaseBackend::Lcm(b) => Box::new(b),
-                BaseBackend::Momri(b) => Box::new(b),
-                BaseBackend::Birch(b) => Box::new(b),
                 BaseBackend::StreamFim(b) => Box::new(b),
-            },
+            };
+        };
+        // `ShardedDiscovery` is generic over a concrete, clonable backend
+        // (each shard runs an adapted copy), so each base is wrapped per
+        // concrete type.
+        fn wrap<B: GroupDiscovery + ShardScaled + Sync + 'static>(
+            backend: B,
+            shards: usize,
+            min_support: usize,
+            merge_threads: usize,
+            exchange_rounds: usize,
+        ) -> Box<dyn GroupDiscovery> {
+            Box::new(
+                ShardedDiscovery::new(backend, shards)
+                    .support_recount(min_support)
+                    .with_merge_threads(merge_threads)
+                    .with_exchange_rounds(exchange_rounds),
+            )
+        }
+        match base {
+            BaseBackend::Lcm(b) => wrap(b, shards, min_group_size, merge_threads, exchange_rounds),
+            BaseBackend::StreamFim(b) => {
+                wrap(b, shards, min_group_size, merge_threads, exchange_rounds)
+            }
         }
     }
 }
 
-/// A materialized base-variant backend (see
-/// [`DiscoverySelection::base_backend`]).
+/// A materialized base backend (see [`DiscoverySelection::base_backend`]).
 enum BaseBackend {
     Lcm(LcmDiscovery),
-    Momri(MomriDiscovery),
-    Birch(BirchDiscovery),
     StreamFim(StreamFimDiscovery),
 }
 
@@ -541,47 +427,75 @@ mod tests {
 
     #[test]
     fn selection_builds_every_backend() {
+        // The selectable backends at floor 5, and the two the builder
+        // plugs in as values (BIRCH's default `min_cluster_size` is 5).
         let (data, vocab) = fixture();
-        let selections = [
-            DiscoverySelection::default(),
-            DiscoverySelection::Momri {
-                config: MomriConfig::default(),
-            },
-            DiscoverySelection::Birch {
-                branching: 10,
-                threshold: 1.6,
-            },
-            DiscoverySelection::StreamFim {
-                support: 0.05,
-                epsilon: 0.01,
-                max_len: 3,
-            },
+        let stream = DiscoverySelection::StreamFim {
+            support: 0.05,
+            epsilon: 0.01,
+            max_len: 3,
+        };
+        let backends: [(Box<dyn GroupDiscovery>, usize); 4] = [
+            (DiscoverySelection::default().backend_with(5, 0, 1), 324),
+            (Box::new(MomriDiscovery::default()), 5),
+            (Box::new(BirchDiscovery::default()), 13),
+            (stream.backend_with(5, 0, 1), 104),
         ];
-        for sel in selections {
-            let backend = sel.backend_with(5, 0, 1);
+        for (backend, groups) in backends {
             let out = backend.discover(&data, &vocab);
-            assert!(
-                !out.groups.is_empty(),
-                "backend {} produced no groups",
-                backend.name()
-            );
+            assert_eq!(out.groups.len(), groups, "backend {}", backend.name());
+        }
+    }
+
+    #[test]
+    fn no_selection_value_panics() {
+        // `sharded` on a sharded selection replaces the count, and a
+        // hand-nested selection runs at its outermost count: both build
+        // the plain 4-shard driver's space.
+        let (data, vocab) = fixture();
+        let four = DiscoverySelection::default()
+            .sharded(4)
+            .backend_with(10, 0, 1)
+            .discover(&data, &vocab)
+            .groups;
+        let resharded = DiscoverySelection::default().sharded(2).sharded(4);
+        assert!(matches!(
+            &resharded,
+            DiscoverySelection::Sharded { inner, shards: 4 }
+                if matches!(**inner, DiscoverySelection::Lcm { .. })
+        ));
+        let nested = DiscoverySelection::Sharded {
+            inner: Box::new(DiscoverySelection::default().sharded(2)),
+            shards: 4,
+        };
+        for selection in [resharded, nested] {
+            let backend = selection.backend_with(10, 0, 1);
+            assert_eq!(backend.name(), "sharded");
+            assert_eq!(backend.discover(&data, &vocab).groups, four);
+        }
+        let stream = DiscoverySelection::StreamFim {
+            support: 0.05,
+            epsilon: 0.01,
+            max_len: 3,
+        };
+        for selection in [stream.clone(), stream.sharded(2).sharded(0)] {
+            let out = selection.backend_with(5, 0, 1).discover(&data, &vocab);
+            assert!(!out.groups.is_empty());
         }
     }
 
     #[test]
     fn discovery_is_deterministic() {
         let (data, vocab) = fixture();
-        for backend in [
-            DiscoverySelection::default().backend_with(5, 0, 1),
-            DiscoverySelection::Birch {
-                branching: 10,
-                threshold: 1.6,
-            }
-            .backend_with(5, 0, 1),
-        ] {
+        let backends: [(Box<dyn GroupDiscovery>, usize); 2] = [
+            (DiscoverySelection::default().backend_with(5, 0, 1), 324),
+            (Box::new(BirchDiscovery::default()), 13),
+        ];
+        for (backend, groups) in backends {
             let a = backend.discover(&data, &vocab);
             let b = backend.discover(&data, &vocab);
-            assert_eq!(a.groups.len(), b.groups.len());
+            assert_eq!(a.groups.len(), groups);
+            assert_eq!(b.groups.len(), groups);
             for ((_, ga), (_, gb)) in a.groups.iter().zip(b.groups.iter()) {
                 assert_eq!(ga.description, gb.description);
                 assert_eq!(ga.members.as_slice(), gb.members.as_slice());

@@ -18,11 +18,12 @@
 //! All four are exposed behind one seam: the [`discovery::GroupDiscovery`]
 //! trait, whose backends ([`LcmDiscovery`], [`MomriDiscovery`],
 //! [`BirchDiscovery`], [`StreamFimDiscovery`]) take `(&UserData,
-//! &Vocabulary)` and return a [`GroupSet`] plus discovery statistics. The
-//! exploration engine's builder accepts any backend.
+//! &Vocabulary)` and return a [`GroupSet`]. The exploration engine's
+//! builder accepts any backend.
 //!
 //! On top of that seam, [`sharded`] scales discovery out:
-//! [`ShardedDiscovery`] runs any backend per member-disjoint shard on
+//! [`ShardedDiscovery`] runs a [`ShardScaled`] backend (LCM or stream FIM)
+//! per member-disjoint hash shard on
 //! worker threads and folds the per-shard group spaces through a
 //! [`MergeStrategy`]; [`EnsembleDiscovery`] unions several backends
 //! (e.g. LCM ∪ BIRCH) through the same merge layer.
@@ -62,7 +63,7 @@ pub use bitmap::MemberSet;
 pub use delta::{DeltaDiscovery, GroupDelta};
 pub use discovery::{
     BirchDiscovery, DiscoveryOutcome, DiscoverySelection, GroupDiscovery, LcmDiscovery,
-    MergeSelection, MomriDiscovery, ShardStats, StreamFimDiscovery,
+    MomriDiscovery, ShardStats, StreamFimDiscovery,
 };
 pub use features::Featurizer;
 pub use group::{Group, GroupId, GroupSet};

@@ -2,11 +2,12 @@
 //!
 //! [`ShardedDiscovery`] is the scaling layer over the [`GroupDiscovery`]
 //! seam: it partitions the user space with a
-//! [`vexus_data::shard::ShardPlan`], runs an adapted copy of any backend
-//! per shard on crossbeam scoped threads, and folds the per-shard group
-//! spaces through a [`MergeStrategy`]. The same merge layer powers
-//! [`EnsembleDiscovery`], which unions several backends' group spaces
-//! (e.g. LCM ∪ BIRCH: described and clustered groups side by side).
+//! [`vexus_data::shard::ShardPlan`], runs an adapted copy of a
+//! [`ShardScaled`] backend per shard on crossbeam scoped threads, and
+//! folds the per-shard group spaces through a [`MergeStrategy`]. The same
+//! merge layer powers [`EnsembleDiscovery`], which unions several
+//! backends' group spaces (e.g. LCM ∪ BIRCH: described and clustered
+//! groups side by side).
 //!
 //! The partition-mining correctness argument is SON-style: a group that is
 //! frequent over the whole population is, by pigeonhole, frequent in at
@@ -99,12 +100,12 @@
 //! range order, so the merge is byte-identical at any worker count.
 
 use crate::bitmap::MemberSet;
-use crate::discovery::{BirchDiscovery, LcmDiscovery, MomriDiscovery, StreamFimDiscovery};
 use crate::discovery::{DiscoveryOutcome, GroupDiscovery, ShardStats};
+use crate::discovery::{LcmDiscovery, StreamFimDiscovery};
 use crate::group::{Group, GroupSet};
 use crate::transactions::TransactionDb;
 use std::collections::BTreeMap;
-use vexus_data::shard::{ShardPlan, ShardStrategy};
+use vexus_data::shard::ShardPlan;
 use vexus_data::{TokenId, UserData, Vocabulary};
 
 /// Scale a minimum-count threshold to a shard covering `fraction` of the
@@ -130,37 +131,31 @@ fn scale_cap(cap: usize, fraction: f64) -> usize {
 
 /// Adapt a backend's configuration to one shard of the data.
 ///
-/// The driver hands each worker `backend.for_shard_of(fraction, n_attrs)`
-/// where `fraction` is the shard's share of all members and `n_attrs` the
+/// The driver hands each worker
+/// `backend.for_shard_of(fraction, n_attrs, recount_witnesses)` where
+/// `fraction` is the shard's share of all members and `n_attrs` the
 /// schema's attribute count. Backends whose thresholds are absolute counts
-/// (LCM's `min_support`, BIRCH's `min_cluster_size`) scale them down
-/// proportionally so globally frequent structure stays visible inside
-/// every shard; backends with purely relative thresholds (stream FIM's
-/// σ/ε) return an unchanged copy. Backends that lift output caps per
-/// shard re-impose the user's caps on the merged space in
-/// [`ShardScaled::finish_merge`].
+/// (LCM's `min_support`) scale them down proportionally so globally
+/// frequent structure stays visible inside every shard; backends with
+/// purely relative thresholds (stream FIM's σ/ε) return an unchanged copy.
+/// Backends that lift output caps per shard re-impose the user's caps on
+/// the merged space in [`ShardScaled::finish_merge`].
 pub trait ShardScaled: Clone {
     /// A copy of this backend configured for a shard holding `fraction`
-    /// (in `(0, 1]`) of the members. Default: unchanged clone.
-    fn for_shard(&self, _fraction: f64) -> Self {
+    /// (in `(0, 1]`) of the members, told the schema's attribute count —
+    /// the natural ceiling on any closed description's length, since a
+    /// user carries at most one `(attribute, value)` token per attribute —
+    /// and whether the merge is a recount (`recount_witnesses`: the
+    /// per-shard output feeds a global [`MergeStrategy::SupportRecount`],
+    /// so shard-local output policies like LCM's root suppression should
+    /// be lifted to keep every merge witness; false for union/dedup
+    /// merges, whose parts land in the output as-is). Backends whose
+    /// description caps would otherwise prune whole shard-local branches
+    /// (LCM) lift them to this ceiling here, which costs nothing extra: no
+    /// closure can be longer than the shortest member transaction, which
+    /// this bound already dominates. Default: unchanged clone.
+    fn for_shard_of(&self, _fraction: f64, _n_attributes: usize, _recount_witnesses: bool) -> Self {
         self.clone()
-    }
-
-    /// As [`ShardScaled::for_shard`], additionally told the schema's
-    /// attribute count — the natural ceiling on any closed description's
-    /// length, since a user carries at most one `(attribute, value)` token
-    /// per attribute — and whether the merge is a recount
-    /// (`recount_witnesses`: the per-shard output feeds a global
-    /// [`MergeStrategy::SupportRecount`], so shard-local output policies
-    /// like LCM's root suppression should be lifted to keep every merge
-    /// witness; false for union/dedup merges, whose parts land in the
-    /// output as-is). Backends whose description caps would otherwise
-    /// prune whole shard-local branches (LCM) lift them to this ceiling
-    /// here, which costs nothing extra: no closure can be longer than the
-    /// shortest member transaction, which this bound already dominates.
-    /// Default: delegate to `for_shard`.
-    fn for_shard_of(&self, fraction: f64, _n_attributes: usize, _recount_witnesses: bool) -> Self {
-        self.for_shard(fraction)
     }
 
     /// Re-apply the *user's* global caps that `for_shard_of` lifted per
@@ -180,14 +175,6 @@ pub trait ShardScaled: Clone {
 }
 
 impl ShardScaled for LcmDiscovery {
-    /// Scales `min_support` only; description/group caps are handled by
-    /// [`ShardScaled::for_shard_of`] and [`ShardScaled::finish_merge`].
-    fn for_shard(&self, fraction: f64) -> Self {
-        let mut scaled = self.clone();
-        scaled.config.min_support = scale_floor(self.config.min_support, fraction);
-        scaled
-    }
-
     /// Scales `min_support` down and *lifts* the output caps: the
     /// description cap rises to the schema's attribute count (a
     /// shard-local closure longer than the user's `max_description` must
@@ -206,7 +193,8 @@ impl ShardScaled for LcmDiscovery {
     /// merged space. Union/dedup merges keep the user's `emit_root`
     /// untouched, since their parts land in the output as-is.
     fn for_shard_of(&self, fraction: f64, n_attributes: usize, recount_witnesses: bool) -> Self {
-        let mut scaled = self.for_shard(fraction);
+        let mut scaled = self.clone();
+        scaled.config.min_support = scale_floor(self.config.min_support, fraction);
         scaled.config.max_description = scaled.config.max_description.max(n_attributes);
         scaled.config.max_groups = scale_cap(self.config.max_groups, fraction);
         scaled.config.emit_root = self.config.emit_root || recount_witnesses;
@@ -231,22 +219,6 @@ impl ShardScaled for LcmDiscovery {
 
     fn emits_population_group(&self) -> bool {
         self.config.emit_root
-    }
-}
-
-impl ShardScaled for MomriDiscovery {
-    fn for_shard(&self, fraction: f64) -> Self {
-        let mut scaled = self.clone();
-        scaled.config.lcm.min_support = scale_floor(self.config.lcm.min_support, fraction);
-        scaled
-    }
-}
-
-impl ShardScaled for BirchDiscovery {
-    fn for_shard(&self, fraction: f64) -> Self {
-        let mut scaled = self.clone();
-        scaled.min_cluster_size = scale_floor(self.min_cluster_size, fraction);
-        scaled
     }
 }
 
@@ -1013,8 +985,9 @@ const SHIPPED_STAGES: RecountStages = RecountStages {
 /// How per-shard (or per-backend) group spaces fold into one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum MergeStrategy {
-    /// Concatenate every part's groups unchanged. Right for partition-style
-    /// clustering (BIRCH per shard) where parts describe disjoint members.
+    /// Concatenate every part's groups unchanged. Right when the parts'
+    /// spaces are meant to sit side by side (an ensemble's described and
+    /// clustered groups, as in LCM ∪ BIRCH).
     Union,
     /// Merge groups sharing a token description by unioning their member
     /// sets; description-less cluster groups pass through unchanged.
@@ -1253,12 +1226,11 @@ impl MergeStrategy {
 /// [`ShardedDiscovery::mine_parts`] reports what each shard covered.
 #[derive(Debug, Clone)]
 pub struct ShardedDiscovery<B> {
-    /// The prototype backend; each shard runs `backend.for_shard(f)`.
+    /// The prototype backend; each shard runs an adapted copy
+    /// ([`ShardScaled::for_shard_of`]).
     pub backend: B,
-    /// Number of shards (clamped to at least 1 at run time).
+    /// Number of hash shards (clamped to at least 1 at run time).
     pub shards: usize,
-    /// How members are assigned to shards.
-    pub strategy: ShardStrategy,
     /// How per-shard group spaces fold into one.
     pub merge: MergeStrategy,
     /// Worker threads for the merge's exchange and recount passes (`0` =
@@ -1278,17 +1250,10 @@ impl<B> ShardedDiscovery<B> {
         Self {
             backend,
             shards,
-            strategy: ShardStrategy::Hash,
             merge: MergeStrategy::default(),
             merge_threads: 0,
             exchange_rounds: 1,
         }
-    }
-
-    /// Builder-style: change the shard-assignment strategy.
-    pub fn with_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Builder-style: change the merge layer.
@@ -1347,7 +1312,7 @@ impl<B: GroupDiscovery + ShardScaled + Sync> ShardedDiscovery<B> {
         vocab: &Vocabulary,
     ) -> (Vec<GroupSet>, Vec<ShardStats>) {
         let n = data.n_users();
-        let plan = ShardPlan::build(n, self.shards, self.strategy);
+        let plan = ShardPlan::build(n, self.shards);
         let n_shards = plan.n_shards();
         // Witness lifts (LCM's per-shard emit_root) apply only when the
         // parts feed a global recount; union/dedup merges keep the
@@ -1604,7 +1569,7 @@ fn recount_one(db: &TransactionDb, description: &[TokenId], min_support: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::DiscoverySelection;
+    use crate::discovery::{BirchDiscovery, DiscoverySelection};
     use crate::lcm::LcmConfig;
     use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
 
@@ -1671,18 +1636,16 @@ mod tests {
 
     #[test]
     fn shard_scaling_preserves_son_guarantee() {
-        let scaled = lcm(20).for_shard(0.25);
+        let scaled = lcm(20).for_shard_of(0.25, 8, false);
         assert_eq!(scaled.config.min_support, 5);
         // Never scales to zero.
-        assert_eq!(lcm(1).for_shard(0.01).config.min_support, 1);
-        // BIRCH scales its cluster floor, stream FIM is unchanged.
-        let birch = BirchDiscovery {
-            min_cluster_size: 8,
-            ..Default::default()
-        };
-        assert_eq!(birch.for_shard(0.5).min_cluster_size, 4);
+        assert_eq!(lcm(1).for_shard_of(0.01, 8, false).config.min_support, 1);
+        // Stream FIM's thresholds are relative: unchanged.
         let sf = StreamFimDiscovery::default();
-        assert_eq!(sf.for_shard(0.25).config.support, sf.config.support);
+        assert_eq!(
+            sf.for_shard_of(0.25, 8, true).config.support,
+            sf.config.support
+        );
     }
 
     #[test]
@@ -1749,8 +1712,8 @@ mod tests {
             d(&[1])
         );
         // The default adaptation (non-LCM backends) is cap-neutral.
-        let birch = BirchDiscovery::default();
-        let passthrough = birch.finish_merge(GroupSet::from_groups(vec![g(&[], &[0, 1])]));
+        let passthrough = StreamFimDiscovery::default()
+            .finish_merge(GroupSet::from_groups(vec![g(&[], &[0, 1])]));
         assert_eq!(passthrough.len(), 1);
     }
 
@@ -2119,10 +2082,8 @@ mod tests {
         // same groups in the same order, same telemetry.
         let (data, vocab) = fixture();
         let db = TransactionDb::build(&data, &vocab);
-        for (shards, strategy) in [(8, ShardStrategy::Hash), (16, ShardStrategy::Contiguous)] {
-            let driver = ShardedDiscovery::new(lcm(10), shards)
-                .with_strategy(strategy)
-                .support_recount(10);
+        for shards in [8, 16] {
+            let driver = ShardedDiscovery::new(lcm(10), shards).support_recount(10);
             let (parts, _) = driver.mine_parts(&data, &vocab);
             let ctx = MergeContext::new(&data, &vocab)
                 .with_db(&db)
@@ -2155,26 +2116,28 @@ mod tests {
 
     #[test]
     fn degenerate_shards_and_root_witnesses_stay_exact() {
-        // Code-review regression: shard 0 holds ten identical users — its
+        // Code-review regression: shard 0 holds only identical users — its
         // whole shard-local closed family is its own root — and shard 1
-        // two five-user groups under a common token. Before the fixes,
-        // (a) shard 0 emitted no witness (per-shard `emit_root` stayed
-        // false, so the family was empty) and (b) a single contributing
-        // part gated the refinement *and* the exchange off, so the merged
-        // space lost {female, A} and {male}: recall 0.5.
+        // two groups of at least five under a common token. Before the
+        // fixes, (a) shard 0 emitted no witness (per-shard `emit_root`
+        // stayed false, so the family was empty) and (b) a single
+        // contributing part gated the refinement *and* the exchange off,
+        // so the merged space lost {female, A} and {male}: recall 0.5.
+        // The fixture reads the hash plan to place its users.
         use vexus_data::Schema;
+        let n = 30;
+        let plan = ShardPlan::build(n, 2);
+        assert!(plan.members(0).len() >= 5 && plan.members(1).len() >= 10);
         let mut schema = Schema::new();
         let gender = schema.add_categorical("gender");
         let team = schema.add_categorical("team");
         let mut b = vexus_data::UserDataBuilder::new(schema);
-        for i in 0..20 {
+        for i in 0..n as u32 {
             let u = b.user(&format!("u{i}"));
-            let (g, t) = if i < 10 {
-                ("female", "A")
-            } else if i < 15 {
-                ("male", "B")
-            } else {
-                ("male", "C")
+            let (g, t) = match plan.members(1).binary_search(&i) {
+                Err(_) => ("female", "A"),
+                Ok(rank) if rank % 2 == 0 => ("male", "B"),
+                Ok(_) => ("male", "C"),
             };
             b.set_demo(u, gender, g).unwrap();
             b.set_demo(u, team, t).unwrap();
@@ -2187,17 +2150,14 @@ mod tests {
             4,
             "fixture mines {{female,A}}, {{male}}, {{male,B}}, {{male,C}}"
         );
-        for strategy in [ShardStrategy::Contiguous, ShardStrategy::Hash] {
-            let sharded = ShardedDiscovery::new(lcm(5), 2)
-                .with_strategy(strategy)
-                .support_recount(5)
-                .discover(&data, &vocab);
-            assert_eq!(
-                single,
-                normalize(&sharded.groups),
-                "{strategy:?} lost a degenerate-shard group"
-            );
-        }
+        let sharded = ShardedDiscovery::new(lcm(5), 2)
+            .support_recount(5)
+            .discover(&data, &vocab);
+        assert_eq!(
+            single,
+            normalize(&sharded.groups),
+            "lost a degenerate-shard group"
+        );
     }
 
     #[test]
@@ -2359,26 +2319,18 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_strategy_also_recounts_exactly() {
+    fn union_merge_keeps_every_shard_group() {
         let (data, vocab) = fixture();
-        let single = lcm(12).discover(&data, &vocab);
-        let sharded = ShardedDiscovery::new(lcm(12), 4)
-            .with_strategy(ShardStrategy::Contiguous)
-            .support_recount(12)
-            .discover(&data, &vocab);
-        assert_eq!(normalize(&single.groups), normalize(&sharded.groups));
-    }
-
-    #[test]
-    fn union_merge_keeps_per_shard_clusters() {
-        let (data, vocab) = fixture();
-        let sharded = ShardedDiscovery::new(BirchDiscovery::default(), 3)
-            .with_merge(MergeStrategy::Union)
-            .discover(&data, &vocab);
-        // Per-shard clustering covers every shard's members (clusters are
-        // description-less, so union keeps them all).
-        assert!(!sharded.groups.is_empty());
-        assert!(sharded.groups.iter().all(|(_, g)| g.description.is_empty()));
+        let driver = ShardedDiscovery::new(lcm(10), 3).with_merge(MergeStrategy::Union);
+        let sharded = driver.discover(&data, &vocab);
+        // Union keeps every shard's groups as mined, in shard order.
+        let (parts, _) = driver.mine_parts(&data, &vocab);
+        let all: Vec<Group> = parts.into_iter().flat_map(GroupSet::into_vec).collect();
+        assert!(!all.is_empty());
+        assert_eq!(
+            sharded.groups,
+            driver.backend.finish_merge(GroupSet::from_groups(all))
+        );
         // Global member ids, not local ones: ids must reach past shard 0.
         let max_member = sharded
             .groups
@@ -2510,36 +2462,13 @@ mod tests {
     }
 
     #[test]
-    fn selection_wires_sharded_and_ensemble_backends() {
+    fn selection_wires_the_sharded_backend() {
         let (data, vocab) = fixture();
         let sharded = DiscoverySelection::default()
             .sharded(4)
             .backend_with(10, 0, 1);
         assert_eq!(sharded.name(), "sharded");
-        assert!(!sharded.discover(&data, &vocab).groups.is_empty());
-
-        let members = vec![
-            DiscoverySelection::default(),
-            DiscoverySelection::Birch {
-                branching: 10,
-                threshold: 1.6,
-            },
-        ];
-        let parts: Vec<GroupSet> = members
-            .iter()
-            .map(|m| m.backend_with(5, 0, 1).discover(&data, &vocab).groups)
-            .collect();
-        let ensemble = DiscoverySelection::Ensemble {
-            members,
-            merge: crate::discovery::MergeSelection::Union,
-        }
-        .backend_with(5, 0, 1);
-        assert_eq!(ensemble.name(), "ensemble");
-        let out = ensemble.discover(&data, &vocab);
-        assert_eq!(
-            out.groups.len(),
-            parts.iter().map(GroupSet::len).sum::<usize>()
-        );
+        assert_eq!(sharded.discover(&data, &vocab).groups.len(), 132);
     }
 
     #[test]
@@ -2574,15 +2503,6 @@ mod tests {
             .support_recount(10)
             .with_exchange_rounds(0);
         assert_ne!(off.groups, four.discover(&data, &vocab).groups);
-    }
-
-    #[test]
-    #[should_panic(expected = "composes over a base backend")]
-    fn sharded_selection_rejects_nested_composites() {
-        let _ = DiscoverySelection::default()
-            .sharded(2)
-            .sharded(2)
-            .backend_with(5, 0, 1);
     }
 
     #[test]

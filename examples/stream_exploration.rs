@@ -14,9 +14,7 @@
 //! up exactly where the crash left off.
 
 use std::sync::Arc;
-use vexus::core::{
-    DurabilityConfig, EngineConfig, ExplorationService, LiveEngine, Request, Response,
-};
+use vexus::core::{DurabilityConfig, EngineConfig, ExplorationService, LiveEngine};
 use vexus::data::stream::ChannelStream;
 use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
 use vexus::data::{Action, ActionStream};
@@ -250,13 +248,7 @@ fn run_default() {
 
     // The pinned session still explores epoch 0's group space…
     println!("\nsession pinned at epoch 0 replays unchanged:");
-    let shown = match svc
-        .handle(Request::Display { session: pinned })
-        .expect("pinned session serves")
-    {
-        Response::Display(d) => d,
-        other => panic!("expected Display, got {other:?}"),
-    };
+    let shown = svc.display(pinned).expect("pinned session serves");
     assert_eq!(shown, display0);
     svc.click(pinned, display0[0]).expect("pinned click");
 

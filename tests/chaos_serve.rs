@@ -214,7 +214,7 @@ fn poisoned_cache_shards_recover_as_misses() {
 #[test]
 fn refresh_faults_leave_the_published_epoch_serving() {
     let _scenario = fp::FailScenario::setup();
-    use vexus::core::{ExplorationService as Svc, Request, Response};
+    use vexus::core::ExplorationService as Svc;
     use vexus::data::stream::ChannelStream;
 
     let ds = bookcrossing(&BookCrossingConfig::tiny());
@@ -273,7 +273,7 @@ fn refresh_faults_leave_the_published_epoch_serving() {
     assert!(Arc::ptr_eq(&svc.engine(), &epoch1));
     // Subsequent refreshes stay typed…
     assert!(matches!(
-        svc.handle(Request::Refresh).unwrap_err(),
+        svc.refresh().unwrap_err(),
         ServeError::Core(CoreError::Halted(_))
     ));
     // …while serving is unaffected: the pre-fault session replays its
@@ -284,10 +284,8 @@ fn refresh_faults_leave_the_published_epoch_serving() {
     );
     svc.click(pinned, display0[0])
         .expect("pinned session steps");
-    match svc.handle(Request::Open).expect("new opens still served") {
-        Response::Opened { display, .. } => assert!(!display.is_empty()),
-        other => panic!("expected Opened, got {other:?}"),
-    }
+    let (_, display) = svc.open().expect("new opens still served");
+    assert!(!display.is_empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -179,37 +179,46 @@ fn sharded_selection_drives_a_session() {
 
 #[test]
 fn config_selection_reaches_every_backend() {
-    // The same plug-in path, driven from EngineConfig instead of an
-    // explicit backend value.
-    for (sel, name) in [
-        (DiscoverySelection::default(), "lcm"),
+    // LCM and stream FIM are selected by EngineConfig; α-MOMRI and BIRCH
+    // plug in as values, with the floors a config derives from
+    // `min_group_size` (BIRCH's default `min_cluster_size` is that 5).
+    let config = EngineConfig::default();
+    let stream = DiscoverySelection::StreamFim {
+        support: 0.05,
+        epsilon: 0.01,
+        max_len: 3,
+    };
+    let builders = [
+        (VexusBuilder::new(tiny()).config(config.clone()), "lcm", 324),
         (
-            DiscoverySelection::Momri {
-                config: MomriConfig::default(),
-            },
-            "momri",
-        ),
-        (
-            DiscoverySelection::Birch {
-                branching: 10,
-                threshold: 1.6,
-            },
-            "birch",
-        ),
-        (
-            DiscoverySelection::StreamFim {
-                support: 0.05,
-                epsilon: 0.01,
-                max_len: 3,
-            },
+            VexusBuilder::new(tiny()).config(config.clone().with_discovery(stream)),
             "stream-fim",
+            104,
         ),
-    ] {
-        let vexus = VexusBuilder::new(tiny())
-            .config(EngineConfig::default().with_discovery(sel))
+        (
+            VexusBuilder::new(tiny())
+                .config(config.clone())
+                .discovery(MomriDiscovery::new(MomriConfig::default())),
+            "momri",
+            5,
+        ),
+        (
+            VexusBuilder::new(tiny())
+                .config(config.clone())
+                .discovery(BirchDiscovery {
+                    min_cluster_size: config.min_group_size,
+                    ..BirchDiscovery::default()
+                }),
+            "birch",
+            13,
+        ),
+    ];
+    for (builder, name, groups) in builders {
+        let vexus = builder
             .build()
-            .unwrap_or_else(|e| panic!("{name} via config failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name} failed to build: {e}"));
         assert_eq!(vexus.build_stats().algorithm, name);
+        assert_eq!(vexus.groups().len(), groups, "{name}");
         assert!(!vexus.session().expect("session opens").display().is_empty());
     }
 }

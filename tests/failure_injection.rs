@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-use vexus::core::{
-    CoreError, EngineConfig, ExplorationService, Request, Response, ServeError, SessionId, Vexus,
-};
+use vexus::core::{CoreError, EngineConfig, ExplorationService, ServeError, SessionId, Vexus};
 use vexus::data::csv::{parse, CsvOptions};
 use vexus::data::etl::{import, ImportSpec};
 use vexus::data::synthetic::{bookcrossing, BookCrossingConfig};
@@ -270,28 +268,30 @@ proptest! {
                 _ => SessionId(1_000_000 + arg as u64),
             };
             let known = open.contains(&target);
-            let request = match op {
-                0 => Request::Open,
-                1 => Request::Click {
-                    session: target,
-                    // Mostly far outside the group space; occasionally a
-                    // real (possibly displayed) group.
-                    group: GroupId::new((arg as u32).wrapping_mul(7919)),
-                },
+            // Each verb's success reduces to the session it opened, if any.
+            let outcome: Result<Option<SessionId>, ServeError> = match op {
+                0 => svc.open().map(|(session, _)| Some(session)),
+                // Mostly far outside the group space; occasionally a real
+                // (possibly displayed) group.
+                1 => svc
+                    .click(target, GroupId::new((arg as u32).wrapping_mul(7919)))
+                    .map(|_| None),
                 // No script here clicks 50 times, so the step is always
                 // beyond whatever history the session accumulated.
-                2 => Request::Backtrack { session: target, step: 50 + arg },
-                3 => Request::Display { session: target },
-                4 => Request::Context { session: target, n: arg % 10 },
-                5 => Request::MemoGroup {
-                    session: target,
-                    group: GroupId::new(u32::MAX - arg as u32),
-                },
-                6 => Request::Stats,
-                _ => Request::Close { session: target },
+                2 => svc.backtrack(target, 50 + arg).map(|_| None),
+                3 => svc.display(target).map(|_| None),
+                4 => svc.context(target, arg % 10).map(|_| None),
+                5 => svc
+                    .memo_group(target, GroupId::new(u32::MAX - arg as u32))
+                    .map(|_| None),
+                6 => {
+                    svc.stats();
+                    Ok(None)
+                }
+                _ => svc.close(target).map(|_| None),
             };
-            match (svc.handle(request), op) {
-                (Ok(Response::Opened { session, .. }), _) => open.push(session),
+            match (outcome, op) {
+                (Ok(Some(session)), _) => open.push(session),
                 (Ok(_), 6) => {}
                 (Ok(_), 7) => {
                     prop_assert!(known, "close of unknown {target} succeeded");

@@ -5,7 +5,7 @@
 //! global transaction database.
 
 use vexus::data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
-use vexus::data::{ShardStrategy, UserData, Vocabulary};
+use vexus::data::{UserData, Vocabulary};
 use vexus::mining::transactions::TransactionDb;
 use vexus::mining::{
     GroupDiscovery, GroupSet, LcmConfig, LcmDiscovery, MergeContext, MergeStrategy,
@@ -36,25 +36,21 @@ fn lcm(min_support: usize) -> LcmDiscovery {
     })
 }
 
-/// The equivalence property on one dataset: for every shard count and
-/// both shard strategies, support-recount merge reproduces the global
-/// closed-group space.
+/// The equivalence property on one dataset: for every shard count,
+/// support-recount merge reproduces the global closed-group space.
 fn assert_equivalence(data: &UserData, min_support: usize, shard_counts: &[usize]) {
     let vocab = Vocabulary::build(data);
     let single = normalize(&lcm(min_support).discover(data, &vocab).groups);
     assert!(!single.is_empty(), "degenerate fixture");
     for &shards in shard_counts {
-        for strategy in [ShardStrategy::Hash, ShardStrategy::Contiguous] {
-            let sharded = ShardedDiscovery::new(lcm(min_support), shards)
-                .with_strategy(strategy)
-                .with_merge(MergeStrategy::SupportRecount { min_support })
-                .discover(data, &vocab);
-            assert_eq!(
-                single,
-                normalize(&sharded.groups),
-                "shards={shards} strategy={strategy:?} min_support={min_support} diverged"
-            );
-        }
+        let sharded = ShardedDiscovery::new(lcm(min_support), shards)
+            .with_merge(MergeStrategy::SupportRecount { min_support })
+            .discover(data, &vocab);
+        assert_eq!(
+            single,
+            normalize(&sharded.groups),
+            "shards={shards} min_support={min_support} diverged"
+        );
     }
 }
 
@@ -111,12 +107,12 @@ fn sharded_lcm_equivalence_at_workload_scale() {
 /// (on by default), sharded support-recount LCM reproduces the unsharded
 /// closed-group space *exactly* — recall == 1.0, members included — even
 /// when per-shard scaled support floors drop below 5 members, across
-/// seeds × 8/16 shards × both shard strategies. This is the guarantee the
+/// seeds × 8/16 shards. This is the guarantee the
 /// exchange round was built for; `sharded_lcm_equivalence_at_workload_scale`
 /// and the `build` workload's sharded-vs-unsharded check in `benchmark/`
 /// hold the same property at scale.
 #[test]
-fn oversharded_exchange_recount_is_exact_across_seeds_shards_and_strategies() {
+fn oversharded_exchange_recount_is_exact_across_seeds_and_shards() {
     for seed in [7u64, 42, 1234] {
         let ds = bookcrossing(&BookCrossingConfig {
             n_users: 400,
@@ -133,18 +129,15 @@ fn oversharded_exchange_recount_is_exact_across_seeds_shards_and_strategies() {
         let single = normalize(&lcm(min_support).discover(&ds.data, &vocab).groups);
         assert!(!single.is_empty(), "degenerate fixture");
         for shards in [8usize, 16] {
-            for strategy in [ShardStrategy::Hash, ShardStrategy::Contiguous] {
-                let sharded = ShardedDiscovery::new(lcm(min_support), shards)
-                    .with_strategy(strategy)
-                    .support_recount(min_support)
-                    .discover(&ds.data, &vocab);
-                assert_eq!(
-                    single,
-                    normalize(&sharded.groups),
-                    "seed={seed} shards={shards} strategy={strategy:?}: \
-                     exchange recount lost recall"
-                );
-            }
+            let sharded = ShardedDiscovery::new(lcm(min_support), shards)
+                .support_recount(min_support)
+                .discover(&ds.data, &vocab);
+            assert_eq!(
+                single,
+                normalize(&sharded.groups),
+                "seed={seed} shards={shards}: \
+                 exchange recount lost recall"
+            );
         }
     }
 }
@@ -248,54 +241,50 @@ fn parallel_recount_is_byte_identical_to_sequential() {
     });
     let vocab = Vocabulary::build(&ds.data);
     let db = TransactionDb::build(&ds.data, &vocab);
-    for strategy in [ShardStrategy::Hash, ShardStrategy::Contiguous] {
-        let driver = ShardedDiscovery::new(lcm(12), 4)
-            .with_strategy(strategy)
-            .support_recount(12);
-        // End-to-end: the discovery outcome (order included) must not
-        // depend on merge_threads.
-        let sequential = driver
+    let driver = ShardedDiscovery::new(lcm(12), 4).support_recount(12);
+    // End-to-end: the discovery outcome (order included) must not
+    // depend on merge_threads.
+    let sequential = driver
+        .clone()
+        .with_merge_threads(1)
+        .discover(&ds.data, &vocab);
+    assert!(!sequential.groups.is_empty(), "degenerate fixture");
+    for threads in [2usize, 4, 8] {
+        let parallel = driver
             .clone()
-            .with_merge_threads(1)
+            .with_merge_threads(threads)
             .discover(&ds.data, &vocab);
-        assert!(!sequential.groups.is_empty(), "degenerate fixture");
-        for threads in [2usize, 4, 8] {
-            let parallel = driver
-                .clone()
-                .with_merge_threads(threads)
-                .discover(&ds.data, &vocab);
-            assert_eq!(
-                sequential.groups, parallel.groups,
-                "threads={threads} strategy={strategy:?} diverged from sequential merge"
-            );
-        }
-        // Merge layer in isolation: identical parts re-merged under an
-        // explicit context (pre-built db reused) stay byte-identical too,
-        // including the 0 = auto worker count.
-        let (parts, _) = driver.mine_parts(&ds.data, &vocab);
-        let merge = MergeStrategy::SupportRecount { min_support: 12 };
-        let (baseline, _) = merge.merge_in_traced(
+        assert_eq!(
+            sequential.groups, parallel.groups,
+            "threads={threads} diverged from sequential merge"
+        );
+    }
+    // Merge layer in isolation: identical parts re-merged under an
+    // explicit context (pre-built db reused) stay byte-identical too,
+    // including the 0 = auto worker count.
+    let (parts, _) = driver.mine_parts(&ds.data, &vocab);
+    let merge = MergeStrategy::SupportRecount { min_support: 12 };
+    let (baseline, _) = merge.merge_in_traced(
+        parts.clone(),
+        &MergeContext::new(&ds.data, &vocab)
+            .with_db(&db)
+            .with_threads(1),
+    );
+    assert_eq!(
+        baseline, sequential.groups,
+        "re-merging the mined parts must reproduce the discovery outcome"
+    );
+    for threads in [0usize, 2, 4, 8] {
+        let (merged, _) = merge.merge_in_traced(
             parts.clone(),
             &MergeContext::new(&ds.data, &vocab)
                 .with_db(&db)
-                .with_threads(1),
+                .with_threads(threads),
         );
         assert_eq!(
-            baseline, sequential.groups,
-            "re-merging the mined parts must reproduce the discovery outcome"
+            baseline, merged,
+            "merge_in_traced threads={threads} diverged"
         );
-        for threads in [0usize, 2, 4, 8] {
-            let (merged, _) = merge.merge_in_traced(
-                parts.clone(),
-                &MergeContext::new(&ds.data, &vocab)
-                    .with_db(&db)
-                    .with_threads(threads),
-            );
-            assert_eq!(
-                baseline, merged,
-                "merge_in_traced threads={threads} diverged"
-            );
-        }
     }
 }
 
