@@ -10,18 +10,19 @@
 //! named by the epoch they start at (zero-padded so lexicographic order is
 //! numeric order):
 //!
-//! * `ckpt-<watermark>.vxck` — a full checkpoint: the published engine's
-//!   snapshot sections, the stream-miner state, and the action tape
-//!   appended since bootstrap, all behind one checkpoint META section. The
-//!   watermark is the published epoch the checkpoint captures; every WAL
-//!   frame stamped below it is already folded in.
+//! * `ckpt-<watermark>.vxck` — what the published engine cannot derive:
+//!   the action tape appended since bootstrap and the stream-miner state
+//!   behind one checkpoint META section (the vocabulary and catalog are
+//!   the bootstrap dataset's, the space is the miner's cut). The watermark
+//!   is the published epoch the checkpoint captures; every WAL frame
+//!   stamped below it is already folded in.
 //! * `wal-<first_epoch>.vxwl` — a write-ahead-log segment (see
 //!   [`vexus_data::wal`]). Each refresh appends its delta as one frame
 //!   *before* applying it; a checkpoint rotates to a fresh segment named
 //!   by the new watermark.
 //!
-//! Checkpoint sections use tags `0x78`–`0x79` (the tag table is in
-//! [`vexus_data::snapshot`]).
+//! A checkpoint's own sections use tags `0x78`–`0x79`, the miner state's
+//! `0x70`–`0x77` (the tag table is in [`vexus_data::snapshot`]).
 //!
 //! Checkpoints are written atomically (temp file, fsync, rename, directory
 //! fsync), so a crash at any byte leaves either the old file set or the
@@ -38,37 +39,37 @@
 //! skips frames at or below the watermark it loads.
 
 use crate::config::EngineConfig;
-use crate::engine::{BuildStats, Vexus};
+use crate::engine::Vexus;
 use crate::error::CoreError;
 use crate::failpoint;
-use crate::snapshot::{decode_engine_sections, encode_engine_sections};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use vexus_data::snapshot::{join_u64, split_u64};
+use vexus_data::snapshot::{checksum, join_u64, split_u64};
 use vexus_data::wal::{action_words, actions_from_words, read_wal, WalFrame};
 use vexus_data::{
-    Action, SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync, WalTail,
-    WalWriter,
+    Action, SnapshotError, SnapshotReader, SnapshotWriter, UserData, Vocabulary, WalError, WalSync,
+    WalTail, WalWriter,
 };
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
 
 /// Checkpoint META: `[format_version, watermark_lo, watermark_hi,
 /// n_base_actions, n_appended, support_bits_lo, support_bits_hi,
-/// epsilon_bits_lo, epsilon_bits_hi, max_len, min_group_size]`. The
-/// discovery fingerprint (support/epsilon/max_len/min_group_size) is
-/// cross-checked at recovery so a checkpoint replayed under a different
-/// mining configuration fails loudly instead of silently diverging from
-/// the uninterrupted run.
+/// epsilon_bits_lo, epsilon_bits_hi, max_len, min_group_size,
+/// base_checksum]`. The bootstrap dataset's fingerprint (action count and
+/// checksum) and the discovery fingerprint are cross-checked at recovery,
+/// so a checkpoint replayed against a different dataset or under a
+/// different mining configuration fails loudly instead of silently
+/// diverging from the uninterrupted run.
 pub const TAG_CKPT_META: u32 = 0x78;
 /// The action tape appended since bootstrap (post-filter, exactly the
 /// actions the dataset absorbed), as `[user, item, value_bits]` triples.
 pub const TAG_CKPT_ACTIONS: u32 = 0x79;
 
-const CKPT_FORMAT_VERSION: u32 = 1;
-const CKPT_META_WORDS: usize = 11;
+const CKPT_FORMAT_VERSION: u32 = 2;
+const CKPT_META_WORDS: usize = 12;
 
 const CKPT_PREFIX: &str = "ckpt-";
 const CKPT_SUFFIX: &str = ".vxck";
@@ -126,7 +127,9 @@ pub struct RecoveryReport {
     /// Newer checkpoint files that failed to decode and were discarded,
     /// which recovery only does when the log reaches their epochs.
     pub checkpoints_skipped: usize,
-    /// WAL frames replayed through the normal ingest/refresh path.
+    /// WAL frames above the watermark folded back in — all but the last
+    /// without an epoch cut of their own, the last through a refresh,
+    /// which is not counted if it re-hit the original run's halt.
     pub frames_replayed: usize,
     /// Frames at or below the watermark (already inside the checkpoint).
     pub frames_skipped: usize,
@@ -155,6 +158,31 @@ pub struct DurableCounts {
     pub checkpoint_failures: u64,
 }
 
+/// What a checkpoint pins of the bootstrap dataset: its action count and
+/// a checksum of its demographic columns and actions — everything recovery
+/// derives the vocabulary, the users' token ids and the tape prefix from.
+#[derive(Clone, Copy)]
+pub(crate) struct BaseFingerprint {
+    /// Actions in the bootstrap dataset (the tape before the live phase);
+    /// checkpoints store only what came after.
+    actions: usize,
+    checksum: u32,
+}
+
+impl BaseFingerprint {
+    pub(crate) fn of(base: &UserData) -> Self {
+        let attrs = base.schema().iter();
+        let columns = attrs.flat_map(|(attr, _)| base.column(attr).iter().map(|v| v.raw()));
+        let n_words = base.n_users() * base.schema().len() + 3 * base.actions().len();
+        let mut bytes = Vec::with_capacity(4 * n_words);
+        for word in columns.chain(action_words(base.actions())) {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        let (actions, checksum) = (base.actions().len(), checksum(&bytes));
+        BaseFingerprint { actions, checksum }
+    }
+}
+
 /// The live engine's writer on its durable directory: the open WAL
 /// segment, the checkpoint cadence and the counts.
 pub(crate) struct DurableSink {
@@ -162,9 +190,8 @@ pub(crate) struct DurableSink {
     /// The segment the log appends to; `None` only inside
     /// [`DurableSink::start`], before its rotation.
     wal: Option<WalWriter>,
-    /// Actions in the bootstrap dataset (the tape before the live phase);
-    /// checkpoints store only what came after.
-    n_base_actions: usize,
+    /// What every checkpoint's META pins of the bootstrap dataset.
+    base: BaseFingerprint,
     /// Advancing refreshes since the last durable checkpoint.
     since_checkpoint: u64,
     /// What the sink has done (see [`DurableCounts`]).
@@ -172,23 +199,23 @@ pub(crate) struct DurableSink {
 }
 
 impl DurableSink {
-    fn new(config: DurabilityConfig, n_base_actions: usize, since_checkpoint: u64) -> Self {
+    fn new(config: DurabilityConfig, base: BaseFingerprint, since_checkpoint: u64) -> Self {
         DurableSink {
             config,
             wal: None,
-            n_base_actions,
+            base,
             since_checkpoint,
             counts: DurableCounts::default(),
         }
     }
 
-    /// Make a bootstrapped engine durable: create the directory, refuse
-    /// one that already holds checkpoints or segments, rotate at 0.
+    /// Make a just-bootstrapped engine durable: create the directory,
+    /// refuse one that already holds checkpoints or segments, rotate at 0.
+    /// Epoch 0's dataset is the bootstrap dataset.
     pub(crate) fn start(
         config: DurabilityConfig,
         engine: &Vexus,
         discovery: &DeltaDiscovery,
-        n_base_actions: usize,
     ) -> Result<Self, CoreError> {
         fs::create_dir_all(&config.dir).map_err(io_core("create durable dir"))?;
         if !list_checkpoints(&config.dir)?.is_empty() || !list_segments(&config.dir)?.is_empty() {
@@ -196,7 +223,7 @@ impl DurableSink {
                 "durable directory already holds engine state; use LiveEngine::recover",
             ));
         }
-        let mut sink = Self::new(config, n_base_actions, 0);
+        let mut sink = Self::new(config, BaseFingerprint::of(engine.data()), 0);
         sink.rotate(engine, discovery, 0)?;
         Ok(sink)
     }
@@ -206,11 +233,11 @@ impl DurableSink {
     /// create the watermark's when there is none.
     pub(crate) fn resume(
         config: DurabilityConfig,
-        n_base_actions: usize,
+        base: BaseFingerprint,
         watermark: u64,
         replayed: u64,
     ) -> Result<Self, CoreError> {
-        let mut sink = Self::new(config, n_base_actions, replayed);
+        let mut sink = Self::new(config, base, replayed);
         let dir = &sink.config.dir;
         sink.wal = Some(match list_segments(dir)?.pop() {
             Some((_, newest)) => WalWriter::open(&newest, WalSync::PerFrame)?.0,
@@ -278,7 +305,7 @@ impl DurableSink {
         discovery: &DeltaDiscovery,
         watermark: u64,
     ) -> Result<(), CoreError> {
-        let bytes = encode_checkpoint(engine, discovery, watermark, self.n_base_actions)?;
+        let bytes = encode_checkpoint(engine, discovery, watermark, self.base)?;
         write_atomic(&ckpt_path(&self.config.dir, watermark), &bytes)?;
         self.wal = Some(create_segment(&self.config.dir, watermark)?);
         prune(&self.config.dir, self.config.retain)
@@ -291,14 +318,16 @@ fn create_segment(dir: &Path, first_epoch: u64) -> Result<WalWriter, CoreError> 
     Ok(WalWriter::create(&path, WalSync::PerFrame)?)
 }
 
-/// The recovery scan: the newest checkpoint that decodes cleanly, the
-/// frames at or above its watermark (one per epoch, no gap), and the
-/// report's load-side fields. A skipped checkpoint's name proves its epoch
-/// was published: if the frames do not reach it, [`CoreError::Recovery`]
-/// and nothing is deleted. Otherwise the corrupt files and orphans go.
+/// The recovery scan: the newest checkpoint that decodes cleanly against
+/// `base` (whose fingerprint is `fingerprint`), the frames at or above its
+/// watermark (one per epoch, no gap), and the report's load-side fields. A
+/// skipped checkpoint's name proves its epoch was published: if the frames
+/// do not reach it, [`CoreError::Recovery`] and nothing is deleted.
+/// Otherwise the corrupt files and orphans go.
 pub(crate) fn load(
     durability: &DurabilityConfig,
     base: &UserData,
+    fingerprint: BaseFingerprint,
     config: &EngineConfig,
 ) -> Result<(DecodedCheckpoint, Vec<WalFrame>, RecoveryReport), CoreError> {
     let dir = &durability.dir;
@@ -309,7 +338,7 @@ pub(crate) fn load(
     let mut loaded = None;
     for (stamp, path) in ckpts.iter().rev() {
         let bytes = fs::read(path).map_err(io_core("checkpoint read"))?;
-        match decode_checkpoint(base, &bytes, config) {
+        match decode_checkpoint(base, fingerprint, &bytes, config) {
             Ok(d) if d.watermark == *stamp => {
                 loaded = Some(d);
                 break;
@@ -466,7 +495,11 @@ fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn stream_fingerprint(config: &EngineConfig) -> Result<(StreamFimConfig, usize), CoreError> {
+/// The stream miner's settings and the size floor a live engine's epochs
+/// are cut with: its discovery fingerprint.
+pub(crate) fn stream_fingerprint(
+    config: &EngineConfig,
+) -> Result<(StreamFimConfig, usize), CoreError> {
     let DiscoverySelection::StreamFim {
         support,
         epsilon,
@@ -474,7 +507,7 @@ fn stream_fingerprint(config: &EngineConfig) -> Result<(StreamFimConfig, usize),
     } = config.discovery
     else {
         return Err(CoreError::NotLive(
-            "durable engines require DiscoverySelection::StreamFim",
+            "live engines require DiscoverySelection::StreamFim",
         ));
     };
     Ok((
@@ -488,39 +521,42 @@ fn stream_fingerprint(config: &EngineConfig) -> Result<(StreamFimConfig, usize),
 }
 
 /// Encode a checkpoint of the published engine at `watermark`: checkpoint
-/// META, the appended action tape, the engine's snapshot sections
-/// (unchanged bytes, same tags as a standalone snapshot), and the
-/// stream-miner state.
+/// META, the action tape appended since bootstrap, and the stream-miner
+/// state. Nothing the engine derives from those is written.
 fn encode_checkpoint(
     engine: &Vexus,
     discovery: &DeltaDiscovery,
     watermark: u64,
-    n_base_actions: usize,
+    base: BaseFingerprint,
 ) -> Result<Vec<u8>, CoreError> {
     let (fim, min_group_size) = stream_fingerprint(engine.config())?;
-    let appended = &engine.data().actions()[n_base_actions..];
+    let appended = &engine.data().actions()[base.actions..];
     let mut meta = Vec::with_capacity(CKPT_META_WORDS);
     meta.push(CKPT_FORMAT_VERSION);
     meta.extend(split_u64(watermark));
-    meta.push(n_base_actions as u32);
+    meta.push(base.actions as u32);
     meta.push(appended.len() as u32);
     meta.extend(split_u64(fim.support.to_bits()));
     meta.extend(split_u64(fim.epsilon.to_bits()));
     meta.push(fim.max_len as u32);
     meta.push(min_group_size as u32);
+    meta.push(base.checksum);
     let mut w = SnapshotWriter::new();
     w.section_words(TAG_CKPT_META, meta);
     w.section_words(TAG_CKPT_ACTIONS, action_words(appended));
-    encode_engine_sections(engine, &mut w);
     encode_stream_state(discovery, &mut w);
     Ok(w.finish())
 }
 
-/// Everything [`decode_checkpoint`] reconstructs.
+/// Everything [`decode_checkpoint`] reconstructs: what the live engine
+/// publishes the watermark's epoch from.
 pub(crate) struct DecodedCheckpoint {
-    /// The published engine at the watermark, ready to serve.
-    pub engine: Vexus,
-    /// The discovery driver, resumed observation-equivalent.
+    /// The action tape appended to the bootstrap dataset since bootstrap.
+    pub appended: Vec<Action>,
+    /// The bootstrap dataset's vocabulary.
+    pub vocab: Vocabulary,
+    /// The discovery driver, resumed observation-equivalent; its first
+    /// cut is the watermark's group space.
     pub discovery: DeltaDiscovery,
     /// The published epoch the checkpoint captures.
     pub watermark: u64,
@@ -533,27 +569,29 @@ fn ckpt_malformed(what: &'static str) -> CoreError {
     })
 }
 
-/// Decode a checkpoint against the bootstrap dataset `base` and the
-/// caller's engine configuration. Corruption surfaces as
-/// [`CoreError::Snapshot`] (recovery falls back to an older checkpoint);
-/// a base dataset or configuration that disagrees with the checkpoint's
-/// fingerprint is [`CoreError::Recovery`] (falling back cannot help).
+/// Decode a checkpoint against the bootstrap dataset `base` (whose
+/// fingerprint is `fingerprint`) and the caller's engine configuration.
+/// Corruption surfaces as [`CoreError::Snapshot`] (recovery falls back to
+/// an older checkpoint); a base dataset or configuration that disagrees
+/// with the checkpoint's fingerprint is [`CoreError::Recovery`] (falling
+/// back cannot help).
 fn decode_checkpoint(
     base: &UserData,
+    fingerprint: BaseFingerprint,
     bytes: &[u8],
     config: &EngineConfig,
 ) -> Result<DecodedCheckpoint, CoreError> {
     let (fim, min_group_size) = stream_fingerprint(config)?;
     let r = SnapshotReader::load(bytes).map_err(CoreError::Snapshot)?;
     let meta: [u32; CKPT_META_WORDS] = r
-        .meta(TAG_CKPT_META, "checkpoint META is not eleven words")
+        .meta(TAG_CKPT_META, "checkpoint META is not twelve words")
         .map_err(CoreError::Snapshot)?;
     if meta[0] != CKPT_FORMAT_VERSION {
         return Err(ckpt_malformed("unsupported checkpoint format version"));
     }
     let watermark = join_u64(meta[1], meta[2]);
     let (n_base, n_appended) = (meta[3] as usize, meta[4] as usize);
-    if n_base != base.actions().len() {
+    if n_base != fingerprint.actions || meta[11] != fingerprint.checksum {
         return Err(CoreError::Recovery(
             "checkpoint was written against a different bootstrap dataset",
         ));
@@ -577,40 +615,21 @@ fn decode_checkpoint(
             "checkpoint action tape disagrees with its META",
         ));
     }
-    let mut data = base.clone();
-    if data.append_actions(&appended) != appended.len() {
+    let vocab = Vocabulary::build(base);
+    let (n_users, n_items) = (base.n_users(), base.n_items());
+    if appended
+        .iter()
+        .any(|a| a.user.index() >= n_users || a.item.index() >= n_items)
+    {
         return Err(CoreError::Recovery(
             "checkpoint action tape references users or items unknown to the base dataset",
         ));
     }
-    let decoded = decode_engine_sections(data, &r).map_err(CoreError::Snapshot)?;
-    if decoded.groups.is_empty() {
-        return Err(CoreError::Recovery("checkpoint has an empty group space"));
-    }
-    let discovery = decode_stream_state(
-        &r,
-        fim,
-        min_group_size,
-        decoded.data.n_users(),
-        decoded.vocab.len(),
-        decoded.groups.clone(),
-    )
-    .map_err(CoreError::Snapshot)?;
-    let stats = BuildStats {
-        algorithm: "checkpoint",
-        filtered_out: 0,
-    };
-    let engine = Vexus::from_live_parts(
-        decoded.data,
-        decoded.vocab,
-        decoded.groups,
-        decoded.index,
-        config.new_neighbor_cache(),
-        config.clone(),
-        stats,
-    );
+    let discovery = decode_stream_state(&r, fim, min_group_size, n_users, vocab.len())
+        .map_err(CoreError::Snapshot)?;
     Ok(DecodedCheckpoint {
-        engine,
+        appended,
+        vocab,
         discovery,
         watermark,
     })
@@ -619,6 +638,57 @@ fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LiveEngine;
+    use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
+    use vexus_mining::snapshot::{
+        TAG_STREAM_COUNTS, TAG_STREAM_DELTAS, TAG_STREAM_KEY_OFFSETS, TAG_STREAM_KEY_TOKENS,
+        TAG_STREAM_MEMBERS, TAG_STREAM_MEMBER_OFFSETS, TAG_STREAM_META, TAG_STREAM_SEEN,
+    };
+
+    /// A written checkpoint's section tags, in table order: the container
+    /// header's word 3 is the section count, and the table starts at word
+    /// 5 with three words (tag, offset, length) per section.
+    fn section_tags(bytes: &[u8]) -> Vec<u32> {
+        let word = |i: usize| u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+        (0..word(3) as usize).map(|s| word(5 + 3 * s)).collect()
+    }
+
+    /// A checkpoint holds what cannot be derived and nothing else: its
+    /// META, the appended tape and the stream-miner state. No engine
+    /// section (vocabulary, catalog, group space, index) comes back.
+    #[test]
+    fn checkpoints_hold_only_what_cannot_be_derived() {
+        let dir = std::env::temp_dir().join(format!("vexus-durable-{}-tags", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (mut base, tape) = bookcrossing(&BookCrossingConfig::tiny())
+            .data
+            .split_actions();
+        base.append_actions(&tape[..300]);
+        let config = EngineConfig::default().with_discovery(DiscoverySelection::StreamFim {
+            support: 0.05,
+            epsilon: 0.01,
+            max_len: 3,
+        });
+        drop(LiveEngine::bootstrap_durable(base, config, DurabilityConfig::new(&dir)).unwrap());
+        let bytes = fs::read(ckpt_path(&dir, 0)).unwrap();
+        assert!(SnapshotReader::load(&bytes).is_ok());
+        assert_eq!(
+            section_tags(&bytes),
+            [
+                TAG_CKPT_META,
+                TAG_CKPT_ACTIONS,
+                TAG_STREAM_META,
+                TAG_STREAM_KEY_OFFSETS,
+                TAG_STREAM_KEY_TOKENS,
+                TAG_STREAM_COUNTS,
+                TAG_STREAM_DELTAS,
+                TAG_STREAM_MEMBER_OFFSETS,
+                TAG_STREAM_MEMBERS,
+                TAG_STREAM_SEEN,
+            ]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn stamped_names_sort_and_parse() {

@@ -205,8 +205,8 @@ impl Vexus {
     /// Assemble an engine from a live refresh's parts (see
     /// [`crate::live::LiveEngine`]): the epoch's dataset, the bootstrap
     /// vocabulary, the canonical group space, the index built over it,
-    /// and the carried-over neighbor cache. No pipeline stage runs — the
-    /// live path already mined the epoch and built its index.
+    /// and the carried-over neighbor cache, built by `algorithm`. No
+    /// pipeline stage runs, and none size-filters after the miner's cut.
     pub(crate) fn from_live_parts(
         data: UserData,
         vocab: Vocabulary,
@@ -214,7 +214,7 @@ impl Vexus {
         index: GroupIndex,
         cache: NeighborCache,
         config: EngineConfig,
-        stats: BuildStats,
+        algorithm: &'static str,
     ) -> Self {
         Vexus {
             data,
@@ -223,7 +223,10 @@ impl Vexus {
             index,
             cache,
             config,
-            stats,
+            stats: BuildStats {
+                algorithm,
+                filtered_out: 0,
+            },
             snapshot_bytes: 0,
         }
     }

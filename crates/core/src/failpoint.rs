@@ -18,7 +18,8 @@
 //! | `cache.shard`   | shard index  | neighbor insert skipped (permanent cache miss)|
 //! | `ingest.apply`  | epoch        | refresh fails with `CoreError::Injected` before
 //!   any state mutation; a `Panic` action halts the live state while the old
-//!   epoch stays published and serving                                          |
+//!   epoch stays published and serving. During recovery it fires only for the
+//!   last replayed frame, the only one replay runs through a refresh          |
 //! | `wal.append`    | epoch        | refresh fails with `CoreError::Injected` before
 //!   the frame is staged; nothing reaches the log, the pending delta stays
 //!   buffered, and a plain retry succeeds                                       |
@@ -33,8 +34,9 @@
 //!   error after its header is written; the file is removed, so a rotation
 //!   reports `CheckpointOutcome::Failed` and the log stays on its old segment |
 //! | `recover.replay` | frame epoch | `LiveEngine::recover` fails with
-//!   `CoreError::Injected` mid-replay; the durable directory is untouched and
-//!   a retry without the scenario recovers fully                                |
+//!   `CoreError::Injected` before replaying that frame — appending and
+//!   observing it, or, for the last frame, refreshing it; the durable
+//!   directory is untouched and a retry without the scenario recovers fully  |
 
 /// Injected fault at session open.
 pub const SERVE_OPEN: &str = "serve.open";

@@ -27,11 +27,11 @@
 //! overlap counts by the memberships the group delta flips and lays out
 //! the new index from them — byte-identical to
 //! [`vexus_index::GroupIndex::build`] over the new space — with the dirty
-//! set the carry-over reads. Bootstrap gets epoch 0's index and rows from
-//! one walk; recovery walks the checkpoint's loaded index once for its
-//! rows. Publication is the last step: one `Arc` assignment under the
-//! write lock, then the epoch counter bumps. Nothing blocks in-flight
-//! verbs.
+//! set the carry-over reads. Bootstrap and recovery publish their first
+//! epoch through one function: cut the miner's epoch, then one walk gives
+//! the index and the rows. Publication is the last step: one `Arc`
+//! assignment under the write lock, then the epoch counter bumps. Nothing
+//! blocks in-flight verbs.
 //!
 //! The refresh body runs under `catch_unwind` with the
 //! `ingest.apply` fail-point evaluated *before any mutation* (see
@@ -42,14 +42,14 @@
 //!
 //! A durable engine's directory belongs to [`crate::durable`]; this module
 //! makes no file-system call. A refresh has the sink log before it applies
-//! and checkpoint after it publishes; recovery replays what the recovery
-//! scan loaded through [`LiveEngine::refresh`], then resumes the sink.
+//! and checkpoint after it publishes; recovery folds in what the recovery
+//! scan loaded, publishes once, refreshes the last frame, resumes the sink.
 
 use crate::config::EngineConfig;
 use crate::durable::{
     self, CheckpointOutcome, DurabilityConfig, DurableCounts, DurableSink, RecoveryReport,
 };
-use crate::engine::{BuildStats, Vexus};
+use crate::engine::Vexus;
 use crate::error::CoreError;
 use crate::failpoint;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,14 +59,11 @@ use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
 use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError};
 use vexus_index::OverlapRows;
-use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
+use vexus_mining::DeltaDiscovery;
 
-/// What every live epoch reports as its build: mined by the stream miner's
-/// epoch cut, never size-filtered after it (the cut filters).
-const LIVE_BUILD: BuildStats = BuildStats {
-    algorithm: "stream-fim-delta",
-    filtered_out: 0,
-};
+/// What every live epoch reports as its build algorithm: the stream
+/// miner's epoch cut.
+const LIVE_BUILD: &str = "stream-fim-delta";
 
 /// Mutable ingestion-side state, guarded by one mutex. Everything a
 /// refresh *reads* — dataset, vocabulary, the old group space, the
@@ -169,48 +166,40 @@ impl LiveEngine {
     /// observed in arrival order off the dataset's action tape, the
     /// initial group space is cut, and epoch 0 is published.
     ///
-    /// Requires [`DiscoverySelection::StreamFim`] — the only backend with
-    /// one-pass incremental semantics; anything else gets
+    /// Requires [`vexus_mining::DiscoverySelection::StreamFim`] — the only
+    /// backend with one-pass incremental semantics; anything else gets
     /// [`CoreError::NotLive`]. Returns [`CoreError::EmptyGroupSpace`] when
     /// the warmup prefix mines no groups (warm up with more actions or
     /// lower the support threshold).
     pub fn bootstrap(data: UserData, config: EngineConfig) -> Result<Self, CoreError> {
-        let DiscoverySelection::StreamFim {
-            support,
-            epsilon,
-            max_len,
-        } = config.discovery
-        else {
-            return Err(CoreError::NotLive(
-                "bootstrap requires DiscoverySelection::StreamFim",
-            ));
-        };
+        let (fim, min_group_size) = durable::stream_fingerprint(&config)?;
         let vocab = Vocabulary::build(&data);
-        let mut discovery = DeltaDiscovery::new(
-            StreamFimConfig {
-                support,
-                epsilon,
-                max_len,
-            },
-            config.min_group_size,
-            data.n_users(),
-        );
+        let mut discovery = DeltaDiscovery::new(fim, min_group_size, data.n_users());
         discovery.observe_arrivals(&data, &vocab, data.actions());
+        Self::publish(data, vocab, discovery, 0, config, LIVE_BUILD)
+    }
+
+    /// A live engine publishing, as epoch `epoch` built by `build`, the
+    /// space `discovery` cuts now over `data` (its next cut is stamped
+    /// `epoch` too), with no durable sink yet. One walk gives the index and
+    /// the rows refreshes carry. An empty space is
+    /// [`CoreError::EmptyGroupSpace`].
+    fn publish(
+        data: UserData,
+        vocab: Vocabulary,
+        mut discovery: DeltaDiscovery,
+        epoch: u64,
+        config: EngineConfig,
+        build: &'static str,
+    ) -> Result<Self, CoreError> {
         let (groups, _) = discovery.epoch();
         if groups.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
-        // One walk gives epoch 0's index and the rows refreshes carry.
         let (rows, index) = OverlapRows::build(&groups, &config.index_config());
         let cache = config.new_neighbor_cache();
-        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, LIVE_BUILD);
-        Ok(Self::assemble(engine, 0, discovery, rows))
-    }
-
-    /// A live engine publishing `engine` as epoch `epoch` (its next cut is
-    /// stamped `epoch` too), with no durable sink yet.
-    fn assemble(engine: Vexus, epoch: u64, discovery: DeltaDiscovery, rows: OverlapRows) -> Self {
-        LiveEngine {
+        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, build);
+        Ok(LiveEngine {
             published: RwLock::new(Arc::new(engine)),
             epoch: AtomicU64::new(epoch),
             state: Mutex::new(LiveSlot::Live(Box::new(LiveState {
@@ -219,7 +208,7 @@ impl LiveEngine {
                 rows,
                 durable: None,
             }))),
-        }
+        })
     }
 
     /// Attach the durable sink `make` builds from the published engine and
@@ -249,11 +238,8 @@ impl LiveEngine {
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, CoreError> {
-        let n_base_actions = data.actions().len();
         let live = Self::bootstrap(data, config)?;
-        live.attach(|engine, discovery| {
-            DurableSink::start(durability, engine, discovery, n_base_actions)
-        })?;
+        live.attach(|engine, discovery| DurableSink::start(durability, engine, discovery))?;
         Ok(live)
     }
 
@@ -425,10 +411,11 @@ impl LiveEngine {
     /// newer checkpoint is skipped and deleted — it must not resurrect
     /// through retention — but only when those frames reach its epoch: its
     /// name proves that epoch was published, so recovery refuses to land
-    /// below it ([`CoreError::Recovery`], nothing deleted). The frames then
-    /// replay through the normal ingest/refresh path, producing an engine
-    /// byte-identical to the uninterrupted run at the same epoch, and the
-    /// durable sink resumes on the newest segment. Torn segment tails (a
+    /// below it ([`CoreError::Recovery`], nothing deleted). Every frame but
+    /// the last is appended and observed in order (a cut only reads the
+    /// miner), one epoch is cut and published, and the last frame replays
+    /// through [`LiveEngine::refresh`] — byte-identical to the uninterrupted
+    /// run at the same epoch — before the sink resumes. Torn segment tails (a
     /// crash mid-append) are detected by the per-frame checksums, reported
     /// in the [`RecoveryReport`], and truncated when the log reopens for
     /// appending. `base` and `config` must match what the engine was
@@ -439,40 +426,52 @@ impl LiveEngine {
     ///
     /// If replay re-hits the condition that halted the original run (an
     /// empty epoch group space), the recovered engine is halted the same
-    /// way — serving the last good epoch — and the report says so.
+    /// way — serving the last good epoch — and the report says so. A halted
+    /// engine logs nothing more, so only the log's last frame can halt.
     pub fn recover(
         base: UserData,
         config: EngineConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), CoreError> {
-        let (checkpoint, frames, mut report) = durable::load(&durability, &base, &config)?;
-        let watermark = checkpoint.watermark;
-        // Replay refreshes advance the checkpointed space's rows, walked
-        // once from the CSR the checkpoint loaded. The sink is attached only
-        // after replay: replayed frames must not be re-logged.
-        let rows = OverlapRows::of_index(
-            checkpoint.engine.index(),
-            checkpoint.engine.groups(),
-            &config.index_config(),
-        );
-        let live = Self::assemble(checkpoint.engine, watermark, checkpoint.discovery, rows);
-        for frame in &frames {
+        let fingerprint = durable::BaseFingerprint::of(&base);
+        let (mut ckpt, frames, mut report) =
+            durable::load(&durability, &base, fingerprint, &config)?;
+        let (watermark, mut data) = (ckpt.watermark, base);
+        data.append_actions(&ckpt.appended);
+        let observed = &frames[..frames.len().saturating_sub(1)];
+        for frame in observed {
+            if failpoint::hit_key(failpoint::RECOVER_REPLAY, frame.epoch) {
+                return Err(CoreError::Injected(failpoint::RECOVER_REPLAY));
+            }
+            data.append_actions(&frame.actions);
+            ckpt.discovery
+                .observe_arrivals(&data, &ckpt.vocab, &frame.actions);
+        }
+        let build = if observed.is_empty() {
+            "checkpoint"
+        } else {
+            LIVE_BUILD
+        };
+        let epoch = watermark + observed.len() as u64;
+        let live = Self::publish(data, ckpt.vocab, ckpt.discovery, epoch, config, build)?;
+        report.frames_replayed = observed.len();
+        // The sink is attached only after replay: replayed frames must not
+        // be re-logged.
+        if let Some(frame) = frames.last() {
             if failpoint::hit_key(failpoint::RECOVER_REPLAY, frame.epoch) {
                 return Err(CoreError::Injected(failpoint::RECOVER_REPLAY));
             }
             live.ingest(&mut ReplayStream::from_actions(&frame.actions), usize::MAX)?;
-            if let Err(e) = live.refresh() {
+            match live.refresh() {
+                Ok(_) => report.frames_replayed += 1,
                 // Replay re-hit the deterministic halt the original run
-                // died on; every later frame postdates the crash and cannot
-                // exist. Anything else is a real error.
-                report.halted = Some(live.halt_cause().ok_or(e)?);
-                break;
+                // died on. Anything else is a real error.
+                Err(e) => report.halted = Some(live.halt_cause().ok_or(e)?),
             }
-            report.frames_replayed += 1;
         }
         live.attach(|_, _| {
             let replayed = report.frames_replayed as u64;
-            DurableSink::resume(durability, base.actions().len(), watermark, replayed)
+            DurableSink::resume(durability, fingerprint, watermark, replayed)
         })?;
         report.final_epoch = live.epoch();
         Ok((live, report))
@@ -555,7 +554,7 @@ mod tests {
     use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
     use vexus_data::Action;
     use vexus_index::GroupIndex;
-    use vexus_mining::GroupId;
+    use vexus_mining::{DiscoverySelection, GroupId};
 
     fn stream_config() -> EngineConfig {
         EngineConfig::default().with_discovery(DiscoverySelection::StreamFim {
@@ -911,12 +910,24 @@ mod tests {
         feed(&live, &tape);
         live.refresh().unwrap();
         drop(live);
-        // Wrong base dataset: a hard Recovery error, nothing deleted.
-        let (other_base, _) = warmed(100);
-        assert!(matches!(
-            LiveEngine::recover(other_base, stream_config(), durability(&dir, 8)),
-            Err(CoreError::Recovery(_))
-        ));
+        // Wrong base dataset: a hard Recovery error, nothing deleted. The
+        // last two have the base's action count: one warms up with the same
+        // actions in reverse order, one is another seed's population.
+        let (shorter, _) = warmed(100);
+        let (mut reordered, warmup) = base.clone().split_actions();
+        reordered.append_actions(&warmup.iter().rev().copied().collect::<Vec<_>>());
+        let other_seed = bookcrossing(&BookCrossingConfig {
+            seed: 2,
+            ..BookCrossingConfig::tiny()
+        });
+        let (mut other_seed, other_tape) = other_seed.data.split_actions();
+        other_seed.append_actions(&other_tape[..300]);
+        for other_base in [shorter, reordered, other_seed] {
+            assert!(matches!(
+                LiveEngine::recover(other_base, stream_config(), durability(&dir, 8)),
+                Err(CoreError::Recovery(_))
+            ));
+        }
         // Wrong discovery fingerprint: same.
         let other_cfg = EngineConfig::default().with_discovery(DiscoverySelection::StreamFim {
             support: 0.25,

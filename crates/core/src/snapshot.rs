@@ -40,13 +40,12 @@ pub(crate) struct DecodedEngine {
     pub buffer_bytes: usize,
 }
 
-/// Write the engine's sections — META plus every layer codec — into an
-/// open writer. Section order is fixed, every sub-codec is deterministic,
-/// and nothing derived (timings, heap accounting) is stored — so
-/// encode∘decode∘encode is byte-identical. Factored out of
-/// [`encode_engine`] so a live-engine checkpoint can embed the same
-/// sections (unchanged bytes, same tags) alongside its own.
-pub(crate) fn encode_engine_sections(vexus: &Vexus, w: &mut SnapshotWriter) {
+/// Encode the full engine as a standalone snapshot buffer: META plus
+/// every layer codec. Section order is fixed, every sub-codec is
+/// deterministic, and nothing derived (timings, heap accounting) is
+/// stored — so encode∘decode∘encode is byte-identical.
+pub(crate) fn encode_engine(vexus: &Vexus) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
     w.section_words(
         TAG_ENGINE_META,
         [
@@ -56,32 +55,16 @@ pub(crate) fn encode_engine_sections(vexus: &Vexus, w: &mut SnapshotWriter) {
             MemberGroupsCsr::universe(vexus.groups()) as u32,
         ],
     );
-    encode_vocabulary(vexus.vocab(), w);
-    encode_item_catalog(vexus.data().item_catalog(), w);
-    encode_group_set(vexus.groups(), w);
-    encode_group_index(vexus.index(), w);
-}
-
-/// Encode the full engine as a standalone snapshot buffer.
-pub(crate) fn encode_engine(vexus: &Vexus) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    encode_engine_sections(vexus, &mut w);
+    encode_vocabulary(vexus.vocab(), &mut w);
+    encode_item_catalog(vexus.data().item_catalog(), &mut w);
+    encode_group_set(vexus.groups(), &mut w);
+    encode_group_index(vexus.index(), &mut w);
     w.finish()
 }
 
 /// Decode a snapshot written by [`encode_engine`] against `data`.
 pub(crate) fn decode_engine(data: UserData, bytes: &[u8]) -> Result<DecodedEngine, SnapshotError> {
-    let r = SnapshotReader::load(bytes)?;
-    decode_engine_sections(data, &r)
-}
-
-/// Decode the engine sections out of an already-loaded reader — the
-/// counterpart of [`encode_engine_sections`], shared by standalone
-/// snapshots and live-engine checkpoints.
-pub(crate) fn decode_engine_sections(
-    data: UserData,
-    r: &SnapshotReader,
-) -> Result<DecodedEngine, SnapshotError> {
+    let r = &SnapshotReader::load(bytes)?;
     let [n_users, n_tokens, n_groups, n_members] = r
         .meta(TAG_ENGINE_META, "engine META is not four words")?
         .map(|w| w as usize);

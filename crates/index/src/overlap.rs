@@ -39,8 +39,10 @@ impl OverlapRows {
     }
 
     /// The rows of the space `index` was built over (`groups`), from one
-    /// walk of its retained CSR — a built or a snapshot-loaded one.
-    pub fn of_index(index: &GroupIndex, groups: &GroupSet, cfg: &IndexConfig) -> Self {
+    /// walk of its retained CSR — a built or a snapshot-loaded one. Its
+    /// only caller is the stateless [`GroupIndex::apply_delta`]; a live
+    /// engine gets its rows from [`OverlapRows::build`] and carries them.
+    pub(crate) fn of_index(index: &GroupIndex, groups: &GroupSet, cfg: &IndexConfig) -> Self {
         debug_assert_eq!(index.len(), groups.len(), "space does not match the index");
         // Only the rows are wanted: a zero fraction lays nothing out.
         let rows_only = IndexConfig {

@@ -182,35 +182,29 @@ impl DeltaDiscovery {
     }
 
     /// Reassemble a driver from checkpointed parts: the rebuilt miner
-    /// ([`StreamMiner::from_state`]), the arrival bits, and the previous
-    /// epoch's canonical space (`prev` — the group space of the engine
-    /// published at checkpoint time, which is exactly what the next
-    /// [`DeltaDiscovery::epoch`] must diff against). Resumes
-    /// observation-equivalent to the uninterrupted driver.
+    /// ([`StreamMiner::from_state`]) and the arrival bits. Resumes
+    /// observation-equivalent to the uninterrupted driver with no previous
+    /// epoch: a cut only reads the miner, so the first
+    /// [`DeltaDiscovery::epoch`] re-derives the space published at
+    /// checkpoint time and makes it the baseline.
     pub fn from_parts(
         miner: StreamMiner,
         seen: Vec<bool>,
         arrivals: u64,
         min_group_size: usize,
-        prev: GroupSet,
     ) -> Self {
         Self {
             miner,
             seen,
             arrivals,
             min_group_size,
-            prev,
+            prev: GroupSet::new(),
         }
     }
 
     /// The underlying miner, whose state checkpoints persist.
     pub fn miner(&self) -> &StreamMiner {
         &self.miner
-    }
-
-    /// The previous epoch's canonical group space.
-    pub fn groups(&self) -> &GroupSet {
-        &self.prev
     }
 
     /// Cut an epoch: materialize the canonical, size-filtered group space
@@ -354,7 +348,6 @@ mod tests {
         let (third, d2) = dd.epoch();
         assert!(d2.is_empty());
         assert_eq!(third, second);
-        assert_eq!(dd.groups(), &second);
     }
 
     #[test]

@@ -512,26 +512,45 @@ fn kill_during_the_wal_phase_halts_then_recovery_restores_equivalence() {
     }
 }
 
-/// A fault injected at `recover.replay` fails recovery with a typed
-/// error; the directory is untouched, so retrying without the fault
-/// succeeds and replays every frame.
-#[test]
-fn injected_replay_faults_fail_recovery_typed_then_retry_cleanly() {
-    let _scenario = fp::FailScenario::setup();
+/// A durable run of the fixture's first `refreshes` chunks that never
+/// checkpoints past bootstrap, dropped: recovery must replay every frame.
+fn replay_only_crash(name: &str, refreshes: usize) -> (ScratchDir, DurabilityConfig) {
     let f = fixture();
-    let chunks: Vec<&[Action]> = f.chunks().collect();
-    let dir = ScratchDir::new("chaos-replay-fault");
+    let dir = ScratchDir::new(name);
     let durability = DurabilityConfig {
         checkpoint_every: 64, // never: recovery must replay from the WAL
         ..DurabilityConfig::new(dir.path())
     };
     let live = LiveEngine::bootstrap_durable(f.base.clone(), stream_config(), durability.clone())
         .expect("durable bootstrap");
-    for c in &chunks[..2] {
+    for c in f.chunks().take(refreshes) {
         feed(&live, c);
         live.refresh().expect("durable refresh");
     }
-    drop(live);
+    (dir, durability)
+}
+
+/// Every file in `dir` with its bytes, in name order.
+fn dir_contents(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("durable dir")
+        .map(|e| e.expect("dir entry").path())
+        .map(|p| (p.clone(), std::fs::read(p).expect("durable file")))
+        .collect();
+    files.sort();
+    files
+}
+
+/// A fault injected at `recover.replay` fails recovery with a typed
+/// error; the directory is untouched, so retrying without the fault
+/// succeeds and replays every frame. The site fires per frame epoch: armed
+/// on the middle frame of three, which recovery only appends and observes
+/// (the last frame alone runs through a refresh), it fails the same way.
+#[test]
+fn injected_replay_faults_fail_recovery_typed_then_retry_cleanly() {
+    let _scenario = fp::FailScenario::setup();
+    let f = fixture();
+    let (_dir, durability) = replay_only_crash("chaos-replay-fault", 2);
     fp::configure(
         fp::RECOVER_REPLAY,
         fp::Trigger::Always,
@@ -547,6 +566,30 @@ fn injected_replay_faults_fail_recovery_typed_then_retry_cleanly() {
     assert_eq!(report.frames_replayed, 2);
     assert_eq!(report.final_epoch, 2);
     assert!(recovered.engine().write_snapshot() == f.snapshots[2]);
+
+    let (dir, durability) = replay_only_crash("chaos-replay-fault-middle", 3);
+    let before = dir_contents(dir.path());
+    // The second evaluation only: frame 1 of frames 0..=2.
+    fp::configure(
+        fp::RECOVER_REPLAY,
+        fp::Trigger::Nth(2),
+        fp::FailAction::Error,
+    );
+    assert_eq!(
+        LiveEngine::recover(f.base.clone(), stream_config(), durability.clone()).unwrap_err(),
+        CoreError::Injected(fp::RECOVER_REPLAY)
+    );
+    assert_eq!(fp::fired(fp::RECOVER_REPLAY), 1);
+    assert!(
+        dir_contents(dir.path()) == before,
+        "the directory is untouched"
+    );
+    fp::clear_all();
+    let (recovered, report) =
+        LiveEngine::recover(f.base.clone(), stream_config(), durability).expect("retry recovers");
+    assert_eq!(report.frames_replayed, 3);
+    assert_eq!(report.final_epoch, 3);
+    assert!(recovered.engine().write_snapshot() == f.snapshots[3]);
 }
 
 #[test]

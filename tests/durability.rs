@@ -131,10 +131,9 @@ proptest! {
     }
 }
 
-/// Recovery of a halted engine reproduces the halt: the engine serves the
-/// last good epoch and reports the same cause. (Driven here without
-/// failpoints by recovering into an *empty* directory — the bootstrap
-/// error path — and by the double-bootstrap guard.)
+/// Recovery and bootstrap guard their directories: recovering from a
+/// directory with no checkpoint, and bootstrapping into one that already
+/// holds engine state, are both typed errors.
 #[test]
 fn recover_and_bootstrap_guard_their_directories() {
     use vexus::core::CoreError;
@@ -245,4 +244,60 @@ fn recovery_never_lands_below_a_checkpoint_it_skipped() {
         assert!(matches!(err, CoreError::Recovery(_)), "{err}");
         assert_eq!(files_with(dir.path(), "vxck"), ckpts, "nothing deleted");
     }
+}
+
+/// Recovery of a halted engine reproduces the halt. The population's late
+/// arrivals carry no demographic value: the stream miner still counts
+/// them, so the support floor `(σ − ε)·N` rises past the one group's
+/// count, and the third refresh cuts an empty space and halts after its
+/// frame was logged. Recovery folds the first two frames into one cut and
+/// must replay the third through a refresh to halt where the original did
+/// — folding it into the cut as well would fail recovery instead.
+#[test]
+fn recovery_of_a_halted_engine_reproduces_the_halt() {
+    use vexus::core::{CoreError, EngineConfig};
+    use vexus::data::{Schema, UserDataBuilder};
+    use vexus::mining::DiscoverySelection;
+    let mut schema = Schema::new();
+    let gender = schema.add_categorical("gender");
+    let mut b = UserDataBuilder::new(schema);
+    let item = b.item("book", None);
+    for i in 0..10 {
+        let u = b.user(&format!("f{i}"));
+        b.set_demo(u, gender, "f").unwrap();
+        b.action(u, item, 1.0);
+    }
+    for i in 0..24 {
+        let u = b.user(&format!("blank{i}"));
+        b.action(u, item, 1.0);
+    }
+    let (mut base, tape) = b.build().split_actions();
+    base.append_actions(&tape[..10]);
+    let frames = [&tape[10..12], &tape[12..14], &tape[14..]];
+    let config = EngineConfig::default().with_discovery(DiscoverySelection::StreamFim {
+        support: 0.5,
+        epsilon: 0.1,
+        max_len: 2,
+    });
+    let dir = ScratchDir::new("durability-halt");
+    let cfg = DurabilityConfig::new(dir.path());
+    let live = LiveEngine::bootstrap_durable(base.clone(), config.clone(), cfg.clone()).unwrap();
+    for frame in &frames[..2] {
+        feed(&live, frame);
+        live.refresh().expect("the group clears the floor");
+    }
+    feed(&live, frames[2]);
+    assert_eq!(live.refresh().unwrap_err(), CoreError::EmptyGroupSpace);
+    let cause = live.halt_cause().expect("an empty epoch halts");
+    assert_eq!(live.epoch(), 2);
+    let published = live.engine().write_snapshot();
+    drop(live);
+
+    let (recovered, report) = LiveEngine::recover(base, config, cfg).expect("recover");
+    assert_eq!(report.halted, Some(cause));
+    assert_eq!(report.final_epoch, 2, "the last good epoch");
+    assert_eq!(report.frames_replayed, 2);
+    assert_eq!(recovered.halt_cause(), Some(cause));
+    assert!(recovered.engine().write_snapshot() == published);
+    assert_eq!(recovered.refresh().unwrap_err(), CoreError::Halted(cause));
 }

@@ -131,7 +131,9 @@ fn length_and_stamp(buf: &[u8]) -> (usize, u32) {
 /// The three on-disk formats pinned across commits, not just across a
 /// round trip: a codec change that moves one byte of a snapshot, a
 /// checkpoint or a WAL frame changes one of these six numbers (computed at
-/// commit 113d8f2) and must come with a format-version bump.
+/// commit 113d8f2; the checkpoint's re-pinned at checkpoint format version
+/// 2, which dropped the derivable engine sections and added the base
+/// dataset checksum) and must come with a format-version bump.
 #[test]
 fn format_bytes_are_pinned() {
     let data = bookcrossing(&BookCrossingConfig {
@@ -164,7 +166,7 @@ fn format_bytes_are_pinned() {
     let ckpt = std::fs::read(dir.path().join(format!("ckpt-{:020}.vxck", 1))).unwrap();
     assert_eq!(
         length_and_stamp(&ckpt),
-        (69_308, 281_616_569),
+        (41_760, 2_693_989_733),
         "checkpoint at watermark 1"
     );
     let segment = std::fs::read(dir.path().join(format!("wal-{:020}.vxwl", 0))).unwrap();
