@@ -29,7 +29,7 @@ use vexus_mining::Group;
 /// makes every replay of a click sequence bit-identical — the property
 /// `tests/concurrent_serving.rs` pins.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DetHasher(u64);
+struct DetHasher(u64);
 
 impl Hasher for DetHasher {
     #[inline]

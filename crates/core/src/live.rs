@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
-use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary, WalError};
+use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary};
 use vexus_index::OverlapRows;
 use vexus_mining::DeltaDiscovery;
 
@@ -381,25 +381,6 @@ impl LiveEngine {
             Err(_) => {
                 guard.halt(HALT_PANIC);
                 Err(CoreError::Halted(HALT_PANIC))
-            }
-        }
-    }
-
-    /// [`LiveEngine::refresh`], retrying transient failures — injected
-    /// faults and WAL I/O errors, both of which fire before any state
-    /// mutation — up to `attempts` times in total; `0` is treated as `1`
-    /// (the refresh always runs once). Hard errors (halt causes, an empty
-    /// epoch group space, corrupt log state) pass through immediately.
-    pub fn refresh_with_retry(&self, attempts: usize) -> Result<RefreshOutcome, CoreError> {
-        let mut attempt = 1;
-        loop {
-            match self.refresh() {
-                Err(CoreError::Injected(_) | CoreError::Wal(WalError::Io { .. }))
-                    if attempt < attempts =>
-                {
-                    attempt += 1
-                }
-                result => return result,
             }
         }
     }
@@ -945,29 +926,6 @@ mod tests {
         assert_eq!(report.frames_replayed, 1);
         assert_eq!(recovered.epoch(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn refresh_with_retry_passes_hard_errors_through() {
-        let (base, _tape) = warmed(400);
-        let live = LiveEngine::bootstrap(base, stream_config()).unwrap();
-        // No pending actions: refresh succeeds as a no-op on attempt one —
-        // and `0` attempts means one, not a panic.
-        for attempts in [3, 0] {
-            let out = live.refresh_with_retry(attempts).unwrap();
-            assert!(!out.advanced);
-        }
-        // A halt is a hard error: it comes back as it is at any attempt
-        // count, and the published epoch is still there.
-        live.state.lock().unwrap().halt(HALT_PANIC);
-        for attempts in [0, 1, 3] {
-            assert_eq!(
-                live.refresh_with_retry(attempts).unwrap_err(),
-                CoreError::Halted(HALT_PANIC)
-            );
-        }
-        assert_eq!(live.halt_cause(), Some(HALT_PANIC));
-        assert_eq!(live.epoch(), 0);
     }
 
     /// The durable counts have one owner, the sink: refreshes driven on

@@ -572,16 +572,6 @@ impl ExplorationService {
         Ok(outcome)
     }
 
-    /// [`Self::refresh`] with bounded retry of transient failures —
-    /// injected faults and WAL I/O errors, which fire before any state
-    /// mutation (delegates to [`LiveEngine::refresh_with_retry`]).
-    pub fn refresh_with_retry(&self, attempts: usize) -> Result<RefreshOutcome, ServeError> {
-        self.tick();
-        let outcome = self.engine.live()?.refresh_with_retry(attempts)?;
-        self.note_refresh(&outcome);
-        Ok(outcome)
-    }
-
     fn note_refresh(&self, outcome: &RefreshOutcome) {
         if outcome.advanced {
             self.counters.refreshes.fetch_add(1, Ordering::SeqCst);
@@ -902,8 +892,6 @@ mod tests {
     fn fixed_services_refuse_the_refresh_verb() {
         let svc = service();
         let err = svc.refresh().unwrap_err();
-        assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
-        let err = svc.refresh_with_retry(0).unwrap_err();
         assert!(matches!(err, ServeError::Core(CoreError::NotLive(_))));
         let mut stream = vexus_data::stream::ReplayStream::from_actions(&[]);
         let err = svc.ingest(&mut stream, 8).unwrap_err();

@@ -1173,19 +1173,17 @@ pub(crate) mod tests {
     }
 
     use vexus_data::TokenId;
-    use vexus_mining::delta::{canonicalize, diff};
+    use vexus_mining::delta::diff;
 
     /// A described group space from `(tag, members)` pairs, in canonical
     /// (description-sorted) order. Tags must be unique.
     pub(crate) fn described_space(defs: &[(u32, Vec<u32>)]) -> GroupSet {
-        let mut gs = GroupSet::new();
-        for (tag, members) in defs {
-            gs.push(Group::new(
-                vec![TokenId::new(*tag)],
-                MemberSet::from_unsorted(members.clone()),
-            ));
-        }
-        canonicalize(gs)
+        let mut defs = defs.to_vec();
+        defs.sort_unstable_by_key(|(tag, _)| *tag);
+        let groups = defs.into_iter().map(|(tag, members)| {
+            Group::new(vec![TokenId::new(tag)], MemberSet::from_unsorted(members))
+        });
+        GroupSet::from_groups(groups.collect())
     }
 
     fn patch_config(fraction: f64, threads: usize) -> IndexConfig {

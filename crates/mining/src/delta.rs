@@ -1,21 +1,20 @@
 //! Epoch-to-epoch group-space deltas for the live engine.
 //!
 //! The lossy-counting [`StreamMiner`] answers "what are the frequent
-//! groups *now*?", but its natural output order (count-descending) makes
-//! group ids shuffle between queries, so nothing downstream can tell
-//! "group 7 grew" from "group 7 is a different group now". This module
-//! fixes identity across epochs:
+//! groups *now*?"; this module gives its answers identity across epochs:
 //!
 //! * a group's **identity is its description** (the itemset). The miner's
 //!   table is keyed by itemset, so descriptions are unique;
-//! * every epoch's group space is **canonicalized** — sorted by
-//!   description, lexicographically ascending — before ids are assigned.
-//!   Surviving groups therefore keep their *relative* order between
-//!   epochs, which makes the old→new id remap **monotone**: an untouched
-//!   group's neighbor list in the next epoch's index is its old list with
-//!   a pure id rewrite, because the index's similarity-then-id tie-break
-//!   order is preserved under any monotone remap — which is what lets the
-//!   neighbor cache carry id-stable entries across a refresh.
+//! * every epoch's group space is in **canonical order** — by description,
+//!   lexicographically ascending — before ids are assigned. The order is
+//!   [`crate::stream_fim`]'s: [`StreamMiner::groups`] already reports in
+//!   it, so a cut does not re-sort, and [`diff`] checks it. Surviving groups
+//!   therefore keep their *relative* order between epochs, which makes the
+//!   old→new id remap **monotone**: an untouched group's neighbor list in
+//!   the next epoch's index is its old list with a pure id rewrite,
+//!   because the index's similarity-then-id tie-break order is preserved
+//!   under any monotone remap — which is what lets the neighbor cache
+//!   carry id-stable entries across a refresh.
 //!
 //! [`DeltaDiscovery`] drives the miner over action deltas (each user is
 //! observed once, on arrival — the first action mentioning them) and cuts
@@ -52,29 +51,23 @@ impl GroupDelta {
     }
 }
 
-/// Sort a group space into its canonical epoch order: by description,
-/// lexicographically ascending. Ids are re-assigned densely in the new
-/// order.
+/// Diff two canonical group spaces into a [`GroupDelta`]. A group is a
+/// survivor iff its description appears in both spaces, and resized iff
+/// its member set changed.
 ///
 /// # Panics
-/// In debug builds, if two groups share a description (identity across
-/// epochs is the description, so it must be unique — true for any
-/// itemset-keyed miner, not for descriptionless cluster backends).
-pub fn canonicalize(groups: GroupSet) -> GroupSet {
-    let mut v = groups.into_vec();
-    v.sort_by(|a, b| a.description.cmp(&b.description));
-    debug_assert!(
-        v.windows(2).all(|w| w[0].description < w[1].description),
-        "canonical group spaces need unique descriptions"
-    );
-    GroupSet::from_groups(v)
-}
-
-/// Diff two canonical group spaces into a [`GroupDelta`]. Both inputs
-/// must be description-sorted (as produced by [`canonicalize`]); a group
-/// is a survivor iff its description appears in both spaces, and resized
-/// iff its member set changed.
+/// In debug builds, unless both inputs are strictly description-ascending
+/// (as [`StreamMiner::groups`] reports them): identity across epochs is
+/// the description, so it must be unique — true for any itemset-keyed
+/// miner, not for descriptionless cluster backends.
 pub fn diff(old: &GroupSet, new: &GroupSet) -> GroupDelta {
+    debug_assert!(
+        [old, new].iter().all(|gs| gs
+            .iter()
+            .zip(gs.iter().skip(1))
+            .all(|((_, a), (_, b))| a.description < b.description)),
+        "canonical group spaces are strictly description-ascending"
+    );
     let mut delta = GroupDelta::default();
     let (mut i, mut j) = (0, 0);
     while i < old.len() || j < new.len() {
@@ -181,12 +174,11 @@ impl DeltaDiscovery {
         &self.seen
     }
 
-    /// Reassemble a driver from checkpointed parts: the rebuilt miner
-    /// ([`StreamMiner::from_state`]) and the arrival bits. Resumes
-    /// observation-equivalent to the uninterrupted driver with no previous
-    /// epoch: a cut only reads the miner, so the first
-    /// [`DeltaDiscovery::epoch`] re-derives the space published at
-    /// checkpoint time and makes it the baseline.
+    /// Reassemble a driver from checkpointed parts: the rebuilt miner and
+    /// the arrival bits. Resumes observation-equivalent to the
+    /// uninterrupted driver with no previous epoch: a cut only reads the
+    /// miner, so the first [`DeltaDiscovery::epoch`] re-derives the space
+    /// published at checkpoint time and makes it the baseline.
     pub fn from_parts(
         miner: StreamMiner,
         seen: Vec<bool>,
@@ -214,7 +206,6 @@ impl DeltaDiscovery {
     pub fn epoch(&mut self) -> (GroupSet, GroupDelta) {
         let mut groups = self.miner.groups();
         groups.filter_by_size(self.min_group_size, usize::MAX);
-        let groups = canonicalize(groups);
         let delta = diff(&self.prev, &groups);
         self.prev = groups.clone();
         (groups, delta)
@@ -232,22 +223,22 @@ mod tests {
         v.iter().map(|&t| TokenId::new(t)).collect()
     }
 
+    /// A group space from `(description, members)` pairs, given in
+    /// canonical order.
     fn space(defs: &[(&[u32], &[u32])]) -> GroupSet {
-        let mut gs = GroupSet::new();
-        for (desc, members) in defs {
-            gs.push(Group::new(
-                toks(desc),
-                MemberSet::from_unsorted(members.to_vec()),
-            ));
-        }
-        canonicalize(gs)
+        let groups = defs.iter().map(|(desc, members)| {
+            Group::new(toks(desc), MemberSet::from_unsorted(members.to_vec()))
+        });
+        GroupSet::from_groups(groups.collect())
     }
 
     #[test]
-    fn canonicalize_sorts_by_description() {
-        let gs = space(&[(&[3], &[0]), (&[1, 2], &[1]), (&[1], &[2])]);
-        let descs: Vec<_> = gs.iter().map(|(_, g)| g.description.clone()).collect();
-        assert_eq!(descs, vec![toks(&[1]), toks(&[1, 2]), toks(&[3])]);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly description-ascending")]
+    fn diff_rejects_a_space_out_of_canonical_order() {
+        let sorted = space(&[(&[1], &[0]), (&[2], &[0])]);
+        let unsorted = space(&[(&[2], &[0]), (&[1], &[0])]);
+        diff(&sorted, &unsorted);
     }
 
     #[test]
@@ -378,9 +369,9 @@ mod tests {
             ds.data.n_users()
         );
         let (live, delta) = dd.epoch();
-        // Same space, canonical order (the batch space re-sorted).
-        assert_eq!(live.len(), batch.groups.len());
-        assert_eq!(live, canonicalize(batch.groups));
+        // Same space in the same order: the batch backend reports the
+        // canonical epoch order too.
+        assert_eq!(live, batch.groups);
         assert_eq!(delta.added.len(), live.len());
     }
 }

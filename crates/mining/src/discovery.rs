@@ -421,7 +421,7 @@ mod tests {
         for u in data.users() {
             miner.observe(u.raw(), &vocab.user_tokens(&data, u));
         }
-        assert_eq!(miner.n_seen(), data.n_users() as u64);
+        assert_eq!(miner.n_seen, data.n_users() as u64);
         assert_eq!(out.groups, miner.groups());
     }
 

@@ -30,10 +30,10 @@
 //!
 //! For live deployments, [`delta`] gives the stream miner identity across
 //! time: [`DeltaDiscovery`] observes users as they arrive on an action
-//! stream and cuts canonical, description-sorted epoch group spaces whose
-//! pairwise differences are typed [`GroupDelta`]s (added / retired /
-//! resized) — what `vexus-index` derives a refresh's dirty set and
-//! survivor id remap from.
+//! stream and cuts epoch group spaces — in the description order the
+//! miner reports ([`stream_fim`] owns it) — whose pairwise differences are
+//! typed [`GroupDelta`]s (added / retired / resized): what `vexus-index`
+//! derives a refresh's dirty set and survivor id remap from.
 //!
 //! Shared substrate:
 //!
@@ -72,4 +72,4 @@ pub use momri::MomriConfig;
 pub use sharded::{
     EnsembleDiscovery, MergeContext, MergeStrategy, MergeTelemetry, ShardScaled, ShardedDiscovery,
 };
-pub use stream_fim::{MinerEntry, MinerState, StreamFimConfig, StreamMiner};
+pub use stream_fim::{StreamFimConfig, StreamMiner};

@@ -11,15 +11,17 @@
 //! `Vec<TokenId>`s.
 //!
 //! The stream-state codec persists a [`DeltaDiscovery`] driver — the
-//! lossy-counting table in canonical order, the stream clock, and the
-//! per-user arrival bits — so a live-engine checkpoint can resume
-//! discovery observation-equivalent to an uninterrupted run (the crash
-//! -recovery byte-identity oracle rests on this).
+//! lossy-counting table, the stream clock, and the per-user arrival bits —
+//! so a live-engine checkpoint can resume discovery observation-equivalent
+//! to an uninterrupted run (the crash-recovery byte-identity oracle rests
+//! on this). The table is written straight from the miner, in the itemset
+//! order [`crate::stream_fim`] owns, with each member list sorted; the
+//! decoder checks that order and fills a fresh miner's table.
 
 use crate::bitmap::MemberSet;
 use crate::delta::DeltaDiscovery;
 use crate::group::{Group, GroupSet};
-use crate::stream_fim::{MinerEntry, MinerState, StreamFimConfig, StreamMiner};
+use crate::stream_fim::{Entry, StreamFimConfig, StreamMiner};
 use vexus_data::snapshot::{join_u64, split_u64, Ragged};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, TokenId};
 
@@ -108,22 +110,26 @@ pub const TAG_STREAM_MEMBERS: u32 = 0x76;
 pub const TAG_STREAM_SEEN: u32 = 0x77;
 
 /// Encode a [`DeltaDiscovery`] driver's mutable state into its `0x7x`
-/// sections. The encoding is canonical — a pure function of the logical
-/// state (see [`StreamMiner::export_state`]) — so two drivers in the same
-/// state encode byte-identically regardless of history.
+/// sections. The encoding is canonical — entries in itemset order, each
+/// member list sorted (safe: member order never reaches any output, since
+/// every user is observed at most once per entry and a reported group
+/// sorts its members anyway) — so two drivers in the same logical state
+/// encode byte-identically regardless of history.
 pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
-    let state = dd.miner().export_state();
+    let miner = dd.miner();
+    let entries = miner.entries(|_| true);
     let seen = dd.seen();
     let meta = [
-        split_u64(state.n_seen),
-        split_u64(state.evictions),
+        split_u64(miner.n_seen),
+        split_u64(miner.evictions),
         split_u64(dd.arrivals()),
-        [state.entries.len() as u32, seen.len() as u32],
+        [entries.len() as u32, seen.len() as u32],
     ];
     w.section_words(TAG_STREAM_META, meta.into_iter().flatten());
 
-    let entries = &state.entries;
-    let itemsets = entries.iter().map(|e| e.itemset.iter().map(|t| t.raw()));
+    let itemsets = entries
+        .iter()
+        .map(|(itemset, _)| itemset.iter().map(|t| t.raw()));
     w.ragged(
         TAG_STREAM_KEY_OFFSETS,
         TAG_STREAM_KEY_TOKENS,
@@ -131,17 +137,25 @@ pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
     );
     w.section_words(
         TAG_STREAM_COUNTS,
-        entries.iter().flat_map(|e| split_u64(e.count)),
+        entries.iter().flat_map(|(_, e)| split_u64(e.count)),
     );
     w.section_words(
         TAG_STREAM_DELTAS,
-        entries.iter().flat_map(|e| split_u64(e.delta)),
+        entries.iter().flat_map(|(_, e)| split_u64(e.delta)),
     );
-    let members = entries.iter().map(|e| e.members.iter().copied());
+    let mut offsets = Vec::with_capacity(entries.len() + 1);
+    let mut members = Vec::new();
+    offsets.push(0);
+    for (_, e) in &entries {
+        let start = members.len();
+        members.extend_from_slice(&e.members);
+        members[start..].sort_unstable();
+        offsets.push(members.len() as u32);
+    }
     w.ragged(
         TAG_STREAM_MEMBER_OFFSETS,
         TAG_STREAM_MEMBERS,
-        &Ragged::from_lists(members),
+        &Ragged::from_parts(offsets, members).expect("offsets lay out the member runs"),
     );
 
     let mut packed = vec![0u32; seen.len().div_ceil(32)];
@@ -235,9 +249,12 @@ pub fn decode_stream_state(
         });
     }
 
-    let mut entries = Vec::with_capacity(n_entries);
+    let mut miner = StreamMiner::new(cfg);
+    miner.n_seen = n_seen;
+    miner.evictions = evictions;
+    miner.table.reserve(n_entries);
     for i in 0..n_entries {
-        let itemset: Vec<TokenId> = itemsets.list(i).iter().map(|&t| TokenId::new(t)).collect();
+        let itemset = itemsets.list(i);
         if itemset.is_empty() {
             return Err(SnapshotError::Malformed {
                 tag: TAG_STREAM_KEY_TOKENS,
@@ -251,27 +268,21 @@ pub fn decode_stream_state(
                 what: "zero-count entry in the miner table",
             });
         }
-        entries.push(MinerEntry {
-            itemset,
-            count,
-            delta: join_u64(deltas[2 * i], deltas[2 * i + 1]),
-            members: members.list(i).to_vec(),
-        });
+        miner.table.insert(
+            itemset.iter().map(|&t| TokenId::new(t)).collect(),
+            Entry {
+                count,
+                delta: join_u64(deltas[2 * i], deltas[2 * i + 1]),
+                members: members.list(i).to_vec(),
+            },
+        );
     }
-    if !entries.windows(2).all(|w| w[0].itemset < w[1].itemset) {
+    if !(1..n_entries).all(|i| itemsets.list(i - 1) < itemsets.list(i)) {
         return Err(SnapshotError::Malformed {
             tag: TAG_STREAM_KEY_TOKENS,
             what: "miner entries not in canonical itemset order",
         });
     }
-    let miner = StreamMiner::from_state(
-        cfg,
-        MinerState {
-            entries,
-            n_seen,
-            evictions,
-        },
-    );
     Ok(DeltaDiscovery::from_parts(
         miner,
         seen,
@@ -381,35 +392,27 @@ mod tests {
         ));
     }
 
+    /// Counts and deltas past `u32::MAX` exercise the two-word split;
+    /// members are in arrival order, as the miner keeps them.
     fn sample_discovery() -> DeltaDiscovery {
-        let entries = vec![
-            MinerEntry {
-                itemset: vec![TokenId::new(0)],
-                count: u64::from(u32::MAX) + 7,
-                delta: 3,
-                members: vec![0, 2, 40],
-            },
-            MinerEntry {
-                itemset: vec![TokenId::new(0), TokenId::new(4)],
-                count: 2,
-                delta: u64::from(u32::MAX) + 1,
-                members: vec![2],
-            },
-            MinerEntry {
-                itemset: vec![TokenId::new(3)],
-                count: 1,
-                delta: 0,
-                members: vec![40],
-            },
+        let mut miner = StreamMiner::new(StreamFimConfig::default());
+        miner.n_seen = u64::from(u32::MAX) + 11;
+        miner.evictions = 5;
+        let entries: [(&[u32], u64, u64, &[u32]); 3] = [
+            (&[0], u64::from(u32::MAX) + 7, 3, &[40, 0, 2]),
+            (&[0, 4], 2, u64::from(u32::MAX) + 1, &[2]),
+            (&[3], 1, 0, &[40]),
         ];
-        let miner = StreamMiner::from_state(
-            StreamFimConfig::default(),
-            MinerState {
-                entries,
-                n_seen: u64::from(u32::MAX) + 11,
-                evictions: 5,
-            },
-        );
+        for (itemset, count, delta, members) in entries {
+            miner.table.insert(
+                itemset.iter().map(|&t| TokenId::new(t)).collect(),
+                Entry {
+                    count,
+                    delta,
+                    members: members.to_vec(),
+                },
+            );
+        }
         let mut seen = vec![false; 41];
         for u in [0usize, 2, 7, 40] {
             seen[u] = true;
@@ -433,7 +436,18 @@ mod tests {
         let mut dd = sample_discovery();
         let buf = encode_to_buf(&dd);
         let mut back = decode_from_buf(&buf, 41).unwrap();
-        assert_eq!(back.miner().export_state(), dd.miner().export_state());
+        let miner = back.miner();
+        assert_eq!(
+            (miner.n_seen, miner.evictions),
+            (u64::from(u32::MAX) + 11, 5)
+        );
+        assert_eq!(miner.table.len(), 3);
+        let e = &miner.table[&vec![TokenId::new(0)]];
+        assert_eq!((e.count, e.delta), (u64::from(u32::MAX) + 7, 3));
+        // Member runs are written sorted.
+        assert_eq!(e.members, [0, 2, 40]);
+        let e = &miner.table[&vec![TokenId::new(0), TokenId::new(4)]];
+        assert_eq!((e.count, e.delta), (2, u64::from(u32::MAX) + 1));
         assert_eq!(back.seen(), dd.seen());
         assert_eq!(back.arrivals(), dd.arrivals());
         // The encoding is canonical: re-encoding the decoded driver is
@@ -448,7 +462,8 @@ mod tests {
         let dd = DeltaDiscovery::new(StreamFimConfig::default(), 2, 0);
         let buf = encode_to_buf(&dd);
         let back = decode_from_buf(&buf, 0).unwrap();
-        assert_eq!(back.miner().export_state(), MinerState::default());
+        assert!(back.miner().table.is_empty());
+        assert_eq!((back.miner().n_seen, back.miner().evictions), (0, 0));
         assert!(back.seen().is_empty());
     }
 
@@ -541,5 +556,73 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A dataset whose users carry `(a, b, c)` plus a token of their own,
+    /// so every bucket boundary evicts the singletons of the users that
+    /// arrived in the bucket before.
+    fn arrival_world(demo: &[(u32, u32, u32)]) -> (vexus_data::UserData, vexus_data::Vocabulary) {
+        use vexus_data::{Schema, UserDataBuilder};
+        let mut schema = Schema::new();
+        let attrs = ["a", "b", "c", "own"].map(|name| schema.add_categorical(name));
+        let mut b = UserDataBuilder::new(schema);
+        for (i, &(x, y, z)) in demo.iter().enumerate() {
+            let u = b.user(&format!("u{i}"));
+            for (attr, value) in attrs.iter().zip([x, y, z, i as u32]) {
+                b.set_demo(u, *attr, &value.to_string()).unwrap();
+            }
+        }
+        b.item("x", None);
+        let data = b.build();
+        let vocab = vexus_data::Vocabulary::build(&data);
+        (data, vocab)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// Random arrival streams across bucket boundaries (width 20),
+        /// with epochs cut along the way: the miner reports in canonical
+        /// order, a checkpoint re-encodes byte-identically, and the decoded
+        /// driver cuts the space the original would have and then resumes
+        /// in lockstep with it.
+        #[test]
+        fn prop_checkpoint_resumes_the_arrival_stream(
+            demo in proptest::collection::vec((0u32..3, 0u32..4, 0u32..5), 30..120),
+            arrivals in proptest::collection::vec(0usize..120, 40..240),
+            cut_every in 1usize..50,
+            split in 0usize..240
+        ) {
+            use vexus_data::{Action, ItemId, UserId};
+            let n = demo.len();
+            let (data, vocab) = arrival_world(&demo);
+            let actions: Vec<Action> = arrivals
+                .iter()
+                .map(|&u| Action { user: UserId::new((u % n) as u32), item: ItemId::new(0), value: 1.0 })
+                .collect();
+            let (prefix, suffix) = actions.split_at(split % (actions.len() + 1));
+            let cfg = StreamFimConfig { support: 0.1, epsilon: 0.05, max_len: 3 };
+            let mut dd = DeltaDiscovery::new(cfg.clone(), 2, n);
+            for chunk in prefix.chunks(cut_every) {
+                dd.observe_arrivals(&data, &vocab, chunk);
+                dd.epoch();
+            }
+            let buf = encode_to_buf(&dd);
+            let r = SnapshotReader::load(&buf).unwrap();
+            let mut back = decode_stream_state(&r, cfg, 2, n, vocab.len()).unwrap();
+            proptest::prop_assert!(encode_to_buf(&back) == buf, "re-encoding differs");
+            proptest::prop_assert_eq!(back.epoch().0, dd.epoch().0);
+            for chunk in suffix.chunks(cut_every) {
+                dd.observe_arrivals(&data, &vocab, chunk);
+                back.observe_arrivals(&data, &vocab, chunk);
+                proptest::prop_assert_eq!(back.epoch(), dd.epoch());
+            }
+            proptest::prop_assert!(encode_to_buf(&back) == encode_to_buf(&dd), "resumed state differs");
+            let groups = dd.miner().groups();
+            let descriptions: Vec<_> = groups.iter().map(|(_, g)| &g.description).collect();
+            proptest::prop_assert!(descriptions.windows(2).all(|w| w[0] < w[1]), "groups out of order");
+            if dd.arrivals() >= 20 {
+                proptest::prop_assert!(dd.miner().evictions > 0, "no bucket boundary evicted");
+            }
+        }
     }
 }

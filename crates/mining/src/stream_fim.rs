@@ -21,6 +21,12 @@
 //! its members *since insertion*; reported member sets are therefore
 //! subsets of the true extent with the same ε guarantee. The engine treats
 //! stream groups as approximate by construction.
+//!
+//! This module owns the canonical order of stream state: itemset order,
+//! lexicographically ascending. The table is one `HashMap`, walked in that
+//! order by one crate-private walk that both [`StreamMiner::groups`] (so a
+//! reported group space is already an epoch space for [`crate::delta`])
+//! and the checkpoint codec ([`crate::snapshot`]) read.
 
 use crate::bitmap::MemberSet;
 use crate::group::{Group, GroupSet};
@@ -48,36 +54,15 @@ impl Default for StreamFimConfig {
     }
 }
 
+/// One tracked itemset: occurrences and users observed since it was
+/// (last) inserted, and Δ, the bucket before its insertion (the maximum
+/// undercount). Members are in arrival order; every user is observed at
+/// most once per entry, so sorting them yields a set.
 #[derive(Debug)]
-struct Entry {
-    count: u64,
-    delta: u64,
-    members: Vec<u32>,
-}
-
-/// One tracked itemset in a [`MinerState`] export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinerEntry {
-    /// The itemset (sorted ascending, as observed).
-    pub itemset: Vec<TokenId>,
-    /// Occurrences since the entry was (last) inserted.
-    pub count: u64,
-    /// Lossy-counting insertion delta (maximum undercount).
-    pub delta: u64,
-    /// Users observed carrying the itemset since insertion, sorted.
-    pub members: Vec<u32>,
-}
-
-/// The miner's complete mutable state in canonical order — what a live
-/// checkpoint embeds (see [`StreamMiner::export_state`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MinerState {
-    /// Tracked entries, sorted by itemset.
-    pub entries: Vec<MinerEntry>,
-    /// Transactions processed so far.
-    pub n_seen: u64,
-    /// Lifetime evictions.
-    pub evictions: u64,
+pub(crate) struct Entry {
+    pub(crate) count: u64,
+    pub(crate) delta: u64,
+    pub(crate) members: Vec<u32>,
 }
 
 /// One-pass lossy-counting miner over a stream of `(user, tokens)`
@@ -85,10 +70,12 @@ pub struct MinerState {
 #[derive(Debug)]
 pub struct StreamMiner {
     cfg: StreamFimConfig,
-    table: HashMap<Vec<TokenId>, Entry>,
+    pub(crate) table: HashMap<Vec<TokenId>, Entry>,
     bucket_width: u64,
-    n_seen: u64,
-    evictions: u64,
+    /// Transactions processed so far.
+    pub(crate) n_seen: u64,
+    /// Lifetime evictions.
+    pub(crate) evictions: u64,
 }
 
 impl StreamMiner {
@@ -170,107 +157,38 @@ impl StreamMiner {
         }
     }
 
-    /// Export the miner's complete mutable state in canonical order, for
-    /// checkpointing. Entries are sorted by itemset (ascending) and each
-    /// entry's members are sorted — safe because member order never
-    /// reaches any output: every user is observed at most once per entry,
-    /// and [`StreamMiner::groups`] sorts members into a [`MemberSet`]
-    /// anyway. Canonical ordering makes the export (and hence a checkpoint
-    /// embedding it) a pure function of the logical miner state.
-    pub fn export_state(&self) -> MinerState {
-        let mut entries: Vec<MinerEntry> = self
+    /// The entries `keep` accepts, in itemset order — the canonical order
+    /// this module owns: [`StreamMiner::groups`] reports the frequent ones
+    /// in it and a checkpoint ([`crate::snapshot::encode_stream_state`])
+    /// writes the whole table in it.
+    pub(crate) fn entries(&self, keep: impl Fn(&Entry) -> bool) -> Vec<(&[TokenId], &Entry)> {
+        let mut entries: Vec<(&[TokenId], &Entry)> = self
             .table
             .iter()
-            .map(|(itemset, e)| {
-                let mut members = e.members.clone();
-                members.sort_unstable();
-                MinerEntry {
-                    itemset: itemset.clone(),
-                    count: e.count,
-                    delta: e.delta,
-                    members,
-                }
-            })
+            .filter(|(_, e)| keep(e))
+            .map(|(itemset, e)| (itemset.as_slice(), e))
             .collect();
-        entries.sort_by(|a, b| a.itemset.cmp(&b.itemset));
-        MinerState {
-            entries,
-            n_seen: self.n_seen,
-            evictions: self.evictions,
-        }
-    }
-
-    /// Rebuild a miner from exported state. The reconstruction is
-    /// observation-equivalent to the original: counts, insertion deltas,
-    /// bucket position (`n_seen`) and eviction telemetry all resume
-    /// exactly, so feeding both miners the same subsequent transactions
-    /// yields identical [`StreamMiner::groups`] output.
-    ///
-    /// # Panics
-    /// Panics on an invalid `cfg`, exactly like [`StreamMiner::new`] —
-    /// state decoding validates file contents, but the configuration comes
-    /// from the caller.
-    pub fn from_state(cfg: StreamFimConfig, state: MinerState) -> Self {
-        let mut miner = Self::new(cfg);
-        miner.n_seen = state.n_seen;
-        miner.evictions = state.evictions;
-        miner.table = state
-            .entries
-            .into_iter()
-            .map(|e| {
-                (
-                    e.itemset,
-                    Entry {
-                        count: e.count,
-                        delta: e.delta,
-                        members: e.members,
-                    },
-                )
-            })
-            .collect();
-        miner
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
     }
 
     /// The itemsets whose *guaranteed* frequency clears `(σ − ε)·N` — the
-    /// standard lossy-counting query — as groups, most frequent first. A
-    /// group's members are the users observed carrying the itemset since
-    /// it was tracked, so its size is the tracked count.
+    /// standard lossy-counting query — as groups in itemset order, which is
+    /// the canonical epoch order [`crate::delta`] diffs in. A group's
+    /// members are the users observed carrying the itemset since it was
+    /// tracked, so its size is the tracked count.
     pub fn groups(&self) -> GroupSet {
-        let n = self.n_seen as f64;
-        let threshold = ((self.cfg.support - self.cfg.epsilon) * n).max(0.0);
-        let mut entries: Vec<(&Vec<TokenId>, &Entry)> = self
-            .table
-            .iter()
-            .filter(|(_, e)| e.count as f64 >= threshold)
-            .collect();
-        entries.sort_by(|a, b| b.1.count.cmp(&a.1.count).then_with(|| a.0.cmp(b.0)));
-        let mut gs = GroupSet::new();
-        for (itemset, e) in entries {
-            gs.push(Group::new(
-                itemset.clone(),
-                MemberSet::from_unsorted(e.members.clone()),
-            ));
-        }
-        gs
-    }
-}
-
-#[cfg(test)]
-impl StreamMiner {
-    /// Transactions processed so far.
-    pub(crate) fn n_seen(&self) -> u64 {
-        self.n_seen
-    }
-
-    /// Entries currently held in-core.
-    pub(crate) fn table_size(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Itemset entries evicted by bucket-boundary pruning over the miner's
-    /// lifetime — the counterpart of the memory bound.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
+        let threshold = ((self.cfg.support - self.cfg.epsilon) * self.n_seen as f64).max(0.0);
+        let groups = self
+            .entries(|e| e.count as f64 >= threshold)
+            .into_iter()
+            .map(|(itemset, e)| {
+                Group::new(
+                    itemset.to_vec(),
+                    MemberSet::from_unsorted(e.members.clone()),
+                )
+            });
+        GroupSet::from_groups(groups.collect())
     }
 }
 
@@ -384,7 +302,7 @@ mod tests {
         let mut peak = 0;
         for (u, tx) in stream.iter().enumerate() {
             miner.observe(u as u32, tx);
-            peak = peak.max(miner.table_size());
+            peak = peak.max(miner.table.len());
         }
         // The noise universe alone has 37 singleton tokens + pairs; lossy
         // counting must keep the table well below the exact-table size.
@@ -393,10 +311,10 @@ mod tests {
             peak < exact_table,
             "peak table {peak} should undercut exact table {exact_table}"
         );
-        assert_eq!(miner.n_seen(), 20_000);
+        assert_eq!(miner.n_seen, 20_000);
         // The bound is enforced by eviction, and the counter sees it.
-        assert!(miner.evictions() > 0, "pruning must have evicted entries");
-        assert!(miner.evictions() as usize >= exact_table - miner.table_size());
+        assert!(miner.evictions > 0, "pruning must have evicted entries");
+        assert!(miner.evictions as usize >= exact_table - miner.table.len());
     }
 
     #[test]
@@ -406,13 +324,13 @@ mod tests {
             epsilon: 0.5, // bucket width 2: prune every other transaction
             max_len: 1,
         });
-        assert_eq!(miner.evictions(), 0);
+        assert_eq!(miner.evictions, 0);
         // Two distinct singletons, each seen once: at the first bucket
         // boundary both have count + Δ = 1 ≤ 1 → evicted.
         miner.observe(0, &toks(&[0]));
         miner.observe(1, &toks(&[1]));
-        assert_eq!(miner.evictions(), 2);
-        assert_eq!(miner.table_size(), 0);
+        assert_eq!(miner.evictions, 2);
+        assert_eq!(miner.table.len(), 0);
     }
 
     #[test]
@@ -437,54 +355,6 @@ mod tests {
             gs.iter().any(|(_, g)| g.description == toks(&[0, 1])),
             "pair group missing"
         );
-    }
-
-    /// The checkpoint contract: export → import resumes the stream
-    /// exactly — after observing the same suffix, the rebuilt miner's
-    /// groups, telemetry, and re-export all match the uninterrupted run.
-    #[test]
-    fn exported_state_resumes_byte_equivalently() {
-        let stream = synthetic_stream(2_000);
-        let cfg = StreamFimConfig {
-            support: 0.2,
-            epsilon: 0.02,
-            max_len: 2,
-        };
-        let split = 1_234;
-        let mut uninterrupted = StreamMiner::new(cfg.clone());
-        let mut prefix = StreamMiner::new(cfg.clone());
-        for (u, tx) in stream[..split].iter().enumerate() {
-            uninterrupted.observe(u as u32, tx);
-            prefix.observe(u as u32, tx);
-        }
-        let state = prefix.export_state();
-        // Export is canonical: entries strictly ascending by itemset.
-        assert!(state
-            .entries
-            .windows(2)
-            .all(|w| w[0].itemset < w[1].itemset));
-        let mut resumed = StreamMiner::from_state(cfg, state.clone());
-        for (u, tx) in stream.iter().enumerate().skip(split) {
-            uninterrupted.observe(u as u32, tx);
-            resumed.observe(u as u32, tx);
-        }
-        assert_eq!(resumed.n_seen(), uninterrupted.n_seen());
-        assert_eq!(resumed.evictions(), uninterrupted.evictions());
-        assert_eq!(resumed.table_size(), uninterrupted.table_size());
-        assert_eq!(resumed.groups(), uninterrupted.groups());
-        // And the next export is canonical-equal, so a checkpoint of a
-        // recovered run is byte-identical to one of an uninterrupted run.
-        assert_eq!(resumed.export_state(), uninterrupted.export_state());
-        // Idempotence without further observations.
-        let again = StreamMiner::from_state(
-            StreamFimConfig {
-                support: 0.2,
-                epsilon: 0.02,
-                max_len: 2,
-            },
-            state.clone(),
-        );
-        assert_eq!(again.export_state(), state);
     }
 
     #[test]
@@ -512,6 +382,6 @@ mod tests {
         });
         miner.observe(0, &toks(&[0, 1, 2, 3]));
         // 4 singletons + 6 pairs = 10 itemsets, no triples.
-        assert_eq!(miner.table_size(), 10);
+        assert_eq!(miner.table.len(), 10);
     }
 }

@@ -370,35 +370,65 @@ impl Crossfilter {
         }
     }
 
-    /// Naive from-scratch recomputation of every aggregate — the baseline
-    /// for the C8 experiment and the oracle for the consistency tests.
-    pub fn recompute_naive(&self) -> (usize, Vec<Histogram>) {
-        let selection = self.masks.iter().filter(|&&m| m == 0).count();
+    /// Naive from-scratch recomputation of every mask and aggregate — the
+    /// baseline for the C8 experiment and the oracle for the consistency
+    /// tests. Masks are derived from each brush and the raw values (range:
+    /// `lo <= v < hi`; categories: the record's category is listed), never
+    /// read from the incremental state.
+    fn recompute_naive(&self) -> (Vec<u32>, usize, Vec<Histogram>) {
+        let mut masks = vec![0u32; self.n];
+        for (i, d) in self.dims.iter().enumerate() {
+            let bit = 1u32 << i;
+            match &d.brush {
+                BrushState::None => {}
+                BrushState::Range(lo, hi) => {
+                    let DimKind::Numeric { values, .. } = &d.kind else {
+                        unreachable!("range brushes are numeric")
+                    };
+                    for (m, v) in masks.iter_mut().zip(values) {
+                        if !(lo <= v && v < hi) {
+                            *m |= bit;
+                        }
+                    }
+                }
+                BrushState::Categories(cats) => {
+                    let mut allowed = vec![false; d.n_bins];
+                    for &c in cats {
+                        allowed[c as usize] = true;
+                    }
+                    for (m, &cat) in masks.iter_mut().zip(&d.bin_of) {
+                        if !allowed[cat as usize] {
+                            *m |= bit;
+                        }
+                    }
+                }
+            }
+        }
+        let selection = masks.iter().filter(|&&m| m == 0).count();
         let mut hists = Vec::with_capacity(self.dims.len());
         for (i, d) in self.dims.iter().enumerate() {
             let bit = 1u32 << i;
             let mut counts = vec![0u64; d.n_bins];
-            for r in 0..self.n {
-                if self.masks[r] & !bit == 0 {
-                    counts[d.bin_of[r] as usize] += 1;
+            for (m, &b) in masks.iter().zip(&d.bin_of) {
+                if m & !bit == 0 {
+                    counts[b as usize] += 1;
                 }
             }
             hists.push(Histogram { counts });
         }
-        (selection, hists)
+        (masks, selection, hists)
     }
 
-    /// Debug/test helper: assert all incremental state matches the naive
-    /// recomputation.
+    /// Debug/test helper: whether all incremental state — masks, selection
+    /// count, histograms — matches the naive recomputation.
     pub fn check_consistency(&self) -> bool {
-        let (sel, hists) = self.recompute_naive();
-        if sel != self.selection_count {
-            return false;
-        }
-        hists
-            .iter()
-            .zip(&self.dims)
-            .all(|(h, d)| h.counts == d.counts)
+        let (masks, sel, hists) = self.recompute_naive();
+        masks == self.masks
+            && sel == self.selection_count
+            && hists
+                .iter()
+                .zip(&self.dims)
+                .all(|(h, d)| h.counts == d.counts)
     }
 }
 

@@ -2,8 +2,9 @@
 //! arrive on a channel from a producer thread; the engine bootstraps from
 //! a warmup prefix, then ingests the live stream and republishes itself
 //! epoch by epoch — the stream miner advances incrementally, the
-//! similarity index is rebuilt over each epoch's groups — while open
-//! sessions keep exploring the epoch they started on.
+//! similarity index is advanced from the overlap counts carried from the
+//! previous epoch — while open sessions keep exploring the epoch they
+//! started on.
 //!
 //! Run with: `cargo run --release --example stream_exploration`
 //!

@@ -347,14 +347,15 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
     assert_eq!(walio::read_wal(&seg0).expect("scan").frames.len(), 0);
     fp::clear(fp::WAL_APPEND);
 
-    // wal.sync, Error action under bounded retry: every attempt stages
-    // and rolls back; the attempt budget is a hard cap; the committed
-    // prefix of the segment never grows.
+    // wal.sync, Error action, retried: every attempt stages and rolls
+    // back; the committed prefix of the segment never grows.
     fp::configure(fp::WAL_SYNC, fp::Trigger::Always, fp::FailAction::Error);
-    assert_eq!(
-        live.refresh_with_retry(3).unwrap_err(),
-        CoreError::Injected(fp::WAL_SYNC)
-    );
+    for _ in 0..3 {
+        assert_eq!(
+            live.refresh().unwrap_err(),
+            CoreError::Injected(fp::WAL_SYNC)
+        );
+    }
     assert_eq!(live.pending().expect("live"), buffered, "nothing consumed");
     let scan = walio::read_wal(&seg0).expect("scan");
     assert_eq!(scan.frames.len(), 0, "rolled-back frames never commit");
@@ -363,7 +364,7 @@ fn durable_refresh_faults_are_typed_retryable_and_lose_nothing() {
 
     // Cleared: the retry lands exactly one frame — no duplicates from
     // the three failed attempts — and the engine matches the reference.
-    let out = live.refresh_with_retry(3).expect("retry succeeds");
+    let out = live.refresh().expect("retry succeeds");
     assert!(out.advanced && out.wal_appended && out.wal_bytes > 0);
     assert_eq!(walio::read_wal(&seg0).expect("scan").frames.len(), 1);
     assert!(live.engine().write_snapshot() == f.snapshots[1]);

@@ -6,7 +6,8 @@
 # The script prints one line, `kind path name`, per candidate:
 #
 #   fn       a crate `pub fn` with no call (`.name(`) or path (`Type::name`,
-#            `module::name`) on a production line other than its definition;
+#            `module::name`) on a production line other than its definition
+#            and other than the body of a fn of the same name (delegation);
 #   field    a named field of a crate struct with no production read: a
 #            `.name` that is not an assignment (`=`, `+=`, ...) or a
 #            push/extend/clear/insert/fetch_add on it;
@@ -17,11 +18,12 @@
 #
 # It prints candidates, not verdicts. Known false positives: a field read
 # only by destructuring (`let Self { stage, .. } = self`), a counter whose
-# `fetch_add` result is used, an RAII `_guard`. Known misses: a name shared
+# `fetch_add` result is used, an RAII `_guard`, a fn called only from
+# inside another type's fn of the same name. Known misses: a name shared
 # with another type's called method or read field (`.len(`, `.members`;
 # `ShardPlan::shard_of` hid behind `NeighborCache`'s private
-# `Self::shard_of`), a variant constructed through a glob import, and state
-# read only to keep itself up to date.
+# `Self::shard_of`) outside a fn of that name, a variant constructed
+# through a glob import, and state read only to keep itself up to date.
 #
 # Usage, from anywhere in the repository:
 #   tools/inventory.sh          print the candidates
@@ -39,12 +41,34 @@ git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' 'src/**/*.rs'
     awk -v f="$f" '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print f":"FNR":"$0}' "$f"
   done > "$out/prod.txt"
 
-# 2. Functions.
+# 2. Functions. A call on a line inside a fn of the same name is that fn
+#    handing off to its namesake (`Vexus::overlap_graph` calling
+#    `GroupIndex::overlap_graph`), not a caller, so each production line is
+#    first tagged `path:line fn` with the fn it sits in (rustfmt layout: a
+#    fn opens on its `fn` line and closes at a `}` on the same indent).
+awk '
+  {
+    split($0, p, ":"); key = p[1] ":" p[2]; text = substr($0, length(key) + 2)
+    if (p[1] != file) { file = p[1]; depth = 0 }
+    match(text, /^ */); ind = RLENGTH
+    if (depth > 0 && ind <= indent[depth] && text ~ /^ *}/)
+      while (depth > 0 && indent[depth] >= ind) depth--
+    else if (depth > 0 && ind == indent[depth] && text ~ /^ *\).*; *$/)
+      depth--
+    if (match(text, /^ *(pub(\([a-z]+\))? )?((const|async|unsafe) )*fn [a-z_0-9]+/)) {
+      name = substr(text, RSTART, RLENGTH); sub(/.* /, "", name)
+      print key " " name
+      if (text !~ /[;}] *$/) { depth++; indent[depth] = ind; names[depth] = name }
+      next
+    }
+    print key " " (depth > 0 ? names[depth] : "-")
+  }' "$out/prod.txt" > "$out/owners.txt"
 grep -E '^crates/[^:]*:[0-9]+:[[:space:]]*pub fn [a-z_0-9]+' "$out/prod.txt" |
   sed -E 's/^([^:]*):[0-9]+:[[:space:]]*pub fn ([a-z_0-9]+).*/\1 \2/' |
   while read -r at name; do
     n=$(grep -E "\.$name(::<.*>)?\(|::$name\b|(^|[^a-z_0-9.:])$name\(" "$out/prod.txt" |
-        grep -cvE "fn $name\b|^[^:]*:[0-9]+:[[:space:]]*(pub )?use " || true)
+        grep -vE "fn $name\b|^[^:]*:[0-9]+:[[:space:]]*(pub )?use " | cut -d: -f1,2 |
+        grep -cvxF -f <(grep " $name\$" "$out/owners.txt" | cut -d' ' -f1) || true)
     if [ "$n" = 0 ]; then echo "fn $at $name"; fi
   done > "$out/fns.txt"
 
