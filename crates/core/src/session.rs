@@ -25,10 +25,12 @@
 //!   different threads over one group space — the serving shape behind
 //!   [`crate::serve::ExplorationService`].
 //!
-//! Per-step state is deliberately cheap: the display is an
-//! `Arc<[GroupId]>`, feedback is copy-on-write behind an `Arc`, and every
-//! HISTORY snapshot is two `Arc` clones — a deep history costs O(actual
-//! feedback deltas), not O(steps × feedback size). The per-click scratch
+//! The display is an `Arc<[GroupId]>` and feedback sits behind an `Arc`,
+//! so committing a HISTORY step is two `Arc` clones. That does not make a
+//! deep history cheap: the step just committed always shares the live
+//! feedback vector, so the next click's copy-on-write deep-copies all of
+//! it, and a history of depth d holds d full feedback vectors —
+//! O(steps × feedback size) (ROADMAP item 9). The per-click scratch
 //! buffers of the greedy optimizer live in the session and are reused
 //! across clicks; the opening step, whose reference is the whole
 //! population, runs on buffers of its own that are dropped on return.
@@ -60,7 +62,9 @@ pub struct HistoryStep {
     pub clicked: Option<GroupId>,
     /// The GroupViz display after the step.
     pub display: Arc<[GroupId]>,
-    /// Feedback state after the step (snapshot, restorable).
+    /// Feedback state after the step (snapshot, restorable). A full
+    /// vector per step: the next click deep-copies the one it shares with
+    /// the live session (ROADMAP item 9).
     pub feedback: Arc<FeedbackVector>,
 }
 
@@ -242,8 +246,8 @@ impl<E: Deref<Target = Vexus>> Session<E> {
         }
         if self.config.feedback_weight > 0.0 {
             let group = self.engine.groups().get(g);
-            // Copy-on-write: clones the vector only when a history
-            // snapshot still shares it.
+            // Copy-on-write: the last history step still shares the
+            // vector, so this clones all of it.
             Arc::make_mut(&mut self.feedback).reward_group(group);
         }
         self.refresh_candidates(g);

@@ -77,17 +77,22 @@ fn string_table_bytes(strings: &[String]) -> usize {
     std::mem::size_of_val(strings) + strings.iter().map(|s| s.capacity()).sum::<usize>()
 }
 
-/// Immutable columnar user dataset.
+/// Immutable columnar user dataset. A clone shares the schema, the user
+/// demographics and the item catalog, and copies only the action tape and
+/// the activity counts, which [`UserData::append_actions`] extends.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UserData {
     /// Shared schema: projections hold the same `Arc`, so N per-shard
     /// projections pay for one copy of the attribute dictionaries.
     schema: Arc<Schema>,
-    user_names: Vec<String>,
-    /// `columns[attr][user]` = value of `attr` for `user`.
-    columns: Vec<Vec<ValueId>>,
+    /// Shared with every clone; a projection holds its own.
+    user_names: Arc<[String]>,
+    /// `columns[attr][user]` = value of `attr` for `user`. Shared with
+    /// every clone; a projection holds its own.
+    columns: Arc<[Vec<ValueId>]>,
     /// Shared item tables; projections hold the same `Arc`.
     items: Arc<ItemCatalog>,
+    /// Copied by a clone: the tape a live engine appends to.
     actions: Vec<Action>,
     /// `activity[user]` = number of `actions` by `user`.
     activity: Vec<u32>,
@@ -388,8 +393,8 @@ impl UserDataBuilder {
         UserData {
             activity: activity(self.user_names.len(), &self.actions),
             schema: Arc::new(self.schema),
-            user_names: self.user_names,
-            columns: self.columns,
+            user_names: self.user_names.into(),
+            columns: self.columns.into(),
             items: Arc::new(ItemCatalog {
                 item_names: self.item_names,
                 item_categories: self.item_categories,
@@ -726,12 +731,31 @@ mod tests {
         let d = small();
         let a = d.project_users(&[0]);
         let b = a.project_users(&[0]);
-        // The schema rides along by refcount, not by clone — the carried
-        // projection seam, partially closed: schema + catalog are shared,
-        // user columns/actions are still copied (see ROADMAP).
+        // The schema rides along by refcount, not by clone: schema and
+        // catalog are shared, while a projection copies the user columns
+        // and actions it keeps.
         assert!(Arc::ptr_eq(&d.schema, &a.schema));
         assert!(Arc::ptr_eq(&d.schema, &b.schema));
         assert_eq!(a.schema().attr("gender"), d.schema().attr("gender"));
+    }
+
+    #[test]
+    fn clones_share_demographics_and_own_their_actions() {
+        let d = small();
+        let mut c = d.clone();
+        assert!(Arc::ptr_eq(&d.user_names, &c.user_names));
+        assert!(Arc::ptr_eq(&d.columns, &c.columns));
+        let (actions, activity) = (d.actions().to_vec(), d.activity.clone());
+        let u = UserId::new(0);
+        let applied = c.append_actions(&[Action {
+            user: u,
+            item: ItemId::new(0),
+            value: 1.0,
+        }]);
+        assert_eq!(applied, 1);
+        assert_eq!(c.user_activity(u), d.user_activity(u) + 1);
+        assert_eq!(d.actions(), actions.as_slice());
+        assert_eq!(d.activity, activity);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! to an uninterrupted run (the crash-recovery byte-identity oracle rests
 //! on this). The table is written straight from the miner, in the itemset
 //! order [`crate::stream_fim`] owns, with each member list sorted; the
-//! decoder checks that order and fills a fresh miner's table.
+//! decoder checks that order and fills a fresh miner's table, each member
+//! run an entry's settled (sorted) prefix.
 
 use crate::bitmap::MemberSet;
 use crate::delta::DeltaDiscovery;
@@ -111,10 +112,11 @@ pub const TAG_STREAM_SEEN: u32 = 0x77;
 
 /// Encode a [`DeltaDiscovery`] driver's mutable state into its `0x7x`
 /// sections. The encoding is canonical — entries in itemset order, each
-/// member list sorted (safe: member order never reaches any output, since
-/// every user is observed at most once per entry and a reported group
-/// sorts its members anyway) — so two drivers in the same logical state
-/// encode byte-identically regardless of history.
+/// member list sorted whole (an entry under the floor may still carry an
+/// arrival-order tail; member order never reaches any output, since every
+/// user is observed at most once per entry and a reported group is
+/// settled into ascending order anyway) — so two drivers in the same
+/// logical state encode byte-identically regardless of history.
 pub fn encode_stream_state(dd: &DeltaDiscovery, w: &mut SnapshotWriter) {
     let miner = dd.miner();
     let entries = miner.entries(|_| true);
@@ -268,12 +270,14 @@ pub fn decode_stream_state(
                 what: "zero-count entry in the miner table",
             });
         }
+        let run = members.list(i);
         miner.table.insert(
             itemset.iter().map(|&t| TokenId::new(t)).collect(),
             Entry {
                 count,
                 delta: join_u64(deltas[2 * i], deltas[2 * i + 1]),
-                members: members.list(i).to_vec(),
+                members: run.to_vec(),
+                sorted: run.len(),
             },
         );
     }
@@ -393,7 +397,8 @@ mod tests {
     }
 
     /// Counts and deltas past `u32::MAX` exercise the two-word split;
-    /// members are in arrival order, as the miner keeps them.
+    /// members are an unsettled arrival-order tail, as the miner keeps
+    /// them for an entry it has not reported since they arrived.
     fn sample_discovery() -> DeltaDiscovery {
         let mut miner = StreamMiner::new(StreamFimConfig::default());
         miner.n_seen = u64::from(u32::MAX) + 11;
@@ -410,6 +415,7 @@ mod tests {
                     count,
                     delta,
                     members: members.to_vec(),
+                    sorted: 0,
                 },
             );
         }
@@ -444,8 +450,9 @@ mod tests {
         assert_eq!(miner.table.len(), 3);
         let e = &miner.table[&vec![TokenId::new(0)]];
         assert_eq!((e.count, e.delta), (u64::from(u32::MAX) + 7, 3));
-        // Member runs are written sorted.
+        // Member runs are written sorted and decode settled.
         assert_eq!(e.members, [0, 2, 40]);
+        assert_eq!(e.sorted, 3);
         let e = &miner.table[&vec![TokenId::new(0), TokenId::new(4)]];
         assert_eq!((e.count, e.delta), (2, u64::from(u32::MAX) + 1));
         assert_eq!(back.seen(), dd.seen());
@@ -610,15 +617,16 @@ mod tests {
             let r = SnapshotReader::load(&buf).unwrap();
             let mut back = decode_stream_state(&r, cfg, 2, n, vocab.len()).unwrap();
             proptest::prop_assert!(encode_to_buf(&back) == buf, "re-encoding differs");
-            proptest::prop_assert_eq!(back.epoch().0, dd.epoch().0);
+            let mut last = dd.epoch();
+            proptest::prop_assert_eq!(back.epoch().0, last.0);
             for chunk in suffix.chunks(cut_every) {
                 dd.observe_arrivals(&data, &vocab, chunk);
                 back.observe_arrivals(&data, &vocab, chunk);
-                proptest::prop_assert_eq!(back.epoch(), dd.epoch());
+                last = dd.epoch();
+                proptest::prop_assert_eq!(back.epoch(), last);
             }
             proptest::prop_assert!(encode_to_buf(&back) == encode_to_buf(&dd), "resumed state differs");
-            let groups = dd.miner().groups();
-            let descriptions: Vec<_> = groups.iter().map(|(_, g)| &g.description).collect();
+            let descriptions: Vec<_> = last.0.iter().map(|(_, g)| &g.description).collect();
             proptest::prop_assert!(descriptions.windows(2).all(|w| w[0] < w[1]), "groups out of order");
             if dd.arrivals() >= 20 {
                 proptest::prop_assert!(dd.miner().evictions > 0, "no bucket boundary evicted");

@@ -22,6 +22,12 @@
 //! subsets of the true extent with the same ε guarantee. The engine treats
 //! stream groups as approximate by construction.
 //!
+//! An entry's members are a sorted prefix followed by the users observed
+//! since the entry was last reported, in arrival order. A cut
+//! ([`StreamMiner::groups`]) sorts only that tail and merges it into the
+//! prefix, for the entries it reports, so a live refresh sorts what
+//! arrived rather than every member list again.
+//!
 //! This module owns the canonical order of stream state: itemset order,
 //! lexicographically ascending. The table is one `HashMap`, walked in that
 //! order by one crate-private walk that both [`StreamMiner::groups`] (so a
@@ -56,13 +62,38 @@ impl Default for StreamFimConfig {
 
 /// One tracked itemset: occurrences and users observed since it was
 /// (last) inserted, and Δ, the bucket before its insertion (the maximum
-/// undercount). Members are in arrival order; every user is observed at
-/// most once per entry, so sorting them yields a set.
+/// undercount). `members[..sorted]` is strictly ascending; the rest are
+/// the users observed since, in arrival order. Every user is observed at
+/// most once per entry, so sorting all of them yields a set.
 #[derive(Debug)]
 pub(crate) struct Entry {
     pub(crate) count: u64,
     pub(crate) delta: u64,
     pub(crate) members: Vec<u32>,
+    pub(crate) sorted: usize,
+}
+
+impl Entry {
+    /// Sort the arrival-order tail and merge it into the sorted prefix,
+    /// from the back, so only the prefix members above the tail's least
+    /// one move.
+    fn settle(&mut self) {
+        let mut tail = self.members.split_off(self.sorted);
+        tail.sort_unstable();
+        let mut i = self.members.len();
+        self.members.resize(i + tail.len(), 0);
+        for k in (0..self.members.len()).rev() {
+            let Some(&t) = tail.last() else { break };
+            if i > 0 && self.members[i - 1] > t {
+                i -= 1;
+                self.members[k] = self.members[i];
+            } else {
+                self.members[k] = t;
+                tail.pop();
+            }
+        }
+        self.sorted = self.members.len();
+    }
 }
 
 /// One-pass lossy-counting miner over a stream of `(user, tokens)`
@@ -121,6 +152,7 @@ impl StreamMiner {
                             count: 1,
                             delta: bucket - 1,
                             members: vec![user],
+                            sorted: 0,
                         },
                     );
                 }
@@ -172,22 +204,27 @@ impl StreamMiner {
         entries
     }
 
+    /// The support floor `(σ − ε)·N` a reported entry's count clears.
+    fn floor(&self) -> f64 {
+        ((self.cfg.support - self.cfg.epsilon) * self.n_seen as f64).max(0.0)
+    }
+
     /// The itemsets whose *guaranteed* frequency clears `(σ − ε)·N` — the
     /// standard lossy-counting query — as groups in itemset order, which is
     /// the canonical epoch order [`crate::delta`] diffs in. A group's
     /// members are the users observed carrying the itemset since it was
-    /// tracked, so its size is the tracked count.
-    pub fn groups(&self) -> GroupSet {
-        let threshold = ((self.cfg.support - self.cfg.epsilon) * self.n_seen as f64).max(0.0);
-        let groups = self
-            .entries(|e| e.count as f64 >= threshold)
-            .into_iter()
-            .map(|(itemset, e)| {
-                Group::new(
-                    itemset.to_vec(),
-                    MemberSet::from_unsorted(e.members.clone()),
-                )
-            });
+    /// tracked, so its size is the tracked count. Each reported entry's
+    /// arrival tail is merged into its sorted members first, so the cut
+    /// sorts only what arrived since the entry was last reported.
+    pub fn groups(&mut self) -> GroupSet {
+        let floor = self.floor();
+        let reported = |e: &Entry| e.count as f64 >= floor;
+        for e in self.table.values_mut().filter(|e| reported(e)) {
+            e.settle();
+        }
+        let groups = self.entries(reported).into_iter().map(|(itemset, e)| {
+            Group::new(itemset.to_vec(), MemberSet::from_sorted(e.members.clone()))
+        });
         GroupSet::from_groups(groups.collect())
     }
 }
@@ -359,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_stream_reports_nothing() {
-        let miner = StreamMiner::new(StreamFimConfig::default());
+        let mut miner = StreamMiner::new(StreamFimConfig::default());
         assert!(miner.groups().is_empty());
     }
 
@@ -371,6 +408,101 @@ mod tests {
             epsilon: 0.1,
             max_len: 2,
         });
+    }
+
+    /// The cut the carried sort replaces: clone every reported entry's
+    /// members and sort them from scratch (test oracle).
+    fn groups_sorted_from_scratch(miner: &StreamMiner) -> GroupSet {
+        let floor = miner.floor();
+        let groups = miner
+            .entries(|e| e.count as f64 >= floor)
+            .into_iter()
+            .map(|(itemset, e)| {
+                Group::new(
+                    itemset.to_vec(),
+                    MemberSet::from_unsorted(e.members.clone()),
+                )
+            });
+        GroupSet::from_groups(groups.collect())
+    }
+
+    /// Drive a miner through `phases` of `(hot token, arrivals)`, each
+    /// arrival carrying its phase's hot token and a noise token, with users
+    /// scrambled by `stride` (1009 is prime and above every stream length
+    /// here, so users stay distinct) and a cut every `cut_every` arrivals.
+    /// At every cut the reported space must equal the from-scratch oracle,
+    /// order included, and every reported entry must be settled: strictly
+    /// ascending, with no tail left for the next cut. Returns the miner's
+    /// evictions and how many entries a cut merged a tail longer than
+    /// `cut_every` into — one that grew over several cuts while its entry
+    /// sat under the floor.
+    fn drive_and_check_cuts(
+        phases: &[(u32, usize)],
+        noise: &[u32],
+        stride: u64,
+        cut_every: usize,
+    ) -> (u64, usize) {
+        let mut miner = StreamMiner::new(StreamFimConfig {
+            support: 0.3,
+            epsilon: 0.05, // bucket width 20; the floor sits 0.25·N above eviction
+            max_len: 2,
+        });
+        let mut long_tails = 0;
+        let hots = phases
+            .iter()
+            .flat_map(|&(hot, len)| std::iter::repeat_n(hot, len));
+        for (n, hot) in hots.enumerate() {
+            let user = (n as u64 * stride % 1009) as u32;
+            miner.observe(user, &toks(&[hot, 4 + noise[n % noise.len()]]));
+            if (n + 1) % cut_every != 0 {
+                continue;
+            }
+            let floor = miner.floor();
+            let reported = |e: &&Entry| e.count as f64 >= floor;
+            long_tails += miner
+                .table
+                .values()
+                .filter(reported)
+                .filter(|e| e.members.len() - e.sorted > cut_every)
+                .count();
+            let expected = groups_sorted_from_scratch(&miner);
+            assert_eq!(miner.groups(), expected, "cut after {} arrivals", n + 1);
+            for e in miner.table.values().filter(reported) {
+                assert_eq!(e.sorted, e.members.len(), "a reported entry kept a tail");
+                assert!(
+                    e.members.windows(2).all(|w| w[0] < w[1]),
+                    "a reported entry is not strictly ascending"
+                );
+            }
+        }
+        (miner.evictions, long_tails)
+    }
+
+    #[test]
+    fn a_tail_carried_under_the_floor_merges_when_the_entry_returns() {
+        // Token 0 is hot, falls under the floor while 1 and 2 are, and
+        // rises again: its tail spans many cuts before it is merged.
+        let phases = [(0, 40), (1, 89), (2, 89), (0, 89)];
+        let (evictions, long_tails) = drive_and_check_cuts(&phases, &[0, 5, 1, 9, 3], 389, 7);
+        assert!(evictions > 0, "no bucket boundary evicted");
+        assert!(long_tails > 0, "no tail outlived a cut");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Random phased streams in scrambled user order, cut every 1–49
+        /// arrivals: the carried sort reports exactly the from-scratch cut
+        /// (see [`drive_and_check_cuts`]), across evictions, re-insertions
+        /// and entries that fall under the floor and rise again.
+        #[test]
+        fn prop_carried_sort_equals_a_sort_from_scratch(
+            phases in proptest::collection::vec((0u32..4, 10usize..90), 2..8),
+            noise in proptest::collection::vec(0u32..16, 1..64),
+            stride in 1u64..1009,
+            cut_every in 1usize..50
+        ) {
+            drive_and_check_cuts(&phases, &noise, stride, cut_every);
+        }
     }
 
     #[test]
