@@ -23,29 +23,18 @@ use vexus_mining::{GroupDiscovery, GroupSet};
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
     /// Where the group space came from: the discovery backend's
-    /// [`GroupDiscovery::name`], or `"pregrouped"`, `"snapshot"`,
-    /// `"checkpoint"` or `"stream-fim-delta"` (a live epoch).
+    /// [`GroupDiscovery::name`], or `"snapshot"`, `"checkpoint"` or
+    /// `"stream-fim-delta"` (a live epoch).
     pub algorithm: &'static str,
     /// Groups removed by the size filter.
     pub filtered_out: usize,
-}
-
-/// How the builder obtains the group space.
-enum DiscoveryStage {
-    /// Run the backend selected by `EngineConfig::discovery`.
-    FromConfig,
-    /// Run an explicitly supplied backend.
-    Backend(Box<dyn GroupDiscovery>),
-    /// Skip discovery: the caller already has vocabulary + groups.
-    Pregrouped(Vocabulary, GroupSet),
 }
 
 /// Staged builder for the offline pipeline:
 ///
 /// 1. **data** — takes ownership of the dataset, builds the token
 ///    [`Vocabulary`],
-/// 2. **discovery** — runs a pluggable [`GroupDiscovery`] backend (or
-///    accepts pre-discovered groups),
+/// 2. **discovery** — runs a pluggable [`GroupDiscovery`] backend,
 /// 3. **size-filter** — drops groups under
 ///    [`EngineConfig::min_group_size`],
 /// 4. **index** — builds the inverted similarity [`GroupIndex`].
@@ -64,7 +53,9 @@ enum DiscoveryStage {
 pub struct VexusBuilder {
     data: UserData,
     config: EngineConfig,
-    stage: DiscoveryStage,
+    /// The explicitly supplied backend; `None` runs the one
+    /// `EngineConfig::discovery` selects.
+    backend: Option<Box<dyn GroupDiscovery>>,
 }
 
 impl VexusBuilder {
@@ -73,7 +64,7 @@ impl VexusBuilder {
         Self {
             data,
             config: EngineConfig::default(),
-            stage: DiscoveryStage::FromConfig,
+            backend: None,
         }
     }
 
@@ -93,22 +84,7 @@ impl VexusBuilder {
     /// Stage 2 (explicit, boxed): as [`VexusBuilder::discovery`] for
     /// backends chosen at runtime.
     pub fn discovery_boxed(mut self, backend: Box<dyn GroupDiscovery>) -> Self {
-        self.stage = DiscoveryStage::Backend(backend);
-        self
-    }
-
-    /// Stage 2 (bypass): use an externally discovered group space and its
-    /// vocabulary — the pre-discovered plug-in path.
-    ///
-    /// **The size-filter stage still runs**: every supplied group with
-    /// fewer than `config.min_group_size` members is silently dropped, the
-    /// same as for any discovery backend. The removal count is reported in
-    /// [`BuildStats::filtered_out`] (and a regression test pins it), so a
-    /// curated space shrinking here is visible, not mysterious. Pass a
-    /// smaller `min_group_size` — `1` disables the filter — to keep
-    /// curated small groups.
-    pub fn groups(mut self, vocab: Vocabulary, groups: GroupSet) -> Self {
-        self.stage = DiscoveryStage::Pregrouped(vocab, groups);
+        self.backend = Some(backend);
         self
     }
 
@@ -117,24 +93,20 @@ impl VexusBuilder {
         let Self {
             data,
             config,
-            stage,
+            backend,
         } = self;
         // Stage 2: discovery.
-        let discover = |backend: Box<dyn GroupDiscovery>| {
-            let vocab = Vocabulary::build(&data);
-            let groups = backend.discover(&data, &vocab).groups;
-            (vocab, groups, backend.name())
-        };
-        let (vocab, mut groups, algorithm) = match stage {
-            DiscoveryStage::FromConfig => discover(config.discovery.backend_with(
+        let backend = backend.unwrap_or_else(|| {
+            config.discovery.backend_with(
                 config.min_group_size,
                 config.merge_threads,
                 config.exchange_rounds,
-            )),
-            DiscoveryStage::Backend(backend) => discover(backend),
-            DiscoveryStage::Pregrouped(vocab, groups) => (vocab, groups, "pregrouped"),
-        };
-        // Stage 3: size filter.
+            )
+        });
+        let vocab = Vocabulary::build(&data);
+        let mut groups = backend.discover(&data, &vocab).groups;
+        // Stage 3: size filter. It runs on every backend's output, so a
+        // curated space shrinks here too; `min_group_size` 1 disables it.
         let filtered_out = groups.filter_by_size(config.min_group_size, usize::MAX);
         if groups.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
@@ -142,7 +114,7 @@ impl VexusBuilder {
         // Stage 4: index.
         let index = GroupIndex::build(&groups, &config.index_config());
         let stats = BuildStats {
-            algorithm,
+            algorithm: backend.name(),
             filtered_out,
         };
         Ok(Vexus {
@@ -292,18 +264,21 @@ impl Vexus {
         self.index.overlap_graph(&self.groups)
     }
 
-    /// Serialize the built engine (vocabulary, item catalog, group space,
-    /// CSR and similarity index) into the versioned flat-buffer snapshot
-    /// format. `from_snapshot ∘ write_snapshot` is the identity, byte for
-    /// byte: re-encoding a loaded engine reproduces this buffer exactly.
+    /// Serialize what the built engine derived from its dataset (group
+    /// space, member→groups CSR and similarity index) into the versioned
+    /// flat-buffer snapshot format. The vocabulary and the item catalog are
+    /// the dataset's own and are not stored. `from_snapshot ∘
+    /// write_snapshot` is the identity, byte for byte: re-encoding a loaded
+    /// engine reproduces this buffer exactly.
     pub fn write_snapshot(&self) -> Vec<u8> {
         crate::snapshot::encode_engine(self)
     }
 
     /// Load an engine from a snapshot, skipping discovery and index
     /// construction entirely. `data` must be the dataset the snapshot was
-    /// written against (its user count is cross-checked; its item catalog
-    /// is replaced by the snapshot's). Corrupt or mismatched input fails
+    /// written against: its user count and its vocabulary size are
+    /// cross-checked, the vocabulary is rebuilt from it and its item
+    /// catalog is the engine's. Corrupt or mismatched input fails
     /// with [`CoreError::Snapshot`] — never a panic. The load is
     /// validation plus slice reinterpretation: group member lists, the
     /// member→groups CSR and the index offset tables are zero-copy views
@@ -319,7 +294,7 @@ impl Vexus {
                 what: "injected fault (snapshot.load)",
             }));
         }
-        let decoded = crate::snapshot::decode_engine(data, bytes).map_err(CoreError::Snapshot)?;
+        let decoded = crate::snapshot::decode_engine(&data, bytes).map_err(CoreError::Snapshot)?;
         if decoded.groups.is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
@@ -328,7 +303,7 @@ impl Vexus {
             filtered_out: 0,
         };
         Ok(Vexus {
-            data: decoded.data,
+            data,
             vocab: decoded.vocab,
             groups: decoded.groups,
             index: decoded.index,
@@ -360,13 +335,29 @@ impl Vexus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vexus_data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
     use vexus_mining::{
-        BirchDiscovery, DiscoverySelection, LcmDiscovery, MomriDiscovery, StreamFimConfig,
-        StreamFimDiscovery,
+        BirchDiscovery, DiscoveryOutcome, DiscoverySelection, LcmDiscovery, MomriDiscovery,
+        StreamFimConfig, StreamFimDiscovery,
     };
+
+    /// A backend that returns a fixed, curated group space whatever the
+    /// dataset.
+    pub(crate) struct FixedGroups(pub(crate) GroupSet);
+
+    impl GroupDiscovery for FixedGroups {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn discover(&self, _data: &UserData, _vocab: &Vocabulary) -> DiscoveryOutcome {
+            DiscoveryOutcome {
+                groups: self.0.clone(),
+            }
+        }
+    }
 
     #[test]
     fn builds_from_bookcrossing() {
@@ -518,41 +509,31 @@ mod tests {
     #[test]
     fn supplied_groups_plugin_path() {
         let ds = bookcrossing(&BookCrossingConfig::tiny());
-        let data = ds.data;
-        let vocab = Vocabulary::build(&data);
-        // BIRCH-style clusters as the group space.
-        let featurizer = vexus_mining::features::Featurizer::new(&data);
-        let mut tree = vexus_mining::birch::BirchTree::new(vexus_mining::birch::BirchConfig {
-            branching: 8,
-            threshold: 1.2,
-            dim: featurizer.dim(),
-        });
-        for u in data.users() {
-            tree.insert(u.raw(), &featurizer.features(&data, u));
-        }
-        let groups = tree.into_groups(5);
-        assert!(!groups.is_empty());
-        let vexus = VexusBuilder::new(data)
-            .groups(vocab, groups)
+        // BIRCH clusters as the group space.
+        let vexus = VexusBuilder::new(ds.data)
+            .discovery(BirchDiscovery {
+                branching: 8,
+                threshold: 1.2,
+                min_cluster_size: 5,
+            })
             .build()
             .unwrap();
-        assert_eq!(vexus.build_stats().algorithm, "pregrouped");
+        assert!(!vexus.groups().is_empty());
+        assert_eq!(vexus.build_stats().algorithm, "birch");
         let session = vexus.session().unwrap();
         assert!(!session.display().is_empty());
     }
 
     #[test]
     fn supplied_groups_get_min_group_size_and_report_it() {
-        // Regression pin: `VexusBuilder::groups` is NOT a
-        // verbatim passthrough — the size-filter stage runs on supplied
-        // groups too.
+        // Regression pin: a backend's curated space is NOT a verbatim
+        // passthrough — the size-filter stage runs on it too.
         use vexus_mining::{Group, MemberSet};
         let mut b = vexus_data::UserDataBuilder::new(vexus_data::Schema::new());
         for i in 0..10 {
             b.user(&format!("u{i}"));
         }
         let data = b.build();
-        let vocab = Vocabulary::build(&data);
         let mut groups = GroupSet::new();
         groups.push(Group::new(vec![], MemberSet::from_unsorted(vec![0, 1]))); // size 2
         groups.push(Group::new(
@@ -569,7 +550,7 @@ mod tests {
         };
         let vexus = VexusBuilder::new(data.clone())
             .config(config)
-            .groups(vocab.clone(), groups.clone())
+            .discovery(FixedGroups(groups.clone()))
             .build()
             .unwrap();
         let stats = vexus.build_stats();
@@ -585,7 +566,7 @@ mod tests {
         };
         let vexus = VexusBuilder::new(data)
             .config(keep_all)
-            .groups(vocab, groups)
+            .discovery(FixedGroups(groups))
             .build()
             .unwrap();
         assert_eq!(vexus.build_stats().filtered_out, 0);

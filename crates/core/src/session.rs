@@ -731,8 +731,8 @@ mod tests {
         assert_eq!(total as usize, view.n_users());
     }
 
-    /// A pregrouped engine over `n_attrs` categorical attributes: six
-    /// users, one group holding all of them.
+    /// An engine over `n_attrs` categorical attributes with a fixed group
+    /// space: six users, one group holding all of them.
     fn wide_engine(n_attrs: usize) -> Vexus {
         use vexus_mining::{Group, GroupSet, MemberSet};
         let mut schema = vexus_data::Schema::new();
@@ -748,7 +748,6 @@ mod tests {
             }
         }
         let data = b.build();
-        let vocab = vexus_data::Vocabulary::build(&data);
         let mut groups = GroupSet::new();
         groups.push(Group::new(vec![], MemberSet::universe(6)));
         let config = EngineConfig {
@@ -757,7 +756,7 @@ mod tests {
         };
         crate::engine::VexusBuilder::new(data)
             .config(config)
-            .groups(vocab, groups)
+            .discovery(crate::engine::tests::FixedGroups(groups))
             .build()
             .unwrap()
     }

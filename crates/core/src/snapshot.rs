@@ -1,20 +1,20 @@
-//! Engine snapshot: the whole built engine as one flat buffer.
+//! Engine snapshot: what is expensive to derive of a built engine, as one
+//! flat buffer.
 //!
 //! [`Vexus::write_snapshot`](crate::Vexus::write_snapshot) concatenates
-//! the layer codecs — vocabulary (`0x50`), item catalog (`0x4x`), group
-//! space (`0x1x`), CSR + similarity index (`0x2x`/`0x3x`) — behind a
-//! single engine META section (`0x01`) carrying the shape words a loader
-//! cross-checks against the supplied dataset (the tag table is in
-//! [`vexus_data::snapshot`]). Loading is validation plus
-//! slice reinterpretation: one buffer copy into an `Arc<[u32]>`, then
-//! zero-copy views for the dominant payloads (group member lists, the
-//! CSR, the materialized neighbor offset tables). No per-group
-//! allocations, no discovery, no pair scoring.
+//! the layer codecs — group space (`0x1x`), CSR + similarity index
+//! (`0x2x`/`0x3x`) — behind a single engine META section (`0x01`)
+//! carrying the shape words a loader cross-checks against the supplied
+//! dataset (the tag table is in [`vexus_data::snapshot`]). What the
+//! dataset already determines is not stored: the loader rebuilds the
+//! vocabulary with [`Vocabulary::build`] and keeps the dataset's own item
+//! catalog. Loading is validation plus slice reinterpretation: one buffer
+//! copy into an `Arc<[u32]>`, then zero-copy views for the dominant
+//! payloads (group member lists, the CSR, the materialized neighbor
+//! offset tables). No per-group allocations, no discovery, no pair
+//! scoring.
 
 use crate::engine::Vexus;
-use vexus_data::snapshot::{
-    decode_item_catalog, decode_vocabulary, encode_item_catalog, encode_vocabulary,
-};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, Vocabulary};
 use vexus_index::snapshot::{decode_group_index, encode_group_index};
 use vexus_index::{GroupIndex, MemberGroupsCsr};
@@ -22,17 +22,17 @@ use vexus_mining::snapshot::{decode_group_set, encode_group_set};
 use vexus_mining::GroupSet;
 
 /// Engine META section: `[n_users, n_tokens, n_groups, n_members]`. The
-/// loader checks `n_users` against the supplied dataset and the others
-/// against the decoded sections, so a snapshot paired with the wrong
-/// dataset fails loudly instead of serving nonsense. `n_members` (the
+/// loader checks `n_users` and `n_tokens` against the supplied dataset and
+/// its vocabulary and the others against the decoded sections, so a
+/// snapshot paired with the wrong dataset fails loudly instead of serving
+/// nonsense. `n_members` (the
 /// CSR's member universe, the largest group member + 1) is stored so the
 /// index section can decode without waiting for the group space.
 pub const TAG_ENGINE_META: u32 = 0x01;
 
 /// Everything [`decode_engine`] hands back to the engine assembler.
 pub(crate) struct DecodedEngine {
-    /// The supplied dataset with the snapshot's item catalog installed.
-    pub data: UserData,
+    /// `Vocabulary::build` of the supplied dataset.
     pub vocab: Vocabulary,
     pub groups: GroupSet,
     pub index: GroupIndex,
@@ -40,10 +40,11 @@ pub(crate) struct DecodedEngine {
     pub buffer_bytes: usize,
 }
 
-/// Encode the full engine as a standalone snapshot buffer: META plus
-/// every layer codec. Section order is fixed, every sub-codec is
-/// deterministic, and nothing derived (timings, heap accounting) is
-/// stored — so encode∘decode∘encode is byte-identical.
+/// Encode the engine as a standalone snapshot buffer: META plus the group
+/// and index codecs. Section order is fixed, every sub-codec is
+/// deterministic, and nothing derived (the vocabulary, the item catalog,
+/// the pair count, timings, heap accounting) is stored — so
+/// encode∘decode∘encode is byte-identical.
 pub(crate) fn encode_engine(vexus: &Vexus) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.section_words(
@@ -55,15 +56,13 @@ pub(crate) fn encode_engine(vexus: &Vexus) -> Vec<u8> {
             MemberGroupsCsr::universe(vexus.groups()) as u32,
         ],
     );
-    encode_vocabulary(vexus.vocab(), &mut w);
-    encode_item_catalog(vexus.data().item_catalog(), &mut w);
     encode_group_set(vexus.groups(), &mut w);
     encode_group_index(vexus.index(), &mut w);
     w.finish()
 }
 
 /// Decode a snapshot written by [`encode_engine`] against `data`.
-pub(crate) fn decode_engine(data: UserData, bytes: &[u8]) -> Result<DecodedEngine, SnapshotError> {
+pub(crate) fn decode_engine(data: &UserData, bytes: &[u8]) -> Result<DecodedEngine, SnapshotError> {
     let r = &SnapshotReader::load(bytes)?;
     let [n_users, n_tokens, n_groups, n_members] = r
         .meta(TAG_ENGINE_META, "engine META is not four words")?
@@ -74,18 +73,17 @@ pub(crate) fn decode_engine(data: UserData, bytes: &[u8]) -> Result<DecodedEngin
             what: "snapshot user count does not match the supplied dataset",
         });
     }
-    // META pins the shape words up front, so the three heavy sections
-    // decode independently — none waits on another's output, and a
-    // parallel loader could run them concurrently without a format
-    // change. The cross-checks below tie them back together.
-    let vocab = decode_vocabulary(r)?;
+    let vocab = Vocabulary::build(data);
     if vocab.len() != n_tokens {
         return Err(SnapshotError::Malformed {
             tag: TAG_ENGINE_META,
-            what: "snapshot token count does not match its vocabulary section",
+            what: "snapshot token count does not match the supplied dataset",
         });
     }
-    let catalog = decode_item_catalog(r)?;
+    // META pins the shape words up front, so the two heavy sections decode
+    // independently — neither waits on the other's output, and a parallel
+    // loader could run them concurrently without a format change. The
+    // cross-checks below tie them back together.
     let groups = decode_group_set(r, n_users, n_tokens)?;
     if groups.len() != n_groups {
         return Err(SnapshotError::Malformed {
@@ -101,7 +99,6 @@ pub(crate) fn decode_engine(data: UserData, bytes: &[u8]) -> Result<DecodedEngin
     }
     let index = decode_group_index(r, n_groups, n_members)?;
     Ok(DecodedEngine {
-        data: data.with_item_catalog(std::sync::Arc::new(catalog)),
         vocab,
         groups,
         index,
@@ -171,6 +168,28 @@ mod tests {
             crate::CoreError::Snapshot(SnapshotError::Malformed {
                 tag: TAG_ENGINE_META,
                 ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_dataset_with_other_demographics_is_rejected() {
+        // Same users, no attributes: the rebuilt vocabulary is empty, so
+        // the snapshot's token count cannot describe it.
+        let built = engine();
+        let buf = built.write_snapshot();
+        let mut b = vexus_data::UserDataBuilder::new(vexus_data::Schema::new());
+        for u in built.data().users() {
+            b.user(built.data().user_name(u));
+        }
+        let err = Vexus::from_snapshot(b.build(), &buf, EngineConfig::default())
+            .err()
+            .unwrap();
+        assert!(matches!(
+            err,
+            crate::CoreError::Snapshot(SnapshotError::Malformed {
+                tag: TAG_ENGINE_META,
+                what: "snapshot token count does not match the supplied dataset",
             })
         ));
     }

@@ -36,15 +36,12 @@ pub struct Action {
 /// labels. Split out of [`UserData`] and shared behind an [`Arc`] so the
 /// N per-shard projections of [`UserData::project_users`] reference one
 /// catalog instead of holding N copies of it.
-///
-/// Fields are `pub(crate)` so the sibling [`crate::snapshot`] codec can
-/// encode/decode the flat tables directly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ItemCatalog {
-    pub(crate) item_names: Vec<String>,
+    item_names: Vec<String>,
     /// Per item: index into `category_labels`, `u32::MAX` = none.
-    pub(crate) item_categories: Vec<u32>,
-    pub(crate) category_labels: Vec<String>,
+    item_categories: Vec<u32>,
+    category_labels: Vec<String>,
 }
 
 impl ItemCatalog {
@@ -134,15 +131,6 @@ impl UserData {
     /// catalog.
     pub fn item_catalog(&self) -> &Arc<ItemCatalog> {
         &self.items
-    }
-
-    /// Replace the item catalog, keeping everything else. Snapshot load
-    /// uses this to install the decoded catalog so a loaded engine's item
-    /// tables come from the snapshot, not from whatever dataset the caller
-    /// happened to pair with it.
-    pub fn with_item_catalog(mut self, items: Arc<ItemCatalog>) -> UserData {
-        self.items = items;
-        self
     }
 
     /// Value of `attr` for `user`.
@@ -412,8 +400,8 @@ impl UserDataBuilder {
 /// bijection between those pairs and dense token ids.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Vocabulary {
-    pub(crate) token_of: HashMap<(AttrId, ValueId), TokenId>,
-    pub(crate) pairs: Vec<(AttrId, ValueId)>,
+    token_of: HashMap<(AttrId, ValueId), TokenId>,
+    pairs: Vec<(AttrId, ValueId)>,
 }
 
 impl Vocabulary {
@@ -770,18 +758,6 @@ mod tests {
             .sum::<usize>();
         assert!(cat.heap_bytes() >= floor + 2 * std::mem::size_of::<u32>());
         assert_eq!(ItemCatalog::default().heap_bytes(), 0);
-    }
-
-    #[test]
-    fn with_item_catalog_swaps_only_the_catalog() {
-        let d = small();
-        let replacement = Arc::new(d.item_catalog().as_ref().clone());
-        let swapped = d.clone().with_item_catalog(Arc::clone(&replacement));
-        assert!(Arc::ptr_eq(swapped.item_catalog(), &replacement));
-        assert!(!Arc::ptr_eq(swapped.item_catalog(), d.item_catalog()));
-        assert_eq!(swapped.n_users(), d.n_users());
-        assert_eq!(swapped.n_actions(), d.n_actions());
-        assert_eq!(swapped.item_catalog().name(ItemId::new(0)), "Mr Miracle");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A snapshot is one contiguous little-endian buffer with a fixed header
 //! (magic, version, flags, section count, checksum), a section offset
-//! table, and 4-byte-aligned sections that are plain `u32` arrays (or raw
-//! byte blobs for string tables). The layout mirrors the in-memory shape
+//! table, and 4-byte-aligned sections that are plain `u32` arrays. The
+//! layout mirrors the in-memory shape
 //! of the built engine — flat CSR arrays, offset tables, sorted id lists —
 //! so loading is bounds/alignment/checksum **validation plus slice
 //! reinterpretation**, not a field-by-field deserialize walk:
@@ -41,8 +41,6 @@
 //! | `0x1x`        | group set                         | `vexus_mining::snapshot`   |
 //! | `0x2x`        | member→groups CSR                 | `vexus_index::snapshot`    |
 //! | `0x3x`        | inverted similarity index         | `vexus_index::snapshot`    |
-//! | `0x4x`        | item catalog                      | this module                |
-//! | `0x5x`        | vocabulary                        | this module                |
 //! | `0x6x`        | WAL frame                         | [`crate::wal`]             |
 //! | `0x70`–`0x77` | stream-miner state                | `vexus_mining::snapshot`   |
 //! | `0x78`–`0x79` | checkpoint META + action tape     | `vexus_core::durable`      |
@@ -52,8 +50,6 @@
 //! [`Ragged`] is the one type every layer's group descriptions, member
 //! lists, miner itemsets and CSR rows are written from and validated into.
 
-use crate::dataset::{ItemCatalog, Vocabulary};
-use crate::ids::{AttrId, TokenId, ValueId};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -66,16 +62,6 @@ pub const VERSION: u32 = 1;
 pub const HEADER_WORDS: usize = 5;
 /// Words per section-table entry (tag, byte offset, byte length).
 pub const TABLE_ENTRY_WORDS: usize = 3;
-
-/// Item-catalog sections: name offsets, name bytes, category ids,
-/// category-label offsets, category-label bytes.
-pub const TAG_CATALOG_NAME_OFFSETS: u32 = 0x40;
-pub const TAG_CATALOG_NAME_BYTES: u32 = 0x41;
-pub const TAG_CATALOG_CATEGORIES: u32 = 0x42;
-pub const TAG_CATALOG_LABEL_OFFSETS: u32 = 0x43;
-pub const TAG_CATALOG_LABEL_BYTES: u32 = 0x44;
-/// Vocabulary section: `(attr, value)` word pairs in token order.
-pub const TAG_VOCAB_PAIRS: u32 = 0x50;
 
 /// A typed snapshot decode failure. Corrupt input of any shape — truncated,
 /// bit-flipped, hostile — must surface as one of these, never a panic.
@@ -103,7 +89,7 @@ pub enum SnapshotError {
     /// The same tag appears twice in the section table.
     DuplicateSection { tag: u32 },
     /// A section is internally inconsistent (non-monotone offsets, ids out
-    /// of range, unsorted members, invalid UTF-8, …).
+    /// of range, unsorted members, …).
     Malformed { tag: u32, what: &'static str },
 }
 
@@ -240,39 +226,27 @@ impl SnapshotWriter {
         self.section_words(items_tag, lists.items.iter().copied());
     }
 
-    /// Append a raw byte section (string blobs). The recorded length is
-    /// exact; the next section is padded to the following word boundary.
-    pub fn section_bytes(&mut self, tag: u32, bytes: &[u8]) {
-        self.sections.push((tag, bytes.to_vec()));
-    }
-
     /// Lay out header + table + sections and stamp the checksum.
     pub fn finish(self) -> Vec<u8> {
         let n = self.sections.len();
         let table_bytes = (HEADER_WORDS + n * TABLE_ENTRY_WORDS) * 4;
         let mut out = Vec::with_capacity(
-            table_bytes
-                + self
-                    .sections
-                    .iter()
-                    .map(|(_, b)| b.len().div_ceil(4) * 4)
-                    .sum::<usize>(),
+            table_bytes + self.sections.iter().map(|(_, b)| b.len()).sum::<usize>(),
         );
         for w in [MAGIC, VERSION, 0, n as u32, 0] {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        // Section table: offsets are assigned sequentially, each section
-        // starting on a word boundary.
+        // Section table: offsets are assigned sequentially; every section
+        // is whole words, so each starts on a word boundary.
         let mut cursor = table_bytes;
         for (tag, bytes) in &self.sections {
             for w in [*tag, cursor as u32, bytes.len() as u32] {
                 out.extend_from_slice(&w.to_le_bytes());
             }
-            cursor += bytes.len().div_ceil(4) * 4;
+            cursor += bytes.len();
         }
         for (_, bytes) in &self.sections {
             out.extend_from_slice(bytes);
-            out.resize(out.len().div_ceil(4) * 4, 0);
         }
         restamp(&mut out);
         out
@@ -415,10 +389,18 @@ impl Ragged {
         })
     }
 
-    /// Flatten `lists`, in order.
+    /// Flatten `lists`, in order: concatenate them and record where each
+    /// ends.
     pub fn from_lists<L: IntoIterator<Item = u32>>(lists: impl IntoIterator<Item = L>) -> Self {
-        let (offsets, items) = flatten(lists);
-        Self::new(offsets.into(), items.into(), 0).expect("flatten records where each list ends")
+        let lists = lists.into_iter();
+        let mut offsets = Vec::with_capacity(lists.size_hint().0 + 1);
+        let mut items = Vec::new();
+        offsets.push(0u32);
+        for list in lists {
+            items.extend(list);
+            offsets.push(items.len() as u32);
+        }
+        Self::new(offsets.into(), items.into(), 0).expect("each list's end is recorded")
     }
 
     /// Adopt an already-flat pair (a counting sort's output), or `None` if
@@ -493,23 +475,9 @@ impl Ragged {
     }
 }
 
-/// The one encoder of "offset table + flat payload": concatenate `lists`
-/// and record where each ends.
-fn flatten<T, L: IntoIterator<Item = T>>(lists: impl IntoIterator<Item = L>) -> (Vec<u32>, Vec<T>) {
-    let lists = lists.into_iter();
-    let mut offsets = Vec::with_capacity(lists.size_hint().0 + 1);
-    let mut items = Vec::new();
-    offsets.push(0u32);
-    for list in lists {
-        items.extend(list);
-        offsets.push(items.len() as u32);
-    }
-    (offsets, items)
-}
-
 /// A validated, loaded snapshot: the shared word buffer plus the parsed
-/// section table. All section accessors hand out [`WordSlice`] views (or
-/// decoded byte blobs for string sections) over the one buffer.
+/// section table. All section accessors hand out [`WordSlice`] views over
+/// the one buffer.
 #[derive(Debug)]
 pub struct SnapshotReader {
     words: Arc<[u32]>,
@@ -647,22 +615,6 @@ impl SnapshotReader {
             what: "offset table is not monotone from 0 to its payload length",
         })
     }
-
-    /// A raw byte section, decoded to an owned blob (string tables; their
-    /// contents become owned `String`s anyway).
-    pub fn section_bytes_owned(&self, tag: u32) -> Result<Vec<u8>, SnapshotError> {
-        let (offset, len) = self.find(tag)?;
-        let mut out = Vec::with_capacity(len);
-        let start = offset / 4;
-        let full = len / 4;
-        for &w in &self.words[start..start + full] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        if len % 4 != 0 {
-            out.extend_from_slice(&self.words[start + full].to_le_bytes()[..len % 4]);
-        }
-        Ok(out)
-    }
 }
 
 /// Split a `u64` into its `[lo, hi]` words — how every section stores one.
@@ -718,132 +670,6 @@ pub fn runs_sorted<T>(items: &[T], offsets: &[u32], violates: impl Fn(&T, &T) ->
     total == at_boundaries
 }
 
-/// Encode a string table as an offsets section plus a UTF-8 blob section.
-fn encode_strings(w: &mut SnapshotWriter, offsets_tag: u32, bytes_tag: u32, strings: &[String]) {
-    let (offsets, blob) = flatten(strings.iter().map(|s| s.bytes()));
-    w.section_words(offsets_tag, offsets);
-    w.section_bytes(bytes_tag, &blob);
-}
-
-/// Decode a string table written by [`encode_strings`].
-fn decode_strings(
-    r: &SnapshotReader,
-    offsets_tag: u32,
-    bytes_tag: u32,
-) -> Result<Vec<String>, SnapshotError> {
-    let offsets = r.section_words(offsets_tag)?;
-    let blob = r.section_bytes_owned(bytes_tag)?;
-    if !offsets_cover(&offsets, blob.len()) {
-        return Err(SnapshotError::Malformed {
-            tag: offsets_tag,
-            what: "bad string offsets",
-        });
-    }
-    // One bulk UTF-8 validation over the whole blob, then O(1) char-
-    // boundary checks at each split point: a substring of valid UTF-8 cut
-    // at char boundaries is valid UTF-8, so this accepts exactly what
-    // per-string validation would.
-    let utf8_err = SnapshotError::Malformed {
-        tag: bytes_tag,
-        what: "string table is not UTF-8",
-    };
-    let blob = std::str::from_utf8(&blob).map_err(|_| utf8_err.clone())?;
-    let mut out = Vec::with_capacity(offsets.len() - 1);
-    for pair in offsets.windows(2) {
-        let (a, b) = (pair[0] as usize, pair[1] as usize);
-        if !blob.is_char_boundary(a) {
-            return Err(utf8_err);
-        }
-        out.push(blob[a..b].to_string());
-    }
-    Ok(out)
-}
-
-/// Encode the item catalog (names, per-item category ids, category
-/// labels) into its `0x4x` sections.
-pub fn encode_item_catalog(cat: &ItemCatalog, w: &mut SnapshotWriter) {
-    encode_strings(
-        w,
-        TAG_CATALOG_NAME_OFFSETS,
-        TAG_CATALOG_NAME_BYTES,
-        &cat.item_names,
-    );
-    w.section_words(TAG_CATALOG_CATEGORIES, cat.item_categories.iter().copied());
-    encode_strings(
-        w,
-        TAG_CATALOG_LABEL_OFFSETS,
-        TAG_CATALOG_LABEL_BYTES,
-        &cat.category_labels,
-    );
-}
-
-/// Decode the item catalog written by [`encode_item_catalog`].
-pub fn decode_item_catalog(r: &SnapshotReader) -> Result<ItemCatalog, SnapshotError> {
-    let item_names = decode_strings(r, TAG_CATALOG_NAME_OFFSETS, TAG_CATALOG_NAME_BYTES)?;
-    let category_labels = decode_strings(r, TAG_CATALOG_LABEL_OFFSETS, TAG_CATALOG_LABEL_BYTES)?;
-    let categories = r.section_words(TAG_CATALOG_CATEGORIES)?;
-    if categories.len() != item_names.len() {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_CATALOG_CATEGORIES,
-            what: "one category id per item required",
-        });
-    }
-    if categories
-        .iter()
-        .any(|&c| c != u32::MAX && c as usize >= category_labels.len())
-    {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_CATALOG_CATEGORIES,
-            what: "category id out of range",
-        });
-    }
-    Ok(ItemCatalog {
-        item_names,
-        item_categories: categories.to_vec(),
-        category_labels,
-    })
-}
-
-/// Encode the vocabulary as `(attr, value)` word pairs in token order.
-pub fn encode_vocabulary(vocab: &Vocabulary, w: &mut SnapshotWriter) {
-    w.section_words(
-        TAG_VOCAB_PAIRS,
-        vocab
-            .pairs
-            .iter()
-            .flat_map(|&(a, v)| [a.raw() as u32, v.raw()]),
-    );
-}
-
-/// Decode the vocabulary written by [`encode_vocabulary`].
-pub fn decode_vocabulary(r: &SnapshotReader) -> Result<Vocabulary, SnapshotError> {
-    let words = r.section_words(TAG_VOCAB_PAIRS)?;
-    if words.len() % 2 != 0 {
-        return Err(SnapshotError::Malformed {
-            tag: TAG_VOCAB_PAIRS,
-            what: "odd pair-word count",
-        });
-    }
-    let mut pairs = Vec::with_capacity(words.len() / 2);
-    for chunk in words.chunks_exact(2) {
-        if chunk[0] > u16::MAX as u32 {
-            return Err(SnapshotError::Malformed {
-                tag: TAG_VOCAB_PAIRS,
-                what: "attr id exceeds u16",
-            });
-        }
-        pairs.push((AttrId::new(chunk[0] as u16), ValueId::new(chunk[1])));
-    }
-    // Token ids are positional; the reverse map is rebuilt (it is the one
-    // non-flat structure in the vocabulary, and it is tiny).
-    let token_of = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, TokenId::new(i as u32)))
-        .collect();
-    Ok(Vocabulary { token_of, pairs })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,7 +677,7 @@ mod tests {
     fn two_section_buf() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.section_words(0x1, [1, 2, 3]);
-        w.section_bytes(0x2, b"hello");
+        w.section_words(0x2, [4, 5]);
         w.finish()
     }
 
@@ -863,7 +689,7 @@ mod tests {
         let tags: Vec<u32> = r.sections.iter().map(|&(t, _, _)| t).collect();
         assert_eq!(tags, vec![0x1, 0x2]);
         assert_eq!(r.section_words(0x1).unwrap().as_slice(), &[1, 2, 3]);
-        assert_eq!(r.section_bytes_owned(0x2).unwrap(), b"hello");
+        assert_eq!(r.section_words(0x2).unwrap().as_slice(), &[4, 5]);
         assert_eq!(r.buffer_bytes(), buf.len());
     }
 
@@ -874,13 +700,16 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_sections_are_typed_errors() {
-        let buf = two_section_buf();
+        let mut buf = two_section_buf();
+        // Record the second section's byte length as 5: in bounds, but not
+        // a valid u32 array.
+        buf[40..44].copy_from_slice(&5u32.to_le_bytes());
+        restamp(&mut buf);
         let r = SnapshotReader::load(&buf).unwrap();
         assert_eq!(
             r.section_words(0x9).unwrap_err(),
             SnapshotError::MissingSection { tag: 0x9 }
         );
-        // The byte section has length 5 — not a valid u32 array.
         assert!(matches!(
             r.section_words(0x2).unwrap_err(),
             SnapshotError::Malformed { tag: 0x2, .. }
@@ -1069,50 +898,5 @@ mod tests {
         // empty list, whose two offsets name the same boundary.
         assert_eq!(tags(load_ragged(&[0, 2, 3], &[0, 2, 1], 9)), Ok(()));
         assert_eq!(tags(load_ragged(&[0, 2, 2, 3], &[0, 2, 1], 9)), Ok(()));
-    }
-
-    #[test]
-    fn catalog_and_vocab_round_trip() {
-        use crate::schema::Schema;
-        use crate::UserDataBuilder;
-        let mut s = Schema::new();
-        let g = s.add_categorical("gender");
-        let mut b = UserDataBuilder::new(s);
-        let u = b.user("mary");
-        b.set_demo(u, g, "female").unwrap();
-        b.item("Mr Miracle", Some("fiction"));
-        b.item("Dune", None);
-        let data = b.build();
-        let vocab = Vocabulary::build(&data);
-        let mut w = SnapshotWriter::new();
-        encode_item_catalog(data.item_catalog(), &mut w);
-        encode_vocabulary(&vocab, &mut w);
-        let buf = w.finish();
-        let r = SnapshotReader::load(&buf).unwrap();
-        let cat = decode_item_catalog(&r).unwrap();
-        assert_eq!(&cat, data.item_catalog().as_ref());
-        let v2 = decode_vocabulary(&r).unwrap();
-        assert_eq!(v2.pairs, vocab.pairs);
-        assert_eq!(v2.token_of, vocab.token_of);
-    }
-
-    #[test]
-    fn catalog_category_ids_validated() {
-        let cat = ItemCatalog {
-            item_names: vec!["a".into()],
-            item_categories: vec![3],
-            category_labels: vec!["only".into()],
-        };
-        let mut w = SnapshotWriter::new();
-        encode_item_catalog(&cat, &mut w);
-        let buf = w.finish();
-        let r = SnapshotReader::load(&buf).unwrap();
-        assert!(matches!(
-            decode_item_catalog(&r).unwrap_err(),
-            SnapshotError::Malformed {
-                tag: TAG_CATALOG_CATEGORIES,
-                ..
-            }
-        ));
     }
 }

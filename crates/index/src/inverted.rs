@@ -221,7 +221,9 @@ impl GroupIndex {
             .advance(self, old_groups, new_groups, delta, cfg)
     }
 
-    /// Assemble from storage parts, recomputing derived statistics.
+    /// Assemble from storage parts, recomputing derived statistics: every
+    /// overlapping pair sits in both of its rows, so `scored_pairs` is
+    /// half the summed full lengths.
     /// `heap_bytes` reflects what this representation actually owns, so a
     /// snapshot-loaded index (shared offset tables) reports less than its
     /// built twin — by design; `benchmark/` reports it as
@@ -231,7 +233,6 @@ impl GroupIndex {
         entries: Vec<Neighbor>,
         full_lengths: U32Store,
         member_groups: MemberGroupsCsr,
-        scored_pairs: usize,
     ) -> Self {
         let heap_bytes = entries.capacity() * std::mem::size_of::<Neighbor>()
             + list_offsets.heap_bytes()
@@ -240,7 +241,7 @@ impl GroupIndex {
         let stats = IndexStats {
             n_groups: full_lengths.len(),
             materialized_entries: entries.len(),
-            scored_pairs,
+            scored_pairs: full_lengths.iter().map(|&l| l as usize).sum::<usize>() / 2,
             heap_bytes,
         };
         Self {
@@ -388,14 +389,11 @@ pub(crate) struct Walk {
 impl Walk {
     /// The index over the walked space, which `member_groups` maps.
     pub(crate) fn into_index(self, member_groups: MemberGroupsCsr) -> GroupIndex {
-        // Every overlapping pair sits in both of its rows.
-        let scored_pairs = self.full_lengths.iter().map(|&l| l as usize).sum::<usize>() / 2;
         GroupIndex::from_parts(
             self.list_offsets.into(),
             self.entries,
             self.full_lengths.into(),
             member_groups,
-            scored_pairs,
         )
     }
 }

@@ -8,9 +8,11 @@
 //! parallel `u32` sections (ids, similarity bit patterns) and interleaved
 //! back into **one** flat `Vec<Neighbor>` allocation on load. The offset
 //! tables and the CSR load as zero-copy [`vexus_data::U32Store`] views.
+//! Nothing derivable is stored: the pair count is half the sum of the full
+//! lengths, recomputed by [`GroupIndex`] on assembly.
 
 use crate::inverted::{neighbor_order, GroupIndex, MemberGroupsCsr, Neighbor};
-use vexus_data::snapshot::{all_bounded, join_u64, runs_sorted, split_u64};
+use vexus_data::snapshot::{all_bounded, runs_sorted};
 use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter};
 use vexus_mining::GroupId;
 
@@ -27,8 +29,6 @@ pub const TAG_INDEX_LIST_IDS: u32 = 0x31;
 pub const TAG_INDEX_LIST_SIMS: u32 = 0x32;
 /// Per-group full (overlapping) neighbor counts.
 pub const TAG_INDEX_FULL_LENGTHS: u32 = 0x33;
-/// Index metadata: `scored_pairs` as two little-endian words (lo, hi).
-pub const TAG_INDEX_META: u32 = 0x34;
 
 /// Encode the index into its `0x2x`/`0x3x` sections.
 pub fn encode_group_index(index: &GroupIndex, w: &mut SnapshotWriter) {
@@ -41,7 +41,6 @@ pub fn encode_group_index(index: &GroupIndex, w: &mut SnapshotWriter) {
         entries.iter().map(|&(_, s)| s.to_bits()),
     );
     w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
-    w.section_words(TAG_INDEX_META, split_u64(index.stats().scored_pairs as u64));
 }
 
 /// Decode the index written by [`encode_group_index`].
@@ -50,8 +49,9 @@ pub fn encode_group_index(index: &GroupIndex, w: &mut SnapshotWriter) {
 /// bound the CSR must cover exactly (the max group member + 1, recomputed
 /// from the decoded group space by the caller). Validates: both offset
 /// tables monotone and exactly covering their payloads, CSR lists strictly
-/// ascending, materialized lists no longer than their full counts and
-/// sorted under the total neighbor order with finite similarities.
+/// ascending, every full count below `n_groups` (a group overlaps at most
+/// all the others), materialized lists no longer than their full counts
+/// and sorted under the total neighbor order with finite similarities.
 pub fn decode_group_index(
     r: &SnapshotReader,
     n_groups: usize,
@@ -114,6 +114,14 @@ pub fn decode_group_index(
         .zip(sims.iter())
         .map(|(&g, &bits)| (GroupId::new(g), f32::from_bits(bits)))
         .collect();
+    // The fallback reserves a full row, so an unbounded count would be an
+    // allocation the process cannot survive, not an error.
+    if !all_bounded(&full_lengths, n_groups) {
+        return Err(SnapshotError::Malformed {
+            tag: TAG_INDEX_FULL_LENGTHS,
+            what: "full neighbor count not below the group count",
+        });
+    }
     let offs: &[u32] = &list_offsets;
     for g in 0..n_groups {
         if (offs[g + 1] - offs[g]) > full_lengths[g] {
@@ -132,14 +140,11 @@ pub fn decode_group_index(
         });
     }
 
-    let [lo, hi] = r.meta(TAG_INDEX_META, "bad metadata length")?;
-
     Ok(GroupIndex::from_parts(
         list_offsets,
         entries,
         full_lengths.into(),
         MemberGroupsCsr::from_lists(csr),
-        join_u64(lo, hi) as usize,
     ))
 }
 
@@ -229,25 +234,30 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn decode_rejects_non_finite_similarity() {
-        let (gs, idx) = fixture();
-        let (list_offsets, entries, full_lengths, csr) = idx.parts();
+    /// `idx` encoded with its similarity bits and full lengths replaced.
+    fn encode_with(idx: &GroupIndex, sims: &[u32], full_lengths: &[u32]) -> Vec<u8> {
+        let (list_offsets, entries, _, csr) = idx.parts();
         let mut w = SnapshotWriter::new();
         w.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS, csr.lists());
         w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets.iter().copied());
         w.section_words(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
-        // NaN bits in the similarity channel.
-        w.section_words(
-            TAG_INDEX_LIST_SIMS,
-            entries.iter().map(|_| f32::NAN.to_bits()),
-        );
+        w.section_words(TAG_INDEX_LIST_SIMS, sims.iter().copied());
         w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
-        w.section_words(TAG_INDEX_META, [0, 0]);
-        let buf = w.finish();
-        let r = SnapshotReader::load(&buf).unwrap();
+        w.finish()
+    }
+
+    fn decode(buf: &[u8], n_groups: usize) -> Result<GroupIndex, SnapshotError> {
+        decode_group_index(&SnapshotReader::load(buf).unwrap(), n_groups, 7)
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_similarity() {
+        let (gs, idx) = fixture();
+        let (_, entries, full_lengths, _) = idx.parts();
+        // NaN bits in the similarity channel.
+        let nan = vec![f32::NAN.to_bits(); entries.len()];
         assert!(matches!(
-            decode_group_index(&r, gs.len(), 7).unwrap_err(),
+            decode(&encode_with(&idx, &nan, full_lengths), gs.len()).unwrap_err(),
             SnapshotError::Malformed {
                 tag: TAG_INDEX_LIST_SIMS,
                 ..
@@ -258,24 +268,34 @@ mod tests {
     #[test]
     fn decode_rejects_unsorted_lists() {
         let (gs, idx) = fixture();
-        let (list_offsets, entries, full_lengths, csr) = idx.parts();
-        let mut w = SnapshotWriter::new();
-        w.ragged(TAG_CSR_OFFSETS, TAG_CSR_IDS, csr.lists());
-        w.section_words(TAG_INDEX_LIST_OFFSETS, list_offsets.iter().copied());
-        w.section_words(TAG_INDEX_LIST_IDS, entries.iter().map(|&(g, _)| g.0));
+        let (list_offsets, entries, full_lengths, _) = idx.parts();
         // Ascending sims break the descending-similarity invariant for any
         // group with two or more materialized entries.
-        w.section_words(
-            TAG_INDEX_LIST_SIMS,
-            (0..entries.len()).map(|i| (i as f32).to_bits()),
-        );
-        w.section_words(TAG_INDEX_FULL_LENGTHS, full_lengths.iter().copied());
-        w.section_words(TAG_INDEX_META, [0, 0]);
-        let buf = w.finish();
-        let r = SnapshotReader::load(&buf).unwrap();
+        let ascending: Vec<u32> = (0..entries.len()).map(|i| (i as f32).to_bits()).collect();
         let multi = (0..gs.len()).any(|g| list_offsets[g + 1] - list_offsets[g] >= 2);
         if multi {
-            assert!(decode_group_index(&r, gs.len(), 7).is_err());
+            assert!(decode(&encode_with(&idx, &ascending, full_lengths), gs.len()).is_err());
+        }
+    }
+
+    #[test]
+    fn decode_rejects_full_lengths_past_the_group_count() {
+        let (gs, idx) = fixture();
+        let (_, entries, full_lengths, _) = idx.parts();
+        let sims: Vec<u32> = entries.iter().map(|&(_, s)| s.to_bits()).collect();
+        // Every fixture group overlaps both others: n - 1 is the bound.
+        assert!(full_lengths.iter().all(|&l| l as usize == gs.len() - 1));
+        assert!(decode(&encode_with(&idx, &sims, full_lengths), gs.len()).is_ok());
+        for bad in [gs.len() as u32, u32::MAX] {
+            let mut full = full_lengths.to_vec();
+            full[0] = bad;
+            assert_eq!(
+                decode(&encode_with(&idx, &sims, &full), gs.len()).unwrap_err(),
+                SnapshotError::Malformed {
+                    tag: TAG_INDEX_FULL_LENGTHS,
+                    what: "full neighbor count not below the group count",
+                }
+            );
         }
     }
 

@@ -2,16 +2,19 @@
 //! byte identity across workloads and discovery shard counts, loaded
 //! engines serve exactly like their built originals, and corrupt input of
 //! any shape — truncated, bit-flipped, even re-stamped past the checksum —
-//! surfaces a typed [`SnapshotError`], never a panic.
+//! surfaces a typed [`SnapshotError`] or loads an engine that serves
+//! without a panic.
 
 mod common;
 
 use common::{feed, stream_config, ScratchDir, StreamWorkload};
 use proptest::prelude::*;
+use std::sync::Arc;
 use vexus::core::{CoreError, DurabilityConfig, EngineConfig, LiveEngine, Vexus};
 use vexus::data::snapshot::restamp;
 use vexus::data::synthetic::{bookcrossing, dbauthors, BookCrossingConfig, DbAuthorsConfig};
-use vexus::data::UserData;
+use vexus::data::{SnapshotError, UserData, Vocabulary};
+use vexus::index::snapshot::TAG_INDEX_FULL_LENGTHS;
 use vexus::mining::DiscoverySelection;
 
 /// The two synthetic families the experiments run, parameterized small
@@ -41,6 +44,21 @@ fn build(data: UserData, shards: usize) -> Vexus {
     Vexus::build(data, EngineConfig::default().with_discovery(discovery)).unwrap()
 }
 
+/// Run what a served engine runs, on every group: a neighbor query long
+/// enough to reach the exact fallback, the group's description, and one
+/// session's text rendering.
+fn serve_every_group(engine: &Vexus) {
+    for (g, _) in engine.groups().iter() {
+        engine.index().neighbors(engine.groups(), g, 256);
+    }
+    if let Ok(session) = engine.session() {
+        for (g, _) in engine.groups().iter() {
+            session.describe(g);
+        }
+        session.render_text();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -65,8 +83,8 @@ proptest! {
 
     /// Mutating any byte — with and without re-stamping the checksum to
     /// drive the corruption past the outer integrity gate into the
-    /// structural validators — either loads cleanly or fails with a typed
-    /// error. It never panics.
+    /// structural validators — either fails with a typed error or loads an
+    /// engine that serves every group. Neither panics.
     #[test]
     fn corrupt_snapshots_never_panic(
         seed in 0u64..1000,
@@ -83,7 +101,10 @@ proptest! {
             restamp(&mut buf);
         }
         // Either outcome is fine; a panic here fails the test.
-        let _ = Vexus::from_snapshot(built.data().clone(), &buf, EngineConfig::default());
+        let loaded = Vexus::from_snapshot(built.data().clone(), &buf, EngineConfig::default());
+        if let Ok(loaded) = loaded {
+            serve_every_group(&loaded);
+        }
     }
 
     /// Truncation at any point is a typed error (or, for a prefix that
@@ -120,6 +141,63 @@ fn loaded_engine_explores_identically() {
     }
 }
 
+/// A loaded engine derives what the snapshot does not store: its
+/// vocabulary is rebuilt from the supplied dataset, and its item catalog is
+/// that dataset's own, shared rather than copied.
+#[test]
+fn loaded_engine_derives_its_vocabulary_and_shares_the_catalog() {
+    let built = build(workload(0, 3), 1);
+    let data = built.data().clone();
+    let loaded = Vexus::from_snapshot(
+        data.clone(),
+        &built.write_snapshot(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(loaded.vocab(), &Vocabulary::build(loaded.data()));
+    assert_eq!(loaded.vocab(), built.vocab());
+    assert!(Arc::ptr_eq(
+        loaded.data().item_catalog(),
+        data.item_catalog()
+    ));
+}
+
+/// Byte offset of section `tag` in a snapshot-container buffer.
+fn section_offset(buf: &[u8], tag: u32) -> usize {
+    let word = |i: usize| u32::from_le_bytes(buf[4 * i..4 * i + 4].try_into().unwrap());
+    (0..word(3) as usize)
+        .map(|i| 5 + 3 * i)
+        .find(|&at| word(at) == tag)
+        .map(|at| word(at + 1) as usize)
+        .expect("the snapshot holds the section")
+}
+
+/// A group overlaps at most every other group, so a full neighbor count
+/// past the group count is a damaged file. The exact fallback reserves a
+/// full row; loading `u32::MAX` would make serving group 0 an allocation
+/// of 32 GiB, which aborts the process instead of failing typed.
+#[test]
+fn a_full_length_past_the_group_count_is_rejected() {
+    let built = build(workload(0, 1), 1);
+    let mut buf = built.write_snapshot();
+    let at = section_offset(&buf, TAG_INDEX_FULL_LENGTHS);
+    buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    restamp(&mut buf);
+    match Vexus::from_snapshot(built.data().clone(), &buf, EngineConfig::default()) {
+        Ok(loaded) => {
+            serve_every_group(&loaded);
+            panic!("a full length of u32::MAX loaded");
+        }
+        Err(err) => assert!(matches!(
+            err,
+            CoreError::Snapshot(SnapshotError::Malformed {
+                tag: TAG_INDEX_FULL_LENGTHS,
+                ..
+            })
+        )),
+    }
+}
+
 /// `(byte length, stored checksum word)` of a snapshot-container buffer.
 fn length_and_stamp(buf: &[u8]) -> (usize, u32) {
     (
@@ -133,7 +211,11 @@ fn length_and_stamp(buf: &[u8]) -> (usize, u32) {
 /// checkpoint or a WAL frame changes one of these six numbers (computed at
 /// commit 113d8f2; the checkpoint's re-pinned at checkpoint format version
 /// 2, which dropped the derivable engine sections and added the base
-/// dataset checksum) and must come with a format-version bump.
+/// dataset checksum; the engine snapshot's re-pinned when it dropped its
+/// vocabulary, item-catalog and pair-count sections) and must come with a
+/// format-version bump. The one exception is a change that only removes
+/// sections: the reader looks sections up by tag, so an older buffer still
+/// loads, and an older reader reports the missing section typed.
 #[test]
 fn format_bytes_are_pinned() {
     let data = bookcrossing(&BookCrossingConfig {
@@ -146,7 +228,7 @@ fn format_bytes_are_pinned() {
         .write_snapshot();
     assert_eq!(
         length_and_stamp(&snapshot),
-        (65_056, 2_188_217_522),
+        (60_652, 2_250_018_510),
         "engine snapshot"
     );
 

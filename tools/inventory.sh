@@ -22,7 +22,8 @@
 # inside another type's fn of the same name. Known misses: a name shared
 # with another type's called method or read field (`.len(`, `.members`;
 # `ShardPlan::shard_of` hid behind `NeighborCache`'s private
-# `Self::shard_of`) outside a fn of that name, a variant constructed
+# `Self::shard_of`, `VexusBuilder::groups` behind the accessor
+# `Vexus::groups`) outside a fn of that name, a variant constructed
 # through a glob import, and state read only to keep itself up to date.
 #
 # Usage, from anywhere in the repository:
