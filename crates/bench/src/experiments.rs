@@ -18,7 +18,7 @@ use vexus_core::greedy::{self, ScoredCandidate, SelectParams};
 use vexus_core::simulate::{run_mt, run_st, MtTask, Policy, StAccept, Wanted};
 use vexus_core::{EngineConfig, FeedbackVector};
 use vexus_data::synthetic::{bookcrossing, BookCrossingConfig};
-use vexus_data::{UserId, Vocabulary};
+use vexus_data::UserId;
 use vexus_index::inverted::Neighbor;
 use vexus_index::{GroupIndex, IndexConfig};
 use vexus_mining::transactions::TransactionDb;
@@ -1013,8 +1013,7 @@ pub struct C6Row {
 pub fn c6_group_space() -> C6 {
     let ds = bookcrossing_3k();
     let data = &ds.data;
-    let vocab = Vocabulary::build(data);
-    let full_db = TransactionDb::build(data, &vocab);
+    let full_db = TransactionDb::build(data, data.vocab());
     let rows = (1..=data.schema().len())
         .map(|n_attrs| {
             // Restrict transactions to the first n_attrs attributes' tokens.

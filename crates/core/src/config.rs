@@ -1,6 +1,7 @@
 //! Engine configuration: the knobs the paper fixes and the experiments
 //! sweep.
 
+use crate::error::CoreError;
 use std::time::Duration;
 use vexus_index::{IndexConfig, NeighborCache};
 use vexus_mining::DiscoverySelection;
@@ -133,6 +134,28 @@ impl EngineConfig {
     /// stores nothing).
     pub(crate) fn new_neighbor_cache(&self) -> NeighborCache {
         NeighborCache::new(self.neighbor_cache_capacity)
+    }
+
+    /// Reject a stream-FIM selection, under however many `Sharded` layers,
+    /// that the miner cannot run: it requires `0 < ε ≤ σ ≤ 1` and
+    /// `max_len ≥ 1`, and asserts both.
+    pub(crate) fn check_discovery(&self) -> Result<(), CoreError> {
+        let mut selection = &self.discovery;
+        while let DiscoverySelection::Sharded { inner, .. } = selection {
+            selection = inner;
+        }
+        match *selection {
+            DiscoverySelection::StreamFim {
+                support,
+                epsilon,
+                max_len,
+            } if !(epsilon > 0.0 && epsilon <= support && support <= 1.0 && max_len >= 1) => {
+                Err(CoreError::InvalidConfig(
+                    "stream FIM requires 0 < epsilon <= support <= 1 and max_len >= 1",
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! * `ckpt-<watermark>.vxck` — what the published engine cannot derive:
 //!   the action tape appended since bootstrap and the stream-miner state
 //!   behind one checkpoint META section (the vocabulary and catalog are
-//!   the bootstrap dataset's, the space is the miner's cut). The watermark
+//!   the bootstrap dataset's own, the space is the miner's cut). The watermark
 //!   is the published epoch the checkpoint captures; every WAL frame
 //!   stamped below it is already folded in.
 //! * `wal-<first_epoch>.vxwl` — a write-ahead-log segment (see
@@ -49,8 +49,8 @@ use std::path::{Path, PathBuf};
 use vexus_data::snapshot::{checksum, join_u64, split_u64};
 use vexus_data::wal::{action_words, actions_from_words, read_wal, WalFrame};
 use vexus_data::{
-    Action, SnapshotError, SnapshotReader, SnapshotWriter, UserData, Vocabulary, WalError, WalSync,
-    WalTail, WalWriter,
+    Action, SnapshotError, SnapshotReader, SnapshotWriter, UserData, WalError, WalSync, WalTail,
+    WalWriter,
 };
 use vexus_mining::snapshot::{decode_stream_state, encode_stream_state};
 use vexus_mining::{DeltaDiscovery, DiscoverySelection, StreamFimConfig};
@@ -159,8 +159,9 @@ pub struct DurableCounts {
 }
 
 /// What a checkpoint pins of the bootstrap dataset: its action count and
-/// a checksum of its demographic columns and actions — everything recovery
-/// derives the vocabulary, the users' token ids and the tape prefix from.
+/// a checksum of its demographic columns and actions — everything the
+/// dataset's vocabulary, the users' token ids and the tape prefix are
+/// functions of.
 #[derive(Clone, Copy)]
 pub(crate) struct BaseFingerprint {
     /// Actions in the bootstrap dataset (the tape before the live phase);
@@ -496,10 +497,12 @@ fn prune(dir: &Path, retain: usize) -> Result<(), CoreError> {
 }
 
 /// The stream miner's settings and the size floor a live engine's epochs
-/// are cut with: its discovery fingerprint.
+/// are cut with: its discovery fingerprint. Settings the miner cannot run
+/// are [`CoreError::InvalidConfig`], checked before the selection's shape.
 pub(crate) fn stream_fingerprint(
     config: &EngineConfig,
 ) -> Result<(StreamFimConfig, usize), CoreError> {
+    config.check_discovery()?;
     let DiscoverySelection::StreamFim {
         support,
         epsilon,
@@ -553,8 +556,6 @@ fn encode_checkpoint(
 pub(crate) struct DecodedCheckpoint {
     /// The action tape appended to the bootstrap dataset since bootstrap.
     pub appended: Vec<Action>,
-    /// The bootstrap dataset's vocabulary.
-    pub vocab: Vocabulary,
     /// The discovery driver, resumed observation-equivalent; its first
     /// cut is the watermark's group space.
     pub discovery: DeltaDiscovery,
@@ -615,7 +616,6 @@ fn decode_checkpoint(
             "checkpoint action tape disagrees with its META",
         ));
     }
-    let vocab = Vocabulary::build(base);
     let (n_users, n_items) = (base.n_users(), base.n_items());
     if appended
         .iter()
@@ -625,11 +625,10 @@ fn decode_checkpoint(
             "checkpoint action tape references users or items unknown to the base dataset",
         ));
     }
-    let discovery = decode_stream_state(&r, fim, min_group_size, n_users, vocab.len())
+    let discovery = decode_stream_state(&r, fim, min_group_size, n_users, base.vocab().len())
         .map_err(CoreError::Snapshot)?;
     Ok(DecodedCheckpoint {
         appended,
-        vocab,
         discovery,
         watermark,
     })

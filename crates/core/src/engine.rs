@@ -32,7 +32,7 @@ pub struct BuildStats {
 
 /// Staged builder for the offline pipeline:
 ///
-/// 1. **data** — takes ownership of the dataset, builds the token
+/// 1. **data** — takes ownership of the dataset and its token
 ///    [`Vocabulary`],
 /// 2. **discovery** — runs a pluggable [`GroupDiscovery`] backend,
 /// 3. **size-filter** — drops groups under
@@ -96,15 +96,18 @@ impl VexusBuilder {
             backend,
         } = self;
         // Stage 2: discovery.
-        let backend = backend.unwrap_or_else(|| {
-            config.discovery.backend_with(
-                config.min_group_size,
-                config.merge_threads,
-                config.exchange_rounds,
-            )
-        });
-        let vocab = Vocabulary::build(&data);
-        let mut groups = backend.discover(&data, &vocab).groups;
+        let backend = match backend {
+            Some(backend) => backend,
+            None => {
+                config.check_discovery()?;
+                config.discovery.backend_with(
+                    config.min_group_size,
+                    config.merge_threads,
+                    config.exchange_rounds,
+                )
+            }
+        };
+        let mut groups = backend.discover(&data, data.vocab()).groups;
         // Stage 3: size filter. It runs on every backend's output, so a
         // curated space shrinks here too; `min_group_size` 1 disables it.
         let filtered_out = groups.filter_by_size(config.min_group_size, usize::MAX);
@@ -119,7 +122,6 @@ impl VexusBuilder {
         };
         Ok(Vexus {
             data,
-            vocab,
             groups,
             index,
             cache: config.new_neighbor_cache(),
@@ -136,7 +138,6 @@ impl VexusBuilder {
 /// of concurrent sessions.
 pub struct Vexus {
     data: UserData,
-    vocab: Vocabulary,
     groups: GroupSet,
     index: GroupIndex,
     /// Shared read-through cache over index neighbor queries; every click
@@ -175,13 +176,13 @@ impl Vexus {
     }
 
     /// Assemble an engine from a live refresh's parts (see
-    /// [`crate::live::LiveEngine`]): the epoch's dataset, the bootstrap
-    /// vocabulary, the canonical group space, the index built over it,
-    /// and the carried-over neighbor cache, built by `algorithm`. No
-    /// pipeline stage runs, and none size-filters after the miner's cut.
+    /// [`crate::live::LiveEngine`]): the epoch's dataset (whose vocabulary
+    /// is the bootstrap dataset's, shared), the canonical group space, the
+    /// index built over it, and the carried-over neighbor cache, built by
+    /// `algorithm`. No pipeline stage runs, and none size-filters after
+    /// the miner's cut.
     pub(crate) fn from_live_parts(
         data: UserData,
-        vocab: Vocabulary,
         groups: GroupSet,
         index: GroupIndex,
         cache: NeighborCache,
@@ -190,7 +191,6 @@ impl Vexus {
     ) -> Self {
         Vexus {
             data,
-            vocab,
             groups,
             index,
             cache,
@@ -232,9 +232,9 @@ impl Vexus {
         &self.data
     }
 
-    /// The token vocabulary.
+    /// The token vocabulary: the dataset's own ([`UserData::vocab`]).
     pub fn vocab(&self) -> &Vocabulary {
-        &self.vocab
+        self.data.vocab()
     }
 
     /// The discovered group space.
@@ -277,8 +277,8 @@ impl Vexus {
     /// Load an engine from a snapshot, skipping discovery and index
     /// construction entirely. `data` must be the dataset the snapshot was
     /// written against: its user count and its vocabulary size are
-    /// cross-checked, the vocabulary is rebuilt from it and its item
-    /// catalog is the engine's. Corrupt or mismatched input fails
+    /// cross-checked, and its vocabulary and item catalog are the
+    /// engine's. Corrupt or mismatched input fails
     /// with [`CoreError::Snapshot`] — never a panic. The load is
     /// validation plus slice reinterpretation: group member lists, the
     /// member→groups CSR and the index offset tables are zero-copy views
@@ -304,7 +304,6 @@ impl Vexus {
         };
         Ok(Vexus {
             data,
-            vocab: decoded.vocab,
             groups: decoded.groups,
             index: decoded.index,
             cache: config.new_neighbor_cache(),
@@ -493,12 +492,11 @@ pub(crate) mod tests {
             stats.filtered_out > 0,
             "expected small clusters to be pruned"
         );
-        let vocab = Vocabulary::build(vexus.data());
         let discovered = BirchDiscovery {
             min_cluster_size: 1,
             ..BirchDiscovery::default()
         }
-        .discover(vexus.data(), &vocab);
+        .discover(vexus.data(), vexus.vocab());
         assert_eq!(
             discovered.groups.len(),
             vexus.groups().len() + stats.filtered_out

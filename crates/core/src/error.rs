@@ -37,6 +37,9 @@ pub enum CoreError {
     /// The schema has more attributes than the STATS view can show; the
     /// payload is the schema's attribute count.
     SchemaTooWide(usize),
+    /// The engine configuration selects settings its backend cannot run;
+    /// the payload says which.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for CoreError {
@@ -65,6 +68,7 @@ impl fmt::Display for CoreError {
                     "schema has {n} attributes, more than the STATS view shows"
                 )
             }
+            CoreError::InvalidConfig(what) => write!(f, "invalid engine configuration: {what}"),
         }
     }
 }

@@ -14,10 +14,10 @@
 //! * the **live state** — the [`IngestBuffer`], the [`DeltaDiscovery`]
 //!   driver, the published space's [`OverlapRows`] and the durable sink,
 //!   behind a `Mutex`. Only [`LiveEngine::ingest`] and
-//!   [`LiveEngine::refresh`] touch it. The dataset, vocabulary, group
-//!   space and configuration live in the published engine and nowhere
-//!   else: a refresh reads them from the epoch it captured under the state
-//!   mutex.
+//!   [`LiveEngine::refresh`] touch it. The dataset (which owns the
+//!   vocabulary every epoch shares), group space and configuration live in
+//!   the published engine and nowhere else: a refresh reads them from the
+//!   epoch it captured under the state mutex.
 //!
 //! A refresh cuts the buffered actions into one epoch-stamped delta,
 //! appends it to a copy of the published dataset, feeds it to the stream
@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use vexus_data::stream::ReplayStream;
-use vexus_data::{ActionStream, IngestBuffer, UserData, Vocabulary};
+use vexus_data::{ActionStream, IngestBuffer, UserData};
 use vexus_index::OverlapRows;
 use vexus_mining::DeltaDiscovery;
 
@@ -173,10 +173,9 @@ impl LiveEngine {
     /// lower the support threshold).
     pub fn bootstrap(data: UserData, config: EngineConfig) -> Result<Self, CoreError> {
         let (fim, min_group_size) = durable::stream_fingerprint(&config)?;
-        let vocab = Vocabulary::build(&data);
         let mut discovery = DeltaDiscovery::new(fim, min_group_size, data.n_users());
-        discovery.observe_arrivals(&data, &vocab, data.actions());
-        Self::publish(data, vocab, discovery, 0, config, LIVE_BUILD)
+        discovery.observe_arrivals(&data, data.vocab(), data.actions());
+        Self::publish(data, discovery, 0, config, LIVE_BUILD)
     }
 
     /// A live engine publishing, as epoch `epoch` built by `build`, the
@@ -186,7 +185,6 @@ impl LiveEngine {
     /// [`CoreError::EmptyGroupSpace`].
     fn publish(
         data: UserData,
-        vocab: Vocabulary,
         mut discovery: DeltaDiscovery,
         epoch: u64,
         config: EngineConfig,
@@ -198,7 +196,7 @@ impl LiveEngine {
         }
         let (rows, index) = OverlapRows::build(&groups, &config.index_config());
         let cache = config.new_neighbor_cache();
-        let engine = Vexus::from_live_parts(data, vocab, groups, index, cache, config, build);
+        let engine = Vexus::from_live_parts(data, groups, index, cache, config, build);
         Ok(LiveEngine {
             published: RwLock::new(Arc::new(engine)),
             epoch: AtomicU64::new(epoch),
@@ -426,7 +424,7 @@ impl LiveEngine {
             }
             data.append_actions(&frame.actions);
             ckpt.discovery
-                .observe_arrivals(&data, &ckpt.vocab, &frame.actions);
+                .observe_arrivals(&data, data.vocab(), &frame.actions);
         }
         let build = if observed.is_empty() {
             "checkpoint"
@@ -434,7 +432,7 @@ impl LiveEngine {
             LIVE_BUILD
         };
         let epoch = watermark + observed.len() as u64;
-        let live = Self::publish(data, ckpt.vocab, ckpt.discovery, epoch, config, build)?;
+        let live = Self::publish(data, ckpt.discovery, epoch, config, build)?;
         report.frames_replayed = observed.len();
         // The sink is attached only after replay: replayed frames must not
         // be re-logged.
@@ -494,7 +492,6 @@ impl LiveEngine {
         let cache = current.cache.carry_over(|g, list| patch.carries(g, list));
         let engine = Vexus::from_live_parts(
             data,
-            current.vocab().clone(),
             groups_new,
             patch.index,
             cache,
@@ -571,6 +568,39 @@ mod tests {
         assert!(matches!(err, CoreError::NotLive(_)), "{err}");
     }
 
+    /// A stream-FIM selection the miner cannot run is a typed error from
+    /// every entry point that reads it, sharded or not, and a durable
+    /// bootstrap creates no directory for it.
+    #[test]
+    fn invalid_stream_fim_settings_are_typed_errors() {
+        let stream = |support: f64, epsilon: f64, max_len: usize| DiscoverySelection::StreamFim {
+            support,
+            epsilon,
+            max_len,
+        };
+        let invalid = [
+            stream(0.05, 0.0, 3),
+            stream(0.01, 0.05, 3),
+            stream(1.5, 0.01, 3),
+            stream(f64::NAN, 0.01, 3),
+            stream(0.05, 0.01, 0),
+            stream(0.01, 0.05, 3).sharded(2),
+        ];
+        let (base, _) = warmed(300);
+        let is_invalid = |r: Result<(), CoreError>| matches!(r, Err(CoreError::InvalidConfig(_)));
+        for (i, selection) in invalid.into_iter().enumerate() {
+            let config = EngineConfig::default().with_discovery(selection);
+            let built = Vexus::build(base.clone(), config.clone()).map(drop);
+            assert!(is_invalid(built), "build, selection {i}");
+            let live = LiveEngine::bootstrap(base.clone(), config.clone()).map(drop);
+            assert!(is_invalid(live), "bootstrap, selection {i}");
+            let dir = tempdir(&format!("invalid-{i}"));
+            let durable = LiveEngine::bootstrap_durable(base.clone(), config, durability(&dir, 1));
+            assert!(is_invalid(durable.map(drop)), "durable, selection {i}");
+            assert!(!dir.exists(), "durable bootstrap left {dir:?} behind");
+        }
+    }
+
     #[test]
     fn empty_cut_refresh_is_a_noop() {
         let (base, _tape) = warmed(400);
@@ -614,6 +644,11 @@ mod tests {
         );
         // The pinned epoch-0 handle is untouched: same groups, same index.
         assert_eq!(epoch0.groups().len(), epoch0.index().stats().n_groups);
+        // Every epoch serves the one vocabulary its dataset owns.
+        for engine in [&epoch0, &epoch1] {
+            assert!(std::ptr::eq(engine.vocab(), engine.data().vocab()));
+        }
+        assert!(std::ptr::eq(epoch0.vocab(), epoch1.vocab()));
     }
 
     /// Refresh equivalence at the engine level: a chain of refreshes ends
@@ -814,6 +849,10 @@ mod tests {
                 .chain(tape.chunks(chunk).take(crash_after).flatten().copied())
                 .collect();
             assert_eq!(recovered.engine().data().actions(), expected_tape);
+            // Recovery serves the base dataset's own vocabulary.
+            let engine = recovered.engine();
+            assert!(std::ptr::eq(engine.vocab(), engine.data().vocab()));
+            assert!(std::ptr::eq(engine.vocab(), base.vocab()));
             // The recovered engine keeps going: finish the stream and land
             // on the reference's final epoch, byte for byte.
             for c in tape.chunks(chunk).skip(crash_after) {

@@ -6,16 +6,17 @@
 //! (`0x2x`/`0x3x`) — behind a single engine META section (`0x01`)
 //! carrying the shape words a loader cross-checks against the supplied
 //! dataset (the tag table is in [`vexus_data::snapshot`]). What the
-//! dataset already determines is not stored: the loader rebuilds the
-//! vocabulary with [`Vocabulary::build`] and keeps the dataset's own item
-//! catalog. Loading is validation plus slice reinterpretation: one buffer
-//! copy into an `Arc<[u32]>`, then zero-copy views for the dominant
+//! dataset already determines is not stored: the loaded engine keeps the
+//! dataset's own vocabulary ([`vexus_data::UserData::vocab`]) and item
+//! catalog, and rebuilds neither. Loading is validation plus slice
+//! reinterpretation: one buffer copy into an `Arc<Vec<u32>>`, then
+//! zero-copy views for the dominant
 //! payloads (group member lists, the CSR, the materialized neighbor
 //! offset tables). No per-group allocations, no discovery, no pair
 //! scoring.
 
 use crate::engine::Vexus;
-use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData, Vocabulary};
+use vexus_data::{SnapshotError, SnapshotReader, SnapshotWriter, UserData};
 use vexus_index::snapshot::{decode_group_index, encode_group_index};
 use vexus_index::{GroupIndex, MemberGroupsCsr};
 use vexus_mining::snapshot::{decode_group_set, encode_group_set};
@@ -32,8 +33,6 @@ pub const TAG_ENGINE_META: u32 = 0x01;
 
 /// Everything [`decode_engine`] hands back to the engine assembler.
 pub(crate) struct DecodedEngine {
-    /// `Vocabulary::build` of the supplied dataset.
-    pub vocab: Vocabulary,
     pub groups: GroupSet,
     pub index: GroupIndex,
     /// Size of the retained snapshot buffer backing the zero-copy views.
@@ -73,8 +72,7 @@ pub(crate) fn decode_engine(data: &UserData, bytes: &[u8]) -> Result<DecodedEngi
             what: "snapshot user count does not match the supplied dataset",
         });
     }
-    let vocab = Vocabulary::build(data);
-    if vocab.len() != n_tokens {
+    if data.vocab().len() != n_tokens {
         return Err(SnapshotError::Malformed {
             tag: TAG_ENGINE_META,
             what: "snapshot token count does not match the supplied dataset",
@@ -99,7 +97,6 @@ pub(crate) fn decode_engine(data: &UserData, bytes: &[u8]) -> Result<DecodedEngi
     }
     let index = decode_group_index(r, n_groups, n_members)?;
     Ok(DecodedEngine {
-        vocab,
         groups,
         index,
         buffer_bytes: r.buffer_bytes(),
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn a_dataset_with_other_demographics_is_rejected() {
-        // Same users, no attributes: the rebuilt vocabulary is empty, so
+        // Same users, no attributes: the dataset's vocabulary is empty, so
         // the snapshot's token count cannot describe it.
         let built = engine();
         let buf = built.write_snapshot();

@@ -12,7 +12,9 @@
 //! The [`Vocabulary`] flattens `(attribute, value)` pairs into dense
 //! [`TokenId`]s; each user's sorted token set is the "transaction" consumed
 //! by the frequent-itemset miners in `vexus-mining`, whose closed patterns
-//! become the user groups VEXUS explores.
+//! become the user groups VEXUS explores. It is a pure function of the
+//! demographics, so the dataset owns it: [`UserDataBuilder::build`] builds
+//! it once and every clone and projection shares it.
 
 use crate::error::DataError;
 use crate::ids::{AttrId, ItemId, TokenId, UserId, ValueId};
@@ -75,8 +77,9 @@ fn string_table_bytes(strings: &[String]) -> usize {
 }
 
 /// Immutable columnar user dataset. A clone shares the schema, the user
-/// demographics and the item catalog, and copies only the action tape and
-/// the activity counts, which [`UserData::append_actions`] extends.
+/// demographics, the vocabulary and the item catalog, and copies only the
+/// action tape and the activity counts, which [`UserData::append_actions`]
+/// extends.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UserData {
     /// Shared schema: projections hold the same `Arc`, so N per-shard
@@ -89,6 +92,10 @@ pub struct UserData {
     columns: Arc<[Vec<ValueId>]>,
     /// Shared item tables; projections hold the same `Arc`.
     items: Arc<ItemCatalog>,
+    /// The token vocabulary of the demographics, built once by
+    /// [`UserDataBuilder::build`]; clones and projections hold the same
+    /// `Arc`.
+    vocab: Arc<Vocabulary>,
     /// Copied by a clone: the tape a live engine appends to.
     actions: Vec<Action>,
     /// `activity[user]` = number of `actions` by `user`.
@@ -133,6 +140,13 @@ impl UserData {
         &self.items
     }
 
+    /// The token vocabulary, built once with the dataset. A projection
+    /// returns its source's vocabulary (pointer-equal), whose global token
+    /// ids still tokenize the projected users.
+    pub fn vocab(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
     /// Value of `attr` for `user`.
     pub fn value(&self, user: UserId, attr: AttrId) -> ValueId {
         self.columns[attr.index()][user.index()]
@@ -156,9 +170,9 @@ impl UserData {
     /// Project the dataset onto a subset of users — e.g. one shard of a
     /// [`crate::shard::ShardPlan`]. `members` must be strictly ascending
     /// global user ids; they become the projection's dense local ids
-    /// `0..members.len()` in the same order. The schema, items and category
-    /// tables are carried over unchanged (so `ValueId`s — and hence any
-    /// global `Vocabulary` — stay valid); actions are filtered to the kept
+    /// `0..members.len()` in the same order. The schema, items, category
+    /// tables and vocabulary are carried over unchanged (so `ValueId`s and
+    /// the global token ids stay valid); actions are filtered to the kept
     /// users, whose activity counts carry over.
     ///
     /// The item catalog is *shared*, not cloned: the projection holds the
@@ -196,6 +210,7 @@ impl UserData {
             user_names,
             columns,
             items: Arc::clone(&self.items),
+            vocab: Arc::clone(&self.vocab),
             actions,
             activity: members.iter().map(|&g| self.activity[g as usize]).collect(),
         }
@@ -376,9 +391,9 @@ impl UserDataBuilder {
         Ok(())
     }
 
-    /// Finalize into an immutable [`UserData`].
+    /// Finalize into an immutable [`UserData`], building its vocabulary.
     pub fn build(self) -> UserData {
-        UserData {
+        let mut data = UserData {
             activity: activity(self.user_names.len(), &self.actions),
             schema: Arc::new(self.schema),
             user_names: self.user_names.into(),
@@ -388,8 +403,11 @@ impl UserDataBuilder {
                 item_categories: self.item_categories,
                 category_labels: self.item_category_labels,
             }),
+            vocab: Arc::default(),
             actions: self.actions,
-        }
+        };
+        data.vocab = Arc::new(Vocabulary::build(&data));
+        data
     }
 }
 
@@ -408,6 +426,8 @@ impl Vocabulary {
     /// Build the vocabulary over every `(attr, value)` pair that actually
     /// occurs in `data` (missing values excluded). Token ids are assigned in
     /// `(attr, value)` order, so they are deterministic for a given dataset.
+    /// [`UserDataBuilder::build`] calls this once and the dataset keeps the
+    /// result ([`UserData::vocab`]).
     pub fn build(data: &UserData) -> Self {
         let mut pairs: Vec<(AttrId, ValueId)> = Vec::new();
         for (attr, _) in data.schema().iter() {
@@ -677,9 +697,10 @@ mod tests {
             d.user_activity(UserId::new(0))
         );
         assert_activity_matches_actions(&p);
-        // The *global* vocabulary still tokenizes projected users: value
-        // ids are shared because the schema is shared.
-        let vocab = Vocabulary::build(&d);
+        // The projection carries the *global* vocabulary, which still
+        // tokenizes projected users: value ids are shared because the
+        // schema is shared.
+        let vocab = p.vocab();
         assert_eq!(
             vocab.user_tokens(&p, UserId::new(0)),
             vocab.user_tokens(&d, UserId::new(0))
@@ -887,6 +908,40 @@ mod tests {
         let d = UserDataBuilder::new(Schema::new()).build();
         assert_eq!(d.n_users(), 0);
         assert_eq!(d.n_actions(), 0);
-        assert!(Vocabulary::build(&d).is_empty());
+        assert!(d.vocab().is_empty());
+        assert!(UserData::default().vocab().is_empty());
+    }
+
+    /// Every built dataset carries the vocabulary of its own demographics,
+    /// and a clone, an action split and a projection share that one
+    /// vocabulary rather than rebuilding or copying it.
+    #[test]
+    fn one_vocabulary_per_dataset() {
+        use crate::synthetic::{
+            bookcrossing, dbauthors, grocery, BookCrossingConfig, DbAuthorsConfig, GroceryConfig,
+        };
+        let built = [
+            small(),
+            UserDataBuilder::new(Schema::new()).build(),
+            bookcrossing(&BookCrossingConfig::tiny()).data,
+            dbauthors(&DbAuthorsConfig::tiny()).data,
+            grocery(&GroceryConfig {
+                n_users: 200,
+                n_purchases: 1_000,
+                ..GroceryConfig::default()
+            })
+            .data,
+        ];
+        for d in built {
+            assert_eq!(d.vocab(), &Vocabulary::build(&d));
+            let clone = d.clone();
+            assert!(std::ptr::eq(d.vocab(), clone.vocab()));
+            let first: Vec<u32> = (0..d.n_users().min(1) as u32).collect();
+            let projected = d.project_users(&first);
+            assert!(std::ptr::eq(d.vocab(), projected.vocab()));
+            let vocab: *const Vocabulary = d.vocab();
+            let (split, _) = d.split_actions();
+            assert!(std::ptr::eq(vocab, split.vocab()));
+        }
     }
 }

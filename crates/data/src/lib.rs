@@ -21,9 +21,9 @@
 //!   that let the discovery stage run one worker per slice of the user
 //!   space,
 //! * [`snapshot`] — the versioned flat-buffer snapshot format (header,
-//!   section table, checksum, zero-copy [`snapshot::WordSlice`] views)
-//!   plus the catalog/vocabulary codecs; higher layers add their own
-//!   sections on top,
+//!   section table, checksum) and [`snapshot::WordSlice`], the refcounted
+//!   `u32` array every layer's immutable tables are held in, built or
+//!   loaded; higher layers add their own sections on top,
 //! * [`stream`] — bounded action streams for the stream-mining path, plus
 //!   the [`stream::IngestBuffer`] that cuts them into epoch-stamped
 //!   deltas for the live engine,
@@ -54,6 +54,6 @@ pub use error::DataError;
 pub use ids::{AttrId, ItemId, TokenId, UserId, ValueId};
 pub use schema::{AttributeDef, AttributeKind, Schema};
 pub use shard::ShardPlan;
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, U32Store, WordSlice};
+pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, WordSlice};
 pub use stream::{ActionDelta, ActionStream, IngestBuffer};
 pub use wal::{WalError, WalFrame, WalScan, WalSync, WalTail, WalWriter};

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! [`SnapshotReader::load`] copies the input bytes **once** into a shared
-//! word-aligned allocation (`Arc<[u32]>`) — the price of staying free of
+//! word-aligned allocation (`Arc<Vec<u32>>`) — the price of staying free of
 //! `unsafe` pointer casts while the input may be an arbitrarily aligned
 //! `&[u8]`; an mmap-backed page-aligned buffer could skip it — and every
 //! consumer then holds [`WordSlice`] range views into that one buffer.
@@ -51,6 +51,7 @@
 //! lists, miner itemsets and CSR rows are written from and validated into.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -253,12 +254,14 @@ impl SnapshotWriter {
     }
 }
 
-/// A zero-copy `&[u32]` view into the shared snapshot buffer: an `Arc`
-/// refcount bump plus a word range. Cloning is cheap; the underlying
-/// buffer lives as long as any view does.
-#[derive(Clone)]
+/// An immutable `u32` array shared by reference: a refcounted word
+/// buffer plus a range. A built `Vec<u32>` moves in whole without copying
+/// its words; a loaded snapshot is one buffer every section views. Cloning
+/// (or narrowing with [`WordSlice::slice`]) is a refcount bump; the buffer
+/// lives as long as any view does.
+#[derive(Clone, Default)]
 pub struct WordSlice {
-    words: Arc<[u32]>,
+    words: Arc<Vec<u32>>,
     start: usize,
     len: usize,
 }
@@ -268,6 +271,19 @@ impl WordSlice {
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
         &self.words[self.start..self.start + self.len]
+    }
+
+    /// Number of viewed words, read from the view itself: a size query
+    /// (a Jaccard denominator, a size filter) touches no buffer.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// A sub-view of this view, if in range.
@@ -281,11 +297,35 @@ impl WordSlice {
             len,
         })
     }
+
+    /// Heap bytes this view accounts for: the whole buffer's capacity when
+    /// the view spans all of it (a built array), nothing when it is a part
+    /// of a larger buffer (a snapshot section or a sub-view), which is
+    /// accounted once where that buffer is retained.
+    pub fn heap_bytes(&self) -> usize {
+        if self.start == 0 && self.len == self.words.len() {
+            self.words.capacity() * std::mem::size_of::<u32>()
+        } else {
+            0
+        }
+    }
+}
+
+impl From<Vec<u32>> for WordSlice {
+    fn from(words: Vec<u32>) -> Self {
+        let len = words.len();
+        WordSlice {
+            words: Arc::new(words),
+            start: 0,
+            len,
+        }
+    }
 }
 
 impl Deref for WordSlice {
     type Target = [u32];
 
+    #[inline]
     fn deref(&self) -> &[u32] {
         self.as_slice()
     }
@@ -297,6 +337,7 @@ impl fmt::Debug for WordSlice {
     }
 }
 
+/// Equality and hashing read the words, not the buffer they live in.
 impl PartialEq for WordSlice {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
@@ -305,60 +346,9 @@ impl PartialEq for WordSlice {
 
 impl Eq for WordSlice {}
 
-/// Borrowed-or-owned `u32` array storage: the built engine owns its arrays
-/// (`Owned`), a snapshot-loaded engine views the shared buffer (`Shared`).
-/// Query code reads through [`Deref`] and cannot tell the difference.
-#[derive(Clone, Debug)]
-pub enum U32Store {
-    /// Heap-owned array (the built form).
-    Owned(Vec<u32>),
-    /// View into a loaded snapshot buffer (the zero-copy form).
-    Shared(WordSlice),
-}
-
-impl U32Store {
-    /// Heap bytes owned by this store. A `Shared` view owns nothing — the
-    /// snapshot buffer is accounted once at the engine level.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            U32Store::Owned(v) => v.capacity() * std::mem::size_of::<u32>(),
-            U32Store::Shared(_) => 0,
-        }
-    }
-}
-
-impl Deref for U32Store {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            U32Store::Owned(v) => v,
-            U32Store::Shared(s) => s.as_slice(),
-        }
-    }
-}
-
-impl From<Vec<u32>> for U32Store {
-    fn from(v: Vec<u32>) -> Self {
-        U32Store::Owned(v)
-    }
-}
-
-impl From<WordSlice> for U32Store {
-    fn from(s: WordSlice) -> Self {
-        U32Store::Shared(s)
-    }
-}
-
-impl Default for U32Store {
-    fn default() -> Self {
-        U32Store::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for U32Store {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
+impl Hash for WordSlice {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
@@ -367,12 +357,12 @@ impl PartialEq for U32Store {
 /// every constructor establishes that `offsets` starts at 0, never
 /// decreases and ends exactly at `items.len()`, so [`Ragged::list`] cannot
 /// index out of range whatever file the table came from. Both arrays are
-/// borrowed-or-owned ([`U32Store`]): [`SnapshotReader::ragged`] yields
-/// views into the loaded buffer, the builders own theirs.
+/// [`WordSlice`]s: [`SnapshotReader::ragged`] yields views into the loaded
+/// buffer, a built table's arrays are its own buffers.
 #[derive(Debug, Clone)]
 pub struct Ragged {
-    offsets: U32Store,
-    items: U32Store,
+    offsets: WordSlice,
+    items: WordSlice,
     /// The section `items` was loaded from (0 for a built table) — the tag
     /// [`Ragged::ascending_below`] reports.
     items_tag: u32,
@@ -381,7 +371,7 @@ pub struct Ragged {
 impl Ragged {
     /// The one constructor: `None` unless `offsets` is a monotone table
     /// from 0 to exactly `items.len()`.
-    fn new(offsets: U32Store, items: U32Store, items_tag: u32) -> Option<Self> {
+    fn new(offsets: WordSlice, items: WordSlice, items_tag: u32) -> Option<Self> {
         offsets_cover(&offsets, items.len()).then_some(Self {
             offsets,
             items,
@@ -443,14 +433,12 @@ impl Ragged {
         &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// List `i` as storage of its own: a narrower view into the snapshot
-    /// buffer when this table is one, a copy otherwise.
-    pub fn store(&self, i: usize) -> U32Store {
+    /// List `i` as a view of its own into the items buffer.
+    pub fn view(&self, i: usize) -> WordSlice {
         let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        match &self.items {
-            U32Store::Owned(v) => v[lo..hi].to_vec().into(),
-            U32Store::Shared(s) => s.slice(lo, hi - lo).expect("offsets lay out items").into(),
-        }
+        self.items
+            .slice(lo, hi - lo)
+            .expect("offsets lay out items")
     }
 
     /// The offset table (`len() + 1` entries).
@@ -465,11 +453,11 @@ impl Ragged {
 
     /// The two arrays, `(offsets, items)`, for a structure that keeps them
     /// beside a payload of its own.
-    pub fn into_parts(self) -> (U32Store, U32Store) {
+    pub fn into_parts(self) -> (WordSlice, WordSlice) {
         (self.offsets, self.items)
     }
 
-    /// Heap bytes owned by the table (zero for snapshot-backed views).
+    /// Heap bytes owned by the table (zero for views into a snapshot).
     pub fn heap_bytes(&self) -> usize {
         self.offsets.heap_bytes() + self.items.heap_bytes()
     }
@@ -480,7 +468,7 @@ impl Ragged {
 /// the one buffer.
 #[derive(Debug)]
 pub struct SnapshotReader {
-    words: Arc<[u32]>,
+    words: WordSlice,
     /// `(tag, byte_offset, byte_len)` per section, table order.
     sections: Vec<(u32, usize, usize)>,
 }
@@ -503,10 +491,12 @@ impl SnapshotReader {
         }
         // The one copy: arbitrary-alignment input bytes → word-aligned
         // shared buffer every view borrows from.
-        let words: Arc<[u32]> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
+        let words = WordSlice::from(
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect::<Vec<u32>>(),
+        );
         let [magic, version, flags, n_sections] = [words[0], words[1], words[2], words[3]];
         if magic != MAGIC {
             return Err(SnapshotError::BadMagic { got: magic });
@@ -584,11 +574,10 @@ impl SnapshotReader {
                 what: "u32 section length not a multiple of 4",
             });
         }
-        Ok(WordSlice {
-            words: Arc::clone(&self.words),
-            start: offset / 4,
-            len: len / 4,
-        })
+        // `load` checked every section against the buffer.
+        self.words
+            .slice(offset / 4, len / 4)
+            .ok_or(SnapshotError::SectionOutOfBounds { tag, offset, len })
     }
 
     /// A fixed-width section as exactly `N` words (`what` names the shape
@@ -610,7 +599,7 @@ impl SnapshotReader {
     pub fn ragged(&self, offsets_tag: u32, items_tag: u32) -> Result<Ragged, SnapshotError> {
         let offsets = self.section_words(offsets_tag)?;
         let items = self.section_words(items_tag)?;
-        Ragged::new(offsets.into(), items.into(), items_tag).ok_or(SnapshotError::Malformed {
+        Ragged::new(offsets, items, items_tag).ok_or(SnapshotError::Malformed {
             tag: offsets_tag,
             what: "offset table is not monotone from 0 to its payload length",
         })
@@ -821,13 +810,16 @@ mod tests {
         assert_eq!(sub.as_slice(), &[2, 3]);
         assert!(v.slice(2, 2).is_none());
         assert_eq!(v.slice(3, 0).unwrap().as_slice(), &[] as &[u32]);
-        // A store over the view owns no heap.
-        let store: U32Store = sub.into();
-        assert_eq!(store.heap_bytes(), 0);
-        assert_eq!(&*store, &[2, 3]);
-        let owned: U32Store = vec![2, 3].into();
-        assert_eq!(owned, store);
-        assert!(owned.heap_bytes() >= 8);
+        // A view into part of a buffer owns no heap; a moved-in vector is
+        // its whole buffer and owns it, and so does every clone of it.
+        assert_eq!(sub.heap_bytes(), 0);
+        assert_eq!(&*sub, &[2, 3]);
+        let owned = WordSlice::from(vec![2, 3]);
+        assert_eq!(owned, sub);
+        assert_eq!(owned.heap_bytes(), 8);
+        assert_eq!(owned.clone().heap_bytes(), 8);
+        assert_eq!(owned.slice(1, 1).unwrap().heap_bytes(), 0);
+        assert_eq!(WordSlice::default().heap_bytes(), 0);
     }
 
     /// Load `offsets` / `items` as sections `0x1` / `0x2` and read them
@@ -855,11 +847,13 @@ mod tests {
         assert_eq!(loaded.list(0), &[0, 3, 5]);
         assert_eq!(loaded.list(1), &[] as &[u32]);
         assert_eq!(loaded.list(2), &[1, 2]);
-        // A loaded table and its lists are views; a built one owns both.
+        // A loaded table and its lists are views; a built one owns both
+        // arrays, and its lists are views into them.
         assert_eq!(loaded.heap_bytes(), 0);
-        assert_eq!(loaded.store(2).heap_bytes(), 0);
+        assert_eq!(loaded.view(2).heap_bytes(), 0);
         assert!(built.heap_bytes() > 0);
-        assert_eq!(built.store(2), loaded.store(2));
+        assert_eq!(built.view(2), loaded.view(2));
+        assert_eq!(built.view(2).as_ptr(), built.items()[3..].as_ptr());
         // No lists at all is a one-entry table.
         let empty = Ragged::from_lists(Vec::<Vec<u32>>::new());
         assert!(empty.is_empty());

@@ -35,7 +35,7 @@
 use crate::graph::OverlapGraph;
 use crate::overlap::OverlapRows;
 use vexus_data::snapshot::Ragged;
-use vexus_data::U32Store;
+use vexus_data::WordSlice;
 use vexus_mining::{GroupDelta, GroupId, GroupSet};
 
 /// Index construction knobs.
@@ -80,8 +80,9 @@ pub type Neighbor = (GroupId, f32);
 /// groups containing member `u`, ascending. One offsets/ids pair instead
 /// of a per-member `Vec<Vec<u32>>` — no per-member allocations,
 /// cache-linear candidate scans — and is shared between the index build,
-/// the retained exact-fallback path and the overlap graph. The built form
-/// owns its arrays, the snapshot-loaded form views the shared buffer.
+/// the retained exact-fallback path and the overlap graph. Both arrays are
+/// refcounted [`WordSlice`]s — a built map's own buffers or views into a
+/// loaded snapshot — so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct MemberGroupsCsr {
     lists: Ragged,
@@ -169,11 +170,11 @@ impl MemberGroupsCsr {
 pub struct GroupIndex {
     /// `entries[list_offsets[g]..list_offsets[g + 1]]` is the materialized
     /// neighbor prefix of group `g`, descending similarity.
-    list_offsets: U32Store,
+    list_offsets: WordSlice,
     /// Concatenated materialized entries, group-major.
     entries: Vec<Neighbor>,
     /// Per-group count of *all* overlapping neighbors (full list length).
-    full_lengths: U32Store,
+    full_lengths: WordSlice,
     /// Retained member→groups map: the exact fallback's candidate
     /// generator (only overlapping groups are scored, never the whole
     /// space).
@@ -229,9 +230,9 @@ impl GroupIndex {
     /// built twin — by design; `benchmark/` reports it as
     /// `index.heap_bytes` next to `core.snapshot_bytes`.
     pub(crate) fn from_parts(
-        list_offsets: U32Store,
+        list_offsets: WordSlice,
         entries: Vec<Neighbor>,
-        full_lengths: U32Store,
+        full_lengths: WordSlice,
         member_groups: MemberGroupsCsr,
     ) -> Self {
         let heap_bytes = entries.capacity() * std::mem::size_of::<Neighbor>()

@@ -7,7 +7,8 @@
 //! the layout of the `(GroupId, f32)` tuple, so entries are stored as two
 //! parallel `u32` sections (ids, similarity bit patterns) and interleaved
 //! back into **one** flat `Vec<Neighbor>` allocation on load. The offset
-//! tables and the CSR load as zero-copy [`vexus_data::U32Store`] views.
+//! tables and the CSR load as zero-copy [`vexus_data::WordSlice`] views,
+//! the same type a built index holds them in.
 //! Nothing derivable is stored: the pair count is half the sum of the full
 //! lengths, recomputed by [`GroupIndex`] on assembly.
 
@@ -143,7 +144,7 @@ pub fn decode_group_index(
     Ok(GroupIndex::from_parts(
         list_offsets,
         entries,
-        full_lengths.into(),
+        full_lengths,
         MemberGroupsCsr::from_lists(csr),
     ))
 }
@@ -212,6 +213,33 @@ mod tests {
         }
         // Re-encoding the loaded index reproduces the bytes.
         assert_eq!(encode(&back), buf);
+    }
+
+    /// A clone shares the member lists it holds, built or loaded: member
+    /// sets and the member→groups CSR are refcounted, so a clone reads the
+    /// same words at the same address instead of a copy.
+    #[test]
+    fn clones_share_storage() {
+        use vexus_mining::snapshot::{decode_group_set, encode_group_set};
+        let (built, idx) = fixture();
+        let mut w = SnapshotWriter::new();
+        encode_group_set(&built, &mut w);
+        let buf = w.finish();
+        let loaded = decode_group_set(&SnapshotReader::load(&buf).unwrap(), 7, 0).unwrap();
+        for space in [&built, &loaded] {
+            let clone = space.clone();
+            for (gid, g) in space.iter() {
+                assert_eq!(
+                    g.members.as_slice().as_ptr(),
+                    clone[gid].members.as_slice().as_ptr()
+                );
+            }
+        }
+        let csr = idx.member_groups();
+        let clone = csr.clone();
+        for u in 0..csr.n_members() as u32 {
+            assert_eq!(csr.groups_of(u).as_ptr(), clone.groups_of(u).as_ptr());
+        }
     }
 
     #[test]

@@ -7,36 +7,20 @@
 //! compact (4 bytes/member), cache-friendly, and makes
 //! `intersection_size`/`jaccard` allocation-free.
 //!
-//! Storage is borrowed-or-owned ([`U32Store`]): a built engine owns each
-//! set's `Vec<u32>`; a snapshot-loaded engine holds views into the one
-//! shared snapshot buffer ([`MemberSet::from_shared`]), so loading N groups
-//! costs zero per-group allocations. Every operation routes through
-//! [`MemberSet::as_slice`], so the two forms are behaviorally identical
-//! (same `Eq`/`Hash`, same algebra).
+//! Storage is one refcounted [`WordSlice`]: a built set owns its buffer
+//! (the sorted `Vec<u32>` moves in), a snapshot-loaded set views the one
+//! shared snapshot buffer, so loading N groups costs zero per-group
+//! allocations. Either way a clone is a refcount bump, never a copy of the
+//! members. Every operation routes through [`MemberSet::as_slice`].
 
 use std::fmt;
-use vexus_data::U32Store;
+use vexus_data::WordSlice;
 
-/// An immutable sorted set of dense user indices.
-#[derive(Clone, Default)]
+/// An immutable sorted set of dense user indices. Equal members are equal
+/// sets, wherever their words live.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct MemberSet {
-    members: U32Store,
-}
-
-impl PartialEq for MemberSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for MemberSet {}
-
-impl std::hash::Hash for MemberSet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Slice hashing matches Vec hashing, so Owned and Shared forms of
-        // the same set collide as required by `Eq`.
-        self.as_slice().hash(state);
-    }
+    members: WordSlice,
 }
 
 impl fmt::Debug for MemberSet {
@@ -55,18 +39,19 @@ impl MemberSet {
         Self::default()
     }
 
-    /// Build from an already strictly-sorted vector.
+    /// Build over already strictly-sorted words: a `Vec<u32>` moves in
+    /// without copying, a [`WordSlice`] a snapshot decoder validated is
+    /// shared as it is.
     ///
     /// # Panics
     /// Debug-asserts strict ascending order.
-    pub fn from_sorted(sorted: Vec<u32>) -> Self {
+    pub fn from_sorted(sorted: impl Into<WordSlice>) -> Self {
+        let members = sorted.into();
         debug_assert!(
-            sorted.windows(2).all(|w| w[0] < w[1]),
+            members.windows(2).all(|w| w[0] < w[1]),
             "must be strictly sorted"
         );
-        Self {
-            members: sorted.into(),
-        }
+        Self { members }
     }
 
     /// Build from arbitrary input: sorts and dedupes.
@@ -74,19 +59,6 @@ impl MemberSet {
         v.sort_unstable();
         v.dedup();
         Self { members: v.into() }
-    }
-
-    /// Build over storage a snapshot decoder hands out — a zero-copy view
-    /// when it is one into a loaded buffer. The words must be strictly
-    /// ascending — the decoder validates this before constructing the
-    /// view (debug-asserted here as well).
-    pub fn from_shared(words: impl Into<U32Store>) -> Self {
-        let members = words.into();
-        debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "must be strictly sorted"
-        );
-        Self { members }
     }
 
     /// The full universe `0..n`.
@@ -99,13 +71,13 @@ impl MemberSet {
     /// Number of members.
     #[inline]
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.members.len()
     }
 
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.members.is_empty()
     }
 
     /// Membership test (binary search).
@@ -122,10 +94,7 @@ impl MemberSet {
     /// The members as a sorted slice.
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
-        match &self.members {
-            U32Store::Owned(v) => v,
-            U32Store::Shared(s) => s.as_slice(),
-        }
+        self.members.as_slice()
     }
 
     /// `|self ∩ other|` without allocating.
@@ -266,9 +235,9 @@ impl MemberSet {
         newly
     }
 
-    /// Heap bytes owned by this set. A `Shared` view owns nothing — the
-    /// snapshot buffer it borrows from is accounted once, at the engine
-    /// level.
+    /// Heap bytes owned by this set: its buffer when it spans all of it,
+    /// nothing when it views a snapshot buffer, which is accounted once at
+    /// the engine level.
     pub fn heap_bytes(&self) -> usize {
         self.members.heap_bytes()
     }
@@ -330,13 +299,13 @@ mod tests {
         MemberSet::from_unsorted(v.to_vec())
     }
 
-    /// The same set in Shared form, views into a scratch snapshot buffer.
+    /// The same set as a view into a scratch snapshot buffer.
     fn shared(v: &[u32]) -> MemberSet {
         let mut w = vexus_data::SnapshotWriter::new();
         w.section_words(0x1, v.iter().copied());
         let buf = w.finish();
         let r = vexus_data::SnapshotReader::load(&buf).unwrap();
-        MemberSet::from_shared(r.section_words(0x1).unwrap())
+        MemberSet::from_sorted(r.section_words(0x1).unwrap())
     }
 
     /// Jaccard from the materialised `intersect` / `union` sets — the
@@ -385,23 +354,23 @@ mod tests {
         use std::hash::{Hash, Hasher};
         let owned = ms(&[1, 2, 3, 5, 8]);
         let view = shared(&[1, 2, 3, 5, 8]);
-        let is_shared = |s: &MemberSet| matches!(s.members, U32Store::Shared(_));
-        assert!(is_shared(&view) && !is_shared(&owned));
         assert_eq!(owned, view);
         assert_eq!(view.as_slice(), owned.as_slice());
+        // A view into the snapshot buffer owns none of it; a built set owns
+        // its whole buffer.
         assert_eq!(view.heap_bytes(), 0);
         assert!(owned.heap_bytes() >= 20);
-        // Eq-consistent hashing across representations.
+        // Eq-consistent hashing wherever the words live.
         let mut h1 = DefaultHasher::new();
         let mut h2 = DefaultHasher::new();
         owned.hash(&mut h1);
         view.hash(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
-        // Mixed-representation algebra.
+        // Algebra across a built set and a view.
         let other = shared(&[2, 3, 4, 8, 9]);
         assert_eq!(owned.intersection_size(&other), 3);
         assert_eq!(other.intersect(&owned).as_slice(), &[2, 3, 8]);
-        assert!(!is_shared(&other.intersect(&owned)));
+        assert!(other.intersect(&owned).heap_bytes() > 0);
         assert!(view.contains(5) && !view.contains(4));
         assert_eq!(format!("{view:?}"), "MemberSet[1, 2, 3, 5, 8]");
         // Empty shared view.
@@ -414,7 +383,7 @@ mod tests {
     fn galloping_path_matches_merge_path() {
         // Small set vs huge set triggers the galloping branch.
         let small = ms(&[5, 1000, 5000, 99999, 100001]);
-        let large = MemberSet::from_sorted((0..100_000).collect());
+        let large = MemberSet::from_sorted((0..100_000).collect::<Vec<u32>>());
         assert_eq!(small.intersection_size(&large), 4); // 100001 excluded
         assert_eq!(large.intersection_size(&small), 4);
     }
@@ -498,7 +467,7 @@ mod tests {
             a in proptest::collection::vec(0u32..500, 0..80),
             b in proptest::collection::vec(0u32..500, 0..80)
         ) {
-            // Every operation must agree between the Owned and Shared forms.
+            // Every operation must agree between built sets and views.
             let (ma, mb) = (MemberSet::from_unsorted(a), MemberSet::from_unsorted(b));
             let (va, vb) = (shared(ma.as_slice()), shared(mb.as_slice()));
             prop_assert_eq!(&ma, &va);

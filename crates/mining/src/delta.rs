@@ -202,7 +202,8 @@ impl DeltaDiscovery {
     /// Cut an epoch: materialize the canonical, size-filtered group space
     /// as of now, diff it against the previous epoch, and make it the new
     /// baseline. Returns the space and the delta that turns the previous
-    /// epoch's space into it.
+    /// epoch's space into it. The baseline shares the returned space's
+    /// member sets (a refcount bump each), not copies of them.
     pub fn epoch(&mut self) -> (GroupSet, GroupDelta) {
         let mut groups = self.miner.groups();
         groups.filter_by_size(self.min_group_size, usize::MAX);
@@ -280,6 +281,31 @@ mod tests {
             assert_eq!(
                 old.get(GroupId::new(*o)).description,
                 new.get(GroupId::new(*n)).description
+            );
+        }
+    }
+
+    /// Cutting an epoch keeps the space as the next baseline without
+    /// copying a member: `prev` and the returned space share every buffer.
+    #[test]
+    fn epoch_baseline_shares_member_buffers() {
+        let cfg = StreamFimConfig {
+            support: 0.2,
+            epsilon: 0.1,
+            max_len: 2,
+        };
+        let mut dd = DeltaDiscovery::new(cfg, 1, 0);
+        for u in 0..20u32 {
+            let tokens = toks(if u % 3 == 0 { &[0, 1] } else { &[0, 2] });
+            dd.miner.observe(u, &tokens);
+        }
+        let (groups, _) = dd.epoch();
+        assert!(!groups.is_empty());
+        assert_eq!(dd.prev, groups);
+        for ((_, kept), (_, returned)) in dd.prev.iter().zip(groups.iter()) {
+            assert_eq!(
+                kept.members.as_slice().as_ptr(),
+                returned.members.as_slice().as_ptr()
             );
         }
     }

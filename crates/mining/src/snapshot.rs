@@ -5,8 +5,8 @@
 //! A [`GroupSet`] flattens into two [`Ragged`] tables — descriptions and
 //! member lists — the same offsets-plus-payload shape the CSR index uses.
 //! Decoding hands every group's member set back as a zero-copy
-//! [`MemberSet::from_shared`] view into the loaded buffer: the dominant
-//! payload (member ids) costs no per-group allocations. Descriptions are short (a handful of tokens) and live in
+//! [`Ragged::view`] into the loaded buffer: the dominant payload (member
+//! ids) costs no per-group allocations. Descriptions are short (a handful of tokens) and live in
 //! `HashMap` keys and move-heavy merge paths, so they are rebuilt as owned
 //! `Vec<TokenId>`s.
 //!
@@ -85,7 +85,7 @@ pub fn decode_group_set(
             .iter()
             .map(|&t| TokenId::new(t))
             .collect(),
-        members: MemberSet::from_shared(members.store(i)),
+        members: MemberSet::from_sorted(members.view(i)),
     });
     Ok(GroupSet::from_groups(groups.collect()))
 }

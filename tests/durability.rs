@@ -67,6 +67,10 @@ proptest! {
             "recovered engine diverges from the uninterrupted run at epoch {}",
             crash_after
         );
+        // A recovered engine serves the base dataset's own vocabulary.
+        let engine = recovered.engine();
+        prop_assert!(std::ptr::eq(engine.vocab(), engine.data().vocab()));
+        prop_assert!(std::ptr::eq(engine.vocab(), w.base.vocab()));
         // The recovered engine keeps streaming to the same final state.
         for c in w.chunks().skip(crash_after) {
             feed(&recovered, c);
@@ -76,6 +80,9 @@ proptest! {
             recovered.engine().write_snapshot() == *w.snapshots.last().unwrap(),
             "post-recovery stream diverges at the final epoch"
         );
+        // So does every epoch refreshed after it.
+        let engine = recovered.engine();
+        prop_assert!(std::ptr::eq(engine.vocab(), w.base.vocab()));
     }
 
     /// Any single-byte corruption (XOR flip) or truncation of any durable

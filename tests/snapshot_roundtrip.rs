@@ -141,12 +141,14 @@ fn loaded_engine_explores_identically() {
     }
 }
 
-/// A loaded engine derives what the snapshot does not store: its
-/// vocabulary is rebuilt from the supplied dataset, and its item catalog is
-/// that dataset's own, shared rather than copied.
+/// A loaded engine takes what the snapshot does not store from the
+/// supplied dataset: its vocabulary and its item catalog are that
+/// dataset's own, shared rather than rebuilt or copied. A built engine's
+/// vocabulary is its dataset's too.
 #[test]
 fn loaded_engine_derives_its_vocabulary_and_shares_the_catalog() {
     let built = build(workload(0, 3), 1);
+    assert!(std::ptr::eq(built.vocab(), built.data().vocab()));
     let data = built.data().clone();
     let loaded = Vexus::from_snapshot(
         data.clone(),
@@ -154,8 +156,9 @@ fn loaded_engine_derives_its_vocabulary_and_shares_the_catalog() {
         EngineConfig::default(),
     )
     .unwrap();
+    assert!(std::ptr::eq(loaded.vocab(), loaded.data().vocab()));
+    assert!(std::ptr::eq(loaded.vocab(), built.vocab()));
     assert_eq!(loaded.vocab(), &Vocabulary::build(loaded.data()));
-    assert_eq!(loaded.vocab(), built.vocab());
     assert!(Arc::ptr_eq(
         loaded.data().item_catalog(),
         data.item_catalog()
