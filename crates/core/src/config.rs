@@ -2,6 +2,7 @@
 //! sweep.
 
 use crate::error::CoreError;
+use crate::greedy::SelectParams;
 use std::time::Duration;
 use vexus_index::{IndexConfig, NeighborCache};
 use vexus_mining::DiscoverySelection;
@@ -11,7 +12,8 @@ use vexus_mining::DiscoverySelection;
 pub struct EngineConfig {
     /// Groups per GroupViz step — principle P1. "It is shown in previous
     /// research that k ≤ 7 is an ideal match for human perception
-    /// capacity."
+    /// capacity." Default 5; an open accepts `1..=12`
+    /// ([`EngineConfig::with_k`] clamps to it).
     pub k: usize,
     /// Time budget for the greedy optimizer — principle P3. "We safely set
     /// the time limit to 100 ms (i.e., continuity preserving latency)."
@@ -134,6 +136,46 @@ impl EngineConfig {
     /// stores nothing).
     pub(crate) fn new_neighbor_cache(&self) -> NeighborCache {
         NeighborCache::new(self.neighbor_cache_capacity)
+    }
+
+    /// The greedy parameters of every step a session with this config
+    /// takes.
+    pub(crate) fn select_params(&self) -> SelectParams {
+        SelectParams {
+            k: self.k,
+            budget: Some(self.time_budget),
+            min_similarity: self.min_similarity,
+            diversity_weight: self.diversity_weight,
+            coverage_weight: self.coverage_weight,
+            feedback_weight: self.feedback_weight,
+        }
+    }
+
+    /// Reject a step config no session can use: P1 needs `1 ≤ k ≤ 12`, a
+    /// step needs a candidate pool of at least one group, the similarity
+    /// floor is a Jaccard value in `[0, 1]`, and every objective weight is
+    /// finite and non-negative.
+    pub(crate) fn check_step(&self) -> Result<(), CoreError> {
+        let weights = [
+            self.diversity_weight,
+            self.coverage_weight,
+            self.feedback_weight,
+        ];
+        if !(1..=12).contains(&self.k) {
+            Err(CoreError::InvalidConfig("k must be in 1..=12"))
+        } else if self.candidate_pool == 0 {
+            Err(CoreError::InvalidConfig(
+                "candidate_pool must be at least 1",
+            ))
+        } else if !(0.0..=1.0).contains(&self.min_similarity) {
+            Err(CoreError::InvalidConfig("min_similarity must be in [0, 1]"))
+        } else if !weights.iter().all(|w| w.is_finite() && *w >= 0.0) {
+            Err(CoreError::InvalidConfig(
+                "objective weights must be finite and non-negative",
+            ))
+        } else {
+            Ok(())
+        }
     }
 
     /// Reject a stream-FIM selection, under however many `Sharded` layers,

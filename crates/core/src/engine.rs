@@ -11,11 +11,14 @@
 
 use crate::config::EngineConfig;
 use crate::error::CoreError;
+use crate::feedback::FeedbackVector;
+use crate::greedy::{self, ScoredCandidate, SelectionOutcome};
 use crate::session::{ExplorationSession, Session};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use vexus_data::{SnapshotError, UserData, Vocabulary};
 use vexus_index::{GroupIndex, NeighborCache, OverlapGraph};
-use vexus_mining::{GroupDiscovery, GroupSet};
+use vexus_mining::{GroupDiscovery, GroupId, GroupSet, MemberSet};
 
 /// What the offline pre-processing stage did that the built engine cannot
 /// recompute. (What it produced is the engine: `groups().len()`,
@@ -128,6 +131,7 @@ impl VexusBuilder {
             config,
             stats,
             snapshot_bytes: 0,
+            opening: OnceLock::new(),
         })
     }
 }
@@ -149,6 +153,47 @@ pub struct Vexus {
     /// Size of the retained snapshot buffer backing zero-copy views when
     /// this engine came from [`Vexus::from_snapshot`]; `0` when built.
     snapshot_bytes: usize,
+    /// The opening display, computed by the first open whose greedy step
+    /// converged and shared by every later open under the same step key.
+    /// Every constructor starts it empty, so it lives and dies with its
+    /// epoch and no snapshot or checkpoint stores it.
+    pub(crate) opening: OnceLock<Opening>,
+}
+
+/// What the opening display depends on besides the engine: the candidate
+/// pool, `k`, the time budget, and the bits of `min_similarity` and of the
+/// diversity, coverage and feedback weights (`f64`s compare by bits).
+type StepKey = (usize, usize, Duration, [u64; 4]);
+
+fn step_key(config: &EngineConfig) -> StepKey {
+    let floats = [
+        config.min_similarity,
+        config.diversity_weight,
+        config.coverage_weight,
+        config.feedback_weight,
+    ];
+    (
+        config.candidate_pool,
+        config.k,
+        config.time_budget,
+        floats.map(f64::to_bits),
+    )
+}
+
+/// An engine's memoized opening step.
+pub(crate) struct Opening {
+    key: StepKey,
+    pub(crate) outcome: SelectionOutcome,
+    pub(crate) display: Arc<[GroupId]>,
+}
+
+/// The opening step's candidates: the `pool` largest groups, ties in id
+/// order (the sort is stable), each at similarity 1 — there is no clicked
+/// group to be similar to.
+pub(crate) fn opening_candidates(groups: &GroupSet, pool: usize) -> Vec<ScoredCandidate> {
+    let mut by_size: Vec<GroupId> = groups.ids().collect();
+    by_size.sort_by_key(|&id| std::cmp::Reverse(groups.get(id).size()));
+    by_size.into_iter().take(pool).map(|id| (id, 1.0)).collect()
 }
 
 /// An owned session over a shared engine handle — the serving shape.
@@ -200,6 +245,7 @@ impl Vexus {
                 filtered_out: 0,
             },
             snapshot_bytes: 0,
+            opening: OnceLock::new(),
         }
     }
 
@@ -212,6 +258,38 @@ impl Vexus {
     /// sweeps, feedback ablations) without re-running pre-processing.
     pub fn session_with(&self, config: EngineConfig) -> Result<ExplorationSession<'_>, CoreError> {
         Session::open_engine(self, config)
+    }
+
+    /// The opening step under a session's config: the display and the
+    /// greedy outcome behind it. There is no feedback yet, so the result
+    /// depends only on this engine and the step key. A memo hit is two
+    /// clones; a miss runs greedy over the whole population on buffers of
+    /// its own, and a converged result under the first key to arrive is
+    /// memoized. A budget-cut result never is: it depends on the clock.
+    /// Racing misses compute the same bits, and the first `set` wins.
+    pub(crate) fn opening(&self, config: &EngineConfig) -> (Arc<[GroupId]>, SelectionOutcome) {
+        let key = step_key(config);
+        if let Some(memo) = self.opening.get().filter(|memo| memo.key == key) {
+            return (Arc::clone(&memo.display), memo.outcome.clone());
+        }
+        let candidates = opening_candidates(&self.groups, config.candidate_pool);
+        let population = MemberSet::universe(self.data.n_users() as u32);
+        let outcome = greedy::select_k(
+            &self.groups,
+            &candidates,
+            &population,
+            &FeedbackVector::new(),
+            &config.select_params(),
+        );
+        let display: Arc<[GroupId]> = Arc::from(outcome.selection.as_slice());
+        if !outcome.budget_exhausted {
+            let _ = self.opening.set(Opening {
+                key,
+                outcome: outcome.clone(),
+                display: Arc::clone(&display),
+            });
+        }
+        (display, outcome)
     }
 
     /// Wrap the engine in an `Arc` for concurrent serving (see
@@ -310,6 +388,7 @@ impl Vexus {
             config,
             stats,
             snapshot_bytes: decoded.buffer_bytes,
+            opening: OnceLock::new(),
         })
     }
 
@@ -605,5 +684,111 @@ pub(crate) mod tests {
         let graph = vexus.overlap_graph();
         assert_eq!(graph.n_nodes(), vexus.groups().len());
         assert_eq!(graph.n_edges(), vexus.index().stats().scored_pairs);
+    }
+
+    /// A budget the tiny engine never exhausts, so every opening converges
+    /// and is memoized.
+    fn unbounded() -> EngineConfig {
+        EngineConfig::default().with_budget(std::time::Duration::from_secs(600))
+    }
+
+    fn tiny_engine() -> Vexus {
+        let ds = bookcrossing(&BookCrossingConfig::tiny());
+        Vexus::build(ds.data, EngineConfig::default()).unwrap()
+    }
+
+    /// Greedy over the opening candidates against the whole population,
+    /// with no feedback: the opening step computed from scratch.
+    fn fresh_opening(vexus: &Vexus, config: &EngineConfig) -> SelectionOutcome {
+        greedy::select_k(
+            vexus.groups(),
+            &opening_candidates(vexus.groups(), config.candidate_pool),
+            &MemberSet::universe(vexus.data().n_users() as u32),
+            &FeedbackVector::new(),
+            &config.select_params(),
+        )
+    }
+
+    fn assert_same_outcome(got: &SelectionOutcome, want: &SelectionOutcome) {
+        assert_eq!(got.selection, want.selection);
+        assert_eq!(
+            got.quality.diversity.to_bits(),
+            want.quality.diversity.to_bits()
+        );
+        assert_eq!(
+            got.quality.coverage.to_bits(),
+            want.quality.coverage.to_bits()
+        );
+        assert_eq!((got.rounds, got.trials), (want.rounds, want.trials));
+        assert_eq!(got.budget_exhausted, want.budget_exhausted);
+    }
+
+    #[test]
+    fn memoized_opening_is_bit_identical_to_a_fresh_greedy() {
+        let vexus = tiny_engine();
+        let config = unbounded();
+        assert!(vexus.opening.get().is_none(), "a built engine starts empty");
+        let first = vexus.session_with(config.clone()).unwrap();
+        let memo = vexus
+            .opening
+            .get()
+            .expect("a converged opening is memoized");
+        assert_eq!(memo.key, step_key(&config));
+        let want = fresh_opening(&vexus, &config);
+        assert_same_outcome(&memo.outcome, &want);
+        assert_eq!(&*memo.display, want.selection.as_slice());
+        // A later open shares the memoized display and reports its outcome.
+        let second = vexus.session_with(config).unwrap();
+        assert!(std::ptr::eq(second.display(), &*memo.display));
+        assert_same_outcome(second.last_outcome().unwrap(), &want);
+        assert_eq!(first.display(), second.display());
+        assert_eq!(second.budget_exhausted_steps(), 0);
+    }
+
+    #[test]
+    fn an_open_under_another_config_computes_its_own_display() {
+        let vexus = tiny_engine();
+        let default = unbounded();
+        vexus.session_with(default.clone()).unwrap();
+        let k3 = default.clone().with_k(3);
+        let session = vexus.session_with(k3.clone()).unwrap();
+        let memo = vexus.opening.get().unwrap();
+        // The slot still holds the default config's opening …
+        assert_eq!(memo.key, step_key(&default));
+        assert_eq!(memo.display.len(), 5);
+        // … and the k = 3 session shows the display greedy computes for it.
+        assert!(!std::ptr::eq(session.display(), &*memo.display));
+        assert_eq!(session.display(), fresh_opening(&vexus, &k3).selection);
+        assert!(session.display().len() <= 3);
+    }
+
+    #[test]
+    fn a_budget_cut_opening_is_not_memoized() {
+        let vexus = tiny_engine();
+        let config = EngineConfig::default().with_budget(std::time::Duration::ZERO);
+        let session = vexus.session_with(config).unwrap();
+        assert!(session.last_outcome().unwrap().budget_exhausted);
+        assert_eq!(session.budget_exhausted_steps(), 1);
+        assert!(vexus.opening.get().is_none());
+        // The next converged opening still claims the slot.
+        vexus.session_with(unbounded()).unwrap();
+        assert!(vexus.opening.get().is_some());
+    }
+
+    #[test]
+    fn serving_opens_leaves_the_snapshot_bytes_unchanged() {
+        let vexus = tiny_engine().shared();
+        let before = vexus.write_snapshot();
+        let svc = crate::serve::ExplorationService::new(Arc::clone(&vexus));
+        for _ in 0..3 {
+            svc.open_with(unbounded()).unwrap();
+        }
+        assert!(vexus.opening.get().is_some());
+        assert_eq!(vexus.write_snapshot(), before);
+        let loaded = Vexus::from_snapshot(vexus.data().clone(), &before, unbounded()).unwrap();
+        assert!(
+            loaded.opening.get().is_none(),
+            "a loaded engine starts empty"
+        );
     }
 }

@@ -114,7 +114,9 @@ pub struct SelectionOutcome {
     pub rounds: usize,
     /// Swap trials evaluated (one objective evaluation each).
     pub trials: usize,
-    /// Wall-clock spent.
+    /// Wall-clock spent. A session's opening outcome is the engine's
+    /// memoized one (`Vexus::opening`), so on a memo hit this is the time
+    /// the open that computed it spent.
     pub elapsed: Duration,
     /// Whether the budget cut optimization short (false = converged).
     pub budget_exhausted: bool,
@@ -1120,8 +1122,8 @@ mod tests {
         for pool in [96, 256] {
             let mut scratch = SelectScratch::new();
             let mut feedback = FeedbackVector::new();
-            // The opening step, as `Session::opening_step` poses it.
-            let candidates = crate::session::opening_candidates(groups, pool);
+            // The opening step, as `Vexus::opening` poses it.
+            let candidates = crate::engine::opening_candidates(groups, pool);
             let population = MemberSet::universe(vexus.data().n_users() as u32);
             let opening = check(
                 &mut scratch,

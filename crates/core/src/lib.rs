@@ -5,7 +5,8 @@
 //! `vexus-stats`, `vexus-viz`) and implements the interactive loop of Fig. 1
 //! with its three principles:
 //!
-//! * **P1 — limited options**: every step shows `k ≤ 7` groups
+//! * **P1 — limited options**: every step shows at most `k` groups, 5 by
+//!   default; an open rejects a `k` outside `1..=12`
 //!   ([`config::EngineConfig::k`]),
 //! * **P2 — optimality**: the shown set greedily maximizes diversity and
 //!   coverage under a lower bound on similarity to the clicked group

@@ -1037,4 +1037,36 @@ mod tests {
         // New opens see the new epoch.
         assert!(!Arc::ptr_eq(&live.engine(), before.engine()));
     }
+
+    /// The opening memo belongs to its epoch: a refresh that changes the
+    /// group space publishes an engine whose first open computes the new
+    /// space's opening instead of reusing the old one.
+    #[test]
+    fn a_refreshed_epoch_computes_its_own_opening() {
+        let config = stream_config().with_budget(std::time::Duration::from_secs(600));
+        let (base, tape) = warmed(300);
+        let live = LiveEngine::bootstrap(base, config.clone()).unwrap();
+        let epoch0 = live.engine();
+        crate::engine::OwnedSession::open(Arc::clone(&epoch0)).unwrap();
+        let memo0 = epoch0.opening.get().expect("epoch 0 memoized its opening");
+        feed(&live, &tape);
+        assert!(live.refresh().unwrap().advanced);
+        let epoch1 = live.engine();
+        assert_ne!(epoch0.groups(), epoch1.groups(), "the group space changed");
+        assert!(epoch1.opening.get().is_none(), "a new epoch starts empty");
+        let session = crate::engine::OwnedSession::open(Arc::clone(&epoch1)).unwrap();
+        let memo1 = epoch1.opening.get().expect("epoch 1 memoized its opening");
+        assert!(!Arc::ptr_eq(&memo0.display, &memo1.display));
+        assert!(std::ptr::eq(session.display(), &*memo1.display));
+        let candidates = crate::engine::opening_candidates(epoch1.groups(), config.candidate_pool);
+        let fresh = crate::greedy::select_k(
+            epoch1.groups(),
+            &candidates,
+            &vexus_mining::MemberSet::universe(epoch1.data().n_users() as u32),
+            &crate::feedback::FeedbackVector::new(),
+            &config.select_params(),
+        );
+        assert_eq!(session.display(), fresh.selection);
+        assert_eq!(memo1.outcome.trials, fresh.trials);
+    }
 }

@@ -993,4 +993,128 @@ mod tests {
             assert_eq!(svc.display(id).unwrap(), reference);
         }
     }
+
+    /// A step config no session can use is refused at every open entry
+    /// point — the borrowing session, the owned session and the service —
+    /// before the engine's opening memo is consulted, and the service
+    /// table stays empty.
+    fn assert_open_rejected(config: EngineConfig) {
+        let engine = engine();
+        let is_invalid = |r: Result<(), CoreError>| matches!(r, Err(CoreError::InvalidConfig(_)));
+        assert!(is_invalid(engine.session_with(config.clone()).map(drop)));
+        let owned = OwnedSession::open_with(Arc::clone(&engine), config.clone());
+        assert!(is_invalid(owned.map(drop)));
+        let svc = ExplorationService::new(Arc::clone(&engine));
+        assert!(matches!(
+            svc.open_with(config),
+            Err(ServeError::Core(CoreError::InvalidConfig(_)))
+        ));
+        assert!(svc.is_empty());
+        assert!(engine.opening.get().is_none(), "no opening was computed");
+    }
+
+    #[test]
+    fn open_rejects_k_zero() {
+        assert_open_rejected(EngineConfig {
+            k: 0,
+            ..EngineConfig::default()
+        });
+    }
+
+    #[test]
+    fn open_rejects_k_above_twelve() {
+        for k in [13, 1000] {
+            assert_open_rejected(EngineConfig {
+                k,
+                ..EngineConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn open_rejects_an_empty_candidate_pool() {
+        assert_open_rejected(EngineConfig {
+            candidate_pool: 0,
+            ..EngineConfig::default()
+        });
+    }
+
+    #[test]
+    fn open_rejects_a_nan_min_similarity() {
+        assert_open_rejected(EngineConfig {
+            min_similarity: f64::NAN,
+            ..EngineConfig::default()
+        });
+    }
+
+    #[test]
+    fn open_rejects_a_min_similarity_outside_the_unit_interval() {
+        for min_similarity in [2.0, -0.5] {
+            assert_open_rejected(EngineConfig {
+                min_similarity,
+                ..EngineConfig::default()
+            });
+        }
+    }
+
+    #[test]
+    fn open_rejects_a_negative_weight() {
+        let default = EngineConfig::default;
+        assert_open_rejected(EngineConfig {
+            diversity_weight: -1.0,
+            ..default()
+        });
+        assert_open_rejected(EngineConfig {
+            coverage_weight: -0.5,
+            ..default()
+        });
+        assert_open_rejected(EngineConfig {
+            feedback_weight: -2.0,
+            ..default()
+        });
+    }
+
+    #[test]
+    fn open_rejects_a_non_finite_weight() {
+        let default = EngineConfig::default;
+        assert_open_rejected(EngineConfig {
+            diversity_weight: f64::INFINITY,
+            ..default()
+        });
+        assert_open_rejected(EngineConfig {
+            coverage_weight: f64::NAN,
+            ..default()
+        });
+        assert_open_rejected(EngineConfig {
+            feedback_weight: f64::NEG_INFINITY,
+            ..default()
+        });
+    }
+
+    /// The edges of every valid range open, and P1 holds at `k` 12.
+    #[test]
+    fn open_accepts_the_edges_of_every_range() {
+        let svc = service();
+        let edges = [
+            EngineConfig::default().with_k(1),
+            EngineConfig::default().with_k(12),
+            EngineConfig {
+                candidate_pool: 1,
+                min_similarity: 0.0,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                min_similarity: 1.0,
+                diversity_weight: 0.0,
+                coverage_weight: 0.0,
+                feedback_weight: 0.0,
+                ..EngineConfig::default()
+            },
+        ];
+        for config in edges {
+            let k = config.k;
+            let (_, display) = svc.open_with(config).unwrap();
+            assert!(display.len() <= k, "P1 at k {k}");
+        }
+    }
 }

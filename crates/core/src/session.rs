@@ -32,20 +32,22 @@
 //! it, and a history of depth d holds d full feedback vectors —
 //! O(steps × feedback size) (ROADMAP item 9). The per-click scratch
 //! buffers of the greedy optimizer live in the session and are reused
-//! across clicks; the opening step, whose reference is the whole
-//! population, runs on buffers of its own that are dropped on return.
+//! across clicks. The opening step is the engine's, not the session's:
+//! with no feedback yet it depends only on the engine and the step
+//! config, so the engine memoizes it (`Vexus::opening`) and an open
+//! under the memoized config shares its display without running greedy.
 
 use crate::config::EngineConfig;
 use crate::engine::Vexus;
 use crate::error::CoreError;
 use crate::feedback::{ContextView, FeedbackVector};
-use crate::greedy::{self, ScoredCandidate, SelectParams, SelectScratch, SelectionOutcome};
+use crate::greedy::{self, ScoredCandidate, SelectScratch, SelectionOutcome};
 use std::ops::Deref;
 use std::sync::Arc;
 use vexus_data::{AttrId, UserData, UserId};
 use vexus_index::GroupIndex;
 use vexus_mining::features::Featurizer;
-use vexus_mining::{GroupId, GroupSet, MemberSet};
+use vexus_mining::{GroupId, MemberSet};
 use vexus_stats::StatsView;
 use vexus_viz::color::{Color, Palette};
 use vexus_viz::force::{ForceConfig, ForceLayout};
@@ -129,11 +131,11 @@ pub struct Session<E: Deref<Target = Vexus>> {
     /// Steps so far whose greedy call hit the time budget.
     budget_exhausted_steps: usize,
     /// Reused greedy working memory of the clicks (re-initialised each
-    /// click, never shrunk; the opening step does not touch it). It holds
-    /// what the largest click needed: pool × clicked-group coverage bits,
-    /// member bit-rows for the groups that entered a selection only, and
-    /// 1.5 bits per user id of the pool's window for the rank lookup — the
-    /// bound [`SelectScratch`] states.
+    /// click, never shrunk; the opening step is the engine's and does not
+    /// touch it). It holds what the largest click needed: pool ×
+    /// clicked-group coverage bits, member bit-rows for the groups that
+    /// entered a selection only, and 1.5 bits per user id of the pool's
+    /// window for the rank lookup — the bound [`SelectScratch`] states.
     scratch: SelectScratch,
     /// Reused candidate buffer for the neighbors → greedy handoff.
     candidates: Vec<ScoredCandidate>,
@@ -142,27 +144,23 @@ pub struct Session<E: Deref<Target = Vexus>> {
 /// The borrowing session — what [`Vexus::session`] returns.
 pub type ExplorationSession<'a> = Session<&'a Vexus>;
 
-/// The opening step's candidates: the `pool` largest groups, ties in id
-/// order (the sort is stable), each at similarity 1 — there is no clicked
-/// group to be similar to.
-pub(crate) fn opening_candidates(groups: &GroupSet, pool: usize) -> Vec<ScoredCandidate> {
-    let mut by_size: Vec<GroupId> = groups.ids().collect();
-    by_size.sort_by_key(|&id| std::cmp::Reverse(groups.get(id).size()));
-    by_size.into_iter().take(pool).map(|id| (id, 1.0)).collect()
-}
-
 impl<E: Deref<Target = Vexus>> Session<E> {
-    /// Open a session over any engine handle: runs the opening greedy step
-    /// over the whole group space (reference = the full population).
+    /// Open a session over any engine handle. Its first display is the
+    /// engine's opening step under `config` (`Vexus::opening`): greedy
+    /// over the whole group space against the full population, memoized
+    /// per engine. Fails with [`CoreError::InvalidConfig`] on a step config
+    /// no session can use.
     pub fn open_engine(engine: E, config: EngineConfig) -> Result<Self, CoreError> {
+        config.check_step()?;
         if engine.groups().is_empty() {
             return Err(CoreError::EmptyGroupSpace);
         }
+        let (display, outcome) = engine.opening(&config);
         let mut session = Self {
             engine,
             config,
             feedback: Arc::new(FeedbackVector::new()),
-            display: Arc::from(Vec::new()),
+            display: Arc::clone(&display),
             history: Vec::new(),
             memo: Memo::default(),
             last_outcome: None,
@@ -170,33 +168,20 @@ impl<E: Deref<Target = Vexus>> Session<E> {
             scratch: SelectScratch::new(),
             candidates: Vec::new(),
         };
-        session.opening_step();
+        session.commit_step(None, display, outcome);
         Ok(session)
     }
 
-    /// The opening step, run once by [`Self::open_engine`].
-    fn opening_step(&mut self) {
-        self.candidates = opening_candidates(self.engine.groups(), self.config.candidate_pool);
-        let reference = MemberSet::universe(self.engine.data().n_users() as u32);
-        let params = self.select_params();
-        // The whole population is a far larger reference than any clicked
-        // group and is met once per session: a scratch of its own, dropped
-        // on return, keeps the session-resident one sized by clicks.
-        let outcome = greedy::select_k(
-            self.engine.groups(),
-            &self.candidates,
-            &reference,
-            &self.feedback,
-            &params,
-        );
-        self.commit_step(None, outcome);
-    }
-
     /// Install a selection as the new display and snapshot it into
-    /// HISTORY. The display is copied once into an `Arc`; the history
-    /// entry and the feedback snapshot are reference-count bumps.
-    fn commit_step(&mut self, clicked: Option<GroupId>, outcome: SelectionOutcome) {
-        self.display = Arc::from(outcome.selection.as_slice());
+    /// HISTORY. The history entry and the feedback snapshot are
+    /// reference-count bumps.
+    fn commit_step(
+        &mut self,
+        clicked: Option<GroupId>,
+        display: Arc<[GroupId]>,
+        outcome: SelectionOutcome,
+    ) {
+        self.display = display;
         self.budget_exhausted_steps += usize::from(outcome.budget_exhausted);
         self.last_outcome = Some(outcome);
         self.history.push(HistoryStep {
@@ -221,17 +206,6 @@ impl<E: Deref<Target = Vexus>> Session<E> {
             .extend(neighbors.iter().map(|&(id, sim)| (id, sim as f64)));
     }
 
-    fn select_params(&self) -> SelectParams {
-        SelectParams {
-            k: self.config.k,
-            budget: Some(self.config.time_budget),
-            min_similarity: self.config.min_similarity,
-            diversity_weight: self.config.diversity_weight,
-            coverage_weight: self.config.coverage_weight,
-            feedback_weight: self.config.feedback_weight,
-        }
-    }
-
     /// The current GroupViz display (P1: at most `k` groups).
     pub fn display(&self) -> &[GroupId] {
         &self.display
@@ -251,7 +225,6 @@ impl<E: Deref<Target = Vexus>> Session<E> {
             Arc::make_mut(&mut self.feedback).reward_group(group);
         }
         self.refresh_candidates(g);
-        let params = self.select_params();
         let group = self.engine.groups().get(g);
         let outcome = greedy::select_k_with(
             &mut self.scratch,
@@ -259,9 +232,9 @@ impl<E: Deref<Target = Vexus>> Session<E> {
             &self.candidates,
             &group.members,
             &self.feedback,
-            &params,
+            &self.config.select_params(),
         );
-        self.commit_step(Some(g), outcome);
+        self.commit_step(Some(g), Arc::from(outcome.selection.as_slice()), outcome);
         Ok(&self.display)
     }
 
